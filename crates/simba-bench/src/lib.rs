@@ -13,8 +13,7 @@
 //! ## Experiment binaries
 //!
 //! Each remaining binary under `src/bin/` regenerates one of the paper's
-//! experiments (those that sweep driver workloads are thin aliases over
-//! the scenario registry):
+//! experiments:
 //!
 //! | binary | experiment |
 //! |---|---|

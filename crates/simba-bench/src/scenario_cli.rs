@@ -1,4 +1,4 @@
-//! Shared runner behind `bench --scenario <name>` and the thin alias bins.
+//! The runner behind `bench --scenario <name>`.
 //!
 //! One code path expands a named scenario (or a spec file) into
 //! [`ScenarioSpec`]s, executes each through [`Driver::execute`], prints a
@@ -8,8 +8,7 @@
 
 use simba_driver::workload::TableCache;
 use simba_driver::{
-    run_datagen_sweep, DatagenReport, DatagenSweep, Driver, RunReport, ScenarioBody,
-    ScenarioParams, ScenarioSpec,
+    run_datagen_sweep, DatagenReport, DatagenSweep, Driver, RunReport, ScenarioParams, ScenarioSpec,
 };
 
 /// Parse a comma-separated user sweep (`"1,8,64"`): the one parser behind
@@ -344,53 +343,6 @@ pub fn emit_json(reports: &[RunReport]) {
 pub fn emit_datagen_json(report: &DatagenReport) {
     let json = serde_json::to_string_pretty(report).expect("report serializes");
     emit_json_payload(&json, &format!("{} datagen entries", report.entries.len()));
-}
-
-/// Thin-alias entry point: run one built-in scenario under env-configured
-/// params, with a given default parameter set. Exits the process non-zero
-/// on failure.
-pub fn run_named_scenario(name: &str, defaults: ScenarioParams) {
-    let params = params_from_env(defaults);
-    let scenario = simba_driver::scenario(name, &params)
-        .unwrap_or_else(|| panic!("`{name}` is a registered scenario"));
-    println!(
-        "{name} — {} (rows {}, seed {}, users {:?}, {} steps/session)\n",
-        scenario.description, params.rows, params.seed, params.users, params.steps
-    );
-    // Alias bins honor the same observability env knobs as `bench`.
-    let trace_out = resolve_trace_out(None);
-    if trace_out.is_some() {
-        enable_tracing();
-    }
-    let outcome = match &scenario.body {
-        ScenarioBody::Suite(specs) => {
-            let mut specs = specs.clone();
-            if metrics_from_env() {
-                for spec in &mut specs {
-                    spec.collect_metrics = true;
-                }
-            }
-            let suite = run_specs(&specs);
-            // Partial reports are still worth emitting: a failed chaos run
-            // is exactly the run someone will want to inspect.
-            if !suite.reports.is_empty() {
-                emit_json(&suite.reports);
-            }
-            match suite.error {
-                Some(e) => Err(e),
-                None => max_degraded_from_env()
-                    .map_or(Ok(()), |max| check_max_degraded(&suite.reports, max)),
-            }
-        }
-        ScenarioBody::Datagen(sweep) => run_datagen(sweep).map(|report| emit_datagen_json(&report)),
-    };
-    if let Some(path) = &trace_out {
-        write_trace(path);
-    }
-    if let Err(e) = outcome {
-        eprintln!("error: {e}");
-        std::process::exit(1);
-    }
 }
 
 /// The `SIMBA_MAX_DEGRADED` degraded-session budget (percent), if set to

@@ -12,7 +12,7 @@
 //! Each shard holds at most `capacity_per_shard` entries and evicts its
 //! least-recently-used entry on overflow.
 
-use simba_engine::{Dbms, EngineError, ExecStats, QueryOutput};
+use simba_engine::{EngineError, ExecStats, QueryOutput};
 use simba_sql::{query_cache_key, Select};
 use simba_store::ResultSet;
 use std::collections::HashMap;
@@ -341,30 +341,17 @@ impl ShardedResultCache {
     /// caller's own engine run.
     ///
     /// Misses are **single-flight**: concurrent misses on one key elect a
-    /// leader that executes the engine exactly once while the rest block on
-    /// its `Flight` — without this, every concurrent session redundantly
+    /// leader that calls `run` exactly once while the rest block on its
+    /// `Flight` — without this, every concurrent session redundantly
     /// executes the same query, inflating engine load (and adaptive-mode
-    /// latency) on popular keys.
+    /// latency) on popular keys. `run` is the caller's whole execution
+    /// strategy: the driver passes its retry loop, so a follower coalesced
+    /// onto a flaky key observes the leader's post-retry outcome, never the
+    /// raw first failure.
     pub fn execute_cached(
         &self,
-        engine: &dyn Dbms,
         query: &Select,
-    ) -> Result<(Arc<CachedResult>, Duration, bool), EngineError> {
-        self.execute_cached_with(engine, query, &mut |e, q| e.execute(q))
-    }
-
-    /// [`execute_cached`](Self::execute_cached) with a caller-supplied
-    /// execution strategy. The single-flight **leader** runs `run(engine,
-    /// query)` in place of a bare `engine.execute`; followers still wait on
-    /// the flight. This is how the driver's resilience layer pushes its
-    /// retry loop *inside* the leader: a follower coalesced onto a flaky
-    /// key observes the leader's post-retry outcome, never the raw first
-    /// failure.
-    pub fn execute_cached_with(
-        &self,
-        engine: &dyn Dbms,
-        query: &Select,
-        run: &mut dyn FnMut(&dyn Dbms, &Select) -> Result<QueryOutput, EngineError>,
+        run: impl FnOnce() -> Result<QueryOutput, EngineError>,
     ) -> Result<(Arc<CachedResult>, Duration, bool), EngineError> {
         let _span = simba_obs::trace::span("cache.execute", "cache");
         // Key construction (AST normalization + printing) is the dominant
@@ -423,7 +410,7 @@ impl ShardedResultCache {
             key: &key,
             armed: true,
         };
-        let outcome = run(engine, query).map(|out| {
+        let outcome = run().map(|out| {
             let value = Arc::new(CachedResult {
                 result: out.result,
                 stats: out.stats,
@@ -478,49 +465,10 @@ impl ShardedResultCache {
     }
 }
 
-/// A [`Dbms`] adapter that consults a shared cache before the inner engine.
-/// Reports the inner engine's name so per-engine breakdowns stay stable.
-pub struct CachedDbms {
-    inner: Arc<dyn Dbms>,
-    cache: Arc<ShardedResultCache>,
-}
-
-impl CachedDbms {
-    pub fn new(inner: Arc<dyn Dbms>, cache: Arc<ShardedResultCache>) -> Self {
-        CachedDbms { inner, cache }
-    }
-
-    pub fn cache(&self) -> &ShardedResultCache {
-        &self.cache
-    }
-}
-
-impl Dbms for CachedDbms {
-    fn name(&self) -> &'static str {
-        self.inner.name()
-    }
-
-    fn register(&self, table: Arc<simba_store::Table>) {
-        // Registering replaces any same-named table, so every cached result
-        // is potentially derived from dead data: invalidate before the
-        // inner engine can serve queries against the replacement.
-        self.cache.clear();
-        self.inner.register(table);
-    }
-
-    fn execute(&self, query: &Select) -> Result<QueryOutput, EngineError> {
-        let (value, elapsed, _hit) = self.cache.execute_cached(self.inner.as_ref(), query)?;
-        Ok(QueryOutput {
-            result: value.result.clone(),
-            stats: value.stats.clone(),
-            elapsed,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use simba_engine::Dbms;
 
     fn result_of(n: i64) -> Arc<CachedResult> {
         Arc::new(CachedResult {
@@ -598,44 +546,6 @@ mod tests {
         assert_eq!(stats.insertions, 20, "counters survive a clear");
     }
 
-    fn rows_table(name: &str, n: i64) -> Arc<simba_store::Table> {
-        let schema =
-            simba_store::Schema::new(name, vec![simba_store::ColumnDef::quantitative_int("x")]);
-        let mut b = simba_store::TableBuilder::new(schema, n as usize);
-        for i in 0..n {
-            b.push_row(vec![simba_store::Value::Int(i)]);
-        }
-        Arc::new(b.finish())
-    }
-
-    /// Regression: `register` used to forward the replacement table to the
-    /// inner engine while the cache kept serving results computed from the
-    /// old one.
-    #[test]
-    fn register_invalidates_stale_cached_results() {
-        let cache = Arc::new(ShardedResultCache::new(CacheConfig::default()));
-        let db = CachedDbms::new(simba_engine::EngineKind::SqliteLike.build(), cache.clone());
-        db.register(rows_table("t", 3));
-        let q = simba_sql::parse_select("SELECT COUNT(*) FROM t").unwrap();
-        assert_eq!(
-            db.execute(&q).unwrap().result.rows,
-            vec![vec![simba_store::Value::Int(3)]]
-        );
-        db.execute(&q).unwrap();
-        assert_eq!(cache.stats().hits, 1, "second execution hits");
-
-        db.register(rows_table("t", 5));
-        assert!(cache.is_empty(), "register must clear the cache");
-        assert_eq!(
-            db.execute(&q).unwrap().result.rows,
-            vec![vec![simba_store::Value::Int(5)]],
-            "post-register execution must see the replacement table"
-        );
-        let stats = cache.stats();
-        assert_eq!(stats.misses, 2, "post-register lookup must miss");
-        assert_eq!(stats.invalidations, 2, "one per register call");
-    }
-
     /// A clear that lands while a leader is still executing must not let
     /// the leader re-seed the cache with a result computed against the
     /// replaced data — the caller still gets its result, the cache stays
@@ -666,7 +576,7 @@ mod tests {
         let cache = ShardedResultCache::new(CacheConfig::default());
         let q = simba_sql::parse_select("SELECT n FROM t").unwrap();
         let engine = ClearingEngine { cache: &cache };
-        let (value, _elapsed, hit) = cache.execute_cached(&engine, &q).unwrap();
+        let (value, _elapsed, hit) = cache.execute_cached(&q, || engine.execute(&q)).unwrap();
         assert!(!hit);
         assert_eq!(
             value.result.rows,
@@ -698,7 +608,7 @@ mod tests {
         let cache = ShardedResultCache::new(CacheConfig::default());
         let q = simba_sql::parse_select("SELECT n FROM t").unwrap();
         let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            cache.execute_cached(&PanickingEngine, &q)
+            cache.execute_cached(&q, || PanickingEngine.execute(&q))
         }));
         assert!(unwound.is_err(), "the leader's panic propagates");
         // The flight was retired on unwind: a fresh caller elects itself
@@ -721,7 +631,7 @@ mod tests {
                 })
             }
         }
-        let (value, _elapsed, hit) = cache.execute_cached(&OkEngine, &q).unwrap();
+        let (value, _elapsed, hit) = cache.execute_cached(&q, || OkEngine.execute(&q)).unwrap();
         assert!(!hit);
         assert_eq!(value.result.rows, vec![vec![simba_store::Value::Int(2)]]);
     }
@@ -760,23 +670,23 @@ mod tests {
         let engine = FlakyOnce {
             failed: AtomicBool::new(false),
         };
-        let err = cache.execute_cached(&engine, &q).unwrap_err();
+        let err = cache.execute_cached(&q, || engine.execute(&q)).unwrap_err();
         assert!(err.is_transient());
         assert!(cache.is_empty(), "errors must never be cached");
         assert_eq!(cache.stats().error_passthrough, 1);
 
-        let (value, _elapsed, hit) = cache.execute_cached(&engine, &q).unwrap();
+        let (value, _elapsed, hit) = cache.execute_cached(&q, || engine.execute(&q)).unwrap();
         assert!(!hit, "the retry re-executes instead of replaying the error");
         assert_eq!(value.result.rows, vec![vec![simba_store::Value::Int(7)]]);
         assert_eq!(cache.stats().insertions, 1);
         // And now the key serves hits like any healthy entry.
-        let (_, _, hit) = cache.execute_cached(&engine, &q).unwrap();
+        let (_, _, hit) = cache.execute_cached(&q, || engine.execute(&q)).unwrap();
         assert!(hit);
     }
 
-    /// `execute_cached_with` runs the caller's strategy as the leader: a
-    /// retry loop inside it converts a transient first failure into a
-    /// success that followers and later callers observe.
+    /// `execute_cached` runs the caller's strategy as the leader: a retry
+    /// loop inside it converts a transient first failure into a success
+    /// that followers and later callers observe.
     #[test]
     fn leader_retry_strategy_hides_transient_failures_from_the_cache() {
         use std::sync::atomic::AtomicU64;
@@ -809,9 +719,9 @@ mod tests {
         };
         let mut attempts = 0u32;
         let (value, _elapsed, hit) = cache
-            .execute_cached_with(&engine, &q, &mut |e, q| loop {
+            .execute_cached(&q, || loop {
                 attempts += 1;
-                match e.execute(q) {
+                match engine.execute(&q) {
                     Ok(out) => return Ok(out),
                     Err(err) if err.is_transient() && attempts < 4 => continue,
                     Err(err) => return Err(err),
@@ -886,7 +796,7 @@ mod tests {
         let follower_outcome = std::thread::scope(|scope| {
             let leader = scope.spawn(|| {
                 std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    cache.execute_cached(&PanicOnceJoined { cache: &cache }, &q)
+                    cache.execute_cached(&q, || PanicOnceJoined { cache: &cache }.execute(&q))
                 }))
             });
             let follower = scope.spawn(|| {
@@ -895,7 +805,7 @@ mod tests {
                 while !cache.inflight.iter().any(|m| !m.lock().unwrap().is_empty()) {
                     std::thread::yield_now();
                 }
-                cache.execute_cached(&PanicOnceJoined { cache: &cache }, &q)
+                cache.execute_cached(&q, || PanicOnceJoined { cache: &cache }.execute(&q))
             });
             assert!(
                 leader.join().unwrap().is_err(),

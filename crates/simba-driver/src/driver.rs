@@ -4,11 +4,12 @@
 //! worker threads. *What* the sessions are comes from a
 //! [`SessionSource`] — one trait covering every session mode:
 //!
-//! * **Scripted** ([`ScriptedSource`]) — replays pre-synthesized
-//!   [`SessionScript`]s: every interaction was fixed before the first query
-//!   ran, so the workload is engine-independent but can never react to
-//!   results.
-//! * **Adaptive** ([`AdaptiveSource`])
+//! * **Scripted** ([`ScriptedSource`](crate::ScriptedSource)) — replays
+//!   pre-synthesized
+//!   [`SessionScript`](simba_core::session::batch::SessionScript)s: every
+//!   interaction was fixed before the first query ran, so the workload is
+//!   engine-independent but can never react to results.
+//! * **Adaptive** ([`AdaptiveSource`](crate::AdaptiveSource))
 //!   — each worker runs a *live* Markov walk per user and steers on what
 //!   comes back: a filter that empties a chart gets undone, a dominant
 //!   category gets drilled into. This is the paper's adaptivity argument
@@ -31,11 +32,10 @@
 //!
 //! Prefer describing a run declaratively with a
 //! [`ScenarioSpec`](crate::workload::ScenarioSpec) and
-//! [`Driver::execute`](crate::workload); [`Driver::run`] and
-//! [`Driver::run_adaptive`] remain as thin shims over the same loop.
+//! [`Driver::execute`](crate::workload); a hand-assembled run builds a
+//! source and calls [`Driver::run_source`], the loop `execute` itself uses.
 
 use crate::cache::{CacheConfig, CachedResult, ShardedResultCache};
-use crate::histogram::LatencyHistogram;
 use crate::report::{
     CacheReport, ExecReport, LatencySummary, ResilienceReport, RunReport, SteeringReport,
     ADHOC_SCENARIO,
@@ -43,14 +43,11 @@ use crate::report::{
 use crate::resilience::{jitter_key, CircuitBreaker, ResiliencePolicy};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use simba_core::dashboard::Dashboard;
-use simba_core::markov::MarkovModel;
-use simba_core::session::adaptive::{AdaptivePolicy, SteeringKind};
-use simba_core::session::batch::{splitmix, SessionScript};
-use simba_core::session::source::{
-    AdaptiveSource, AdaptiveWalkConfig, QueryFeedback, ScriptedSource, SessionSource, SourceStep,
-};
+use simba_core::session::adaptive::SteeringKind;
+use simba_core::session::batch::splitmix;
+use simba_core::session::source::{QueryFeedback, SessionSource, SourceStep};
 use simba_engine::{Dbms, EngineError, QueryCtx, QueryOutput, SessionDelta};
+use simba_obs::LatencyHistogram;
 use simba_sql::Select;
 use simba_store::ResultSet;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -113,28 +110,22 @@ pub struct DriverConfig {
     /// Record a per-query result fingerprint (used by equivalence tests).
     pub collect_fingerprints: bool,
     /// Enable session-delta execution: each session carries a
-    /// [`SessionDelta`] store and queries run through
-    /// [`Dbms::execute_delta`], letting engines that opt in seed scans from
-    /// the previous step's surviving rows. Results are byte-identical to
-    /// delta-off runs (the differential suite enforces it). Ignored on the
-    /// resilient path: retries/timeouts abandon attempts mid-flight, and an
-    /// abandoned attempt must not poison a store shared with its retry.
+    /// [`SessionDelta`] store (it exists iff this is set) and its queries
+    /// run through [`Dbms::execute_delta`], letting engines that opt in seed
+    /// scans from the previous step's surviving rows. Results are
+    /// byte-identical to delta-off runs (the differential suite enforces
+    /// it). Composes with `resilience`: a failed, panicked or
+    /// deadline-abandoned attempt resets the store, so a retry never reads
+    /// what the attempt before it left half-done.
     pub delta: bool,
     /// Enable the global metrics registry for the duration of the run and
     /// attach a run-scoped [`MetricsSnapshot`](simba_obs::MetricsSnapshot)
     /// (plus the derived phase breakdown) to the report.
     pub collect_metrics: bool,
     /// Deadline, retry/backoff, and circuit-breaker policy applied around
-    /// every query. Inert by default — the driver then takes the exact
-    /// legacy execution path.
+    /// every query. Inert by default: one attempt, no deadline, no breaker
+    /// — of the same attempt loop every run goes through.
     pub resilience: ResiliencePolicy,
-    /// Force the fault-tolerant execution path (per-attempt [`QueryCtx`],
-    /// panic recovery) even when `resilience` is inert. The workload layer
-    /// sets this whenever the engine is wrapped in a
-    /// [`FaultInjectingDbms`](simba_engine::FaultInjectingDbms): injected
-    /// panics must be caught, and injected faults key their determinism on
-    /// the ctx.
-    pub chaos: bool,
 }
 
 impl Default for DriverConfig {
@@ -149,57 +140,12 @@ impl Default for DriverConfig {
             delta: false,
             collect_metrics: false,
             resilience: ResiliencePolicy::default(),
-            chaos: false,
-        }
-    }
-}
-
-/// Configuration of one adaptive (live, result-steered) run.
-///
-/// Legacy shape kept for one release: the walk fields now live in
-/// [`AdaptiveWalkConfig`] (`simba-core`), which this converts `Into`; new
-/// code should build an `AdaptiveSource` or a
-/// [`ScenarioSpec`](crate::workload::ScenarioSpec) instead.
-#[derive(Debug, Clone)]
-pub struct AdaptiveConfig {
-    /// Base seed; user `u` walks with `base_seed ^ splitmix(u + 1)` —
-    /// the same derivation as [`simba_core::session::batch::BatchConfig`],
-    /// so scripted and adaptive runs of one seed explore comparably.
-    pub base_seed: u64,
-    /// Interaction budget per session after the initial render (steering
-    /// steps count: reacting *is* interacting).
-    pub steps_per_session: usize,
-    /// Model mix; user `u` draws `mix[u % mix.len()]`.
-    pub mix: Vec<MarkovModel>,
-    /// Result-steering rules applied after every non-steered step.
-    pub policy: AdaptivePolicy,
-}
-
-impl Default for AdaptiveConfig {
-    fn default() -> Self {
-        let walk = AdaptiveWalkConfig::default();
-        AdaptiveConfig {
-            base_seed: walk.base_seed,
-            steps_per_session: walk.steps_per_session,
-            mix: walk.mix,
-            policy: walk.policy,
-        }
-    }
-}
-
-impl From<&AdaptiveConfig> for AdaptiveWalkConfig {
-    fn from(c: &AdaptiveConfig) -> AdaptiveWalkConfig {
-        AdaptiveWalkConfig {
-            base_seed: c.base_seed,
-            steps_per_session: c.steps_per_session,
-            mix: c.mix.clone(),
-            policy: c.policy.clone(),
         }
     }
 }
 
 /// Result of a driver run ([`Driver::execute`](crate::workload),
-/// [`Driver::run`], [`Driver::run_adaptive`]).
+/// [`Driver::run_source`]).
 #[derive(Debug)]
 pub struct DriverOutcome {
     pub report: RunReport,
@@ -213,7 +159,7 @@ pub struct DriverOutcome {
     pub actions: Vec<Vec<String>>,
     /// Per session (session-index order): did any of its queries end in a
     /// final failure — exhausted retries, a permanent error, or a breaker
-    /// shed? All `false` on the legacy (non-resilient) path.
+    /// shed?
     pub degraded: Vec<bool>,
 }
 
@@ -295,9 +241,8 @@ impl DeltaCounters {
     }
 }
 
-/// Per-attempt error taxonomy and recovery counters of the resilient
-/// execution path, merged across workers into the
-/// [`ResilienceReport`].
+/// Per-attempt error taxonomy and recovery counters, merged across workers
+/// into the [`ResilienceReport`].
 #[derive(Debug, Default, Clone)]
 struct ResilienceCounters {
     timeouts: u64,
@@ -337,8 +282,7 @@ struct WorkerOutcome {
     actions: Vec<(usize, Vec<String>)>,
     steering: SteeringCounters,
     resilience: ResilienceCounters,
-    /// Resilient path only: `(session, any-final-failure)` per completed
-    /// session.
+    /// `(session, any-final-failure)` per completed session.
     degraded: Vec<(usize, bool)>,
 }
 
@@ -373,7 +317,7 @@ enum AttemptError {
 }
 
 /// Position of a step inside the run, for [`QueryCtx`] and backoff-jitter
-/// derivation on the resilient path.
+/// derivation.
 #[derive(Clone, Copy)]
 struct StepPos {
     user: u64,
@@ -401,30 +345,6 @@ impl Observed {
 impl Driver {
     pub fn new(config: DriverConfig) -> Driver {
         Driver { config }
-    }
-
-    /// Replay pre-synthesized scripts to completion. Thin shim over
-    /// [`run_source`](Self::run_source) with a [`ScriptedSource`].
-    pub fn run(&self, engine: Arc<dyn Dbms>, scripts: &[SessionScript]) -> DriverOutcome {
-        self.run_source(engine, &ScriptedSource::borrowed(scripts))
-    }
-
-    /// Run `sessions` live adaptive sessions to completion: each worker
-    /// holds a dashboard walk per user, executes its queries through the
-    /// (optionally cached) engine, and lets the configured
-    /// [`AdaptivePolicy`] steer on results. Identical seed + policy yield
-    /// byte-identical action sequences and fingerprints on every engine —
-    /// results (not latencies) are all a policy may inspect. Thin shim over
-    /// [`run_source`](Self::run_source) with an `AdaptiveSource`.
-    pub fn run_adaptive(
-        &self,
-        engine: Arc<dyn Dbms>,
-        dashboard: &Dashboard,
-        adaptive: &AdaptiveConfig,
-        sessions: usize,
-    ) -> DriverOutcome {
-        let source = AdaptiveSource::new(dashboard, adaptive.into(), sessions);
-        self.run_source(engine, &source)
     }
 
     /// Run every session a [`SessionSource`] yields to completion and
@@ -493,14 +413,6 @@ impl Driver {
             breaker.as_ref(),
             metrics,
         )
-    }
-
-    /// Is the fault-tolerant execution path in effect? Off ⇒ queries run
-    /// through the exact legacy path (no ctx, no unwind guard, no extra
-    /// branches), keeping fault-free runs byte-identical to pre-resilience
-    /// builds.
-    fn resilient(&self) -> bool {
-        self.config.chaos || self.config.resilience.is_active()
     }
 
     fn resolve_workers(&self, sessions: usize) -> usize {
@@ -691,7 +603,9 @@ impl Driver {
             // The workload layer fills `fault` from the wrapper's injection
             // stats; the driver only sees a `Dbms`.
             fault: None,
-            resilience: self.resilient().then(|| {
+            // Reported when failure handling was configured or had anything
+            // to handle; a clean run under an inert policy has no taxonomy.
+            resilience: (self.config.resilience.is_active() || errors > 0).then(|| {
                 let breaker_stats = breaker.map(|b| b.stats()).unwrap_or_default();
                 ResilienceReport {
                     policy: self.config.resilience.describe(),
@@ -779,10 +693,8 @@ impl Driver {
         let session_seed = stream.session_seed();
         let errors_before = out.errors;
         // Session-delta store: one per session, never shared — a session's
-        // refinement chain is its own. Disabled on the resilient path (see
-        // `DriverConfig::delta`).
-        let mut delta: Option<SessionDelta> =
-            (self.config.delta && !self.resilient()).then(SessionDelta::default);
+        // refinement chain is its own.
+        let mut delta = self.config.delta.then(SessionDelta::default);
         let mut fps = Vec::new();
         let mut actions = Vec::new();
         let mut observed: Vec<Observed> = Vec::new();
@@ -851,19 +763,13 @@ impl Driver {
             out.fingerprints.push((user, fps));
             out.actions.push((user, actions));
         }
-        if self.resilient() {
-            out.degraded.push((user, out.errors > errors_before));
-        }
+        out.degraded.push((user, out.errors > errors_before));
     }
 
     /// Execute one step's queries, recording latency, errors, fingerprints,
     /// and empty-result counts; returns per-query observations for the
-    /// stream's feedback.
-    ///
-    /// Two execution paths, chosen once per run: the legacy path (exact
-    /// pre-resilience behavior, byte-identical runs) and the fault-tolerant
-    /// path (per-attempt [`QueryCtx`], deadline, retries, breaker, panic
-    /// recovery).
+    /// stream's feedback. Every query of every run goes through
+    /// [`execute_query`](Self::execute_query).
     #[allow(clippy::too_many_arguments)]
     fn execute_step(
         &self,
@@ -877,95 +783,26 @@ impl Driver {
         out: &mut WorkerOutcome,
         fps: &mut Vec<u64>,
     ) -> Vec<Observed> {
-        let resilient = self.resilient();
         let mut observed = Vec::with_capacity(step.queries.len());
         for (query_index, (_vis, query)) in step.queries.iter().enumerate() {
             out.queries += 1;
-            let executed = if resilient {
-                self.execute_query_resilient(engine, cache, breaker, query, query_index, pos, out)
-            } else if let Some(d) = delta.as_mut() {
-                self.execute_query_delta(engine.as_ref(), cache, query, d, out)
-            } else {
-                self.execute_query_legacy(engine.as_ref(), cache, query, out)
-            };
-            if executed.is_err() {
-                if let Some(d) = delta.as_mut() {
-                    // An errored step makes the session's trajectory
-                    // observer-dependent (steering sees ERROR and may
-                    // backtrack anywhere); retained work from before the
-                    // error no longer describes a refinement chain.
-                    d.reset();
-                }
-            }
+            let executed =
+                self.execute_query(engine, cache, breaker, query, query_index, pos, delta, out);
             self.record_query_outcome(executed, lateness, out, fps, &mut observed);
         }
         observed
     }
 
-    /// The pre-resilience execution path, kept verbatim: no ctx, no unwind
-    /// guard, no extra branches — fault-free runs stay byte-identical.
-    fn execute_query_legacy(
-        &self,
-        engine: &dyn Dbms,
-        cache: Option<&ShardedResultCache>,
-        query: &Select,
-        out: &mut WorkerOutcome,
-    ) -> Result<(Observed, Duration), EngineError> {
-        match cache {
-            Some(cache) => cache
-                .execute_cached(engine, query)
-                .map(|(value, elapsed, hit)| {
-                    if !hit {
-                        out.exec.add(&value.stats);
-                    }
-                    (Observed::Cached(value), elapsed)
-                }),
-            None => engine.execute(query).map(|o| {
-                out.exec.add(&o.stats);
-                (Observed::Owned(o.result), o.elapsed)
-            }),
-        }
-    }
-
-    /// The session-delta execution path: the legacy path with
-    /// [`Dbms::execute_delta`] in place of `execute`, so engines that opt in
-    /// reuse the session's retained selections/group states. Under caching
-    /// the delta runner executes *inside* the single-flight leader: a cache
-    /// hit returns the leader's result untouched and leaves the store
-    /// exactly as it was — only fresh executions consult or grow it.
-    fn execute_query_delta(
-        &self,
-        engine: &dyn Dbms,
-        cache: Option<&ShardedResultCache>,
-        query: &Select,
-        delta: &mut SessionDelta,
-        out: &mut WorkerOutcome,
-    ) -> Result<(Observed, Duration), EngineError> {
-        match cache {
-            Some(cache) => {
-                let mut runner = |engine: &dyn Dbms, q: &Select| engine.execute_delta(q, delta);
-                cache.execute_cached_with(engine, query, &mut runner).map(
-                    |(value, elapsed, hit)| {
-                        if !hit {
-                            out.exec.add(&value.stats);
-                        }
-                        (Observed::Cached(value), elapsed)
-                    },
-                )
-            }
-            None => engine.execute_delta(query, delta).map(|o| {
-                out.exec.add(&o.stats);
-                (Observed::Owned(o.result), o.elapsed)
-            }),
-        }
-    }
-
-    /// The fault-tolerant execution path: breaker admission, then the
-    /// deadline/retry attempt loop — run *inside* the single-flight cache
-    /// leader when caching, so followers coalesced onto a flaky key observe
-    /// the leader's post-retry outcome, never its raw first failure.
+    /// Execute one query to its final outcome — the one path every session
+    /// mode, cache setting and failure policy is timed through. Breaker
+    /// admission (nothing to admit without a breaker), then the attempt
+    /// loop — run *inside* the single-flight cache leader when caching, so
+    /// followers coalesced onto a flaky key observe the leader's post-retry
+    /// outcome, never its raw first failure, and a cache hit leaves the
+    /// session's delta store exactly as it was: only fresh executions
+    /// consult or grow it.
     #[allow(clippy::too_many_arguments)]
-    fn execute_query_resilient(
+    fn execute_query(
         &self,
         engine: &Arc<dyn Dbms>,
         cache: Option<&ShardedResultCache>,
@@ -973,6 +810,7 @@ impl Driver {
         query: &Select,
         query_index: usize,
         pos: StepPos,
+        delta: &mut Option<SessionDelta>,
         out: &mut WorkerOutcome,
     ) -> Result<(Observed, Duration), EngineError> {
         // Admission: an open breaker sheds the query before any cache or
@@ -986,35 +824,25 @@ impl Driver {
                 ));
             }
         }
-        let base = QueryCtx {
+        let first = QueryCtx {
             session: pos.user,
             step: pos.step,
             query: query_index as u64,
             attempt: 0,
         };
-        let jkey = jitter_key(
-            self.config.seed,
-            pos.session_seed,
-            pos.step,
-            query_index as u64,
-        );
         let mut counters = ResilienceCounters::default();
-        let mut runner = |_engine: &dyn Dbms, q: &Select| {
-            // The cache hands back the same engine we passed it; the
-            // attempt loop needs the owning `Arc` (to detach a thread per
-            // deadline-bounded attempt), so it uses the captured one.
-            self.attempt_loop(engine, q, base, jkey, &mut counters)
-        };
+        let mut run =
+            || self.attempt_loop(engine, query, first, pos.session_seed, delta, &mut counters);
         let executed = match cache {
             Some(cache) => cache
-                .execute_cached_with(engine.as_ref(), query, &mut runner)
+                .execute_cached(query, run)
                 .map(|(value, elapsed, hit)| {
                     if !hit {
                         out.exec.add(&value.stats);
                     }
                     (Observed::Cached(value), elapsed)
                 }),
-            None => runner(engine.as_ref(), query).map(|o| {
+            None => run().map(|o| {
                 out.exec.add(&o.stats);
                 (Observed::Owned(o.result), o.elapsed)
             }),
@@ -1036,7 +864,7 @@ impl Driver {
     }
 
     /// Record one query's final outcome into histograms, fingerprints, and
-    /// feedback observations — shared by both execution paths.
+    /// feedback observations.
     fn record_query_outcome(
         &self,
         executed: Result<(Observed, Duration), EngineError>,
@@ -1082,21 +910,22 @@ impl Driver {
     /// Run one query to a final outcome under the resilience policy:
     /// deadline-bounded attempts, transient failures (including timeouts
     /// and recovered panics) retried with seeded exponential backoff up to
-    /// the budget, permanent errors failing immediately. Backoff sleeps are
-    /// recorded as `driver.phase.backoff` (think-time, not service time).
+    /// the budget, permanent errors failing immediately. The inert policy
+    /// is this loop's first iteration. Backoff sleeps are recorded as
+    /// `driver.phase.backoff` (think-time, not service time).
     fn attempt_loop(
         &self,
         engine: &Arc<dyn Dbms>,
         query: &Select,
-        base: QueryCtx,
-        jkey: u64,
+        first: QueryCtx,
+        session_seed: u64,
+        delta: &mut Option<SessionDelta>,
         counters: &mut ResilienceCounters,
     ) -> Result<QueryOutput, EngineError> {
         let policy = &self.config.resilience;
-        let mut attempt: u32 = 0;
+        let mut ctx = first;
         loop {
-            let ctx = QueryCtx { attempt, ..base };
-            let failure = match run_attempt(engine, query, &ctx, policy.deadline) {
+            let failure = match run_attempt(engine, query, &ctx, policy.deadline, delta) {
                 Ok(output) => return Ok(output),
                 Err(failure) => failure,
             };
@@ -1131,14 +960,15 @@ impl Driver {
                     (false, e)
                 }
             };
-            if !retryable || attempt >= policy.max_retries {
+            if !retryable || ctx.attempt >= policy.max_retries {
                 return Err(error);
             }
-            attempt += 1;
+            ctx.attempt += 1;
             counters.retries += 1;
             simba_obs::counter!("resilience.retries").add(1);
             let _retry = simba_obs::trace::span("driver.retry", "driver");
-            let pause = policy.backoff_delay(jkey, attempt);
+            let jkey = jitter_key(self.config.seed, session_seed, first.step, first.query);
+            let pause = policy.backoff_delay(jkey, ctx.attempt);
             if !pause.is_zero() {
                 simba_obs::histogram!("driver.phase.backoff").record(pause);
                 std::thread::sleep(pause);
@@ -1147,51 +977,86 @@ impl Driver {
     }
 }
 
-/// One deadline-bounded execution attempt. Without a deadline the attempt
-/// runs inline under an unwind guard. With one, it runs on a freshly
-/// spawned thread and the caller waits at most `deadline`: an attempt that
-/// blows the budget is **abandoned** — the engine call finishes (and is
-/// discarded) on the detached thread, the session moves on. Abandonment,
-/// not cancellation: the `Dbms` trait has no cancel hook, and a wedged
-/// session is worse than a stray background scan.
+/// One execution attempt. Without a deadline it runs inline. With one, it
+/// runs on a freshly spawned thread and the caller waits at most
+/// `deadline`: an attempt that blows the budget is **abandoned** — the
+/// engine call finishes (and is discarded) on the detached thread, the
+/// session moves on. Abandonment, not cancellation: the `Dbms` trait has no
+/// cancel hook, and a wedged session is worse than a stray background scan.
+///
+/// The session's delta store travels with the attempt: it moves into the
+/// attempt thread and comes back with the result, and an abandoned
+/// attempt's store is dropped (with its event counters) for a fresh one.
+/// Any failed attempt resets the store — what the attempt left in it, and
+/// the trajectory steering takes after an error, no longer describe a
+/// refinement chain — so a retry starts from an empty one.
 fn run_attempt(
     engine: &Arc<dyn Dbms>,
     query: &Select,
     ctx: &QueryCtx,
     deadline: Option<Duration>,
+    delta: &mut Option<SessionDelta>,
 ) -> Result<QueryOutput, AttemptError> {
-    let Some(deadline) = deadline else {
-        return match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            engine.execute_at(query, ctx)
-        })) {
-            Ok(Ok(output)) => Ok(output),
-            Ok(Err(e)) => Err(AttemptError::Engine(e)),
-            Err(_) => Err(AttemptError::Panic),
-        };
+    let outcome = match deadline {
+        None => call_engine(engine.as_ref(), query, ctx, delta.as_mut()),
+        Some(deadline) => {
+            let (tx, rx) = std::sync::mpsc::channel();
+            let (engine, query, ctx) = (Arc::clone(engine), query.clone(), *ctx);
+            let mut store = delta.take();
+            let carried = store.is_some();
+            std::thread::spawn(move || {
+                let outcome = call_engine(engine.as_ref(), &query, &ctx, store.as_mut());
+                // A send error just means the caller timed out and went away.
+                let _ = tx.send((outcome, store));
+            });
+            match rx.recv_timeout(deadline) {
+                Ok((outcome, store)) => {
+                    *delta = store;
+                    outcome
+                }
+                Err(gone) => {
+                    *delta = carried.then(SessionDelta::default);
+                    Err(match gone {
+                        std::sync::mpsc::RecvTimeoutError::Timeout => AttemptError::Timeout,
+                        // Disconnected is not a timeout: the executor thread
+                        // died without sending (call_engine's unwind guard
+                        // should make this unreachable). Calling it a timeout
+                        // would send it through timeout-retry accounting;
+                        // surface it as the infrastructure fault it is.
+                        std::sync::mpsc::RecvTimeoutError::Disconnected => {
+                            AttemptError::Engine(EngineError::Internal(
+                                "deadline executor thread disconnected without a result".into(),
+                            ))
+                        }
+                    })
+                }
+            }
+        }
     };
-    let (tx, rx) = std::sync::mpsc::channel();
-    let engine = Arc::clone(engine);
-    let query = query.clone();
-    let ctx = *ctx;
-    std::thread::spawn(move || {
-        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            engine.execute_at(&query, &ctx)
-        }));
-        // A send error just means the caller timed out and went away.
-        let _ = tx.send(outcome);
-    });
-    match rx.recv_timeout(deadline) {
-        Ok(Ok(Ok(output))) => Ok(output),
-        Ok(Ok(Err(e))) => Err(AttemptError::Engine(e)),
-        Ok(Err(_panic)) => Err(AttemptError::Panic),
-        Err(std::sync::mpsc::RecvTimeoutError::Timeout) => Err(AttemptError::Timeout),
-        // Disconnected is not a timeout: the executor thread died without
-        // sending (its catch_unwind should make this unreachable). Calling
-        // it a timeout would send it through timeout-retry accounting;
-        // surface it as the infrastructure fault it is.
-        Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => Err(AttemptError::Engine(
-            EngineError::Internal("deadline executor thread disconnected without a result".into()),
-        )),
+    if outcome.is_err() {
+        if let Some(store) = delta {
+            store.reset();
+        }
+    }
+    outcome
+}
+
+/// The one engine call site, under an unwind guard: through the session's
+/// delta store when it carries one, with the attempt's identity otherwise
+/// (the `Dbms` trait cannot carry both).
+fn call_engine(
+    engine: &dyn Dbms,
+    query: &Select,
+    ctx: &QueryCtx,
+    delta: Option<&mut SessionDelta>,
+) -> Result<QueryOutput, AttemptError> {
+    match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| match delta {
+        Some(store) => engine.execute_delta(query, store),
+        None => engine.execute_at(query, ctx),
+    })) {
+        Ok(Ok(output)) => Ok(output),
+        Ok(Err(e)) => Err(AttemptError::Engine(e)),
+        Err(_) => Err(AttemptError::Panic),
     }
 }
 
@@ -1236,20 +1101,5 @@ mod tests {
             .sum();
         let avg_ms = total.as_secs_f64() * 1_000.0 / n as f64;
         assert!((avg_ms - 10.0).abs() < 1.0, "mean {avg_ms}ms");
-    }
-
-    #[test]
-    fn adaptive_config_converts_to_walk_config() {
-        let legacy = AdaptiveConfig {
-            base_seed: 9,
-            steps_per_session: 3,
-            mix: vec![MarkovModel::uniform()],
-            policy: AdaptivePolicy::disabled(),
-        };
-        let walk: AdaptiveWalkConfig = (&legacy).into();
-        assert_eq!(walk.base_seed, 9);
-        assert_eq!(walk.steps_per_session, 3);
-        assert_eq!(walk.mix.len(), 1);
-        assert!(!walk.policy.is_enabled());
     }
 }

@@ -21,7 +21,7 @@
 //! * [`ShardedResultCache`] is a lock-striped result cache keyed on
 //!   [`simba_sql::query_cache_key`], so normalization-equivalent queries
 //!   from different users hit memory instead of the engine;
-//! * [`LatencyHistogram`] log-bucketed latencies feed a versioned
+//! * [`simba_obs::LatencyHistogram`] log-bucketed latencies feed a versioned
 //!   [`RunReport`] with throughput, p50/p95/p99, queue delay, steering
 //!   counters, and cache hit rates.
 //! * A [`ResiliencePolicy`] (per-query deadlines, seeded retry/backoff, a
@@ -45,15 +45,15 @@
 //! assert!(outcome.report.cache.unwrap().hits > 0);
 //! ```
 //!
-//! The pre-scenario entry points ([`Driver::run`] with scripts,
-//! [`Driver::run_adaptive`]) remain as thin shims over the same loop:
+//! A hand-assembled run builds a source and calls [`Driver::run_source`],
+//! the loop `execute` itself uses:
 //!
 //! ```
 //! use simba_core::dashboard::Dashboard;
 //! use simba_core::session::batch::{synthesize_scripts, BatchConfig};
 //! use simba_core::spec::builtin::builtin;
 //! use simba_data::DashboardDataset;
-//! use simba_driver::{CacheConfig, Driver, DriverConfig};
+//! use simba_driver::{CacheConfig, Driver, DriverConfig, ScriptedSource};
 //! use simba_engine::EngineKind;
 //! use std::sync::Arc;
 //!
@@ -68,7 +68,7 @@
 //!     cache: Some(CacheConfig::default()),
 //!     ..Default::default()
 //! });
-//! let outcome = driver.run(engine, &scripts);
+//! let outcome = driver.run_source(engine, &ScriptedSource::new(scripts));
 //! assert!(outcome.report.queries > 0);
 //! assert!(outcome.report.cache.unwrap().hits > 0);
 //! ```
@@ -77,18 +77,16 @@ pub mod cache;
 pub mod driver;
 pub mod fingerprint;
 pub(crate) mod hash;
-pub mod histogram;
 pub mod report;
 pub mod resilience;
 pub mod workload;
 
-pub use cache::{CacheConfig, CacheStats, CachedDbms, CachedResult, ShardedResultCache};
-pub use driver::{AdaptiveConfig, Arrival, Driver, DriverConfig, DriverOutcome, ThinkTime};
+pub use cache::{CacheConfig, CacheStats, CachedResult, ShardedResultCache};
+pub use driver::{Arrival, Driver, DriverConfig, DriverOutcome, ThinkTime};
 pub use fingerprint::{fingerprint, ERROR_FINGERPRINT};
-pub use histogram::LatencyHistogram;
 pub use report::{
-    CacheReport, DriverReport, FaultReport, LatencySummary, ResilienceReport, RunReport,
-    SteeringReport, ADHOC_SCENARIO,
+    CacheReport, FaultReport, LatencySummary, ResilienceReport, RunReport, SteeringReport,
+    ADHOC_SCENARIO,
 };
 pub use resilience::{jitter_key, BreakerStats, CircuitBreaker, ResiliencePolicy};
 pub use workload::datagen::{run_datagen_sweep, DatagenEntry, DatagenReport, DatagenSweep};

@@ -6,9 +6,8 @@
 //! and deserialize back losslessly (see the round-trip test).
 
 use crate::cache::CacheStats;
-use crate::histogram::LatencyHistogram;
 use serde::{Deserialize, Serialize};
-use simba_obs::MetricsSnapshot;
+use simba_obs::{LatencyHistogram, MetricsSnapshot};
 
 /// Latency quantiles in microseconds.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -239,7 +238,7 @@ pub struct RunReport {
     /// field addition, removal, or meaning change.
     pub schema_version: u32,
     /// Name of the scenario that produced this report (`"adhoc"` for
-    /// direct `Driver::run` / `run_adaptive` calls outside a scenario).
+    /// direct `Driver::run_source` calls outside a scenario).
     pub scenario_name: String,
     /// Engine under test.
     pub engine: String,
@@ -304,13 +303,13 @@ pub struct RunReport {
     pub phase_breakdown: Option<Vec<PhaseBreakdown>>,
 }
 
-/// Pre-scenario name for `Driver::run` / `run_adaptive` calls made outside
+/// Scenario name of `Driver::run_source` calls made outside
 /// `Driver::execute`.
 pub const ADHOC_SCENARIO: &str = "adhoc";
 
 impl RunReport {
     /// Version of the JSON report format. History:
-    /// * 1 — implicit (pre-versioning `DriverReport`), scripted/adaptive.
+    /// * 1 — implicit (the pre-versioning report), scripted/adaptive.
     /// * 2 — added `schema_version` + `scenario_name`; idebench mode.
     /// * 3 — added `exec` totals, open-loop `response` (coordinated-
     ///   omission-corrected latency), and optional `metrics` +
@@ -348,10 +347,6 @@ impl RunReport {
         Ok(report)
     }
 }
-
-/// Former name of [`RunReport`], kept for one release while downstream
-/// callers migrate.
-pub type DriverReport = RunReport;
 
 #[cfg(test)]
 mod tests {

@@ -54,11 +54,10 @@
 //!
 //! # Determinism
 //!
-//! `Driver::execute` derives every seed from `spec.seed` exactly as the
-//! legacy `Driver::run` / `run_adaptive` entry points did from their
-//! configs, so a spec-driven run is byte-identical (action sequences and
-//! result fingerprints) to the hand-assembled equivalent — the
-//! `scenario_determinism` integration test pins this.
+//! `Driver::execute` derives every seed from `spec.seed`, so a spec-driven
+//! run is byte-identical (action sequences and result fingerprints) to
+//! hand-assembling the same source and calling [`Driver::run_source`] —
+//! the `scenario_determinism` integration test pins this.
 
 use crate::cache::CacheConfig;
 use crate::driver::{Arrival, Driver, DriverConfig, DriverOutcome, ThinkTime};
@@ -514,8 +513,8 @@ impl From<&FaultSpec> for FaultConfig {
 }
 
 /// Driver-side failure handling (mirrors [`ResiliencePolicy`] in
-/// serializable form). Zeros everywhere = inert, and an inert spec keeps
-/// the driver on its legacy execution path.
+/// serializable form). Zeros everywhere = inert: one attempt per query, no
+/// deadline, no breaker.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ResilienceSpec {
     /// Per-attempt wall-clock deadline in milliseconds; 0 = no deadline.
@@ -559,7 +558,7 @@ impl From<&ResilienceSpec> for ResiliencePolicy {
 }
 
 /// One fully declarative driver run: the single source of truth for every
-/// knob that used to be spread across `DriverConfig`, `AdaptiveConfig`,
+/// knob that used to be spread across `DriverConfig`, walk configs,
 /// `BatchConfig`, and per-binary environment variables.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ScenarioSpec {
@@ -596,7 +595,9 @@ pub struct ScenarioSpec {
     /// store and engines that opt in (duckdb-like) seed scans from the
     /// previous step's surviving rows. Results stay byte-identical to a
     /// delta-off run; only latency and the report's `delta` section
-    /// change. Defaults to off so existing scenario files stay valid.
+    /// change. Composes with `resilience` (a failed attempt resets the
+    /// store) but not with an active `fault`, which `validate` rejects.
+    /// Defaults to off so existing scenario files stay valid.
     #[serde(default)]
     pub delta: bool,
     /// Collect a [`simba_obs`] metrics snapshot (counters + per-phase
@@ -609,9 +610,8 @@ pub struct ScenarioSpec {
     /// untouched and the run byte-identical to pre-chaos builds.
     #[serde(default, skip_serializing_if = "Option::is_none")]
     pub fault: Option<FaultSpec>,
-    /// `Some` with any active knob (deadline, retries, breaker) switches
-    /// the driver to its resilient execution path; `None` keeps the
-    /// legacy path.
+    /// Deadlines, retries and the circuit breaker around every query;
+    /// `None` is the inert policy (one attempt, no deadline, no breaker).
     #[serde(default, skip_serializing_if = "Option::is_none")]
     pub resilience: Option<ResilienceSpec>,
 }
@@ -727,6 +727,16 @@ impl ScenarioSpec {
                 ));
             }
         }
+        if self.delta && self.fault.as_ref().is_some_and(FaultSpec::is_active) {
+            // The fault wrapper keys its deterministic draws on the
+            // `QueryCtx` of `execute_at`; `execute_delta` cannot carry
+            // one, so the wrapper would decline delta for every query.
+            return Err(WorkloadError::InvalidSpec(
+                "`delta` cannot be combined with an active `fault`: injected faults are keyed \
+                 on the per-attempt query context, which delta execution cannot carry"
+                    .into(),
+            ));
+        }
         if let Some(res) = &self.resilience {
             if res.max_retries > 0 && res.backoff_cap_ms < res.backoff_base_ms {
                 return Err(WorkloadError::InvalidSpec(format!(
@@ -768,7 +778,7 @@ impl ScenarioSpec {
     }
 }
 
-/// The pacing/seed/cache half of a spec, as the legacy driver config.
+/// The pacing/seed/cache/resilience half of a spec, as the driver config.
 impl From<&ScenarioSpec> for DriverConfig {
     fn from(spec: &ScenarioSpec) -> DriverConfig {
         DriverConfig {
@@ -785,10 +795,6 @@ impl From<&ScenarioSpec> for DriverConfig {
                 .as_ref()
                 .map(ResiliencePolicy::from)
                 .unwrap_or_default(),
-            // The resilient path must also engage when faults are injected
-            // with an inert policy, so panics are still caught and errors
-            // still classified.
-            chaos: spec.fault.as_ref().is_some_and(FaultSpec::is_active),
         }
     }
 }
@@ -841,10 +847,9 @@ impl Driver {
     /// dashboard, engine, and session source from `spec`, run the unified
     /// concurrent loop, and stamp the report with the scenario name.
     ///
-    /// Seed derivations match the legacy entry points exactly, so for any
-    /// spec this produces byte-identical action sequences and result
-    /// fingerprints to hand-assembling the same run with
-    /// [`Driver::run`] / [`Driver::run_adaptive`].
+    /// For any spec this produces byte-identical action sequences and
+    /// result fingerprints to hand-assembling the same source and calling
+    /// [`Driver::run_source`].
     pub fn execute(spec: &ScenarioSpec) -> Result<DriverOutcome, WorkloadError> {
         Self::execute_with(spec, &mut TableCache::new())
     }
@@ -1152,21 +1157,38 @@ mod tests {
         let mut spec = good;
         spec.fault = Some(FaultSpec::default());
         spec.resilience = Some(ResilienceSpec::default());
+        spec.delta = true;
         spec.validate().unwrap();
-        assert!(!DriverConfig::from(&spec).chaos);
         assert!(!DriverConfig::from(&spec).resilience.is_active());
     }
 
     #[test]
-    fn active_fault_spec_switches_driver_to_chaos() {
+    fn validate_rejects_delta_under_an_active_fault_by_name() {
         let mut spec = ScenarioSpec::new("chaotic", "customer_service");
+        spec.delta = true;
         spec.fault = Some(FaultSpec {
             transient_error_prob: 0.1,
             ..FaultSpec::default()
         });
-        let config = DriverConfig::from(&spec);
-        assert!(config.chaos, "active faults must engage the resilient path");
+        match spec.validate() {
+            Err(WorkloadError::InvalidSpec(why)) => {
+                assert!(why.contains("`delta`") && why.contains("`fault`"), "{why}")
+            }
+            other => panic!("delta under an active fault must be rejected, got {other:?}"),
+        }
+        // Delta composes with deadlines and retries; only faults exclude it.
+        spec.fault = None;
+        spec.resilience = Some(ResilienceSpec {
+            deadline_ms: 100,
+            max_retries: 2,
+            ..ResilienceSpec::default()
+        });
+        spec.validate().unwrap();
+    }
 
+    #[test]
+    fn resilience_spec_converts_to_an_active_policy() {
+        let mut spec = ScenarioSpec::new("chaotic", "customer_service");
         spec.resilience = Some(ResilienceSpec {
             deadline_ms: 100,
             breaker_half_open_probes: 0, // normalized to 1

@@ -13,7 +13,9 @@ use proptest::prelude::*;
 use simba_core::dashboard::Dashboard;
 use simba_core::spec::builtin::builtin;
 use simba_data::DashboardDataset;
-use simba_driver::{AdaptiveConfig, CacheConfig, Driver, DriverConfig, DriverOutcome};
+use simba_driver::{
+    AdaptiveSource, AdaptiveWalkConfig, CacheConfig, Driver, DriverConfig, DriverOutcome,
+};
 use simba_engine::{Dbms, EngineKind};
 use simba_store::Table;
 use std::sync::Arc;
@@ -28,7 +30,7 @@ fn context() -> (Arc<Table>, Dashboard) {
     (table, dashboard)
 }
 
-fn run_adaptive(
+fn adaptive_run(
     engine: Arc<dyn Dbms>,
     dashboard: &Dashboard,
     base_seed: u64,
@@ -40,15 +42,17 @@ fn run_adaptive(
         cache,
         ..Default::default()
     })
-    .run_adaptive(
+    .run_source(
         engine,
-        dashboard,
-        &AdaptiveConfig {
-            base_seed,
-            steps_per_session: STEPS,
-            ..Default::default()
-        },
-        SESSIONS,
+        &AdaptiveSource::new(
+            dashboard,
+            AdaptiveWalkConfig {
+                base_seed,
+                steps_per_session: STEPS,
+                ..Default::default()
+            },
+            SESSIONS,
+        ),
     )
 }
 
@@ -65,12 +69,12 @@ proptest! {
         // architecture is property-tested against.
         let oracle = EngineKind::SqliteLike.build();
         oracle.register(table.clone());
-        let reference = run_adaptive(oracle.clone(), &dashboard, seed, None);
+        let reference = adaptive_run(oracle.clone(), &dashboard, seed, None);
         prop_assert_eq!(reference.report.errors, 0);
         prop_assert!(reference.report.queries > 0);
 
         // Re-running the oracle must replay byte-identically.
-        let again = run_adaptive(oracle, &dashboard, seed, None);
+        let again = adaptive_run(oracle, &dashboard, seed, None);
         prop_assert_eq!(&again.actions, &reference.actions);
         prop_assert_eq!(&again.fingerprints, &reference.fingerprints);
 
@@ -81,7 +85,7 @@ proptest! {
                 let engine = kind.build();
                 engine.register(table.clone());
                 let cache_label = if cache.is_some() { "on" } else { "off" };
-                let outcome = run_adaptive(engine, &dashboard, seed, cache);
+                let outcome = adaptive_run(engine, &dashboard, seed, cache);
                 prop_assert_eq!(outcome.report.errors, 0);
                 prop_assert_eq!(
                     &outcome.actions,

@@ -7,20 +7,24 @@
 //! This is the load-bearing property of the delta cache (ISSUE PR10): reuse
 //! decisions are proofs (key equality over normalized queries, sound
 //! implication), so a divergence anywhere in this matrix is a correctness
-//! bug in the delta path, not a tuning problem. The delta-off side of every
-//! comparison runs the untouched legacy execution path, so these tests also
-//! pin "delta off == pre-delta behaviour" (see
-//! `delta_off_matches_legacy_entry_points`).
+//! bug in the delta path, not a tuning problem. Both sides of every
+//! comparison run through the driver's one query path; the delta-on side
+//! merely carries a store.
 
 use proptest::prelude::*;
-use simba_core::session::batch::{synthesize_scripts, BatchConfig};
+use simba_core::session::batch::{
+    splitmix, synthesize_scripts, BatchConfig, ScriptQuery, ScriptStep, SessionScript,
+};
 use simba_core::spec::builtin::builtin;
 use simba_data::DashboardDataset;
-use simba_driver::workload::{CacheSpec, EngineSpec, ScenarioSpec, SourceSpec};
-use simba_driver::{CacheConfig, Driver, DriverConfig};
-use simba_engine::EngineKind;
+use simba_driver::workload::{CacheSpec, EngineSpec, ResilienceSpec, ScenarioSpec, SourceSpec};
+use simba_driver::{CacheConfig, Driver, DriverConfig, DriverOutcome, ScriptedSource};
+use simba_engine::{Dbms, EngineError, EngineKind, QueryOutput, SessionDelta};
 use simba_server::LOOPBACK_ADDR;
+use simba_sql::{parse_select, Select};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
 
 fn spec(seed: u64, kind: EngineKind, source: SourceSpec, cache: bool, delta: bool) -> ScenarioSpec {
     let mut spec = ScenarioSpec::new("delta-equivalence", "customer_service");
@@ -37,18 +41,102 @@ fn spec(seed: u64, kind: EngineKind, source: SourceSpec, cache: bool, delta: boo
     spec
 }
 
+/// Aggregation shapes the dashboards never emit but the delta tiers must
+/// survive: per step one WHERE and group key, then every tail below in a
+/// seeded order under seeded projection permutations — so group-state
+/// replay sees ORDER BY over a non-projected aggregate (two different
+/// ones), HAVING with two hidden aggregates in both written orders, LIMIT,
+/// and permuted projections back to back. Every ORDER BY ends in the group
+/// keys, so LIMIT cuts a total order.
+fn shape_storm(seed: u64, sessions: usize, steps: usize) -> Vec<SessionScript> {
+    const WHERES: [&str; 4] = [
+        "",
+        "WHERE calls > 2",
+        "WHERE queue IN ('A', 'B', 'C')",
+        "WHERE calls > 2 AND satisfaction >= 3",
+    ];
+    const KEYS: [&str; 2] = ["queue", "queue, call_type"];
+    const TAILS: [&str; 6] = [
+        "ORDER BY {k}",
+        "ORDER BY SUM(handle_time) DESC, {k} LIMIT 3",
+        "ORDER BY MIN(handle_time) DESC, {k} LIMIT 3",
+        "HAVING SUM(handle_time) > 300 AND MIN(wait_time) >= 0 ORDER BY {k}",
+        "HAVING MIN(wait_time) >= 0 AND SUM(handle_time) > 300 ORDER BY {k}",
+        "ORDER BY {k} LIMIT 2",
+    ];
+    let projections = |k: &str, pick: u64| match pick % 3 {
+        0 => format!("{k}, COUNT(*) AS n"),
+        1 => format!("COUNT(*) AS n, {k}"),
+        _ => format!("AVG(wait_time), {k}, COUNT(*) AS n"),
+    };
+    (0..sessions)
+        .map(|user| {
+            let session_seed = seed ^ splitmix(user as u64 + 1);
+            let steps = (0..steps)
+                .map(|step| {
+                    let mut draw = splitmix(session_seed ^ step as u64);
+                    let mut next = |n: usize| {
+                        draw = splitmix(draw);
+                        (draw % n as u64) as usize
+                    };
+                    let (filter, key) = (WHERES[next(WHERES.len())], KEYS[next(KEYS.len())]);
+                    let mut tails = TAILS.to_vec();
+                    let queries = (0..TAILS.len())
+                        .map(|i| {
+                            let tail = tails.swap_remove(next(tails.len())).replace("{k}", key);
+                            let sql = format!(
+                                "SELECT {} FROM customer_service {filter} GROUP BY {key} {tail}",
+                                projections(key, next(3) as u64)
+                            );
+                            ScriptQuery {
+                                vis: format!("shape{i}"),
+                                query: parse_select(&sql).unwrap(),
+                            }
+                        })
+                        .collect();
+                    ScriptStep {
+                        action: format!("shape storm {step}"),
+                        queries,
+                    }
+                })
+                .collect();
+            SessionScript {
+                user,
+                seed: session_seed,
+                model: "shape-storm",
+                steps,
+            }
+        })
+        .collect()
+}
+
+/// Run `spec` — through its own source, or with `storm` over the
+/// hand-written [`shape_storm`] scripts in place of it.
+fn run(spec: &ScenarioSpec, storm: bool) -> DriverOutcome {
+    if !storm {
+        return Driver::execute(spec).unwrap();
+    }
+    let engine = EngineKind::from_name(spec.engine.kind_name())
+        .unwrap()
+        .build();
+    engine.register(spec.build_table().unwrap());
+    let scripts = shape_storm(spec.seed, spec.sessions, spec.steps_per_session);
+    Driver::new(DriverConfig::from(spec)).run_source(engine, &ScriptedSource::new(scripts))
+}
+
 /// Run `off_spec` as-is and again with `delta: true`; assert the observable
 /// workload is byte-identical and the report's delta section appears exactly
 /// when delta was requested.
 fn assert_delta_invisible(
     off_spec: &ScenarioSpec,
+    storm: bool,
     label: &str,
 ) -> simba_driver::report::DeltaReport {
     let mut on_spec = off_spec.clone();
     on_spec.delta = true;
 
-    let off = Driver::execute(off_spec).unwrap();
-    let on = Driver::execute(&on_spec).unwrap();
+    let off = run(off_spec, storm);
+    let on = run(&on_spec, storm);
 
     assert_eq!(off.report.errors, 0, "{label}: delta-off run errored");
     assert_eq!(on.report.errors, 0, "{label}: delta-on run errored");
@@ -86,24 +174,25 @@ fn assert_delta_invisible(
 proptest! {
     #![proptest_config(ProptestConfig { cases: 12, ..ProptestConfig::default() })]
 
-    /// Any seed, any engine, any session source, cache on or off:
-    /// delta-on equals delta-off, byte for byte.
+    /// Any seed, any engine, any session source (the shape storm
+    /// included), cache on or off: delta-on equals delta-off, byte for byte.
     #[test]
     fn delta_on_matches_delta_off(
         seed in 0u64..1_000,
         engine_ix in 0usize..4,
-        source_ix in 0usize..3,
+        source_ix in 0usize..4,
         cache in any::<bool>(),
     ) {
         let kind = EngineKind::ALL[engine_ix];
         let source = match source_ix {
-            0 => SourceSpec::scripted(),
             1 => SourceSpec::adaptive(),
-            _ => SourceSpec::idebench(),
+            2 => SourceSpec::idebench(),
+            _ => SourceSpec::scripted(),
         };
         let off_spec = spec(seed, kind, source, cache, false);
         assert_delta_invisible(
             &off_spec,
+            source_ix == 3,
             &format!("{} seed={seed} source={source_ix} cache={cache}", kind.name()),
         );
     }
@@ -122,7 +211,7 @@ fn adaptive_walk_reuses_work_on_duckdb_like() {
         false,
         false,
     );
-    let report = assert_delta_invisible(&off_spec, "adaptive duckdb-like");
+    let report = assert_delta_invisible(&off_spec, false, "adaptive duckdb-like");
     assert!(
         report.hits + report.group_hits > 0,
         "adaptive session produced zero delta reuse: {report:?}"
@@ -144,7 +233,7 @@ fn remote_engine_declines_delta_reuse() {
     for source in [SourceSpec::scripted(), SourceSpec::adaptive()] {
         let mut off_spec = spec(7, EngineKind::DuckDbLike, source, false, false);
         off_spec.engine = EngineSpec::remote(LOOPBACK_ADDR, off_spec.engine.clone());
-        let report = assert_delta_invisible(&off_spec, "remote loopback");
+        let report = assert_delta_invisible(&off_spec, false, "remote loopback");
         assert_eq!(
             (report.hits, report.group_hits, report.rows_saved),
             (0, 0, 0),
@@ -157,13 +246,13 @@ fn remote_engine_declines_delta_reuse() {
     }
 }
 
-/// The delta-off configuration runs the *untouched* legacy code path: a
-/// scripted spec with `delta: false` produces the same fingerprints and
-/// actions as the pre-delta `Driver::run` entry point over synthesized
-/// scripts — the exact pin `scenario_determinism.rs` established before
-/// this feature existed, re-asserted here against the grown config surface.
+/// A scripted spec with `delta: false` produces the same fingerprints as
+/// hand-assembling the run over synthesized scripts with a default
+/// (delta-off) `DriverConfig` — the pin `scenario_determinism.rs`
+/// established before this feature existed, re-asserted here against the
+/// grown config surface.
 #[test]
-fn delta_off_matches_legacy_entry_points() {
+fn delta_off_matches_hand_assembled_run() {
     const ROWS: usize = 500;
     const SEED: u64 = 21;
     let via_spec = Driver::execute(&spec(
@@ -189,19 +278,172 @@ fn delta_off_matches_legacy_entry_points() {
     );
     let engine = EngineKind::DuckDbLike.build();
     engine.register(table);
-    let legacy = Driver::new(DriverConfig {
+    let by_hand = Driver::new(DriverConfig {
         workers: 2,
         seed: SEED,
         cache: Some(CacheConfig::default()),
         collect_fingerprints: true,
         ..Default::default()
     })
-    .run(engine, &scripts);
+    .run_source(engine, &ScriptedSource::new(scripts));
 
-    assert_eq!(via_spec.fingerprints, legacy.fingerprints);
+    assert_eq!(via_spec.fingerprints, by_hand.fingerprints);
     assert!(
-        legacy.report.delta.is_none(),
-        "legacy run must not report delta"
+        by_hand.report.delta.is_none(),
+        "a delta-off run must not report delta"
+    );
+}
+
+/// The shape storm reaches group-state replay on the columnar engine: the
+/// hidden-aggregate and HAVING-order variants above are only a differential
+/// test of `states_key` if states are actually replayed between them.
+#[test]
+fn shape_storm_replays_group_states_on_duckdb_like() {
+    let off_spec = spec(
+        5,
+        EngineKind::DuckDbLike,
+        SourceSpec::scripted(),
+        false,
+        false,
+    );
+    let report = assert_delta_invisible(&off_spec, true, "shape storm duckdb-like");
+    assert!(report.group_hits > 0, "no group-state replay: {report:?}");
+    assert!(report.hits > 0, "no seeded scan: {report:?}");
+}
+
+/// Delta composes with deadlines and retries: under a `ResilienceSpec` (no
+/// faults) the store moves into each deadline-bounded attempt and comes
+/// back with the result, so the run still reuses work — and fingerprints
+/// exactly like the plain delta-off run.
+#[test]
+fn delta_composes_with_deadlines_and_retries() {
+    let plain = spec(
+        21,
+        EngineKind::DuckDbLike,
+        SourceSpec::adaptive(),
+        false,
+        false,
+    );
+    let mut off_spec = plain.clone();
+    off_spec.resilience = Some(ResilienceSpec {
+        deadline_ms: 30_000,
+        max_retries: 2,
+        ..ResilienceSpec::default()
+    });
+    let report = assert_delta_invisible(&off_spec, false, "delta under deadline + retries");
+    assert!(
+        report.hits + report.group_hits > 0,
+        "resilience switched delta reuse off: {report:?}"
+    );
+    assert_eq!(report.resets, 0, "no attempt failed: {report:?}");
+
+    let mut on_spec = off_spec;
+    on_spec.delta = true;
+    let on = Driver::execute(&on_spec).unwrap();
+    let plain = Driver::execute(&plain).unwrap();
+    assert!(plain.report.resilience.is_none() && plain.report.delta.is_none());
+    assert_eq!(
+        on.report.fingerprint_digest,
+        plain.report.fingerprint_digest
+    );
+    let res = on.report.resilience.expect("active policy reports");
+    assert_eq!(
+        (res.timeouts, res.retries, res.degraded_sessions),
+        (0, 0, 0)
+    );
+}
+
+/// Forwards to an in-process columnar engine, but the first `execute_delta`
+/// call stalls past the test's deadline and every seventh one drops
+/// transiently — without touching the store, like a fault in front of it.
+struct FlakyDelta {
+    inner: Arc<dyn Dbms>,
+    calls: AtomicU64,
+}
+
+impl Dbms for FlakyDelta {
+    fn name(&self) -> &'static str {
+        self.inner.name()
+    }
+
+    fn register(&self, table: Arc<simba_store::Table>) {
+        self.inner.register(table);
+    }
+
+    fn execute(&self, query: &Select) -> Result<QueryOutput, EngineError> {
+        self.inner.execute(query)
+    }
+
+    fn execute_delta(
+        &self,
+        query: &Select,
+        delta: &mut SessionDelta,
+    ) -> Result<QueryOutput, EngineError> {
+        match self.calls.fetch_add(1, Ordering::SeqCst) {
+            0 => std::thread::sleep(Duration::from_millis(400)),
+            n if n % 7 == 3 => return Err(EngineError::Transient("dropped".into())),
+            _ => {}
+        }
+        self.inner.execute_delta(query, delta)
+    }
+}
+
+/// Failed and abandoned attempts reset the session's store and the retry
+/// answers from an empty one: results equal the clean run's, the resets are
+/// counted, and reuse resumes afterwards.
+#[test]
+fn failed_and_abandoned_attempts_reset_the_store() {
+    let mut spec = spec(
+        21,
+        EngineKind::DuckDbLike,
+        SourceSpec::adaptive(),
+        false,
+        true,
+    );
+    spec.workers = 1;
+    spec.resilience = Some(ResilienceSpec {
+        deadline_ms: 100,
+        max_retries: 3,
+        ..ResilienceSpec::default()
+    });
+    let clean = Driver::execute(&spec).unwrap();
+
+    let table = spec.build_table().unwrap();
+    let dashboard =
+        simba_core::dashboard::Dashboard::new(builtin(DashboardDataset::CustomerService), &table)
+            .unwrap();
+    let engine = Arc::new(FlakyDelta {
+        inner: EngineKind::DuckDbLike.build(),
+        calls: AtomicU64::new(0),
+    });
+    engine.register(table);
+    let flaky = Driver::new(DriverConfig::from(&spec)).run_source(
+        engine,
+        &simba_driver::AdaptiveSource::new(
+            &dashboard,
+            simba_driver::AdaptiveWalkConfig {
+                base_seed: spec.seed,
+                steps_per_session: spec.steps_per_session,
+                ..Default::default()
+            },
+            spec.sessions,
+        ),
+    );
+
+    assert_eq!(flaky.report.errors, 0, "every failure was retried away");
+    assert_eq!(flaky.actions, clean.actions);
+    assert_eq!(flaky.fingerprints, clean.fingerprints);
+    let res = flaky.report.resilience.expect("active policy reports");
+    assert_eq!(res.timeouts, 1, "{res:?}");
+    assert!(
+        res.transient_errors > 0 && res.retries_succeeded > 1,
+        "{res:?}"
+    );
+    let delta = flaky.report.delta.expect("delta-on run reports");
+    assert!(delta.resets >= res.transient_errors, "{delta:?} vs {res:?}");
+    assert!(
+        delta.hits + delta.group_hits > 0,
+        "reuse resumes: {delta:?}"
     );
 }
 

@@ -7,8 +7,8 @@ use simba_core::session::batch::{synthesize_scripts, BatchConfig, SessionScript}
 use simba_core::spec::builtin::builtin;
 use simba_data::DashboardDataset;
 use simba_driver::{
-    AdaptiveConfig, Arrival, CacheConfig, CachedResult, Driver, DriverConfig, ShardedResultCache,
-    ThinkTime, ERROR_FINGERPRINT,
+    AdaptiveSource, AdaptiveWalkConfig, Arrival, CacheConfig, CachedResult, Driver, DriverConfig,
+    ScriptedSource, ShardedResultCache, ThinkTime, ERROR_FINGERPRINT,
 };
 use simba_engine::{Dbms, EngineError, EngineKind, QueryOutput};
 use simba_sql::{parse_select, Select};
@@ -49,7 +49,7 @@ fn cached_results_are_byte_identical_to_uncached() {
                 collect_fingerprints: true,
                 ..Default::default()
             })
-            .run(engine.clone(), &scripts)
+            .run_source(engine.clone(), &ScriptedSource::borrowed(&scripts))
         };
         let uncached = run(None);
         let cached = run(Some(CacheConfig::default()));
@@ -121,7 +121,7 @@ fn equivalent_queries_share_one_entry() {
     let mut results = Vec::new();
     for sql in variants {
         let q = parse_select(sql).unwrap();
-        let (value, _elapsed, _hit) = cache.execute_cached(&engine, &q).unwrap();
+        let (value, _elapsed, _hit) = cache.execute_cached(&q, || engine.execute(&q)).unwrap();
         results.push(value.result.clone());
     }
     assert_eq!(
@@ -139,7 +139,9 @@ fn equivalent_queries_share_one_entry() {
     let reordered =
         parse_select("SELECT COUNT(*), queue FROM cs WHERE a = 1 AND b = 2 GROUP BY queue")
             .unwrap();
-    let (_, _, hit) = cache.execute_cached(&engine, &reordered).unwrap();
+    let (_, _, hit) = cache
+        .execute_cached(&reordered, || engine.execute(&reordered))
+        .unwrap();
     assert!(
         !hit,
         "shape-changing variant must not be served from the cache"
@@ -163,7 +165,7 @@ fn eviction_pressure_never_mixes_results() {
     for round in 0..3 {
         for q in &queries {
             let expected = engine.execute(q).unwrap().result;
-            let (value, _, _) = cache.execute_cached(&engine, q).unwrap();
+            let (value, _, _) = cache.execute_cached(q, || engine.execute(q)).unwrap();
             assert!(
                 value.result.multiset_eq(&expected),
                 "round {round}: wrong payload for {q}"
@@ -270,7 +272,9 @@ fn concurrent_misses_on_one_key_execute_engine_once() {
         for _ in 0..threads {
             scope.spawn(|| {
                 barrier.wait();
-                let (value, _elapsed, hit) = cache.execute_cached(&engine, &query).unwrap();
+                let (value, _elapsed, hit) = cache
+                    .execute_cached(&query, || engine.execute(&query))
+                    .unwrap();
                 assert_eq!(
                     value.result.sorted_rows(),
                     vec![vec![Value::Int(7)]],
@@ -341,7 +345,7 @@ fn errored_queries_keep_fingerprints_position_aligned() {
             collect_fingerprints: true,
             ..Default::default()
         })
-        .run(engine, &scripts)
+        .run_source(engine, &ScriptedSource::borrowed(&scripts))
     };
     let reference = run(clean);
     let with_errors = run(flaky);
@@ -395,7 +399,7 @@ fn adaptive_mode_reports_steering_and_reproduces() {
     let engine = EngineKind::DuckDbLike.build();
     engine.register(table);
 
-    let adaptive = AdaptiveConfig {
+    let adaptive = AdaptiveWalkConfig {
         base_seed: 11,
         steps_per_session: 6,
         ..Default::default()
@@ -407,7 +411,10 @@ fn adaptive_mode_reports_steering_and_reproduces() {
             cache: Some(CacheConfig::default()),
             ..Default::default()
         })
-        .run_adaptive(engine.clone(), &dashboard, &adaptive, 8)
+        .run_source(
+            engine.clone(),
+            &AdaptiveSource::new(&dashboard, adaptive.clone(), 8),
+        )
     };
     let a = run();
     assert_eq!(a.report.session_mode, "adaptive");
@@ -448,7 +455,7 @@ fn open_loop_reports_queue_delay() {
         cache: Some(CacheConfig::default()),
         ..Default::default()
     })
-    .run(engine, &scripts);
+    .run_source(engine, &ScriptedSource::borrowed(&scripts));
     let report = outcome.report;
     assert_eq!(report.mode, "open");
     assert_eq!(report.sessions, 8);
@@ -471,7 +478,7 @@ fn closed_loop_accounting_matches_scripts() {
         workers: 3,
         ..Default::default()
     })
-    .run(engine, &scripts);
+    .run_source(engine, &ScriptedSource::borrowed(&scripts));
     let report = outcome.report;
     assert_eq!(report.queries as usize, expected_queries);
     assert_eq!(report.interactions as usize, expected_interactions);

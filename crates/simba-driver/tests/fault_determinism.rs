@@ -8,7 +8,7 @@
 
 use proptest::prelude::*;
 use simba_driver::workload::{EngineSpec, FaultSpec, ResilienceSpec, ScenarioSpec, SourceSpec};
-use simba_driver::{Driver, DriverConfig, ResiliencePolicy, ERROR_FINGERPRINT};
+use simba_driver::{Driver, DriverConfig, ResiliencePolicy, ScriptedSource, ERROR_FINGERPRINT};
 use simba_engine::{Dbms, EngineError, EngineKind, QueryOutput};
 use simba_sql::Select;
 use simba_store::{ResultSet, Table, Value};
@@ -165,7 +165,7 @@ fn permanent_faults_backtrack_adaptive_walks_deterministically() {
         steering.backtracks > 0,
         "errored charts must trigger backtracking: {steering:?}"
     );
-    let res = a.report.resilience.as_ref().expect("chaos switches path");
+    let res = a.report.resilience.as_ref().expect("errored run reports");
     assert!(res.degraded_sessions > 0, "failed queries degrade sessions");
 
     let b = run(1);
@@ -230,7 +230,7 @@ fn deadline_abandons_wedged_queries_and_finishes_the_run() {
         ..Default::default()
     });
     let start = Instant::now();
-    let outcome = driver.run(Arc::new(WedgedEngine), &scripts);
+    let outcome = driver.run_source(Arc::new(WedgedEngine), &ScriptedSource::borrowed(&scripts));
     let elapsed = start.elapsed();
 
     assert_eq!(outcome.report.errors, queries as u64, "every query fails");

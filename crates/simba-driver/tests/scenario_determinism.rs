@@ -1,12 +1,11 @@
 //! The unified-API acceptance property: for every built-in scenario kind,
 //! running through the declarative `Driver::execute(&ScenarioSpec)` path
 //! produces **byte-identical** action sequences and result fingerprints to
-//! the legacy entry points (`Driver::run` over synthesized scripts,
-//! `Driver::run_adaptive`, and the single-session `IdeBenchRunner`) under
-//! the same seed — with the shared result cache on and off.
+//! the hand-assembled equivalents (`Driver::run_source` over synthesized
+//! scripts or an `AdaptiveSource`, and the single-session `IdeBenchRunner`)
+//! under the same seed — with the shared result cache on and off.
 //!
-//! This is the regression gate that let the legacy paths become thin shims:
-//! any drift in how `execute` derives seeds, builds tables/dashboards, or
+//! Any drift in how `execute` derives seeds, builds tables/dashboards, or
 //! wires sources is a test failure here before it is a silent workload
 //! change anywhere else.
 
@@ -16,7 +15,9 @@ use simba_core::spec::builtin::builtin;
 use simba_data::DashboardDataset;
 use simba_driver::fingerprint::fingerprint;
 use simba_driver::workload::{CacheSpec, EngineSpec, ScenarioSpec, SourceSpec};
-use simba_driver::{AdaptiveConfig, CacheConfig, Driver, DriverConfig};
+use simba_driver::{
+    AdaptiveSource, AdaptiveWalkConfig, CacheConfig, Driver, DriverConfig, ScriptedSource,
+};
 use simba_engine::EngineKind;
 use std::sync::Arc;
 
@@ -59,7 +60,7 @@ fn legacy_context() -> (Arc<simba_store::Table>, Dashboard) {
 }
 
 #[test]
-fn scripted_scenario_matches_legacy_run() {
+fn scripted_scenario_matches_hand_assembled_run() {
     for engine_kind in [EngineKind::SqliteLike, EngineKind::DuckDbLike] {
         for cache in [false, true] {
             let via_spec =
@@ -77,13 +78,14 @@ fn scripted_scenario_matches_legacy_run() {
             );
             let engine = engine_kind.build();
             engine.register(table);
-            let legacy = legacy_driver(cache).run(engine, &scripts);
+            let legacy =
+                legacy_driver(cache).run_source(engine, &ScriptedSource::borrowed(&scripts));
 
             assert_eq!(via_spec.report.errors, 0);
             assert_eq!(
                 via_spec.fingerprints,
                 legacy.fingerprints,
-                "{} cache={cache}: spec-driven scripted run diverged from legacy run()",
+                "{} cache={cache}: spec-driven scripted run diverged from the hand-assembled one",
                 engine_kind.name()
             );
             // The unified loop also records the action script; it must be
@@ -98,7 +100,7 @@ fn scripted_scenario_matches_legacy_run() {
 }
 
 #[test]
-fn adaptive_scenario_matches_legacy_run_adaptive() {
+fn adaptive_scenario_matches_hand_assembled_run() {
     for engine_kind in [EngineKind::SqliteLike, EngineKind::MonetDbLike] {
         for cache in [false, true] {
             let via_spec =
@@ -107,15 +109,17 @@ fn adaptive_scenario_matches_legacy_run_adaptive() {
             let (table, dashboard) = legacy_context();
             let engine = engine_kind.build();
             engine.register(table);
-            let legacy = legacy_driver(cache).run_adaptive(
+            let legacy = legacy_driver(cache).run_source(
                 engine,
-                &dashboard,
-                &AdaptiveConfig {
-                    base_seed: SEED,
-                    steps_per_session: STEPS,
-                    ..Default::default()
-                },
-                SESSIONS,
+                &AdaptiveSource::new(
+                    &dashboard,
+                    AdaptiveWalkConfig {
+                        base_seed: SEED,
+                        steps_per_session: STEPS,
+                        ..Default::default()
+                    },
+                    SESSIONS,
+                ),
             );
 
             assert_eq!(via_spec.report.errors, 0);

@@ -901,20 +901,16 @@ pub struct DeltaCapture {
 /// the morsels are split into contiguous chunks scanned by scoped worker
 /// threads whose partial states are merged in morsel order, keeping output
 /// deterministic.
-pub fn run_morsels(plan: &PreparedQuery, threads: usize) -> (Vec<Vec<Value>>, ExecStats) {
-    let (rows, stats, _) = run_morsels_delta(plan, threads, DeltaScan::Off);
-    (rows, stats)
-}
-
-/// [`run_morsels`] with session-delta participation: optionally capture the
-/// surviving selection / typed group states for later reuse, or seed the
-/// scan from a previously captured selection (see [`DeltaScan`]).
+///
+/// `delta` is the scan's session-delta participation: none, capture the
+/// surviving selection / group states for later reuse, or seed the scan
+/// from a previously captured selection (see [`DeltaScan`]).
 ///
 /// Seeded scans run sequentially regardless of `threads`: the seed already
 /// collapsed the candidate set to the previous step's survivors, so the
 /// remaining work is too small to amortize worker spawn + merge, and a
 /// single pass keeps the captured chain selection trivially in table order.
-pub fn run_morsels_delta(
+pub fn run_morsels(
     plan: &PreparedQuery,
     threads: usize,
     delta: DeltaScan<'_>,
@@ -1177,16 +1173,16 @@ pub fn run_morsels_delta(
     (rows, stats, capture)
 }
 
-/// Re-finalize cached typed group states against `plan`'s projections,
-/// HAVING, ORDER BY, and LIMIT without touching the table at all. Sound only
-/// when the cached states were captured for the same (table, WHERE,
-/// projections, GROUP BY, HAVING) — the caller's `states_key` match
-/// establishes that; the shape guards here are defense in depth. `matched`
-/// is the seeding scan's surviving-row count, reported as this execution's
-/// `rows_matched`.
-pub fn run_typed_from_cache(
+/// Re-finalize cached group states against `plan`'s projections, HAVING,
+/// ORDER BY, and LIMIT without touching the table at all. Sound only when
+/// the states were captured for the same table snapshot, WHERE, GROUP BY
+/// and aggregate-slot layout — the caller's `states_key` match plus the
+/// store's generation / snapshot-identity checks establish that; the shape
+/// guards here are defense in depth. `matched` is the seeding scan's
+/// surviving-row count, reported as this execution's `rows_matched`.
+pub fn run_from_cache(
     plan: &PreparedQuery,
-    states: &TypedGroupStates,
+    states: &GroupStates,
     matched: usize,
 ) -> Option<(Vec<Vec<Value>>, ExecStats)> {
     let table = plan.table.as_ref();
@@ -1199,72 +1195,39 @@ pub fn run_typed_from_cache(
     else {
         return None;
     };
-    if states.kinds.len() != aggs.len() {
-        return None;
-    }
-    let (dict, global): (&[std::sync::Arc<str>], bool) = match decide_mode(plan, table) {
-        AggMode::TypedDict { key_col, dict_len } => {
-            if states.n_groups() != dict_len + 1 {
+    let having = having.as_ref();
+    let (rows, groups) = match states {
+        GroupStates::Typed(states) => {
+            if states.kinds.len() != aggs.len() {
                 return None;
             }
-            (table.column(key_col).dictionary().unwrap_or(&[]), false)
+            let (dict, global): (&[std::sync::Arc<str>], bool) = match decide_mode(plan, table) {
+                AggMode::TypedDict { key_col, dict_len } if states.n_groups() == dict_len + 1 => {
+                    (table.column(key_col).dictionary().unwrap_or(&[]), false)
+                }
+                AggMode::TypedGlobal if states.n_groups() == 1 && keys.is_empty() => (&[], true),
+                _ => return None,
+            };
+            let groups = finalize_typed_groups(states, dict, global);
+            let n = groups.len();
+            (emit_finalized_groups(projections, having, groups), n)
         }
-        AggMode::TypedGlobal => {
-            if states.n_groups() != 1 || !keys.is_empty() {
+        GroupStates::Grouped(groups) => {
+            if groups.iter().any(|(_, accs)| accs.len() != aggs.len()) {
                 return None;
             }
-            (&[], true)
+            let rows = crate::exec::emit_groups(projections, having, groups.clone());
+            (rows, groups.len())
         }
-        _ => return None,
     };
-    let groups = finalize_typed_groups(states, dict, global);
     let stats = ExecStats {
         rows_matched: matched,
-        groups: groups.len(),
+        groups,
         delta_group_hits: 1,
         delta_rows_saved: table.row_count(),
         ..ExecStats::default()
     };
-    Some((
-        emit_finalized_groups(projections, having.as_ref(), groups),
-        stats,
-    ))
-}
-
-/// Re-finalize cached materialized groups (the dense and hash aggregation
-/// paths) against `plan`'s projections, HAVING, ORDER BY, and LIMIT without
-/// touching the table. Soundness comes from the caller's `states_key` match
-/// plus the store's generation / snapshot-identity checks; the accumulator
-/// arity guard here is defense in depth. `matched` is the seeding scan's
-/// surviving-row count, reported as this execution's `rows_matched`.
-pub fn run_grouped_from_cache(
-    plan: &PreparedQuery,
-    groups: &[(Vec<Value>, Vec<Accumulator>)],
-    matched: usize,
-) -> Option<(Vec<Vec<Value>>, ExecStats)> {
-    let QueryKind::Aggregate {
-        aggs,
-        projections,
-        having,
-        ..
-    } = &plan.kind
-    else {
-        return None;
-    };
-    if groups.iter().any(|(_, accs)| accs.len() != aggs.len()) {
-        return None;
-    }
-    let stats = ExecStats {
-        rows_matched: matched,
-        groups: groups.len(),
-        delta_group_hits: 1,
-        delta_rows_saved: plan.table.row_count(),
-        ..ExecStats::default()
-    };
-    Some((
-        crate::exec::emit_groups(projections, having.as_ref(), groups.to_vec()),
-        stats,
-    ))
+    Some((rows, stats))
 }
 
 /// Empty partial state for one scan range, shaped by the aggregation mode.
@@ -1570,7 +1533,7 @@ mod tests {
         )
         .unwrap();
         let plan = crate::plan::prepare(&q, t).unwrap();
-        let (batch_rows, batch_stats) = run_morsels(&plan, 1);
+        let (batch_rows, batch_stats, _) = run_morsels(&plan, 1, DeltaScan::Off);
         let (row_rows, row_stats) = crate::exec::run_row(&plan);
         let mut a = batch_rows;
         let mut b = row_rows;
@@ -1588,8 +1551,8 @@ mod tests {
         )
         .unwrap();
         let plan = crate::plan::prepare(&q, t).unwrap();
-        let (seq, _) = run_morsels(&plan, 1);
-        let (par, _) = run_morsels(&plan, 4);
+        let (seq, _, _) = run_morsels(&plan, 1, DeltaScan::Off);
+        let (par, _, _) = run_morsels(&plan, 4, DeltaScan::Off);
         assert_eq!(seq, par);
     }
 
@@ -1598,7 +1561,7 @@ mod tests {
         let t = Arc::new(table());
         let q = parse_select("SELECT COUNT(*), SUM(calls) FROM cs WHERE calls > 999").unwrap();
         let plan = crate::plan::prepare(&q, t).unwrap();
-        let (rows, stats) = run_morsels(&plan, 1);
+        let (rows, stats, _) = run_morsels(&plan, 1, DeltaScan::Off);
         assert_eq!(rows.len(), 1);
         assert_eq!(rows[0][0], Value::Int(0));
         assert!(rows[0][1].is_null());

@@ -42,10 +42,8 @@
 //! sound implication), and the differential suite pins delta-on execution
 //! byte-identical to fresh execution.
 
-use crate::batch::{
-    run_grouped_from_cache, run_morsels_delta, run_typed_from_cache, DeltaScan, GroupStates,
-};
-use crate::engines::execute_common_with;
+use crate::batch::{run_from_cache, run_morsels, DeltaScan, GroupStates};
+use crate::engines::execute_common;
 use crate::error::EngineError;
 use crate::exec::{Catalog, QueryOutput};
 use simba_sql::{delta_key, is_refinement, states_key, Select};
@@ -86,7 +84,7 @@ pub struct DeltaStoreStats {
     /// Entries dropped because the catalog moved underneath them
     /// (re-register or append since capture).
     pub invalidations: u64,
-    /// Times the chain was reset (an errored step makes the session's
+    /// Times the chain was reset (a failed attempt makes the session's
     /// trajectory observer-dependent, so retained work is discarded).
     pub resets: u64,
 }
@@ -141,9 +139,9 @@ impl SessionDelta {
         self.entries.is_empty()
     }
 
-    /// Discard every retained entry and count a chain reset. Called when a
-    /// step errors: the session's subsequent queries are no longer a
-    /// refinement chain the store can reason about.
+    /// Discard every retained entry and count a chain reset. Called when an
+    /// execution attempt fails: the session's subsequent queries are no
+    /// longer a refinement chain the store can reason about.
     pub fn reset(&mut self) {
         self.entries.clear();
         self.stats.resets += 1;
@@ -207,8 +205,8 @@ impl SessionDelta {
 }
 
 /// Execute `query` with session-delta reuse against `delta` (see the module
-/// docs for the tier order). Produces output byte-identical to
-/// [`run_morsels`](crate::batch::run_morsels) on the same catalog — the
+/// docs for the tier order). Produces output byte-identical to a
+/// [`DeltaScan::Off`] [`run_morsels`] on the same catalog — the
 /// differential suite enforces this — while updating the store and the
 /// per-query delta counters in [`ExecStats`](crate::exec::ExecStats).
 pub(crate) fn execute_with_delta(
@@ -223,24 +221,31 @@ pub(crate) fn execute_with_delta(
     let generation = catalog.generation();
     let key = delta_key(query);
     let skey = states_key(query);
-    let (output, capture) = execute_common_with(catalog, query, |plan| {
+    let mut capture = None;
+    let output = execute_common(catalog, query, |plan| {
         delta.invalidate_stale(generation, &plan.table);
         // Tier 2: identical aggregation shape — re-finalize cached states.
         if let Some((states, matched)) = delta.states_for(&skey) {
-            let replayed = match states {
-                GroupStates::Typed(typed) => run_typed_from_cache(plan, typed, matched),
-                GroupStates::Grouped(groups) => run_grouped_from_cache(plan, groups, matched),
-            };
-            if let Some((rows, stats)) = replayed {
-                return (rows, stats, None);
+            if let Some(replayed) = run_from_cache(plan, states, matched) {
+                return replayed;
             }
         }
-        // Tier 1: seed the scan from a captured selection.
-        if let Some((seed, exact)) = delta.seed_for(&key, query) {
-            return run_morsels_delta(plan, scan_threads, DeltaScan::Seeded { seed: &seed, exact });
-        }
-        delta.stats.misses += 1;
-        run_morsels_delta(plan, scan_threads, DeltaScan::Capture)
+        // Tier 1: seed the scan from a captured selection; else a fresh
+        // capturing scan.
+        let seed = delta.seed_for(&key, query);
+        let scan = match &seed {
+            Some((seed, exact)) => DeltaScan::Seeded {
+                seed,
+                exact: *exact,
+            },
+            None => {
+                delta.stats.misses += 1;
+                DeltaScan::Capture
+            }
+        };
+        let (rows, stats, captured) = run_morsels(plan, scan_threads, scan);
+        capture = captured;
+        (rows, stats)
     })?;
     if let Some(cap) = capture {
         // Entries without a WHERE carry a full-table selection — useless as
@@ -270,7 +275,6 @@ pub(crate) fn execute_with_delta(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::batch::run_morsels;
     use crate::plan::prepare;
     use simba_sql::parse_select;
     use simba_store::{ColumnDef, Schema, TableBuilder, Value};
@@ -304,7 +308,7 @@ mod tests {
         let query = parse_select(sql).unwrap();
         let table = catalog.get(&query.from).unwrap();
         let plan = prepare(&query, table).unwrap();
-        let (rows, stats) = run_morsels(&plan, 1);
+        let (rows, stats, _) = run_morsels(&plan, 1, DeltaScan::Off);
         let rows = crate::exec::finalize_rows(rows, plan.n_output, &plan.order_dirs, plan.limit);
         QueryOutput {
             result: simba_store::ResultSet::new(plan.output_names.clone(), rows),

@@ -8,7 +8,7 @@
 //! worker threads whose partial states merge in scan order. All of that
 //! machinery lives in [`crate::batch`]; this engine uses it wholesale.
 
-use crate::batch::run_morsels;
+use crate::batch::{run_morsels, DeltaScan};
 use crate::error::EngineError;
 use crate::exec::{Catalog, QueryOutput};
 use crate::Dbms;
@@ -66,7 +66,8 @@ impl Dbms for DuckDbLike {
 
     fn execute(&self, query: &Select) -> Result<QueryOutput, EngineError> {
         super::execute_common(&self.catalog, query, |plan| {
-            run_morsels(plan, self.scan_threads)
+            let (rows, stats, _) = run_morsels(plan, self.scan_threads, DeltaScan::Off);
+            (rows, stats)
         })
     }
 

@@ -28,21 +28,6 @@ pub(crate) fn execute_common(
     query: &Select,
     runner: impl FnOnce(&PreparedQuery) -> (Vec<Vec<Value>>, ExecStats),
 ) -> Result<QueryOutput, EngineError> {
-    execute_common_with(catalog, query, |plan| {
-        let (rows, stats) = runner(plan);
-        (rows, stats, ())
-    })
-    .map(|(output, ())| output)
-}
-
-/// [`execute_common`] for runners that hand back an extra payload alongside
-/// the rows — the session-delta path uses this to carry the captured
-/// selection / group states out past the finalize step.
-pub(crate) fn execute_common_with<R>(
-    catalog: &Catalog,
-    query: &Select,
-    runner: impl FnOnce(&PreparedQuery) -> (Vec<Vec<Value>>, ExecStats, R),
-) -> Result<(QueryOutput, R), EngineError> {
     let _span = simba_obs::trace::span("engine.execute", "engine");
     // simba: allow(wall-clock-outside-obs): `elapsed` is the engine-latency deliverable consumed by latency stats; results and fingerprints never see it
     let start = Instant::now();
@@ -53,20 +38,17 @@ pub(crate) fn execute_common_with<R>(
             .ok_or_else(|| EngineError::UnknownTable(query.from.clone()))?;
         prepare(query, table)?
     };
-    let (rows, stats, payload) = runner(&plan);
+    let (rows, stats) = runner(&plan);
     let rows = {
         let _p = simba_obs::phase!("engine.finalize", "engine", "engine.phase.finalize");
         finalize_rows(rows, plan.n_output, &plan.order_dirs, plan.limit)
     };
     promote_stats(&stats);
-    Ok((
-        QueryOutput {
-            result: ResultSet::new(plan.output_names.clone(), rows),
-            stats,
-            elapsed: start.elapsed(),
-        },
-        payload,
-    ))
+    Ok(QueryOutput {
+        result: ResultSet::new(plan.output_names.clone(), rows),
+        stats,
+        elapsed: start.elapsed(),
+    })
 }
 
 /// Promote per-query [`ExecStats`] into the global metrics registry.

@@ -12,7 +12,7 @@ use crate::error::EngineError;
 use crate::eval::{CExpr, ValueSet};
 use simba_sql::normalize::normalize_expr;
 use simba_sql::printer::print_expr;
-use simba_sql::{Expr, Func, Select};
+use simba_sql::{aggregate_calls, substitute_aliases, Expr, Func, Select};
 use simba_store::{Schema, Table};
 use std::sync::Arc;
 
@@ -91,17 +91,8 @@ pub fn prepare(query: &Select, table: Arc<Table>) -> Result<PreparedQuery, Engin
         .map(|h| substitute_aliases(h, &query.projections));
 
     if query.is_aggregate_query() {
-        // Collect the distinct aggregate calls appearing anywhere.
-        let mut agg_calls: Vec<(String, Expr)> = Vec::new();
-        for item in &query.projections {
-            collect_aggregates(&item.expr, &mut agg_calls);
-        }
-        if let Some(h) = &having_expr {
-            collect_aggregates(h, &mut agg_calls);
-        }
-        for o in &order_exprs {
-            collect_aggregates(o, &mut agg_calls);
-        }
+        // The distinct aggregate calls appearing anywhere, in slot order.
+        let agg_calls = aggregate_calls(query);
 
         // Compile group keys.
         let keys: Vec<CExpr> = query
@@ -198,115 +189,6 @@ pub fn prepare(query: &Select, table: Arc<Table>) -> Result<PreparedQuery, Engin
             order_dirs,
             limit,
         })
-    }
-}
-
-/// Recursively replace references to projection aliases with the aliased
-/// expression (so `ORDER BY n` / `HAVING n > 1` resolve when `n` aliases an
-/// aggregate).
-fn substitute_aliases(e: &Expr, projections: &[simba_sql::SelectItem]) -> Expr {
-    if let Expr::Column(name) = e {
-        for item in projections {
-            if item
-                .alias
-                .as_deref()
-                .is_some_and(|a| a.eq_ignore_ascii_case(name))
-            {
-                return item.expr.clone();
-            }
-        }
-        return e.clone();
-    }
-    match e {
-        Expr::Literal(_) | Expr::Wildcard | Expr::Column(_) => e.clone(),
-        Expr::Unary { op, expr } => Expr::Unary {
-            op: *op,
-            expr: Box::new(substitute_aliases(expr, projections)),
-        },
-        Expr::Binary { left, op, right } => Expr::Binary {
-            left: Box::new(substitute_aliases(left, projections)),
-            op: *op,
-            right: Box::new(substitute_aliases(right, projections)),
-        },
-        Expr::Function {
-            func,
-            args,
-            distinct,
-        } => Expr::Function {
-            func: *func,
-            args: args
-                .iter()
-                .map(|a| substitute_aliases(a, projections))
-                .collect(),
-            distinct: *distinct,
-        },
-        Expr::InList {
-            expr,
-            list,
-            negated,
-        } => Expr::InList {
-            expr: Box::new(substitute_aliases(expr, projections)),
-            list: list
-                .iter()
-                .map(|a| substitute_aliases(a, projections))
-                .collect(),
-            negated: *negated,
-        },
-        Expr::Between {
-            expr,
-            low,
-            high,
-            negated,
-        } => Expr::Between {
-            expr: Box::new(substitute_aliases(expr, projections)),
-            low: Box::new(substitute_aliases(low, projections)),
-            high: Box::new(substitute_aliases(high, projections)),
-            negated: *negated,
-        },
-        Expr::IsNull { expr, negated } => Expr::IsNull {
-            expr: Box::new(substitute_aliases(expr, projections)),
-            negated: *negated,
-        },
-    }
-}
-
-/// Collect distinct aggregate calls (by normalized print) in evaluation order.
-fn collect_aggregates(e: &Expr, out: &mut Vec<(String, Expr)>) {
-    match e {
-        Expr::Function { func, args, .. } if func.is_aggregate() => {
-            let print = print_expr(&normalize_expr(e));
-            if !out.iter().any(|(p, _)| *p == print) {
-                out.push((print, e.clone()));
-            }
-            // Aggregate args cannot themselves contain aggregates; no need to
-            // recurse (nested aggregation is rejected at compile).
-            let _ = args;
-        }
-        Expr::Function { args, .. } => {
-            for a in args {
-                collect_aggregates(a, out);
-            }
-        }
-        Expr::Unary { expr, .. } => collect_aggregates(expr, out),
-        Expr::Binary { left, right, .. } => {
-            collect_aggregates(left, out);
-            collect_aggregates(right, out);
-        }
-        Expr::InList { expr, list, .. } => {
-            collect_aggregates(expr, out);
-            for x in list {
-                collect_aggregates(x, out);
-            }
-        }
-        Expr::Between {
-            expr, low, high, ..
-        } => {
-            collect_aggregates(expr, out);
-            collect_aggregates(low, out);
-            collect_aggregates(high, out);
-        }
-        Expr::IsNull { expr, .. } => collect_aggregates(expr, out),
-        Expr::Column(_) | Expr::Literal(_) | Expr::Wildcard => {}
     }
 }
 

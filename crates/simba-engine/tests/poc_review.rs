@@ -40,17 +40,25 @@ fn order_by_agg_swap() {
         .unwrap();
     let fresh2 = e.execute(&parse_select(q2).unwrap()).unwrap();
     eprintln!("o1 {:?}", o1.result);
-    eprintln!("delta o2 {:?} (group_hits={})", o2.result, o2.stats.delta_group_hits);
+    eprintln!(
+        "delta o2 {:?} (group_hits={})",
+        o2.result, o2.stats.delta_group_hits
+    );
     eprintln!("fresh o2 {:?}", fresh2.result);
-    assert_eq!(o2.result, fresh2.result, "ORDER BY agg swap corrupted replay");
+    assert_eq!(
+        o2.result, fresh2.result,
+        "ORDER BY agg swap corrupted replay"
+    );
 }
 
 #[test]
 fn having_conjunct_order_swap() {
     let e = engine();
     let mut delta = SessionDelta::default();
-    let q1 = "SELECT q, COUNT(*) FROM t WHERE a > 40 GROUP BY q HAVING SUM(v) > 8000 AND MIN(v) >= 0";
-    let q2 = "SELECT q, COUNT(*) FROM t WHERE a > 40 GROUP BY q HAVING MIN(v) >= 0 AND SUM(v) > 8000";
+    let q1 =
+        "SELECT q, COUNT(*) FROM t WHERE a > 40 GROUP BY q HAVING SUM(v) > 8000 AND MIN(v) >= 0";
+    let q2 =
+        "SELECT q, COUNT(*) FROM t WHERE a > 40 GROUP BY q HAVING MIN(v) >= 0 AND SUM(v) > 8000";
     let o1 = e
         .execute_delta(&parse_select(q1).unwrap(), &mut delta)
         .unwrap();
@@ -58,8 +66,15 @@ fn having_conjunct_order_swap() {
         .execute_delta(&parse_select(q2).unwrap(), &mut delta)
         .unwrap();
     let fresh2 = e.execute(&parse_select(q2).unwrap()).unwrap();
-    eprintln!("o1 rows={}", o1.result.rows().len());
-    eprintln!("delta o2 rows={} (group_hits={})", o2.result.rows().len(), o2.stats.delta_group_hits);
-    eprintln!("fresh o2 rows={}", fresh2.result.rows().len());
-    assert_eq!(o2.result, fresh2.result, "HAVING conjunct order corrupted replay");
+    eprintln!("o1 rows={}", o1.result.rows.len());
+    eprintln!(
+        "delta o2 rows={} (group_hits={})",
+        o2.result.rows.len(),
+        o2.stats.delta_group_hits
+    );
+    eprintln!("fresh o2 rows={}", fresh2.result.rows.len());
+    assert_eq!(
+        o2.result, fresh2.result,
+        "HAVING conjunct order corrupted replay"
+    );
 }

@@ -11,8 +11,8 @@
 //! most easily part ways with value-space reasoning.
 
 use proptest::prelude::*;
-use simba_engine::execute_row_oracle;
-use simba_sql::{delta_key, is_refinement, BinOp, Expr, Select, SelectItem};
+use simba_engine::{execute_row_oracle, Dbms, DuckDbLike, SessionDelta};
+use simba_sql::{delta_key, is_refinement, parse_select, BinOp, Expr, Select};
 use simba_store::{ColumnDef, Schema, Table, TableBuilder, Value};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -104,28 +104,58 @@ fn predicate_strategy() -> impl Strategy<Value = Expr> {
     ]
 }
 
-/// A bare projection of every column under a random conjunctive WHERE, so
-/// the result set *is* the surviving row set.
-fn select_with(preds: Vec<Expr>) -> Select {
-    let mut select = Select::new(
-        "t",
-        ["queue", "region", "calls", "cost"]
-            .iter()
-            .map(|c| SelectItem::bare(Expr::col(*c)))
-            .collect(),
-    );
+/// What a generated WHERE is wrapped in. Shape 0 is the bare projection of
+/// every column, whose result *is* the surviving row set; the rest are the
+/// aggregation shapes group-state replay has to tell apart: ORDER BY over a
+/// non-projected aggregate (two different ones), HAVING with two hidden
+/// aggregates in both written orders, LIMIT, and a permuted projection
+/// list. ORDER BY always ends in the group key, so LIMIT cuts a total order.
+const SHAPES: &[&str] = &[
+    "SELECT queue, region, calls, cost FROM t",
+    "SELECT queue, COUNT(*) AS n FROM t GROUP BY queue",
+    "SELECT queue, COUNT(*) AS n FROM t GROUP BY queue ORDER BY SUM(cost) DESC, queue LIMIT 2",
+    "SELECT queue, COUNT(*) AS n FROM t GROUP BY queue ORDER BY MIN(cost) DESC, queue LIMIT 2",
+    "SELECT queue, COUNT(*) AS n FROM t GROUP BY queue HAVING SUM(calls) > 5 AND MIN(cost) >= 0",
+    "SELECT queue, COUNT(*) AS n FROM t GROUP BY queue HAVING MIN(cost) >= 0 AND SUM(calls) > 5",
+    "SELECT COUNT(*) AS n, queue FROM t GROUP BY queue ORDER BY queue LIMIT 3",
+];
+
+fn shaped(shape: usize, preds: Vec<Expr>) -> Select {
+    let mut select = parse_select(SHAPES[shape]).unwrap();
     select.where_clause = Expr::conjoin(preds);
     select
 }
 
 fn query_strategy() -> impl Strategy<Value = Select> {
-    proptest::collection::vec(predicate_strategy(), 0..=3).prop_map(select_with)
+    (
+        0..SHAPES.len(),
+        proptest::collection::vec(predicate_strategy(), 0..=3),
+    )
+        .prop_map(|(shape, preds)| shaped(shape, preds))
 }
 
-/// Multiset of surviving rows, keyed by debug representation (stable for
-/// values that went through the same execution pipeline).
+/// A step and the step after it: `next` keeps `prev`'s conjuncts and adds
+/// up to two, under an independent shape — the pairs a session's delta
+/// store actually sees.
+fn chain_strategy() -> impl Strategy<Value = (Select, Select)> {
+    (
+        query_strategy(),
+        0..SHAPES.len(),
+        proptest::collection::vec(predicate_strategy(), 0..=2),
+    )
+        .prop_map(|(prev, shape, extra)| {
+            let kept = prev.filters().into_iter().cloned();
+            let next = shaped(shape, kept.chain(extra).collect());
+            (prev, next)
+        })
+}
+
+/// Multiset of the rows surviving `q`'s WHERE (whatever `q`'s shape), keyed
+/// by debug representation (stable for values that went through the same
+/// execution pipeline).
 fn row_multiset(table: &Arc<Table>, q: &Select) -> HashMap<String, usize> {
-    let out = execute_row_oracle(Arc::clone(table), q).unwrap();
+    let bare = shaped(0, q.filters().into_iter().cloned().collect());
+    let out = execute_row_oracle(Arc::clone(table), &bare).unwrap();
     let mut counts = HashMap::new();
     for row in out.result.sorted_rows() {
         *counts.entry(format!("{row:?}")).or_insert(0) += 1;
@@ -183,6 +213,29 @@ proptest! {
             prop_assert_eq!(
                 ra, rb,
                 "equal delta keys with different row sets: `{}` vs `{}`", a, b
+            );
+        }
+    }
+
+    /// The consumer of both verdicts: two consecutive steps through one
+    /// session store on the columnar engine — group-state replay, exact or
+    /// refinement seeding, or a miss — answer exactly like the row oracle.
+    #[test]
+    fn refinement_chains_execute_like_the_oracle(
+        rows in proptest::collection::vec(row_strategy(), 0..120),
+        chain in chain_strategy(),
+    ) {
+        let (prev, next) = chain;
+        let table = Arc::new(build_table(&rows));
+        let engine = DuckDbLike::new();
+        engine.register(Arc::clone(&table));
+        let mut store = SessionDelta::default();
+        for q in [&prev, &next] {
+            let got = engine.execute_delta(q, &mut store).unwrap();
+            let want = execute_row_oracle(Arc::clone(&table), q).unwrap();
+            prop_assert_eq!(
+                got.result.sorted_rows(), want.result.sorted_rows(),
+                "delta execution diverged on `{}` after `{}`", q, prev
             );
         }
     }

@@ -42,6 +42,6 @@ pub mod token;
 pub use ast::{BinOp, Expr, Func, Literal, OrderByExpr, Select, SelectItem, UnaryOp};
 pub use builder::SelectBuilder;
 pub use error::{ParseError, SqlError};
-pub use normalize::{query_cache_key, NormalizedSelect};
+pub use normalize::{aggregate_calls, query_cache_key, substitute_aliases, NormalizedSelect};
 pub use parser::{parse_expr, parse_select};
 pub use refine::{delta_key, is_refinement, states_key};

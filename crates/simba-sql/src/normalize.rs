@@ -179,6 +179,77 @@ pub fn normalized_conjuncts(pred: &Expr) -> BTreeSet<String> {
         .collect()
 }
 
+/// Replace references to projection aliases with the aliased expression
+/// (so `ORDER BY n` / `HAVING n > 1` resolve when `n` aliases an aggregate).
+pub fn substitute_aliases(e: &Expr, projections: &[SelectItem]) -> Expr {
+    map_expr(e, &|node| {
+        let aliased = match &node {
+            Expr::Column(name) => projections.iter().find(|item| {
+                item.alias
+                    .as_deref()
+                    .is_some_and(|a| a.eq_ignore_ascii_case(name))
+            }),
+            _ => None,
+        };
+        aliased.map_or(node, |item| item.expr.clone())
+    })
+}
+
+/// The distinct aggregate calls of `q`, as `(normalized print, call)`, in
+/// the order the planner allocates their slots: projections, then HAVING,
+/// then ORDER BY (aliases substituted), each walked left to right. The one
+/// definition of a query's aggregate-slot layout — the planner compiles it
+/// and [`states_key`](crate::states_key) prints it, so the two cannot
+/// disagree.
+pub fn aggregate_calls(q: &Select) -> Vec<(String, Expr)> {
+    let mut out = Vec::new();
+    for item in &q.projections {
+        collect_aggregates(&item.expr, &mut out);
+    }
+    let clauses = q.having.iter().chain(q.order_by.iter().map(|o| &o.expr));
+    for e in clauses {
+        collect_aggregates(&substitute_aliases(e, &q.projections), &mut out);
+    }
+    out
+}
+
+fn collect_aggregates(e: &Expr, out: &mut Vec<(String, Expr)>) {
+    match e {
+        // Aggregate args cannot themselves contain aggregates (nested
+        // aggregation is rejected at compile), so no need to recurse.
+        Expr::Function { func, .. } if func.is_aggregate() => {
+            let print = print_expr(&normalize_expr(e));
+            if !out.iter().any(|(p, _)| *p == print) {
+                out.push((print, e.clone()));
+            }
+        }
+        Expr::Function { args, .. } => {
+            for a in args {
+                collect_aggregates(a, out);
+            }
+        }
+        Expr::Unary { expr, .. } | Expr::IsNull { expr, .. } => collect_aggregates(expr, out),
+        Expr::Binary { left, right, .. } => {
+            collect_aggregates(left, out);
+            collect_aggregates(right, out);
+        }
+        Expr::InList { expr, list, .. } => {
+            collect_aggregates(expr, out);
+            for x in list {
+                collect_aggregates(x, out);
+            }
+        }
+        Expr::Between {
+            expr, low, high, ..
+        } => {
+            collect_aggregates(expr, out);
+            collect_aggregates(low, out);
+            collect_aggregates(high, out);
+        }
+        Expr::Column(_) | Expr::Literal(_) | Expr::Wildcard => {}
+    }
+}
+
 /// Normalize an expression tree (see module docs for the rewrite list).
 pub fn normalize_expr(e: &Expr) -> Expr {
     let e = lower_idents(e);

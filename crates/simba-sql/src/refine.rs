@@ -14,8 +14,9 @@
 //!   surviving row sets are interchangeable.
 //! * [`states_key`] — identifies executions whose per-group aggregate states
 //!   are interchangeable (same table, WHERE, ordered projections, GROUP BY,
-//!   and HAVING — everything that shapes the aggregation, excluding ORDER
-//!   BY / LIMIT, which only shape the emitted rows).
+//!   and aggregate-slot layout — everything that shapes the aggregation,
+//!   excluding ORDER BY over projected columns and LIMIT, which only shape
+//!   the emitted rows).
 //! * [`is_refinement`] — the subsumption verdict, built on the sound
 //!   [`implication`](crate::implication) domain analysis: `true` is a proof
 //!   that `next`'s rows are a subset of `prev`'s rows; `false` only means
@@ -26,7 +27,7 @@
 
 use crate::ast::Select;
 use crate::implication::option_implies;
-use crate::normalize::normalize_expr;
+use crate::normalize::{aggregate_calls, normalize_expr};
 use crate::printer::print_expr;
 
 /// Key identifying "same table, same WHERE" executions: the lowercased table
@@ -43,11 +44,14 @@ pub fn delta_key(q: &Select) -> String {
 
 /// Key identifying executions whose per-group aggregate states are
 /// interchangeable: [`delta_key`] plus the *ordered* normalized projection
-/// list (order fixes the aggregate-slot layout), GROUP BY, and HAVING
-/// (HAVING conjuncts contribute aggregate slots of their own). ORDER BY and
-/// LIMIT are deliberately excluded — they reorder and truncate the emitted
-/// rows after aggregation, so cached group states satisfy any ORDER BY /
-/// LIMIT variant of the same aggregation.
+/// list, GROUP BY, and the aggregate-slot layout — every distinct aggregate
+/// call in the order [`aggregate_calls`] (and therefore the planner)
+/// allocates it: projections, then HAVING, then ORDER BY. A hidden
+/// `ORDER BY SUM(v)` or a reordered HAVING changes the layout, so it changes
+/// the key. ORDER BY over projected columns / aliases and LIMIT are
+/// deliberately excluded — they reorder and truncate the emitted rows after
+/// aggregation, and HAVING is re-evaluated over the replayed groups, so
+/// cached group states satisfy any such variant of the same aggregation.
 pub fn states_key(q: &Select) -> String {
     let mut out = delta_key(q);
     push_section(
@@ -62,16 +66,11 @@ pub fn states_key(q: &Select) -> String {
         'g',
         q.group_by.iter().map(|g| print_expr(&normalize_expr(g))),
     );
-    push_section(&mut out, 'h', {
-        let mut conjuncts: Vec<String> = match &q.having {
-            Some(h) => crate::normalize::normalized_conjuncts(h)
-                .into_iter()
-                .collect(),
-            None => Vec::new(),
-        };
-        conjuncts.sort();
-        conjuncts.into_iter()
-    });
+    push_section(
+        &mut out,
+        'a',
+        aggregate_calls(q).into_iter().map(|(print, _)| print),
+    );
     out
 }
 
@@ -172,6 +171,39 @@ mod tests {
                 "SELECT q, COUNT(*) FROM t WHERE a = 1 GROUP BY q HAVING SUM(v) > 2"
             ))
         );
+    }
+
+    #[test]
+    fn states_key_follows_the_aggregate_slot_layout() {
+        let key = |tail: &str| {
+            states_key(&sel(&format!(
+                "SELECT q, COUNT(*) AS n FROM t WHERE a = 1 GROUP BY q {tail}"
+            )))
+        };
+        // A hidden ORDER BY aggregate allocates a slot: which one matters.
+        assert_ne!(key("ORDER BY SUM(v) DESC LIMIT 3"), key("LIMIT 3"));
+        assert_ne!(
+            key("ORDER BY SUM(v) DESC LIMIT 3"),
+            key("ORDER BY MIN(v) DESC LIMIT 3")
+        );
+        // HAVING slots are allocated in written order, not sorted order.
+        assert_ne!(
+            key("HAVING SUM(v) > 8 AND MIN(v) >= 0"),
+            key("HAVING MIN(v) >= 0 AND SUM(v) > 8")
+        );
+        // The other direction: anything that allocates no new slot — ORDER
+        // BY over a projected column, an alias or an already-projected
+        // aggregate, and LIMIT — stays out of the key, so re-sorted
+        // dashboards still replay.
+        for resorted in [
+            "ORDER BY q",
+            "ORDER BY n DESC LIMIT 3",
+            "ORDER BY COUNT(*) LIMIT 1",
+        ] {
+            assert_eq!(key(resorted), key(""), "{resorted}");
+        }
+        // A HAVING threshold is re-evaluated on replay; only its slots count.
+        assert_eq!(key("HAVING SUM(v) > 8"), key("HAVING SUM(v) > 9"));
     }
 
     #[test]
