@@ -1,25 +1,43 @@
 //! The single benchmark entry point: run any scenario — built-in or from a
-//! JSON spec file — through `Driver::execute` (or, for `datagen-sweep`,
-//! through the generation-throughput harness).
+//! JSON spec file — through `Driver::execute`.
 //!
 //! The usage text lives in `src/bench_usage.txt` — one file backs `--help`
 //! *and* the `simba_bench` crate docs, so they cannot drift apart.
 //!
-//! Flags override environment variables, which override scenario defaults.
-//! With `--spec`, the file is authoritative: only *explicit flags* override
-//! its fields (`--rows`, `--seed`, `--steps`, `--workers`, `--think-ms`
-//! rewrite every spec in the file; `--addr` re-points remote engine specs;
-//! `--users`/`--sizes` are rejected because sweeps do not map onto explicit
-//! per-spec fields), and `SIMBA_*` environment variables are ignored.
+//! Flags override scenario defaults; nothing else does. With `--spec`, the
+//! file is authoritative and a flag rewrites it: `--rows`, `--seed`,
+//! `--steps`, `--workers`, `--think-ms` rewrite every spec in the file,
+//! `--addr` re-points remote engine specs, and `--users` is rejected
+//! because a sweep does not map onto explicit per-spec fields.
 
 use simba_bench::scenario_cli::{
-    check_max_degraded, emit_datagen_json, emit_json, enable_tracing, max_degraded_from_env,
-    metrics_from_env, params_from_env, resolve_trace_out, run_datagen, run_specs, write_trace,
+    check_max_degraded, emit_json, enable_tracing, parse_users, run_specs, write_trace,
 };
 use simba_driver::{
-    all_scenarios, scenario, DatagenSweep, ScenarioBody, ScenarioParams, ScenarioSpec,
+    all_scenarios, scenario, validate_addr, EngineSpec, ScenarioParams, ScenarioSpec, ThinkTime,
 };
 
+/// Every flag `bench` accepts, and whether it takes a value: what
+/// `parse_args` matches against and what the usage text must list.
+const FLAGS: [(&str, bool); 15] = [
+    ("--scenario", true),
+    ("--spec", true),
+    ("--engine", true),
+    ("--list", false),
+    ("--dump", false),
+    ("--trace-out", true),
+    ("--metrics", false),
+    ("--max-degraded", true),
+    ("--rows", true),
+    ("--seed", true),
+    ("--users", true),
+    ("--steps", true),
+    ("--workers", true),
+    ("--think-ms", true),
+    ("--addr", true),
+];
+
+#[derive(Debug, Default)]
 struct Args {
     scenario: Option<String>,
     spec_file: Option<String>,
@@ -29,7 +47,13 @@ struct Args {
     trace_out: Option<String>,
     metrics: bool,
     max_degraded: Option<f64>,
-    overrides: Vec<(String, String)>,
+    rows: Option<usize>,
+    seed: Option<u64>,
+    users: Option<Vec<usize>>,
+    steps: Option<usize>,
+    workers: Option<usize>,
+    think_ms: Option<u64>,
+    addr: Option<String>,
 }
 
 fn usage() -> ! {
@@ -37,335 +61,193 @@ fn usage() -> ! {
     std::process::exit(2);
 }
 
-fn parse_args() -> Args {
-    let mut args = Args {
-        scenario: None,
-        spec_file: None,
-        engine: None,
-        list: false,
-        dump: false,
-        trace_out: None,
-        metrics: false,
-        max_degraded: None,
-        overrides: Vec::new(),
-    };
-    let mut it = std::env::args().skip(1);
+/// Parse the command line, strictly: an unknown flag, a missing value or a
+/// value that does not parse whole is an error naming the flag.
+fn parse_args(mut it: impl Iterator<Item = String>) -> Result<Args, String> {
+    let mut args = Args::default();
     while let Some(flag) = it.next() {
-        let mut value_for = |name: &str| -> String {
-            match it.next() {
-                Some(v) => v,
-                None => {
-                    eprintln!("missing value for {name}");
-                    usage()
-                }
-            }
+        if flag == "--help" || flag == "-h" {
+            usage();
+        }
+        let Some(&(_, takes_value)) = FLAGS.iter().find(|(name, _)| *name == flag) else {
+            return Err(format!("unknown flag `{flag}`"));
         };
+        // A switch must not pull the next token: it is the next flag.
+        let value = if takes_value {
+            it.next()
+                .ok_or_else(|| format!("missing value for {flag}"))?
+        } else {
+            String::new()
+        };
+        let invalid = || format!("invalid value `{value}` for {flag}");
         match flag.as_str() {
-            "--scenario" => args.scenario = Some(value_for("--scenario")),
-            "--spec" => args.spec_file = Some(value_for("--spec")),
-            "--engine" => args.engine = Some(value_for("--engine")),
+            "--scenario" => args.scenario = Some(value),
+            "--spec" => args.spec_file = Some(value),
+            "--engine" => args.engine = Some(value),
             "--list" => args.list = true,
             "--dump" => args.dump = true,
-            "--trace-out" => args.trace_out = Some(value_for("--trace-out")),
+            "--trace-out" => args.trace_out = Some(value),
             "--metrics" => args.metrics = true,
-            "--max-degraded" => {
-                let value = value_for("--max-degraded");
-                match value.parse::<f64>() {
-                    Ok(p) if (0.0..=100.0).contains(&p) => args.max_degraded = Some(p),
-                    _ => {
-                        eprintln!("invalid value `{value}` for --max-degraded (want 0..=100)");
-                        std::process::exit(2);
-                    }
-                }
-            }
-            "--rows" | "--seed" | "--users" | "--steps" | "--workers" | "--think-ms"
-            | "--sizes" | "--addr" => {
-                let value = value_for(&flag);
-                args.overrides.push((flag, value));
-            }
-            "--help" | "-h" => usage(),
-            other => {
-                eprintln!("unknown flag `{other}`");
-                usage()
-            }
-        }
-    }
-    args
-}
-
-/// Apply `--rows`-style flag overrides on top of env-derived params.
-fn apply_overrides(mut params: ScenarioParams, overrides: &[(String, String)]) -> ScenarioParams {
-    for (flag, value) in overrides {
-        let parse_usize = || -> usize {
-            value.parse().unwrap_or_else(|_| {
-                eprintln!("invalid value `{value}` for {flag}");
-                std::process::exit(2);
-            })
-        };
-        match flag.as_str() {
-            "--rows" => params.rows = parse_usize(),
-            "--seed" => params.seed = parse_usize() as u64,
-            "--steps" => params.steps = parse_usize(),
-            "--workers" => params.workers = parse_usize(),
-            "--think-ms" => params.think_ms = parse_usize() as u64,
-            "--users" => match simba_bench::scenario_cli::parse_users(value) {
-                Some(users) => params.users = users,
-                None => {
-                    eprintln!("invalid value `{value}` for --users");
-                    std::process::exit(2);
-                }
+            "--max-degraded" => match value.parse::<f64>() {
+                Ok(p) if (0.0..=100.0).contains(&p) => args.max_degraded = Some(p),
+                _ => return Err(format!("{} (want 0..=100)", invalid())),
             },
-            "--sizes" => match simba_bench::scenario_cli::parse_sizes(value) {
-                Some(sizes) => params.sizes = sizes,
-                None => {
-                    eprintln!("invalid value `{value}` for --sizes");
-                    std::process::exit(2);
-                }
-            },
+            "--rows" => args.rows = Some(value.parse().map_err(|_| invalid())?),
+            "--seed" => args.seed = Some(value.parse().map_err(|_| invalid())?),
+            "--users" => args.users = Some(parse_users(&value).ok_or_else(invalid)?),
+            "--steps" => args.steps = Some(value.parse().map_err(|_| invalid())?),
+            "--workers" => args.workers = Some(value.parse().map_err(|_| invalid())?),
+            "--think-ms" => args.think_ms = Some(value.parse().map_err(|_| invalid())?),
             "--addr" => {
-                params.addr = simba_bench::scenario_cli::addr_or_exit(value.clone());
+                // The same rule spec validation applies, run here so a typo
+                // fails before any dataset is generated or socket dialed.
+                validate_addr(&value).map_err(|e| e.to_string())?;
+                args.addr = Some(value);
             }
-            _ => unreachable!("parse_args only collects known overrides"),
+            _ => unreachable!("every FLAGS entry has an arm"),
         }
     }
-    params
+    Ok(args)
 }
 
-/// Apply explicit flag overrides onto specs loaded from a `--spec` file.
-/// The file is the source of truth; only flags the user actually typed
-/// rewrite it (env vars are ignored on this path).
-fn apply_spec_overrides(specs: &mut [ScenarioSpec], overrides: &[(String, String)]) {
-    for (flag, value) in overrides {
-        let parse_usize = || -> usize {
-            value.parse().unwrap_or_else(|_| {
-                eprintln!("invalid value `{value}` for {flag}");
-                std::process::exit(2);
-            })
-        };
-        if flag == "--users" {
-            eprintln!("--users cannot be combined with --spec (edit the file's `sessions` fields)");
-            std::process::exit(2);
-        }
-        if flag == "--sizes" {
-            eprintln!("--sizes cannot be combined with --spec (edit the file's `size` fields)");
-            std::process::exit(2);
-        }
-        if flag == "--addr" {
-            // Re-point remote specs at a different server; a file with no
-            // remote specs has nothing for the flag to do, so reject it
-            // rather than silently run everything in-process.
-            let addr = simba_bench::scenario_cli::addr_or_exit(value.clone());
-            let mut rewrote = false;
-            for spec in specs.iter_mut() {
-                if let simba_driver::EngineSpec::Remote { addr: a, .. } = &mut spec.engine {
-                    *a = addr.clone();
-                    rewrote = true;
-                }
-            }
-            if !rewrote {
-                eprintln!("--addr has no effect: no spec in the file uses a remote engine");
-                std::process::exit(2);
-            }
-            continue;
-        }
+/// The scale knobs of a built-in scenario: a flag where one was typed, the
+/// scenario default otherwise.
+fn params(args: &Args) -> ScenarioParams {
+    let defaults = ScenarioParams::default();
+    ScenarioParams {
+        rows: args.rows.unwrap_or(defaults.rows),
+        seed: args.seed.unwrap_or(defaults.seed),
+        users: args.users.clone().unwrap_or(defaults.users),
+        steps: args.steps.unwrap_or(defaults.steps),
+        workers: args.workers.unwrap_or(defaults.workers),
+        think_ms: args.think_ms.unwrap_or(defaults.think_ms),
+        addr: args.addr.clone().unwrap_or(defaults.addr),
+    }
+}
+
+/// Apply the flags the user typed onto specs loaded from a `--spec` file.
+fn apply_spec_overrides(specs: &mut [ScenarioSpec], args: &Args) -> Result<(), String> {
+    if args.users.is_some() {
+        return Err(
+            "--users cannot be combined with --spec (edit the file's `sessions` fields)".into(),
+        );
+    }
+    if let Some(addr) = &args.addr {
+        // Re-point remote specs at a different server; a file with no
+        // remote specs has nothing for the flag to do, so reject it
+        // rather than silently run everything in-process.
+        let mut rewrote = false;
         for spec in specs.iter_mut() {
-            match flag.as_str() {
-                "--rows" => {
-                    // A `size` label wins over `rows` at resolution time;
-                    // clear it so the explicit flag actually takes effect.
-                    spec.rows = parse_usize();
-                    spec.size = None;
-                }
-                "--seed" => spec.seed = parse_usize() as u64,
-                "--steps" => spec.steps_per_session = parse_usize(),
-                "--workers" => spec.workers = parse_usize(),
-                "--think-ms" => {
-                    let millis = parse_usize() as u64;
-                    spec.think = if millis == 0 {
-                        simba_driver::ThinkSpec::None
-                    } else {
-                        simba_driver::ThinkSpec::Fixed { millis }
-                    };
-                }
-                _ => unreachable!("parse_args only collects known overrides"),
+            if let EngineSpec::Remote { addr: a, .. } = &mut spec.engine {
+                a.clone_from(addr);
+                rewrote = true;
             }
+        }
+        if !rewrote {
+            return Err("--addr has no effect: no spec in the file uses a remote engine".into());
         }
     }
+    for spec in specs.iter_mut() {
+        if let Some(rows) = args.rows {
+            // A `size` label wins over `rows` at resolution time; clear
+            // it so the explicit flag actually takes effect.
+            spec.rows = rows;
+            spec.size = None;
+        }
+        if let Some(seed) = args.seed {
+            spec.seed = seed;
+        }
+        if let Some(steps) = args.steps {
+            spec.steps_per_session = steps;
+        }
+        if let Some(workers) = args.workers {
+            spec.workers = workers;
+        }
+        if let Some(millis) = args.think_ms {
+            spec.think = if millis == 0 {
+                ThinkTime::None
+            } else {
+                ThinkTime::Fixed { millis }
+            };
+        }
+    }
+    Ok(())
 }
 
 /// Load specs from a JSON file holding either one spec object or an array.
 /// The first non-whitespace character decides which shape to parse, so a
 /// field typo surfaces that shape's diagnostic rather than a misleading
-/// "expected array" from the wrong attempt. A single object that is not a
-/// `ScenarioSpec` is retried as a `DatagenSweep`, so a dumped
-/// `datagen-sweep` file round-trips through `--spec` like any other
-/// scenario (the two shapes share no required fields, so this cannot
-/// misparse one as the other).
-enum SpecFile {
-    Suite(Vec<ScenarioSpec>),
-    Datagen(DatagenSweep),
-}
-
-fn load_spec_file(path: &str) -> SpecFile {
-    let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-        eprintln!("cannot read {path}: {e}");
-        std::process::exit(2);
-    });
-    let result = if text.trim_start().starts_with('[') {
-        serde_json::from_str::<Vec<ScenarioSpec>>(&text)
-            .map(SpecFile::Suite)
-            .map_err(|e| e.to_string())
+/// "expected array" from the wrong attempt.
+fn load_spec_file(path: &str) -> Result<Vec<ScenarioSpec>, String> {
+    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+    if text.trim_start().starts_with('[') {
+        serde_json::from_str::<Vec<ScenarioSpec>>(&text).map_err(|e| e.to_string())
     } else {
-        match ScenarioSpec::from_json(&text) {
-            Ok(spec) => Ok(SpecFile::Suite(vec![spec])),
-            Err(spec_err) => serde_json::from_str::<DatagenSweep>(&text)
-                .map(SpecFile::Datagen)
-                .map_err(|_| spec_err.to_string()),
-        }
-    };
-    result.unwrap_or_else(|e| {
-        eprintln!("{path}: invalid scenario spec file: {e}");
-        std::process::exit(2);
-    })
+        ScenarioSpec::from_json(&text)
+            .map(|spec| vec![spec])
+            .map_err(|e| e.to_string())
+    }
+    .map_err(|e| format!("{path}: invalid scenario spec file: {e}"))
 }
 
-/// Run (or dump) a generation sweep. Shared by `--scenario datagen-sweep`
-/// and `--spec <dumped-sweep.json>`; driver-only knobs are rejected rather
-/// than silently ignored.
-fn run_datagen_scenario(sweep: &DatagenSweep, banner: &str, args: &Args) -> ! {
-    if args.engine.is_some() {
-        eprintln!("--engine does not apply to a generation sweep");
-        std::process::exit(2);
-    }
-    for (flag, _) in &args.overrides {
-        if !matches!(flag.as_str(), "--seed" | "--sizes") {
-            eprintln!("{flag} does not apply to a generation sweep (only --seed and --sizes do)");
-            std::process::exit(2);
-        }
-    }
-    if args.dump {
-        println!(
-            "{}",
-            serde_json::to_string_pretty(sweep).expect("sweep serializes")
-        );
-        std::process::exit(0);
-    }
-    println!("{banner}\n");
-    match run_datagen(sweep) {
-        Ok(report) => {
-            emit_datagen_json(&report);
-            std::process::exit(0);
-        }
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(1);
-        }
-    }
+/// Print a command-line error and exit with the usage status.
+fn fail(message: String) -> ! {
+    eprintln!("{message}");
+    std::process::exit(2);
 }
 
 fn main() {
-    let args = parse_args();
-    let params = apply_overrides(params_from_env(ScenarioParams::default()), &args.overrides);
+    let args = parse_args(std::env::args().skip(1)).unwrap_or_else(|e| {
+        eprintln!("{e}");
+        usage()
+    });
+    let params = params(&args);
 
     if args.list {
         println!("built-in scenarios:");
         for sc in all_scenarios(&params) {
-            let size = match &sc.body {
-                ScenarioBody::Suite(specs) => format!("{} specs", specs.len()),
-                ScenarioBody::Datagen(_) => "generation sweep".to_string(),
-            };
             // Flag suites whose specs dial out, so nobody launches one
             // without a simba-server listening at the configured addr.
-            let external = match &sc.body {
-                ScenarioBody::Suite(specs) => {
-                    specs.iter().any(|s| s.engine.needs_external_server())
-                }
-                ScenarioBody::Datagen(_) => false,
-            };
-            let note = if external {
+            let note = if sc.specs.iter().any(|s| s.engine.needs_external_server()) {
                 format!(" [needs a running simba-server at {}]", params.addr)
             } else {
                 String::new()
             };
-            println!("  {:<20} {} ({size}){note}", sc.name, sc.description);
+            println!(
+                "  {:<20} {} ({} specs){note}",
+                sc.name,
+                sc.description,
+                sc.specs.len()
+            );
         }
         return;
     }
 
     let (mut specs, banner): (Vec<ScenarioSpec>, String) = match (&args.scenario, &args.spec_file) {
         (Some(name), None) => match scenario(name, &params) {
-            Some(sc) => match &sc.body {
-                ScenarioBody::Datagen(sweep) => run_datagen_scenario(
-                    sweep,
-                    &format!("{} — {} (seed {})", sc.name, sc.description, params.seed),
-                    &args,
-                ),
-                ScenarioBody::Suite(suite) => {
-                    // A size-tier sweep only parameterizes datagen-sweep;
-                    // reject it here rather than silently run the default
-                    // row count under a `--sizes 10M` the user trusted.
-                    if args.overrides.iter().any(|(f, _)| f == "--sizes") {
-                        eprintln!(
-                            "--sizes only applies to datagen-sweep (use --rows, or `size` in a spec file)"
-                        );
-                        std::process::exit(2);
-                    }
-                    let banner = format!(
-                        "{} — {} (rows {}, seed {}, users {:?}, {} steps/session)\n",
-                        sc.name,
-                        sc.description,
-                        params.rows,
-                        params.seed,
-                        params.users,
-                        params.steps
-                    );
-                    (suite.clone(), banner)
-                }
-            },
-            None => {
-                eprintln!(
-                    "unknown scenario `{name}`; known: {}",
-                    simba_driver::SCENARIO_NAMES.join(", ")
+            Some(sc) => {
+                let banner = format!(
+                    "{} — {} (rows {}, seed {}, users {:?}, {} steps/session)\n",
+                    sc.name, sc.description, params.rows, params.seed, params.users, params.steps
                 );
-                std::process::exit(2);
+                (sc.specs, banner)
             }
+            None => fail(format!(
+                "unknown scenario `{name}`; known: {}",
+                simba_driver::SCENARIO_NAMES.join(", ")
+            )),
         },
-        (None, Some(path)) => match load_spec_file(path) {
-            SpecFile::Datagen(mut sweep) => {
-                // The file is authoritative; only explicit flags override.
-                for (flag, value) in &args.overrides {
-                    match flag.as_str() {
-                        "--seed" => match value.parse() {
-                            Ok(seed) => sweep.seed = seed,
-                            Err(_) => {
-                                eprintln!("invalid value `{value}` for --seed");
-                                std::process::exit(2);
-                            }
-                        },
-                        "--sizes" => match simba_bench::scenario_cli::parse_sizes(value) {
-                            Some(sizes) => sweep.sizes = sizes,
-                            None => {
-                                eprintln!("invalid value `{value}` for --sizes");
-                                std::process::exit(2);
-                            }
-                        },
-                        _ => {} // rejected inside run_datagen_scenario
-                    }
-                }
-                run_datagen_scenario(&sweep, &format!("datagen sweep from {path}"), &args)
-            }
-            SpecFile::Suite(mut specs) => {
-                apply_spec_overrides(&mut specs, &args.overrides);
-                (specs, format!("specs from {path}\n"))
-            }
-        },
+        (None, Some(path)) => {
+            let mut specs = load_spec_file(path).unwrap_or_else(|e| fail(e));
+            apply_spec_overrides(&mut specs, &args).unwrap_or_else(|e| fail(e));
+            (specs, format!("specs from {path}\n"))
+        }
         _ => usage(),
     };
 
     if let Some(engine) = &args.engine {
         if simba_engine::EngineKind::from_name(engine).is_none() {
-            eprintln!("unknown engine `{engine}`");
-            std::process::exit(2);
+            fail(format!("unknown engine `{engine}`"));
         }
         specs.retain(|s| s.engine.kind_name().eq_ignore_ascii_case(engine));
         if specs.is_empty() {
@@ -374,7 +256,7 @@ fn main() {
         }
     }
 
-    if args.metrics || metrics_from_env() {
+    if args.metrics {
         for spec in &mut specs {
             spec.collect_metrics = true;
         }
@@ -394,8 +276,7 @@ fn main() {
         return;
     }
 
-    let trace_out = resolve_trace_out(args.trace_out.clone());
-    if trace_out.is_some() {
+    if args.trace_out.is_some() {
         enable_tracing();
     }
 
@@ -403,7 +284,7 @@ fn main() {
     let suite = run_specs(&specs);
     // Write whatever spans were collected even when a late spec fails, so
     // a partial trace is still there to debug the failure with.
-    if let Some(path) = &trace_out {
+    if let Some(path) = &args.trace_out {
         write_trace(path);
     }
     // Emit the report JSON before deciding the exit status: a failed or
@@ -415,11 +296,104 @@ fn main() {
         eprintln!("error: {e}");
         std::process::exit(1);
     }
-    let max_degraded = args.max_degraded.or_else(max_degraded_from_env);
-    if let Some(max) = max_degraded {
+    if let Some(max) = args.max_degraded {
         if let Err(e) = check_max_degraded(&suite.reports, max) {
             eprintln!("error: {e}");
             std::process::exit(1);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(line: &[&str]) -> Result<Args, String> {
+        parse_args(line.iter().map(|s| s.to_string()))
+    }
+
+    /// `--flag` tokens in the usage text (the `--help` and crate-doc
+    /// source), deduplicated.
+    fn documented_flags() -> Vec<&'static str> {
+        let mut flags: Vec<&str> = include_str!("../bench_usage.txt")
+            .split(|c: char| !(c.is_ascii_lowercase() || c == '-'))
+            .filter(|t| t.starts_with("--") && t.len() > 2)
+            .collect();
+        flags.sort_unstable();
+        flags.dedup();
+        flags
+    }
+
+    #[test]
+    fn usage_text_and_parser_list_the_same_flags() {
+        let mut accepted: Vec<&str> = FLAGS.iter().map(|(name, _)| *name).collect();
+        accepted.sort_unstable();
+        assert_eq!(documented_flags(), accepted);
+        // ... and the table is what the parser really accepts: each entry
+        // reaches its own `match` arm (a missing arm would panic here) and
+        // a value flag refuses to go without its value.
+        for (flag, takes_value) in FLAGS {
+            if takes_value {
+                assert_eq!(
+                    parse(&[flag]).unwrap_err(),
+                    format!("missing value for {flag}")
+                );
+                let value = if flag == "--addr" { "loopback" } else { "1" };
+                parse(&[flag, value]).unwrap_or_else(|e| panic!("{flag} {value}: {e}"));
+            } else {
+                parse(&[flag]).unwrap_or_else(|e| panic!("{flag}: {e}"));
+            }
+        }
+        assert_eq!(
+            parse(&["--sizes", "1M"]).unwrap_err(),
+            "unknown flag `--sizes`"
+        );
+    }
+
+    #[test]
+    fn switches_do_not_swallow_the_next_flag() {
+        let args = parse(&[
+            "--metrics",
+            "--scenario",
+            "smoke",
+            "--dump",
+            "--rows",
+            "5",
+            "--list",
+        ])
+        .unwrap();
+        assert!(args.metrics && args.dump && args.list);
+        assert_eq!(args.scenario.as_deref(), Some("smoke"));
+        assert_eq!(args.rows, Some(5));
+
+        let args = parse(&["--dump", "--metrics"]).unwrap();
+        assert!(args.dump && args.metrics);
+    }
+
+    #[test]
+    fn malformed_values_are_usage_errors() {
+        for (flag, value) in [
+            ("--users", "4,x"),
+            ("--users", "4,,8"),
+            ("--users", "0"),
+            ("--seed", "7up"),
+            ("--seed", "-1"),
+            ("--rows", "1e6"),
+            ("--think-ms", ""),
+            ("--max-degraded", "101"),
+        ] {
+            let err = parse(&[flag, value]).unwrap_err();
+            assert!(
+                err.starts_with(&format!("invalid value `{value}` for {flag}")),
+                "{flag} {value}: {err}"
+            );
+        }
+        assert!(parse(&["--addr", "nohost"]).is_err());
+
+        let ok = parse(&["--users", "1, 8,64", "--seed", "7", "--addr", "loopback"]).unwrap();
+        assert_eq!(ok.users, Some(vec![1, 8, 64]));
+        assert_eq!(ok.seed, Some(7));
+        assert_eq!(params(&ok).users, vec![1, 8, 64]);
+        assert_eq!(params(&ok).rows, ScenarioParams::default().rows);
     }
 }

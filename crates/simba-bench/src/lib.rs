@@ -26,10 +26,12 @@
 //! | `dbms_shootout` | §6 headline: four engines × dataset sizes |
 //! | `ablation_interleave` | interleaving ablation (P(Markov) ∈ {0, ½, 1}) |
 //! | `ablation_horizon` | Oracle lookahead-depth ablation |
-//! | `perf_report` | perf trajectory: engine latency (`BENCH_PR2.json`) + generation throughput (`BENCH_PR5.json`) |
 //!
 //! By default everything runs at laptop scale; set `SIMBA_ROWS` (e.g.
-//! `SIMBA_ROWS=10000000`) to reproduce paper-scale runs.
+//! `SIMBA_ROWS=10000000`) to reproduce paper-scale runs. These binaries
+//! read `SIMBA_ROWS` / `SIMBA_RUNS` / `SIMBA_SEED`; `bench` takes flags
+//! only. The measured performance of the stack — end to end and per layer —
+//! is the repo-root `benchmark/` package's job (see `benchmark/README.md`).
 
 use simba_core::dashboard::Dashboard;
 use simba_core::spec::builtin::builtin;
@@ -63,15 +65,10 @@ pub fn configured_runs() -> u64 {
 /// [`harness_seed`], so one env var re-rolls an entire experiment
 /// reproducibly.
 pub fn configured_seed() -> u64 {
-    configured_seed_or(0)
-}
-
-/// Base seed from the environment (`SIMBA_SEED`), or `default`.
-pub fn configured_seed_or(default: u64) -> u64 {
     std::env::var("SIMBA_SEED")
         .ok()
         .and_then(|s| s.parse().ok())
-        .unwrap_or(default)
+        .unwrap_or(0)
 }
 
 /// Derive a decorrelated seed for one harness component: SplitMix64 over
@@ -98,42 +95,6 @@ pub fn engine_with(kind: simba_engine::EngineKind, table: Arc<Table>) -> Arc<dyn
     engine.register(table);
     engine
 }
-
-/// Deterministic synthetic table for the vectorized-execution microbench:
-/// one low-cardinality dictionary key (`queue`, 8 values), a uniform Int
-/// measure (`calls` ∈ [0, 1000)), a Float measure (`cost`), and a temporal
-/// column — the shape of the paper's dashboard fragment, at any scale.
-pub fn synthetic_perf_table(rows: usize, seed: u64) -> Arc<Table> {
-    use simba_core::session::batch::splitmix;
-    use simba_store::{ColumnDef, Schema, TableBuilder, Value};
-
-    let schema = Schema::new(
-        "perf",
-        vec![
-            ColumnDef::categorical("queue"),
-            ColumnDef::quantitative_int("calls"),
-            ColumnDef::quantitative_float("cost"),
-            ColumnDef::temporal("ts"),
-        ],
-    );
-    let queues: Vec<Value> = (0..8).map(|i| Value::str(format!("q{i}"))).collect();
-    let mut b = TableBuilder::new(schema, rows);
-    let mut state = splitmix(seed ^ 0x5EED_F00D);
-    for i in 0..rows {
-        state = splitmix(state);
-        let q = queues[(state % 8) as usize].clone();
-        let calls = Value::Int(((state >> 3) % 1000) as i64);
-        let cost = Value::Float(((state >> 13) % 10_000) as f64 / 100.0);
-        let ts = Value::Int(1_600_000_000 + i as i64);
-        b.push_row(vec![q, calls, cost, ts]);
-    }
-    Arc::new(b.finish())
-}
-
-/// The filtered-aggregate microbenchmark query: a selective Int predicate
-/// (~10% of rows) over a single dictionary group key, all aggregates typed.
-pub const PERF_QUERY: &str = "SELECT queue, COUNT(*), SUM(calls), MIN(calls), MAX(calls) \
-     FROM perf WHERE calls > 900 GROUP BY queue";
 
 /// A crude console box plot: `min [p25 |p50| p75] p95 → max`, log-free.
 pub fn ascii_box(summary: &simba_core::metrics::DurationSummary, width: usize) -> String {
@@ -194,19 +155,5 @@ mod tests {
         // Cannot set env safely in parallel tests; just check the default
         // path yields a sane value.
         assert!(configured_rows() >= 1_000);
-    }
-
-    #[test]
-    fn synthetic_perf_table_is_deterministic_and_selective() {
-        let a = synthetic_perf_table(2_000, 7);
-        let b = synthetic_perf_table(2_000, 7);
-        assert_eq!(a.row_count(), 2_000);
-        let q = simba_sql::parse_select(PERF_QUERY).unwrap();
-        let ra = simba_engine::execute_row_oracle(a, &q).unwrap();
-        let rb = simba_engine::execute_row_oracle(b, &q).unwrap();
-        assert_eq!(ra.result.sorted_rows(), rb.result.sorted_rows());
-        // ~10% selectivity: calls > 900 over uniform [0, 1000).
-        let frac = ra.stats.rows_matched as f64 / 2_000.0;
-        assert!((0.05..0.15).contains(&frac), "selectivity {frac}");
     }
 }

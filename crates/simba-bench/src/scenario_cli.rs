@@ -7,92 +7,14 @@
 //! make the process exit non-zero, which is what CI keys on.
 
 use simba_driver::workload::TableCache;
-use simba_driver::{
-    run_datagen_sweep, DatagenReport, DatagenSweep, Driver, RunReport, ScenarioParams, ScenarioSpec,
-};
+use simba_driver::{Driver, RunReport, ScenarioSpec};
 
-/// Parse a comma-separated user sweep (`"1,8,64"`): the one parser behind
-/// both `SIMBA_USERS` and the CLI's `--users`. Non-numeric and zero
-/// entries are dropped; `None` if nothing valid remains.
+/// Parse the `--users` comma-separated sweep (`"1,8,64"`). Strict: one
+/// non-numeric, zero or empty entry makes the whole value invalid.
 pub fn parse_users(s: &str) -> Option<Vec<usize>> {
-    let users: Vec<usize> = s
-        .split(',')
-        .filter_map(|p| p.trim().parse().ok())
-        .filter(|&u| u > 0)
-        .collect();
-    if users.is_empty() {
-        None
-    } else {
-        Some(users)
-    }
-}
-
-/// Parse a comma-separated `DatasetSize` label list (`"100K,1M"`): the one
-/// parser behind both `SIMBA_SIZES` and the CLI's `--sizes`. Blank entries
-/// are dropped; `None` if nothing remains. Label validity is checked by
-/// the sweep itself, so typos produce a real error instead of silently
-/// vanishing here.
-pub fn parse_sizes(s: &str) -> Option<Vec<String>> {
-    let sizes: Vec<String> = s
-        .split(',')
-        .map(str::trim)
-        .filter(|p| !p.is_empty())
-        .map(str::to_string)
-        .collect();
-    if sizes.is_empty() {
-        None
-    } else {
-        Some(sizes)
-    }
-}
-
-/// Validate a server address for `--addr`/`SIMBA_SERVER_ADDR`, exiting
-/// with a usage error on a malformed one. The rule is
-/// [`simba_driver::validate_addr`] — the same check spec validation
-/// applies — run here at flag-parse time so a typo fails before any
-/// dataset is generated or socket dialed.
-pub fn addr_or_exit(addr: String) -> String {
-    if let Err(e) = simba_driver::validate_addr(&addr) {
-        eprintln!("{e}");
-        std::process::exit(2);
-    }
-    addr
-}
-
-/// Scale knobs from `SIMBA_*` environment variables over `defaults`:
-/// `SIMBA_ROWS`, `SIMBA_SEED`, `SIMBA_USERS` (comma-separated sweep),
-/// `SIMBA_STEPS`, `SIMBA_WORKERS`, `SIMBA_THINK_MS`, `SIMBA_SIZES`
-/// (comma-separated `DatasetSize` labels), `SIMBA_SERVER_ADDR`
-/// (`host:port` of a live `simba-server`, or `"loopback"`).
-pub fn params_from_env(defaults: ScenarioParams) -> ScenarioParams {
-    let usize_var = |name: &str, dflt: usize| -> usize {
-        std::env::var(name)
-            .ok()
-            .and_then(|s| s.parse().ok())
-            .unwrap_or(dflt)
-    };
-    let users = std::env::var("SIMBA_USERS")
-        .ok()
-        .and_then(|s| parse_users(&s))
-        .unwrap_or_else(|| defaults.users.clone());
-    let sizes = std::env::var("SIMBA_SIZES")
-        .ok()
-        .and_then(|s| parse_sizes(&s))
-        .unwrap_or_else(|| defaults.sizes.clone());
-    let addr = std::env::var("SIMBA_SERVER_ADDR")
-        .ok()
-        .map(addr_or_exit)
-        .unwrap_or_else(|| defaults.addr.clone());
-    ScenarioParams {
-        rows: usize_var("SIMBA_ROWS", defaults.rows),
-        seed: crate::configured_seed_or(defaults.seed),
-        users,
-        steps: usize_var("SIMBA_STEPS", defaults.steps),
-        workers: usize_var("SIMBA_WORKERS", defaults.workers),
-        think_ms: usize_var("SIMBA_THINK_MS", defaults.think_ms as usize) as u64,
-        sizes,
-        addr,
-    }
+    s.split(',')
+        .map(|p| p.trim().parse::<usize>().ok().filter(|&u| u > 0))
+        .collect()
 }
 
 /// Compact count for the summary table: `999`, `12.3K`, `4.5M`, `1.2B`.
@@ -221,7 +143,8 @@ pub fn run_specs(specs: &[ScenarioSpec]) -> SuiteOutcome {
 
 /// `(degraded sessions, total sessions)` across a suite's reports.
 /// Reports without a `resilience` section contribute zero degraded
-/// sessions — a legacy-path run can't degrade.
+/// sessions: the section is emitted whenever the policy was active or any
+/// query errored, so a report without one had no failed query.
 pub fn degraded_totals(reports: &[RunReport]) -> (u64, u64) {
     let degraded = reports
         .iter()
@@ -248,48 +171,6 @@ pub fn check_max_degraded(reports: &[RunReport], max_percent: f64) -> Result<(),
         ));
     }
     Ok(())
-}
-
-/// Run a generation-throughput sweep, printing one aligned row per timed
-/// cell, and return the report.
-pub fn run_datagen(sweep: &DatagenSweep) -> Result<DatagenReport, String> {
-    println!(
-        "{:<22} {:>6} {:>12} {:>8} {:>10} {:>12} {:>8}",
-        "dataset", "size", "rows", "threads", "secs", "rows/sec", "speedup"
-    );
-    run_datagen_sweep(sweep, |e| {
-        println!(
-            "{:<22} {:>6} {:>12} {:>8} {:>10.3} {:>12.0} {:>8}",
-            e.dataset,
-            e.size,
-            e.rows,
-            e.threads,
-            e.secs,
-            e.rows_per_sec,
-            e.speedup_vs_single
-                .map(|s| format!("{s:.2}x"))
-                .unwrap_or_else(|| "-".to_string()),
-        );
-    })
-    .map_err(|e| e.to_string())
-}
-
-/// Resolve the Chrome-trace output path: an explicit `--trace-out` flag
-/// wins over the `SIMBA_TRACE_OUT` environment variable.
-pub fn resolve_trace_out(flag: Option<String>) -> Option<String> {
-    flag.or_else(|| {
-        std::env::var("SIMBA_TRACE_OUT")
-            .ok()
-            .filter(|s| !s.is_empty())
-    })
-}
-
-/// Whether `SIMBA_METRICS` asks for a metrics snapshot (any value but
-/// `"0"` or empty counts as on).
-pub fn metrics_from_env() -> bool {
-    std::env::var("SIMBA_METRICS")
-        .ok()
-        .is_some_and(|v| !v.is_empty() && v != "0")
 }
 
 /// Arm span collection for the rest of the process. `SIMBA_TRACE_SAMPLE`
@@ -320,35 +201,15 @@ pub fn write_trace(path: &str) {
     println!("wrote {} spans to {path}", events.len());
 }
 
-/// Write pretty JSON to the `SIMBA_JSON_OUT` file, or print it to stdout
-/// when unset.
-fn emit_json_payload(json: &str, what: &str) {
-    match std::env::var("SIMBA_JSON_OUT") {
-        Ok(path) => {
-            std::fs::write(&path, json).expect("write SIMBA_JSON_OUT");
-            println!("wrote {what} to {path}");
-        }
-        Err(_) => println!("{json}"),
-    }
-}
-
 /// Write the report array as pretty JSON to the `SIMBA_JSON_OUT` file, or
 /// print it to stdout when unset.
 pub fn emit_json(reports: &[RunReport]) {
     let json = serde_json::to_string_pretty(reports).expect("reports serialize");
-    emit_json_payload(&json, &format!("{} reports", reports.len()));
-}
-
-/// [`emit_json`] for a datagen sweep report.
-pub fn emit_datagen_json(report: &DatagenReport) {
-    let json = serde_json::to_string_pretty(report).expect("report serializes");
-    emit_json_payload(&json, &format!("{} datagen entries", report.entries.len()));
-}
-
-/// The `SIMBA_MAX_DEGRADED` degraded-session budget (percent), if set to
-/// a valid number.
-pub fn max_degraded_from_env() -> Option<f64> {
-    std::env::var("SIMBA_MAX_DEGRADED")
-        .ok()
-        .and_then(|s| s.trim().parse().ok())
+    match std::env::var("SIMBA_JSON_OUT") {
+        Ok(path) => {
+            std::fs::write(&path, json).expect("write SIMBA_JSON_OUT");
+            println!("wrote {} reports to {path}", reports.len());
+        }
+        Err(_) => println!("{json}"),
+    }
 }

@@ -12,6 +12,7 @@
 //! Each shard holds at most `capacity_per_shard` entries and evicts its
 //! least-recently-used entry on overflow.
 
+use serde::{Deserialize, Serialize};
 use simba_engine::{EngineError, ExecStats, QueryOutput};
 use simba_sql::{query_cache_key, Select};
 use simba_store::ResultSet;
@@ -20,8 +21,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError, RwLock};
 use std::time::{Duration, Instant};
 
-/// Cache sizing.
-#[derive(Debug, Clone)]
+/// Cache sizing, and the `cache` block of a scenario spec file as-is.
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CacheConfig {
     /// Number of lock stripes (rounded up to a power of two).
     pub shards: usize,

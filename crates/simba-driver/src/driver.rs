@@ -36,13 +36,15 @@
 //! source and calls [`Driver::run_source`], the loop `execute` itself uses.
 
 use crate::cache::{CacheConfig, CachedResult, ShardedResultCache};
+use crate::fingerprint::{fingerprint, ERROR_FINGERPRINT};
 use crate::report::{
-    CacheReport, ExecReport, LatencySummary, ResilienceReport, RunReport, SteeringReport,
-    ADHOC_SCENARIO,
+    CacheReport, DeltaReport, ExecReport, LatencySummary, ResilienceReport, RunReport,
+    SteeringReport, ADHOC_SCENARIO,
 };
 use crate::resilience::{jitter_key, CircuitBreaker, ResiliencePolicy};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
+use serde::{Deserialize, Serialize};
 use simba_core::session::adaptive::SteeringKind;
 use simba_core::session::batch::splitmix;
 use simba_core::session::source::{QueryFeedback, SessionSource, SourceStep};
@@ -54,19 +56,20 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-// Canonical home: `crate::fingerprint`. Re-exported here because these two
-// lived in this module first and callers import them from both paths.
-pub use crate::fingerprint::{fingerprint, ERROR_FINGERPRINT};
-
-/// Pause inserted between a session's consecutive interactions.
-#[derive(Debug, Clone)]
+/// Think-time pacing between a session's consecutive interactions, and the
+/// `think` block of a scenario spec file as-is. Resolution is 1 ms: the
+/// spec's integer milliseconds are the only way to say a think time, so
+/// sub-millisecond pacing cannot be asked for.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum ThinkTime {
     /// No pacing: steps run back-to-back (throughput stress mode).
     None,
-    Fixed(Duration),
+    Fixed {
+        millis: u64,
+    },
     /// Exponentially distributed with the given mean.
     Exponential {
-        mean: Duration,
+        mean_millis: u64,
     },
 }
 
@@ -74,19 +77,20 @@ impl ThinkTime {
     fn sample(&self, rng: &mut ChaCha8Rng) -> Duration {
         match self {
             ThinkTime::None => Duration::ZERO,
-            ThinkTime::Fixed(d) => *d,
-            ThinkTime::Exponential { mean } => {
+            ThinkTime::Fixed { millis } => Duration::from_millis(*millis),
+            ThinkTime::Exponential { mean_millis } => {
                 let u: f64 = rng.gen_range(0.0..1.0);
-                mean.mul_f64(-(1.0 - u).ln())
+                Duration::from_millis(*mean_millis).mul_f64(-(1.0 - u).ln())
             }
         }
     }
 }
 
-/// When sessions become eligible to start.
-#[derive(Debug, Clone)]
+/// When sessions become eligible to start, and the `arrival` block of a
+/// scenario spec file as-is.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum Arrival {
-    /// Start whenever a worker frees up.
+    /// Start whenever a worker frees up (fixed concurrent population).
     Closed,
     /// Poisson arrivals at this rate (sessions per second).
     Open { rate_per_sec: f64 },
@@ -168,104 +172,10 @@ pub struct Driver {
     config: DriverConfig,
 }
 
-#[derive(Debug, Default, Clone)]
-struct SteeringCounters {
-    backtracks: u64,
-    drills: u64,
-    empty_results: u64,
-}
-
-impl SteeringCounters {
-    fn merge(&mut self, other: &SteeringCounters) {
-        self.backtracks += other.backtracks;
-        self.drills += other.drills;
-        self.empty_results += other.empty_results;
-    }
-}
-
-/// Totals of engine-reported [`ExecStats`](simba_engine::ExecStats),
-/// accumulated over fresh executions only — a cache hit or coalesced wait
-/// must not re-count the work its leader already did.
-#[derive(Debug, Default, Clone)]
-struct ExecCounters {
-    rows_scanned: u64,
-    rows_matched: u64,
-    groups: u64,
-    morsels_pruned: u64,
-    delta_hits: u64,
-    delta_group_hits: u64,
-    delta_rows_saved: u64,
-}
-
-impl ExecCounters {
-    fn add(&mut self, stats: &simba_engine::ExecStats) {
-        self.rows_scanned += stats.rows_scanned as u64;
-        self.rows_matched += stats.rows_matched as u64;
-        self.groups += stats.groups as u64;
-        self.morsels_pruned += stats.morsels_pruned as u64;
-        self.delta_hits += stats.delta_hits as u64;
-        self.delta_group_hits += stats.delta_group_hits as u64;
-        self.delta_rows_saved += stats.delta_rows_saved as u64;
-    }
-
-    fn merge(&mut self, other: &ExecCounters) {
-        self.rows_scanned += other.rows_scanned;
-        self.rows_matched += other.rows_matched;
-        self.groups += other.groups;
-        self.morsels_pruned += other.morsels_pruned;
-        self.delta_hits += other.delta_hits;
-        self.delta_group_hits += other.delta_group_hits;
-        self.delta_rows_saved += other.delta_rows_saved;
-    }
-}
-
-/// Store-side session-delta event totals, merged across sessions/workers.
-#[derive(Debug, Default, Clone)]
-struct DeltaCounters {
-    misses: u64,
-    invalidations: u64,
-    resets: u64,
-}
-
-impl DeltaCounters {
-    fn add(&mut self, stats: &simba_engine::DeltaStoreStats) {
-        self.misses += stats.misses;
-        self.invalidations += stats.invalidations;
-        self.resets += stats.resets;
-    }
-
-    fn merge(&mut self, other: &DeltaCounters) {
-        self.misses += other.misses;
-        self.invalidations += other.invalidations;
-        self.resets += other.resets;
-    }
-}
-
-/// Per-attempt error taxonomy and recovery counters, merged across workers
-/// into the [`ResilienceReport`].
-#[derive(Debug, Default, Clone)]
-struct ResilienceCounters {
-    timeouts: u64,
-    transient_errors: u64,
-    permanent_errors: u64,
-    shed: u64,
-    panics_recovered: u64,
-    retries: u64,
-    retries_succeeded: u64,
-}
-
-impl ResilienceCounters {
-    fn merge(&mut self, other: &ResilienceCounters) {
-        self.timeouts += other.timeouts;
-        self.transient_errors += other.transient_errors;
-        self.permanent_errors += other.permanent_errors;
-        self.shed += other.shed;
-        self.panics_recovered += other.panics_recovered;
-        self.retries += other.retries;
-        self.retries_succeeded += other.retries_succeeded;
-    }
-}
-
+/// What one worker thread accumulated. Totals are kept in the report's own
+/// section types; their run-level fields (policy strings, rates, breaker
+/// transitions) are filled once in [`Driver::finish`].
+#[derive(Default)]
 struct WorkerOutcome {
     latency: LatencyHistogram,
     queue_delay: LatencyHistogram,
@@ -276,34 +186,14 @@ struct WorkerOutcome {
     interactions: u64,
     queries: u64,
     errors: u64,
-    exec: ExecCounters,
-    delta: DeltaCounters,
+    exec: ExecReport,
+    delta: DeltaReport,
     fingerprints: Vec<(usize, Vec<u64>)>,
     actions: Vec<(usize, Vec<String>)>,
-    steering: SteeringCounters,
-    resilience: ResilienceCounters,
+    steering: SteeringReport,
+    resilience: ResilienceReport,
     /// `(session, any-final-failure)` per completed session.
     degraded: Vec<(usize, bool)>,
-}
-
-impl WorkerOutcome {
-    fn new() -> Self {
-        WorkerOutcome {
-            latency: LatencyHistogram::new(),
-            queue_delay: LatencyHistogram::new(),
-            response: LatencyHistogram::new(),
-            interactions: 0,
-            queries: 0,
-            errors: 0,
-            exec: ExecCounters::default(),
-            delta: DeltaCounters::default(),
-            fingerprints: Vec::new(),
-            actions: Vec::new(),
-            steering: SteeringCounters::default(),
-            resilience: ResilienceCounters::default(),
-            degraded: Vec::new(),
-        }
-    }
 }
 
 /// How one execution attempt failed, before retry classification.
@@ -499,10 +389,10 @@ impl Driver {
         let mut queue_delay = LatencyHistogram::new();
         let mut response = LatencyHistogram::new();
         let (mut interactions, mut queries, mut errors) = (0u64, 0u64, 0u64);
-        let mut exec = ExecCounters::default();
-        let mut delta = DeltaCounters::default();
-        let mut steering = SteeringCounters::default();
-        let mut resilience = ResilienceCounters::default();
+        let mut exec = ExecReport::default();
+        let mut delta = DeltaReport::default();
+        let mut steering = SteeringReport::default();
+        let mut resilience = ResilienceReport::default();
         let mut fingerprints: Vec<Vec<u64>> = vec![Vec::new(); sessions];
         let mut actions: Vec<Vec<String>> = vec![Vec::new(); sessions];
         let mut degraded: Vec<bool> = vec![false; sessions];
@@ -564,34 +454,17 @@ impl Driver {
                 Arrival::Closed => None,
                 Arrival::Open { .. } => Some(LatencySummary::from_histogram(&queue_delay)),
             },
-            steering: source.steering_policy().map(|policy| {
-                let ok_queries = queries.saturating_sub(errors);
-                SteeringReport {
-                    policy,
-                    backtracks: steering.backtracks,
-                    drills: steering.drills,
-                    empty_results: steering.empty_results,
-                    backtrack_rate: rate(steering.backtracks, interactions),
-                    empty_result_rate: rate(steering.empty_results, ok_queries),
-                }
+            steering: source.steering_policy().map(|policy| SteeringReport {
+                policy,
+                backtrack_rate: rate(steering.backtracks, interactions),
+                empty_result_rate: rate(steering.empty_results, queries.saturating_sub(errors)),
+                ..steering
             }),
             cache: cache
                 .as_ref()
                 .map(|c| CacheReport::new(&c.stats(), c.len())),
-            exec: ExecReport {
-                rows_scanned: exec.rows_scanned,
-                rows_matched: exec.rows_matched,
-                groups: exec.groups,
-                morsels_pruned: exec.morsels_pruned,
-            },
-            delta: self.config.delta.then_some(crate::report::DeltaReport {
-                hits: exec.delta_hits,
-                group_hits: exec.delta_group_hits,
-                misses: delta.misses,
-                invalidations: delta.invalidations,
-                resets: delta.resets,
-                rows_saved: exec.delta_rows_saved,
-            }),
+            exec,
+            delta: self.config.delta.then_some(delta),
             fingerprint_digest: self
                 .config
                 .collect_fingerprints
@@ -609,18 +482,12 @@ impl Driver {
                 let breaker_stats = breaker.map(|b| b.stats()).unwrap_or_default();
                 ResilienceReport {
                     policy: self.config.resilience.describe(),
-                    timeouts: resilience.timeouts,
-                    transient_errors: resilience.transient_errors,
-                    permanent_errors: resilience.permanent_errors,
-                    shed: resilience.shed,
-                    panics_recovered: resilience.panics_recovered,
-                    retries: resilience.retries,
-                    retries_succeeded: resilience.retries_succeeded,
                     breaker_opens: breaker_stats.opens,
                     breaker_half_opens: breaker_stats.half_opens,
                     breaker_closes: breaker_stats.closes,
                     degraded_sessions: degraded.iter().filter(|d| **d).count() as u64,
                     degraded: degraded.clone(),
+                    ..resilience
                 }
             }),
             phase_breakdown: metrics.as_ref().map(crate::report::phase_breakdown),
@@ -645,7 +512,7 @@ impl Driver {
         next: &AtomicUsize,
         run_start: Instant,
     ) -> WorkerOutcome {
-        let mut out = WorkerOutcome::new();
+        let mut out = WorkerOutcome::default();
         let sessions = source.sessions();
         loop {
             let user = next.fetch_add(1, Ordering::Relaxed);
@@ -757,7 +624,7 @@ impl Driver {
         }
 
         if let Some(d) = delta.as_ref() {
-            out.delta.add(&d.stats());
+            out.delta.add_store(&d.stats());
         }
         if collect {
             out.fingerprints.push((user, fps));
@@ -830,28 +697,31 @@ impl Driver {
             query: query_index as u64,
             attempt: 0,
         };
-        let mut counters = ResilienceCounters::default();
-        let mut run =
-            || self.attempt_loop(engine, query, first, pos.session_seed, delta, &mut counters);
+        let retries_before = out.resilience.retries;
+        let counters = &mut out.resilience;
+        let mut run = || self.attempt_loop(engine, query, first, pos.session_seed, delta, counters);
+        // Engine totals count fresh executions only — a cache hit or
+        // coalesced wait must not re-count the work its leader already did.
         let executed = match cache {
             Some(cache) => cache
                 .execute_cached(query, run)
                 .map(|(value, elapsed, hit)| {
                     if !hit {
                         out.exec.add(&value.stats);
+                        out.delta.add_exec(&value.stats);
                     }
                     (Observed::Cached(value), elapsed)
                 }),
             None => run().map(|o| {
                 out.exec.add(&o.stats);
+                out.delta.add_exec(&o.stats);
                 (Observed::Owned(o.result), o.elapsed)
             }),
         };
-        if executed.is_ok() && counters.retries > 0 {
-            counters.retries_succeeded += 1;
+        if executed.is_ok() && out.resilience.retries > retries_before {
+            out.resilience.retries_succeeded += 1;
             simba_obs::counter!("resilience.retries_succeeded").add(1);
         }
-        out.resilience.merge(&counters);
         if let Some(br) = breaker {
             // The breaker judges *final* outcomes: a query that recovered
             // on retry is a success, not evidence against the engine.
@@ -920,12 +790,12 @@ impl Driver {
         first: QueryCtx,
         session_seed: u64,
         delta: &mut Option<SessionDelta>,
-        counters: &mut ResilienceCounters,
+        counters: &mut ResilienceReport,
     ) -> Result<QueryOutput, EngineError> {
         let policy = &self.config.resilience;
         let mut ctx = first;
         loop {
-            let failure = match run_attempt(engine, query, &ctx, policy.deadline, delta) {
+            let failure = match run_attempt(engine, query, &ctx, policy.deadline(), delta) {
                 Ok(output) => return Ok(output),
                 Err(failure) => failure,
             };
@@ -937,7 +807,7 @@ impl Driver {
                         true,
                         EngineError::Transient(format!(
                             "deadline of {:?} exceeded; attempt abandoned",
-                            policy.deadline.unwrap_or_default()
+                            policy.deadline().unwrap_or_default()
                         )),
                     )
                 }
@@ -1091,13 +961,12 @@ mod tests {
         let mut rng = ChaCha8Rng::seed_from_u64(1);
         assert_eq!(ThinkTime::None.sample(&mut rng), Duration::ZERO);
         assert_eq!(
-            ThinkTime::Fixed(Duration::from_millis(3)).sample(&mut rng),
+            ThinkTime::Fixed { millis: 3 }.sample(&mut rng),
             Duration::from_millis(3)
         );
-        let mean = Duration::from_millis(10);
         let n = 2_000;
         let total: Duration = (0..n)
-            .map(|_| ThinkTime::Exponential { mean }.sample(&mut rng))
+            .map(|_| ThinkTime::Exponential { mean_millis: 10 }.sample(&mut rng))
             .sum();
         let avg_ms = total.as_secs_f64() * 1_000.0 / n as f64;
         assert!((avg_ms - 10.0).abs() < 1.0, "mean {avg_ms}ms");

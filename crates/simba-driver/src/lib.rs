@@ -89,13 +89,9 @@ pub use report::{
     ADHOC_SCENARIO,
 };
 pub use resilience::{jitter_key, BreakerStats, CircuitBreaker, ResiliencePolicy};
-pub use workload::datagen::{run_datagen_sweep, DatagenEntry, DatagenReport, DatagenSweep};
-pub use workload::registry::{
-    all_scenarios, scenario, Scenario, ScenarioBody, ScenarioParams, SCENARIO_NAMES,
-};
+pub use workload::registry::{all_scenarios, scenario, Scenario, ScenarioParams, SCENARIO_NAMES};
 pub use workload::{
-    validate_addr, ArrivalSpec, CacheSpec, EngineSpec, FaultSpec, ResilienceSpec, ScenarioSpec,
-    SourceSpec, TableCache, ThinkSpec, WorkloadError,
+    validate_addr, EngineSpec, ScenarioSpec, SourceSpec, TableCache, WorkloadError,
 };
 
 // Re-exported so driver users can configure steering and build custom

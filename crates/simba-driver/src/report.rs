@@ -7,6 +7,7 @@
 
 use crate::cache::CacheStats;
 use serde::{Deserialize, Serialize};
+use simba_engine::{DeltaStoreStats, ExecStats};
 use simba_obs::{LatencyHistogram, MetricsSnapshot};
 
 /// Latency quantiles in microseconds.
@@ -122,6 +123,21 @@ pub struct ResilienceReport {
     pub degraded_sessions: u64,
 }
 
+impl ResilienceReport {
+    /// Sum another worker's per-attempt counters into this one. The
+    /// run-level fields (policy, breaker transitions, degraded flags) are
+    /// not per-worker; the driver fills them once when the run ends.
+    pub fn merge(&mut self, other: &ResilienceReport) {
+        self.timeouts += other.timeouts;
+        self.transient_errors += other.transient_errors;
+        self.permanent_errors += other.permanent_errors;
+        self.shed += other.shed;
+        self.panics_recovered += other.panics_recovered;
+        self.retries += other.retries;
+        self.retries_succeeded += other.retries_succeeded;
+    }
+}
+
 /// Totals of engine-reported execution statistics, aggregated over the
 /// run's *fresh* executions — a cache hit or coalesced single-flight wait
 /// does not re-count the work its leader already did.
@@ -138,10 +154,28 @@ pub struct ExecReport {
     pub morsels_pruned: u64,
 }
 
+impl ExecReport {
+    /// Count one fresh execution's engine-reported statistics.
+    pub fn add(&mut self, stats: &ExecStats) {
+        self.rows_scanned += stats.rows_scanned as u64;
+        self.rows_matched += stats.rows_matched as u64;
+        self.groups += stats.groups as u64;
+        self.morsels_pruned += stats.morsels_pruned as u64;
+    }
+
+    /// Sum another worker's totals into this one.
+    pub fn merge(&mut self, other: &ExecReport) {
+        self.rows_scanned += other.rows_scanned;
+        self.rows_matched += other.rows_matched;
+        self.groups += other.groups;
+        self.morsels_pruned += other.morsels_pruned;
+    }
+}
+
 /// Session-delta execution totals: how often retained selections / group
 /// states were reused across a session's consecutive steps, and what the
 /// reuse saved. Hits, group hits, and rows saved are aggregated from
-/// per-query [`ExecStats`](simba_engine::ExecStats) over fresh executions;
+/// per-query [`ExecStats`] over fresh executions;
 /// misses, invalidations, and resets come from the per-session stores.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct DeltaReport {
@@ -161,6 +195,32 @@ pub struct DeltaReport {
     /// Rows the seeded/state-reusing scans did not have to examine,
     /// relative to fresh full scans of the same queries.
     pub rows_saved: u64,
+}
+
+impl DeltaReport {
+    /// Count one fresh execution's delta reuse (the [`ExecStats`] half).
+    pub fn add_exec(&mut self, stats: &ExecStats) {
+        self.hits += stats.delta_hits as u64;
+        self.group_hits += stats.delta_group_hits as u64;
+        self.rows_saved += stats.delta_rows_saved as u64;
+    }
+
+    /// Count one finished session's store events (the store half).
+    pub fn add_store(&mut self, stats: &DeltaStoreStats) {
+        self.misses += stats.misses;
+        self.invalidations += stats.invalidations;
+        self.resets += stats.resets;
+    }
+
+    /// Sum another worker's totals into this one.
+    pub fn merge(&mut self, other: &DeltaReport) {
+        self.hits += other.hits;
+        self.group_hits += other.group_hits;
+        self.misses += other.misses;
+        self.invalidations += other.invalidations;
+        self.resets += other.resets;
+        self.rows_saved += other.rows_saved;
+    }
 }
 
 /// One execution phase's share of attributed time, derived from the
@@ -215,7 +275,7 @@ pub fn phase_breakdown(metrics: &MetricsSnapshot) -> Vec<PhaseBreakdown> {
 }
 
 /// Steering activity of one adaptive run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct SteeringReport {
     /// Enabled rules, e.g. `"backtrack_on_empty+drill_top_group"`.
     pub policy: String,
@@ -229,6 +289,16 @@ pub struct SteeringReport {
     pub backtrack_rate: f64,
     /// `empty_results / (queries - errors)`.
     pub empty_result_rate: f64,
+}
+
+impl SteeringReport {
+    /// Sum another worker's counters into this one. The policy and the
+    /// rates are run-level; the driver fills them once when the run ends.
+    pub fn merge(&mut self, other: &SteeringReport) {
+        self.backtracks += other.backtracks;
+        self.drills += other.drills;
+        self.empty_results += other.empty_results;
+    }
 }
 
 /// The aggregate outcome of one driver run, in any session mode.
@@ -289,11 +359,12 @@ pub struct RunReport {
     /// delay lands on its first query instead of being silently absorbed.
     pub response: Option<LatencySummary>,
     /// Injected-fault totals; present exactly when the run had an active
-    /// `FaultSpec` (chaos runs).
+    /// `fault` block (chaos runs).
     pub fault: Option<FaultReport>,
     /// Error taxonomy, retry/breaker counters, and per-session degraded
-    /// flags; present when the run used the resilient execution path (an
-    /// active `ResilienceSpec` or `FaultSpec`).
+    /// flags; present when the run's
+    /// [`ResiliencePolicy`](crate::resilience::ResiliencePolicy) was active
+    /// or any query ended in an error.
     pub resilience: Option<ResilienceReport>,
     /// Run-scoped metrics registry snapshot; present when the run was
     /// executed with metrics collection enabled.

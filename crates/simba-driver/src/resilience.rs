@@ -21,53 +21,55 @@
 //! (cooldowns are wall-clock), which is why it defaults to off and the
 //! byte-identity guarantees in `workload` only cover breaker-less configs.
 
+use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-/// How the worker loop reacts to slow and failing queries. The default is
-/// completely inert: no deadline, no retries, no breaker — byte-identical
-/// to a driver without the resilience layer.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// How the worker loop reacts to slow and failing queries, and the
+/// `resilience` block of a scenario spec file as-is. The default (zeros
+/// everywhere) is completely inert: no deadline, no retries, no breaker —
+/// the attempt loop's first iteration and nothing else.
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ResiliencePolicy {
-    /// Wall-clock budget per execution attempt; `None` waits forever.
-    pub deadline: Option<Duration>,
+    /// Wall-clock budget per execution attempt, in milliseconds; 0 waits
+    /// forever.
+    #[serde(default)]
+    pub deadline_ms: u64,
     /// Retries after the first attempt (0 = fail on first error). Only
     /// transient failures and timeouts are retried; permanent errors
     /// fail immediately.
+    #[serde(default)]
     pub max_retries: u32,
     /// Backoff before retry `n` is `min(cap, base · 2ⁿ)`, jittered into
-    /// `[½, 1)·` that bound.
-    pub backoff_base: Duration,
-    /// Upper bound on a single backoff wait.
-    pub backoff_cap: Duration,
+    /// `[½, 1)·` that bound. In milliseconds.
+    #[serde(default)]
+    pub backoff_base_ms: u64,
+    /// Upper bound on a single backoff wait, in milliseconds.
+    #[serde(default)]
+    pub backoff_cap_ms: u64,
     /// Consecutive final failures that trip the breaker; 0 disables it.
+    #[serde(default)]
     pub breaker_failure_threshold: u32,
-    /// How long an open breaker sheds before letting probes through.
-    pub breaker_cooldown: Duration,
-    /// Successful half-open probes required to close again.
+    /// How long an open breaker sheds before letting probes through, in
+    /// milliseconds.
+    #[serde(default)]
+    pub breaker_cooldown_ms: u64,
+    /// Successful half-open probes required to close again; 0 counts as 1.
+    #[serde(default)]
     pub breaker_half_open_probes: u32,
 }
 
-impl Default for ResiliencePolicy {
-    fn default() -> Self {
-        ResiliencePolicy {
-            deadline: None,
-            max_retries: 0,
-            backoff_base: Duration::ZERO,
-            backoff_cap: Duration::ZERO,
-            breaker_failure_threshold: 0,
-            breaker_cooldown: Duration::ZERO,
-            breaker_half_open_probes: 1,
-        }
-    }
-}
-
 impl ResiliencePolicy {
-    /// Does any part of the policy do anything? When `false`, the driver
-    /// takes its legacy execution path untouched.
+    /// Does any part of the policy do anything? When `false`, every query
+    /// is one attempt with no deadline and no breaker admission.
     pub fn is_active(&self) -> bool {
-        self.deadline.is_some() || self.max_retries > 0 || self.breaker_enabled()
+        self.deadline_ms > 0 || self.max_retries > 0 || self.breaker_enabled()
+    }
+
+    /// The per-attempt deadline, if one is set.
+    pub fn deadline(&self) -> Option<Duration> {
+        (self.deadline_ms > 0).then(|| Duration::from_millis(self.deadline_ms))
     }
 
     /// Is the circuit breaker configured?
@@ -81,23 +83,21 @@ impl ResiliencePolicy {
             return "off".to_string();
         }
         let mut parts = Vec::new();
-        if let Some(d) = self.deadline {
-            parts.push(format!("deadline={}ms", d.as_millis()));
+        if self.deadline_ms > 0 {
+            parts.push(format!("deadline={}ms", self.deadline_ms));
         }
         if self.max_retries > 0 {
             parts.push(format!(
                 "retries={} backoff={}..{}ms",
-                self.max_retries,
-                self.backoff_base.as_millis(),
-                self.backoff_cap.as_millis()
+                self.max_retries, self.backoff_base_ms, self.backoff_cap_ms
             ));
         }
         if self.breaker_enabled() {
             parts.push(format!(
                 "breaker={}fails/{}ms/{}probes",
                 self.breaker_failure_threshold,
-                self.breaker_cooldown.as_millis(),
-                self.breaker_half_open_probes
+                self.breaker_cooldown_ms,
+                self.breaker_half_open_probes.max(1)
             ));
         }
         parts.join(" ")
@@ -107,14 +107,13 @@ impl ResiliencePolicy {
     /// precedes attempt 1 uses `base · 2⁰`). Deterministic in
     /// `(jitter_key, attempt)`; the caller mixes its seeds into the key.
     pub fn backoff_delay(&self, jitter_key: u64, attempt: u32) -> Duration {
-        if self.backoff_base.is_zero() {
+        if self.backoff_base_ms == 0 {
             return Duration::ZERO;
         }
-        let exp = attempt.saturating_sub(1).min(32);
-        let raw = self
-            .backoff_base
-            .saturating_mul(1u32 << exp.min(31))
-            .min(self.backoff_cap.max(self.backoff_base));
+        let base = Duration::from_millis(self.backoff_base_ms);
+        let cap = Duration::from_millis(self.backoff_cap_ms);
+        let exp = attempt.saturating_sub(1).min(31);
+        let raw = base.saturating_mul(1u32 << exp).min(cap.max(base));
         // Jitter into [1/2, 1) of the bound: full-jitter loses too much
         // spacing, zero jitter synchronizes retry storms.
         let u = (splitmix64(jitter_key ^ (0xB0FF_u64 << 32) ^ attempt as u64) >> 11) as f64
@@ -186,7 +185,7 @@ impl CircuitBreaker {
     pub fn new(policy: &ResiliencePolicy) -> CircuitBreaker {
         CircuitBreaker {
             threshold: policy.breaker_failure_threshold.max(1),
-            cooldown: policy.breaker_cooldown,
+            cooldown: Duration::from_millis(policy.breaker_cooldown_ms),
             probes: policy.breaker_half_open_probes.max(1),
             state: Mutex::new(BreakerState::Closed {
                 consecutive_failures: 0,
@@ -306,7 +305,7 @@ mod tests {
     fn breaker_policy(threshold: u32, cooldown: Duration, probes: u32) -> ResiliencePolicy {
         ResiliencePolicy {
             breaker_failure_threshold: threshold,
-            breaker_cooldown: cooldown,
+            breaker_cooldown_ms: cooldown.as_millis() as u64,
             breaker_half_open_probes: probes,
             ..Default::default()
         }
@@ -324,12 +323,12 @@ mod tests {
     #[test]
     fn describe_lists_active_knobs() {
         let p = ResiliencePolicy {
-            deadline: Some(Duration::from_millis(250)),
+            deadline_ms: 250,
             max_retries: 3,
-            backoff_base: Duration::from_millis(10),
-            backoff_cap: Duration::from_millis(200),
+            backoff_base_ms: 10,
+            backoff_cap_ms: 200,
             breaker_failure_threshold: 5,
-            breaker_cooldown: Duration::from_millis(2_000),
+            breaker_cooldown_ms: 2_000,
             breaker_half_open_probes: 2,
         };
         assert_eq!(
@@ -342,8 +341,8 @@ mod tests {
     fn backoff_grows_exponentially_under_the_cap_with_bounded_jitter() {
         let p = ResiliencePolicy {
             max_retries: 8,
-            backoff_base: Duration::from_millis(10),
-            backoff_cap: Duration::from_millis(100),
+            backoff_base_ms: 10,
+            backoff_cap_ms: 100,
             ..Default::default()
         };
         let key = jitter_key(7, 11, 3, 0);
@@ -406,6 +405,17 @@ mod tests {
         let s = b.stats();
         assert_eq!((s.opens, s.half_opens, s.closes), (1, 1, 1));
         assert_eq!(s.shed, 1);
+    }
+
+    #[test]
+    fn zero_half_open_probes_count_as_one() {
+        // Spec files may omit the field; where it is used, 0 means 1.
+        let policy = breaker_policy(1, Duration::ZERO, 0);
+        assert_eq!(policy.describe(), "breaker=1fails/0ms/1probes");
+        let b = CircuitBreaker::new(&policy);
+        b.on_failure(); // trip
+        assert!(b.try_acquire(), "one half-open probe is admitted");
+        assert!(!b.try_acquire(), "and only one");
     }
 
     #[test]

@@ -46,8 +46,8 @@
 //!
 //! The [`registry`] holds the built-in scenarios (`smoke`,
 //! `concurrent-shootout`, `adaptive-shootout`, `idebench`, `perf-report`,
-//! the fault-injection suite `chaos`, plus the [`datagen`]
-//! generation-throughput sweep `datagen-sweep`) that
+//! the fault-injection suite `chaos`, the over-the-wire `remote-shootout`
+//! and the session-delta `delta-shootout`) that
 //! the `simba-bench` CLI exposes as `bench --scenario <name>`; adding a
 //! new workload means writing a spec (or a suite-builder function) plus,
 //! at most, a new [`SessionSource`](crate::SessionSource) impl — never a new binary.
@@ -63,6 +63,11 @@ use crate::cache::CacheConfig;
 use crate::driver::{Arrival, Driver, DriverConfig, DriverOutcome, ThinkTime};
 use crate::report::FaultReport;
 use crate::resilience::ResiliencePolicy;
+
+/// The `cache` block of a spec is the cache's own [`CacheConfig`]. The old
+/// name stays importable only because the frozen `benchmark/` package
+/// imports both.
+pub use crate::cache::CacheConfig as CacheSpec;
 use serde::{Deserialize, Serialize};
 use simba_core::dashboard::Dashboard;
 use simba_core::markov::MarkovModel;
@@ -75,9 +80,7 @@ use simba_engine::{Dbms, EngineKind, FaultConfig, FaultInjectingDbms};
 use simba_idebench::{ActionProbs, IdebenchSource};
 use simba_store::Table;
 use std::sync::Arc;
-use std::time::Duration;
 
-pub mod datagen;
 pub mod registry;
 
 /// Everything wrong a spec can be before a single query runs.
@@ -318,7 +321,7 @@ impl EngineSpec {
 /// Accept `"loopback"` or `host:port` with a nonempty host and a nonzero
 /// port. Rejected here, at spec-validation time, so a typo in an address
 /// fails `bench` before any dataset is generated or socket dialed. Public
-/// so the CLI can reject `--addr`/`SIMBA_SERVER_ADDR` typos at flag-parse
+/// so the CLI can reject `--addr` typos at flag-parse
 /// time with the same rule.
 pub fn validate_addr(addr: &str) -> Result<(), WorkloadError> {
     if addr == simba_server::LOOPBACK_ADDR {
@@ -392,171 +395,6 @@ impl SourceSpec {
     }
 }
 
-/// Think-time pacing between a session's consecutive interactions.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub enum ThinkSpec {
-    /// No pacing: steps run back-to-back (throughput stress mode).
-    None,
-    Fixed {
-        millis: u64,
-    },
-    Exponential {
-        mean_millis: u64,
-    },
-}
-
-impl From<&ThinkSpec> for ThinkTime {
-    fn from(spec: &ThinkSpec) -> ThinkTime {
-        match spec {
-            ThinkSpec::None => ThinkTime::None,
-            ThinkSpec::Fixed { millis } => ThinkTime::Fixed(Duration::from_millis(*millis)),
-            ThinkSpec::Exponential { mean_millis } => ThinkTime::Exponential {
-                mean: Duration::from_millis(*mean_millis),
-            },
-        }
-    }
-}
-
-/// When sessions become eligible to start.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub enum ArrivalSpec {
-    /// Start whenever a worker frees up (fixed concurrent population).
-    Closed,
-    /// Poisson arrivals at this rate (sessions per second).
-    Open { rate_per_sec: f64 },
-}
-
-impl From<&ArrivalSpec> for Arrival {
-    fn from(spec: &ArrivalSpec) -> Arrival {
-        match spec {
-            ArrivalSpec::Closed => Arrival::Closed,
-            ArrivalSpec::Open { rate_per_sec } => Arrival::Open {
-                rate_per_sec: *rate_per_sec,
-            },
-        }
-    }
-}
-
-/// Shared result cache configuration (mirrors
-/// [`CacheConfig`] in serializable form).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct CacheSpec {
-    pub shards: usize,
-    pub capacity_per_shard: usize,
-}
-
-impl Default for CacheSpec {
-    fn default() -> Self {
-        let c = CacheConfig::default();
-        CacheSpec {
-            shards: c.shards,
-            capacity_per_shard: c.capacity_per_shard,
-        }
-    }
-}
-
-impl From<&CacheSpec> for CacheConfig {
-    fn from(spec: &CacheSpec) -> CacheConfig {
-        CacheConfig {
-            shards: spec.shards,
-            capacity_per_shard: spec.capacity_per_shard,
-        }
-    }
-}
-
-/// Deterministic fault injection (mirrors [`FaultConfig`] in serializable
-/// form). All probabilities default to zero, so an explicit-but-inert
-/// `fault` block is equivalent to omitting it: the engine is only wrapped
-/// when [`is_active`](Self::is_active) says something can fire.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct FaultSpec {
-    /// Seed of the per-query fault RNG, independent of the scenario seed
-    /// so the same workload can be rerun under a different fault timeline.
-    #[serde(default)]
-    pub seed: u64,
-    /// Probability a query sleeps `latency_spike_ms` before executing.
-    #[serde(default)]
-    pub latency_spike_prob: f64,
-    /// Injected sleep per latency spike, in milliseconds.
-    #[serde(default)]
-    pub latency_spike_ms: u64,
-    /// Probability of a retryable transient error.
-    #[serde(default)]
-    pub transient_error_prob: f64,
-    /// Probability of a non-retryable permanent error.
-    #[serde(default)]
-    pub permanent_error_prob: f64,
-    /// Probability the engine panics mid-query (the driver recovers via
-    /// unwind-catching and treats it as transient).
-    #[serde(default)]
-    pub panic_prob: f64,
-}
-
-impl FaultSpec {
-    /// Can this spec ever inject anything?
-    pub fn is_active(&self) -> bool {
-        FaultConfig::from(self).is_active()
-    }
-}
-
-impl From<&FaultSpec> for FaultConfig {
-    fn from(spec: &FaultSpec) -> FaultConfig {
-        FaultConfig {
-            seed: spec.seed,
-            latency_spike_prob: spec.latency_spike_prob,
-            latency_spike: Duration::from_millis(spec.latency_spike_ms),
-            transient_error_prob: spec.transient_error_prob,
-            permanent_error_prob: spec.permanent_error_prob,
-            panic_prob: spec.panic_prob,
-        }
-    }
-}
-
-/// Driver-side failure handling (mirrors [`ResiliencePolicy`] in
-/// serializable form). Zeros everywhere = inert: one attempt per query, no
-/// deadline, no breaker.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ResilienceSpec {
-    /// Per-attempt wall-clock deadline in milliseconds; 0 = no deadline.
-    #[serde(default)]
-    pub deadline_ms: u64,
-    /// Retries after the first attempt (transient failures and timeouts
-    /// only).
-    #[serde(default)]
-    pub max_retries: u32,
-    /// Base of the exponential backoff between retries, in milliseconds.
-    #[serde(default)]
-    pub backoff_base_ms: u64,
-    /// Cap on a single backoff wait, in milliseconds.
-    #[serde(default)]
-    pub backoff_cap_ms: u64,
-    /// Consecutive final failures that open the circuit breaker; 0
-    /// disables the breaker.
-    #[serde(default)]
-    pub breaker_failure_threshold: u32,
-    /// How long an open breaker sheds before probing, in milliseconds.
-    #[serde(default)]
-    pub breaker_cooldown_ms: u64,
-    /// Successful half-open probes required to close the breaker again;
-    /// 0 is normalized to 1.
-    #[serde(default)]
-    pub breaker_half_open_probes: u32,
-}
-
-impl From<&ResilienceSpec> for ResiliencePolicy {
-    fn from(spec: &ResilienceSpec) -> ResiliencePolicy {
-        ResiliencePolicy {
-            deadline: (spec.deadline_ms > 0).then(|| Duration::from_millis(spec.deadline_ms)),
-            max_retries: spec.max_retries,
-            backoff_base: Duration::from_millis(spec.backoff_base_ms),
-            backoff_cap: Duration::from_millis(spec.backoff_cap_ms),
-            breaker_failure_threshold: spec.breaker_failure_threshold,
-            breaker_cooldown: Duration::from_millis(spec.breaker_cooldown_ms),
-            breaker_half_open_probes: spec.breaker_half_open_probes.max(1),
-        }
-    }
-}
-
 /// One fully declarative driver run: the single source of truth for every
 /// knob that used to be spread across `DriverConfig`, walk configs,
 /// `BatchConfig`, and per-binary environment variables.
@@ -582,10 +420,10 @@ pub struct ScenarioSpec {
     pub steps_per_session: usize,
     pub engine: EngineSpec,
     pub source: SourceSpec,
-    pub think: ThinkSpec,
-    pub arrival: ArrivalSpec,
+    pub think: ThinkTime,
+    pub arrival: Arrival,
     /// `Some` enables the shared result cache.
-    pub cache: Option<CacheSpec>,
+    pub cache: Option<CacheConfig>,
     /// Worker threads; `0` = `min(sessions, available_parallelism)`.
     pub workers: usize,
     /// Record per-query result fingerprints (equivalence/determinism
@@ -606,14 +444,15 @@ pub struct ScenarioSpec {
     #[serde(default)]
     pub collect_metrics: bool,
     /// `Some` with non-zero probabilities wraps the engine in a
-    /// [`FaultInjectingDbms`]; `None` (the default) leaves the engine
-    /// untouched and the run byte-identical to pre-chaos builds.
+    /// [`FaultInjectingDbms`]; `None` (the default) or an
+    /// explicit-but-inert block leaves the engine untouched and the run
+    /// byte-identical to pre-chaos builds.
     #[serde(default, skip_serializing_if = "Option::is_none")]
-    pub fault: Option<FaultSpec>,
+    pub fault: Option<FaultConfig>,
     /// Deadlines, retries and the circuit breaker around every query;
     /// `None` is the inert policy (one attempt, no deadline, no breaker).
     #[serde(default, skip_serializing_if = "Option::is_none")]
-    pub resilience: Option<ResilienceSpec>,
+    pub resilience: Option<ResiliencePolicy>,
 }
 
 impl ScenarioSpec {
@@ -630,8 +469,8 @@ impl ScenarioSpec {
             steps_per_session: 8,
             engine: EngineSpec::new(EngineKind::DuckDbLike),
             source: SourceSpec::scripted(),
-            think: ThinkSpec::None,
-            arrival: ArrivalSpec::Closed,
+            think: ThinkTime::None,
+            arrival: Arrival::Closed,
             cache: None,
             workers: 0,
             collect_fingerprints: false,
@@ -662,7 +501,7 @@ impl ScenarioSpec {
         if self.effective_rows()? == 0 {
             return Err(WorkloadError::InvalidSpec("rows must be > 0".into()));
         }
-        if let ArrivalSpec::Open { rate_per_sec } = self.arrival {
+        if let Arrival::Open { rate_per_sec } = self.arrival {
             // NaN must fail too, so compare for the good case and negate.
             let positive = rate_per_sec > 0.0;
             if !positive {
@@ -727,7 +566,7 @@ impl ScenarioSpec {
                 ));
             }
         }
-        if self.delta && self.fault.as_ref().is_some_and(FaultSpec::is_active) {
+        if self.delta && self.fault.as_ref().is_some_and(FaultConfig::is_active) {
             // The fault wrapper keys its deterministic draws on the
             // `QueryCtx` of `execute_at`; `execute_delta` cannot carry
             // one, so the wrapper would decline delta for every query.
@@ -783,18 +622,14 @@ impl From<&ScenarioSpec> for DriverConfig {
     fn from(spec: &ScenarioSpec) -> DriverConfig {
         DriverConfig {
             workers: spec.workers,
-            think_time: (&spec.think).into(),
-            arrival: (&spec.arrival).into(),
+            think_time: spec.think.clone(),
+            arrival: spec.arrival.clone(),
             seed: spec.seed,
-            cache: spec.cache.as_ref().map(CacheConfig::from),
+            cache: spec.cache.clone(),
             collect_fingerprints: spec.collect_fingerprints,
             delta: spec.delta,
             collect_metrics: spec.collect_metrics,
-            resilience: spec
-                .resilience
-                .as_ref()
-                .map(ResiliencePolicy::from)
-                .unwrap_or_default(),
+            resilience: spec.resilience.clone().unwrap_or_default(),
         }
     }
 }
@@ -870,7 +705,7 @@ impl Driver {
             .fault
             .as_ref()
             .filter(|f| f.is_active())
-            .map(|f| Arc::new(FaultInjectingDbms::new(bare.clone(), f.into())));
+            .map(|f| Arc::new(FaultInjectingDbms::new(bare.clone(), f.clone())));
         let engine: Arc<dyn Dbms> = match &fault {
             Some(wrapper) => wrapper.clone(),
             None => bare,
@@ -957,9 +792,9 @@ mod tests {
     fn spec_round_trips_through_json() {
         let mut spec = ScenarioSpec::new("round-trip", "customer_service");
         spec.source = SourceSpec::adaptive();
-        spec.cache = Some(CacheSpec::default());
-        spec.think = ThinkSpec::Exponential { mean_millis: 5 };
-        spec.arrival = ArrivalSpec::Open { rate_per_sec: 12.5 };
+        spec.cache = Some(CacheConfig::default());
+        spec.think = ThinkTime::Exponential { mean_millis: 5 };
+        spec.arrival = Arrival::Open { rate_per_sec: 12.5 };
         let parsed = ScenarioSpec::from_json(&spec.to_json()).unwrap();
         assert_eq!(parsed, spec);
 
@@ -1056,7 +891,7 @@ mod tests {
         assert!(spec.validate().is_err());
 
         let mut spec = good.clone();
-        spec.arrival = ArrivalSpec::Open { rate_per_sec: 0.0 };
+        spec.arrival = Arrival::Open { rate_per_sec: 0.0 };
         assert!(spec.validate().is_err());
 
         let mut spec = good.clone();
@@ -1076,12 +911,23 @@ mod tests {
             remove_filter: 0.0,
         };
         assert!(spec.validate().is_err());
+
+        // A file of any other shape — here a dump of the retired
+        // datagen-sweep scenario — is an ordinary spec error naming the
+        // first missing field; it is not retried as something else.
+        let sweep = r#"{"datasets": [], "sizes": ["10K"], "threads": [], "seed": 0}"#;
+        match ScenarioSpec::from_json(sweep) {
+            Err(WorkloadError::InvalidSpec(why)) => {
+                assert!(why.contains("missing field `name`"), "{why}")
+            }
+            other => panic!("a datagen-sweep file must not parse, got {other:?}"),
+        }
     }
 
     #[test]
     fn fault_and_resilience_round_trip_and_stay_optional() {
         let mut spec = ScenarioSpec::new("chaotic", "customer_service");
-        spec.fault = Some(FaultSpec {
+        spec.fault = Some(FaultConfig {
             seed: 9,
             latency_spike_prob: 0.1,
             latency_spike_ms: 5,
@@ -1089,7 +935,7 @@ mod tests {
             permanent_error_prob: 0.05,
             panic_prob: 0.01,
         });
-        spec.resilience = Some(ResilienceSpec {
+        spec.resilience = Some(ResiliencePolicy {
             deadline_ms: 250,
             max_retries: 3,
             backoff_base_ms: 10,
@@ -1121,42 +967,42 @@ mod tests {
         let good = ScenarioSpec::new("ok", "customer_service");
 
         let mut spec = good.clone();
-        spec.fault = Some(FaultSpec {
+        spec.fault = Some(FaultConfig {
             transient_error_prob: 1.5,
-            ..FaultSpec::default()
+            ..FaultConfig::default()
         });
         assert!(spec.validate().is_err(), "probability over 1");
 
         let mut spec = good.clone();
-        spec.fault = Some(FaultSpec {
+        spec.fault = Some(FaultConfig {
             transient_error_prob: 0.5,
             permanent_error_prob: 0.4,
             panic_prob: 0.3,
-            ..FaultSpec::default()
+            ..FaultConfig::default()
         });
         assert!(spec.validate().is_err(), "error bands exceed one draw");
 
         let mut spec = good.clone();
-        spec.fault = Some(FaultSpec {
+        spec.fault = Some(FaultConfig {
             latency_spike_prob: 0.2,
             latency_spike_ms: 0,
-            ..FaultSpec::default()
+            ..FaultConfig::default()
         });
         assert!(spec.validate().is_err(), "spike with zero duration");
 
         let mut spec = good.clone();
-        spec.resilience = Some(ResilienceSpec {
+        spec.resilience = Some(ResiliencePolicy {
             max_retries: 2,
             backoff_base_ms: 100,
             backoff_cap_ms: 10,
-            ..ResilienceSpec::default()
+            ..ResiliencePolicy::default()
         });
         assert!(spec.validate().is_err(), "cap under base");
 
         // Inert sections are valid — and equivalent to omitting them.
         let mut spec = good;
-        spec.fault = Some(FaultSpec::default());
-        spec.resilience = Some(ResilienceSpec::default());
+        spec.fault = Some(FaultConfig::default());
+        spec.resilience = Some(ResiliencePolicy::default());
         spec.delta = true;
         spec.validate().unwrap();
         assert!(!DriverConfig::from(&spec).resilience.is_active());
@@ -1166,9 +1012,9 @@ mod tests {
     fn validate_rejects_delta_under_an_active_fault_by_name() {
         let mut spec = ScenarioSpec::new("chaotic", "customer_service");
         spec.delta = true;
-        spec.fault = Some(FaultSpec {
+        spec.fault = Some(FaultConfig {
             transient_error_prob: 0.1,
-            ..FaultSpec::default()
+            ..FaultConfig::default()
         });
         match spec.validate() {
             Err(WorkloadError::InvalidSpec(why)) => {
@@ -1178,25 +1024,24 @@ mod tests {
         }
         // Delta composes with deadlines and retries; only faults exclude it.
         spec.fault = None;
-        spec.resilience = Some(ResilienceSpec {
+        spec.resilience = Some(ResiliencePolicy {
             deadline_ms: 100,
             max_retries: 2,
-            ..ResilienceSpec::default()
+            ..ResiliencePolicy::default()
         });
         spec.validate().unwrap();
     }
 
     #[test]
-    fn resilience_spec_converts_to_an_active_policy() {
+    fn driver_config_carries_the_specs_policy_unconverted() {
         let mut spec = ScenarioSpec::new("chaotic", "customer_service");
-        spec.resilience = Some(ResilienceSpec {
+        spec.resilience = Some(ResiliencePolicy {
             deadline_ms: 100,
-            breaker_half_open_probes: 0, // normalized to 1
-            ..ResilienceSpec::default()
+            ..ResiliencePolicy::default()
         });
         let config = DriverConfig::from(&spec);
         assert!(config.resilience.is_active());
-        assert_eq!(config.resilience.breaker_half_open_probes, 1);
+        assert_eq!(Some(&config.resilience), spec.resilience.as_ref());
     }
 
     #[test]

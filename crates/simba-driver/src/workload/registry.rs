@@ -3,17 +3,16 @@
 //! A *scenario* is a named list of specs — typically a sweep over engines,
 //! user counts, cache settings, or session modes — that the `simba-bench`
 //! CLI runs with `bench --scenario <name>`. Suites are parameterized by
-//! [`ScenarioParams`] (scale knobs the harness reads from flags or
-//! `SIMBA_*` environment variables) but are otherwise pure data: dump one
+//! [`ScenarioParams`] (scale knobs the harness reads from flags) but are
+//! otherwise pure data: dump one
 //! with `bench --scenario <name> --dump`, edit the JSON, and run the edited
 //! file with `bench --spec <file>`.
 
-use super::datagen::DatagenSweep;
-use super::{
-    ArrivalSpec, CacheSpec, EngineSpec, FaultSpec, ResilienceSpec, ScenarioSpec, SourceSpec,
-    ThinkSpec,
-};
-use simba_engine::EngineKind;
+use super::{EngineSpec, ScenarioSpec, SourceSpec};
+use crate::cache::CacheConfig;
+use crate::driver::{Arrival, ThinkTime};
+use crate::resilience::ResiliencePolicy;
+use simba_engine::{EngineKind, FaultConfig};
 
 /// Scale knobs shared by every built-in suite.
 #[derive(Debug, Clone)]
@@ -30,9 +29,6 @@ pub struct ScenarioParams {
     pub workers: usize,
     /// Fixed think time between interactions, in milliseconds (`0` = none).
     pub think_ms: u64,
-    /// `DatasetSize` labels for size-tier sweeps (`datagen-sweep`); empty
-    /// = the paper grid (100K / 1M / 10M).
-    pub sizes: Vec<String>,
     /// `simba-server` address for remote scenarios (`remote-shootout`):
     /// `host:port` of a live server, or `"loopback"` (the default) for
     /// the in-process wire transport, which needs no external process.
@@ -48,18 +44,17 @@ impl Default for ScenarioParams {
             steps: 8,
             workers: 0,
             think_ms: 0,
-            sizes: Vec::new(),
             addr: "loopback".to_string(),
         }
     }
 }
 
 impl ScenarioParams {
-    fn think(&self) -> ThinkSpec {
+    fn think(&self) -> ThinkTime {
         if self.think_ms == 0 {
-            ThinkSpec::None
+            ThinkTime::None
         } else {
-            ThinkSpec::Fixed {
+            ThinkTime::Fixed {
                 millis: self.think_ms,
             }
         }
@@ -77,50 +72,29 @@ impl ScenarioParams {
         spec.steps_per_session = self.steps;
         spec.workers = self.workers;
         spec.think = self.think();
-        spec.arrival = ArrivalSpec::Closed;
+        spec.arrival = Arrival::Closed;
         spec
     }
 }
 
-/// What a named scenario executes.
-#[derive(Debug, Clone)]
-pub enum ScenarioBody {
-    /// A suite of [`ScenarioSpec`]s run through `Driver::execute`.
-    Suite(Vec<ScenarioSpec>),
-    /// A dataset-generation throughput sweep (no queries run).
-    Datagen(DatagenSweep),
-}
-
-/// One named scenario: what it is, and what it executes.
+/// One named scenario: what it is, and the specs it expands to.
 #[derive(Debug, Clone)]
 pub struct Scenario {
     /// Registry name (`bench --scenario <name>`).
     pub name: &'static str,
     /// One-line description shown by `bench --list`.
     pub description: &'static str,
-    /// What the scenario executes.
-    pub body: ScenarioBody,
-}
-
-impl Scenario {
-    /// The driver specs of a [`ScenarioBody::Suite`] scenario (empty for
-    /// a datagen sweep).
-    pub fn specs(&self) -> &[ScenarioSpec] {
-        match &self.body {
-            ScenarioBody::Suite(specs) => specs,
-            ScenarioBody::Datagen(_) => &[],
-        }
-    }
+    /// The suite, run in order through `Driver::execute`.
+    pub specs: Vec<ScenarioSpec>,
 }
 
 /// Names of every built-in scenario, in presentation order.
-pub const SCENARIO_NAMES: [&str; 9] = [
+pub const SCENARIO_NAMES: [&str; 8] = [
     "smoke",
     "concurrent-shootout",
     "adaptive-shootout",
     "idebench",
     "perf-report",
-    "datagen-sweep",
     "chaos",
     "remote-shootout",
     "delta-shootout",
@@ -129,60 +103,55 @@ pub const SCENARIO_NAMES: [&str; 9] = [
 /// Expand a built-in scenario by name (case-insensitive), or `None` if
 /// unknown.
 pub fn scenario(name: &str, params: &ScenarioParams) -> Option<Scenario> {
-    let (name, description, body) = match name.to_ascii_lowercase().as_str() {
+    let (name, description, specs) = match name.to_ascii_lowercase().as_str() {
         "smoke" => (
             "smoke",
             "every engine x every session mode, one small run each (CI gate)",
-            ScenarioBody::Suite(smoke(params)),
+            smoke(params),
         ),
         "concurrent-shootout" => (
             "concurrent-shootout",
             "scripted replay: users sweep x engines x cache on/off",
-            ScenarioBody::Suite(concurrent_shootout(params)),
+            concurrent_shootout(params),
         ),
         "adaptive-shootout" => (
             "adaptive-shootout",
             "scripted vs adaptive sessions: users sweep x engines x cache on/off",
-            ScenarioBody::Suite(adaptive_shootout(params)),
+            adaptive_shootout(params),
         ),
         "idebench" => (
             "idebench",
             "IDEBench-style stochastic storms: users sweep x engines",
-            ScenarioBody::Suite(idebench(params)),
+            idebench(params),
         ),
         "perf-report" => (
             "perf-report",
             "engine latency profile: every engine sequential + duckdb-like parallel scans",
-            ScenarioBody::Suite(perf_report(params)),
-        ),
-        "datagen-sweep" => (
-            "datagen-sweep",
-            "dataset-generation throughput: datasets x size tiers x 1/N threads",
-            ScenarioBody::Datagen(datagen_sweep(params)),
+            perf_report(params),
         ),
         "chaos" => (
             "chaos",
             "fault injection under resilience: every fault kind x engines x cache on/off",
-            ScenarioBody::Suite(chaos(params)),
+            chaos(params),
         ),
         "remote-shootout" => (
             "remote-shootout",
             "engines over the wire protocol: every engine x cache on/off, fingerprinted \
              (--addr host:port needs a running simba-server; default loopback does not)",
-            ScenarioBody::Suite(remote_shootout(params)),
+            remote_shootout(params),
         ),
         "delta-shootout" => (
             "delta-shootout",
             "session-delta reuse: adaptive + scripted sessions on duckdb-like, delta on/off, \
              fingerprinted (the off runs are the equivalence baseline)",
-            ScenarioBody::Suite(delta_shootout(params)),
+            delta_shootout(params),
         ),
         _ => return None,
     };
     Some(Scenario {
         name,
         description,
-        body,
+        specs,
     })
 }
 
@@ -206,7 +175,7 @@ fn smoke(params: &ScenarioParams) -> Vec<ScenarioSpec> {
             let mut spec = params.base("smoke", users);
             spec.engine = EngineSpec::new(kind);
             spec.source = source;
-            spec.cache = Some(CacheSpec::default());
+            spec.cache = Some(CacheConfig::default());
             // Smoke doubles as a cheap determinism canary: fingerprints on.
             spec.collect_fingerprints = true;
             specs.push(spec);
@@ -223,7 +192,7 @@ fn concurrent_shootout(params: &ScenarioParams) -> Vec<ScenarioSpec> {
                 let mut spec = params.base("concurrent-shootout", users);
                 spec.engine = EngineSpec::new(kind);
                 spec.source = SourceSpec::scripted();
-                spec.cache = cache_on.then(CacheSpec::default);
+                spec.cache = cache_on.then(CacheConfig::default);
                 specs.push(spec);
             }
         }
@@ -240,7 +209,7 @@ fn adaptive_shootout(params: &ScenarioParams) -> Vec<ScenarioSpec> {
                     let mut spec = params.base("adaptive-shootout", users);
                     spec.engine = EngineSpec::new(kind);
                     spec.source = source;
-                    spec.cache = cache_on.then(CacheSpec::default);
+                    spec.cache = cache_on.then(CacheConfig::default);
                     specs.push(spec);
                 }
             }
@@ -271,13 +240,13 @@ fn perf_report(params: &ScenarioParams) -> Vec<ScenarioSpec> {
         let mut spec = params.base("perf-report", 1);
         spec.engine = EngineSpec::new(kind);
         spec.source = SourceSpec::scripted();
-        spec.think = ThinkSpec::None;
+        spec.think = ThinkTime::None;
         specs.push(spec);
     }
     let mut parallel = params.base("perf-report", 1);
     parallel.engine = EngineSpec::local(EngineKind::DuckDbLike.name(), 0);
     parallel.source = SourceSpec::scripted();
-    parallel.think = ThinkSpec::None;
+    parallel.think = ThinkTime::None;
     specs.push(parallel);
     specs
 }
@@ -288,7 +257,7 @@ fn chaos(params: &ScenarioParams) -> Vec<ScenarioSpec> {
     // walks can be rerun under a different fault schedule by varying only
     // `--seed` — and vice versa.
     let fault_seed = params.seed.wrapping_add(0xC4A0_5EED);
-    let retrying = ResilienceSpec {
+    let retrying = ResiliencePolicy {
         deadline_ms: 0,
         max_retries: 4,
         backoff_base_ms: 1,
@@ -307,9 +276,9 @@ fn chaos(params: &ScenarioParams) -> Vec<ScenarioSpec> {
             let mut spec = params.base("chaos", users);
             spec.engine = EngineSpec::new(kind);
             spec.source = SourceSpec::adaptive();
-            spec.cache = cache_on.then(CacheSpec::default);
+            spec.cache = cache_on.then(CacheConfig::default);
             spec.collect_fingerprints = true;
-            spec.fault = Some(FaultSpec {
+            spec.fault = Some(FaultConfig {
                 seed: fault_seed,
                 latency_spike_prob: 0.05,
                 latency_spike_ms: 2,
@@ -328,13 +297,13 @@ fn chaos(params: &ScenarioParams) -> Vec<ScenarioSpec> {
     let mut timeout = params.base("chaos", users);
     timeout.engine = EngineSpec::new(EngineKind::DuckDbLike);
     timeout.source = SourceSpec::scripted();
-    timeout.fault = Some(FaultSpec {
+    timeout.fault = Some(FaultConfig {
         seed: fault_seed,
         latency_spike_prob: 0.3,
         latency_spike_ms: 50,
-        ..FaultSpec::default()
+        ..FaultConfig::default()
     });
-    timeout.resilience = Some(ResilienceSpec {
+    timeout.resilience = Some(ResiliencePolicy {
         deadline_ms: 10,
         ..retrying.clone()
     });
@@ -348,13 +317,13 @@ fn chaos(params: &ScenarioParams) -> Vec<ScenarioSpec> {
     storm.source = SourceSpec::scripted();
     // Pace the storm past the breaker cooldown so half-open probes get a
     // chance to run (and re-trip, since every probe fails too).
-    storm.think = ThinkSpec::Fixed { millis: 10 };
-    storm.fault = Some(FaultSpec {
+    storm.think = ThinkTime::Fixed { millis: 10 };
+    storm.fault = Some(FaultConfig {
         seed: fault_seed,
         permanent_error_prob: 1.0,
-        ..FaultSpec::default()
+        ..FaultConfig::default()
     });
-    storm.resilience = Some(ResilienceSpec {
+    storm.resilience = Some(ResiliencePolicy {
         deadline_ms: 0,
         max_retries: 1,
         backoff_base_ms: 1,
@@ -382,7 +351,7 @@ fn remote_shootout(params: &ScenarioParams) -> Vec<ScenarioSpec> {
             let mut spec = params.base("remote-shootout", users);
             spec.engine = EngineSpec::remote(params.addr.clone(), EngineSpec::new(kind));
             spec.source = SourceSpec::scripted();
-            spec.cache = cache_on.then(CacheSpec::default);
+            spec.cache = cache_on.then(CacheConfig::default);
             spec.collect_fingerprints = true;
             specs.push(spec);
         }
@@ -410,15 +379,6 @@ fn delta_shootout(params: &ScenarioParams) -> Vec<ScenarioSpec> {
     specs
 }
 
-fn datagen_sweep(params: &ScenarioParams) -> DatagenSweep {
-    DatagenSweep {
-        datasets: Vec::new(),
-        sizes: params.sizes.clone(),
-        threads: Vec::new(),
-        seed: params.seed,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -434,43 +394,15 @@ mod tests {
         for name in SCENARIO_NAMES {
             let sc = scenario(name, &params).expect(name);
             assert_eq!(sc.name, name);
-            match &sc.body {
-                ScenarioBody::Suite(specs) => {
-                    assert!(!specs.is_empty(), "{name} expanded to nothing");
-                    for spec in specs {
-                        spec.validate()
-                            .unwrap_or_else(|e| panic!("{name}: invalid spec: {e}"));
-                        assert_eq!(spec.name, name);
-                    }
-                }
-                ScenarioBody::Datagen(sweep) => {
-                    sweep
-                        .validate()
-                        .unwrap_or_else(|e| panic!("{name}: invalid sweep: {e}"));
-                    assert!(sc.specs().is_empty());
-                }
+            assert!(!sc.specs.is_empty(), "{name} expanded to nothing");
+            for spec in &sc.specs {
+                spec.validate()
+                    .unwrap_or_else(|e| panic!("{name}: invalid spec: {e}"));
+                assert_eq!(spec.name, name);
             }
         }
         assert!(scenario("no-such-scenario", &params).is_none());
         assert_eq!(all_scenarios(&params).len(), SCENARIO_NAMES.len());
-    }
-
-    #[test]
-    fn datagen_sweep_inherits_params() {
-        let params = ScenarioParams {
-            seed: 9,
-            sizes: vec!["10K".into(), "100K".into()],
-            ..Default::default()
-        };
-        let sc = scenario("datagen-sweep", &params).unwrap();
-        match sc.body {
-            ScenarioBody::Datagen(sweep) => {
-                assert_eq!(sweep.seed, 9);
-                assert_eq!(sweep.sizes, vec!["10K", "100K"]);
-                assert!(sweep.datasets.is_empty(), "all datasets by default");
-            }
-            ScenarioBody::Suite(_) => panic!("datagen-sweep is not a suite"),
-        }
     }
 
     #[test]
@@ -481,11 +413,11 @@ mod tests {
         };
         let sc = scenario("adaptive-shootout", &params).unwrap();
         // 1 user count x 4 engines x 2 cache states x 2 modes.
-        assert_eq!(sc.specs().len(), 16);
-        assert!(sc.specs().iter().any(|s| s.cache.is_some()));
-        assert!(sc.specs().iter().any(|s| s.cache.is_none()));
+        assert_eq!(sc.specs.len(), 16);
+        assert!(sc.specs.iter().any(|s| s.cache.is_some()));
+        assert!(sc.specs.iter().any(|s| s.cache.is_none()));
         let engines: std::collections::HashSet<&str> =
-            sc.specs().iter().map(|s| s.engine.kind_name()).collect();
+            sc.specs.iter().map(|s| s.engine.kind_name()).collect();
         assert_eq!(engines.len(), 4);
     }
 
@@ -493,21 +425,21 @@ mod tests {
     fn smoke_is_case_insensitive_and_fingerprinted() {
         let params = ScenarioParams::default();
         let sc = scenario("SMOKE", &params).unwrap();
-        assert_eq!(sc.specs().len(), 12, "4 engines x 3 session modes");
-        assert!(sc.specs().iter().all(|s| s.collect_fingerprints));
+        assert_eq!(sc.specs.len(), 12, "4 engines x 3 session modes");
+        assert!(sc.specs.iter().all(|s| s.collect_fingerprints));
     }
 
     #[test]
     fn chaos_covers_every_fault_kind_and_cache_state() {
         let sc = scenario("chaos", &ScenarioParams::default()).unwrap();
-        let specs = sc.specs();
+        let specs = &sc.specs;
         // 4 engines x 2 cache states + timeout spec + breaker storm.
         assert_eq!(specs.len(), 10);
         assert!(specs.iter().all(|s| s.fault.is_some()));
         assert!(specs.iter().all(|s| s.resilience.is_some()));
         assert!(specs.iter().any(|s| s.cache.is_some()));
         assert!(specs.iter().any(|s| s.cache.is_none()));
-        let faults: Vec<&FaultSpec> = specs.iter().filter_map(|s| s.fault.as_ref()).collect();
+        let faults: Vec<&FaultConfig> = specs.iter().filter_map(|s| s.fault.as_ref()).collect();
         assert!(faults.iter().any(|f| f.transient_error_prob > 0.0));
         assert!(faults.iter().any(|f| f.permanent_error_prob > 0.0));
         assert!(faults.iter().any(|f| f.latency_spike_prob > 0.0));
@@ -529,10 +461,10 @@ mod tests {
     fn remote_shootout_defaults_to_loopback() {
         let sc = scenario("remote-shootout", &ScenarioParams::default()).unwrap();
         // 4 engines x 2 cache states, all over the wire, all fingerprinted.
-        assert_eq!(sc.specs().len(), 8);
-        assert!(sc.specs().iter().all(|s| s.engine.is_remote()));
-        assert!(sc.specs().iter().all(|s| !s.engine.needs_external_server()));
-        assert!(sc.specs().iter().all(|s| s.collect_fingerprints));
+        assert_eq!(sc.specs.len(), 8);
+        assert!(sc.specs.iter().all(|s| s.engine.is_remote()));
+        assert!(sc.specs.iter().all(|s| !s.engine.needs_external_server()));
+        assert!(sc.specs.iter().all(|s| s.collect_fingerprints));
 
         let params = ScenarioParams {
             addr: "10.1.2.3:4640".into(),
@@ -540,34 +472,34 @@ mod tests {
         };
         let sc = scenario("remote-shootout", &params).unwrap();
         assert!(sc
-            .specs()
+            .specs
             .iter()
             .all(|s| s.engine.addr() == Some("10.1.2.3:4640")));
-        assert!(sc.specs().iter().all(|s| s.engine.needs_external_server()));
+        assert!(sc.specs.iter().all(|s| s.engine.needs_external_server()));
     }
 
     #[test]
     fn delta_shootout_pairs_on_and_off_runs() {
         let sc = scenario("delta-shootout", &ScenarioParams::default()).unwrap();
         // 2 session modes x delta on/off, all duckdb-like, all fingerprinted.
-        assert_eq!(sc.specs().len(), 4);
+        assert_eq!(sc.specs.len(), 4);
         assert!(sc
-            .specs()
+            .specs
             .iter()
             .all(|s| s.engine.kind_name() == "duckdb-like"));
-        assert!(sc.specs().iter().all(|s| s.collect_fingerprints));
-        assert_eq!(sc.specs().iter().filter(|s| s.delta).count(), 2);
-        assert_eq!(sc.specs().iter().filter(|s| !s.delta).count(), 2);
+        assert!(sc.specs.iter().all(|s| s.collect_fingerprints));
+        assert_eq!(sc.specs.iter().filter(|s| s.delta).count(), 2);
+        assert_eq!(sc.specs.iter().filter(|s| !s.delta).count(), 2);
     }
 
     #[test]
     fn perf_report_includes_parallel_scans() {
         let sc = scenario("perf-report", &ScenarioParams::default()).unwrap();
-        assert_eq!(sc.specs().len(), 5);
+        assert_eq!(sc.specs.len(), 5);
         assert!(sc
-            .specs()
+            .specs
             .iter()
             .any(|s| s.engine.kind_name() == "duckdb-like" && s.engine.scan_threads() != 1));
-        assert!(sc.specs().iter().all(|s| s.sessions == 1));
+        assert!(sc.specs.iter().all(|s| s.sessions == 1));
     }
 }

@@ -17,8 +17,10 @@ use simba_core::session::batch::{
 };
 use simba_core::spec::builtin::builtin;
 use simba_data::DashboardDataset;
-use simba_driver::workload::{CacheSpec, EngineSpec, ResilienceSpec, ScenarioSpec, SourceSpec};
-use simba_driver::{CacheConfig, Driver, DriverConfig, DriverOutcome, ScriptedSource};
+use simba_driver::workload::{EngineSpec, ScenarioSpec, SourceSpec};
+use simba_driver::{
+    CacheConfig, Driver, DriverConfig, DriverOutcome, ResiliencePolicy, ScriptedSource,
+};
 use simba_engine::{Dbms, EngineError, EngineKind, QueryOutput, SessionDelta};
 use simba_server::LOOPBACK_ADDR;
 use simba_sql::{parse_select, Select};
@@ -35,7 +37,7 @@ fn spec(seed: u64, kind: EngineKind, source: SourceSpec, cache: bool, delta: boo
     spec.workers = 2;
     spec.engine = EngineSpec::new(kind);
     spec.source = source;
-    spec.cache = cache.then(CacheSpec::default);
+    spec.cache = cache.then(CacheConfig::default);
     spec.delta = delta;
     spec.collect_fingerprints = true;
     spec
@@ -311,7 +313,7 @@ fn shape_storm_replays_group_states_on_duckdb_like() {
     assert!(report.hits > 0, "no seeded scan: {report:?}");
 }
 
-/// Delta composes with deadlines and retries: under a `ResilienceSpec` (no
+/// Delta composes with deadlines and retries: under a `ResiliencePolicy` (no
 /// faults) the store moves into each deadline-bounded attempt and comes
 /// back with the result, so the run still reuses work — and fingerprints
 /// exactly like the plain delta-off run.
@@ -325,10 +327,10 @@ fn delta_composes_with_deadlines_and_retries() {
         false,
     );
     let mut off_spec = plain.clone();
-    off_spec.resilience = Some(ResilienceSpec {
+    off_spec.resilience = Some(ResiliencePolicy {
         deadline_ms: 30_000,
         max_retries: 2,
-        ..ResilienceSpec::default()
+        ..ResiliencePolicy::default()
     });
     let report = assert_delta_invisible(&off_spec, false, "delta under deadline + retries");
     assert!(
@@ -401,10 +403,10 @@ fn failed_and_abandoned_attempts_reset_the_store() {
         true,
     );
     spec.workers = 1;
-    spec.resilience = Some(ResilienceSpec {
+    spec.resilience = Some(ResiliencePolicy {
         deadline_ms: 100,
         max_retries: 3,
-        ..ResilienceSpec::default()
+        ..ResiliencePolicy::default()
     });
     let clean = Driver::execute(&spec).unwrap();
 

@@ -451,7 +451,7 @@ fn open_loop_reports_queue_delay() {
         arrival: Arrival::Open {
             rate_per_sec: 400.0,
         },
-        think_time: ThinkTime::Fixed(std::time::Duration::from_micros(200)),
+        think_time: ThinkTime::Fixed { millis: 1 },
         cache: Some(CacheConfig::default()),
         ..Default::default()
     })

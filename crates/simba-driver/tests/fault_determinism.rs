@@ -1,15 +1,15 @@
 //! The chaos acceptance properties: fault injection is *deterministic* —
-//! same `(seed, FaultSpec)` ⇒ byte-identical runs regardless of worker
-//! count or rerun — an inert `FaultSpec` is *invisible* — byte-identical
+//! same `(seed, FaultConfig)` ⇒ byte-identical runs regardless of worker
+//! count or rerun — an inert `FaultConfig` is *invisible* — byte-identical
 //! to a run without the wrapper — and the resilience layer actually
 //! recovers: transient faults within the retry budget never surface as
 //! errors, deadlines bound every query, and error-steered adaptive walks
 //! reproduce.
 
 use proptest::prelude::*;
-use simba_driver::workload::{EngineSpec, FaultSpec, ResilienceSpec, ScenarioSpec, SourceSpec};
+use simba_driver::workload::{EngineSpec, ScenarioSpec, SourceSpec};
 use simba_driver::{Driver, DriverConfig, ResiliencePolicy, ScriptedSource, ERROR_FINGERPRINT};
-use simba_engine::{Dbms, EngineError, EngineKind, QueryOutput};
+use simba_engine::{Dbms, EngineError, EngineKind, FaultConfig, QueryOutput};
 use simba_sql::Select;
 use simba_store::{ResultSet, Table, Value};
 use std::sync::Arc;
@@ -30,8 +30,8 @@ fn base_spec(seed: u64, workers: usize) -> ScenarioSpec {
     spec
 }
 
-fn retrying_policy() -> ResilienceSpec {
-    ResilienceSpec {
+fn retrying_policy() -> ResiliencePolicy {
+    ResiliencePolicy {
         deadline_ms: 0,
         max_retries: 6,
         backoff_base_ms: 0,
@@ -45,7 +45,7 @@ fn retrying_policy() -> ResilienceSpec {
 proptest! {
     #![proptest_config(ProptestConfig { cases: 6, ..ProptestConfig::default() })]
 
-    /// Same `(seed, FaultSpec)` ⇒ the same faults hit the same queries:
+    /// Same `(seed, FaultConfig)` ⇒ the same faults hit the same queries:
     /// actions, fingerprints, and every fault/resilience counter are
     /// byte-identical across reruns *and* across worker counts. (Cache
     /// off: a shared cache makes the wrapper's hit pattern depend on
@@ -56,10 +56,10 @@ proptest! {
         fault_seed in 0u64..500,
         transient_prob in 0.05f64..0.35,
     ) {
-        let fault = FaultSpec {
+        let fault = FaultConfig {
             seed: fault_seed,
             transient_error_prob: transient_prob,
-            ..FaultSpec::default()
+            ..FaultConfig::default()
         };
         let run = |workers: usize| {
             let mut spec = base_spec(seed, workers);
@@ -79,8 +79,8 @@ proptest! {
         }
     }
 
-    /// An explicit-but-inert `FaultSpec` (and the inert default
-    /// `ResilienceSpec`) must be invisible: byte-identical actions,
+    /// An explicit-but-inert `FaultConfig` (and the inert default
+    /// `ResiliencePolicy`) must be invisible: byte-identical actions,
     /// fingerprints, and execution counters to a spec without either
     /// section — the "default = off" contract that keeps old runs
     /// reproducible under the new schema.
@@ -88,8 +88,8 @@ proptest! {
     fn inert_fault_and_resilience_specs_change_nothing(seed in 0u64..500) {
         let bare = base_spec(seed, 2);
         let mut wrapped = base_spec(seed, 2);
-        wrapped.fault = Some(FaultSpec::default());
-        wrapped.resilience = Some(ResilienceSpec::default());
+        wrapped.fault = Some(FaultConfig::default());
+        wrapped.resilience = Some(ResiliencePolicy::default());
         let a = Driver::execute(&bare).unwrap();
         let b = Driver::execute(&wrapped).unwrap();
         prop_assert_eq!(&a.actions, &b.actions);
@@ -110,10 +110,10 @@ proptest! {
 #[test]
 fn retries_absorb_transient_faults_within_budget() {
     let mut spec = base_spec(13, 3);
-    spec.fault = Some(FaultSpec {
+    spec.fault = Some(FaultConfig {
         seed: 99,
         transient_error_prob: 0.2,
-        ..FaultSpec::default()
+        ..FaultConfig::default()
     });
     spec.resilience = Some(retrying_policy());
     let outcome = Driver::execute(&spec).unwrap();
@@ -151,10 +151,10 @@ fn permanent_faults_backtrack_adaptive_walks_deterministically() {
     let run = |workers: usize| {
         let mut spec = base_spec(7, workers);
         spec.steps_per_session = 6;
-        spec.fault = Some(FaultSpec {
+        spec.fault = Some(FaultConfig {
             seed: 3,
             permanent_error_prob: 0.25,
-            ..FaultSpec::default()
+            ..FaultConfig::default()
         });
         Driver::execute(&spec).unwrap()
     };
@@ -224,7 +224,7 @@ fn deadline_abandons_wedged_queries_and_finishes_the_run() {
     let driver = Driver::new(DriverConfig {
         workers: 2,
         resilience: ResiliencePolicy {
-            deadline: Some(Duration::from_millis(25)),
+            deadline_ms: 25,
             ..Default::default()
         },
         ..Default::default()

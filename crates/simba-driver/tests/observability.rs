@@ -7,10 +7,8 @@
 //! Tracing and the metrics registry are process-global, so every test here
 //! serializes on one mutex and drains leftover spans before asserting.
 
-#![cfg(not(feature = "obs-off"))]
-
-use simba_driver::workload::{ArrivalSpec, CacheSpec, EngineSpec, ScenarioSpec, SourceSpec};
-use simba_driver::Driver;
+use simba_driver::workload::{EngineSpec, ScenarioSpec, SourceSpec};
+use simba_driver::{Arrival, CacheConfig, Driver};
 use simba_engine::EngineKind;
 use simba_obs::trace::{self, TraceEvent};
 use std::sync::Mutex;
@@ -25,7 +23,7 @@ fn spec() -> ScenarioSpec {
     spec.steps_per_session = 4;
     spec.engine = EngineSpec::new(EngineKind::DuckDbLike);
     spec.source = SourceSpec::adaptive();
-    spec.cache = Some(CacheSpec::default());
+    spec.cache = Some(CacheConfig::default());
     spec.workers = 2;
     spec.collect_metrics = true;
     spec
@@ -207,7 +205,7 @@ fn open_loop_reports_queue_delay_and_corrected_response() {
     // scheduled-vs-actual lateness must show up in the corrected view.
     open.sessions = 6;
     open.workers = 2;
-    open.arrival = ArrivalSpec::Open {
+    open.arrival = Arrival::Open {
         rate_per_sec: 10_000.0,
     };
     let report = Driver::execute(&open).unwrap().report;

@@ -10,8 +10,8 @@
 //! against a live `simba-server`.
 
 use proptest::prelude::*;
-use simba_driver::workload::{CacheSpec, EngineSpec, ScenarioSpec, SourceSpec};
-use simba_driver::{scenario, Driver, ScenarioParams};
+use simba_driver::workload::{EngineSpec, ScenarioSpec, SourceSpec};
+use simba_driver::{scenario, CacheConfig, Driver, ScenarioParams};
 use simba_engine::EngineKind;
 use simba_server::LOOPBACK_ADDR;
 
@@ -24,7 +24,7 @@ fn spec(seed: u64, kind: EngineKind, source: SourceSpec, cache: bool) -> Scenari
     spec.workers = 2;
     spec.engine = EngineSpec::new(kind);
     spec.source = source;
-    spec.cache = cache.then(CacheSpec::default);
+    spec.cache = cache.then(CacheConfig::default);
     spec.collect_fingerprints = true;
     spec
 }
@@ -100,7 +100,7 @@ fn remote_shootout_suite_matches_inprocess() {
         ..Default::default()
     };
     let sc = scenario("remote-shootout", &params).unwrap();
-    for remote_spec in sc.specs() {
+    for remote_spec in &sc.specs {
         let mut local_spec = remote_spec.clone();
         local_spec.engine = EngineSpec::local(
             remote_spec.engine.kind_name(),

@@ -14,7 +14,7 @@ use simba_core::session::batch::{synthesize_scripts, BatchConfig};
 use simba_core::spec::builtin::builtin;
 use simba_data::DashboardDataset;
 use simba_driver::fingerprint::fingerprint;
-use simba_driver::workload::{CacheSpec, EngineSpec, ScenarioSpec, SourceSpec};
+use simba_driver::workload::{EngineSpec, ScenarioSpec, SourceSpec};
 use simba_driver::{
     AdaptiveSource, AdaptiveWalkConfig, CacheConfig, Driver, DriverConfig, ScriptedSource,
 };
@@ -35,7 +35,7 @@ fn spec(source: SourceSpec, engine: EngineKind, cache: bool) -> ScenarioSpec {
     spec.steps_per_session = STEPS;
     spec.engine = EngineSpec::new(engine);
     spec.source = source;
-    spec.cache = cache.then(CacheSpec::default);
+    spec.cache = cache.then(CacheConfig::default);
     spec.workers = 2;
     spec.collect_fingerprints = true;
     spec

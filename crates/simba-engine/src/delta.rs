@@ -6,8 +6,8 @@
 //! the surviving selection vector (and, for aggregations, the merged group
 //! states — typed per-slot states or materialized dense/hash group pairs)
 //! of recent queries, keyed by
-//! [`delta_key`](simba_sql::delta_key) / [`states_key`](simba_sql::states_key).
-//! [`execute_with_delta`] then resolves each new query against the store:
+//! [`simba_sql::delta_key`] / [`simba_sql::states_key`].
+//! `execute_with_delta` then resolves each new query against the store:
 //!
 //! 1. **Group-state reuse (tier 2):** an entry whose `states_key` matches
 //!    exactly re-finalizes the cached [`GroupStates`] without touching the
@@ -18,7 +18,7 @@
 //!    the precise surviving row set; the scan is seeded from it with filter
 //!    kernels skipped entirely.
 //! 3. **Refinement seeding (tier 1):** otherwise, the newest entry for which
-//!    [`is_refinement`](simba_sql::is_refinement) *proves* the new WHERE
+//!    [`simba_sql::is_refinement`] *proves* the new WHERE
 //!    implies the stored one seeds the scan: only the stored survivors are
 //!    candidates, re-filtered through the new query's kernels (zone maps
 //!    still prune whole morsels of the seed).

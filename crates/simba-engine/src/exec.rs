@@ -417,7 +417,7 @@ impl Catalog {
             .fetch_add(1, std::sync::atomic::Ordering::SeqCst);
     }
 
-    /// Current registration generation: incremented by every [`register`]
+    /// Current registration generation: incremented by every [`register`](Self::register)
     /// (including re-registers and append publishes). Retained-work caches
     /// compare stamped generations against this to detect staleness.
     pub fn generation(&self) -> u64 {

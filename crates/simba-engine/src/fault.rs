@@ -28,42 +28,40 @@
 //! indistinguishable — faults.
 
 use crate::{Dbms, EngineError, QueryCtx, QueryOutput};
+use serde::{Deserialize, Serialize};
 use simba_sql::Select;
 use simba_store::Table;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Fault mix of a [`FaultInjectingDbms`]. The default injects nothing, so a
-/// wrapped engine behaves byte-identically to the bare one.
-#[derive(Debug, Clone, PartialEq)]
+/// Fault mix of a [`FaultInjectingDbms`], and the `fault` block of a
+/// scenario spec file as-is. The default injects nothing, so a wrapped
+/// engine behaves byte-identically to the bare one.
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct FaultConfig {
-    /// Seed the per-query RNG mixes with the execution context.
+    /// Seed the per-query RNG mixes with the execution context;
+    /// independent of the scenario seed, so the same workload can be rerun
+    /// under a different fault timeline.
+    #[serde(default)]
     pub seed: u64,
-    /// Probability of sleeping [`latency_spike`](Self::latency_spike)
-    /// before executing (independent of the error draw).
+    /// Probability of sleeping `latency_spike_ms` before executing
+    /// (independent of the error draw).
+    #[serde(default)]
     pub latency_spike_prob: f64,
-    /// Injected sleep duration for a latency spike.
-    pub latency_spike: Duration,
+    /// Injected sleep per latency spike, in milliseconds.
+    #[serde(default)]
+    pub latency_spike_ms: u64,
     /// Probability of failing with a retryable [`EngineError::Transient`].
+    #[serde(default)]
     pub transient_error_prob: f64,
     /// Probability of failing with a permanent [`EngineError::Invalid`].
+    #[serde(default)]
     pub permanent_error_prob: f64,
-    /// Probability of panicking out of `execute`.
+    /// Probability of panicking out of `execute` (the driver recovers via
+    /// unwind-catching and treats it as transient).
+    #[serde(default)]
     pub panic_prob: f64,
-}
-
-impl Default for FaultConfig {
-    fn default() -> Self {
-        FaultConfig {
-            seed: 0,
-            latency_spike_prob: 0.0,
-            latency_spike: Duration::ZERO,
-            transient_error_prob: 0.0,
-            permanent_error_prob: 0.0,
-            panic_prob: 0.0,
-        }
-    }
 }
 
 impl FaultConfig {
@@ -264,7 +262,7 @@ impl Dbms for FaultInjectingDbms {
         if spike {
             self.latency_spikes.fetch_add(1, Ordering::Relaxed);
             simba_obs::counter!("fault.latency_spikes").add(1);
-            std::thread::sleep(self.config.latency_spike);
+            std::thread::sleep(Duration::from_millis(self.config.latency_spike_ms));
         }
         match injected {
             Injected::None => self.inner.execute_at(query, ctx),
@@ -336,7 +334,7 @@ mod tests {
             permanent_error_prob: 0.1,
             panic_prob: 0.0,
             latency_spike_prob: 0.2,
-            latency_spike: Duration::ZERO,
+            latency_spike_ms: 0,
         };
         let a = wrapped(config.clone());
         let b = wrapped(config);

@@ -15,8 +15,7 @@
 //!
 //! Both are **off by default** and cost two relaxed atomic loads per probe
 //! when disabled; roots can additionally be sampled (`1/N`) so tracing at
-//! 100k sessions stays cheap. Building with the `obs-off` cargo feature
-//! compiles every probe down to nothing, for proving zero overhead.
+//! 100k sessions stays cheap.
 //!
 //! Everything is hand-rolled like the workspace's vendored dependencies:
 //! no external crates, no network.

@@ -31,17 +31,9 @@ static ACTIVE: AtomicU64 = AtomicU64::new(0);
 
 /// Whether any [`MetricsScope`] is alive. Probes check this first, so
 /// recording is a no-op outside instrumented runs.
-#[cfg(not(feature = "obs-off"))]
 #[inline]
 pub fn is_enabled() -> bool {
     ACTIVE.load(Ordering::Relaxed) > 0
-}
-
-/// Always false with `obs-off`: every probe below compiles to nothing.
-#[cfg(feature = "obs-off")]
-#[inline]
-pub fn is_enabled() -> bool {
-    false
 }
 
 /// RAII guard that enables metric recording while alive. Scopes are
@@ -468,7 +460,7 @@ macro_rules! gauge {
     }};
 }
 
-#[cfg(all(test, not(feature = "obs-off")))]
+#[cfg(test)]
 mod tests {
     use super::*;
 

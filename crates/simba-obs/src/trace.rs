@@ -11,8 +11,7 @@
 //!
 //! Costs when tracing is disabled: one relaxed atomic load per [`span`]
 //! call, no clock reads. When a root is not sampled: two thread-local cell
-//! updates per span. With the `obs-off` cargo feature the entire module
-//! compiles to no-ops.
+//! updates per span.
 //!
 //! [`export_chrome_trace`] renders drained events in the Chrome
 //! `trace_event` JSON format (`ph: "X"` complete events, microsecond
@@ -20,18 +19,13 @@
 
 use std::fmt::Write as _;
 
-#[cfg(not(feature = "obs-off"))]
 use std::cell::Cell;
-#[cfg(not(feature = "obs-off"))]
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-#[cfg(not(feature = "obs-off"))]
 use std::sync::{Mutex, OnceLock};
-#[cfg(not(feature = "obs-off"))]
 use std::time::Instant;
 
 /// Collector stripes; events land in `stripes[tid % STRIPES]` so worker
 /// threads rarely contend on the same lock.
-#[cfg(not(feature = "obs-off"))]
 const STRIPES: usize = 16;
 
 /// One completed span, in nanoseconds since the process trace epoch.
@@ -51,48 +45,33 @@ pub struct TraceEvent {
     pub depth: u32,
 }
 
-#[cfg(not(feature = "obs-off"))]
 static ENABLED: AtomicBool = AtomicBool::new(false);
-#[cfg(not(feature = "obs-off"))]
 static SAMPLE_EVERY: AtomicU64 = AtomicU64::new(1);
-#[cfg(not(feature = "obs-off"))]
 static ROOT_SEQ: AtomicU64 = AtomicU64::new(0);
-#[cfg(not(feature = "obs-off"))]
 static NEXT_TID: AtomicU64 = AtomicU64::new(1);
 
-#[cfg(not(feature = "obs-off"))]
 thread_local! {
     static TID: Cell<u64> = const { Cell::new(0) };
     static DEPTH: Cell<u32> = const { Cell::new(0) };
     static SAMPLED: Cell<bool> = const { Cell::new(false) };
 }
 
-#[cfg(not(feature = "obs-off"))]
 fn stripes() -> &'static [Mutex<Vec<TraceEvent>>; STRIPES] {
     static S: OnceLock<[Mutex<Vec<TraceEvent>>; STRIPES]> = OnceLock::new();
     S.get_or_init(|| std::array::from_fn(|_| Mutex::new(Vec::new())))
 }
 
-#[cfg(not(feature = "obs-off"))]
 fn epoch() -> &'static Instant {
     static E: OnceLock<Instant> = OnceLock::new();
     E.get_or_init(Instant::now)
 }
 
 /// Nanoseconds since the process trace epoch (monotonic).
-#[cfg(not(feature = "obs-off"))]
 pub fn now_ns() -> u64 {
     epoch().elapsed().as_nanos() as u64
 }
 
-/// Nanoseconds since the process trace epoch (always 0 with `obs-off`).
-#[cfg(feature = "obs-off")]
-pub fn now_ns() -> u64 {
-    0
-}
-
 /// Trace-local id of the calling thread (assigned on first use).
-#[cfg(not(feature = "obs-off"))]
 pub fn thread_id() -> u64 {
     TID.with(|t| {
         let mut id = t.get();
@@ -104,46 +83,23 @@ pub fn thread_id() -> u64 {
     })
 }
 
-/// Trace-local id of the calling thread (always 0 with `obs-off`).
-#[cfg(feature = "obs-off")]
-pub fn thread_id() -> u64 {
-    0
-}
-
 /// Turn the collector on or off. Enable before the traced run starts:
 /// spans opened while disabled stay inert even if tracing is enabled
 /// before they close.
-#[cfg(not(feature = "obs-off"))]
 pub fn set_enabled(on: bool) {
     ENABLED.store(on, Ordering::Relaxed);
 }
 
-/// No-op with `obs-off`.
-#[cfg(feature = "obs-off")]
-pub fn set_enabled(_on: bool) {}
-
 /// Whether the collector is currently enabled.
-#[cfg(not(feature = "obs-off"))]
 pub fn is_enabled() -> bool {
     ENABLED.load(Ordering::Relaxed)
 }
 
-/// Always false with `obs-off`.
-#[cfg(feature = "obs-off")]
-pub fn is_enabled() -> bool {
-    false
-}
-
 /// Record every `n`-th root span (and everything nested under it).
 /// `1` records everything, `0` records nothing.
-#[cfg(not(feature = "obs-off"))]
 pub fn set_sample_every(n: u64) {
     SAMPLE_EVERY.store(n, Ordering::Relaxed);
 }
-
-/// No-op with `obs-off`.
-#[cfg(feature = "obs-off")]
-pub fn set_sample_every(_n: u64) {}
 
 /// Parse a sampling spec: `"8"` or `"1/8"` → 8; `"0"` disables.
 pub fn parse_sample(s: &str) -> Option<u64> {
@@ -155,7 +111,6 @@ pub fn parse_sample(s: &str) -> Option<u64> {
 }
 
 /// RAII span: created by [`span`], records a [`TraceEvent`] on drop.
-#[cfg(not(feature = "obs-off"))]
 pub struct SpanGuard {
     name: &'static str,
     cat: &'static str,
@@ -165,16 +120,9 @@ pub struct SpanGuard {
     entered: bool,
 }
 
-/// Inert span guard (`obs-off` build).
-#[cfg(feature = "obs-off")]
-pub struct SpanGuard {
-    _inert: (),
-}
-
 /// Open a span named `name` in layer category `cat`. The returned guard
 /// records one event when dropped; bind it (`let _span = ...`) so it stays
 /// open for the region being measured.
-#[cfg(not(feature = "obs-off"))]
 pub fn span(name: &'static str, cat: &'static str) -> SpanGuard {
     if !is_enabled() {
         return SpanGuard {
@@ -209,13 +157,6 @@ pub fn span(name: &'static str, cat: &'static str) -> SpanGuard {
     }
 }
 
-/// Open a span (inert with `obs-off`).
-#[cfg(feature = "obs-off")]
-pub fn span(_name: &'static str, _cat: &'static str) -> SpanGuard {
-    SpanGuard { _inert: () }
-}
-
-#[cfg(not(feature = "obs-off"))]
 impl Drop for SpanGuard {
     fn drop(&mut self) {
         if !self.entered {
@@ -245,7 +186,6 @@ impl Drop for SpanGuard {
 
 /// Drain all collected events, sorted by start time (parents before the
 /// spans they contain).
-#[cfg(not(feature = "obs-off"))]
 pub fn take_events() -> Vec<TraceEvent> {
     let mut all = Vec::new();
     for stripe in stripes() {
@@ -261,12 +201,6 @@ pub fn take_events() -> Vec<TraceEvent> {
         ))
     });
     all
-}
-
-/// Always empty with `obs-off`.
-#[cfg(feature = "obs-off")]
-pub fn take_events() -> Vec<TraceEvent> {
-    Vec::new()
 }
 
 /// Render events as Chrome `trace_event` JSON: a `traceEvents` array of

@@ -2,8 +2,6 @@
 //! in their own integration binary — and serialize on a local mutex — so
 //! draining the collector cannot race with unrelated unit tests.
 
-#![cfg(not(feature = "obs-off"))]
-
 use simba_obs::trace;
 use std::sync::{Mutex, MutexGuard};
 
