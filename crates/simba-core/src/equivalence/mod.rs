@@ -8,15 +8,20 @@
 //!    (our substitute for the SPES solver, see DESIGN.md §3);
 //! 3. **Result** — executed result-set coverage through
 //!    [`CoverageStore`].
+//!
+//! The semantic checks compare [`NormalizedSelect`]s and never normalize
+//! SQL themselves: a [`GoalChecker`] holds its goal's form from
+//! construction, a session builds each emitted query's form once and hands
+//! it to every goal's [`check_observed`](GoalChecker::check_observed) and to
+//! [`augment`]. The `&Select` functions build the forms for callers that
+//! compare two queries once.
 
 pub mod progress;
 
-use simba_sql::implication::option_implies;
-use simba_sql::normalize::NormalizedSelect;
-use simba_sql::printer::print_select;
+use simba_sql::printer::{print_expr, print_select};
 use simba_sql::similarity::nearly_identical;
-use simba_sql::Select;
-use simba_store::{CoverageStore, ResultSet};
+use simba_sql::{BinOp, Expr, Literal, NormalizedSelect, Select};
+use simba_store::{CoverageStore, ResultSet, Value};
 
 /// Which equivalence method established a match.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -47,12 +52,15 @@ pub fn syntactic_equivalent(a: &Select, b: &Select) -> bool {
 
 /// Semantic equivalence: equal normal forms (ignoring row order).
 pub fn semantic_equivalent(a: &Select, b: &Select) -> bool {
-    let mut na = NormalizedSelect::from_select(a);
-    let mut nb = NormalizedSelect::from_select(b);
-    // ORDER BY affects presentation, not content.
-    na.order_by.clear();
-    nb.order_by.clear();
-    na == nb
+    NormalizedSelect::from_select(a).same_rows(&NormalizedSelect::from_select(b))
+}
+
+/// [`subsumes`] over the two queries' normal forms.
+pub fn semantically_subsumes(observed: &Select, goal: &Select) -> bool {
+    subsumes(
+        &NormalizedSelect::from_select(observed),
+        &NormalizedSelect::from_select(goal),
+    )
 }
 
 /// Sound semantic subsumption: does `observed`'s result set necessarily
@@ -66,40 +74,34 @@ pub fn semantic_equivalent(a: &Select, b: &Select) -> bool {
 ///   absent or implied by `goal`'s.
 ///
 /// Incomplete by design — a `false` means "could not prove".
-pub fn semantically_subsumes(observed: &Select, goal: &Select) -> bool {
-    if !observed.from.eq_ignore_ascii_case(&goal.from) {
-        return false;
-    }
+pub fn subsumes(observed: &NormalizedSelect, goal: &NormalizedSelect) -> bool {
     // A LIMIT on the observed side can drop goal rows.
-    if observed.limit.is_some() {
+    if observed.table() != goal.table() || observed.limit().is_some() {
         return false;
     }
-    let no = NormalizedSelect::from_select(observed);
-    let ng = NormalizedSelect::from_select(goal);
-
-    if !ng.projections.is_subset(&no.projections) {
+    if !goal.projection_set().is_subset(&observed.projection_set()) {
         return false;
     }
-
-    let goal_aggregates = goal.is_aggregate_query();
-    let observed_aggregates = observed.is_aggregate_query();
-    if goal_aggregates != observed_aggregates {
+    if goal.is_aggregate() != observed.is_aggregate() {
         return false;
     }
-
-    if !goal_aggregates {
-        return option_implies(goal.where_clause.as_ref(), observed.where_clause.as_ref());
+    if !goal.is_aggregate() {
+        return goal.refines(observed);
     }
-
     // Aggregate case: identical input rows and grouping required.
-    if no.conjuncts != ng.conjuncts || no.group_by != ng.group_by {
+    if observed.filter() != goal.filter() || observed.group_set() != goal.group_set() {
         return false;
     }
-    match (&observed.having, &goal.having) {
-        (None, _) => true,
-        (Some(oh), Some(gh)) => option_implies(Some(gh), Some(oh)),
-        (Some(_), None) => false,
-    }
+    observed.having().is_absent()
+        || (!goal.having().is_absent() && goal.having().implies(observed.having()))
+}
+
+/// [`fragment_of`] over the two queries' normal forms.
+pub fn semantic_fragment_of(observed: &Select, goal: &Select) -> bool {
+    fragment_of(
+        &NormalizedSelect::from_select(observed),
+        &NormalizedSelect::from_select(goal),
+    )
 }
 
 /// Is `observed` a *fragment* of `goal` — a restriction of the goal query to
@@ -109,44 +111,40 @@ pub fn semantically_subsumes(observed: &Select, goal: &Select) -> bool {
 /// Sound rule: identical grouping and projections-modulo-extra-filters,
 /// where every extra conjunct in `observed` constrains only group-key
 /// expressions (so surviving groups keep identical aggregate values).
-pub fn semantic_fragment_of(observed: &Select, goal: &Select) -> bool {
-    if !observed.from.eq_ignore_ascii_case(&goal.from) || observed.limit.is_some() {
+pub fn fragment_of(observed: &NormalizedSelect, goal: &NormalizedSelect) -> bool {
+    if observed.table() != goal.table() || observed.limit().is_some() {
         return false;
     }
-    if !goal.is_aggregate_query() || !observed.is_aggregate_query() {
+    if !goal.is_aggregate() || !observed.is_aggregate() {
         return false;
     }
-    let no = NormalizedSelect::from_select(observed);
-    let ng = NormalizedSelect::from_select(goal);
-    if no.group_by != ng.group_by {
+    let group_keys = goal.group_set();
+    if observed.group_set() != group_keys {
         return false;
     }
-    if !ng.projections.is_subset(&no.projections) {
+    if !goal.projection_set().is_subset(&observed.projection_set()) {
         return false;
     }
     // Observed conjuncts = goal conjuncts + extras on group keys only.
-    if !ng.conjuncts.is_subset(&no.conjuncts) {
+    let (seen, wanted) = (observed.filter().atoms(), goal.filter().atoms());
+    if !wanted.keys().all(|print| seen.contains_key(print)) {
         return false;
     }
-    let group_keys = &ng.group_by;
-    for extra in no.conjuncts.difference(&ng.conjuncts) {
-        // Parse the conjunct back to find which expression it constrains.
-        let Ok(expr) = simba_sql::parse_expr(extra) else {
-            return false;
-        };
-        let constrained = constrained_expressions(&expr);
-        if constrained.is_empty() || !constrained.iter().all(|c| group_keys.contains(c)) {
+    for (_, extra) in seen
+        .iter()
+        .filter(|(print, _)| !wanted.contains_key(*print))
+    {
+        let constrained = constrained_expressions(extra);
+        if constrained.is_empty() || !constrained.iter().all(|c| group_keys.contains(c.as_str())) {
             return false;
         }
     }
     // HAVING must be identical (or absent from both).
-    no.having == ng.having
+    observed.having() == goal.having()
 }
 
 /// The canonical prints of the expressions a conjunctive atom constrains.
-fn constrained_expressions(e: &simba_sql::Expr) -> Vec<String> {
-    use simba_sql::printer::print_expr;
-    use simba_sql::{BinOp, Expr};
+fn constrained_expressions(e: &Expr) -> Vec<String> {
     match e {
         Expr::Binary { left, op, .. } if op.is_comparison() => vec![print_expr(left)],
         Expr::Binary {
@@ -170,6 +168,11 @@ fn constrained_expressions(e: &simba_sql::Expr) -> Vec<String> {
     }
 }
 
+/// [`augment`] for a caller that holds only the `Select`.
+pub fn augment_result(query: &Select, result: ResultSet) -> ResultSet {
+    augment(&NormalizedSelect::from_select(query), result)
+}
+
 /// Augment a query's result with constant columns implied by its
 /// single-value equality filters.
 ///
@@ -179,17 +182,9 @@ fn constrained_expressions(e: &simba_sql::Expr) -> Vec<String> {
 /// This function materializes that context: for every conjunct of the form
 /// `expr = literal` (or single-element `IN`), a constant column named by the
 /// expression is appended, unless the result already has one.
-pub fn augment_result(query: &Select, result: ResultSet) -> ResultSet {
-    use simba_sql::normalize::normalize_expr;
-    use simba_sql::printer::print_expr;
-    use simba_sql::{BinOp, Expr, Literal};
-
-    let Some(where_clause) = &query.where_clause else {
-        return result;
-    };
-    let normalized = normalize_expr(where_clause);
-    let mut extra: Vec<(String, simba_store::Value)> = Vec::new();
-    for conjunct in normalized.conjuncts() {
+pub fn augment(query: &NormalizedSelect, result: ResultSet) -> ResultSet {
+    let mut extra: Vec<(String, Value)> = Vec::new();
+    for conjunct in query.filter().atoms().values() {
         let Expr::Binary {
             left,
             op: BinOp::Eq,
@@ -211,11 +206,11 @@ pub fn augment_result(query: &Select, result: ResultSet) -> ResultSet {
             continue;
         }
         let value = match lit {
-            Literal::Null => simba_store::Value::Null,
-            Literal::Bool(b) => simba_store::Value::Bool(*b),
-            Literal::Int(v) => simba_store::Value::Int(*v),
-            Literal::Float(v) => simba_store::Value::Float(*v),
-            Literal::Str(s) => simba_store::Value::str(s),
+            Literal::Null => Value::Null,
+            Literal::Bool(b) => Value::Bool(*b),
+            Literal::Int(v) => Value::Int(*v),
+            Literal::Float(v) => Value::Float(*v),
+            Literal::Str(s) => Value::str(s),
         };
         extra.push((name, value));
     }
@@ -238,6 +233,9 @@ pub fn augment_result(query: &Select, result: ResultSet) -> ResultSet {
 pub struct GoalChecker {
     /// The goal query.
     pub goal: Select,
+    /// The goal's normal form, built once: the goal never changes, every
+    /// emitted query is checked against it.
+    goal_form: NormalizedSelect,
     /// The goal's executed result set (for the result-equivalence method).
     pub goal_result: ResultSet,
     /// How (and that) the goal was solved.
@@ -248,27 +246,33 @@ impl GoalChecker {
     /// New checker for a goal with its pre-executed result set.
     pub fn new(goal: Select, goal_result: ResultSet) -> Self {
         Self {
+            goal_form: NormalizedSelect::from_select(&goal),
             goal,
             goal_result,
             solved: None,
         }
     }
 
-    /// Check an emitted query against the goal (syntactic, then semantic).
-    /// Returns the matching method if the goal is newly solved.
+    /// [`check_observed`](Self::check_observed) for a caller that has not
+    /// analyzed `query`.
     pub fn check_emitted(&mut self, query: &Select) -> Option<Method> {
+        self.check_observed(query, &NormalizedSelect::from_select(query))
+    }
+
+    /// Check an emitted query, with its normal form, against the goal
+    /// (syntactic, then semantic). Returns the matching method if the goal
+    /// is newly solved. A session builds `form` once per emitted query and
+    /// shares it across all its goals.
+    pub fn check_observed(&mut self, query: &Select, form: &NormalizedSelect) -> Option<Method> {
         if self.solved.is_some() {
             return None;
         }
         if syntactic_equivalent(query, &self.goal) {
             self.solved = Some(Method::Syntactic);
-            return self.solved;
-        }
-        if semantic_equivalent(query, &self.goal) || semantically_subsumes(query, &self.goal) {
+        } else if form.same_rows(&self.goal_form) || subsumes(form, &self.goal_form) {
             self.solved = Some(Method::Semantic);
-            return self.solved;
         }
-        None
+        self.solved
     }
 
     /// Check accumulated result coverage (`∪R_g ⊆ ∪R_i`). Returns the

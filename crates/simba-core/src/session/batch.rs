@@ -127,15 +127,9 @@ fn synthesize_one(dash: &Dashboard, config: &BatchConfig, user: usize) -> Sessio
     }
 }
 
-/// SplitMix64 finalizer: a cheap bijective scrambler that decorrelates
-/// seeds derived from nearby values (indices, salted bases). Shared by the
-/// driver and the harness binaries so all seed derivation mixes one way.
-pub fn splitmix(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
+/// The workspace seed mixer, under the name the driver and the harness
+/// binaries derive session seeds with.
+pub use simba_store::mix::splitmix64 as splitmix;
 
 #[cfg(test)]
 mod tests {

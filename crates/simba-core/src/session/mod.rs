@@ -18,7 +18,7 @@ pub mod workflows;
 use crate::actions::ActionKind;
 use crate::algebra::templates::Goal;
 use crate::dashboard::Dashboard;
-use crate::equivalence::{GoalChecker, Method};
+use crate::equivalence::{augment, GoalChecker, Method};
 use crate::error::CoreError;
 use crate::markov::MarkovModel;
 use crate::oracle::{Oracle, OracleConfig};
@@ -27,6 +27,7 @@ use planner::SessionPlanner;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use simba_engine::Dbms;
+use simba_sql::{NormalizedSelect, Select};
 use simba_store::CoverageStore;
 use std::time::Duration;
 
@@ -214,14 +215,16 @@ impl<'a> SessionRunner<'a> {
         for (node, query) in &initial {
             let out = self.engine.execute(query)?;
             let rows = out.result.n_rows();
-            coverage.absorb(&crate::equivalence::augment_result(query, out.result));
+            let form = NormalizedSelect::from_select(query);
+            coverage.absorb(&augment(&form, out.result));
             records.push(QueryRecord {
                 vis: self.dashboard.graph().id(*node).to_string(),
                 sql: query.to_string(),
                 duration: out.elapsed,
                 rows,
             });
-            check_goals(&mut checkers, &mut outcomes, Some(query), &coverage, 0);
+            let emitted = Some((query, &form));
+            check_goals(&mut checkers, &mut outcomes, emitted, &coverage, 0);
         }
         entries.push(LogEntry {
             step: 0,
@@ -271,14 +274,16 @@ impl<'a> SessionRunner<'a> {
             for (node, query) in &emitted {
                 let out = self.engine.execute(query)?;
                 let rows = out.result.n_rows();
-                coverage.absorb(&crate::equivalence::augment_result(query, out.result));
+                let form = NormalizedSelect::from_select(query);
+                coverage.absorb(&augment(&form, out.result));
                 records.push(QueryRecord {
                     vis: self.dashboard.graph().id(*node).to_string(),
                     sql: query.to_string(),
                     duration: out.elapsed,
                     rows,
                 });
-                check_goals(&mut checkers, &mut outcomes, Some(query), &coverage, step);
+                let emitted = Some((query, &form));
+                check_goals(&mut checkers, &mut outcomes, emitted, &coverage, step);
             }
             // Result-coverage may also complete goals with no new emitted
             // match (e.g. after absorbing the last fragment).
@@ -306,7 +311,7 @@ impl<'a> SessionRunner<'a> {
 fn check_goals(
     checkers: &mut [GoalChecker],
     outcomes: &mut [GoalOutcome],
-    emitted: Option<&simba_sql::Select>,
+    emitted: Option<(&Select, &NormalizedSelect)>,
     coverage: &CoverageStore,
     step: usize,
 ) {
@@ -315,8 +320,8 @@ fn check_goals(
             continue;
         }
         let method = match emitted {
-            Some(q) => checker
-                .check_emitted(q)
+            Some((query, form)) => checker
+                .check_observed(query, form)
                 .or_else(|| checker.check_result(coverage)),
             None => checker.check_result(coverage),
         };

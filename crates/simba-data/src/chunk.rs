@@ -35,16 +35,9 @@ use std::sync::{Condvar, Mutex};
 /// over.
 pub const CHUNK_ROWS: usize = 32 * MORSEL_ROWS;
 
-/// SplitMix64 finalizer — the same bijective scrambler the session layer
-/// uses (`simba_core::session::batch::splitmix`), duplicated here because
-/// the dependency points the other way. Decorrelates the RNG streams of
-/// nearby chunk indices.
-pub fn splitmix64(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
+/// The workspace seed mixer; decorrelates the RNG streams of nearby chunk
+/// indices.
+pub use simba_store::mix::splitmix64;
 
 /// Seed of chunk `chunk_index`'s RNG, derived from the (salted) master
 /// seed. This is the determinism contract's seed-derivation rule: plain
@@ -112,7 +105,6 @@ where
 
     let build_chunk = |index: usize| -> TableChunk {
         let _p = simba_obs::phase!("data.chunk", "data", "data.phase.chunk");
-        simba_obs::counter!("data.chunks").add(1);
         let start = index * chunk_rows;
         let ctx = ChunkCtx {
             start,

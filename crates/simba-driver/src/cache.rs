@@ -198,7 +198,7 @@ impl ShardedResultCache {
 
     fn shard_index(&self, key: &str) -> usize {
         // FNV-1a; shard count is a power of two so masking is uniform.
-        let mut h = crate::hash::Fnv1a::new();
+        let mut h = simba_store::mix::Fnv1a::new();
         h.write(key.as_bytes());
         (h.finish() as usize) & (self.shards.len() - 1)
     }
@@ -424,9 +424,7 @@ impl ShardedResultCache {
         if outcome.is_err() {
             // Negative-result policy: errors pass through uncached (the
             // next caller re-executes), but are counted so a flaky engine
-            // shows up in the cache report rather than vanishing. (The
-            // metrics-registry promotion happens once at end of run with
-            // the other cache counters.)
+            // shows up in the cache report rather than vanishing.
             self.error_passthrough.fetch_add(1, Ordering::Relaxed);
         }
         let mut map = inflight.lock().unwrap_or_else(PoisonError::into_inner);

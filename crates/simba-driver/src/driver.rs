@@ -287,10 +287,6 @@ impl Driver {
                 .collect()
         });
         let wall = start.elapsed();
-        simba_obs::counter!("driver.sessions").add(sessions as u64);
-        if let Some(c) = cache.as_ref() {
-            promote_cache_stats(c);
-        }
         let metrics = metrics_before.map(|before| simba_obs::metrics::snapshot_since(&before));
         drop(metrics_scope);
         self.finish(
@@ -720,7 +716,6 @@ impl Driver {
         };
         if executed.is_ok() && out.resilience.retries > retries_before {
             out.resilience.retries_succeeded += 1;
-            simba_obs::counter!("resilience.retries_succeeded").add(1);
         }
         if let Some(br) = breaker {
             // The breaker judges *final* outcomes: a query that recovered
@@ -802,7 +797,6 @@ impl Driver {
             let (retryable, error) = match failure {
                 AttemptError::Timeout => {
                     counters.timeouts += 1;
-                    simba_obs::counter!("resilience.timeouts").add(1);
                     (
                         true,
                         EngineError::Transient(format!(
@@ -813,7 +807,6 @@ impl Driver {
                 }
                 AttemptError::Panic => {
                     counters.panics_recovered += 1;
-                    simba_obs::counter!("resilience.panics_recovered").add(1);
                     (
                         true,
                         EngineError::Transient("engine panicked (unwind recovered)".to_string()),
@@ -821,12 +814,10 @@ impl Driver {
                 }
                 AttemptError::Engine(e) if e.is_transient() => {
                     counters.transient_errors += 1;
-                    simba_obs::counter!("resilience.transient_errors").add(1);
                     (true, e)
                 }
                 AttemptError::Engine(e) => {
                     counters.permanent_errors += 1;
-                    simba_obs::counter!("resilience.permanent_errors").add(1);
                     (false, e)
                 }
             };
@@ -835,7 +826,6 @@ impl Driver {
             }
             ctx.attempt += 1;
             counters.retries += 1;
-            simba_obs::counter!("resilience.retries").add(1);
             let _retry = simba_obs::trace::span("driver.retry", "driver");
             let jkey = jitter_key(self.config.seed, session_seed, first.step, first.query);
             let pause = policy.backoff_delay(jkey, ctx.attempt);
@@ -856,7 +846,8 @@ impl Driver {
 ///
 /// The session's delta store travels with the attempt: it moves into the
 /// attempt thread and comes back with the result, and an abandoned
-/// attempt's store is dropped (with its event counters) for a fresh one.
+/// attempt's store is dropped for an empty one that keeps the event counts
+/// the session had reached before the attempt.
 /// Any failed attempt resets the store — what the attempt left in it, and
 /// the trajectory steering takes after an error, no longer describe a
 /// refinement chain — so a retry starts from an empty one.
@@ -873,7 +864,9 @@ fn run_attempt(
             let (tx, rx) = std::sync::mpsc::channel();
             let (engine, query, ctx) = (Arc::clone(engine), query.clone(), *ctx);
             let mut store = delta.take();
-            let carried = store.is_some();
+            // The store goes with the attempt and may not come back; what it
+            // had counted so far happened either way.
+            let counted = store.as_ref().map(SessionDelta::stats);
             std::thread::spawn(move || {
                 let outcome = call_engine(engine.as_ref(), &query, &ctx, store.as_mut());
                 // A send error just means the caller timed out and went away.
@@ -885,7 +878,7 @@ fn run_attempt(
                     outcome
                 }
                 Err(gone) => {
-                    *delta = carried.then(SessionDelta::default);
+                    *delta = counted.map(SessionDelta::continuing);
                     Err(match gone {
                         std::sync::mpsc::RecvTimeoutError::Timeout => AttemptError::Timeout,
                         // Disconnected is not a timeout: the executor thread
@@ -928,20 +921,6 @@ fn call_engine(
         Ok(Err(e)) => Err(AttemptError::Engine(e)),
         Err(_) => Err(AttemptError::Panic),
     }
-}
-
-/// Promote the cache's end-of-run counters into the metrics registry (a
-/// no-op unless a metrics scope is active).
-fn promote_cache_stats(cache: &ShardedResultCache) {
-    let stats = cache.stats();
-    simba_obs::counter!("cache.hits").add(stats.hits);
-    simba_obs::counter!("cache.misses").add(stats.misses);
-    simba_obs::counter!("cache.insertions").add(stats.insertions);
-    simba_obs::counter!("cache.evictions").add(stats.evictions);
-    simba_obs::counter!("cache.coalesced").add(stats.coalesced);
-    simba_obs::counter!("cache.invalidations").add(stats.invalidations);
-    simba_obs::counter!("cache.error_passthrough").add(stats.error_passthrough);
-    simba_obs::gauge!("cache.entries").set(cache.len() as u64);
 }
 
 fn rate(n: u64, denom: u64) -> f64 {

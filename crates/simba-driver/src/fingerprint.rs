@@ -23,7 +23,7 @@ pub const ERROR_FINGERPRINT: u64 = u64::MAX;
 /// canonically sorted rows). Two results get equal fingerprints iff their
 /// row multisets are byte-identical.
 pub fn fingerprint(result: &ResultSet) -> u64 {
-    let mut h = crate::hash::Fnv1a::new();
+    let mut h = simba_store::mix::Fnv1a::new();
     for row in result.sorted_rows() {
         h.write(format!("{row:?}").as_bytes());
         h.write(&[0xFF]);
@@ -38,7 +38,7 @@ pub fn fingerprint(result: &ResultSet) -> u64 {
 /// artifacts (e.g. the `delta-shootout` CI gate) can assert result
 /// equality between runs without carrying every vector.
 pub fn digest(fingerprints: &[Vec<u64>]) -> u64 {
-    let mut h = crate::hash::Fnv1a::new();
+    let mut h = simba_store::mix::Fnv1a::new();
     for session in fingerprints {
         for fp in session {
             h.write(&fp.to_le_bytes());

@@ -76,7 +76,6 @@
 pub mod cache;
 pub mod driver;
 pub mod fingerprint;
-pub(crate) mod hash;
 pub mod report;
 pub mod resilience;
 pub mod workload;

@@ -479,13 +479,8 @@ mod tests {
     }
 
     fn sample_metrics() -> MetricsSnapshot {
-        use simba_obs::{CounterEntry, HistogramEntry};
+        use simba_obs::HistogramEntry;
         MetricsSnapshot {
-            counters: vec![CounterEntry {
-                name: "engine.rows_scanned".into(),
-                value: 52_000,
-            }],
-            gauges: vec![],
             histograms: vec![
                 HistogramEntry {
                     name: "engine.phase.plan".into(),

@@ -22,6 +22,7 @@
 //! byte-identity guarantees in `workload` only cover breaker-less configs.
 
 use serde::{Deserialize, Serialize};
+use simba_store::mix::splitmix64;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
@@ -122,14 +123,6 @@ impl ResiliencePolicy {
     }
 }
 
-/// SplitMix64, the workspace-standard seed mixer.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
-
 /// Mix the driver seed, session seed, and step/query position into one
 /// jitter key for [`ResiliencePolicy::backoff_delay`].
 pub fn jitter_key(driver_seed: u64, session_seed: u64, step: u64, query: u64) -> u64 {
@@ -212,11 +205,9 @@ impl CircuitBreaker {
                         successes: 0,
                     };
                     self.half_opens.fetch_add(1, Ordering::Relaxed);
-                    simba_obs::counter!("resilience.breaker_half_opens").add(1);
                     true
                 } else {
                     self.shed.fetch_add(1, Ordering::Relaxed);
-                    simba_obs::counter!("resilience.shed").add(1);
                     false
                 }
             }
@@ -226,7 +217,6 @@ impl CircuitBreaker {
                     true
                 } else {
                     self.shed.fetch_add(1, Ordering::Relaxed);
-                    simba_obs::counter!("resilience.shed").add(1);
                     false
                 }
             }
@@ -251,7 +241,6 @@ impl CircuitBreaker {
                         consecutive_failures: 0,
                     };
                     self.closes.fetch_add(1, Ordering::Relaxed);
-                    simba_obs::counter!("resilience.breaker_closes").add(1);
                 }
             }
             BreakerState::Open { .. } => {}
@@ -271,7 +260,6 @@ impl CircuitBreaker {
                         since: Instant::now(),
                     };
                     self.opens.fetch_add(1, Ordering::Relaxed);
-                    simba_obs::counter!("resilience.breaker_opens").add(1);
                 }
             }
             BreakerState::HalfOpen { .. } => {
@@ -281,7 +269,6 @@ impl CircuitBreaker {
                     since: Instant::now(),
                 };
                 self.opens.fetch_add(1, Ordering::Relaxed);
-                simba_obs::counter!("resilience.breaker_opens").add(1);
             }
             BreakerState::Open { .. } => {}
         }

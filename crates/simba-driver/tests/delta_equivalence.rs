@@ -355,12 +355,15 @@ fn delta_composes_with_deadlines_and_retries() {
     );
 }
 
-/// Forwards to an in-process columnar engine, but the first `execute_delta`
-/// call stalls past the test's deadline and every seventh one drops
-/// transiently — without touching the store, like a fault in front of it.
+/// Forwards to an in-process columnar engine, but `execute_delta` call
+/// number `stall_at` stalls past the test's deadline and, when `drops`,
+/// every seventh one drops transiently — without touching the store, like a
+/// fault in front of it.
 struct FlakyDelta {
     inner: Arc<dyn Dbms>,
     calls: AtomicU64,
+    stall_at: u64,
+    drops: bool,
 }
 
 impl Dbms for FlakyDelta {
@@ -382,8 +385,8 @@ impl Dbms for FlakyDelta {
         delta: &mut SessionDelta,
     ) -> Result<QueryOutput, EngineError> {
         match self.calls.fetch_add(1, Ordering::SeqCst) {
-            0 => std::thread::sleep(Duration::from_millis(400)),
-            n if n % 7 == 3 => return Err(EngineError::Transient("dropped".into())),
+            n if n == self.stall_at => std::thread::sleep(Duration::from_millis(400)),
+            n if self.drops && n % 7 == 3 => return Err(EngineError::Transient("dropped".into())),
             _ => {}
         }
         self.inner.execute_delta(query, delta)
@@ -417,6 +420,8 @@ fn failed_and_abandoned_attempts_reset_the_store() {
     let engine = Arc::new(FlakyDelta {
         inner: EngineKind::DuckDbLike.build(),
         calls: AtomicU64::new(0),
+        stall_at: 0,
+        drops: true,
     });
     engine.register(table);
     let flaky = Driver::new(DriverConfig::from(&spec)).run_source(
@@ -446,6 +451,67 @@ fn failed_and_abandoned_attempts_reset_the_store() {
     assert!(
         delta.hits + delta.group_hits > 0,
         "reuse resumes: {delta:?}"
+    );
+}
+
+/// An abandoned attempt takes the session's store with it, but not what the
+/// store had counted: three ever looser filters are three misses, and the
+/// first is still in the report after the second query's first attempt
+/// stalled past the deadline and its store was replaced.
+#[test]
+fn abandoned_attempt_keeps_the_store_counters() {
+    let mut spec = spec(
+        3,
+        EngineKind::DuckDbLike,
+        SourceSpec::scripted(),
+        false,
+        true,
+    );
+    spec.workers = 1;
+    spec.resilience = Some(ResiliencePolicy {
+        deadline_ms: 100,
+        max_retries: 1,
+        ..ResiliencePolicy::default()
+    });
+    // Each filter is looser than the one before: none refines an earlier one.
+    let queries = ["calls > 3", "calls > 2", "calls > 1"]
+        .iter()
+        .enumerate()
+        .map(|(i, filter)| ScriptQuery {
+            vis: format!("v{i}"),
+            query: parse_select(&format!(
+                "SELECT queue, COUNT(*) FROM customer_service WHERE {filter} GROUP BY queue ORDER BY queue"
+            ))
+            .unwrap(),
+        })
+        .collect();
+    let script = SessionScript {
+        user: 0,
+        seed: spec.seed,
+        model: "three-filters",
+        steps: vec![ScriptStep {
+            action: "three filters".into(),
+            queries,
+        }],
+    };
+    let engine = Arc::new(FlakyDelta {
+        inner: EngineKind::DuckDbLike.build(),
+        calls: AtomicU64::new(0),
+        stall_at: 1,
+        drops: false,
+    });
+    engine.register(spec.build_table().unwrap());
+    let outcome = Driver::new(DriverConfig::from(&spec))
+        .run_source(engine, &ScriptedSource::new(vec![script]));
+
+    assert_eq!(outcome.report.errors, 0, "the stalled query was retried");
+    let res = outcome.report.resilience.expect("active policy reports");
+    assert_eq!((res.timeouts, res.retries), (1, 1), "{res:?}");
+    let delta = outcome.report.delta.expect("delta-on run reports");
+    assert_eq!(delta.resets, 1, "{delta:?}");
+    assert_eq!(
+        delta.misses, 3,
+        "the miss counted before the abandoned attempt survives it: {delta:?}"
     );
 }
 

@@ -5,25 +5,31 @@
 //! scratch (§2 of the paper). A [`SessionDelta`] store retains, per session,
 //! the surviving selection vector (and, for aggregations, the merged group
 //! states — typed per-slot states or materialized dense/hash group pairs)
-//! of recent queries, keyed by
-//! [`simba_sql::delta_key`] / [`simba_sql::states_key`].
-//! `execute_with_delta` then resolves each new query against the store:
+//! of recent queries, each under the [`NormalizedSelect`] of the query that
+//! produced it. `execute_with_delta` builds the new query's form once and
+//! resolves it against the stored forms — no stored entry is ever
+//! normalized again:
 //!
-//! 1. **Group-state reuse (tier 2):** an entry whose `states_key` matches
-//!    exactly re-finalizes the cached [`GroupStates`] without touching the
-//!    table at all — exact re-renders and ORDER BY / LIMIT variants of the
-//!    same aggregation hit this tier, including the multi-key hash
-//!    aggregations behind unfiltered dashboard charts.
-//! 2. **Exact selection reuse:** an entry whose `delta_key` matches carries
-//!    the precise surviving row set; the scan is seeded from it with filter
+//! 1. **Group-state reuse (tier 2):** an entry with the
+//!    [`same_states`](NormalizedSelect::same_states) re-finalizes the cached
+//!    [`GroupStates`] without touching the table at all — exact re-renders
+//!    and ORDER BY / LIMIT variants of the same aggregation hit this tier,
+//!    including the multi-key hash aggregations behind unfiltered dashboard
+//!    charts.
+//! 2. **Exact selection reuse:** an entry with the
+//!    [`same_selection`](NormalizedSelect::same_selection) carries the
+//!    precise surviving row set; the scan is seeded from it with filter
 //!    kernels skipped entirely.
-//! 3. **Refinement seeding (tier 1):** otherwise, the newest entry for which
-//!    [`simba_sql::is_refinement`] *proves* the new WHERE
-//!    implies the stored one seeds the scan: only the stored survivors are
-//!    candidates, re-filtered through the new query's kernels (zone maps
-//!    still prune whole morsels of the seed).
+//! 3. **Refinement seeding (tier 1):** otherwise, the newest entry the new
+//!    query provably [`refines`](NormalizedSelect::refines) — one implication
+//!    check over the two forms' stored WHERE domains — seeds the scan: only
+//!    the stored survivors are candidates, re-filtered through the new
+//!    query's kernels (zone maps still prune whole morsels of the seed).
 //! 4. **Miss:** a fresh capturing scan, whose selection/states are stored
 //!    for the steps that follow.
+//!
+//! The same form hands the planner its aggregate-slot layout, so the slots
+//! cached states are replayed into are the ones the matching form printed.
 //!
 //! # Invalidation contract
 //!
@@ -46,7 +52,7 @@ use crate::batch::{run_from_cache, run_morsels, DeltaScan, GroupStates};
 use crate::engines::execute_common;
 use crate::error::EngineError;
 use crate::exec::{Catalog, QueryOutput};
-use simba_sql::{delta_key, is_refinement, states_key, Select};
+use simba_sql::{NormalizedSelect, Select};
 use simba_store::Table;
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -54,14 +60,9 @@ use std::sync::Arc;
 /// Work retained from one executed query for reuse by later session steps.
 #[derive(Debug, Clone)]
 struct DeltaEntry {
-    /// [`delta_key`] of the producing query (table + normalized WHERE).
-    key: String,
-    /// [`states_key`] of the producing query — meaningful only when `states`
-    /// were captured.
-    states_key: String,
-    /// The producing query, kept so refinement checks can re-prove
-    /// implication against its WHERE clause.
-    query: Select,
+    /// Normal form of the producing query: selection and states identity,
+    /// and the WHERE domains refinement checks are proved against.
+    form: NormalizedSelect,
     /// Catalog generation observed when the entry was captured.
     generation: u64,
     /// The exact immutable table snapshot that was scanned; reuse against
@@ -125,6 +126,16 @@ impl SessionDelta {
         }
     }
 
+    /// An empty store that goes on counting from `stats`: the replacement
+    /// for a store lost with an abandoned attempt, whose earlier events
+    /// still happened.
+    pub fn continuing(stats: DeltaStoreStats) -> Self {
+        Self {
+            stats,
+            ..Self::default()
+        }
+    }
+
     /// Store-side event counters accumulated so far.
     pub fn stats(&self) -> DeltaStoreStats {
         self.stats
@@ -165,38 +176,38 @@ impl SessionDelta {
 
     /// Newest entry with cached group states for exactly this aggregation
     /// shape, plus the surviving-row count its states summarize.
-    fn states_for(&self, states_key: &str) -> Option<(&GroupStates, usize)> {
+    fn states_for(&self, form: &NormalizedSelect) -> Option<(&GroupStates, usize)> {
         self.entries
             .iter()
             .rev()
-            .filter(|e| e.states_key == states_key)
+            .filter(|e| e.form.same_states(form))
             .find_map(|e| e.states.as_ref().map(|s| (s, e.selection.len())))
     }
 
-    /// Best seed for `query`: an exact `delta_key` match (kernels skippable),
-    /// else the newest entry whose WHERE is provably implied by `query`'s.
-    /// Entries without a WHERE are never seeds — their selection is the
-    /// whole table, so seeding from them saves nothing over a fresh scan.
-    fn seed_for(&self, key: &str, query: &Select) -> Option<(Arc<Vec<u32>>, bool)> {
+    /// Best seed for the query `form` analyzes: an entry with the same
+    /// selection (kernels skippable), else the newest entry whose WHERE is
+    /// provably implied by the query's. Entries without a WHERE are never
+    /// seeds — their selection is the whole table, so seeding from them
+    /// saves nothing over a fresh scan.
+    fn seed_for(&self, form: &NormalizedSelect) -> Option<(Arc<Vec<u32>>, bool)> {
         let candidates = || {
             self.entries
                 .iter()
                 .rev()
-                .filter(|e| e.query.where_clause.is_some())
+                .filter(|e| !e.form.filter().is_absent())
         };
-        if let Some(e) = candidates().find(|e| e.key == key) {
+        if let Some(e) = candidates().find(|e| e.form.same_selection(form)) {
             return Some((Arc::clone(&e.selection), true));
         }
         candidates()
-            .find(|e| is_refinement(query, &e.query))
+            .find(|e| form.refines(&e.form))
             .map(|e| (Arc::clone(&e.selection), false))
     }
 
     /// Retain a freshly captured entry, replacing any previous entry with
-    /// the same (key, states_key) pair and evicting the oldest at capacity.
+    /// the same states identity and evicting the oldest at capacity.
     fn store(&mut self, entry: DeltaEntry) {
-        self.entries
-            .retain(|e| !(e.key == entry.key && e.states_key == entry.states_key));
+        self.entries.retain(|e| !e.form.same_states(&entry.form));
         while self.entries.len() >= self.capacity {
             self.entries.pop_front();
         }
@@ -219,20 +230,19 @@ pub(crate) fn execute_with_delta(
     // us, the stamp is merely older than the snapshot and the entry dies a
     // conservative death at the next generation check.
     let generation = catalog.generation();
-    let key = delta_key(query);
-    let skey = states_key(query);
+    let form = NormalizedSelect::from_select(query);
     let mut capture = None;
-    let output = execute_common(catalog, query, |plan| {
+    let output = execute_common(catalog, query, Some(form.aggregates()), |plan| {
         delta.invalidate_stale(generation, &plan.table);
         // Tier 2: identical aggregation shape — re-finalize cached states.
-        if let Some((states, matched)) = delta.states_for(&skey) {
+        if let Some((states, matched)) = delta.states_for(&form) {
             if let Some(replayed) = run_from_cache(plan, states, matched) {
                 return replayed;
             }
         }
         // Tier 1: seed the scan from a captured selection; else a fresh
         // capturing scan.
-        let seed = delta.seed_for(&key, query);
+        let seed = delta.seed_for(&form);
         let scan = match &seed {
             Some((seed, exact)) => DeltaScan::Seeded {
                 seed,
@@ -258,9 +268,7 @@ pub(crate) fn execute_with_delta(
             // capture is already stale and is simply not retained.
             if let Some(snapshot) = table {
                 delta.store(DeltaEntry {
-                    key,
-                    states_key: skey,
-                    query: query.clone(),
+                    form,
                     generation,
                     snapshot,
                     selection: Arc::new(cap.selection),

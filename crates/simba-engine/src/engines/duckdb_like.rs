@@ -65,7 +65,7 @@ impl Dbms for DuckDbLike {
     }
 
     fn execute(&self, query: &Select) -> Result<QueryOutput, EngineError> {
-        super::execute_common(&self.catalog, query, |plan| {
+        super::execute_common(&self.catalog, query, None, |plan| {
             let (rows, stats, _) = run_morsels(plan, self.scan_threads, DeltaScan::Off);
             (rows, stats)
         })

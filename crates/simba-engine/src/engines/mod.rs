@@ -12,8 +12,8 @@ pub mod sqlite_like;
 
 use crate::error::EngineError;
 use crate::exec::{finalize_rows, Catalog, ExecStats, QueryOutput};
-use crate::plan::{prepare, PreparedQuery};
-use simba_sql::Select;
+use crate::plan::{prepare, prepare_with, PreparedQuery};
+use simba_sql::{Expr, Select};
 use simba_store::{ResultSet, Value};
 use std::time::Instant;
 
@@ -21,11 +21,15 @@ use std::time::Instant;
 /// runner, finalize ordering/limit, and time the whole thing. Also the
 /// single point where every engine reports to the observability layer:
 /// an `engine.execute` span with `engine.plan`/`engine.finalize` phase
-/// children (runners emit their own interior phases), and the query's
-/// [`ExecStats`] promoted into the metrics registry.
+/// children (runners emit their own interior phases).
+///
+/// `agg_calls` is the query's aggregate-slot layout when the caller already
+/// holds it (the session-delta path, from its normal form); `None` derives
+/// it while planning.
 pub(crate) fn execute_common(
     catalog: &Catalog,
     query: &Select,
+    agg_calls: Option<&[(String, Expr)]>,
     runner: impl FnOnce(&PreparedQuery) -> (Vec<Vec<Value>>, ExecStats),
 ) -> Result<QueryOutput, EngineError> {
     let _span = simba_obs::trace::span("engine.execute", "engine");
@@ -36,26 +40,19 @@ pub(crate) fn execute_common(
         let table = catalog
             .get(&query.from)
             .ok_or_else(|| EngineError::UnknownTable(query.from.clone()))?;
-        prepare(query, table)?
+        match agg_calls {
+            Some(calls) => prepare_with(query, calls, table)?,
+            None => prepare(query, table)?,
+        }
     };
     let (rows, stats) = runner(&plan);
     let rows = {
         let _p = simba_obs::phase!("engine.finalize", "engine", "engine.phase.finalize");
         finalize_rows(rows, plan.n_output, &plan.order_dirs, plan.limit)
     };
-    promote_stats(&stats);
     Ok(QueryOutput {
         result: ResultSet::new(plan.output_names.clone(), rows),
         stats,
         elapsed: start.elapsed(),
     })
-}
-
-/// Promote per-query [`ExecStats`] into the global metrics registry.
-fn promote_stats(stats: &ExecStats) {
-    simba_obs::counter!("engine.queries").add(1);
-    simba_obs::counter!("engine.rows_scanned").add(stats.rows_scanned as u64);
-    simba_obs::counter!("engine.rows_matched").add(stats.rows_matched as u64);
-    simba_obs::counter!("engine.groups").add(stats.groups as u64);
-    simba_obs::counter!("engine.morsels_pruned").add(stats.morsels_pruned as u64);
 }

@@ -109,7 +109,7 @@ impl Dbms for PostgresLike {
     }
 
     fn execute(&self, query: &Select) -> Result<QueryOutput, EngineError> {
-        super::execute_common(&self.catalog, query, Self::run)
+        super::execute_common(&self.catalog, query, None, Self::run)
     }
 }
 

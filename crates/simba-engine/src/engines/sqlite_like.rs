@@ -38,7 +38,7 @@ impl Dbms for SqliteLike {
     }
 
     fn execute(&self, query: &Select) -> Result<QueryOutput, EngineError> {
-        super::execute_common(&self.catalog, query, run_row)
+        super::execute_common(&self.catalog, query, None, run_row)
     }
 }
 

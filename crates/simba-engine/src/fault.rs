@@ -30,6 +30,7 @@
 use crate::{Dbms, EngineError, QueryCtx, QueryOutput};
 use serde::{Deserialize, Serialize};
 use simba_sql::Select;
+use simba_store::mix::splitmix64;
 use simba_store::Table;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -96,15 +97,6 @@ pub struct FaultStats {
 pub struct InjectedPanic {
     /// The execution context the panic was injected at.
     pub ctx: QueryCtx,
-}
-
-/// SplitMix64: the tiny, high-quality mixer used across the workspace for
-/// seed derivation. Local copy — this crate must not depend on simba-core.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
 }
 
 /// A minimal deterministic generator over the splitmix64 stream. Enough
@@ -261,14 +253,12 @@ impl Dbms for FaultInjectingDbms {
         let (injected, spike) = self.decide(ctx);
         if spike {
             self.latency_spikes.fetch_add(1, Ordering::Relaxed);
-            simba_obs::counter!("fault.latency_spikes").add(1);
             std::thread::sleep(Duration::from_millis(self.config.latency_spike_ms));
         }
         match injected {
             Injected::None => self.inner.execute_at(query, ctx),
             Injected::Transient => {
                 self.transient_errors.fetch_add(1, Ordering::Relaxed);
-                simba_obs::counter!("fault.transient_errors").add(1);
                 Err(EngineError::Transient(format!(
                     "injected transient fault (session {} step {} query {} attempt {})",
                     ctx.session, ctx.step, ctx.query, ctx.attempt
@@ -276,7 +266,6 @@ impl Dbms for FaultInjectingDbms {
             }
             Injected::Permanent => {
                 self.permanent_errors.fetch_add(1, Ordering::Relaxed);
-                simba_obs::counter!("fault.permanent_errors").add(1);
                 Err(EngineError::Invalid(format!(
                     "injected permanent fault (session {} step {} query {})",
                     ctx.session, ctx.step, ctx.query
@@ -284,7 +273,6 @@ impl Dbms for FaultInjectingDbms {
             }
             Injected::Panic => {
                 self.panics.fetch_add(1, Ordering::Relaxed);
-                simba_obs::counter!("fault.panics").add(1);
                 std::panic::panic_any(InjectedPanic { ctx: *ctx });
             }
         }

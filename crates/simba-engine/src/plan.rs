@@ -60,6 +60,18 @@ impl PreparedQuery {
 
 /// Compile `query` against `table`.
 pub fn prepare(query: &Select, table: Arc<Table>) -> Result<PreparedQuery, EngineError> {
+    prepare_with(query, &aggregate_calls(query), table)
+}
+
+/// [`prepare`] for a caller that already analyzed `query`: `agg_calls` is its
+/// aggregate-slot layout ([`simba_sql::NormalizedSelect::aggregates`]), so
+/// the slots are allocated from the very list the caller's states key
+/// printed.
+pub(crate) fn prepare_with(
+    query: &Select,
+    agg_calls: &[(String, Expr)],
+    table: Arc<Table>,
+) -> Result<PreparedQuery, EngineError> {
     let schema = table.schema().clone();
     if !query.from.eq_ignore_ascii_case(&schema.table) {
         return Err(EngineError::UnknownTable(query.from.clone()));
@@ -91,9 +103,6 @@ pub fn prepare(query: &Select, table: Arc<Table>) -> Result<PreparedQuery, Engin
         .map(|h| substitute_aliases(h, &query.projections));
 
     if query.is_aggregate_query() {
-        // The distinct aggregate calls appearing anywhere, in slot order.
-        let agg_calls = aggregate_calls(query);
-
         // Compile group keys.
         let keys: Vec<CExpr> = query
             .group_by
@@ -108,7 +117,7 @@ pub fn prepare(query: &Select, table: Arc<Table>) -> Result<PreparedQuery, Engin
 
         // Compile aggregate argument specs.
         let mut aggs = Vec::with_capacity(agg_calls.len());
-        for (_, call) in &agg_calls {
+        for (_, call) in agg_calls {
             let Expr::Function {
                 func,
                 args,

@@ -9,9 +9,10 @@
 //!   monotonic-clock timestamps, a lock-striped global collector, and
 //!   Chrome `trace_event`-format JSON export so any run opens directly in
 //!   `about:tracing` or [Perfetto](https://ui.perfetto.dev).
-//! - [`metrics`] — a registry of named counters, gauges, and histograms
-//!   (backed by [`LatencyHistogram`]) with cheap atomic recording and a
-//!   serializable point-in-time [`MetricsSnapshot`].
+//! - [`metrics`] — a registry of named duration histograms (backed by
+//!   [`LatencyHistogram`]) with cheap recording and a serializable
+//!   point-in-time [`MetricsSnapshot`]. Counts are not kept here: each lives
+//!   in the typed report section of the layer that produces it.
 //!
 //! Both are **off by default** and cost two relaxed atomic loads per probe
 //! when disabled; roots can additionally be sampled (`1/N`) so tracing at
@@ -27,7 +28,5 @@ pub mod metrics;
 pub mod trace;
 
 pub use hist::LatencyHistogram;
-pub use metrics::{
-    CounterEntry, GaugeEntry, HistogramEntry, MetricsScope, MetricsSnapshot, RegistryCapture,
-};
+pub use metrics::{HistogramEntry, MetricsScope, MetricsSnapshot, RegistryCapture};
 pub use trace::{SpanGuard, TraceEvent};

@@ -1,12 +1,16 @@
-//! A process-global registry of named counters, gauges, and histograms.
+//! A process-global registry of named duration histograms.
 //!
-//! Naming convention: `layer.thing` for counters and gauges
-//! (`engine.rows_scanned`, `cache.hits`) and `layer.phase.step` for
-//! duration histograms (`engine.phase.scan`, `driver.phase.queue_delay`).
-//! Call sites cache their handle in a `OnceLock` (the [`counter!`](crate::counter),
-//! [`gauge!`](crate::gauge), and [`phase!`](crate::phase) macros do this), so the steady-state cost of
-//! a probe is one relaxed atomic load when metrics are disabled and one
-//! `fetch_add` (counters) or striped-mutex push (histograms) when enabled.
+//! The registry holds *where the time went* and nothing else: every count a
+//! run produces (queries, cache hits, retries, rows scanned, server
+//! requests) lives in the typed section of `RunReport` or
+//! `ServerStatsSnapshot` that owns it, next to the code that increments it.
+//!
+//! Naming convention: `layer.phase.step` (`engine.phase.scan`,
+//! `driver.phase.queue_delay`). Call sites cache their handle in a
+//! `OnceLock` (the [`phase!`](crate::phase) and
+//! [`histogram!`](crate::histogram) macros do this), so the steady-state cost
+//! of a probe is one relaxed atomic load when metrics are disabled and one
+//! striped-mutex push when enabled.
 //!
 //! Collection is scoped, not toggled: a [`MetricsScope`] guard enables
 //! recording while alive (reference-counted, so nested scopes compose),
@@ -20,7 +24,7 @@ use crate::hist::LatencyHistogram;
 use crate::trace::SpanGuard;
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// Histogram stripes: worker threads record into `stripes[tid % 8]` to
@@ -56,61 +60,9 @@ impl Drop for MetricsScope {
     }
 }
 
-struct Registry {
-    counters: Mutex<Vec<(String, Arc<AtomicU64>)>>,
-    gauges: Mutex<Vec<(String, Arc<AtomicU64>)>>,
-    hists: Mutex<Vec<(String, Histogram)>>,
-}
-
-fn registry() -> &'static Registry {
-    static R: OnceLock<Registry> = OnceLock::new();
-    R.get_or_init(|| Registry {
-        counters: Mutex::new(Vec::new()),
-        gauges: Mutex::new(Vec::new()),
-        hists: Mutex::new(Vec::new()),
-    })
-}
-
-/// A monotonically increasing counter handle.
-#[derive(Clone)]
-pub struct Counter {
-    cell: Arc<AtomicU64>,
-}
-
-impl Counter {
-    /// Add `n` (no-op while metrics are disabled).
-    #[inline]
-    pub fn add(&self, n: u64) {
-        if is_enabled() {
-            self.cell.fetch_add(n, Ordering::Relaxed);
-        }
-    }
-
-    /// Current cumulative value.
-    pub fn value(&self) -> u64 {
-        self.cell.load(Ordering::Relaxed)
-    }
-}
-
-/// A last-value-wins gauge handle.
-#[derive(Clone)]
-pub struct Gauge {
-    cell: Arc<AtomicU64>,
-}
-
-impl Gauge {
-    /// Set the current value (no-op while metrics are disabled).
-    #[inline]
-    pub fn set(&self, v: u64) {
-        if is_enabled() {
-            self.cell.store(v, Ordering::Relaxed);
-        }
-    }
-
-    /// Current value.
-    pub fn value(&self) -> u64 {
-        self.cell.load(Ordering::Relaxed)
-    }
+fn registry() -> &'static Mutex<Vec<(String, Histogram)>> {
+    static R: Mutex<Vec<(String, Histogram)>> = Mutex::new(Vec::new());
+    &R
 }
 
 /// A duration histogram handle backed by lock-striped [`LatencyHistogram`]s.
@@ -165,34 +117,9 @@ impl Histogram {
     }
 }
 
-/// Register-or-get the counter named `name`.
-pub fn counter(name: &str) -> Counter {
-    let mut v = registry()
-        .counters
-        .lock()
-        .expect("metrics registry poisoned");
-    if let Some((_, cell)) = v.iter().find(|(n, _)| n == name) {
-        return Counter { cell: cell.clone() };
-    }
-    let cell = Arc::new(AtomicU64::new(0));
-    v.push((name.to_string(), cell.clone()));
-    Counter { cell }
-}
-
-/// Register-or-get the gauge named `name`.
-pub fn gauge(name: &str) -> Gauge {
-    let mut v = registry().gauges.lock().expect("metrics registry poisoned");
-    if let Some((_, cell)) = v.iter().find(|(n, _)| n == name) {
-        return Gauge { cell: cell.clone() };
-    }
-    let cell = Arc::new(AtomicU64::new(0));
-    v.push((name.to_string(), cell.clone()));
-    Gauge { cell }
-}
-
 /// Register-or-get the histogram named `name`.
 pub fn histogram(name: &str) -> Histogram {
-    let mut v = registry().hists.lock().expect("metrics registry poisoned");
+    let mut v = registry().lock().expect("metrics registry poisoned");
     if let Some((_, h)) = v.iter().find(|(n, _)| n == name) {
         return h.clone();
     }
@@ -201,10 +128,9 @@ pub fn histogram(name: &str) -> Histogram {
     h
 }
 
-/// A point-in-time baseline of every registered metric, taken at run start
-/// so [`snapshot_since`] can report only what the run itself recorded.
+/// A point-in-time baseline of every registered histogram, taken at run
+/// start so [`snapshot_since`] can report only what the run itself recorded.
 pub struct RegistryCapture {
-    counters: Vec<(String, u64)>,
     hists: Vec<(String, LatencyHistogram)>,
 }
 
@@ -212,69 +138,24 @@ impl RegistryCapture {
     /// A baseline with nothing in it: `snapshot_since(&empty)` reports the
     /// registry's full cumulative state.
     pub fn empty() -> RegistryCapture {
-        RegistryCapture {
-            counters: Vec::new(),
-            hists: Vec::new(),
-        }
+        RegistryCapture { hists: Vec::new() }
     }
 }
 
-/// Capture the current value of every registered metric.
+/// Capture the current state of every registered histogram.
 pub fn capture() -> RegistryCapture {
-    let r = registry();
-    let counters = r
-        .counters
-        .lock()
-        .map(|v| {
-            v.iter()
-                .map(|(n, c)| (n.clone(), c.load(Ordering::Relaxed)))
-                .collect()
-        })
-        .unwrap_or_default();
-    let hists = r
-        .hists
+    let hists = registry()
         .lock()
         .map(|v| v.iter().map(|(n, h)| (n.clone(), h.merged())).collect())
         .unwrap_or_default();
-    RegistryCapture { counters, hists }
+    RegistryCapture { hists }
 }
 
-/// Snapshot everything recorded since `before` was captured: counters and
-/// histograms report the delta, gauges report their current value. Metrics
+/// Snapshot everything recorded since `before` was captured. Histograms
 /// that did not move are omitted; entries are sorted by name.
 pub fn snapshot_since(before: &RegistryCapture) -> MetricsSnapshot {
-    let r = registry();
-    let mut counters: Vec<CounterEntry> = Vec::new();
-    if let Ok(v) = r.counters.lock() {
-        for (name, cell) in v.iter() {
-            let prior = before
-                .counters
-                .iter()
-                .find(|(n, _)| n == name)
-                .map_or(0, |(_, v)| *v);
-            let delta = cell.load(Ordering::Relaxed).saturating_sub(prior);
-            if delta > 0 {
-                counters.push(CounterEntry {
-                    name: name.clone(),
-                    value: delta,
-                });
-            }
-        }
-    }
-    let mut gauges: Vec<GaugeEntry> = Vec::new();
-    if let Ok(v) = r.gauges.lock() {
-        for (name, cell) in v.iter() {
-            let value = cell.load(Ordering::Relaxed);
-            if value > 0 {
-                gauges.push(GaugeEntry {
-                    name: name.clone(),
-                    value,
-                });
-            }
-        }
-    }
     let mut histograms: Vec<HistogramEntry> = Vec::new();
-    if let Ok(v) = r.hists.lock() {
+    if let Ok(v) = registry().lock() {
         for (name, h) in v.iter() {
             let merged = h.merged();
             let scoped = match before.hists.iter().find(|(n, _)| n == name) {
@@ -286,37 +167,13 @@ pub fn snapshot_since(before: &RegistryCapture) -> MetricsSnapshot {
             }
         }
     }
-    counters.sort_by(|a, b| a.name.cmp(&b.name));
-    gauges.sort_by(|a, b| a.name.cmp(&b.name));
     histograms.sort_by(|a, b| a.name.cmp(&b.name));
-    MetricsSnapshot {
-        counters,
-        gauges,
-        histograms,
-    }
+    MetricsSnapshot { histograms }
 }
 
 /// The registry's full cumulative state.
 pub fn snapshot() -> MetricsSnapshot {
     snapshot_since(&RegistryCapture::empty())
-}
-
-/// One counter in a [`MetricsSnapshot`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct CounterEntry {
-    /// Metric name, e.g. `engine.rows_scanned`.
-    pub name: String,
-    /// Value accumulated within the snapshot window.
-    pub value: u64,
-}
-
-/// One gauge in a [`MetricsSnapshot`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct GaugeEntry {
-    /// Metric name, e.g. `cache.entries`.
-    pub name: String,
-    /// Value at snapshot time.
-    pub value: u64,
 }
 
 /// One duration histogram in a [`MetricsSnapshot`], summarized.
@@ -357,13 +214,9 @@ impl HistogramEntry {
 }
 
 /// A serializable point-in-time view of the registry, carried in
-/// `RunReport.metrics` (schema v3). Entry lists are sorted by name.
+/// `RunReport.metrics`. Entries are sorted by name.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct MetricsSnapshot {
-    /// Counters that moved within the window.
-    pub counters: Vec<CounterEntry>,
-    /// Gauges with a non-zero value.
-    pub gauges: Vec<GaugeEntry>,
     /// Histograms with at least one recording in the window.
     pub histograms: Vec<HistogramEntry>,
 }
@@ -371,7 +224,7 @@ pub struct MetricsSnapshot {
 impl MetricsSnapshot {
     /// True when nothing moved in the window.
     pub fn is_empty(&self) -> bool {
-        self.counters.is_empty() && self.gauges.is_empty() && self.histograms.is_empty()
+        self.histograms.is_empty()
     }
 }
 
@@ -424,20 +277,6 @@ macro_rules! phase {
     }};
 }
 
-/// A `&'static Counter` for `$name`, registered once per call site.
-///
-/// ```
-/// simba_obs::counter!("engine.rows_scanned").add(128);
-/// ```
-#[macro_export]
-macro_rules! counter {
-    ($name:expr) => {{
-        static __COUNTER: ::std::sync::OnceLock<$crate::metrics::Counter> =
-            ::std::sync::OnceLock::new();
-        __COUNTER.get_or_init(|| $crate::metrics::counter($name))
-    }};
-}
-
 /// A `&'static Histogram` for `$name`, registered once per call site —
 /// for recording durations that are already known (e.g. a computed queue
 /// delay) without opening a [`phase!`](crate::phase) guard.
@@ -447,16 +286,6 @@ macro_rules! histogram {
         static __HIST: ::std::sync::OnceLock<$crate::metrics::Histogram> =
             ::std::sync::OnceLock::new();
         __HIST.get_or_init(|| $crate::metrics::histogram($name))
-    }};
-}
-
-/// A `&'static Gauge` for `$name`, registered once per call site.
-#[macro_export]
-macro_rules! gauge {
-    ($name:expr) => {{
-        static __GAUGE: ::std::sync::OnceLock<$crate::metrics::Gauge> =
-            ::std::sync::OnceLock::new();
-        __GAUGE.get_or_init(|| $crate::metrics::gauge($name))
     }};
 }
 
@@ -476,72 +305,50 @@ mod tests {
     fn handles_are_shared_by_name() {
         let _g = lock();
         let _scope = MetricsScope::enter();
-        let a = counter("test.shared");
-        let b = counter("test.shared");
-        a.add(3);
-        b.add(4);
-        assert_eq!(a.value(), 7);
-        assert_eq!(b.value(), 7);
+        let a = histogram("test.shared");
+        let b = histogram("test.shared");
+        a.record_ns(3_000);
+        b.record_ns(4_000);
+        assert_eq!(a.merged().count(), 2);
+        assert_eq!(b.merged().count(), 2);
     }
 
     #[test]
     fn recording_is_gated_on_scopes() {
         let _g = lock();
-        let c = counter("test.gated");
         let h = histogram("test.gated_hist");
-        c.add(5);
         h.record_ns(1_000);
-        assert_eq!(c.value(), 0, "no scope alive: counter add is a no-op");
         assert!(h.merged().is_empty(), "no scope alive: record is a no-op");
         {
             let _outer = MetricsScope::enter();
             let _inner = MetricsScope::enter();
-            c.add(5);
-            drop(_inner);
-            c.add(2); // outer scope still holds recording open
             h.record_ns(1_000);
+            drop(_inner);
+            h.record_ns(1_000); // outer scope still holds recording open
         }
-        c.add(9);
-        assert_eq!(c.value(), 7);
-        assert_eq!(h.merged().count(), 1);
+        h.record_ns(1_000);
+        assert_eq!(h.merged().count(), 2);
     }
 
     #[test]
     fn snapshot_since_scopes_to_the_window() {
         let _g = lock();
         let _scope = MetricsScope::enter();
-        let c = counter("test.windowed");
         let h = histogram("test.windowed_hist");
-        let ga = gauge("test.windowed_gauge");
-        c.add(10);
         h.record_ns(50_000);
         let before = capture();
-        c.add(7);
         h.record_ns(2_000_000);
-        ga.set(42);
+        histogram("test.windowed_other").record_ns(1_000);
         let snap = snapshot_since(&before);
-        let counter_entry = snap
-            .counters
-            .iter()
-            .find(|e| e.name == "test.windowed")
-            .expect("windowed counter present");
-        assert_eq!(counter_entry.value, 7, "only the delta is reported");
         let hist_entry = snap
             .histograms
             .iter()
             .find(|e| e.name == "test.windowed_hist")
             .expect("windowed histogram present");
-        assert_eq!(hist_entry.count, 1);
+        assert_eq!(hist_entry.count, 1, "only the delta is reported");
         assert!(hist_entry.p50_us >= 1_800 && hist_entry.p50_us <= 2_100);
-        assert_eq!(
-            snap.gauges
-                .iter()
-                .find(|e| e.name == "test.windowed_gauge")
-                .map(|e| e.value),
-            Some(42)
-        );
         // Names are sorted for stable serialized output.
-        let names: Vec<&str> = snap.counters.iter().map(|e| e.name.as_str()).collect();
+        let names: Vec<&str> = snap.histograms.iter().map(|e| e.name.as_str()).collect();
         let mut sorted = names.clone();
         sorted.sort();
         assert_eq!(names, sorted);
@@ -569,14 +376,6 @@ mod tests {
     #[test]
     fn snapshot_serializes_round_trip() {
         let snap = MetricsSnapshot {
-            counters: vec![CounterEntry {
-                name: "cache.hits".into(),
-                value: 12,
-            }],
-            gauges: vec![GaugeEntry {
-                name: "cache.entries".into(),
-                value: 3,
-            }],
             histograms: vec![HistogramEntry {
                 name: "engine.phase.scan".into(),
                 count: 4,
@@ -592,11 +391,6 @@ mod tests {
         let back = MetricsSnapshot::from_content(&content).expect("round trip");
         assert_eq!(snap, back);
         assert!(!snap.is_empty());
-        assert!(MetricsSnapshot {
-            counters: vec![],
-            gauges: vec![],
-            histograms: vec![]
-        }
-        .is_empty());
+        assert!(MetricsSnapshot { histograms: vec![] }.is_empty());
     }
 }

@@ -12,6 +12,7 @@ use crate::proto::{
 };
 use simba_engine::{Dbms, EngineKind};
 use simba_sql::parse_select;
+use simba_store::mix::Fnv1a;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -108,7 +109,6 @@ impl ServerCore {
         self.stats
             .active_connections
             .fetch_add(1, Ordering::Relaxed);
-        simba_obs::counter!("server.connections").add(1);
     }
 
     /// Record a connection closing.
@@ -122,7 +122,6 @@ impl ServerCore {
     /// from well-framed requests the dispatcher rejects itself).
     pub fn note_protocol_error(&self) {
         self.stats.protocol_errors.fetch_add(1, Ordering::Relaxed);
-        simba_obs::counter!("server.protocol_errors").add(1);
     }
 
     /// Current counter totals.
@@ -173,7 +172,6 @@ impl ServerCore {
     /// Serve one decoded request.
     pub fn handle(&self, req: &Request) -> Response {
         self.stats.requests.fetch_add(1, Ordering::Relaxed);
-        simba_obs::counter!("server.requests").add(1);
         match req {
             Request::RegisterTable { engine, table } => {
                 let _span = simba_obs::trace::span("server.register", "server");
@@ -193,7 +191,6 @@ impl ServerCore {
                 let rows = rebuilt.row_count() as u64;
                 dbms.register(Arc::new(rebuilt));
                 self.stats.registers.fetch_add(1, Ordering::Relaxed);
-                simba_obs::counter!("server.registers").add(1);
                 Response::Registered { rows }
             }
             Request::Execute { engine, sql } => self.execute(engine, sql, None),
@@ -230,7 +227,6 @@ impl ServerCore {
             }
         };
         self.stats.executes.fetch_add(1, Ordering::Relaxed);
-        simba_obs::counter!("server.executes").add(1);
         let outcome = match ctx {
             Some(ctx) => dbms.execute_at(&query, ctx),
             None => dbms.execute(&query),
@@ -245,7 +241,6 @@ impl ServerCore {
             },
             Err(error) => {
                 self.stats.engine_errors.fetch_add(1, Ordering::Relaxed);
-                simba_obs::counter!("server.engine_errors").add(1);
                 Response::EngineFailure { error }
             }
         }
@@ -281,16 +276,10 @@ impl ServerCore {
 /// FNV-1a over the selector key, reduced to a shard index. Deterministic
 /// (no `RandomState`), so catalog placement is identical across runs.
 fn shard_index(key: &(String, usize)) -> usize {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in key.0.as_bytes() {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    for b in key.1.to_le_bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    (h % CATALOG_SHARDS as u64) as usize
+    let mut h = Fnv1a::new();
+    h.write(key.0.as_bytes());
+    h.write(&key.1.to_le_bytes());
+    (h.finish() % CATALOG_SHARDS as u64) as usize
 }
 
 /// One wire round-trip against a core, in process: encode the request,

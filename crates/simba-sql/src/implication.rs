@@ -5,17 +5,19 @@
 //! single-table fragment, to predicate implication: the goal query's rows are
 //! a subset of an observed query's rows when `goal.WHERE ⇒ observed.WHERE`.
 //!
-//! We compile a conjunctive predicate into per-expression [`Domain`]s
-//! (an interval plus allowed/excluded value sets) and check domain
-//! containment. Any construct we cannot reason about precisely (disjunctions
-//! across different expressions, arithmetic between columns, …) makes the
-//! compilation fail, and callers fall back to weaker checks — implication is
-//! therefore *sound*: a `true` answer is always correct.
+//! A [`Conjunction`] compiles its conjunctive predicate into per-expression
+//! [`Domain`]s (an interval plus allowed/excluded value sets) once, and
+//! implication is domain containment over two stored maps. Any construct we
+//! cannot reason about precisely (disjunctions across different expressions,
+//! arithmetic between columns, …) makes the compilation fail, and callers
+//! fall back to weaker checks — implication is therefore *sound*: a `true`
+//! answer is always correct.
 
 use crate::ast::{BinOp, Expr, Literal};
 use crate::normalize::normalize_expr;
 use crate::printer::print_expr;
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::OnceLock;
 
 /// An interval endpoint.
 #[derive(Debug, Clone, PartialEq)]
@@ -268,18 +270,101 @@ fn high_contained(inner: &Bound, outer: &Bound) -> bool {
 /// canonical printed form of the left-hand expression.
 pub type DomainMap = BTreeMap<String, Domain>;
 
-/// Compile a (normalized or raw) predicate into a [`DomainMap`].
+/// One predicate clause (a WHERE or a HAVING) in normal form: normalized
+/// once and split into conjuncts kept under their canonical prints (sorted,
+/// duplicates collapsed).
 ///
-/// Returns `None` if the predicate contains constructs outside the
-/// conjunctive-atom fragment (e.g. disjunctions over different expressions or
-/// comparisons between two non-literal expressions).
-pub fn compile_conjunction(pred: &Expr) -> Option<DomainMap> {
-    let normalized = normalize_expr(pred);
-    let mut map = DomainMap::new();
-    for conjunct in normalized.conjuncts() {
-        absorb_atom(conjunct, &mut map)?;
+/// Everything that asks what a clause *means* reads this: key printers take
+/// [`prints`](Self::prints), the equivalence suite compares and walks
+/// [`atoms`](Self::atoms), and [`implies`](Self::implies) checks the clause's
+/// [`DomainMap`] — none of them normalizes again. The domains are compiled
+/// from the stored conjuncts the first time an implication is asked of the
+/// clause and stay with it: a result-cache lookup, which only prints, never
+/// pays for them; a clause retained by a session-delta store or a goal
+/// checker is compiled once however often it is probed. `==` compares the
+/// print sets.
+#[derive(Debug, Clone)]
+pub struct Conjunction {
+    atoms: BTreeMap<String, Expr>,
+    domains: OnceLock<Option<DomainMap>>,
+}
+
+impl Conjunction {
+    /// Normalize a clause; `None` is the absent clause (always true: no
+    /// conjuncts, no constraints).
+    pub fn new(pred: Option<&Expr>) -> Self {
+        fn split(e: Expr, atoms: &mut BTreeMap<String, Expr>) {
+            match e {
+                Expr::Binary {
+                    left,
+                    op: BinOp::And,
+                    right,
+                } => {
+                    split(*left, atoms);
+                    split(*right, atoms);
+                }
+                atom => {
+                    atoms.insert(print_expr(&atom), atom);
+                }
+            }
+        }
+        let mut atoms = BTreeMap::new();
+        if let Some(pred) = pred {
+            split(normalize_expr(pred), &mut atoms);
+        }
+        Conjunction {
+            atoms,
+            domains: OnceLock::new(),
+        }
     }
-    Some(map)
+
+    /// True for the absent clause.
+    pub fn is_absent(&self) -> bool {
+        self.atoms.is_empty()
+    }
+
+    /// Canonical prints of the conjuncts, sorted.
+    pub fn prints(&self) -> impl Iterator<Item = &String> {
+        self.atoms.keys()
+    }
+
+    /// The normalized conjuncts under their canonical prints.
+    pub fn atoms(&self) -> &BTreeMap<String, Expr> {
+        &self.atoms
+    }
+
+    /// The clause as per-expression domains; `None` if it contains
+    /// constructs outside the conjunctive-atom fragment (e.g. disjunctions
+    /// over different expressions or comparisons between two non-literal
+    /// expressions).
+    fn domains(&self) -> Option<&DomainMap> {
+        let compile = || {
+            let mut map = DomainMap::new();
+            for atom in self.atoms.values() {
+                absorb_atom(atom, &mut map)?;
+            }
+            Some(map)
+        };
+        self.domains.get_or_init(compile).as_ref()
+    }
+
+    /// Does `self ⇒ other` hold — is every row this clause admits admitted
+    /// by `other` too? Sound: `true` is always correct; `false` may mean
+    /// "could not prove". Anything implies the absent clause; the absent
+    /// clause implies only clauses that constrain nothing.
+    pub fn implies(&self, other: &Conjunction) -> bool {
+        other.is_absent()
+            || match (self.domains(), other.domains()) {
+                (Some(p), Some(q)) => domains_imply(p, q),
+                _ => false,
+            }
+    }
+}
+
+impl PartialEq for Conjunction {
+    fn eq(&self, other: &Self) -> bool {
+        self.prints().eq(other.prints())
+    }
 }
 
 fn absorb_atom(atom: &Expr, map: &mut DomainMap) -> Option<()> {
@@ -405,13 +490,7 @@ fn collect_disjuncts<'a>(e: &'a Expr, out: &mut Vec<&'a Expr>) {
 /// Does `p ⇒ q` hold? Sound: `true` is always correct; `false` may mean
 /// "could not prove".
 pub fn implies(p: &Expr, q: &Expr) -> bool {
-    let Some(dp) = compile_conjunction(p) else {
-        return false;
-    };
-    let Some(dq) = compile_conjunction(q) else {
-        return false;
-    };
-    domains_imply(&dp, &dq)
+    option_implies(Some(p), Some(q))
 }
 
 /// Domain-level implication: every constraint in `q` must contain the
@@ -437,13 +516,7 @@ pub fn domains_imply(p: &DomainMap, q: &DomainMap) -> bool {
 
 /// Optional predicates: `None` means "no filter" (always true).
 pub fn option_implies(p: Option<&Expr>, q: Option<&Expr>) -> bool {
-    match (p, q) {
-        (_, None) => true,
-        (None, Some(q)) => {
-            compile_conjunction(q).is_some_and(|dq| dq.values().all(Domain::is_unconstrained))
-        }
-        (Some(p), Some(q)) => implies(p, q),
-    }
+    Conjunction::new(p).implies(&Conjunction::new(q))
 }
 
 #[cfg(test)]

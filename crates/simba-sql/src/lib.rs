@@ -9,12 +9,16 @@
 //! * [`parser`] — a recursive-descent parser ([`parse_select`], [`parse_expr`]).
 //! * [`printer`] — a canonical pretty-printer (every AST prints to a unique,
 //!   stable textual form, making *syntactic* equivalence meaningful).
-//! * [`normalize`] — semantic normal form used by the equivalence suite
-//!   (flattened conjuncts, folded constants, sorted commutative operands).
-//! * [`implication`] — sound-but-incomplete predicate implication, the basis
-//!   of query subsumption checks.
-//! * [`refine`] — refinement verdicts and delta keys for session-delta
-//!   execution (is the next query provably a subset of the previous one?).
+//! * [`normalize`] — [`NormalizedSelect`], the one analysis of a query
+//!   (flattened conjuncts, folded constants, sorted commutative operands,
+//!   aggregate-slot layout). A layer builds it once per query; the result
+//!   cache key, the session-delta keys, the refinement verdict and the sets
+//!   the equivalence suite compares are all read off it.
+//! * [`implication`] — sound-but-incomplete predicate implication over a
+//!   normalized clause ([`Conjunction`]), the basis of query subsumption and
+//!   refinement checks.
+//! * [`refine`] — the delta keys and the refinement verdict as functions of a
+//!   `Select`, for callers that hold no form.
 //! * [`similarity`] — whitespace-insensitive string similarity implementing
 //!   the paper's ">95% match" fallback rule (§4.1.2).
 //!
@@ -42,6 +46,7 @@ pub mod token;
 pub use ast::{BinOp, Expr, Func, Literal, OrderByExpr, Select, SelectItem, UnaryOp};
 pub use builder::SelectBuilder;
 pub use error::{ParseError, SqlError};
+pub use implication::Conjunction;
 pub use normalize::{aggregate_calls, query_cache_key, substitute_aliases, NormalizedSelect};
 pub use parser::{parse_expr, parse_select};
 pub use refine::{delta_key, is_refinement, states_key};

@@ -1,8 +1,10 @@
 //! Semantic normal form for queries and predicates.
 //!
 //! The equivalence suite (§4.1.2 of the paper) needs to decide whether two
-//! syntactically different queries *mean* the same thing. We normalize both
-//! sides and compare:
+//! syntactically different queries *mean* the same thing, and the result
+//! cache and the session-delta store ask the same question of every query
+//! they see. All of them read one [`NormalizedSelect`], built once per query
+//! by the layer that needs it. Normalization is:
 //!
 //! * identifiers lowercased,
 //! * constants folded (`1 + 1` → `2`),
@@ -17,137 +19,251 @@
 //! * conjunct and projection sets compared order-insensitively.
 
 use crate::ast::*;
+use crate::implication::Conjunction;
 use crate::printer::print_expr;
 use std::collections::BTreeSet;
 
-/// A `SELECT` statement reduced to its semantic content. Two queries with
-/// equal `NormalizedSelect`s are semantically equivalent (the converse does
-/// not hold — this is a sound, incomplete check).
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+/// The one analysis of a `SELECT`: every clause normalized exactly once,
+/// kept in the shapes its readers need.
+///
+/// * The equivalence suite compares it: `==` is semantic equivalence —
+///   projections and GROUP BY as alias-dropping, order-insensitive sets,
+///   WHERE / HAVING as conjunct sets, ORDER BY in order, LIMIT. Two queries
+///   with equal forms are semantically equivalent (the converse does not
+///   hold — this is a sound, incomplete check).
+/// * The result cache, the session-delta store and the planner key on it:
+///   [`result_key`](Self::result_key), [`selection_key`](Self::selection_key)
+///   and [`states_key`](Self::states_key) are printed from the same fields by
+///   one section printer, [`refines`](Self::refines) checks the stored WHERE
+///   domains, and [`aggregates`](Self::aggregates) is the slot layout the
+///   planner allocates from.
+///
+/// A layer builds the form once per query and passes it down; nothing beside
+/// it normalizes the query's SQL again.
+#[derive(Debug, Clone)]
 pub struct NormalizedSelect {
     /// Lowercased table name.
-    pub table: String,
-    /// Canonical printed forms of the normalized projection expressions,
-    /// order-insensitive, aliases dropped (aliases rename output columns but
-    /// do not change which data is retrieved).
-    pub projections: BTreeSet<String>,
-    /// Canonical printed forms of the normalized WHERE conjuncts.
-    pub conjuncts: BTreeSet<String>,
-    /// Canonical printed forms of the normalized GROUP BY expressions.
-    pub group_by: BTreeSet<String>,
-    /// Canonical printed forms of the normalized HAVING conjuncts.
-    pub having: BTreeSet<String>,
-    /// ORDER BY terms (order matters), canonical printed with direction.
-    pub order_by: Vec<String>,
-    pub limit: Option<u64>,
+    table: String,
+    /// Canonical prints of the normalized projections, in query order,
+    /// aliases dropped (aliases rename output columns but do not change
+    /// which data is retrieved).
+    projections: Vec<String>,
+    /// The ordered, aliased projection list as written (see `from_select`).
+    shape: String,
+    filter: Conjunction,
+    /// Canonical prints of the normalized GROUP BY expressions, in order.
+    group_by: Vec<String>,
+    having: Conjunction,
+    /// ORDER BY terms (order matters), canonical prints with direction.
+    order_by: Vec<String>,
+    limit: Option<u64>,
+    aggregates: Vec<(String, Expr)>,
+    is_aggregate: bool,
 }
 
 impl NormalizedSelect {
-    /// Normalize a parsed `SELECT`.
+    /// Analyze a parsed `SELECT`.
     pub fn from_select(q: &Select) -> Self {
-        let projections = q
-            .projections
-            .iter()
-            .map(|item| print_expr(&normalize_expr(&item.expr)))
-            .collect();
-        let conjuncts = match &q.where_clause {
-            Some(w) => normalized_conjuncts(w),
-            None => BTreeSet::new(),
+        let aggregates = aggregate_calls(q);
+        // An expression that is itself an aggregate call was already
+        // normalized and printed for the slot layout.
+        let print = |e: &Expr| match aggregates.iter().find(|(_, call)| call == e) {
+            Some((print, _)) => print.clone(),
+            None => print_expr(&normalize_expr(e)),
         };
-        let group_by = q
-            .group_by
-            .iter()
-            .map(|g| print_expr(&normalize_expr(g)))
-            .collect();
-        let having = match &q.having {
-            Some(h) => normalized_conjuncts(h),
-            None => BTreeSet::new(),
-        };
+        // Output shape: the *original* (unnormalized) print is what names an
+        // output column; identifier case folds away (all name consumers in
+        // this workspace compare case-insensitively) but string-literal case
+        // is data and must stay significant.
+        let mut shape = String::new();
+        for (i, item) in q.projections.iter().enumerate() {
+            if i > 0 {
+                shape.push('\u{1f}');
+            }
+            shape.push_str(&fold_case_outside_strings(&print_expr(&item.expr)));
+            if let Some(alias) = &item.alias {
+                shape.push('\u{1e}');
+                shape.push_str(&alias.to_ascii_lowercase());
+            }
+        }
         let order_by = q
             .order_by
             .iter()
             .map(|o| {
                 let dir = if o.asc { "ASC" } else { "DESC" };
-                format!("{} {dir}", print_expr(&normalize_expr(&o.expr)))
+                format!("{} {dir}", print(&o.expr))
             })
             .collect();
         NormalizedSelect {
             table: q.from.to_ascii_lowercase(),
-            projections,
-            conjuncts,
-            group_by,
-            having,
+            projections: q.projections.iter().map(|p| print(&p.expr)).collect(),
+            shape,
+            filter: Conjunction::new(q.where_clause.as_ref()),
+            group_by: q.group_by.iter().map(print).collect(),
+            having: Conjunction::new(q.having.as_ref()),
             order_by,
             limit: q.limit,
+            aggregates,
+            is_aggregate: q.is_aggregate_query(),
         }
     }
-}
 
-impl NormalizedSelect {
-    /// Render the normal form as one stable string. Note that this is the
-    /// *semantic* form: projections are an alias-dropping, order-insensitive
-    /// set, so it identifies queries retrieving the same data, not queries
-    /// producing identical result shapes — use [`query_cache_key`] for
-    /// result caching.
-    pub fn cache_key(&self) -> String {
-        let mut out = String::with_capacity(96);
-        let mut join = |section: &str, parts: &mut dyn Iterator<Item = &String>| {
-            out.push_str(section);
-            out.push('{');
-            let mut first = true;
-            for p in parts {
-                if !first {
-                    out.push('\u{1f}');
-                }
-                first = false;
-                out.push_str(p);
-            }
-            out.push('}');
-        };
-        join("t", &mut std::iter::once(&self.table));
-        join("p", &mut self.projections.iter());
-        join("w", &mut self.conjuncts.iter());
-        join("g", &mut self.group_by.iter());
-        join("h", &mut self.having.iter());
-        join("o", &mut self.order_by.iter());
-        match self.limit {
-            Some(l) => out.push_str(&format!("l{{{l}}}")),
-            None => out.push_str("l{}"),
-        }
+    /// Lowercased table name.
+    pub fn table(&self) -> &str {
+        &self.table
+    }
+
+    /// The projections as the set the equivalence suite compares.
+    pub fn projection_set(&self) -> BTreeSet<&str> {
+        as_set(&self.projections)
+    }
+
+    /// The WHERE clause.
+    pub fn filter(&self) -> &Conjunction {
+        &self.filter
+    }
+
+    /// The GROUP BY expressions as the set the equivalence suite compares.
+    pub fn group_set(&self) -> BTreeSet<&str> {
+        as_set(&self.group_by)
+    }
+
+    /// The HAVING clause (aliases not substituted).
+    pub fn having(&self) -> &Conjunction {
+        &self.having
+    }
+
+    pub fn limit(&self) -> Option<u64> {
+        self.limit
+    }
+
+    /// True if any projection or the HAVING clause aggregates, or the query
+    /// groups.
+    pub fn is_aggregate(&self) -> bool {
+        self.is_aggregate
+    }
+
+    /// The distinct aggregate calls, as `(normalized print, call)`, in the
+    /// order the planner allocates their slots (see [`aggregate_calls`]).
+    pub fn aggregates(&self) -> &[(String, Expr)] {
+        &self.aggregates
+    }
+
+    /// Equal up to ORDER BY, which affects presentation, not content.
+    pub fn same_rows(&self, other: &Self) -> bool {
+        self.table == other.table
+            && self.projection_set() == other.projection_set()
+            && self.filter == other.filter
+            && self.group_set() == other.group_set()
+            && self.having == other.having
+            && self.limit == other.limit
+    }
+
+    /// Cache key for the query's *results*: the semantic form plus the
+    /// output shape (the ordered, aliased projection list). Two queries
+    /// share a key iff a cached `ResultSet` for one can be returned verbatim
+    /// for the other — same rows in the same columns under the same names.
+    /// Spelling noise (case, whitespace, conjunct order, folded constants)
+    /// still collapses; projection reordering, duplication, or re-aliasing —
+    /// which change the result's column layout — does not.
+    pub fn result_key(&self) -> String {
+        let mut out = String::with_capacity(128);
+        push_section(&mut out, 't', [&self.table]);
+        push_section(&mut out, 'p', self.projection_set());
+        push_section(&mut out, 'w', self.filter.prints());
+        push_section(&mut out, 'g', self.group_set());
+        push_section(&mut out, 'h', self.having.prints());
+        push_section(&mut out, 'o', &self.order_by);
+        push_section(&mut out, 'l', self.limit.map(|l| l.to_string()));
+        push_section(&mut out, 's', [&self.shape]);
         out
     }
+
+    /// Key identifying "same table, same WHERE" executions: two queries with
+    /// equal selection keys filter the same rows, so a selection vector
+    /// captured for one seeds the other without re-evaluating kernels.
+    pub fn selection_key(&self) -> String {
+        let mut out = String::with_capacity(64);
+        push_section(&mut out, 't', [&self.table]);
+        push_section(&mut out, 'w', self.filter.prints());
+        out
+    }
+
+    /// [`selection_key`](Self::selection_key) equality, without printing.
+    pub fn same_selection(&self, other: &Self) -> bool {
+        self.table == other.table && self.filter == other.filter
+    }
+
+    /// Key identifying executions whose per-group aggregate states are
+    /// interchangeable: the selection key plus the *ordered* projection
+    /// list, GROUP BY, and the aggregate-slot layout. A hidden
+    /// `ORDER BY SUM(v)` or a reordered HAVING changes the layout, so it
+    /// changes the key. ORDER BY over projected columns / aliases and LIMIT
+    /// are deliberately excluded — they reorder and truncate the emitted
+    /// rows after aggregation, and HAVING is re-evaluated over the replayed
+    /// groups, so cached group states satisfy any such variant of the same
+    /// aggregation.
+    pub fn states_key(&self) -> String {
+        let mut out = self.selection_key();
+        push_section(&mut out, 'p', &self.projections);
+        push_section(&mut out, 'g', &self.group_by);
+        push_section(&mut out, 'a', self.slot_prints());
+        out
+    }
+
+    /// [`states_key`](Self::states_key) equality, without printing.
+    pub fn same_states(&self, other: &Self) -> bool {
+        self.same_selection(other)
+            && self.projections == other.projections
+            && self.group_by == other.group_by
+            && self.slot_prints().eq(other.slot_prints())
+    }
+
+    fn slot_prints(&self) -> impl Iterator<Item = &String> {
+        self.aggregates.iter().map(|(print, _)| print)
+    }
+
+    /// Is this query provably a refinement of `prev` — same table, and every
+    /// row satisfying this WHERE also satisfies `prev`'s? Sound: `true` is
+    /// always correct; `false` may mean "could not prove". A refinement's
+    /// result rows are a subset of the earlier query's surviving rows, so a
+    /// scan for it may be seeded from `prev`'s captured selection and
+    /// re-filtered with its own kernels.
+    pub fn refines(&self, prev: &Self) -> bool {
+        self.table == prev.table && self.filter.implies(&prev.filter)
+    }
 }
 
-/// Cache key for a query's *results*: the semantic normal form plus the
-/// output shape (the ordered, aliased projection list). Two queries share a
-/// key iff a cached `ResultSet` for one can be returned
-/// verbatim for the other — same rows in the same columns under the same
-/// names. Spelling noise (case, whitespace, conjunct order, folded
-/// constants) still collapses; projection reordering, duplication, or
-/// re-aliasing — which change the result's column layout — does not.
-///
-/// This is the key the driver's sharded result cache uses, so equivalent
-/// queries issued by different users share one cached result.
-pub fn query_cache_key(q: &Select) -> String {
-    let mut out = NormalizedSelect::from_select(q).cache_key();
-    // Output shape: projection expressions in query order with aliases. The
-    // *original* (unnormalized) print is used because it is what names the
-    // output column; identifier case folds away (all name consumers in this
-    // workspace compare case-insensitively) but string-literal case is data
-    // and must stay significant.
-    out.push_str("s{");
-    for (i, item) in q.projections.iter().enumerate() {
+impl PartialEq for NormalizedSelect {
+    fn eq(&self, other: &Self) -> bool {
+        self.same_rows(other) && self.order_by == other.order_by
+    }
+}
+
+impl Eq for NormalizedSelect {}
+
+fn as_set(prints: &[String]) -> BTreeSet<&str> {
+    prints.iter().map(String::as_str).collect()
+}
+
+/// The one section printer every key is written with: `tag{a␟b␟…}`.
+fn push_section<S: AsRef<str>>(out: &mut String, tag: char, parts: impl IntoIterator<Item = S>) {
+    out.push(tag);
+    out.push('{');
+    for (i, part) in parts.into_iter().enumerate() {
         if i > 0 {
             out.push('\u{1f}');
         }
-        out.push_str(&fold_case_outside_strings(&print_expr(&item.expr)));
-        if let Some(alias) = &item.alias {
-            out.push('\u{1e}');
-            out.push_str(&alias.to_ascii_lowercase());
-        }
+        out.push_str(part.as_ref());
     }
     out.push('}');
-    out
+}
+
+/// [`NormalizedSelect::result_key`] of a query — the key the driver's
+/// sharded result cache uses, so equivalent queries issued by different
+/// users share one cached result.
+pub fn query_cache_key(q: &Select) -> String {
+    NormalizedSelect::from_select(q).result_key()
 }
 
 /// Lowercase everything except the interiors of single-quoted SQL string
@@ -166,16 +282,6 @@ fn fold_case_outside_strings(s: &str) -> String {
                 c.to_ascii_lowercase()
             }
         })
-        .collect()
-}
-
-/// Normalize a predicate into its canonical conjunct set.
-pub fn normalized_conjuncts(pred: &Expr) -> BTreeSet<String> {
-    let normalized = normalize_expr(pred);
-    normalized
-        .conjuncts()
-        .iter()
-        .map(|c| print_expr(c))
         .collect()
 }
 
@@ -199,7 +305,7 @@ pub fn substitute_aliases(e: &Expr, projections: &[SelectItem]) -> Expr {
 /// the order the planner allocates their slots: projections, then HAVING,
 /// then ORDER BY (aliases substituted), each walked left to right. The one
 /// definition of a query's aggregate-slot layout — the planner compiles it
-/// and [`states_key`](crate::states_key) prints it, so the two cannot
+/// and [`NormalizedSelect::states_key`] prints it, so the two cannot
 /// disagree.
 pub fn aggregate_calls(q: &Select) -> Vec<(String, Expr)> {
     let mut out = Vec::new();

@@ -8,7 +8,10 @@
 //! can seed its scan from the earlier step's surviving row set instead of
 //! rescanning the table.
 //!
-//! This module derives the keys and verdicts that decision needs:
+//! The keys and the verdict that decision needs are read off the query's
+//! [`NormalizedSelect`] — an engine builds the form once per query and asks
+//! it; the functions here are the same answers for a caller that holds only
+//! the `Select`:
 //!
 //! * [`delta_key`] — identifies "same table, same WHERE" executions whose
 //!   surviving row sets are interchangeable.
@@ -26,85 +29,21 @@
 //!   returns stale rows, while a wrong `false` merely rescans.
 
 use crate::ast::Select;
-use crate::implication::option_implies;
-use crate::normalize::{aggregate_calls, normalize_expr};
-use crate::printer::print_expr;
+use crate::normalize::NormalizedSelect;
 
-/// Key identifying "same table, same WHERE" executions: the lowercased table
-/// name plus the sorted, normalized WHERE conjuncts, section-delimited like
-/// [`NormalizedSelect::cache_key`](crate::NormalizedSelect::cache_key).
-/// Two queries with equal delta keys filter the same rows, so a selection
-/// vector captured for one seeds the other without re-evaluating kernels.
+/// [`NormalizedSelect::selection_key`] of `q`.
 pub fn delta_key(q: &Select) -> String {
-    let mut out = String::with_capacity(64);
-    push_section(&mut out, 't', std::iter::once(q.from.to_ascii_lowercase()));
-    push_section(&mut out, 'w', normalized_where(q));
-    out
+    NormalizedSelect::from_select(q).selection_key()
 }
 
-/// Key identifying executions whose per-group aggregate states are
-/// interchangeable: [`delta_key`] plus the *ordered* normalized projection
-/// list, GROUP BY, and the aggregate-slot layout — every distinct aggregate
-/// call in the order [`aggregate_calls`] (and therefore the planner)
-/// allocates it: projections, then HAVING, then ORDER BY. A hidden
-/// `ORDER BY SUM(v)` or a reordered HAVING changes the layout, so it changes
-/// the key. ORDER BY over projected columns / aliases and LIMIT are
-/// deliberately excluded — they reorder and truncate the emitted rows after
-/// aggregation, and HAVING is re-evaluated over the replayed groups, so
-/// cached group states satisfy any such variant of the same aggregation.
+/// [`NormalizedSelect::states_key`] of `q`.
 pub fn states_key(q: &Select) -> String {
-    let mut out = delta_key(q);
-    push_section(
-        &mut out,
-        'p',
-        q.projections
-            .iter()
-            .map(|item| print_expr(&normalize_expr(&item.expr))),
-    );
-    push_section(
-        &mut out,
-        'g',
-        q.group_by.iter().map(|g| print_expr(&normalize_expr(g))),
-    );
-    push_section(
-        &mut out,
-        'a',
-        aggregate_calls(q).into_iter().map(|(print, _)| print),
-    );
-    out
+    NormalizedSelect::from_select(q).states_key()
 }
 
-/// Is `next` provably a refinement of `prev` — same table, and every row
-/// satisfying `next`'s WHERE also satisfies `prev`'s WHERE? Sound: `true`
-/// is always correct; `false` may mean "could not prove". A refinement's
-/// result rows are a subset of the earlier query's surviving rows, so a
-/// scan for `next` may be seeded from `prev`'s captured selection and
-/// re-filtered with `next`'s own kernels.
+/// [`NormalizedSelect::refines`] over the two queries' forms.
 pub fn is_refinement(next: &Select, prev: &Select) -> bool {
-    next.from.eq_ignore_ascii_case(&prev.from)
-        && option_implies(next.where_clause.as_ref(), prev.where_clause.as_ref())
-}
-
-fn normalized_where(q: &Select) -> impl Iterator<Item = String> {
-    let conjuncts: Vec<String> = match &q.where_clause {
-        Some(w) => crate::normalize::normalized_conjuncts(w)
-            .into_iter()
-            .collect(),
-        None => Vec::new(),
-    };
-    conjuncts.into_iter()
-}
-
-fn push_section(out: &mut String, tag: char, parts: impl Iterator<Item = String>) {
-    out.push(tag);
-    out.push('{');
-    for (i, p) in parts.enumerate() {
-        if i > 0 {
-            out.push('\u{1f}');
-        }
-        out.push_str(&p);
-    }
-    out.push('}');
+    NormalizedSelect::from_select(next).refines(&NormalizedSelect::from_select(prev))
 }
 
 #[cfg(test)]

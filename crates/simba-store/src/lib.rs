@@ -15,11 +15,14 @@
 //!   skip row ranges a comparison predicate cannot match.
 //! * [`append`] — chunk-append assembly for morsel-parallel dataset
 //!   generation (bulk column append, dictionary remap, eager zone maps).
+//! * [`mix`] — the one SplitMix64 seed mixer and the one FNV-1a hasher every
+//!   crate derives seeds and digests with.
 
 #![warn(missing_docs)]
 
 pub mod append;
 pub mod column;
+pub mod mix;
 pub mod result;
 pub mod schema;
 pub mod table;
