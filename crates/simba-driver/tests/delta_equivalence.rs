@@ -112,17 +112,134 @@ fn shape_storm(seed: u64, sessions: usize, steps: usize) -> Vec<SessionScript> {
         .collect()
 }
 
-/// Run `spec` — through its own source, or with `storm` over the
-/// hand-written [`shape_storm`] scripts in place of it.
-fn run(spec: &ScenarioSpec, storm: bool) -> DriverOutcome {
-    if !storm {
-        return Driver::execute(spec).unwrap();
+/// Refinement chains over the filter shapes the engine's filter compiler
+/// folds per column: per step one numeric column and seven WHEREs, each the
+/// one before plus a conjunct — a range, a tighter bound
+/// inside it, a hole cut out of it, three `[NOT] IN`s narrowing `queue`, and
+/// last a bound that contradicts the first. On even steps the range and the
+/// hole are spelled with comparisons, which `simba-sql` proves refinements
+/// of: with delta on every query after the first is a seeded scan
+/// re-applying the combined kernels to the previous survivors — the last
+/// one over a filter no row can pass, which must still answer a global
+/// aggregate with its one row. On odd steps they are spelled `[NOT]
+/// BETWEEN`; the prover does not read `NOT BETWEEN`, so from the hole on
+/// every query is a capturing scan. Chart shapes rotate: global aggregates,
+/// GROUP BY, projection + LIMIT (table order).
+fn range_storm(seed: u64, sessions: usize, steps: usize) -> Vec<SessionScript> {
+    // (column, low, width, literal suffix): Int and Float columns, Int and
+    // Float bounds on each.
+    const COLUMNS: [(&str, u64, u64, &str); 4] = [
+        ("hour", 0, 24, ""),
+        ("satisfaction", 1, 5, ".0"),
+        ("handle_time", 30, 600, ".5"),
+        ("wait_time", 0, 120, ""),
+    ];
+    (0..sessions)
+        .map(|user| {
+            let session_seed = seed ^ splitmix(user as u64 + 1);
+            let steps = (0..steps)
+                .map(|step| {
+                    let mut draw = splitmix(session_seed ^ step as u64);
+                    let mut next = |n: u64| {
+                        draw = splitmix(draw);
+                        draw % n
+                    };
+                    let (col, low, width, suffix) = COLUMNS[next(COLUMNS.len() as u64) as usize];
+                    let a = low + next(width / 2);
+                    let b = a + 1 + next(width / 2);
+                    let inner = a + next(b - a);
+                    let hole = inner + next(b - inner);
+                    let (range, hole) = if step % 2 == 0 {
+                        (
+                            format!("{col} >= {a}{suffix} AND {col} <= {b}{suffix}"),
+                            format!("{col} <> {hole}"),
+                        )
+                    } else {
+                        (
+                            format!("{col} BETWEEN {a}{suffix} AND {b}{suffix}"),
+                            format!("{col} NOT BETWEEN {hole}{suffix} AND {hole}"),
+                        )
+                    };
+                    let conjuncts = [
+                        range,
+                        format!("{col} >= {inner}"),
+                        hole,
+                        "queue IN ('A', 'B', 'C')".to_string(),
+                        "queue NOT IN ('B')".to_string(),
+                        "queue IN ('A', 'D')".to_string(),
+                        format!("{col} < {a}"),
+                    ];
+                    let queries = (1..=conjuncts.len())
+                        .map(|n| {
+                            let filter = conjuncts[..n].join(" AND ");
+                            let sql = match (step + n) % 3 {
+                                0 => format!(
+                                    "SELECT COUNT(*) AS n, SUM(calls), MIN({col}) \
+                                     FROM customer_service WHERE {filter}"
+                                ),
+                                1 => format!(
+                                    "SELECT queue, COUNT(*) AS n, MAX({col}) FROM customer_service \
+                                     WHERE {filter} GROUP BY queue ORDER BY queue"
+                                ),
+                                _ => format!(
+                                    "SELECT queue, {col}, calls FROM customer_service \
+                                     WHERE {filter} LIMIT 25"
+                                ),
+                            };
+                            ScriptQuery {
+                                vis: format!("range{n}"),
+                                query: parse_select(&sql).unwrap(),
+                            }
+                        })
+                        .collect();
+                    ScriptStep {
+                        action: format!("range storm {step}"),
+                        queries,
+                    }
+                })
+                .collect();
+            SessionScript {
+                user,
+                seed: session_seed,
+                model: "range-storm",
+                steps,
+            }
+        })
+        .collect()
+}
+
+/// Which queries a run issues: the spec's own source, or one of the
+/// hand-written storms in place of it.
+#[derive(Debug, Clone, Copy)]
+enum Storm {
+    Source,
+    Shapes,
+    Ranges,
+}
+
+impl From<bool> for Storm {
+    fn from(shape_storm: bool) -> Storm {
+        if shape_storm {
+            Storm::Shapes
+        } else {
+            Storm::Source
+        }
     }
+}
+
+/// Run `spec` — through its own source, or with `storm` over the
+/// hand-written [`shape_storm`] / [`range_storm`] scripts in place of it.
+fn run(spec: &ScenarioSpec, storm: Storm) -> DriverOutcome {
+    let storm = match storm {
+        Storm::Source => return Driver::execute(spec).unwrap(),
+        Storm::Shapes => shape_storm,
+        Storm::Ranges => range_storm,
+    };
     let engine = EngineKind::from_name(spec.engine.kind_name())
         .unwrap()
         .build();
     engine.register(spec.build_table().unwrap());
-    let scripts = shape_storm(spec.seed, spec.sessions, spec.steps_per_session);
+    let scripts = storm(spec.seed, spec.sessions, spec.steps_per_session);
     Driver::new(DriverConfig::from(spec)).run_source(engine, &ScriptedSource::new(scripts))
 }
 
@@ -131,9 +248,10 @@ fn run(spec: &ScenarioSpec, storm: bool) -> DriverOutcome {
 /// when delta was requested.
 fn assert_delta_invisible(
     off_spec: &ScenarioSpec,
-    storm: bool,
+    storm: impl Into<Storm>,
     label: &str,
 ) -> simba_driver::report::DeltaReport {
+    let storm = storm.into();
     let mut on_spec = off_spec.clone();
     on_spec.delta = true;
 
@@ -198,6 +316,50 @@ proptest! {
             &format!("{} seed={seed} source={source_ix} cache={cache}", kind.name()),
         );
     }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 8, ..ProptestConfig::default() })]
+
+    /// The range storm on any engine, cache on or off, over a table three
+    /// morsels long: seeded scans over combined range kernels, `[NOT] IN`
+    /// masks and contradictory filters are invisible too.
+    #[test]
+    fn delta_on_matches_delta_off_on_range_storms(
+        seed in 0u64..1_000,
+        engine_ix in 0usize..4,
+        cache in any::<bool>(),
+    ) {
+        let kind = EngineKind::ALL[engine_ix];
+        let mut off_spec = spec(seed, kind, SourceSpec::scripted(), cache, false);
+        off_spec.rows = 5_000;
+        assert_delta_invisible(
+            &off_spec,
+            Storm::Ranges,
+            &format!("{} seed={seed} range storm cache={cache}", kind.name()),
+        );
+    }
+}
+
+/// The range storm reaches what it is for on the columnar engine: its
+/// chains are proved refinements, so most queries are seeded scans — and
+/// the contradictory tail of each chain is among them.
+#[test]
+fn range_storm_seeds_scans_on_duckdb_like() {
+    let mut off_spec = spec(
+        9,
+        EngineKind::DuckDbLike,
+        SourceSpec::scripted(),
+        false,
+        false,
+    );
+    off_spec.rows = 5_000;
+    let report = assert_delta_invisible(&off_spec, Storm::Ranges, "range storm duckdb-like");
+    // 2 sessions x 4 steps x 7 queries. A comparison chain's head misses
+    // and the six refinements after it seed; a BETWEEN chain seeds once,
+    // then misses from its NOT BETWEEN on.
+    assert_eq!(report.misses, 2 * (2 + 2 * 6), "{report:?}");
+    assert_eq!(report.hits, 2 * (2 * 6 + 2), "{report:?}");
 }
 
 /// The delta path actually fires where refinements exist: an adaptive walk

@@ -3,12 +3,12 @@
 //!
 //! The row-at-a-time interpreter ([`crate::exec::run_row`]) pays an enum
 //! dispatch and a `Value` allocation per row per expression. The batch path
-//! instead evaluates each filter conjunct over a contiguous column slice
-//! with a tight typed loop, refining a [`SelectionVector`] of surviving row
-//! indices, and feeds aggregates from raw `i64`/`f64` slices into dense
-//! group-indexed states — no `Value` boxing on the hot path. Semantics are
-//! pinned to the row path: the equivalence suite requires byte-identical
-//! results from both.
+//! instead evaluates each compiled filter kernel over a contiguous column
+//! slice with a tight typed loop, refining a [`SelectionVector`] of
+//! surviving row indices, and feeds aggregates from raw `i64`/`f64` slices
+//! into dense group-indexed states — no `Value` boxing on the hot path.
+//! Semantics are pinned to the row path: the equivalence suite requires
+//! byte-identical results from both.
 
 use crate::agg::{Accumulator, AggSpec};
 use crate::eval::{eval, eval_predicate, CExpr, TableRow};
@@ -16,8 +16,8 @@ use crate::exec::{
     compile_kernels, emit_finalized_groups, new_group, update_group, ExecStats, Kernel,
 };
 use crate::plan::{PreparedQuery, QueryKind};
-use simba_sql::{BinOp, Func};
-use simba_store::zonemap::{morsel_bounds, morsel_count, Zone, ZoneMaps, MORSEL_ROWS};
+use simba_sql::Func;
+use simba_store::zonemap::{float_key, morsel_bounds, morsel_count, ZoneMaps, MORSEL_ROWS};
 use simba_store::{ColumnData, Table, Value};
 use std::cmp::Ordering;
 use std::collections::HashMap;
@@ -98,23 +98,26 @@ impl Kernel {
     /// [`Kernel::matches`] per row (the equivalence suite enforces this),
     /// but without per-row column lookup or `Value` boxing.
     pub fn filter_batch(&self, table: &Table, sel: &mut SelectionVector) {
+        if self.never_matches() {
+            return sel.clear();
+        }
         match self {
-            Kernel::IntCmp { col, op, rhs } => {
-                let c = table.column(*col);
-                match c.int_data() {
-                    Some(data) => filter_int(data, c.validity(), *op, *rhs, sel),
-                    // Type mismatch: the row path rejects every row.
-                    None => sel.clear(),
-                }
-            }
-            Kernel::FloatCmp { col, op, rhs } => {
+            Kernel::Range {
+                col,
+                lo,
+                hi,
+                negated,
+            } => {
                 let c = table.column(*col);
                 let valid = c.validity();
-                if let Some(data) = c.float_data() {
-                    filter_float(|i| data[i], valid, *op, *rhs, sel);
-                } else if let Some(data) = c.int_data() {
-                    filter_float(|i| data[i] as f64, valid, *op, *rhs, sel);
+                let (lo, hi, negated) = (*lo, *hi, *negated);
+                let keep = |key: i64| (lo <= key && key <= hi) != negated;
+                if let Some(data) = c.int_data() {
+                    filter_keys(|i| data[i], valid, keep, sel);
+                } else if let Some(data) = c.float_data() {
+                    filter_keys(|i| float_key(data[i]), valid, keep, sel);
                 } else {
+                    // Type mismatch: the row path rejects every row.
                     sel.clear();
                 }
             }
@@ -143,114 +146,55 @@ impl Kernel {
         }
     }
 
-    /// Can this kernel rule out every row of morsel `m` from its zone alone?
-    /// `true` means the whole morsel can be skipped without reading data.
+    /// Can this kernel rule out every row of morsel `m` without reading it —
+    /// from the morsel's zone, or because the kernel
+    /// [never matches](Kernel::never_matches) at all?
     pub fn prunes_morsel(&self, zones: &ZoneMaps, m: usize) -> bool {
+        if self.never_matches() {
+            return true;
+        }
         match self {
-            Kernel::IntCmp { col, op, rhs } => match zones.column(*col).map(|z| z.zone(m)) {
-                Some(Zone::AllNull) => true,
-                Some(Zone::Int { min, max }) => int_zone_excludes(min, max, *op, *rhs),
-                _ => false,
-            },
-            Kernel::FloatCmp { col, op, rhs } => match zones.column(*col).map(|z| z.zone(m)) {
-                Some(Zone::AllNull) => true,
-                Some(Zone::Float { min, max }) => float_zone_excludes(min, max, *op, *rhs),
-                // A float comparison over an Int column: only prune when the
-                // bounds convert to f64 exactly, else rounding could move a
-                // bound past the true extremum and drop matching rows.
-                Some(Zone::Int { min, max }) => {
-                    const EXACT: i64 = 1 << 53;
-                    min.abs() <= EXACT
-                        && max.abs() <= EXACT
-                        && float_zone_excludes(min as f64, max as f64, *op, *rhs)
+            Kernel::Range {
+                col,
+                lo,
+                hi,
+                negated,
+            } => {
+                let Some(zones) = zones.column(*col) else {
+                    return false;
+                };
+                match zones.zone(m).key_range() {
+                    // Every row NULL: no comparison can match.
+                    None => true,
+                    Some((min, max)) if *negated => *lo <= min && max <= *hi,
+                    Some((min, max)) => max < *lo || *hi < min,
                 }
-                None => false,
-            },
+            }
             // Dictionary and generic filters carry no zone statistics.
             Kernel::DictIn { .. } | Kernel::Generic(_) => false,
         }
     }
 
-    /// True when zone maps can ever prune for this kernel (used to decide
-    /// whether building/consulting them is worthwhile).
+    /// True when [`prunes_morsel`](Self::prunes_morsel) can ever say yes for
+    /// this kernel (used to decide whether the prune pre-pass is worthwhile).
     pub fn is_zone_prunable(&self) -> bool {
-        matches!(self, Kernel::IntCmp { .. } | Kernel::FloatCmp { .. })
+        matches!(self, Kernel::Range { .. }) || self.never_matches()
     }
 }
 
-fn filter_int(data: &[i64], valid: &[bool], op: BinOp, rhs: i64, sel: &mut SelectionVector) {
-    macro_rules! cmp {
-        ($keep:expr) => {{
-            if valid.is_empty() {
-                compact!(sel, |i: usize| $keep(data[i]));
-            } else {
-                compact!(sel, |i: usize| valid[i] && $keep(data[i]));
-            }
-        }};
-    }
-    match op {
-        BinOp::Eq => cmp!(|v: i64| v == rhs),
-        BinOp::NotEq => cmp!(|v: i64| v != rhs),
-        BinOp::Lt => cmp!(|v: i64| v < rhs),
-        BinOp::LtEq => cmp!(|v: i64| v <= rhs),
-        BinOp::Gt => cmp!(|v: i64| v > rhs),
-        BinOp::GtEq => cmp!(|v: i64| v >= rhs),
-        op => unreachable!("non-comparison BinOp {op:?} in IntCmp kernel"),
-    }
-}
-
-fn filter_float(
-    get: impl Fn(usize) -> f64,
+/// Keep the selected rows that are valid and whose ordered key passes
+/// `keep`. `key` reads a row's key off the raw slice; one instance per
+/// column type, so the loop stays monomorphic and branch-light.
+fn filter_keys(
+    key: impl Fn(usize) -> i64,
     valid: &[bool],
-    op: BinOp,
-    rhs: f64,
+    keep: impl Fn(i64) -> bool,
     sel: &mut SelectionVector,
 ) {
-    // `total_cmp`, matching the row path (`Kernel::matches`) bit-for-bit.
-    macro_rules! cmp {
-        ($keep:expr) => {{
-            if valid.is_empty() {
-                compact!(sel, |i: usize| $keep(get(i).total_cmp(&rhs)));
-            } else {
-                compact!(sel, |i: usize| valid[i] && $keep(get(i).total_cmp(&rhs)));
-            }
-        }};
-    }
-    match op {
-        BinOp::Eq => cmp!(|o: Ordering| o == Ordering::Equal),
-        BinOp::NotEq => cmp!(|o: Ordering| o != Ordering::Equal),
-        BinOp::Lt => cmp!(|o: Ordering| o == Ordering::Less),
-        BinOp::LtEq => cmp!(|o: Ordering| o != Ordering::Greater),
-        BinOp::Gt => cmp!(|o: Ordering| o == Ordering::Greater),
-        BinOp::GtEq => cmp!(|o: Ordering| o != Ordering::Less),
-        op => unreachable!("non-comparison BinOp {op:?} in FloatCmp kernel"),
-    }
-}
-
-fn int_zone_excludes(min: i64, max: i64, op: BinOp, rhs: i64) -> bool {
-    match op {
-        BinOp::Eq => rhs < min || rhs > max,
-        BinOp::NotEq => min == max && min == rhs,
-        BinOp::Lt => min >= rhs,
-        BinOp::LtEq => min > rhs,
-        BinOp::Gt => max <= rhs,
-        BinOp::GtEq => max < rhs,
-        _ => false,
-    }
-}
-
-fn float_zone_excludes(min: f64, max: f64, op: BinOp, rhs: f64) -> bool {
-    // Bounds were computed under total_cmp, so comparisons here use it too.
-    let lo = min.total_cmp(&rhs);
-    let hi = max.total_cmp(&rhs);
-    match op {
-        BinOp::Eq => lo == Ordering::Greater || hi == Ordering::Less,
-        BinOp::NotEq => lo == Ordering::Equal && hi == Ordering::Equal,
-        BinOp::Lt => lo != Ordering::Less,
-        BinOp::LtEq => lo == Ordering::Greater,
-        BinOp::Gt => hi != Ordering::Greater,
-        BinOp::GtEq => hi == Ordering::Less,
-        _ => false,
+    if valid.is_empty() {
+        compact!(sel, |i: usize| keep(key(i)));
+    } else {
+        compact!(sel, |i: usize| valid[i] && keep(key(i)));
     }
 }
 
@@ -1443,28 +1387,40 @@ mod tests {
     use super::*;
     use crate::eval::CExpr;
     use crate::test_support::sample_table;
-    use simba_sql::parse_select;
+    use simba_sql::{parse_select, BinOp};
     use std::sync::Arc;
 
     fn table() -> Table {
         sample_table()
     }
 
+    /// The compiled kernels of `SELECT * FROM cs WHERE <filter>`.
+    fn kernels(t: &Table, filter: &str) -> Vec<Kernel> {
+        let q = parse_select(&format!("SELECT calls FROM cs WHERE {filter}")).unwrap();
+        let filter = crate::plan::compile_row_expr(&q.where_clause.unwrap(), t.schema()).unwrap();
+        compile_kernels(&filter, t)
+    }
+
     #[test]
-    fn int_filter_batch_matches_row_kernel() {
+    fn range_filter_batch_matches_row_kernel() {
         let t = table();
-        let k = Kernel::IntCmp {
-            col: 1,
-            op: BinOp::Gt,
-            rhs: 2,
-        };
-        let mut sel = SelectionVector::with_capacity(8);
-        sel.fill_range(0, t.row_count());
-        k.filter_batch(&t, &mut sel);
-        let expect: Vec<u32> = (0..t.row_count() as u32)
-            .filter(|&i| k.matches(&t, i as usize))
-            .collect();
-        assert_eq!(sel.as_slice(), expect.as_slice());
+        for filter in [
+            "calls > 2",
+            "calls <> 3",
+            "calls BETWEEN 2 AND 5.5",
+            "duration NOT BETWEEN 1 AND 20",
+            "duration <= 30.0",
+        ] {
+            let ks = kernels(&t, filter);
+            assert!(matches!(ks[..], [Kernel::Range { .. }]), "{filter}");
+            let mut sel = SelectionVector::with_capacity(8);
+            sel.fill_range(0, t.row_count());
+            ks[0].filter_batch(&t, &mut sel);
+            let expect: Vec<u32> = (0..t.row_count() as u32)
+                .filter(|&i| ks[0].matches(&t, i as usize))
+                .collect();
+            assert_eq!(sel.as_slice(), expect.as_slice(), "{filter}");
+        }
     }
 
     #[test]
@@ -1510,18 +1466,39 @@ mod tests {
         let t = table();
         let zones = t.zone_maps();
         // calls ∈ [1, 7]; `calls > 100` prunes the only morsel.
-        let k = Kernel::IntCmp {
-            col: 1,
-            op: BinOp::Gt,
-            rhs: 100,
-        };
-        assert!(k.prunes_morsel(zones, 0));
-        let k = Kernel::IntCmp {
-            col: 1,
-            op: BinOp::Gt,
-            rhs: 3,
-        };
-        assert!(!k.prunes_morsel(zones, 0));
+        assert!(kernels(&t, "calls > 100")[0].prunes_morsel(zones, 0));
+        assert!(!kernels(&t, "calls > 3")[0].prunes_morsel(zones, 0));
+        // A hole covering the whole zone prunes; one inside it does not.
+        assert!(kernels(&t, "calls NOT BETWEEN 0 AND 7")[0].prunes_morsel(zones, 0));
+        assert!(!kernels(&t, "calls NOT BETWEEN 2 AND 7")[0].prunes_morsel(zones, 0));
+    }
+
+    #[test]
+    fn contradictory_filter_reads_no_row() {
+        let t = Arc::new(table());
+        for filter in [
+            "calls BETWEEN 1 AND 3 AND calls BETWEEN 5 AND 7",
+            "queue IN ('A') AND calls > 0 AND queue IN ('B')",
+            "duration BETWEEN 9 AND 1",
+        ] {
+            let ks = kernels(&t, filter);
+            assert!(
+                matches!(&ks[..], [k] if k.never_matches()),
+                "one kernel stands for `{filter}`"
+            );
+            let q = parse_select(&format!(
+                "SELECT COUNT(*), MAX(calls) FROM cs WHERE {filter}"
+            ))
+            .unwrap();
+            let plan = crate::plan::prepare(&q, t.clone()).unwrap();
+            let (rows, stats, _) = run_morsels(&plan, 1, DeltaScan::Off);
+            assert_eq!(rows, vec![vec![Value::Int(0), Value::Null]], "{filter}");
+            assert_eq!(
+                (stats.rows_scanned, stats.morsels_pruned),
+                (0, 1),
+                "{filter}"
+            );
+        }
     }
 
     #[test]

@@ -48,7 +48,8 @@ impl MonetDbLike {
         };
 
         // Selection phase: one fully materialized candidate vector per
-        // conjunct (BAT-style) — each conjunct is one whole-vector kernel.
+        // kernel (BAT-style) — each column's folded filter is one
+        // whole-vector pass.
         let kernels = plan.filter.as_ref().map(|f| compile_kernels(f, table));
         let mut sel = SelectionVector::with_capacity(n);
         fill_filtered(&mut sel, table, 0, n, kernels.as_deref());

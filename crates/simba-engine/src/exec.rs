@@ -10,6 +10,7 @@ use crate::error::EngineError;
 use crate::eval::{eval, eval_predicate, CExpr, RowSlice, TableRow, ValueSet};
 use crate::plan::{prepare, PreparedQuery, QueryKind};
 use simba_sql::{BinOp, Select};
+use simba_store::zonemap::float_key;
 use simba_store::{ColumnData, ResultSet, Table, Value};
 use std::cmp::Ordering;
 use std::collections::BTreeMap;
@@ -76,12 +77,21 @@ pub fn cexpr_conjuncts(e: &CExpr) -> Vec<&CExpr> {
 /// equivalent to whole-predicate three-valued filtering because a row passes
 /// a conjunction iff every conjunct evaluates to TRUE.
 pub enum Kernel {
-    /// `col <op> constant` over an Int column.
-    IntCmp { col: usize, op: BinOp, rhs: i64 },
-    /// `col <op> constant` over Int/Float columns with a float constant.
-    FloatCmp { col: usize, op: BinOp, rhs: f64 },
+    /// A non-NULL value of an Int or Float column inside (`negated`:
+    /// outside) the closed interval `[lo, hi]` of ordered keys: the value
+    /// itself for an Int column, [`float_key`] of it for a Float column —
+    /// `sql_cmp`'s order on both. Every `col <op> number` and
+    /// `col [NOT] BETWEEN number AND number` compiles to one; `lo > hi` is
+    /// the empty interval.
+    Range {
+        col: usize,
+        lo: i64,
+        hi: i64,
+        negated: bool,
+    },
     /// `col [NOT] IN (set)` over a dictionary-encoded string column,
-    /// pre-resolved to a mask over dictionary codes.
+    /// pre-resolved to a mask over dictionary codes. A mask that admits no
+    /// code is stored empty.
     DictIn { col: usize, mask: Vec<bool> },
     /// Anything else: evaluated through the shared interpreter.
     Generic(CExpr),
@@ -92,27 +102,22 @@ impl Kernel {
     #[inline]
     pub fn matches(&self, table: &Table, row: usize) -> bool {
         match self {
-            Kernel::IntCmp { col, op, rhs } => {
+            Kernel::Range {
+                col,
+                lo,
+                hi,
+                negated,
+            } => {
                 let c = table.column(*col);
                 if c.is_null(row) {
                     return false;
                 }
-                match c {
-                    ColumnData::Int { data, .. } => cmp_ok(data[row].cmp(rhs), *op),
-                    _ => false,
-                }
-            }
-            Kernel::FloatCmp { col, op, rhs } => {
-                let c = table.column(*col);
-                if c.is_null(row) {
-                    return false;
-                }
-                let v = match c {
-                    ColumnData::Int { data, .. } => data[row] as f64,
-                    ColumnData::Float { data, .. } => data[row],
+                let key = match c {
+                    ColumnData::Int { data, .. } => data[row],
+                    ColumnData::Float { data, .. } => float_key(data[row]),
                     _ => return false,
                 };
-                cmp_ok(v.total_cmp(rhs), *op)
+                (*lo <= key && key <= *hi) != *negated
             }
             Kernel::DictIn { col, mask } => {
                 let c = table.column(*col);
@@ -124,75 +129,211 @@ impl Kernel {
             Kernel::Generic(expr) => eval_predicate(expr, &TableRow { table, row }) == Some(true),
         }
     }
-}
 
-#[inline]
-fn cmp_ok(ord: Ordering, op: BinOp) -> bool {
-    match op {
-        BinOp::Eq => ord == Ordering::Equal,
-        BinOp::NotEq => ord != Ordering::Equal,
-        BinOp::Lt => ord == Ordering::Less,
-        BinOp::LtEq => ord != Ordering::Greater,
-        BinOp::Gt => ord == Ordering::Greater,
-        BinOp::GtEq => ord != Ordering::Less,
-        // Kernels are only built for comparison operators; anything else
-        // here is a planner bug and must not masquerade as an empty result.
-        op => unreachable!("non-comparison BinOp {op:?} in comparison kernel"),
+    /// True when no row of any table can pass: an empty interval or a mask
+    /// that admits no code. A filter holding such a kernel is contradictory.
+    pub fn never_matches(&self) -> bool {
+        match self {
+            Kernel::Range {
+                lo, hi, negated, ..
+            } => !negated && lo > hi,
+            Kernel::DictIn { mask, .. } => mask.is_empty(),
+            Kernel::Generic(_) => false,
+        }
     }
 }
 
-/// Compile a filter into per-conjunct kernels for the given table, choosing
-/// typed fast paths where the shapes allow.
+/// Compile a filter for the given table: every conjunct to a kernel (typed
+/// where its shape allows), then the kernels of one column folded into one —
+/// interval ∩ interval, mask ∧ mask, anything else kept beside them — so a
+/// scan runs at most one typed kernel per column. A folded kernel that
+/// [never matches](Kernel::never_matches) makes the filter contradictory,
+/// and it is returned alone: the prune pre-pass then skips every morsel and
+/// no row is read. Kernels run in WHERE order (of their first conjunct).
 pub fn compile_kernels(filter: &CExpr, table: &Table) -> Vec<Kernel> {
-    cexpr_conjuncts(filter)
-        .into_iter()
-        .map(|c| specialize(c, table))
-        .collect()
+    let mut kernels: Vec<Kernel> = Vec::new();
+    for conjunct in cexpr_conjuncts(filter) {
+        let kernel =
+            specialize(conjunct, table).unwrap_or_else(|| Kernel::Generic(conjunct.clone()));
+        if !kernels.iter_mut().any(|k| k.absorb(&kernel)) {
+            kernels.push(kernel);
+        }
+    }
+    if let Some(i) = kernels.iter().position(Kernel::never_matches) {
+        return vec![kernels.swap_remove(i)];
+    }
+    kernels
 }
 
-fn specialize(e: &CExpr, table: &Table) -> Kernel {
-    match e {
-        CExpr::Bin { l, op, r } if op.is_comparison() => {
-            if let (Some(col), CExpr::Lit(lit)) = (l.as_col(), r.as_ref()) {
-                let column = table.column(col);
-                match (column, lit) {
-                    (ColumnData::Int { .. }, Value::Int(v)) => {
-                        return Kernel::IntCmp {
-                            col,
-                            op: *op,
-                            rhs: *v,
-                        };
-                    }
-                    (ColumnData::Int { .. } | ColumnData::Float { .. }, _) => {
-                        if let Some(f) = lit.as_f64() {
-                            return Kernel::FloatCmp {
-                                col,
-                                op: *op,
-                                rhs: f,
-                            };
-                        }
-                    }
-                    (ColumnData::Str { .. }, Value::Str(_)) if *op == BinOp::Eq => {
-                        return dict_in_kernel(col, column, std::slice::from_ref(lit), false);
-                    }
-                    _ => {}
-                }
+impl Kernel {
+    /// Tighten `self` to `self AND other` when both are the same typed
+    /// kind on one column; `false` (and no change) otherwise. Negated
+    /// intervals have a hole in the middle and stay separate.
+    fn absorb(&mut self, other: &Kernel) -> bool {
+        match (self, other) {
+            (
+                Kernel::Range {
+                    col,
+                    lo,
+                    hi,
+                    negated: false,
+                },
+                Kernel::Range {
+                    col: other_col,
+                    lo: other_lo,
+                    hi: other_hi,
+                    negated: false,
+                },
+            ) if col == other_col => {
+                *lo = (*lo).max(*other_lo);
+                *hi = (*hi).min(*other_hi);
+                true
             }
-            Kernel::Generic(e.clone())
+            (
+                Kernel::DictIn { col, mask },
+                Kernel::DictIn {
+                    col: other_col,
+                    mask: other_mask,
+                },
+            ) if col == other_col => {
+                // Both masks span the column's dictionary unless one is
+                // already the empty "admits nothing" form.
+                if other_mask.is_empty() {
+                    mask.clear();
+                }
+                for (m, o) in mask.iter_mut().zip(other_mask) {
+                    *m &= *o;
+                }
+                if !mask.contains(&true) {
+                    mask.clear();
+                }
+                true
+            }
+            _ => false,
         }
+    }
+}
+
+/// The typed kernel for one conjunct, or `None` for a shape outside the
+/// typed set.
+fn specialize(e: &CExpr, table: &Table) -> Option<Kernel> {
+    match e {
+        CExpr::Bin { l, op, r } if op.is_comparison() => match (l.as_col(), r.as_ref()) {
+            (Some(col), CExpr::Lit(lit)) => compare_kernel(col, table.column(col), *op, lit),
+            _ => None,
+        },
+        CExpr::Between {
+            e: inner,
+            low,
+            high,
+            negated,
+        } => match (inner.as_col(), low.as_ref(), high.as_ref()) {
+            (Some(col), CExpr::Lit(low), CExpr::Lit(high)) => {
+                let column = table.column(col);
+                let (low, high) = (Cut::of(column, low)?, Cut::of(column, high)?);
+                Some(range_kernel(col, low.ge, high.gt - 1, *negated))
+            }
+            _ => None,
+        },
         CExpr::In {
             e: inner,
             set,
             negated,
-        } => {
-            if let Some(col) = inner.as_col() {
-                if let ColumnData::Str { .. } = table.column(col) {
-                    return dict_in_kernel(col, table.column(col), set.values(), *negated);
-                }
+        } => inner
+            .as_col()
+            .filter(|&col| matches!(table.column(col), ColumnData::Str { .. }))
+            .map(|col| dict_in_kernel(col, table.column(col), set.values(), *negated)),
+        _ => None,
+    }
+}
+
+/// `col <op> lit` as a typed kernel, when the column and literal allow one.
+fn compare_kernel(col: usize, column: &ColumnData, op: BinOp, lit: &Value) -> Option<Kernel> {
+    if let (ColumnData::Str { .. }, Value::Str(_), BinOp::Eq) = (column, lit, op) {
+        return Some(dict_in_kernel(
+            col,
+            column,
+            std::slice::from_ref(lit),
+            false,
+        ));
+    }
+    let cut = Cut::of(column, lit)?;
+    let (min, max) = (i128::from(i64::MIN), i128::from(i64::MAX));
+    let (lo, hi) = match op {
+        BinOp::Eq | BinOp::NotEq => (cut.ge, cut.gt - 1),
+        BinOp::Lt => (min, cut.ge - 1),
+        BinOp::LtEq => (min, cut.gt - 1),
+        BinOp::Gt => (cut.gt, max),
+        BinOp::GtEq => (cut.ge, max),
+        _ => return None,
+    };
+    Some(range_kernel(col, lo, hi, op == BinOp::NotEq))
+}
+
+/// Where a numeric literal falls among a column's ordered keys: the first
+/// key that compares `>=` to it and the first that compares `>`, under
+/// `sql_cmp` (for equality `sql_eq`, which agrees on numbers). Either is one
+/// past `i64::MAX` when no key does, hence `i128`.
+struct Cut {
+    ge: i128,
+    gt: i128,
+}
+
+impl Cut {
+    /// `None` unless the column is Int or Float and the literal a number —
+    /// other pairs are outside the typed set.
+    fn of(column: &ColumnData, lit: &Value) -> Option<Cut> {
+        match (column, lit) {
+            (ColumnData::Int { .. }, Value::Int(v)) => Some(Cut {
+                ge: i128::from(*v),
+                gt: i128::from(*v) + 1,
+            }),
+            // A mixed pair compares as `(v as f64).total_cmp(f)`. The
+            // conversion rounds but never reorders, so each outcome holds on
+            // an upper set of `v` whose start a bisection finds exactly —
+            // past 2^53 too, where many `v` share one `f64`.
+            (ColumnData::Int { .. }, Value::Float(f)) => Some(Cut {
+                ge: first_int(|v| (v as f64).total_cmp(f) != Ordering::Less),
+                gt: first_int(|v| (v as f64).total_cmp(f) == Ordering::Greater),
+            }),
+            (ColumnData::Float { .. }, Value::Int(_) | Value::Float(_)) => {
+                let key = i128::from(float_key(lit.as_f64()?));
+                Some(Cut {
+                    ge: key,
+                    gt: key + 1,
+                })
             }
-            Kernel::Generic(e.clone())
+            _ => None,
         }
-        _ => Kernel::Generic(e.clone()),
+    }
+}
+
+/// The first `i64` for which a monotone (false… then true…) predicate
+/// holds, or `i64::MAX + 1` when it never does.
+fn first_int(holds: impl Fn(i64) -> bool) -> i128 {
+    let (mut lo, mut hi) = (i128::from(i64::MIN), i128::from(i64::MAX) + 1);
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        if holds(mid as i64) {
+            hi = mid;
+        } else {
+            lo = mid + 1;
+        }
+    }
+    lo
+}
+
+fn range_kernel(col: usize, lo: i128, hi: i128, negated: bool) -> Kernel {
+    // A bound one past either end of `i64` only arises in an empty interval.
+    let (lo, hi) = match (i64::try_from(lo), i64::try_from(hi)) {
+        (Ok(lo), Ok(hi)) => (lo, hi),
+        _ => (i64::MAX, i64::MIN),
+    };
+    Kernel::Range {
+        col,
+        lo,
+        hi,
+        negated,
     }
 }
 
@@ -200,10 +341,13 @@ fn dict_in_kernel(col: usize, column: &ColumnData, values: &[Value], negated: bo
     // simba: allow(panic-hygiene): kernel selection only routes dictionary-encoded string columns here; a bare column is a planner bug
     let dict = column.dictionary().expect("string column has a dictionary");
     let set: ValueSet = ValueSet::new(values.to_vec());
-    let mask: Vec<bool> = dict
+    let mut mask: Vec<bool> = dict
         .iter()
         .map(|s| set.contains(&Value::Str(s.clone())) != negated)
         .collect();
+    if !mask.contains(&true) {
+        mask.clear();
+    }
     Kernel::DictIn { col, mask }
 }
 
@@ -467,18 +611,201 @@ mod tests {
         b.finish()
     }
 
+    fn lit(l: CExpr, op: BinOp, v: Value) -> CExpr {
+        CExpr::Bin {
+            l: Box::new(l),
+            op,
+            r: Box::new(CExpr::Lit(v)),
+        }
+    }
+
+    fn between(col: usize, low: Value, high: Value, negated: bool) -> CExpr {
+        CExpr::Between {
+            e: Box::new(CExpr::Col(col)),
+            low: Box::new(CExpr::Lit(low)),
+            high: Box::new(CExpr::Lit(high)),
+            negated,
+        }
+    }
+
+    fn and(l: CExpr, r: CExpr) -> CExpr {
+        CExpr::Bin {
+            l: Box::new(l),
+            op: BinOp::And,
+            r: Box::new(r),
+        }
+    }
+
+    /// Rows of `t` the compiled filter keeps, beside the interpreter's.
+    fn kept(filter: &CExpr, t: &Table) -> (Vec<usize>, Vec<usize>) {
+        let kernels = compile_kernels(filter, t);
+        let rows = 0..t.row_count();
+        (
+            rows.clone()
+                .filter(|&r| kernels.iter().all(|k| k.matches(t, r)))
+                .collect(),
+            rows.filter(|&r| eval_predicate(filter, &TableRow { table: t, row: r }) == Some(true))
+                .collect(),
+        )
+    }
+
     #[test]
-    fn int_cmp_kernel_matches_typed_rows() {
+    fn comparison_compiles_to_a_range_over_typed_rows() {
         let t = table();
-        let k = Kernel::IntCmp {
-            col: 1,
-            op: BinOp::Gt,
-            rhs: 2,
-        };
+        let filter = lit(CExpr::Col(1), BinOp::Gt, Value::Int(2));
+        let kernels = compile_kernels(&filter, &t);
+        assert!(matches!(
+            kernels[..],
+            [Kernel::Range {
+                col: 1,
+                lo: 3,
+                hi: i64::MAX,
+                negated: false
+            }]
+        ));
+        let k = &kernels[0];
         assert!(!k.matches(&t, 0));
         assert!(k.matches(&t, 1));
         assert!(k.matches(&t, 2));
         assert!(!k.matches(&t, 3), "NULL never matches");
+    }
+
+    #[test]
+    fn between_compiles_to_a_range_on_int_and_float_columns() {
+        let t = table();
+        for (filter, want) in [
+            (
+                between(1, Value::Int(1), Value::Float(5.5), false),
+                vec![0, 1],
+            ),
+            (between(1, Value::Float(1.5), Value::Int(9), true), vec![0]),
+            (
+                between(2, Value::Int(1), Value::Float(2.5), false),
+                vec![1, 2],
+            ),
+            (
+                between(2, Value::Float(2.5), Value::Float(0.5), false),
+                vec![],
+            ),
+            (
+                between(2, Value::Float(2.5), Value::Float(0.5), true),
+                vec![0, 1, 2],
+            ),
+        ] {
+            let kernels = compile_kernels(&filter, &t);
+            assert!(matches!(kernels[..], [Kernel::Range { .. }]), "{filter:?}");
+            let (typed, interpreted) = kept(&filter, &t);
+            assert_eq!(typed, want, "{filter:?}");
+            assert_eq!(typed, interpreted, "{filter:?}");
+        }
+    }
+
+    #[test]
+    fn float_bounds_on_an_int_column_cut_exactly_past_2_pow_53() {
+        // 2^53 + 1 is not an f64: as one it is 2^53, so `= 2^53.0` admits
+        // both and `> 2^53.0` admits neither.
+        const P: i64 = 1 << 53;
+        let schema = Schema::new("t", vec![ColumnDef::quantitative_int("n")]);
+        let mut b = TableBuilder::new(schema, 4);
+        for v in [P - 1, P, P + 1, P + 2] {
+            b.push_row(vec![Value::Int(v)]);
+        }
+        let t = b.finish();
+        for (op, rhs) in [
+            (BinOp::Eq, Value::Float(P as f64)),
+            (BinOp::Gt, Value::Float(P as f64)),
+            (BinOp::LtEq, Value::Float(P as f64)),
+            (BinOp::NotEq, Value::Float(P as f64)),
+            (BinOp::Gt, Value::Int(P)),
+            (BinOp::Lt, Value::Float(f64::NAN)),
+            (BinOp::Gt, Value::Float(f64::INFINITY)),
+            (BinOp::GtEq, Value::Float(-0.0)),
+            (BinOp::Lt, Value::Int(i64::MIN)),
+        ] {
+            let filter = lit(CExpr::Col(0), op, rhs);
+            assert!(matches!(
+                compile_kernels(&filter, &t)[..],
+                [Kernel::Range { .. }]
+            ));
+            let (typed, interpreted) = kept(&filter, &t);
+            assert_eq!(typed, interpreted, "{filter:?}");
+        }
+    }
+
+    #[test]
+    fn one_kernel_per_column_and_contradictions_collapse() {
+        let t = table();
+        // Three conjuncts on `n`, two on `q`: one interval, one mask.
+        let filter = and(
+            and(
+                lit(CExpr::Col(1), BinOp::GtEq, Value::Int(1)),
+                dict_in_expr(&["A", "B"], false),
+            ),
+            and(
+                between(1, Value::Int(0), Value::Float(9.0), false),
+                and(
+                    lit(CExpr::Col(1), BinOp::Lt, Value::Int(10)),
+                    dict_in_expr(&["B"], true),
+                ),
+            ),
+        );
+        let kernels = compile_kernels(&filter, &t);
+        assert_eq!(kernels.len(), 2);
+        assert!(kernels.iter().any(|k| matches!(
+            k,
+            Kernel::Range {
+                col: 1,
+                lo: 1,
+                hi: 9,
+                negated: false
+            }
+        )));
+        let (typed, interpreted) = kept(&filter, &t);
+        assert_eq!(typed, vec![0, 2]);
+        assert_eq!(typed, interpreted);
+
+        // Disjoint intervals, and disjoint sets, leave one kernel that
+        // never matches, whatever else the filter holds.
+        for contradiction in [
+            and(
+                between(1, Value::Int(1), Value::Int(3), false),
+                between(1, Value::Int(5), Value::Int(9), false),
+            ),
+            and(dict_in_expr(&["A"], false), dict_in_expr(&["B"], false)),
+            and(dict_in_expr(&["A", "B"], true), dict_in_expr(&["A"], false)),
+        ] {
+            let filter = and(
+                lit(CExpr::Col(2), BinOp::Gt, Value::Float(0.0)),
+                contradiction,
+            );
+            let kernels = compile_kernels(&filter, &t);
+            assert!(
+                matches!(&kernels[..], [k] if k.never_matches()),
+                "{filter:?}"
+            );
+            assert_eq!(kept(&filter, &t), (vec![], vec![]));
+        }
+
+        // A hole is not an interval: NOT BETWEEN and `<>` stay beside it.
+        let filter = and(
+            between(1, Value::Int(0), Value::Int(9), false),
+            and(
+                between(1, Value::Int(4), Value::Int(6), true),
+                lit(CExpr::Col(1), BinOp::NotEq, Value::Int(9)),
+            ),
+        );
+        assert_eq!(compile_kernels(&filter, &t).len(), 3);
+        let (typed, interpreted) = kept(&filter, &t);
+        assert_eq!(typed, vec![0]);
+        assert_eq!(typed, interpreted);
+    }
+
+    fn dict_in_expr(values: &[&str], negated: bool) -> CExpr {
+        CExpr::In {
+            e: Box::new(CExpr::Col(0)),
+            set: Arc::new(ValueSet::new(values.iter().map(Value::str).collect())),
+            negated,
+        }
     }
 
     #[test]
@@ -492,18 +819,6 @@ mod tests {
         assert!(!nk.matches(&t, 0));
         assert!(nk.matches(&t, 1));
         assert!(!nk.matches(&t, 3), "NULL never matches NOT IN");
-    }
-
-    #[test]
-    fn float_cmp_kernel_reads_int_columns() {
-        let t = table();
-        let k = Kernel::FloatCmp {
-            col: 1,
-            op: BinOp::GtEq,
-            rhs: 5.0,
-        };
-        assert!(!k.matches(&t, 0));
-        assert!(k.matches(&t, 1));
     }
 
     #[test]

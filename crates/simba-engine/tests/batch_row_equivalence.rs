@@ -8,11 +8,17 @@
 //! boundaries, and morsels emptied (or pruned) by selective predicates.
 
 use proptest::prelude::*;
-use simba_engine::{all_engines, execute_row_oracle, Dbms, DuckDbLike};
+use simba_engine::batch::{run_morsels, DeltaScan};
+use simba_engine::exec::finalize_rows;
+use simba_engine::plan::prepare;
+use simba_engine::{
+    all_engines, execute_row_oracle, Dbms, DuckDbLike, EngineError, QueryOutput, SqliteLike,
+};
 use simba_sql::{BinOp, Expr, Func, Select, SelectItem};
-use simba_store::{ColumnDef, Schema, Table, TableBuilder, Value, MORSEL_ROWS};
+use simba_store::mix::splitmix64;
+use simba_store::{ColumnDef, ResultSet, Schema, Table, TableBuilder, Value, MORSEL_ROWS};
 use std::cmp::Ordering;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 const QUEUES: &[&str] = &["A", "B", "C", "D"];
 
@@ -337,4 +343,410 @@ fn empty_table_byte_identity() {
             assert_byte_identical(engine.name(), &select, engine.as_ref(), &table);
         }
     }
+}
+
+// ---------------------------------------------------------------------------
+// Range kernels, the per-column conjunct combiner, contradictory filters.
+//
+// The filter compiler turns every `col <op> number` and `[NOT] BETWEEN`
+// into an integer interval test and folds the conjuncts of one column into
+// one kernel. `sqlite-like` never goes through it, so it is the reference
+// here as everywhere: the batch engines (and the seeded scans session-delta
+// execution runs) must agree with it value for value where the folding is
+// hardest — bounds `f64` cannot tell apart, `-0.0` against `0.0`, NaN at the
+// top of the order, inverted and contradictory bounds, all-NULL columns.
+
+/// 2^53: from here on several `i64` share one `f64`.
+const BIG: i64 = 1 << 53;
+
+const INT_POOL: &[i64] = &[
+    i64::MIN,
+    -BIG - 1,
+    -BIG,
+    -7,
+    -1,
+    0,
+    1,
+    3,
+    12,
+    BIG - 1,
+    BIG,
+    BIG + 1,
+    BIG + 2,
+    i64::MAX,
+];
+
+const FLOAT_POOL: &[f64] = &[
+    f64::NEG_INFINITY,
+    -9.3e18,
+    -9_007_199_254_740_992.0,
+    -2.5,
+    -0.0,
+    0.0,
+    0.5,
+    3.0,
+    12.25,
+    9_007_199_254_740_992.0,
+    9_007_199_254_740_994.0,
+    9.3e18,
+    f64::INFINITY,
+    f64::NAN,
+];
+
+/// Four full morsels and a partial one, so four scan threads each own a
+/// range: `n` small ints, `big` ints at the edges of `f64` and `i64`, `x`
+/// floats from the pool (NaN, infinities and both zeros included), each
+/// NULL now and then, and `void_i` / `void_f` NULL in every row.
+fn edge_table() -> Arc<Table> {
+    static TABLE: OnceLock<Arc<Table>> = OnceLock::new();
+    TABLE
+        .get_or_init(|| {
+            let n = 4 * MORSEL_ROWS + 777;
+            let schema = Schema::new(
+                "t",
+                vec![
+                    ColumnDef::categorical("queue"),
+                    ColumnDef::quantitative_int("n"),
+                    ColumnDef::quantitative_int("big"),
+                    ColumnDef::quantitative_float("x"),
+                    ColumnDef::quantitative_int("void_i"),
+                    ColumnDef::quantitative_float("void_f"),
+                ],
+            );
+            let mut b = TableBuilder::new(schema, n);
+            for i in 0..n as u64 {
+                let draw = |salt: u64| splitmix64(i ^ (salt << 56)) as usize;
+                let or_null = |salt: u64, v: Value| {
+                    if draw(salt) % 6 == 0 {
+                        Value::Null
+                    } else {
+                        v
+                    }
+                };
+                b.push_row(vec![
+                    or_null(1, Value::str(QUEUES[draw(2) % QUEUES.len()])),
+                    or_null(3, Value::Int((draw(4) % 25) as i64 - 9)),
+                    or_null(5, Value::Int(INT_POOL[draw(6) % INT_POOL.len()])),
+                    or_null(7, Value::Float(FLOAT_POOL[draw(8) % FLOAT_POOL.len()])),
+                    Value::Null,
+                    Value::Null,
+                ]);
+            }
+            Arc::new(b.finish())
+        })
+        .clone()
+}
+
+const NUMERIC_COLUMNS: &[&str] = &["n", "big", "x", "void_i", "void_f"];
+
+/// An Int or a Float literal from the pools, whatever the column's type.
+fn bound_strategy() -> impl Strategy<Value = Expr> {
+    prop_oneof![
+        proptest::sample::select(INT_POOL).prop_map(Expr::int),
+        proptest::sample::select(FLOAT_POOL).prop_map(Expr::float),
+    ]
+}
+
+/// One numeric conjunct, its column still open: a comparison or a
+/// `[NOT] BETWEEN` (its bounds are drawn independently, so half of them
+/// are inverted).
+#[derive(Debug, Clone)]
+enum Conjunct {
+    Compare(BinOp, Expr),
+    Between(Expr, Expr, bool),
+}
+
+impl Conjunct {
+    fn on(self, col: &str) -> Expr {
+        match self {
+            Conjunct::Compare(op, lit) => Expr::binary(Expr::col(col), op, lit),
+            Conjunct::Between(low, high, negated) => Expr::Between {
+                expr: Box::new(Expr::col(col)),
+                low: Box::new(low),
+                high: Box::new(high),
+                negated,
+            },
+        }
+    }
+}
+
+fn conjunct_strategy() -> impl Strategy<Value = Conjunct> {
+    let ops = vec![
+        BinOp::Lt,
+        BinOp::LtEq,
+        BinOp::Gt,
+        BinOp::GtEq,
+        BinOp::Eq,
+        BinOp::NotEq,
+    ];
+    prop_oneof![
+        (proptest::sample::select(ops), bound_strategy())
+            .prop_map(|(op, lit)| Conjunct::Compare(op, lit)),
+        (bound_strategy(), bound_strategy(), any::<bool>())
+            .prop_map(|(low, high, negated)| Conjunct::Between(low, high, negated)),
+    ]
+}
+
+/// Two `[NOT] IN` conjuncts on `queue` whose sets are identical, nested or
+/// disjoint.
+fn queue_conjuncts() -> impl Strategy<Value = Vec<Expr>> {
+    (
+        proptest::sample::subsequence(QUEUES.to_vec(), 1..=3),
+        0usize..3,
+        any::<bool>(),
+        any::<bool>(),
+    )
+        .prop_map(|(first, relation, negate_first, negate_second)| {
+            let second: Vec<&str> = match relation {
+                0 => first.clone(),
+                1 => first[..1].to_vec(),
+                _ => QUEUES
+                    .iter()
+                    .copied()
+                    .filter(|q| !first.contains(q))
+                    .collect(),
+            };
+            let in_list = |values: Vec<&str>, negated: bool| Expr::InList {
+                expr: Box::new(Expr::col("queue")),
+                list: values.into_iter().map(Expr::str).collect(),
+                negated,
+            };
+            vec![in_list(first, negate_first), in_list(second, negate_second)]
+        })
+}
+
+/// 2–4 conjuncts on one numeric column, sometimes the two `queue`
+/// conjuncts around them and one conjunct on a second column.
+fn stacked_filter_strategy() -> impl Strategy<Value = Expr> {
+    (
+        proptest::sample::select(NUMERIC_COLUMNS),
+        proptest::collection::vec(conjunct_strategy(), 2..=4),
+        proptest::option::of(queue_conjuncts()),
+        proptest::option::of((
+            proptest::sample::select(NUMERIC_COLUMNS),
+            conjunct_strategy(),
+        )),
+    )
+        .prop_map(|(col, stacked, queues, other)| {
+            let mut conjuncts: Vec<Expr> = stacked.into_iter().map(|c| c.on(col)).collect();
+            if let Some(queues) = queues {
+                // Apart, so the combiner has to find the pair.
+                let mut queues = queues.into_iter();
+                conjuncts.insert(0, queues.next().unwrap());
+                conjuncts.extend(queues);
+            }
+            conjuncts.extend(other.map(|(col, c)| c.on(col)));
+            Expr::conjoin(conjuncts).unwrap()
+        })
+}
+
+/// The three query shapes a filter is checked under. Aggregates are exact
+/// ones only, so the four-thread scan must agree to the bit as well.
+fn shapes(filter: &Expr) -> Vec<Select> {
+    let exact_aggs = || {
+        vec![
+            SelectItem::bare(Expr::count_star()),
+            SelectItem::bare(Expr::agg(Func::Sum, Expr::col("n"))),
+            SelectItem::bare(Expr::agg(Func::Min, Expr::col("big"))),
+            SelectItem::bare(Expr::agg(Func::Max, Expr::col("x"))),
+            SelectItem::bare(Expr::agg(Func::Count, Expr::col("void_f"))),
+        ]
+    };
+    let global = Select::new("t", exact_aggs());
+    let mut grouped_items = vec![SelectItem::bare(Expr::col("queue"))];
+    grouped_items.extend(exact_aggs());
+    let mut grouped = Select::new("t", grouped_items);
+    grouped.group_by = vec![Expr::col("queue")];
+    // No ORDER BY: every engine emits projections in table order.
+    let mut limited = Select::new(
+        "t",
+        ["queue", "n", "big", "x"]
+            .iter()
+            .map(|c| SelectItem::bare(Expr::col(*c)))
+            .collect(),
+    );
+    limited.limit = Some(40);
+    let mut shapes = vec![global, grouped, limited];
+    for s in &mut shapes {
+        s.where_clause = Some(filter.clone());
+    }
+    shapes
+}
+
+/// The scans session-delta execution runs on `duckdb-like`, as an engine:
+/// without `base`, the capturing scan of the query itself; with one, the
+/// scan of the query seeded from `base`'s captured selection (`exact` when
+/// the two filters are the same), the way a refinement step executes.
+struct DeltaPath {
+    table: Arc<Table>,
+    threads: usize,
+    base: Option<Select>,
+}
+
+impl Dbms for DeltaPath {
+    fn name(&self) -> &'static str {
+        "duckdb-like delta scan"
+    }
+
+    fn register(&self, _table: Arc<Table>) {}
+
+    fn execute(&self, query: &Select) -> Result<QueryOutput, EngineError> {
+        let plan = prepare(query, self.table.clone())?;
+        let (rows, stats, capture) = match &self.base {
+            None => run_morsels(&plan, self.threads, DeltaScan::Capture),
+            Some(base) => {
+                let base_plan = prepare(base, self.table.clone())?;
+                let (_, _, capture) = run_morsels(&base_plan, self.threads, DeltaScan::Capture);
+                let seed = capture.expect("a capturing scan captures").selection;
+                let exact = base.where_clause == query.where_clause;
+                run_morsels(
+                    &plan,
+                    self.threads,
+                    DeltaScan::Seeded { seed: &seed, exact },
+                )
+            }
+        };
+        let capture = capture.expect("capturing and seeded scans both capture");
+        assert_eq!(capture.selection.len(), stats.rows_matched, "`{query}`");
+        assert!(
+            capture.selection.windows(2).all(|w| w[0] < w[1]),
+            "`{query}`"
+        );
+        let rows = finalize_rows(rows, plan.n_output, &plan.order_dirs, plan.limit);
+        Ok(QueryOutput {
+            result: ResultSet::new(plan.output_names.clone(), rows),
+            stats,
+            elapsed: std::time::Duration::ZERO,
+        })
+    }
+}
+
+/// `select` on the three batch engines (`duckdb-like` at one and four scan
+/// threads) against `sqlite-like`.
+fn assert_batch_engines_match_sqlite(select: &Select, table: &Arc<Table>) {
+    let mut engines = all_engines();
+    engines.push(Arc::new(DuckDbLike::with_scan_threads(4)));
+    for engine in engines {
+        engine.register(table.clone());
+        assert_byte_identical(engine.name(), select, engine.as_ref(), table);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 40, ..ProptestConfig::default() })]
+
+    #[test]
+    fn stacked_range_filters_are_byte_identical_to_sqlite_like(
+        filter in stacked_filter_strategy(),
+    ) {
+        let table = edge_table();
+        for select in shapes(&filter) {
+            assert_batch_engines_match_sqlite(&select, &table);
+            for threads in [1, 4] {
+                let capturing = DeltaPath { table: table.clone(), threads, base: None };
+                assert_byte_identical(capturing.name(), &select, &capturing, &table);
+            }
+        }
+    }
+
+    /// A refinement step: the query adds conjuncts to `base`'s filter and
+    /// scans only `base`'s survivors, re-applying its own (combined)
+    /// kernels to them; an identical filter re-applies none.
+    #[test]
+    fn seeded_scans_of_stacked_filters_are_byte_identical_to_sqlite_like(
+        base_filter in stacked_filter_strategy(),
+        extra_col in proptest::sample::select(NUMERIC_COLUMNS),
+        extra in conjunct_strategy(),
+    ) {
+        let table = edge_table();
+        let refined_filter =
+            Expr::conjoin(vec![base_filter.clone(), extra.on(extra_col)]).unwrap();
+        let bases = shapes(&base_filter);
+        for (ix, refined) in shapes(&refined_filter).into_iter().enumerate() {
+            for threads in [1, 4] {
+                for (base, query) in [(&bases[0], &refined), (&bases[ix], &bases[ix])] {
+                    let seeded = DeltaPath {
+                        table: table.clone(),
+                        threads,
+                        base: Some(base.clone()),
+                    };
+                    assert_byte_identical(seeded.name(), query, &seeded, &table);
+                }
+            }
+        }
+    }
+}
+
+/// Contradictory filters are answered without reading a row — and still
+/// answered right: a global aggregate is one row of `COUNT` 0 and NULLs,
+/// not zero rows; a GROUP BY and a projection are empty.
+#[test]
+fn contradictory_filters_answer_without_reading_a_row() {
+    let table = edge_table();
+    let duck = DuckDbLike::new();
+    duck.register(table.clone());
+    for filter in [
+        "n BETWEEN 1 AND 3 AND n BETWEEN 5 AND 9",
+        "x BETWEEN 0.5 AND 3 AND queue IN ('A') AND x > 3.0",
+        "queue IN ('A', 'B') AND n > 0 AND queue IN ('C')",
+        "queue NOT IN ('A', 'B', 'C', 'D') AND big < 0",
+        "big >= 9007199254740993 AND big <= 9007199254740992",
+        "x BETWEEN 0.0 AND -0.0",
+        "n = 3 AND n = 4",
+        "void_i BETWEEN 9 AND 1",
+    ] {
+        let expr = simba_sql::parse_select(&format!("SELECT n FROM t WHERE {filter}"))
+            .unwrap()
+            .where_clause
+            .unwrap();
+        let shapes = shapes(&expr);
+        let [global, grouped, limited] = &shapes[..] else {
+            unreachable!()
+        };
+        for select in [global, grouped, limited] {
+            assert_batch_engines_match_sqlite(select, &table);
+            let out = duck.execute(select).unwrap();
+            assert_eq!(out.stats.rows_scanned, 0, "`{select}` read rows");
+            assert_eq!(out.stats.morsels_pruned, 5, "`{select}`");
+        }
+        let out = duck.execute(global).unwrap();
+        assert_eq!(
+            out.result.rows,
+            vec![vec![
+                Value::Int(0),
+                Value::Null,
+                Value::Null,
+                Value::Null,
+                Value::Int(0)
+            ]],
+            "`{global}`"
+        );
+        for empty in [grouped, limited] {
+            assert_eq!(duck.execute(empty).unwrap().result.n_rows(), 0, "`{empty}`");
+        }
+    }
+}
+
+/// `sql_cmp` compares two `Int`s exactly, so the interpreter (`sqlite-like`
+/// is the row oracle's twin) tells 2^53 + 1 from 2^53 like the kernels do.
+#[test]
+fn ints_past_2_pow_53_compare_exactly_on_every_engine() {
+    let table = edge_table();
+    let sqlite = SqliteLike::new();
+    sqlite.register(table.clone());
+    let count = |filter: &str| {
+        let select =
+            simba_sql::parse_select(&format!("SELECT COUNT(*) FROM t WHERE {filter}")).unwrap();
+        assert_batch_engines_match_sqlite(&select, &table);
+        sqlite.execute(&select).unwrap().result.rows[0][0].clone()
+    };
+    let above = count("big > 9007199254740992");
+    let at_least_next = count("big >= 9007199254740993");
+    assert_eq!(above, at_least_next);
+    assert_ne!(above, count("big >= 9007199254740992"));
+    assert_eq!(
+        count("big BETWEEN 9007199254740993 AND 9007199254740993"),
+        count("big = 9007199254740993")
+    );
+    assert_ne!(count("big = 9007199254740993"), Value::Int(0));
 }

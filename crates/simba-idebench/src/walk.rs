@@ -19,7 +19,7 @@ use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use simba_sql::{Expr, Select};
-use simba_store::{ColumnRole, Table};
+use simba_store::{ColumnRole, Table, Zone};
 
 /// A filter on one column, as IDEBench composes them.
 #[derive(Debug, Clone)]
@@ -196,9 +196,12 @@ fn random_filter(table: &Table, rng: &mut ChaCha8Rng) -> IdeFilter {
             }
         }
         _ => {
-            let (lo, hi) = match col.min_max() {
-                Some((a, b)) => (a.as_f64().unwrap_or(0.0), b.as_f64().unwrap_or(0.0)),
-                None => (0.0, 0.0),
+            // The column's extrema, folded from the zone maps: the values
+            // `col.min_max()` finds, without its pass over every row.
+            let (lo, hi) = match table.zone_maps().column(idx).map(|z| z.bounds()) {
+                Some(Zone::Int { min, max }) => (min as f64, max as f64),
+                Some(Zone::Float { min, max }) => (min, max),
+                Some(Zone::AllNull) | None => (0.0, 0.0),
             };
             let span = (hi - lo).max(f64::EPSILON);
             let a = lo + rng.gen_range(0.0..1.0) * span;

@@ -73,11 +73,14 @@ impl Value {
     }
 
     /// SQL-style three-valued *ordered* comparison: `None` when either side
-    /// is NULL or the values are incomparable (e.g. string vs number).
+    /// is NULL or the values are incomparable (e.g. string vs number). Two
+    /// `Int`s compare exactly, like [`Ord::cmp`] and `sql_eq`; only a mixed
+    /// `Int`/`Float` pair goes through `f64`.
     pub fn sql_cmp(&self, other: &Value) -> Option<Ordering> {
         match (self, other) {
             (Value::Null, _) | (_, Value::Null) => None,
             (Value::Bool(a), Value::Bool(b)) => Some(a.cmp(b)),
+            (Value::Int(a), Value::Int(b)) => Some(a.cmp(b)),
             (Value::Str(a), Value::Str(b)) => Some(a.as_ref().cmp(b.as_ref())),
             (a, b) => match (a.as_f64(), b.as_f64()) {
                 (Some(x), Some(y)) => Some(x.total_cmp(&y)),
@@ -309,6 +312,21 @@ mod tests {
         assert_eq!(
             Value::str("b").sql_cmp(&Value::str("a")),
             Some(Ordering::Greater)
+        );
+    }
+
+    #[test]
+    fn sql_cmp_tells_large_ints_apart() {
+        // 2^53 + 1 rounds to 2^53 as an f64; Int/Int must not go through it.
+        let (a, b) = (Value::Int((1 << 53) + 1), Value::Int(1 << 53));
+        assert_eq!(a.sql_cmp(&b), Some(Ordering::Greater));
+        assert_eq!(b.sql_cmp(&a), Some(Ordering::Less));
+        assert_eq!(a.sql_cmp(&a), Some(Ordering::Equal));
+        assert_eq!(a.sql_cmp(&b), Some(a.cmp(&b)));
+        // A mixed pair still compares as f64, where the two collapse.
+        assert_eq!(
+            a.sql_cmp(&Value::Float((1u64 << 53) as f64)),
+            Some(Ordering::Equal)
         );
     }
 

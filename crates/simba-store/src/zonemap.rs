@@ -46,6 +46,30 @@ pub enum Zone {
     AllNull,
 }
 
+/// The order-preserving image of an `f64` in `i64`: `float_key(a) <
+/// float_key(b)` exactly when `a.total_cmp(&b)` is `Less`. Range kernels
+/// hold Float bounds as these keys, so an Int and a Float column are
+/// filtered and pruned by the same integer interval test. A bijection
+/// (its own inverse on the bit pattern), so every `i64` is some float's
+/// key and `key ± 1` is the neighbouring float in the total order.
+#[inline]
+pub fn float_key(v: f64) -> i64 {
+    let bits = v.to_bits() as i64;
+    bits ^ (((bits >> 63) as u64) >> 1) as i64
+}
+
+impl Zone {
+    /// The zone's extrema as ordered keys — Int values as they are, Float
+    /// values through [`float_key`] — or `None` when every row is NULL.
+    pub fn key_range(self) -> Option<(i64, i64)> {
+        match self {
+            Zone::Int { min, max } => Some((min, max)),
+            Zone::Float { min, max } => Some((float_key(min), float_key(max))),
+            Zone::AllNull => None,
+        }
+    }
+}
+
 /// Zones for one column, indexed by morsel.
 #[derive(Debug, Clone)]
 pub struct ColumnZones {
@@ -66,6 +90,26 @@ impl ColumnZones {
     /// All zones, indexed by morsel.
     pub fn zones(&self) -> &[Zone] {
         &self.zones
+    }
+
+    /// The column's extrema over every morsel, folded from the zones: the
+    /// values [`ColumnData::min_max`] finds, without reading a row.
+    /// [`Zone::AllNull`] when the column holds no valid row.
+    pub fn bounds(&self) -> Zone {
+        self.zones
+            .iter()
+            .fold(Zone::AllNull, |all, &zone| match (all, zone) {
+                (Zone::Int { min, max }, Zone::Int { min: lo, max: hi }) => Zone::Int {
+                    min: min.min(lo),
+                    max: max.max(hi),
+                },
+                (Zone::Float { min, max }, Zone::Float { min: lo, max: hi }) => Zone::Float {
+                    min: std::cmp::min_by(min, lo, f64::total_cmp),
+                    max: std::cmp::max_by(max, hi, f64::total_cmp),
+                },
+                (all, Zone::AllNull) => all,
+                (_, zone) => zone,
+            })
     }
 
     /// Number of morsels covered.
@@ -288,6 +332,77 @@ mod tests {
             }
             z => panic!("unexpected zone {z:?}"),
         }
+    }
+
+    #[test]
+    fn float_key_orders_like_total_cmp() {
+        let vs = [
+            -f64::NAN,
+            f64::NEG_INFINITY,
+            -1.5,
+            -f64::MIN_POSITIVE,
+            -0.0,
+            0.0,
+            f64::MIN_POSITIVE,
+            1.5,
+            f64::INFINITY,
+            f64::NAN,
+        ];
+        for a in vs {
+            for b in vs {
+                assert_eq!(
+                    float_key(a).cmp(&float_key(b)),
+                    a.total_cmp(&b),
+                    "{a} vs {b}"
+                );
+            }
+        }
+        assert_eq!(
+            float_key(-0.0) + 1,
+            float_key(0.0),
+            "neighbours in the order"
+        );
+    }
+
+    #[test]
+    fn column_bounds_fold_to_min_max() {
+        let n = 2 * MORSEL_ROWS + 2;
+        let mut vals: Vec<Option<i64>> = (0..MORSEL_ROWS as i64).map(|v| Some(v - 7)).collect();
+        vals.extend(std::iter::repeat_n(None, MORSEL_ROWS));
+        vals.extend([Some(-9), Some(3)]);
+        let col = int_col(vals);
+        let maps = ZoneMaps::build(std::slice::from_ref(&col), n);
+        let zones = maps.column(0).unwrap();
+        assert_eq!(zones.zone(1), Zone::AllNull);
+        let (min, max) = col.min_max().unwrap();
+        assert_eq!(
+            zones.bounds(),
+            Zone::Int {
+                min: min.as_i64().unwrap(),
+                max: max.as_i64().unwrap()
+            }
+        );
+        assert_eq!(
+            (min, max),
+            (Value::Int(-9), Value::Int(MORSEL_ROWS as i64 - 8))
+        );
+
+        let mut b = ColumnBuilder::float(3);
+        for v in [0.0, -0.0, f64::NAN] {
+            b.push(Value::Float(v));
+        }
+        let col = b.finish();
+        let maps = ZoneMaps::build(std::slice::from_ref(&col), 3);
+        match maps.column(0).unwrap().bounds() {
+            Zone::Float { min, max } => {
+                assert!(min == 0.0 && min.is_sign_negative() && max.is_nan());
+            }
+            z => panic!("unexpected bounds {z:?}"),
+        }
+
+        let nulls = int_col([None, None]);
+        let maps = ZoneMaps::build(std::slice::from_ref(&nulls), 2);
+        assert_eq!(maps.column(0).unwrap().bounds(), Zone::AllNull);
     }
 
     #[test]
