@@ -305,7 +305,13 @@ fn eval_call(func: Func, args: &[CExpr], row: &impl ColumnAccess) -> Value {
             let v = eval(&args[0], row);
             let w = eval(&args[1], row);
             match (&v, &w) {
-                (Value::Int(x), Value::Int(b)) if *b > 0 => Value::Int(x.div_euclid(*b) * *b),
+                // The floor of `x / b` times `b` can fall below `i64::MIN`
+                // for `x` near it; a bucket that is not representable is
+                // NULL, not a panic (debug) or a wrapped bucket (release).
+                (Value::Int(x), Value::Int(b)) if *b > 0 => x
+                    .div_euclid(*b)
+                    .checked_mul(*b)
+                    .map_or(Value::Null, Value::Int),
                 _ => match (v.as_f64(), w.as_f64()) {
                     (Some(x), Some(b)) if b > 0.0 => Value::Float((x / b).floor() * b),
                     _ => Value::Null,
@@ -313,7 +319,8 @@ fn eval_call(func: Func, args: &[CExpr], row: &impl ColumnAccess) -> Value {
             }
         }
         Func::Abs => match eval(&args[0], row) {
-            Value::Int(x) => Value::Int(x.abs()),
+            // `|i64::MIN|` is not an `i64`: NULL, like the bucket above.
+            Value::Int(x) => x.checked_abs().map_or(Value::Null, Value::Int),
             Value::Float(x) => Value::Float(x.abs()),
             _ => Value::Null,
         },
@@ -549,6 +556,40 @@ mod tests {
             eval(&e, &RowSlice(&row(vec![Value::Float(27.5)]))),
             Value::Float(20.0)
         );
+    }
+
+    #[test]
+    fn bin_bucket_below_i64_min_is_null() {
+        let bin = |x: i64, w: i64| {
+            let e = CExpr::Call {
+                func: Func::Bin,
+                args: vec![CExpr::Col(0), CExpr::Lit(Value::Int(w))],
+            };
+            eval(&e, &RowSlice(&row(vec![Value::Int(x)])))
+        };
+        // floor((MIN + 1) / 3) * 3 = MIN - 2: not an i64.
+        assert_eq!(bin(i64::MIN + 1, 3), Value::Null);
+        assert_eq!(bin(i64::MIN, 3), Value::Null);
+        assert_eq!(bin(i64::MIN, i64::MAX), Value::Null);
+        // The lowest bucket that is representable still is one.
+        assert_eq!(bin(i64::MIN, 2), Value::Int(i64::MIN));
+        assert_eq!(bin(i64::MIN + 2, 3), Value::Int(i64::MIN + 2));
+        assert_eq!(bin(i64::MIN, 1), Value::Int(i64::MIN));
+        assert_eq!(bin(i64::MAX, 3), Value::Int(i64::MAX - 1));
+        assert_eq!(bin(i64::MAX, i64::MAX), Value::Int(i64::MAX));
+        assert_eq!(bin(-1, i64::MAX), Value::Int(-i64::MAX));
+    }
+
+    #[test]
+    fn abs_of_i64_min_is_null() {
+        let e = CExpr::Call {
+            func: Func::Abs,
+            args: vec![CExpr::Col(0)],
+        };
+        let abs = |x: i64| eval(&e, &RowSlice(&row(vec![Value::Int(x)])));
+        assert_eq!(abs(i64::MIN), Value::Null);
+        assert_eq!(abs(i64::MIN + 1), Value::Int(i64::MAX));
+        assert_eq!(abs(i64::MAX), Value::Int(i64::MAX));
     }
 
     #[test]

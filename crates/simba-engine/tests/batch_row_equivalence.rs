@@ -750,3 +750,41 @@ fn ints_past_2_pow_53_compare_exactly_on_every_engine() {
     );
     assert_ne!(count("big = 9007199254740993"), Value::Int(0));
 }
+
+/// `BIN(big, w)` and `ABS(big)` as group keys over the `i64` extremes: a
+/// bucket below `i64::MIN` and `|i64::MIN|` are not `i64`s, and every engine
+/// and the row oracle group those rows under NULL instead of panicking
+/// (debug) or inventing a wrapped bucket (release).
+#[test]
+fn unrepresentable_buckets_and_magnitudes_group_under_null_on_every_engine() {
+    let table = edge_table();
+    let sqlite = SqliteLike::new();
+    sqlite.register(table.clone());
+    let run = |sql: String| {
+        let select = simba_sql::parse_select(&sql).unwrap();
+        assert_batch_engines_match_sqlite(&select, &table);
+        sqlite.execute(&select).unwrap().result.rows
+    };
+    let count = |filter: &str| run(format!("SELECT COUNT(*) FROM t WHERE {filter}"))[0][0].clone();
+    let null_group = |key: &str| {
+        let rows = run(format!(
+            "SELECT {key} AS k, COUNT(*) AS c FROM t GROUP BY {key}"
+        ));
+        let null_rows: Vec<_> = rows.iter().filter(|r| r[0].is_null()).collect();
+        assert_eq!(null_rows.len(), 1, "`{key}`: {rows:?}");
+        null_rows[0][1].clone()
+    };
+    let Value::Int(nulls) = count("big IS NULL") else {
+        panic!("COUNT is an Int");
+    };
+    let Value::Int(mins) = count("big < -9223372036854775807") else {
+        panic!("COUNT is an Int");
+    };
+    assert!(nulls > 0 && mins > 0);
+    // i64::MIN is even: its bucket of width 2 is itself, of width 3 or 7
+    // it lies below the range.
+    assert_eq!(null_group("BIN(big, 2)"), Value::Int(nulls));
+    assert_eq!(null_group("BIN(big, 3)"), Value::Int(nulls + mins));
+    assert_eq!(null_group("BIN(big, 7)"), Value::Int(nulls + mins));
+    assert_eq!(null_group("ABS(big)"), Value::Int(nulls + mins));
+}

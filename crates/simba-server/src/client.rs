@@ -23,8 +23,11 @@
 //! between steps); past that, transient classification hands retry
 //! control to the driver so backoff accounting stays in one place.
 
-use crate::core::ServerCore;
-use crate::proto::{Decoder, EngineSel, Frame, Request, Response, WireError, WireTable};
+use crate::codec;
+use crate::core::{reframe, ServerCore};
+use crate::proto::{
+    Decoder, EngineSel, Frame, FrameKind, Request, Response, TableBlock, WireError,
+};
 use simba_engine::{Dbms, EngineError, EngineKind, QueryCtx, QueryOutput};
 use simba_sql::printer::print_select;
 use simba_sql::Select;
@@ -98,12 +101,11 @@ impl LoopbackTransport {
 
 impl Transport for LoopbackTransport {
     fn round_trip(&mut self, request: &Frame) -> Result<Frame, WireError> {
-        let reply_bytes = crate::core::serve_encoded(&self.core, &request.encode())?;
-        let mut decoder = Decoder::new();
-        decoder.feed(&reply_bytes);
-        decoder
-            .next_frame()?
-            .ok_or_else(|| WireError::Protocol("truncated loopback response".to_string()))
+        // `serve_encoded`, except that the encoded request is dropped
+        // before the server works on it: a table block is then held once
+        // per side, not twice on this one.
+        let request = reframe(&request.encode())?;
+        reframe(&self.core.handle_frame(request).encode())
     }
 }
 
@@ -245,9 +247,14 @@ impl RemoteDbms {
     /// One request/response exchange with id correlation and a single
     /// reconnect retry on transport failure.
     fn round_trip(&self, request: &Request) -> Result<Response, EngineError> {
+        self.round_trip_payload(codec::encode_request(request))
+    }
+
+    /// [`round_trip`](Self::round_trip) for an already encoded request.
+    fn round_trip_payload(&self, payload: Vec<u8>) -> Result<Response, EngineError> {
         let _span = simba_obs::trace::span("client.round_trip", "server");
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        let frame = Frame::request(id, request).map_err(wire_to_engine)?;
+        let frame = Frame::new(FrameKind::Request, id, payload).map_err(wire_to_engine)?;
         let mut last_io: Option<WireError> = None;
         // Attempt 0 uses a pooled (possibly stale) connection; attempt 1
         // forces a fresh dial. Anything past that is the driver's job.
@@ -299,7 +306,11 @@ impl RemoteDbms {
         })))
     }
 
-    fn execute_request(&self, request: &Request) -> Result<QueryOutput, EngineError> {
+    fn execute_sql(
+        &self,
+        query: &Select,
+        ctx: Option<&QueryCtx>,
+    ) -> Result<QueryOutput, EngineError> {
         if let Some(msg) = self
             .register_failure
             .lock()
@@ -310,7 +321,8 @@ impl RemoteDbms {
                 "a prior remote register failed: {msg}"
             )));
         }
-        match self.round_trip(request)? {
+        let payload = codec::encode_execute(&self.sel, &print_select(query), ctx);
+        match self.round_trip_payload(payload)? {
             Response::Result {
                 result,
                 stats,
@@ -350,38 +362,34 @@ impl Dbms for RemoteDbms {
 
     fn register(&self, table: Arc<Table>) {
         let _span = simba_obs::trace::span("client.register", "server");
-        let request = Request::RegisterTable {
-            engine: self.sel.clone(),
-            table: WireTable::from_table(&table),
-        };
-        let outcome = match self.round_trip(&request) {
-            Ok(Response::Registered { rows }) if rows as usize == table.row_count() => None,
-            Ok(Response::Registered { rows }) => Some(format!(
-                "server registered {rows} rows, expected {}",
-                table.row_count()
-            )),
-            Ok(other) => Some(unexpected_response("register", &other).to_string()),
-            Err(e) => Some(e.to_string()),
-        };
+        let mut sent = 0u64;
+        // One round trip per block; the first failure ends the upload.
+        let failure = TableBlock::split(&table).find_map(|block| {
+            sent += block.rows() as u64;
+            let payload = codec::encode_register(&self.sel, &block);
+            drop(block);
+            match self.round_trip_payload(payload) {
+                Ok(Response::Registered { rows }) if rows == sent => None,
+                Ok(Response::Registered { rows }) => Some(format!(
+                    "server holds {rows} rows after {sent} of {} were sent",
+                    table.row_count()
+                )),
+                Ok(other) => Some(unexpected_response("register", &other).to_string()),
+                Err(e) => Some(e.to_string()),
+            }
+        });
         *self
             .register_failure
             .lock()
-            .unwrap_or_else(|e| e.into_inner()) = outcome;
+            .unwrap_or_else(|e| e.into_inner()) = failure;
     }
 
     fn execute(&self, query: &Select) -> Result<QueryOutput, EngineError> {
-        self.execute_request(&Request::Execute {
-            engine: self.sel.clone(),
-            sql: print_select(query),
-        })
+        self.execute_sql(query, None)
     }
 
     fn execute_at(&self, query: &Select, ctx: &QueryCtx) -> Result<QueryOutput, EngineError> {
-        self.execute_request(&Request::ExecuteAt {
-            engine: self.sel.clone(),
-            sql: print_select(query),
-            ctx: *ctx,
-        })
+        self.execute_sql(query, Some(ctx))
     }
 }
 

@@ -7,14 +7,17 @@
 //! exercise every byte of the encode → decode → dispatch → encode
 //! pipeline that a live TCP connection does.
 
+use crate::codec;
 use crate::proto::{
-    EngineSel, Frame, FrameKind, Request, Response, ServerStatsSnapshot, WireError,
+    EngineSel, Frame, FrameKind, Request, Response, ServerStatsSnapshot, TableBlock, WireError,
 };
 use simba_engine::{Dbms, EngineKind};
 use simba_sql::parse_select;
 use simba_store::mix::Fnv1a;
+use simba_store::{TableAssembler, TableChunk};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Number of independent locks the engine catalog is split across.
 /// Connections addressing different engines never contend; 8 shards
@@ -22,7 +25,61 @@ use std::sync::{Arc, Mutex};
 /// scenarios use.
 const CATALOG_SHARDS: usize = 8;
 
-type CatalogShard = Mutex<Vec<((String, usize), Arc<dyn Dbms>)>>;
+/// An engine selector as the catalog keys it: the parsed kind, so no
+/// request allocates a name to look its engine up.
+type SelKey = (EngineKind, usize);
+
+type CatalogShard = Mutex<Vec<(SelKey, Arc<dyn Dbms>)>>;
+
+/// How far ahead of the rows actually received an upload's buffers may be
+/// sized. A block's `total_rows` is a promise the bytes have not kept yet,
+/// so it buys room for at most this many times the rows that have arrived:
+/// honest uploads of [`CHUNK_ROWS`](crate::proto::CHUNK_ROWS)-row blocks
+/// are sized once up to 1M rows and twice up to 16M, and a small block
+/// declaring a huge total reserves a small multiple of its own size.
+const RESERVE_AHEAD: u64 = 16;
+
+/// A table part-way through its blocks.
+struct Upload {
+    total_rows: u64,
+    /// Rows the assembler's buffers have room for.
+    reserved: u64,
+    assembler: TableAssembler,
+}
+
+impl Upload {
+    fn starting_with(block: &TableBlock) -> Upload {
+        Upload {
+            total_rows: block.total_rows(),
+            reserved: 0,
+            assembler: TableAssembler::new(block.schema().clone(), 0),
+        }
+    }
+
+    fn rows(&self) -> u64 {
+        self.assembler.rows() as u64
+    }
+
+    fn continues_with(&self, block: &TableBlock) -> bool {
+        block.first_row() == self.rows()
+            && block.total_rows() == self.total_rows
+            && block.schema() == self.assembler.schema()
+    }
+
+    /// `TableBlock`'s own checks plus `continues_with` are exactly the
+    /// conditions `TableChunk::new` and `append_chunk` would panic on.
+    fn append(&mut self, block: TableBlock) {
+        let after = self.rows() + block.rows() as u64;
+        if after > self.reserved {
+            self.reserved = self.total_rows.min(after.saturating_mul(RESERVE_AHEAD));
+            // Bounded by RESERVE_AHEAD blocks' worth of rows held in memory.
+            self.assembler
+                .reserve((self.reserved - self.rows()) as usize);
+        }
+        let (_, columns) = block.into_parts();
+        self.assembler.append_chunk(TableChunk::new(columns));
+    }
+}
 
 /// Request/connection counters, updated with relaxed atomics (they are
 /// monotone totals; cross-counter consistency is not needed).
@@ -56,9 +113,15 @@ impl ServerStats {
 /// Engines are built on demand, one per distinct `(kind, scan_threads)`
 /// selector, and live for the life of the server — a client that
 /// registers a table and later executes against the same selector (even
-/// on a different connection) reaches the same engine instance.
+/// on a different connection) reaches the same engine instance. Table
+/// uploads in progress are keyed by selector and table name the same way,
+/// so an upload's blocks may arrive on any of a client's connections.
 pub struct ServerCore {
     shards: Vec<CatalogShard>,
+    /// Uploads that have received some but not all of their blocks. An
+    /// entry is taken out while a block is appended to it and put back
+    /// only if that block was accepted and was not the last.
+    uploads: Mutex<HashMap<(SelKey, String), Upload>>,
     stats: ServerStats,
     draining: AtomicBool,
 }
@@ -85,6 +148,7 @@ impl ServerCore {
             shards: (0..CATALOG_SHARDS)
                 .map(|_| Mutex::new(Vec::new()))
                 .collect(),
+            uploads: Mutex::new(HashMap::new()),
             stats: ServerStats::default(),
             draining: AtomicBool::new(false),
         }
@@ -129,72 +193,59 @@ impl ServerCore {
         self.stats.snapshot()
     }
 
-    /// Serve one encoded request frame: decode, dispatch, encode the
-    /// response with the request's id. This is the full wire path minus
-    /// the socket — both TCP connections and the loopback transport call
-    /// it with raw frame structs.
-    pub fn handle_frame(&self, frame: &Frame) -> Frame {
+    /// Serve one request frame: decode, dispatch, encode the response with
+    /// the request's id. This is the full wire path minus the socket —
+    /// both TCP connections and the loopback transport call it. The frame
+    /// is taken by value so a table block's payload is freed as soon as it
+    /// has been decoded, before the block is assembled.
+    pub fn handle_frame(&self, frame: Frame) -> Frame {
         let _span = simba_obs::trace::span("server.frame", "server");
-        let response = match frame.kind {
+        let Frame {
+            kind,
+            request_id,
+            payload,
+        } = frame;
+        let response = match kind {
             FrameKind::Response => {
-                self.note_protocol_error();
-                Response::BadRequest {
-                    message: "received a response frame on the server side".to_string(),
-                }
+                self.bad_request("received a response frame on the server side".to_string())
             }
-            FrameKind::Request => match frame.parse_request() {
-                Ok(req) => self.handle(&req),
+            FrameKind::Request => match codec::decode_request(&payload) {
+                Ok(req) => {
+                    drop(payload);
+                    self.handle(req)
+                }
                 Err(e) => {
-                    self.note_protocol_error();
-                    Response::BadRequest {
-                        message: format!("unreadable request: {e}"),
+                    // An upload whose block was unreadable cannot complete.
+                    if let Some((sel, table)) = codec::register_target(&payload) {
+                        if let Some(kind) = EngineKind::from_name(&sel.kind) {
+                            self.lock_uploads()
+                                .remove(&((kind, sel.scan_threads), table));
+                        }
                     }
+                    self.bad_request(format!("unreadable request: {e}"))
                 }
             },
         };
-        // A response that fails to serialize would be a harness bug; fall
-        // back to a plain BadRequest so the client is never left hanging
-        // on a request id.
-        Frame::response(frame.request_id, &response).unwrap_or_else(|e| {
-            let fallback = Response::BadRequest {
-                message: format!("response did not serialize: {e}"),
-            };
-            Frame {
-                kind: FrameKind::Response,
-                request_id: frame.request_id,
-                payload: serde_json::to_string(&fallback)
-                    .unwrap_or_else(|_| String::from("{\"bad_request\":{\"message\":\"\"}}"))
-                    .into_bytes(),
-            }
+        // A response that does not encode (a result set no engine should
+        // produce, or one past the frame limit) still owes the client an
+        // answer on this request id.
+        Frame::response(request_id, &response).unwrap_or_else(|e| Frame {
+            kind: FrameKind::Response,
+            request_id,
+            payload: codec::encode_response(
+                &self.bad_request(format!("response did not encode: {e}")),
+            )
+            .unwrap_or_default(),
         })
     }
 
     /// Serve one decoded request.
-    pub fn handle(&self, req: &Request) -> Response {
+    pub fn handle(&self, req: Request) -> Response {
         self.stats.requests.fetch_add(1, Ordering::Relaxed);
         match req {
-            Request::RegisterTable { engine, table } => {
-                let _span = simba_obs::trace::span("server.register", "server");
-                let dbms = match self.engine(engine) {
-                    Ok(d) => d,
-                    Err(resp) => return resp,
-                };
-                let rebuilt = match table.clone().into_table() {
-                    Ok(t) => t,
-                    Err(e) => {
-                        self.stats.protocol_errors.fetch_add(1, Ordering::Relaxed);
-                        return Response::BadRequest {
-                            message: format!("malformed table: {e}"),
-                        };
-                    }
-                };
-                let rows = rebuilt.row_count() as u64;
-                dbms.register(Arc::new(rebuilt));
-                self.stats.registers.fetch_add(1, Ordering::Relaxed);
-                Response::Registered { rows }
-            }
-            Request::Execute { engine, sql } => self.execute(engine, sql, None),
-            Request::ExecuteAt { engine, sql, ctx } => self.execute(engine, sql, Some(ctx)),
+            Request::RegisterTable { engine, block } => self.register_block(&engine, block),
+            Request::Execute { engine, sql } => self.execute(&engine, &sql, None),
+            Request::ExecuteAt { engine, sql, ctx } => self.execute(&engine, &sql, Some(&ctx)),
             Request::Stats => Response::Stats {
                 stats: self.stats.snapshot(),
             },
@@ -206,6 +257,59 @@ impl ServerCore {
         }
     }
 
+    fn bad_request(&self, message: String) -> Response {
+        self.note_protocol_error();
+        Response::BadRequest { message }
+    }
+
+    fn lock_uploads(&self) -> MutexGuard<'_, HashMap<(SelKey, String), Upload>> {
+        // Entries are only ever inserted or removed whole.
+        self.uploads.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    fn register_block(&self, sel: &EngineSel, block: TableBlock) -> Response {
+        let _span = simba_obs::trace::span("server.register", "server");
+        let (kind, dbms) = match self.engine(sel) {
+            Ok(found) => found,
+            Err(resp) => return resp,
+        };
+        let key = ((kind, sel.scan_threads), block.schema().table.clone());
+        // Taken out, not borrowed: whichever way this block fails, nothing
+        // is left behind for the next one to trip over.
+        let pending = self.lock_uploads().remove(&key);
+        let mut upload = match pending {
+            _ if block.first_row() == 0 => Upload::starting_with(&block),
+            Some(upload) if upload.continues_with(&block) => upload,
+            Some(upload) => {
+                return self.bad_request(format!(
+                    "block at row {} of {} of `{}` does not continue its upload, which has \
+                     {} of {} rows (or its schema changed); the upload is dropped",
+                    block.first_row(),
+                    block.total_rows(),
+                    key.1,
+                    upload.rows(),
+                    upload.total_rows
+                ))
+            }
+            None => {
+                return self.bad_request(format!(
+                    "block at row {} of `{}` has no upload in progress to continue",
+                    block.first_row(),
+                    key.1
+                ))
+            }
+        };
+        upload.append(block);
+        let rows = upload.rows();
+        if rows == upload.total_rows {
+            dbms.register(Arc::new(upload.assembler.finish()));
+            self.stats.registers.fetch_add(1, Ordering::Relaxed);
+        } else {
+            self.lock_uploads().insert(key, upload);
+        }
+        Response::Registered { rows }
+    }
+
     fn execute(
         &self,
         sel: &EngineSel,
@@ -214,17 +318,12 @@ impl ServerCore {
     ) -> Response {
         let _span = simba_obs::trace::span("server.execute", "server");
         let dbms = match self.engine(sel) {
-            Ok(d) => d,
+            Ok((_, dbms)) => dbms,
             Err(resp) => return resp,
         };
         let query = match parse_select(sql) {
             Ok(q) => q,
-            Err(e) => {
-                self.stats.protocol_errors.fetch_add(1, Ordering::Relaxed);
-                return Response::BadRequest {
-                    message: format!("unparseable SQL: {e}"),
-                };
-            }
+            Err(e) => return self.bad_request(format!("unparseable SQL: {e}")),
         };
         self.stats.executes.fetch_add(1, Ordering::Relaxed);
         let outcome = match ctx {
@@ -247,21 +346,15 @@ impl ServerCore {
     }
 
     /// Look up (building on first use) the engine a selector addresses.
-    fn engine(&self, sel: &EngineSel) -> Result<Arc<dyn Dbms>, Response> {
-        let kind = match EngineKind::from_name(&sel.kind) {
-            Some(k) => k,
-            None => {
-                self.stats.protocol_errors.fetch_add(1, Ordering::Relaxed);
-                return Err(Response::BadRequest {
-                    message: format!("unknown engine `{}`", sel.kind),
-                });
-            }
+    fn engine(&self, sel: &EngineSel) -> Result<(EngineKind, Arc<dyn Dbms>), Response> {
+        let Some(kind) = EngineKind::from_name(&sel.kind) else {
+            return Err(self.bad_request(format!("unknown engine `{}`", sel.kind)));
         };
-        let key = (kind.name().to_string(), sel.scan_threads);
-        let shard = &self.shards[shard_index(&key)];
+        let key = (kind, sel.scan_threads);
+        let shard = &self.shards[shard_index(key)];
         let mut entries = shard.lock().unwrap_or_else(|e| e.into_inner());
         if let Some((_, dbms)) = entries.iter().find(|(k, _)| *k == key) {
-            return Ok(Arc::clone(dbms));
+            return Ok((kind, Arc::clone(dbms)));
         }
         let dbms = if sel.scan_threads == 1 {
             kind.build()
@@ -269,36 +362,41 @@ impl ServerCore {
             kind.build_with_threads(sel.scan_threads)
         };
         entries.push((key, Arc::clone(&dbms)));
-        Ok(dbms)
+        Ok((kind, dbms))
     }
 }
 
 /// FNV-1a over the selector key, reduced to a shard index. Deterministic
 /// (no `RandomState`), so catalog placement is identical across runs.
-fn shard_index(key: &(String, usize)) -> usize {
+fn shard_index(key: SelKey) -> usize {
     let mut h = Fnv1a::new();
-    h.write(key.0.as_bytes());
+    h.write(key.0.name().as_bytes());
     h.write(&key.1.to_le_bytes());
     (h.finish() % CATALOG_SHARDS as u64) as usize
 }
 
-/// One wire round-trip against a core, in process: encode the request,
-/// push the bytes through a [`crate::proto::Decoder`], dispatch, decode
-/// the response bytes back. Shared by the loopback transport and tests.
-pub fn serve_encoded(core: &ServerCore, request_bytes: &[u8]) -> Result<Vec<u8>, WireError> {
+/// The one frame `bytes` hold, reassembled by a [`crate::proto::Decoder`]
+/// the way a socket's bytes would be.
+pub(crate) fn reframe(bytes: &[u8]) -> Result<Frame, WireError> {
     let mut decoder = crate::proto::Decoder::new();
-    decoder.feed(request_bytes);
-    let frame = decoder
+    decoder.feed(bytes);
+    decoder
         .next_frame()?
-        .ok_or_else(|| WireError::Protocol("incomplete frame".to_string()))?;
-    Ok(core.handle_frame(&frame).encode())
+        .ok_or_else(|| WireError::Protocol("incomplete frame".to_string()))
+}
+
+/// One wire round-trip against a core, in process: push the request bytes
+/// through a decoder, dispatch, encode the response frame. The loopback
+/// transport does the same.
+pub fn serve_encoded(core: &ServerCore, request_bytes: &[u8]) -> Result<Vec<u8>, WireError> {
+    Ok(core.handle_frame(reframe(request_bytes)?).encode())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::proto::WireTable;
-    use simba_store::{ColumnDef, Schema, TableBuilder, Value};
+    use crate::proto::CHUNK_ROWS;
+    use simba_store::{ColumnDef, Schema, Table, TableBuilder, Value};
 
     fn sel(kind: &str) -> EngineSel {
         EngineSel {
@@ -307,7 +405,7 @@ mod tests {
         }
     }
 
-    fn tiny_table() -> WireTable {
+    fn tiny_table() -> TableBlock {
         let schema = Schema::new(
             "t",
             vec![
@@ -319,19 +417,52 @@ mod tests {
         b.push_row(vec![Value::str("A"), Value::Int(1)]);
         b.push_row(vec![Value::str("B"), Value::Int(2)]);
         b.push_row(vec![Value::str("A"), Value::Int(4)]);
-        WireTable::from_table(&b.finish())
+        TableBlock::split(&b.finish()).next().expect("one block")
+    }
+
+    /// `rows` rows of `(q, n)` with `n` the row number.
+    fn tall_table(rows: usize) -> Table {
+        let schema = Schema::new(
+            "tall",
+            vec![
+                ColumnDef::categorical("q"),
+                ColumnDef::quantitative_int("n"),
+            ],
+        );
+        let mut b = TableBuilder::new(schema, rows);
+        for i in 0..rows {
+            b.push_row(vec![
+                Value::str(["A", "B", "C"][i % 3]),
+                Value::Int(i as i64),
+            ]);
+        }
+        b.finish()
+    }
+
+    fn register(core: &ServerCore, block: TableBlock) -> Response {
+        core.handle(Request::RegisterTable {
+            engine: sel("duckdb-like"),
+            block,
+        })
+    }
+
+    fn sum_n(core: &ServerCore, table: &str) -> Response {
+        core.handle(Request::Execute {
+            engine: sel("duckdb-like"),
+            sql: format!("SELECT COUNT(*) AS c, SUM(n) AS s FROM {table}"),
+        })
     }
 
     #[test]
     fn register_then_execute_round_trips() {
         let core = ServerCore::new();
-        let resp = core.handle(&Request::RegisterTable {
+        let resp = core.handle(Request::RegisterTable {
             engine: sel("sqlite-like"),
-            table: tiny_table(),
+            block: tiny_table(),
         });
         assert_eq!(resp, Response::Registered { rows: 3 });
 
-        let resp = core.handle(&Request::Execute {
+        let resp = core.handle(Request::Execute {
             engine: sel("sqlite-like"),
             sql: "SELECT q, SUM(n) AS s FROM t GROUP BY q".to_string(),
         });
@@ -353,9 +484,97 @@ mod tests {
     }
 
     #[test]
+    fn blocks_assemble_into_the_table_they_were_split_from() {
+        let rows = 2 * CHUNK_ROWS + 5;
+        let table = tall_table(rows);
+        let core = ServerCore::new();
+        let mut so_far = 0;
+        for block in TableBlock::split(&table) {
+            so_far += block.rows() as u64;
+            // Nothing is queryable until the last block lands.
+            assert!(matches!(
+                sum_n(&core, "tall"),
+                Response::EngineFailure { .. }
+            ));
+            assert_eq!(
+                register(&core, block),
+                Response::Registered { rows: so_far }
+            );
+        }
+        assert_eq!(so_far, rows as u64);
+        assert_eq!(core.stats_snapshot().registers, 1);
+        let n = rows as i64;
+        match sum_n(&core, "tall") {
+            Response::Result { result, .. } => assert_eq!(
+                result.rows,
+                vec![vec![Value::Int(n), Value::Int(n * (n - 1) / 2)]]
+            ),
+            other => panic!("expected a result, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn out_of_order_blocks_drop_the_upload_and_a_fresh_one_replaces_it() {
+        let table = tall_table(2 * CHUNK_ROWS + 5);
+        let blocks: Vec<TableBlock> = TableBlock::split(&table).collect();
+        let core = ServerCore::new();
+
+        // A later block with nothing to continue.
+        assert!(matches!(
+            register(&core, blocks[1].clone()),
+            Response::BadRequest { .. }
+        ));
+        // Skipping a block drops the upload: the block that would have
+        // been next is then refused too.
+        assert_eq!(
+            register(&core, blocks[0].clone()),
+            Response::Registered {
+                rows: CHUNK_ROWS as u64
+            }
+        );
+        assert!(matches!(
+            register(&core, blocks[2].clone()),
+            Response::BadRequest { .. }
+        ));
+        assert!(matches!(
+            register(&core, blocks[1].clone()),
+            Response::BadRequest { .. }
+        ));
+        assert!(core.lock_uploads().is_empty());
+        assert_eq!(core.stats_snapshot().protocol_errors, 3);
+
+        // Starting over mid-upload replaces what was pending.
+        register(&core, blocks[0].clone());
+        register(&core, blocks[1].clone());
+        for block in blocks {
+            assert!(matches!(
+                register(&core, block),
+                Response::Registered { .. }
+            ));
+        }
+        assert!(core.lock_uploads().is_empty());
+        assert_eq!(core.stats_snapshot().registers, 1);
+        assert!(matches!(sum_n(&core, "tall"), Response::Result { .. }));
+    }
+
+    #[test]
+    fn a_declared_total_reserves_no_more_than_the_rows_received_justify() {
+        let table = tall_table(CHUNK_ROWS);
+        let (schema, columns) = TableBlock::split(&table)
+            .next()
+            .expect("one block")
+            .into_parts();
+        // One real block that claims to open a table of 2^60 rows.
+        let block = TableBlock::new(schema, 1 << 60, 0, columns).expect("well-formed");
+        let mut upload = Upload::starting_with(&block);
+        upload.append(block);
+        assert_eq!(upload.reserved, RESERVE_AHEAD * CHUNK_ROWS as u64);
+    }
+
+    #[test]
     fn engine_errors_cross_with_variant_intact() {
         let core = ServerCore::new();
-        let resp = core.handle(&Request::Execute {
+        let resp = core.handle(Request::Execute {
             engine: sel("postgres-like"),
             sql: "SELECT COUNT(*) FROM missing".to_string(),
         });
@@ -374,13 +593,13 @@ mod tests {
     #[test]
     fn unknown_engine_and_bad_sql_are_bad_requests() {
         let core = ServerCore::new();
-        let resp = core.handle(&Request::Execute {
+        let resp = core.handle(Request::Execute {
             engine: sel("oracle23ai"),
             sql: "SELECT COUNT(*) FROM t".to_string(),
         });
         assert!(matches!(resp, Response::BadRequest { .. }), "{resp:?}");
 
-        let resp = core.handle(&Request::Execute {
+        let resp = core.handle(Request::Execute {
             engine: sel("sqlite-like"),
             sql: "DELETE FROM t".to_string(),
         });
@@ -391,19 +610,19 @@ mod tests {
     #[test]
     fn catalog_reuses_engine_instances_across_requests() {
         let core = ServerCore::new();
-        core.handle(&Request::RegisterTable {
+        core.handle(Request::RegisterTable {
             engine: sel("duckdb-like"),
-            table: tiny_table(),
+            block: tiny_table(),
         });
         // Same selector on a "different connection": table must still be
         // registered (same engine instance).
-        let resp = core.handle(&Request::Execute {
+        let resp = core.handle(Request::Execute {
             engine: sel("duckdb-like"),
             sql: "SELECT COUNT(*) AS c FROM t".to_string(),
         });
         assert!(matches!(resp, Response::Result { .. }), "{resp:?}");
         // Different scan_threads = a different instance without the table.
-        let resp = core.handle(&Request::Execute {
+        let resp = core.handle(Request::Execute {
             engine: EngineSel {
                 kind: "duckdb-like".to_string(),
                 scan_threads: 2,
@@ -417,7 +636,7 @@ mod tests {
     fn shutdown_flips_the_drain_flag() {
         let core = ServerCore::new();
         assert!(!core.is_draining());
-        let resp = core.handle(&Request::Shutdown);
+        let resp = core.handle(Request::Shutdown);
         assert_eq!(resp, Response::ShuttingDown);
         assert!(core.is_draining());
     }
@@ -426,7 +645,7 @@ mod tests {
     fn handle_frame_covers_the_full_byte_path() {
         let core = ServerCore::new();
         let frame = Frame::request(7, &Request::Stats).expect("frame builds");
-        let reply = core.handle_frame(&frame);
+        let reply = core.handle_frame(frame);
         assert_eq!(reply.kind, FrameKind::Response);
         assert_eq!(reply.request_id, 7);
         match reply.parse_response().expect("response parses") {
@@ -440,10 +659,26 @@ mod tests {
             request_id: 9,
             payload: Vec::new(),
         };
-        let reply = core.handle_frame(&bogus);
+        let reply = core.handle_frame(bogus);
         assert!(matches!(
             reply.parse_response(),
             Ok(Response::BadRequest { .. })
+        ));
+    }
+
+    #[test]
+    fn a_ragged_result_is_refused_at_encode_not_sent_malformed() {
+        let ragged = Response::Result {
+            result: simba_store::ResultSet {
+                columns: vec!["a".into(), "b".into()],
+                rows: vec![vec![Value::Int(1)]],
+            },
+            stats: Default::default(),
+            elapsed_ns: 0,
+        };
+        assert!(matches!(
+            Frame::response(3, &ragged),
+            Err(WireError::Protocol(_))
         ));
     }
 }

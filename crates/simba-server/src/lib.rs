@@ -5,8 +5,9 @@
 //! crate supplies the three pieces that let the benchmark cross a socket:
 //!
 //! * [`proto`] — a hand-rolled, length-prefixed binary framing with
-//!   version-tagged headers and request-id correlation, carrying
-//!   serde-backed JSON payloads ([`proto::Request`] / [`proto::Response`]).
+//!   version-tagged headers and request-id correlation, carrying typed
+//!   binary payloads ([`proto::Request`] / [`proto::Response`]): results
+//!   as a string table plus tagged values, tables as column blocks.
 //! * [`core`] + [`server`] — [`core::ServerCore`] (sharded engine catalog,
 //!   request dispatch, stats) behind a TCP accept loop with
 //!   per-connection worker threads, a bounded in-flight window for
@@ -22,15 +23,16 @@
 //!
 //! Determinism: query *results* crossing the wire are byte-identical to
 //! in-process execution — queries ship as SQL text (the printer/parser
-//! round-trip is property-tested in `simba-sql`) and values round-trip
-//! variant-exactly through the vendored `serde_json` (pinned in
-//! `simba-store`). The loopback transport exercises the full
+//! round-trip is property-tested in `simba-sql`) and values cross as
+//! tagged 64-bit patterns, variant- and bit-exact (`tests/codec.rs`). The
+//! loopback transport exercises the full
 //! encode → frame → decode → dispatch byte path without a socket, which is
 //! what lets CI pin remote-vs-local fingerprint equality.
 
 #![warn(missing_docs)]
 
 pub mod client;
+mod codec;
 pub mod core;
 pub mod proto;
 pub mod server;

@@ -219,7 +219,7 @@ fn executor_loop(
     rx: Receiver<Frame>,
 ) -> Result<(), WireError> {
     for frame in rx {
-        let reply = core.handle_frame(&frame);
+        let reply = core.handle_frame(frame);
         out.write_all(&reply.encode())?;
     }
     let _ = out.flush();
@@ -229,7 +229,7 @@ fn executor_loop(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::proto::{EngineSel, Request, Response, WireTable};
+    use crate::proto::{EngineSel, Request, Response, TableBlock};
     use simba_store::{ColumnDef, Schema, TableBuilder, Value};
 
     fn spawn_server(config: ServerConfig) -> (SocketAddr, Arc<ServerCore>, thread::JoinHandle<()>) {
@@ -280,7 +280,7 @@ mod tests {
         let mut b = TableBuilder::new(schema, 2);
         b.push_row(vec![Value::str("A"), Value::Int(2)]);
         b.push_row(vec![Value::str("A"), Value::Int(3)]);
-        let table = WireTable::from_table(&b.finish());
+        let block = TableBlock::split(&b.finish()).next().expect("one block");
         let engine = EngineSel {
             kind: "sqlite-like".to_string(),
             scan_threads: 1,
@@ -292,7 +292,7 @@ mod tests {
             1,
             &Request::RegisterTable {
                 engine: engine.clone(),
-                table,
+                block,
             },
         );
         send(

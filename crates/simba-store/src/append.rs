@@ -144,6 +144,24 @@ impl TableAssembler {
         self.rows
     }
 
+    /// Schema of the table being assembled.
+    pub fn schema(&self) -> &Schema {
+        &self.schema
+    }
+
+    /// Make room for `additional` more rows without over-allocating, for a
+    /// caller that learns how much is coming only as it arrives (a table
+    /// uploaded block by block) and must not trust a declared total up
+    /// front. A no-op while the buffers already have the room.
+    pub fn reserve(&mut self, additional: usize) {
+        for col in &mut self.columns {
+            col.reserve(additional);
+        }
+        for zones in self.zones.iter_mut().flatten() {
+            zones.reserve_exact(morsel_count(additional));
+        }
+    }
+
     /// Finish assembly: seal the columns and install the eagerly built zone
     /// maps into the table.
     pub fn finish(self) -> Table {
@@ -213,6 +231,14 @@ fn append_validity(
     }
 }
 
+/// Validity stays unallocated until the first NULL arrives; once it is
+/// materialized it grows with the data.
+fn reserve_validity(valid: &mut Vec<bool>, additional: usize) {
+    if !valid.is_empty() {
+        valid.reserve_exact(additional);
+    }
+}
+
 impl ColumnAppender {
     fn new(data_type: DataType, capacity: usize) -> ColumnAppender {
         match data_type {
@@ -238,6 +264,27 @@ impl ColumnAppender {
                 valid: Vec::new(),
                 any_null: false,
             },
+        }
+    }
+
+    fn reserve(&mut self, additional: usize) {
+        match self {
+            ColumnAppender::Int { data, valid, .. } => {
+                data.reserve_exact(additional);
+                reserve_validity(valid, additional);
+            }
+            ColumnAppender::Float { data, valid, .. } => {
+                data.reserve_exact(additional);
+                reserve_validity(valid, additional);
+            }
+            ColumnAppender::Bool { data, valid, .. } => {
+                data.reserve_exact(additional);
+                reserve_validity(valid, additional);
+            }
+            ColumnAppender::Str { codes, valid, .. } => {
+                codes.reserve_exact(additional);
+                reserve_validity(valid, additional);
+            }
         }
     }
 
@@ -445,6 +492,19 @@ mod tests {
         asm.append_chunk(chunk(2 * MORSEL_ROWS, 100));
         let table = asm.finish();
         assert!(table.bitwise_eq(&monolithic(total)));
+    }
+
+    #[test]
+    fn reserving_as_chunks_arrive_changes_nothing_about_the_table() {
+        let total = 2 * MORSEL_ROWS + 100;
+        let mut asm = TableAssembler::new(schema(), 0);
+        asm.reserve(MORSEL_ROWS);
+        asm.append_chunk(chunk(0, MORSEL_ROWS));
+        asm.reserve(total - MORSEL_ROWS);
+        asm.append_chunk(chunk(MORSEL_ROWS, MORSEL_ROWS));
+        asm.append_chunk(chunk(2 * MORSEL_ROWS, 100));
+        assert_eq!(asm.rows(), total);
+        assert!(asm.finish().bitwise_eq(&monolithic(total)));
     }
 
     #[test]
