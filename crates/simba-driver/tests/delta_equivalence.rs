@@ -48,8 +48,10 @@ fn spec(seed: u64, kind: EngineKind, source: SourceSpec, cache: bool, delta: boo
 /// seeded order under seeded projection permutations — so group-state
 /// replay sees ORDER BY over a non-projected aggregate (two different
 /// ones), HAVING with two hidden aggregates in both written orders, LIMIT,
-/// and permuted projections back to back. Every ORDER BY ends in the group
-/// keys, so LIMIT cuts a total order.
+/// and permuted projections back to back. Two tails cut groups in emission
+/// order — LIMIT with no ORDER BY, and LIMIT under an ORDER BY over an
+/// aggregate alone, whose ties keep emission order — so seeded scans and
+/// group-state replays must emit in the fresh scan's order.
 fn shape_storm(seed: u64, sessions: usize, steps: usize) -> Vec<SessionScript> {
     const WHERES: [&str; 4] = [
         "",
@@ -58,7 +60,9 @@ fn shape_storm(seed: u64, sessions: usize, steps: usize) -> Vec<SessionScript> {
         "WHERE calls > 2 AND satisfaction >= 3",
     ];
     const KEYS: [&str; 2] = ["queue", "queue, call_type"];
-    const TAILS: [&str; 6] = [
+    const TAILS: [&str; 8] = [
+        "LIMIT 4",
+        "ORDER BY COUNT(*) DESC LIMIT 3",
         "ORDER BY {k}",
         "ORDER BY SUM(handle_time) DESC, {k} LIMIT 3",
         "ORDER BY MIN(handle_time) DESC, {k} LIMIT 3",

@@ -1,5 +1,5 @@
-//! Kernel-coverage inventory: which filter kernels the three session
-//! sources' queries compile to.
+//! Kernel-coverage inventory: which filter kernels and which grouping shapes
+//! the three session sources' queries compile to.
 //!
 //! The typed kernels are only worth having if the workloads reach them. This
 //! drives each source through the driver against an engine that records every
@@ -7,8 +7,12 @@
 //! compiler, and counts kernels by kind. The IDEBench storm — the workload
 //! that stacks filters — must compile to no `Kernel::Generic` at all: a
 //! `BETWEEN` falling back to the row interpreter fails here, not just in a
-//! benchmark. `cargo test -p simba-driver --test kernel_coverage --
-//! --nocapture` prints the table.
+//! benchmark. Each aggregate is classified by the path the engines pick for
+//! it — global, one dictionary key with typed aggregates, one dictionary key
+//! without them (the group table's dense index), or the group table's hash
+//! index — with its key count: the hash-indexed share is what typed keys can
+//! still speed up. `cargo test -p simba-driver --test kernel_coverage --
+//! --nocapture` prints both tables.
 
 use simba_core::dashboard::Dashboard;
 use simba_core::session::batch::{synthesize_scripts, BatchConfig};
@@ -17,8 +21,9 @@ use simba_data::DashboardDataset;
 use simba_driver::{
     AdaptiveSource, AdaptiveWalkConfig, Driver, DriverConfig, ScriptedSource, SessionSource,
 };
+use simba_engine::batch::{dict_group_key_col, TypedGroupStates};
 use simba_engine::exec::{cexpr_conjuncts, compile_kernels, Kernel};
-use simba_engine::plan::compile_row_expr;
+use simba_engine::plan::{compile_row_expr, prepare, QueryKind};
 use simba_engine::{Dbms, EngineError, EngineKind, QueryOutput};
 use simba_idebench::IdebenchSource;
 use simba_sql::Select;
@@ -61,11 +66,25 @@ struct Inventory {
     generic: usize,
     /// Queries whose filter compiles to one kernel that never matches.
     contradictory: usize,
+    /// Aggregates without GROUP BY.
+    global: usize,
+    /// One dictionary key, every aggregate typed: code-indexed typed states.
+    dict_typed: usize,
+    /// One dictionary key, some aggregate untyped: the dense group table.
+    dict_boxed: usize,
+    /// Everything else grouped: the hash-indexed group table.
+    hash: usize,
+    /// Aggregates by GROUP BY key count: 0, 1, 2, 3 or more.
+    keys: [usize; 4],
 }
 
 impl Inventory {
     fn kernels(&self) -> usize {
         self.range + self.dict_in + self.generic
+    }
+
+    fn aggregates(&self) -> usize {
+        self.global + self.dict_typed + self.dict_boxed + self.hash
     }
 }
 
@@ -86,6 +105,17 @@ fn inventory(table: &Arc<Table>, source: &dyn SessionSource) -> Inventory {
     let mut inv = Inventory::default();
     for query in engine.seen.lock().unwrap().iter() {
         inv.queries += 1;
+        if let QueryKind::Aggregate { keys, aggs, .. } = prepare(query, table.clone()).unwrap().kind
+        {
+            inv.keys[keys.len().min(3)] += 1;
+            let typed = TypedGroupStates::compile(&aggs, table, 1).is_some();
+            match dict_group_key_col(&keys, table) {
+                Some(_) if typed => inv.dict_typed += 1,
+                Some(_) => inv.dict_boxed += 1,
+                None if keys.is_empty() => inv.global += 1,
+                None => inv.hash += 1,
+            }
+        }
         let Some(filter) = &query.where_clause else {
             continue;
         };
@@ -140,8 +170,11 @@ fn idebench_storm_compiles_to_typed_kernels_only() {
         "{:<9} {:>7} {:>9} {:>7} {:>7} {:>7} {:>7} {:>13}",
         "source", "queries", "conjuncts", "kernels", "Range", "DictIn", "Generic", "contradictory"
     );
-    for (name, source) in &sources {
-        let inv = inventory(&table, source.as_ref());
+    let inventories: Vec<(&str, Inventory)> = sources
+        .iter()
+        .map(|(name, source)| (*name, inventory(&table, source.as_ref())))
+        .collect();
+    for (name, inv) in &inventories {
         println!(
             "{name:<9} {:>7} {:>9} {:>7} {:>7} {:>7} {:>7} {:>13}",
             inv.queries,
@@ -161,6 +194,37 @@ fn idebench_storm_compiles_to_typed_kernels_only() {
             // them, and some of the stacks contradict themselves.
             assert!(inv.kernels() < inv.conjuncts, "{inv:?}");
             assert!(inv.contradictory > 0, "{inv:?}");
+        }
+    }
+
+    println!(
+        "\n{:<9} {:>10} {:>6} {:>10} {:>10} {:>5} {:>6} {:>6} {:>6} {:>10}",
+        "source",
+        "aggregates",
+        "global",
+        "dict-typed",
+        "dict-boxed",
+        "hash",
+        "1-key",
+        "2-key",
+        "3+-key",
+        "hash share"
+    );
+    for (name, inv) in &inventories {
+        println!(
+            "{name:<9} {:>10} {:>6} {:>10} {:>10} {:>5} {:>6} {:>6} {:>6} {:>10.3}",
+            inv.aggregates(),
+            inv.global,
+            inv.dict_typed,
+            inv.dict_boxed,
+            inv.hash,
+            inv.keys[1],
+            inv.keys[2],
+            inv.keys[3],
+            inv.hash as f64 / inv.queries as f64,
+        );
+        if *name != "scripted" {
+            assert!(inv.hash > 0, "{name} never reaches the hash table: {inv:?}");
         }
     }
 }

@@ -10,17 +10,15 @@
 //! Semantics are pinned to the row path: the equivalence suite requires
 //! byte-identical results from both.
 
-use crate::agg::{Accumulator, AggSpec};
+use crate::agg::AggSpec;
 use crate::eval::{eval, eval_predicate, CExpr, TableRow};
-use crate::exec::{
-    compile_kernels, emit_finalized_groups, new_group, update_group, ExecStats, Kernel,
-};
+use crate::exec::{compile_kernels, emit_finalized_groups, ExecStats, Kernel};
+use crate::group::GroupTable;
 use crate::plan::{PreparedQuery, QueryKind};
 use simba_sql::Func;
 use simba_store::zonemap::{float_key, morsel_bounds, morsel_count, ZoneMaps, MORSEL_ROWS};
 use simba_store::{ColumnData, Table, Value};
 use std::cmp::Ordering;
-use std::collections::HashMap;
 
 /// Rows per scan batch. Equal to the zone-map granularity so every batch is
 /// covered by exactly one zone per column.
@@ -396,7 +394,7 @@ impl TypedGroupStates {
     }
 
     /// Finalized aggregate values for group `slot`, matching
-    /// [`Accumulator::finalize`] exactly.
+    /// [`Accumulator::finalize`](crate::agg::Accumulator::finalize) exactly.
     pub fn finalize_into(&self, slot: usize, out: &mut Vec<Value>) {
         for state in &self.states {
             out.push(match state {
@@ -642,7 +640,7 @@ fn merge_state(kind: TypedAggKind, a: &mut AggStateVec, b: &AggStateVec) {
 /// the row's dictionary code, or `null_slot` for NULL rows.
 pub fn dict_key_slots(col: &ColumnData, sel: &[u32], slots: &mut Vec<u32>, null_slot: u32) {
     slots.clear();
-    // simba: allow(panic-hygiene): only dictionary-encoded key columns are routed here (DenseDict/TypedDict mode selection); a codeless column is a planner bug
+    // simba: allow(panic-hygiene): only dictionary-encoded key columns are routed here (TypedDict mode selection); a codeless column is a planner bug
     let codes = col.code_data().expect("dict key column");
     let valid = col.validity();
     if valid.is_empty() {
@@ -681,8 +679,8 @@ pub fn fill_filtered(
 }
 
 /// The single bare dictionary-encoded group-key column of an aggregate, if
-/// the plan has exactly that shape (the dense code-indexed grouping paths
-/// require it).
+/// the plan has exactly that shape (the typed code-indexed states and the
+/// [`GroupTable`]'s dense index require it).
 pub fn dict_group_key_col(keys: &[CExpr], table: &Table) -> Option<usize> {
     (keys.len() == 1)
         .then(|| keys[0].as_col())
@@ -738,33 +736,26 @@ enum AggMode {
     /// One bare dict-encoded group key and all-typed aggregates: dense
     /// code-indexed typed states (slot = code, last slot = NULL group).
     TypedDict { key_col: usize, dict_len: usize },
-    /// One bare dict-encoded group key, generic accumulators per code slot.
-    DenseDict { key_col: usize, dict_len: usize },
     /// Global aggregate (no keys) with all-typed aggregates: one slot.
     TypedGlobal,
-    /// Fallback: hash grouping over evaluated key values.
-    Hash,
+    /// Everything else: the boxed [`GroupTable`].
+    Groups,
 }
 
 fn decide_mode(plan: &PreparedQuery, table: &Table) -> AggMode {
     let QueryKind::Aggregate { keys, aggs, .. } = &plan.kind else {
         return AggMode::Project;
     };
-    let typed = compile_typed_aggs(aggs, table).is_some();
+    if compile_typed_aggs(aggs, table).is_none() {
+        return AggMode::Groups;
+    }
     match dict_group_key_col(keys, table) {
         Some(key_col) => {
-            let dict_len = table
-                .column(key_col)
-                .dictionary()
-                .map_or(0, <[std::sync::Arc<str>]>::len);
-            if typed {
-                AggMode::TypedDict { key_col, dict_len }
-            } else {
-                AggMode::DenseDict { key_col, dict_len }
-            }
+            let dict_len = table.column(key_col).dictionary().map_or(0, <[_]>::len);
+            AggMode::TypedDict { key_col, dict_len }
         }
-        None if keys.is_empty() && typed => AggMode::TypedGlobal,
-        None => AggMode::Hash,
+        None if keys.is_empty() => AggMode::TypedGlobal,
+        None => AggMode::Groups,
     }
 }
 
@@ -772,8 +763,7 @@ fn decide_mode(plan: &PreparedQuery, table: &Table) -> AggMode {
 enum Partial {
     Rows(Vec<Vec<Value>>),
     Typed(TypedGroupStates),
-    Dense(Vec<Option<Vec<Accumulator>>>),
-    Hash(HashMap<Vec<Value>, Vec<Accumulator>>),
+    Groups(GroupTable),
 }
 
 struct RangePartial {
@@ -792,7 +782,7 @@ pub enum DeltaScan<'a> {
     /// No participation: the plain fresh scan.
     Off,
     /// Fresh scan that additionally captures the surviving selection (and,
-    /// for typed aggregation modes, the merged group states) so a session
+    /// for aggregations, the merged group states) so a session
     /// delta store can seed later refinements from it.
     Capture,
     /// Scan seeded from a previously captured selection: only the seed rows
@@ -816,11 +806,9 @@ pub enum GroupStates {
     /// Merged typed per-slot states (the `TypedDict` / `TypedGlobal` fast
     /// paths).
     Typed(TypedGroupStates),
-    /// Materialized `(group key, accumulators)` pairs from the dense and
-    /// hash aggregation paths. Pair order is irrelevant: emission order is
-    /// only observable through ORDER BY, which re-sorts on replay, and
-    /// fingerprints hash the sorted row multiset.
-    Grouped(Vec<(Vec<Value>, Vec<Accumulator>)>),
+    /// The merged [`GroupTable`] itself, moved in after emitting; a replay
+    /// emits it in the fresh scan's order.
+    Grouped(GroupTable),
 }
 
 /// Upper bound on the group count a `GroupStates::Grouped` capture retains.
@@ -983,137 +971,42 @@ pub fn run_morsels(
         match (&mut merged, p.partial) {
             (Partial::Rows(a), Partial::Rows(b)) => a.extend(b),
             (Partial::Typed(a), Partial::Typed(b)) => a.merge(&b),
-            (Partial::Dense(a), Partial::Dense(b)) => {
-                for (slot, accs) in a.iter_mut().zip(b) {
-                    match (slot.as_mut(), accs) {
-                        (Some(mine), Some(theirs)) => {
-                            for (m, t) in mine.iter_mut().zip(&theirs) {
-                                m.merge(t);
-                            }
-                        }
-                        (None, theirs @ Some(_)) => *slot = theirs,
-                        _ => {}
-                    }
-                }
-            }
-            (Partial::Hash(a), Partial::Hash(b)) => {
-                // Key-merge order cannot leak: each key's accumulators are
-                // merged exactly once into `a`'s slot for that same key, so
-                // the merged map is identical whatever order `b` yields —
-                // and group emission order is sorted downstream before any
-                // fingerprint sees it.
-                // simba: allow(nondeterministic-iteration): per-key merge into the matching key's slot is independent of visit order
-                for (key, accs) in b {
-                    match a.entry(key) {
-                        std::collections::hash_map::Entry::Occupied(mut e) => {
-                            for (m, t) in e.get_mut().iter_mut().zip(&accs) {
-                                m.merge(t);
-                            }
-                        }
-                        std::collections::hash_map::Entry::Vacant(e) => {
-                            e.insert(accs);
-                        }
-                    }
-                }
-            }
+            (Partial::Groups(a), Partial::Groups(b)) => a.merge(b),
             _ => unreachable!("scan ranges share one mode"),
         }
     }
 
-    let mut capture = capture_requested.then(|| DeltaCapture {
-        selection: chain_selection,
-        states: None,
-    });
-    let rows = match (merged, &plan.kind) {
-        (Partial::Rows(rows), _) => rows,
+    // Kept states emit through the replay path, so a replay emits exactly
+    // what this scan did; an unkept group table frees itself as it emits.
+    let (rows, states) = match (merged, &plan.kind) {
+        (Partial::Rows(rows), _) => (rows, None),
         (
-            Partial::Typed(mut states),
-            QueryKind::Aggregate {
-                keys,
-                projections,
-                having,
-                ..
-            },
-        ) => {
-            if keys.is_empty() {
-                // A global aggregate emits one row even over zero input.
-                states.mark_touched(0);
-            }
-            // Captured *after* the global empty-input touch so a cached
-            // state re-finalizes to the identical row set.
-            if let Some(cap) = capture.as_mut() {
-                cap.states = Some(GroupStates::Typed(states.clone()));
-            }
-            let dict = match &mode {
-                AggMode::TypedDict { key_col, .. } => {
-                    table.column(*key_col).dictionary().unwrap_or(&[])
-                }
-                _ => &[],
-            };
-            let groups = finalize_typed_groups(&states, dict, keys.is_empty());
-            stats.groups = groups.len();
-            emit_finalized_groups(projections, having.as_ref(), groups)
-        }
-        (
-            Partial::Dense(slots),
+            Partial::Groups(groups),
             QueryKind::Aggregate {
                 projections,
                 having,
                 ..
             },
-        ) => {
-            let dict = match &mode {
-                AggMode::DenseDict { key_col, .. } => {
-                    table.column(*key_col).dictionary().unwrap_or(&[])
-                }
-                _ => &[],
-            };
-            let mut groups: Vec<(Vec<Value>, Vec<Accumulator>)> = Vec::new();
-            for (slot, accs) in slots.into_iter().enumerate() {
-                if let Some(accs) = accs {
-                    let key = if slot < dict.len() {
-                        Value::Str(dict[slot].clone())
-                    } else {
-                        Value::Null
-                    };
-                    groups.push((vec![key], accs));
-                }
-            }
+        ) if !capture_requested || groups.len() > MAX_CAPTURED_GROUPS => {
             stats.groups = groups.len();
-            if let Some(cap) = capture.as_mut() {
-                if groups.len() <= MAX_CAPTURED_GROUPS {
-                    cap.states = Some(GroupStates::Grouped(groups.clone()));
-                }
-            }
-            crate::exec::emit_groups(projections, having.as_ref(), groups)
+            (groups.into_rows(projections, having.as_ref()), None)
         }
-        (
-            Partial::Hash(mut map),
-            QueryKind::Aggregate {
-                keys,
-                aggs,
-                projections,
-                having,
-            },
-        ) => {
-            if keys.is_empty() && map.is_empty() {
-                map.insert(Vec::new(), new_group(aggs));
-            }
-            stats.groups = map.len();
-            // Materialize before emitting so the same pairs can be both
-            // captured and consumed. Drain order does not matter (see
-            // `GroupStates::Grouped`).
-            // simba: allow(nondeterministic-iteration): pair order is unobservable — ORDER BY re-sorts and fingerprints hash the sorted multiset
-            let groups: Vec<(Vec<Value>, Vec<Accumulator>)> = map.into_iter().collect();
-            if let Some(cap) = capture.as_mut() {
-                if groups.len() <= MAX_CAPTURED_GROUPS {
-                    cap.states = Some(GroupStates::Grouped(groups.clone()));
-                }
-            }
-            crate::exec::emit_groups(projections, having.as_ref(), groups)
+        (partial, _) => {
+            let states = match partial {
+                Partial::Typed(states) => GroupStates::Typed(states),
+                Partial::Groups(groups) => GroupStates::Grouped(groups),
+                Partial::Rows(_) => unreachable!("partial shape matches plan kind"),
+            };
+            // simba: allow(panic-hygiene): the states were just built for this very plan, so they fit it
+            let (rows, groups) = emit_states(plan, &states).expect("states fit their plan");
+            stats.groups = groups;
+            (rows, Some(states))
         }
-        _ => unreachable!("partial shape matches plan kind"),
     };
+    let capture = capture_requested.then(|| DeltaCapture {
+        selection: chain_selection,
+        states,
+    });
     (rows, stats, capture)
 }
 
@@ -1129,6 +1022,21 @@ pub fn run_from_cache(
     states: &GroupStates,
     matched: usize,
 ) -> Option<(Vec<Vec<Value>>, ExecStats)> {
+    let (rows, groups) = emit_states(plan, states)?;
+    let stats = ExecStats {
+        rows_matched: matched,
+        groups,
+        delta_group_hits: 1,
+        delta_rows_saved: plan.table.row_count(),
+        ..ExecStats::default()
+    };
+    Some((rows, stats))
+}
+
+/// `states` emitted through `plan`'s projections and HAVING, with their
+/// group count — the one emission fresh scans and replays share — or
+/// `None` when they do not fit the plan's aggregation shape.
+fn emit_states(plan: &PreparedQuery, states: &GroupStates) -> Option<(Vec<Vec<Value>>, usize)> {
     let table = plan.table.as_ref();
     let QueryKind::Aggregate {
         keys,
@@ -1140,7 +1048,7 @@ pub fn run_from_cache(
         return None;
     };
     let having = having.as_ref();
-    let (rows, groups) = match states {
+    match states {
         GroupStates::Typed(states) => {
             if states.kinds.len() != aggs.len() {
                 return None;
@@ -1154,52 +1062,35 @@ pub fn run_from_cache(
             };
             let groups = finalize_typed_groups(states, dict, global);
             let n = groups.len();
-            (emit_finalized_groups(projections, having, groups), n)
+            Some((emit_finalized_groups(projections, having, groups), n))
         }
-        GroupStates::Grouped(groups) => {
-            if groups.iter().any(|(_, accs)| accs.len() != aggs.len()) {
-                return None;
-            }
-            let rows = crate::exec::emit_groups(projections, having, groups.clone());
-            (rows, groups.len())
+        GroupStates::Grouped(groups) if groups.aggs.len() == aggs.len() => {
+            Some((groups.emit(projections, having), groups.len()))
         }
-    };
-    let stats = ExecStats {
-        rows_matched: matched,
-        groups,
-        delta_group_hits: 1,
-        delta_rows_saved: table.row_count(),
-        ..ExecStats::default()
-    };
-    Some((rows, stats))
+        GroupStates::Grouped(_) => None,
+    }
 }
 
 /// Empty partial state for one scan range, shaped by the aggregation mode.
 fn make_partial(plan: &PreparedQuery, table: &Table, mode: &AggMode) -> Partial {
-    match mode {
-        AggMode::Project => Partial::Rows(Vec::new()),
-        AggMode::TypedDict { dict_len, .. } => {
-            let QueryKind::Aggregate { aggs, .. } = &plan.kind else {
-                unreachable!()
-            };
-            Partial::Typed(
-                TypedGroupStates::compile(aggs, table, dict_len + 1)
-                    // simba: allow(panic-hygiene): AggMode selection already ran compile successfully on this (aggs, table) pair; failure here is unreachable
-                    .expect("mode chosen with typed support"),
-            )
+    let QueryKind::Aggregate { keys, aggs, .. } = &plan.kind else {
+        return Partial::Rows(Vec::new());
+    };
+    let n_groups = match mode {
+        AggMode::TypedDict { dict_len, .. } => dict_len + 1,
+        AggMode::TypedGlobal => 1,
+        AggMode::Project | AggMode::Groups => {
+            return Partial::Groups(GroupTable::new(keys, aggs, table))
         }
-        AggMode::TypedGlobal => {
-            let QueryKind::Aggregate { aggs, .. } = &plan.kind else {
-                unreachable!()
-            };
-            Partial::Typed(
-                // simba: allow(panic-hygiene): AggMode selection already ran compile successfully on this (aggs, table) pair; failure here is unreachable
-                TypedGroupStates::compile(aggs, table, 1).expect("mode chosen with typed support"),
-            )
-        }
-        AggMode::DenseDict { dict_len, .. } => Partial::Dense(vec![None; dict_len + 1]),
-        AggMode::Hash => Partial::Hash(HashMap::new()),
+    };
+    let mut states = TypedGroupStates::compile(aggs, table, n_groups)
+        // simba: allow(panic-hygiene): AggMode selection already ran compile successfully on this (aggs, table) pair; failure here is unreachable
+        .expect("mode chosen with typed support");
+    if keys.is_empty() {
+        // A global aggregate emits one row even over zero input.
+        states.mark_touched(0);
     }
+    Partial::Typed(states)
 }
 
 /// Feed one filtered batch into a range's partial state — the per-morsel
@@ -1239,40 +1130,7 @@ fn update_partial(
             slots.resize(sel.len(), 0);
             states.update_batch(table, sel.as_slice(), slots);
         }
-        (Partial::Dense(groups), AggMode::DenseDict { key_col, dict_len }) => {
-            let QueryKind::Aggregate { aggs, .. } = &plan.kind else {
-                unreachable!()
-            };
-            let col = table.column(*key_col);
-            for &i in sel.as_slice() {
-                let row = i as usize;
-                let slot = match col.code(row) {
-                    Some(code) => code as usize,
-                    None => *dict_len,
-                };
-                let accs = groups[slot].get_or_insert_with(|| new_group(aggs));
-                update_group(accs, aggs, table, row);
-            }
-        }
-        (Partial::Hash(map), AggMode::Hash) => {
-            let QueryKind::Aggregate { keys, aggs, .. } = &plan.kind else {
-                unreachable!()
-            };
-            for &i in sel.as_slice() {
-                let ctx = TableRow {
-                    table,
-                    row: i as usize,
-                };
-                let key: Vec<Value> = keys.iter().map(|k| eval(k, &ctx)).collect();
-                let accs = map.entry(key).or_insert_with(|| new_group(aggs));
-                for (acc, spec) in accs.iter_mut().zip(aggs) {
-                    match &spec.arg {
-                        None => acc.update_star(),
-                        Some(arg) => acc.update_value(eval(arg, &ctx)),
-                    }
-                }
-            }
-        }
+        (Partial::Groups(groups), AggMode::Groups) => groups.update(table, sel.as_slice()),
         _ => unreachable!("partial shape matches mode"),
     }
 }

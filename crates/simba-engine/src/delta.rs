@@ -4,7 +4,7 @@
 //! repeats the previous step's filter far more often than it starts from
 //! scratch (§2 of the paper). A [`SessionDelta`] store retains, per session,
 //! the surviving selection vector (and, for aggregations, the merged group
-//! states — typed per-slot states or materialized dense/hash group pairs)
+//! states — typed per-slot states or the [`GroupTable`](crate::group::GroupTable))
 //! of recent queries, each under the [`NormalizedSelect`] of the query that
 //! produced it. `execute_with_delta` builds the new query's form once and
 //! resolves it against the stored forms — no stored entry is ever
@@ -71,8 +71,7 @@ struct DeltaEntry {
     snapshot: Arc<Table>,
     /// Surviving row indices over the whole table, ascending.
     selection: Arc<Vec<u32>>,
-    /// Merged group states (typed per-slot states or materialized
-    /// dense/hash group pairs).
+    /// Merged group states, typed or a group table.
     states: Option<GroupStates>,
 }
 
@@ -369,8 +368,8 @@ mod tests {
     fn multi_key_hash_aggregations_replay_from_cached_groups() {
         let catalog = catalog();
         let mut delta = SessionDelta::default();
-        // Two grouping keys force the hash aggregation path — no typed mode
-        // exists for it, so tier 2 must come from materialized group pairs.
+        // Two grouping keys force the hash-indexed group table — no typed
+        // mode exists for it, so tier 2 must replay the captured table.
         let base = "SELECT q, a, COUNT(*), SUM(v) FROM t WHERE a > 20 GROUP BY q, a ORDER BY q, a";
         run(&catalog, &mut delta, base);
         // Exact re-render: replayed from the cached groups, no scan at all.

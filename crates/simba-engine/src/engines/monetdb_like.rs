@@ -7,25 +7,23 @@
 //! blocking, no zone maps), each pass a shared batch kernel. Aggregation is
 //! BAT-wise too: with a dictionary-encoded group key and typed aggregates it
 //! feeds the entire candidate vector into dense typed group states in one
-//! call; otherwise group keys and aggregate inputs are materialized as
-//! complete value vectors before aggregation. Fast per operator, but pays
-//! full intermediate-materialization cost.
+//! call; otherwise the whole candidate vector goes through the shared boxed
+//! [`GroupTable`] in one `update`. Projections materialize each output
+//! column in full before zipping rows. Fast per operator, but pays full
+//! intermediate-materialization cost.
 
-use crate::agg::Accumulator;
 use crate::batch::{
     dict_group_key_col, dict_key_slots, fill_filtered, finalize_typed_groups, SelectionVector,
     TypedGroupStates,
 };
 use crate::error::EngineError;
 use crate::eval::{eval, CExpr, TableRow};
-use crate::exec::{
-    compile_kernels, emit_finalized_groups, emit_groups, new_group, Catalog, ExecStats, QueryOutput,
-};
+use crate::exec::{compile_kernels, emit_finalized_groups, Catalog, ExecStats, QueryOutput};
+use crate::group::GroupTable;
 use crate::plan::{PreparedQuery, QueryKind};
 use crate::Dbms;
 use simba_sql::Select;
 use simba_store::{Table, Value};
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Operator-at-a-time columnar engine (MonetDB-style architecture).
@@ -97,37 +95,10 @@ impl MonetDbLike {
                     }
                 }
 
-                // Materialize key vectors and aggregate-argument vectors.
-                let key_cols: Vec<Vec<Value>> = keys
-                    .iter()
-                    .map(|k| materialize(k, table, candidates))
-                    .collect();
-                let arg_cols: Vec<Option<Vec<Value>>> = aggs
-                    .iter()
-                    .map(|a| a.arg.as_ref().map(|e| materialize(e, table, candidates)))
-                    .collect();
-
-                let mut groups: HashMap<Vec<Value>, Vec<Accumulator>> = HashMap::new();
-                if keys.is_empty() {
-                    groups.insert(Vec::new(), new_group(aggs));
-                }
-                for r in 0..candidates.len() {
-                    let key: Vec<Value> = key_cols.iter().map(|c| c[r].clone()).collect();
-                    let accs = groups.entry(key).or_insert_with(|| new_group(aggs));
-                    for (ai, (acc, spec)) in accs.iter_mut().zip(aggs).enumerate() {
-                        match &spec.arg {
-                            None => acc.update_star(),
-                            Some(_) => {
-                                // simba: allow(panic-hygiene): arg_cols[ai] was materialized above for exactly the specs with an arg; a miss is a planner bug
-                                let col = arg_cols[ai].as_ref().expect("materialized arg");
-                                acc.update_value(col[r].clone());
-                            }
-                        }
-                    }
-                }
+                let mut groups = GroupTable::new(keys, aggs, table);
+                groups.update(table, candidates);
                 stats.groups = groups.len();
-                let rows = emit_groups(projections, having.as_ref(), groups);
-                (rows, stats)
+                (groups.into_rows(projections, having.as_ref()), stats)
             }
         }
     }
@@ -212,7 +183,7 @@ mod tests {
     #[test]
     fn typed_bat_aggregation_matches_materialized_path() {
         // AVG(duration) is typed; adding COUNT(DISTINCT ts) forces the
-        // materialized fallback — both must agree on the shared columns.
+        // boxed group table — both must agree on the shared columns.
         let typed = engine()
             .execute(
                 &parse_select("SELECT queue, AVG(duration), SUM(calls) FROM cs GROUP BY queue")

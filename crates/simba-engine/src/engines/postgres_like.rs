@@ -5,20 +5,20 @@
 //! the scan proceeds in page-sized blocks, predicates run through the shared
 //! filter kernels over each block's selection vector (touching only the
 //! attributes a conjunct references — PostgreSQL's slot-based lazy attribute
-//! access), and grouping stays a per-row hash table over boxed values. No
+//! access), and each block's survivors are grouped through the shared boxed
+//! [`GroupTable`] (per-row key and argument evaluation over `Value`s). No
 //! zone maps and no typed aggregation: a heap has no morsel statistics, and
 //! the executor materializes datums per tuple.
 
-use crate::agg::Accumulator;
 use crate::batch::{fill_filtered, SelectionVector};
 use crate::error::EngineError;
 use crate::eval::{eval, TableRow};
-use crate::exec::{compile_kernels, emit_groups, new_group, Catalog, ExecStats, QueryOutput};
+use crate::exec::{compile_kernels, Catalog, ExecStats, QueryOutput};
+use crate::group::GroupTable;
 use crate::plan::{PreparedQuery, QueryKind};
 use crate::Dbms;
 use simba_sql::Select;
 use simba_store::{Table, Value};
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Rows per scan block (loop blocking akin to page-at-a-time access).
@@ -68,32 +68,15 @@ impl PostgresLike {
                 projections,
                 having,
             } => {
-                let mut groups: HashMap<Vec<Value>, Vec<Accumulator>> = HashMap::new();
-                if keys.is_empty() {
-                    groups.insert(Vec::new(), new_group(aggs));
-                }
+                let mut groups = GroupTable::new(keys, aggs, table);
                 for block_start in (0..n).step_by(BLOCK) {
                     let end = (block_start + BLOCK).min(n);
                     fill_filtered(&mut sel, table, block_start, end, kernels.as_deref());
                     stats.rows_matched += sel.len();
-                    for &i in sel.as_slice() {
-                        let ctx = TableRow {
-                            table,
-                            row: i as usize,
-                        };
-                        let key: Vec<Value> = keys.iter().map(|k| eval(k, &ctx)).collect();
-                        let accs = groups.entry(key).or_insert_with(|| new_group(aggs));
-                        for (acc, spec) in accs.iter_mut().zip(aggs) {
-                            match &spec.arg {
-                                None => acc.update_star(),
-                                Some(arg) => acc.update_value(eval(arg, &ctx)),
-                            }
-                        }
-                    }
+                    groups.update(table, sel.as_slice());
                 }
                 stats.groups = groups.len();
-                let rows = emit_groups(projections, having.as_ref(), groups);
-                (rows, stats)
+                (groups.into_rows(projections, having.as_ref()), stats)
             }
         }
     }

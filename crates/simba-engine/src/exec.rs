@@ -351,7 +351,7 @@ fn dict_in_kernel(col: usize, column: &ColumnData, values: &[Value], negated: bo
     Kernel::DictIn { col, mask }
 }
 
-/// Emit output rows for an aggregate query from its per-group accumulators.
+/// Emit output rows for [`run_row`]'s groups from their accumulators.
 /// Applies the group-level HAVING predicate and projections.
 pub fn emit_groups(
     projections: &[CExpr],
@@ -370,16 +370,16 @@ pub fn emit_groups(
 
 /// Like [`emit_groups`], but for group states that are already finalized to
 /// values (the typed aggregation fast path produces these directly).
-pub fn emit_finalized_groups(
+pub fn emit_finalized_groups<K: AsRef<[Value]>>(
     projections: &[CExpr],
     having: Option<&CExpr>,
-    groups: impl IntoIterator<Item = (Vec<Value>, Vec<Value>)>,
+    groups: impl IntoIterator<Item = (K, Vec<Value>)>,
 ) -> Vec<Vec<Value>> {
     let mut rows = Vec::new();
     let mut virtual_row: Vec<Value> = Vec::new();
     for (keys, aggs) in groups {
         virtual_row.clear();
-        virtual_row.extend(keys);
+        virtual_row.extend_from_slice(keys.as_ref());
         virtual_row.extend(aggs);
         let ctx = RowSlice(&virtual_row);
         if let Some(h) = having {
@@ -505,18 +505,6 @@ pub fn execute_row_oracle(table: Arc<Table>, query: &Select) -> Result<QueryOutp
         stats,
         elapsed: start.elapsed(),
     })
-}
-
-/// Update the accumulators of one group from one source row.
-#[inline]
-pub fn update_group(accs: &mut [Accumulator], aggs: &[AggSpec], table: &Table, row: usize) {
-    let ctx = TableRow { table, row };
-    for (acc, spec) in accs.iter_mut().zip(aggs) {
-        match &spec.arg {
-            None => acc.update_star(),
-            Some(arg) => acc.update_value(eval(arg, &ctx)),
-        }
-    }
 }
 
 /// Fresh accumulator row for a group.

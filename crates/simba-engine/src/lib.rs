@@ -8,7 +8,7 @@
 //! | Engine | Architecture |
 //! |---|---|
 //! | [`SqliteLike`] | row-at-a-time Volcano interpreter, ordered grouping |
-//! | [`PostgresLike`] | lazy row access, block iteration, hash aggregation |
+//! | [`PostgresLike`] | lazy row access, block iteration, boxed group table |
 //! | [`DuckDbLike`] | vectorized batches, typed filter kernels, dictionary-code grouping |
 //! | [`MonetDbLike`] | operator-at-a-time, full intermediate materialization |
 //!
@@ -23,6 +23,7 @@ pub mod error;
 pub mod eval;
 pub mod exec;
 pub mod fault;
+pub mod group;
 pub mod plan;
 
 #[cfg(test)]

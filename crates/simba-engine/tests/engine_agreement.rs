@@ -253,3 +253,105 @@ proptest! {
         prop_assert!(direct.multiset_eq(&via_text), "text round-trip changed results for `{sql}`");
     }
 }
+
+/// A grouped `LIMIT` with no total `ORDER BY` cuts its groups in emission
+/// order, so emission order is part of the answer: every engine that groups
+/// through the shared group table — postgres-like's blocks, monetdb-like's
+/// whole candidate vector, duckdb-like's morsels at one thread and merged
+/// across three — must return the same rows in the same order, call after
+/// call. The table spans three 2048-row morsels so three scan threads really
+/// merge partials. sqlite-like is left out: its ordered-map oracle emits in
+/// key order, and the multiset checks above hold it to the others. Then the
+/// order rules themselves: a dictionary key alone emits in code order with
+/// NULL last, anything else in first appearance.
+#[test]
+fn grouped_limit_without_total_order_is_one_answer() {
+    let mut state = 0x5eed_u64;
+    let mut next = |n: u64| {
+        state = state
+            .wrapping_mul(6_364_136_223_846_793_005)
+            .wrapping_add(1_442_695_040_888_963_407);
+        (state >> 33) % n
+    };
+    // Row 0's queue is NULL, so "NULL last" and "first appearance" differ.
+    let rows: Vec<Row> = (0..3 * 2048 - 1000)
+        .map(|i| Row {
+            queue: (i > 0 && next(10) > 0).then(|| QUEUES[next(QUEUES.len() as u64) as usize]),
+            region: (next(10) > 0).then(|| REGIONS[next(REGIONS.len() as u64) as usize]),
+            calls: (next(10) > 0).then(|| next(120) as i64 - 20),
+            cost: None,
+            ts: 1_600_000_000 + next(10_000_000) as i64,
+        })
+        .collect();
+    let table = Arc::new(build_table(&rows));
+    let engines = [
+        simba_engine::EngineKind::PostgresLike.build(),
+        simba_engine::EngineKind::MonetDbLike.build(),
+        simba_engine::EngineKind::DuckDbLike.build_with_threads(1),
+        simba_engine::EngineKind::DuckDbLike.build_with_threads(3),
+    ];
+    for e in &engines {
+        e.register(table.clone());
+    }
+    for sql in [
+        // Two keys: the hash index, first appearance in scan order.
+        "SELECT queue, region, COUNT(*), SUM(calls) FROM t GROUP BY queue, region LIMIT 5",
+        "SELECT region, queue, MIN(calls) FROM t WHERE calls > 10 GROUP BY region, queue LIMIT 7",
+        // A computed key: the hash index too.
+        "SELECT HOUR(ts), COUNT(*), MAX(calls) FROM t GROUP BY HOUR(ts) LIMIT 6",
+        // One dictionary key with an untyped aggregate: the dense index.
+        "SELECT queue, COUNT(DISTINCT region), COUNT(*) FROM t GROUP BY queue LIMIT 3",
+        // A global aggregate through the group table.
+        "SELECT COUNT(DISTINCT region), COUNT(*), SUM(calls) FROM t WHERE calls < 0 LIMIT 1",
+    ] {
+        let query = simba_sql::parse_select(sql).unwrap();
+        let mut answers: Vec<(String, String)> = Vec::new();
+        for e in &engines {
+            for _ in 0..20 {
+                let rows = format!("{:?}", e.execute(&query).unwrap().result.rows);
+                if !answers.iter().any(|(_, a)| *a == rows) {
+                    answers.push((format!("{} x{}", e.name(), e.scan_threads()), rows));
+                }
+            }
+        }
+        assert_eq!(
+            answers.len(),
+            1,
+            "`{sql}` has {} answers: {answers:#?}",
+            answers.len()
+        );
+    }
+
+    let first_seen = |key: &dyn Fn(&Row) -> Vec<Value>| {
+        let mut seen: Vec<Vec<Value>> = Vec::new();
+        for k in rows.iter().map(key) {
+            if !seen.contains(&k) {
+                seen.push(k);
+            }
+        }
+        seen
+    };
+    let value = |s: Option<&'static str>| s.map_or(Value::Null, Value::from);
+    let pairs = first_seen(&|r| vec![value(r.queue), value(r.region)]);
+    // A dictionary is in first-appearance order, so its codes are too.
+    let mut queues = first_seen(&|r| vec![value(r.queue)]);
+    queues.retain(|k| !k[0].is_null());
+    queues.push(vec![Value::Null]);
+    for (sql, want) in [
+        (
+            "SELECT queue, region, COUNT(*) FROM t GROUP BY queue, region",
+            pairs,
+        ),
+        (
+            "SELECT queue, COUNT(DISTINCT region) FROM t GROUP BY queue",
+            queues,
+        ),
+    ] {
+        let query = simba_sql::parse_select(sql).unwrap();
+        for e in &engines {
+            let rows = e.execute(&query).unwrap().result.rows;
+            let keys: Vec<&[Value]> = rows.iter().map(|r| &r[..want[0].len()]).collect();
+            assert_eq!(keys, want, "{} x{}: `{sql}`", e.name(), e.scan_threads());
+        }
+    }
+}
