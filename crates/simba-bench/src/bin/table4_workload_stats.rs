@@ -14,7 +14,7 @@ use simba_idebench::{DashboardComplexity, IdeBenchConfig, IdeBenchRunner};
 fn simba_stats(ds: DashboardDataset, rows: usize, runs: u64) -> WorkloadStats {
     let (table, dashboard) = build_context(ds, rows, harness_seed(4));
     let engine = engine_with(EngineKind::DuckDbLike, table);
-    let mut shapes = Vec::new();
+    let mut queries = Vec::new();
     for wf in Workflow::ALL {
         let Ok(goals) = wf.goals_for(&dashboard) else {
             continue;
@@ -29,14 +29,10 @@ fn simba_stats(ds: DashboardDataset, rows: usize, runs: u64) -> WorkloadStats {
             let log = SessionRunner::new(&dashboard, engine.as_ref(), config)
                 .run(&goals)
                 .expect("session runs");
-            for q in log.queries() {
-                if let Ok(parsed) = simba_sql::parse_select(&q.sql) {
-                    shapes.push(simba_core::metrics::query_shape(&parsed));
-                }
-            }
+            queries.extend(log.queries().cloned());
         }
     }
-    WorkloadStats::from_shapes(&shapes).expect("workload non-empty")
+    WorkloadStats::from_queries(queries.iter()).expect("workload non-empty")
 }
 
 fn main() {

@@ -9,6 +9,7 @@
 
 pub mod realism;
 
+use crate::session::QueryRecord;
 use simba_sql::Select;
 use std::time::Duration;
 
@@ -149,8 +150,14 @@ impl WorkloadStats {
 
     /// Shapes of every query in a session log.
     pub fn from_log(log: &crate::session::SessionLog) -> Option<WorkloadStats> {
-        let shapes: Vec<QueryShape> = log
-            .queries()
+        Self::from_queries(log.queries())
+    }
+
+    /// Shapes of logged queries; SQL that does not parse is skipped.
+    pub fn from_queries<'a>(
+        queries: impl Iterator<Item = &'a QueryRecord>,
+    ) -> Option<WorkloadStats> {
+        let shapes: Vec<QueryShape> = queries
             .filter_map(|q| simba_sql::parse_select(&q.sql).ok())
             .map(|q| query_shape(&q))
             .collect();

@@ -17,6 +17,7 @@
 //! result *content*, which the equivalence suite pins to be identical
 //! across engines — so the same seed steers the same way on every engine.
 
+use super::source::QueryFeedback;
 use crate::actions::Action;
 use crate::dashboard::Dashboard;
 use crate::graph::{DashboardState, NodeId, NodeKind, NodeState};
@@ -41,35 +42,9 @@ impl SteeringKind {
     }
 }
 
-/// How one executed query ended, as seen by the steering hooks.
-///
-/// Errors are explicit rather than folded into "empty result": a failed
-/// query is a dead end the user *notices* (the chart shows an error state),
-/// and steering must react to it deterministically — the same walk, the
-/// same unwind, on every rerun of the same faulted seed.
-#[derive(Debug, Clone, Copy)]
-pub enum StepOutcome<'a> {
-    /// The query completed with this result.
-    Ok(&'a ResultSet),
-    /// The query failed (after any driver-level retries); there is no
-    /// result to inspect.
-    Errored,
-}
-
-impl<'a> StepOutcome<'a> {
-    /// The result, if the query completed.
-    pub fn result(&self) -> Option<&'a ResultSet> {
-        match self {
-            StepOutcome::Ok(r) => Some(r),
-            StepOutcome::Errored => None,
-        }
-    }
-
-    /// Did the query fail?
-    pub fn is_err(&self) -> bool {
-        matches!(self, StepOutcome::Errored)
-    }
-}
+/// How one executed query ended, as seen by the steering hooks: the
+/// stream's feedback, errors included.
+pub type StepOutcome<'a> = QueryFeedback<'a>;
 
 /// One executed query as seen by the steering hooks.
 #[derive(Debug, Clone, Copy)]

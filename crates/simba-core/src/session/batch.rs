@@ -1,13 +1,9 @@
-//! Batch session synthesis for the concurrent workload driver.
-//!
-//! [`SessionRunner`](super::SessionRunner) interleaves planning with engine
-//! execution, so it cannot pre-generate work for load testing. This module
-//! walks the Markov interaction model *without* an engine, producing
-//! [`SessionScript`]s — fully materialized query sequences — that
-//! `simba-driver` replays concurrently against shared `Dbms` instances.
-//! Scripts are deterministic in the batch seed, and a batch draws each
-//! user's model from a configurable mix, following Battle et al.'s
-//! observation that real deployments serve *heterogeneous* user
+//! Batch session synthesis for the concurrent workload driver: each user's
+//! Markov walk, taken before any query runs, as a [`SessionScript`] — a
+//! fully materialized query sequence `simba-driver` replays against shared
+//! `Dbms` instances. Scripts are deterministic in the batch seed, and a
+//! batch draws each user's model from a configurable mix, following Battle
+//! et al.'s observation that real deployments serve *heterogeneous* user
 //! populations, not N copies of one behavior.
 
 use super::planner::{PlannedStep, SessionPlanner};
@@ -55,7 +51,7 @@ impl SessionScript {
 /// Configuration for batch synthesis.
 #[derive(Debug, Clone)]
 pub struct BatchConfig {
-    /// Base seed; user `u` runs with `base_seed ^ splitmix(u)`.
+    /// Base seed; user `u` runs with `base_seed ^ splitmix(u + 1)`.
     pub base_seed: u64,
     /// Interactions per session after the initial render.
     pub steps_per_session: usize,

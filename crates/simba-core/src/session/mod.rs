@@ -1,34 +1,32 @@
-//! Session simulation: the benchmark's main loop (§4 of the paper).
-//!
-//! A session opens a dashboard (executing every visualization's query),
-//! then repeatedly chooses between the Markov model and the Oracle by the
-//! decaying probability of Figure 5, applies the chosen interaction, runs
-//! the emitted SQL against the DBMS under test, and checks goal completion
-//! with the equivalence suite. Everything is recorded in a [`SessionLog`].
+//! Session simulation (§4 of the paper). Every session model is a
+//! [`SessionStream`](source::SessionStream) — the goal-directed session
+//! ([`GoalStream`]), adaptive walks, scripted replay, IDEBench storms — and
+//! [`run_stream`] runs any of them on one engine; `simba-driver` runs many
+//! concurrently. [`SessionRunner`] is a goal-directed session through
+//! [`run_stream`], recorded in a [`SessionLog`].
 
 pub mod adaptive;
 pub mod batch;
 pub mod export;
+pub mod goal;
 pub mod interleave;
 pub mod planner;
 pub mod source;
 pub mod synthesize;
 pub mod workflows;
 
+pub use goal::{GoalSource, GoalStream};
+pub use source::{run_stream, ExecutedStep, StreamRun};
+
 use crate::actions::ActionKind;
 use crate::algebra::templates::Goal;
 use crate::dashboard::Dashboard;
-use crate::equivalence::{augment, GoalChecker, Method};
+use crate::equivalence::Method;
 use crate::error::CoreError;
 use crate::markov::MarkovModel;
-use crate::oracle::{Oracle, OracleConfig};
+use crate::oracle::OracleConfig;
 use interleave::DecayConfig;
-use planner::SessionPlanner;
-use rand::{Rng, SeedableRng};
-use rand_chacha::ChaCha8Rng;
 use simba_engine::Dbms;
-use simba_sql::{NormalizedSelect, Select};
-use simba_store::CoverageStore;
 use std::time::Duration;
 
 /// Which user model produced an interaction.
@@ -177,158 +175,35 @@ impl<'a> SessionRunner<'a> {
         }
     }
 
-    /// Simulate one goal-directed session (§4.3's interleaved model).
-    ///
-    /// Goals are pursued in order: the Oracle always targets the first
-    /// unsolved goal, modeling the paper's goal-transition progression.
+    /// Simulate one goal-directed session (§4.3's interleaved model): a
+    /// [`GoalStream`] planning on this runner's engine, run on it through
+    /// [`run_stream`].
     pub fn run(&self, goals: &[Goal]) -> Result<SessionLog, CoreError> {
-        let mut rng = ChaCha8Rng::seed_from_u64(self.config.seed);
-        let oracle = Oracle::new(self.config.oracle.clone());
-        // The walk itself (state + Markov conditioning) lives in the shared
-        // engine-free planner; this runner adds engines, goals, and the
-        // Oracle/Markov interleaving on top.
-        let mut planner = SessionPlanner::new(self.dashboard, self.config.markov.clone());
-        let mut coverage = CoverageStore::new();
-        let mut entries = Vec::new();
-
-        // Pre-execute goal queries to obtain their expected result sets.
-        let mut checkers: Vec<GoalChecker> = goals
-            .iter()
-            .map(|g| {
-                let out = self.engine.execute(&g.query)?;
-                Ok(GoalChecker::new(g.query.clone(), out.result))
-            })
-            .collect::<Result<_, CoreError>>()?;
-        let mut outcomes: Vec<GoalOutcome> = goals
-            .iter()
-            .map(|g| GoalOutcome {
-                question: g.question.clone(),
-                sql: g.query.to_string(),
-                solved_at: None,
-                method: None,
+        let mut stream = GoalStream::new(self.dashboard, self.engine, goals, &self.config)?;
+        let run = run_stream(&mut stream, self.engine)?;
+        if let Some(e) = stream.error {
+            return Err(e);
+        }
+        let entries = run
+            .steps
+            .into_iter()
+            .zip(stream.models)
+            .map(|(executed, (model, action_kind))| LogEntry {
+                step: executed.step,
+                model,
+                action: executed.action,
+                action_kind,
+                queries: executed.queries,
             })
             .collect();
-
-        // Step 0: the dashboard opens and renders every visualization.
-        let initial = planner.initial_render().queries;
-        let mut records = Vec::with_capacity(initial.len());
-        for (node, query) in &initial {
-            let out = self.engine.execute(query)?;
-            let rows = out.result.n_rows();
-            let form = NormalizedSelect::from_select(query);
-            coverage.absorb(&augment(&form, out.result));
-            records.push(QueryRecord {
-                vis: self.dashboard.graph().id(*node).to_string(),
-                sql: query.to_string(),
-                duration: out.elapsed,
-                rows,
-            });
-            let emitted = Some((query, &form));
-            check_goals(&mut checkers, &mut outcomes, emitted, &coverage, 0);
-        }
-        entries.push(LogEntry {
-            step: 0,
-            model: ModelChoice::InitialRender,
-            action: "open dashboard".into(),
-            action_kind: None,
-            queries: records,
-        });
-
-        for step in 1..=self.config.max_steps {
-            if self.config.stop_on_completion && checkers.iter().all(|c| c.solved.is_some()) {
-                break;
-            }
-            let p_markov = self.config.decay.p_markov(step);
-            let use_markov = rng.gen_bool(p_markov);
-
-            let (model, planned) = if use_markov {
-                match planner.plan_next(&mut rng) {
-                    Some(planned) => (ModelChoice::Markov, planned),
-                    None => break,
-                }
-            } else {
-                // The Oracle targets the first unsolved goal (goal-ordering
-                // semantics of §4.3).
-                let active: Vec<&simba_store::ResultSet> = checkers
-                    .iter()
-                    .find(|c| c.solved.is_none())
-                    .map(|c| vec![&c.goal_result])
-                    .unwrap_or_default();
-                match oracle.plan_next(
-                    self.dashboard,
-                    planner.state(),
-                    self.engine,
-                    &coverage,
-                    &active,
-                    &mut rng,
-                )? {
-                    Some(oracle_plan) => (ModelChoice::Oracle, planner.apply(oracle_plan.action)),
-                    None => break,
-                }
-            };
-
-            let description = planned.description;
-            let action_kind = planned.kind.expect("interaction steps carry an action");
-            let emitted = planned.queries;
-            let mut records = Vec::with_capacity(emitted.len());
-            for (node, query) in &emitted {
-                let out = self.engine.execute(query)?;
-                let rows = out.result.n_rows();
-                let form = NormalizedSelect::from_select(query);
-                coverage.absorb(&augment(&form, out.result));
-                records.push(QueryRecord {
-                    vis: self.dashboard.graph().id(*node).to_string(),
-                    sql: query.to_string(),
-                    duration: out.elapsed,
-                    rows,
-                });
-                let emitted = Some((query, &form));
-                check_goals(&mut checkers, &mut outcomes, emitted, &coverage, step);
-            }
-            // Result-coverage may also complete goals with no new emitted
-            // match (e.g. after absorbing the last fragment).
-            check_goals(&mut checkers, &mut outcomes, None, &coverage, step);
-
-            entries.push(LogEntry {
-                step,
-                model,
-                action: description,
-                action_kind: Some(action_kind),
-                queries: records,
-            });
-        }
-
+        let (_, goals): (Vec<_>, _) = stream.goals.into_iter().unzip();
         Ok(SessionLog {
             dashboard: self.dashboard.spec().name.clone(),
-            engine: self.engine.name().to_string(),
+            engine: run.engine.to_string(),
             seed: self.config.seed,
             entries,
-            goals: outcomes,
+            goals,
         })
-    }
-}
-
-fn check_goals(
-    checkers: &mut [GoalChecker],
-    outcomes: &mut [GoalOutcome],
-    emitted: Option<(&Select, &NormalizedSelect)>,
-    coverage: &CoverageStore,
-    step: usize,
-) {
-    for (checker, outcome) in checkers.iter_mut().zip(outcomes.iter_mut()) {
-        if checker.solved.is_some() {
-            continue;
-        }
-        let method = match emitted {
-            Some((query, form)) => checker
-                .check_observed(query, form)
-                .or_else(|| checker.check_result(coverage)),
-            None => checker.check_result(coverage),
-        };
-        if let Some(m) = method {
-            outcome.solved_at = Some(step);
-            outcome.method = Some(m);
-        }
     }
 }
 

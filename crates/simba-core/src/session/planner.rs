@@ -1,15 +1,13 @@
 //! The engine-free session planner: one user's Markov walk over a live
 //! dashboard.
 //!
-//! [`SessionRunner`](super::SessionRunner) (scripted synthesis with goal
-//! checking) and the workload driver's adaptive mode both need the same
-//! core loop — hold a [`DashboardState`], sample the next action from a
-//! [`MarkovModel`], apply it, and collect the refreshed queries. The
-//! planner owns exactly that loop and nothing engine-shaped, so scripted
-//! synthesis ([`super::batch`]) and live result-steered driving
-//! (`simba-driver`'s `SessionMode::Adaptive`) share one walk
-//! implementation: identical seeds produce identical action sequences in
-//! both.
+//! Every dashboard session model needs the same core loop — hold a
+//! [`DashboardState`], sample the next action from a [`MarkovModel`], apply
+//! it, and collect the refreshed queries. The planner owns exactly that
+//! loop and nothing engine-shaped, so scripted synthesis ([`super::batch`]),
+//! adaptive walks and goal-directed sessions ([`super::goal`], which also
+//! applies the Oracle's actions) share one walk implementation: identical
+//! seeds produce identical action sequences in all of them.
 
 use crate::actions::{Action, ActionKind};
 use crate::dashboard::Dashboard;

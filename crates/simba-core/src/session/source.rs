@@ -1,41 +1,38 @@
 //! The unified workload surface: every way of producing exploration
-//! sessions — scripted replay, live adaptive walks, IDEBench-style
-//! stochastic storms — behind one pair of traits.
+//! sessions behind one pair of traits, and the one loop that runs a
+//! session on one engine.
 //!
-//! The benchmark's execution paths had forked: scripted replay consumed
-//! pre-synthesized [`SessionScript`]s, adaptive runs drove a
-//! [`SessionPlanner`] + [`AdaptivePolicy`] live, and the IDEBench baseline
-//! had its own self-executing loop. Each fork duplicated pacing, worker
-//! scheduling, latency accounting, and fingerprinting. This module factors
-//! the *session-production* half out of the driver:
-//!
-//! * [`SessionSource`] — a set of N deterministic sessions. Implementations
-//!   here: [`ScriptedSource`] (pre-synthesized scripts) and
-//!   [`AdaptiveSource`] (live planner + steering policy). The
-//!   `simba-idebench` crate bridges its stochastic loop in with
-//!   `IdebenchSource`.
+//! * [`SessionSource`] — a set of N deterministic sessions. Four sources:
+//!   [`ScriptedSource`] (pre-synthesized scripts), [`AdaptiveSource`] (live
+//!   planner + steering policy), [`GoalSource`](super::goal::GoalSource)
+//!   (the paper's goal-directed sessions) and, in `simba-idebench`,
+//!   `IdebenchSource` (stochastic filter storms).
 //! * [`SessionStream`] — one user's session as a feedback-driven stream of
-//!   [`SourceStep`]s. The driver executes each step's queries and hands the
+//!   [`SourceStep`]s. The caller executes each step's queries and hands the
 //!   results back on the next [`next_step`](SessionStream::next_step) call,
-//!   which is how adaptive sources steer; scripted sources ignore the
-//!   feedback.
+//!   which is how adaptive and goal-directed sources steer; scripted and
+//!   IDEBench sources ignore the feedback.
+//! * [`run_stream`] — the single-engine caller: execute each step, record
+//!   it, feed the results back. `simba-driver` is the concurrent one.
 //!
-//! Streams are engine-free and deterministic: for a fixed source and user
-//! index, the emitted steps may depend only on the *results* fed back
-//! (which the equivalence suite pins across engines), never on timing. The
-//! driver derives think-time pacing from
+//! Streams are deterministic: for a fixed source and user index, the
+//! emitted steps may depend only on the *results* fed back (which the
+//! equivalence suite pins across engines), never on timing. The driver
+//! derives think-time pacing from
 //! [`session_seed`](SessionStream::session_seed) so pacing noise can never
 //! perturb a walk.
 
-use super::adaptive::{AdaptivePolicy, SteeringKind, StepObservation, StepOutcome};
+use super::adaptive::{AdaptivePolicy, SteeringKind, StepObservation};
 use super::batch::{splitmix, SessionScript};
 use super::planner::{PlannedStep, SessionPlanner};
+use super::QueryRecord;
 use crate::actions::Action;
 use crate::dashboard::Dashboard;
 use crate::graph::NodeId;
 use crate::markov::MarkovModel;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
+use simba_engine::{Dbms, EngineError};
 use simba_sql::Select;
 use simba_store::ResultSet;
 use std::borrow::Cow;
@@ -52,6 +49,19 @@ pub struct SourceStep {
     pub steering: Option<SteeringKind>,
     /// Emitted queries: `(visualization id, query)`.
     pub queries: Vec<(String, Select)>,
+}
+
+impl SourceStep {
+    /// A planned step as streams emit it: each node becomes its
+    /// visualization id.
+    pub(crate) fn planned(dashboard: &Dashboard, planned: &PlannedStep) -> SourceStep {
+        let vis = |(n, q): &(NodeId, Select)| (dashboard.graph().id(*n).to_string(), q.clone());
+        SourceStep {
+            description: planned.description.clone(),
+            steering: None,
+            queries: planned.queries.iter().map(vis).collect(),
+        }
+    }
 }
 
 /// What one executed query left behind, fed back to the stream. Errors are
@@ -73,6 +83,11 @@ impl<'a> QueryFeedback<'a> {
             QueryFeedback::Ok(r) => Some(r),
             QueryFeedback::Errored => None,
         }
+    }
+
+    /// Did the query fail?
+    pub fn is_err(&self) -> bool {
+        matches!(self, QueryFeedback::Errored)
     }
 }
 
@@ -114,6 +129,62 @@ pub trait SessionSource: Sync {
     fn open(&self, user: usize) -> Box<dyn SessionStream + '_>;
 }
 
+/// One step [`run_stream`] executed.
+#[derive(Debug, Clone)]
+pub struct ExecutedStep {
+    /// Position in the session; `0` is the initial render.
+    pub step: usize,
+    /// The stream's description of the step.
+    pub action: String,
+    pub queries: Vec<QueryRecord>,
+}
+
+/// Everything [`run_stream`] recorded.
+#[derive(Debug, Clone)]
+pub struct StreamRun {
+    /// Name of the engine the session ran on.
+    pub engine: &'static str,
+    pub steps: Vec<ExecutedStep>,
+}
+
+/// Run one session on one engine: execute each step's queries in order,
+/// record them, and feed their results back for the next step. The
+/// engine's first error ends the run.
+pub fn run_stream(
+    stream: &mut dyn SessionStream,
+    engine: &dyn Dbms,
+) -> Result<StreamRun, EngineError> {
+    let mut steps = Vec::new();
+    let mut results: Vec<ResultSet> = Vec::new();
+    loop {
+        let feedback: Vec<QueryFeedback<'_>> = results.iter().map(QueryFeedback::Ok).collect();
+        let Some(step) = stream.next_step(&feedback) else {
+            break;
+        };
+        results.clear();
+        let mut queries = Vec::with_capacity(step.queries.len());
+        for (vis, query) in step.queries {
+            let out = engine.execute(&query)?;
+            queries.push(QueryRecord {
+                vis,
+                sql: query.to_string(),
+                duration: out.elapsed,
+                rows: out.result.n_rows(),
+            });
+            results.push(out.result);
+        }
+        steps.push(ExecutedStep {
+            step: steps.len(),
+            action: step.description,
+            queries,
+        });
+    }
+    Ok(StreamRun {
+        engine: engine.name(),
+        steps,
+    })
+}
+
 // ---------------------------------------------------------------------------
 // Scripted
 
@@ -141,11 +212,6 @@ impl<'a> ScriptedSource<'a> {
         ScriptedSource {
             scripts: Cow::Borrowed(scripts),
         }
-    }
-
-    /// The underlying scripts.
-    pub fn scripts(&self) -> &[SessionScript] {
-        &self.scripts
     }
 }
 
@@ -247,11 +313,6 @@ impl<'a> AdaptiveSource<'a> {
             sessions,
         }
     }
-
-    /// The configuration the source was built with.
-    pub fn config(&self) -> &AdaptiveWalkConfig {
-        &self.config
-    }
 }
 
 impl SessionSource for AdaptiveSource<'_> {
@@ -277,7 +338,6 @@ impl SessionSource for AdaptiveSource<'_> {
             seed,
             remaining: self.config.steps_per_session,
             last: None,
-            started: false,
         })
     }
 }
@@ -299,8 +359,8 @@ struct AdaptiveStream<'a> {
     walk_rng: ChaCha8Rng,
     seed: u64,
     remaining: usize,
+    /// `None` until the initial render.
     last: Option<LastStep>,
-    started: bool,
 }
 
 impl AdaptiveStream<'_> {
@@ -310,16 +370,7 @@ impl AdaptiveStream<'_> {
             nodes: planned.queries.iter().map(|(n, _)| *n).collect(),
             steered,
         });
-        let graph = self.planner.dashboard().graph();
-        SourceStep {
-            description: planned.description.clone(),
-            steering: None,
-            queries: planned
-                .queries
-                .iter()
-                .map(|(n, q)| (graph.id(*n).to_string(), q.clone()))
-                .collect(),
-        }
+        SourceStep::planned(self.planner.dashboard(), planned)
     }
 
     /// Ask the policy for a correction to the previous step.
@@ -334,10 +385,7 @@ impl AdaptiveStream<'_> {
             .zip(feedback)
             .map(|(node, fb)| StepObservation {
                 vis: *node,
-                outcome: match fb {
-                    QueryFeedback::Ok(r) => StepOutcome::Ok(r),
-                    QueryFeedback::Errored => StepOutcome::Errored,
-                },
+                outcome: *fb,
             })
             .collect();
         self.policy.steer(
@@ -355,8 +403,7 @@ impl SessionStream for AdaptiveStream<'_> {
     }
 
     fn next_step(&mut self, feedback: &[QueryFeedback<'_>]) -> Option<SourceStep> {
-        if !self.started {
-            self.started = true;
+        if self.last.is_none() {
             let planned = self.planner.initial_render();
             return Some(self.record(&planned, false));
         }

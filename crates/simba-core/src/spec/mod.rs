@@ -59,11 +59,6 @@ impl DatabaseSpec {
             .iter()
             .find(|f| f.name.eq_ignore_ascii_case(name))
     }
-
-    /// All fields with the given role.
-    pub fn fields_with_role(&self, role: FieldRole) -> Vec<&FieldSpec> {
-        self.fields.iter().filter(|f| f.role == role).collect()
-    }
 }
 
 /// One dataset field and its analytic role.

@@ -7,9 +7,15 @@
 //! reproduce.
 
 use proptest::prelude::*;
+use simba_core::dashboard::Dashboard;
+use simba_core::session::interleave::DecayConfig;
+use simba_core::session::workflows::Workflow;
+use simba_core::session::{GoalSource, SessionConfig};
+use simba_core::spec::builtin::builtin;
+use simba_data::DashboardDataset;
 use simba_driver::workload::{EngineSpec, ScenarioSpec, SourceSpec};
 use simba_driver::{Driver, DriverConfig, ResiliencePolicy, ScriptedSource, ERROR_FINGERPRINT};
-use simba_engine::{Dbms, EngineError, EngineKind, FaultConfig, QueryOutput};
+use simba_engine::{Dbms, EngineError, EngineKind, FaultConfig, FaultInjectingDbms, QueryOutput};
 use simba_sql::Select;
 use simba_store::{ResultSet, Table, Value};
 use std::sync::Arc;
@@ -241,4 +247,47 @@ fn deadline_abandons_wedged_queries_and_finishes_the_run() {
         elapsed < Duration::from_secs(10),
         "sessions wedged: {queries} queries took {elapsed:?} despite the deadline"
     );
+}
+
+/// A goal-directed session never sees an errored query: it is not absorbed
+/// into coverage and cannot solve a goal, and the session carries on. The
+/// goal here is one the dashboard's opening render already answers, so a
+/// healthy session ends at the render; when every query fails, the session
+/// runs out its whole step budget instead.
+#[test]
+fn errored_queries_never_solve_goals() {
+    let ds = DashboardDataset::CustomerService;
+    let table = Arc::new(ds.generate_rows(ROWS, 3));
+    let dashboard = Dashboard::new(builtin(ds), &table).unwrap();
+    let goals = Workflow::Shneiderman.goals_for(&dashboard).unwrap();
+    let engine = EngineKind::SqliteLike.build();
+    engine.register(table);
+    let config = SessionConfig {
+        max_steps: 12,
+        decay: DecayConfig::oracle_only(),
+        ..Default::default()
+    };
+    let source = GoalSource::new(&dashboard, engine.as_ref(), &goals[..1], config, 2).unwrap();
+    let driver = Driver::new(DriverConfig {
+        workers: 1,
+        collect_fingerprints: true,
+        ..Default::default()
+    });
+
+    let healthy = driver.run_source(engine.clone(), &source);
+    assert_eq!(healthy.report.errors, 0);
+    assert!(healthy.actions.iter().all(|steps| steps.len() == 1));
+
+    let failing = FaultInjectingDbms::new(
+        engine.clone(),
+        FaultConfig {
+            permanent_error_prob: 1.0,
+            ..FaultConfig::default()
+        },
+    );
+    let faulted = driver.run_source(Arc::new(failing), &source);
+    assert_eq!(faulted.report.errors, faulted.report.queries);
+    for (user, steps) in faulted.actions.iter().enumerate() {
+        assert_eq!(steps.len(), 13, "user {user}: render + every step");
+    }
 }

@@ -1,5 +1,5 @@
 //! Kernel-coverage inventory: which filter kernels and which grouping shapes
-//! the three session sources' queries compile to.
+//! the four session sources' queries compile to.
 //!
 //! The typed kernels are only worth having if the workloads reach them. This
 //! drives each source through the driver against an engine that records every
@@ -16,6 +16,8 @@
 
 use simba_core::dashboard::Dashboard;
 use simba_core::session::batch::{synthesize_scripts, BatchConfig};
+use simba_core::session::workflows::Workflow;
+use simba_core::session::{GoalSource, SessionConfig};
 use simba_core::spec::builtin::builtin;
 use simba_data::DashboardDataset;
 use simba_driver::{
@@ -157,13 +159,25 @@ fn idebench_storm_compiles_to_typed_kernels_only() {
         },
         SESSIONS,
     );
-    let sources: [(&str, Box<dyn SessionSource + '_>); 3] = [
+    // The paper's own sessions: one workflow's goals, planned on an engine
+    // of their own so the Oracle's look-ahead stays out of the inventory.
+    let planning = EngineKind::DuckDbLike.build();
+    planning.register(table.clone());
+    let goals = Workflow::Shneiderman.goals_for(&dashboard).unwrap();
+    let config = SessionConfig {
+        seed: SEED,
+        max_steps: STEPS,
+        ..Default::default()
+    };
+    let goal = GoalSource::new(&dashboard, planning.as_ref(), &goals, config, SESSIONS).unwrap();
+    let sources: [(&str, Box<dyn SessionSource + '_>); 4] = [
         (
             "idebench",
             Box::new(IdebenchSource::new(table.clone(), SEED, SESSIONS, STEPS)),
         ),
         ("adaptive", Box::new(adaptive)),
         ("scripted", Box::new(ScriptedSource::new(scripts))),
+        ("goal", Box::new(goal)),
     ];
 
     println!(

@@ -10,7 +10,10 @@
 //! change anywhere else.
 
 use simba_core::dashboard::Dashboard;
+use simba_core::oracle::OracleConfig;
 use simba_core::session::batch::{synthesize_scripts, BatchConfig};
+use simba_core::session::workflows::Workflow;
+use simba_core::session::{GoalSource, ModelChoice, SessionConfig, SessionLog, SessionRunner};
 use simba_core::spec::builtin::builtin;
 use simba_data::DashboardDataset;
 use simba_driver::fingerprint::fingerprint;
@@ -241,5 +244,92 @@ fn execute_is_reproducible_and_cache_transparent() {
             a.fingerprints, c.fingerprints,
             "cache must never change results"
         );
+    }
+}
+
+/// The paper's goal-directed sessions through the driver are the
+/// single-engine `SessionRunner`'s sessions: on every engine, with the
+/// result cache and the session delta each off and on, every `GoalSource`
+/// user takes the same actions and sees the same results as
+/// `SessionRunner::run` with `source.session_config(user)`.
+#[test]
+fn goal_source_through_driver_matches_session_runner() {
+    let (table, dashboard) = legacy_context();
+    // A narrower Oracle look-ahead keeps the 64 driver runs quick.
+    let config = SessionConfig {
+        seed: SEED,
+        max_steps: 2 * STEPS,
+        oracle: OracleConfig {
+            max_candidates: 12,
+            ..Default::default()
+        },
+        ..Default::default()
+    };
+    for engine_kind in EngineKind::ALL {
+        let engine = engine_kind.build();
+        engine.register(table.clone());
+        for workflow in [Workflow::Shneiderman, Workflow::Crossfilter] {
+            let name = workflow.name();
+            let goals = workflow.goals_for(&dashboard).unwrap();
+            let source = GoalSource::new(
+                &dashboard,
+                engine.as_ref(),
+                &goals,
+                config.clone(),
+                SESSIONS,
+            )
+            .unwrap();
+            let logs: Vec<SessionLog> = (0..SESSIONS)
+                .map(|user| {
+                    let config = source.session_config(user);
+                    SessionRunner::new(&dashboard, engine.as_ref(), config)
+                        .run(&goals)
+                        .unwrap()
+                })
+                .collect();
+            // Both models steer these sessions, and some end on their goals.
+            let models: Vec<ModelChoice> = logs
+                .iter()
+                .flat_map(|l| &l.entries)
+                .map(|e| e.model)
+                .collect();
+            assert!(models.contains(&ModelChoice::Oracle) && models.contains(&ModelChoice::Markov));
+            assert!(logs.iter().any(|l| l.all_goals_met()));
+            let runner: Vec<(Vec<String>, Vec<u64>)> = logs
+                .iter()
+                .map(|log| {
+                    let actions = log.entries.iter().map(|e| e.action.clone()).collect();
+                    let fps = log
+                        .queries()
+                        .map(|q| {
+                            let query = simba_sql::parse_select(&q.sql).unwrap();
+                            fingerprint(&engine.execute(&query).unwrap().result)
+                        })
+                        .collect();
+                    (actions, fps)
+                })
+                .collect();
+            for cache in [false, true] {
+                for delta in [false, true] {
+                    let driver = Driver::new(DriverConfig {
+                        workers: 1,
+                        seed: SEED,
+                        cache: cache.then(CacheConfig::default),
+                        delta,
+                        collect_fingerprints: true,
+                        ..Default::default()
+                    });
+                    let outcome = driver.run_source(engine.clone(), &source);
+                    let label =
+                        format!("{} {name} cache={cache} delta={delta}", engine_kind.name());
+                    assert_eq!(outcome.report.errors, 0, "{label}");
+                    assert_eq!(outcome.report.session_mode, "goal", "{label}");
+                    for (user, (actions, fps)) in runner.iter().enumerate() {
+                        assert_eq!(&outcome.actions[user], actions, "{label} user {user}");
+                        assert_eq!(&outcome.fingerprints[user], fps, "{label} user {user}");
+                    }
+                }
+            }
+        }
     }
 }

@@ -563,18 +563,6 @@ impl Catalog {
             .get(&name.to_ascii_lowercase())
             .cloned()
     }
-
-    pub fn names(&self) -> Vec<String> {
-        let mut names: Vec<String> = self
-            .tables
-            .read()
-            .unwrap_or_else(PoisonError::into_inner)
-            .keys()
-            .cloned()
-            .collect();
-        names.sort();
-        names
-    }
 }
 
 #[cfg(test)]

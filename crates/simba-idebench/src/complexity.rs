@@ -2,7 +2,7 @@
 //! workload-shape comparison).
 
 use crate::session::IdeBenchLog;
-use simba_core::metrics::{query_shape, QueryShape, WorkloadStats};
+use simba_core::metrics::WorkloadStats;
 
 /// Complexity profile of one IDEBench run's implicit dashboard.
 #[derive(Debug, Clone, PartialEq)]
@@ -22,16 +22,6 @@ impl DashboardComplexity {
     pub fn from_log(log: &IdeBenchLog) -> DashboardComplexity {
         let viz_count = log.dashboard.vizzes.len();
         let attrs: usize = log.dashboard.vizzes.iter().map(|v| v.attr_count()).sum();
-        let shapes: Vec<QueryShape> = log
-            .queries()
-            .filter_map(|q| simba_sql::parse_select(&q.sql).ok())
-            .map(|q| query_shape(&q))
-            .collect();
-        let filters_avg = if shapes.is_empty() {
-            0.0
-        } else {
-            shapes.iter().map(|s| s.filters as f64).sum::<f64>() / shapes.len() as f64
-        };
         DashboardComplexity {
             viz_count,
             link_count: log.dashboard.links.len(),
@@ -41,18 +31,9 @@ impl DashboardComplexity {
             } else {
                 attrs as f64 / viz_count as f64
             },
-            avg_filters_per_query: filters_avg,
+            avg_filters_per_query: WorkloadStats::from_queries(log.queries())
+                .map_or(0.0, |stats| stats.filters_avg),
         }
-    }
-
-    /// Table 4-style workload statistics for the run's queries.
-    pub fn workload_stats(log: &IdeBenchLog) -> Option<WorkloadStats> {
-        let shapes: Vec<QueryShape> = log
-            .queries()
-            .filter_map(|q| simba_sql::parse_select(&q.sql).ok())
-            .map(|q| query_shape(&q))
-            .collect();
-        WorkloadStats::from_shapes(&shapes)
     }
 }
 

@@ -13,13 +13,11 @@
 //!
 //! * [`dashboard`] — random visualization-set generation with dense links;
 //! * [`walk`] — the engine-free stochastic walk (add/modify/remove filters
-//!   with IDEBench's default probabilities) shared by the runner and the
-//!   workload bridge;
-//! * [`session`] — the single-session loop executing a walk against one
-//!   engine and recording a log;
-//! * [`source`] — [`IdebenchSource`], plugging IDEBench sessions into the
-//!   unified `SessionSource` workload API so the concurrent driver can run
-//!   them like any other scenario;
+//!   with IDEBench's default probabilities), one user's `SessionStream`;
+//! * [`source`] — [`IdebenchSource`], one walk per user, so the concurrent
+//!   driver runs IDEBench sessions like any other source;
+//! * [`session`] — [`IdeBenchRunner`], one walk run on one engine through
+//!   `simba_core`'s `run_stream`, recorded in a log;
 //! * [`complexity`] — the reverse-engineered dashboard reports behind
 //!   Figure 9 and the §6.3 workload-shape comparison.
 

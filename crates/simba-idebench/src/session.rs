@@ -7,15 +7,14 @@
 //! query. There is no goal model and no termination condition other than the
 //! configured interaction count.
 //!
-//! Query generation lives in [`IdeBenchWalk`];
-//! this module executes the walk against one engine and records a log. To
-//! run IDEBench sessions concurrently through the workload driver instead,
-//! use [`IdebenchSource`](crate::IdebenchSource).
+//! Query generation lives in [`IdeBenchWalk`], the stream every
+//! [`IdebenchSource`](crate::IdebenchSource) user walks; this module runs
+//! one walk on one engine through [`run_stream`] and records a log. The
+//! workload driver runs many concurrently.
 
 use crate::walk::IdeBenchWalk;
-use simba_core::session::QueryRecord;
+use simba_core::session::{run_stream, ExecutedStep, QueryRecord};
 use simba_engine::Dbms;
-use simba_sql::Select;
 use simba_store::Table;
 
 /// IDEBench action probabilities (the "default probabilities for generating
@@ -58,12 +57,7 @@ impl Default for IdeBenchConfig {
 }
 
 /// One simulated interaction and the queries it triggered.
-#[derive(Debug, Clone)]
-pub struct IdeInteraction {
-    pub step: usize,
-    pub action: String,
-    pub queries: Vec<QueryRecord>,
-}
+pub type IdeInteraction = ExecutedStep;
 
 /// The record of one IDEBench run.
 #[derive(Debug, Clone)]
@@ -116,33 +110,12 @@ impl<'a> IdeBenchRunner<'a> {
     /// perform random filter interactions.
     pub fn run(&self) -> Result<IdeBenchLog, simba_engine::EngineError> {
         let mut walk = IdeBenchWalk::new(self.table, &self.config);
-        let mut interactions = Vec::with_capacity(self.config.interactions + 1);
-        while let Some(step) = walk.next() {
-            let mut records = Vec::with_capacity(step.queries.len());
-            for (vis, q) in &step.queries {
-                records.push(self.execute(vis, q)?);
-            }
-            interactions.push(IdeInteraction {
-                step: step.step,
-                action: step.action,
-                queries: records,
-            });
-        }
+        let run = run_stream(&mut walk, self.engine)?;
         Ok(IdeBenchLog {
             dashboard: walk.dashboard().clone(),
-            engine: self.engine.name().to_string(),
+            engine: run.engine.to_string(),
             seed: self.config.seed,
-            interactions,
-        })
-    }
-
-    fn execute(&self, vis: &str, q: &Select) -> Result<QueryRecord, simba_engine::EngineError> {
-        let out = self.engine.execute(q)?;
-        Ok(QueryRecord {
-            vis: vis.to_string(),
-            sql: q.to_string(),
-            duration: out.elapsed,
-            rows: out.result.n_rows(),
+            interactions: run.steps,
         })
     }
 }

@@ -1,23 +1,18 @@
-//! Bridge from the IDEBench stochastic loop into the unified workload API:
-//! an [`IdebenchSource`] plugs IDEBench-style sessions into the same
-//! [`SessionSource`] stream the scripted and adaptive workloads use, so the
-//! concurrent driver can pace, cache, and report them identically.
-//!
-//! Each user gets an independent IDEBench run — their own implicit random
-//! dashboard and their own filter storm — seeded with the same per-user
-//! derivation as batch synthesis (`base_seed ^ splitmix(user + 1)`), so a
-//! multi-user IDEBench workload reseeds one knob like every other source.
+//! IDEBench sessions as a [`SessionSource`]. Each user walks an independent
+//! [`IdeBenchWalk`] — their own implicit random dashboard and their own
+//! filter storm — seeded with the same per-user derivation as batch
+//! synthesis (`base_seed ^ splitmix(user + 1)`), so a multi-user IDEBench
+//! workload reseeds one knob like every other source.
 
 use crate::session::{ActionProbs, IdeBenchConfig};
 use crate::walk::IdeBenchWalk;
 use simba_core::session::batch::splitmix;
-use simba_core::session::source::{QueryFeedback, SessionSource, SessionStream, SourceStep};
+use simba_core::session::source::{SessionSource, SessionStream};
 use simba_store::Table;
 use std::sync::Arc;
 
 /// IDEBench-style sessions as a [`SessionSource`]: purely stochastic filter
-/// mutations over per-user implicit dashboards. Feedback is ignored —
-/// IDEBench users never look at what comes back.
+/// mutations over per-user implicit dashboards.
 pub struct IdebenchSource {
     table: Arc<Table>,
     base_seed: u64,
@@ -45,10 +40,9 @@ impl IdebenchSource {
         self
     }
 
-    /// The exact single-run configuration user `user` walks with — handed
-    /// to [`IdeBenchRunner`](crate::IdeBenchRunner) it reproduces this
-    /// source's session byte-for-byte (the bridge equivalence tests rely on
-    /// this).
+    /// The exact single-run configuration user `user` walks with. Handed
+    /// to [`IdeBenchRunner`](crate::IdeBenchRunner) it runs the very walk
+    /// this source opens for that user, so the two agree by construction.
     pub fn session_config(&self, user: usize) -> IdeBenchConfig {
         IdeBenchConfig {
             seed: self.base_seed ^ splitmix(user as u64 + 1),
@@ -68,31 +62,7 @@ impl SessionSource for IdebenchSource {
     }
 
     fn open(&self, user: usize) -> Box<dyn SessionStream + '_> {
-        let config = self.session_config(user);
-        Box::new(IdebenchStream {
-            seed: config.seed,
-            walk: IdeBenchWalk::new(&self.table, &config),
-        })
-    }
-}
-
-struct IdebenchStream<'a> {
-    walk: IdeBenchWalk<'a>,
-    seed: u64,
-}
-
-impl SessionStream for IdebenchStream<'_> {
-    fn session_seed(&self) -> u64 {
-        self.seed
-    }
-
-    fn next_step(&mut self, _feedback: &[QueryFeedback<'_>]) -> Option<SourceStep> {
-        let step = self.walk.next()?;
-        Some(SourceStep {
-            description: step.action,
-            steering: None,
-            queries: step.queries,
-        })
+        Box::new(IdeBenchWalk::new(&self.table, &self.session_config(user)))
     }
 }
 

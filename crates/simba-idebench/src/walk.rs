@@ -1,23 +1,20 @@
-//! The engine-free IDEBench walk: query generation split from execution.
+//! The engine-free IDEBench walk: implicit-dashboard creation, the
+//! accumulated per-visualization filter state, and the add/modify/remove
+//! draws, as a [`SessionStream`] of steps. Whoever consumes it executes
+//! them: [`IdeBenchRunner`](crate::session::IdeBenchRunner) on one engine,
+//! the workload driver for [`IdebenchSource`](crate::IdebenchSource)'s
+//! users.
 //!
-//! [`IdeBenchRunner`](crate::session::IdeBenchRunner) interleaved drawing
-//! interactions with executing their queries, so the stochastic loop could
-//! not be replayed through the concurrent workload driver. This module owns
-//! the generation half — implicit-dashboard creation, the accumulated
-//! per-visualization filter state, and the add/modify/remove draws — as an
-//! iterator of steps, leaving execution to whoever consumes it (the runner
-//! for single-session logs, `IdebenchSource` for driver workloads).
-//!
-//! Rng draw order is identical to the historical runner loop (dashboard
-//! generation first, then per step: target draw, action draw, filter
-//! draws), so a walk with seed `s` emits byte-for-byte the SQL the runner
-//! executed with `IdeBenchConfig { seed: s, .. }`.
+//! Rng draw order is fixed — dashboard generation first, then per step:
+//! target draw, action draw, filter draws — so one seed is one session,
+//! byte for byte, wherever the walk runs.
 
 use crate::dashboard::RandomDashboard;
 use crate::session::{ActionProbs, IdeBenchConfig};
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
+use simba_core::session::source::{QueryFeedback, SessionStream, SourceStep};
 use simba_sql::{Expr, Select};
 use simba_store::{ColumnRole, Table, Zone};
 
@@ -69,6 +66,7 @@ pub struct IdeBenchWalk<'a> {
     filters: Vec<Vec<IdeFilter>>,
     table_name: String,
     next_step: usize,
+    seed: u64,
 }
 
 impl<'a> IdeBenchWalk<'a> {
@@ -86,6 +84,7 @@ impl<'a> IdeBenchWalk<'a> {
             filters,
             table_name: table.name().to_string(),
             next_step: 0,
+            seed: config.seed,
         }
     }
 
@@ -171,6 +170,23 @@ impl<'a> IdeBenchWalk<'a> {
             let removed = self.filters[target].remove(idx);
             format!("remove filter on {}", removed.field())
         }
+    }
+}
+
+/// The walk as its source's stream: IDEBench users never look at what
+/// comes back, so feedback is ignored.
+impl SessionStream for IdeBenchWalk<'_> {
+    fn session_seed(&self) -> u64 {
+        self.seed
+    }
+
+    fn next_step(&mut self, _feedback: &[QueryFeedback<'_>]) -> Option<SourceStep> {
+        let step = self.next()?;
+        Some(SourceStep {
+            description: step.action,
+            steering: None,
+            queries: step.queries,
+        })
     }
 }
 

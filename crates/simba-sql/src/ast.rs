@@ -211,14 +211,6 @@ impl Func {
         )
     }
 
-    /// True for the date-part extraction functions.
-    pub fn is_date_part(self) -> bool {
-        matches!(
-            self,
-            Func::Year | Func::Month | Func::Day | Func::Hour | Func::DayOfWeek
-        )
-    }
-
     /// SQL spelling of the function name.
     pub fn name(self) -> &'static str {
         match self {

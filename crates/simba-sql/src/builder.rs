@@ -50,14 +50,6 @@ impl SelectBuilder {
         self
     }
 
-    /// Project `agg(column)`.
-    pub fn aggregate(mut self, func: Func, column: impl Into<String>) -> Self {
-        self.select
-            .projections
-            .push(SelectItem::bare(Expr::agg(func, Expr::col(column.into()))));
-        self
-    }
-
     /// Project `COUNT(*)`.
     pub fn count_star(mut self) -> Self {
         self.select
@@ -103,12 +95,6 @@ impl SelectBuilder {
     /// Group by a column.
     pub fn group_by(mut self, column: impl Into<String>) -> Self {
         self.select.group_by.push(Expr::col(column.into()));
-        self
-    }
-
-    /// Group by an arbitrary expression.
-    pub fn group_by_expr(mut self, expr: Expr) -> Self {
-        self.select.group_by.push(expr);
         self
     }
 

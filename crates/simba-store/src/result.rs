@@ -221,11 +221,6 @@ impl CoverageStore {
     pub fn covers(&self, goal: &ResultSet) -> bool {
         self.covered_rows(goal) == goal.n_rows()
     }
-
-    /// Number of distinct column signatures absorbed.
-    pub fn signature_count(&self) -> usize {
-        self.seen.len()
-    }
 }
 
 #[cfg(test)]
