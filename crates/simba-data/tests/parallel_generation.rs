@@ -90,6 +90,41 @@ fn public_api_thread_invariance_at_real_chunk_boundary() {
     }
 }
 
+/// The benchmark's dataset at its stored widths: six dictionary columns
+/// and seven small ints at one byte, `call_date` (epoch seconds) at four,
+/// four floats at eight — 49 B/row, where every Int at eight bytes and every
+/// code at four took 120 — whatever the thread count, across a chunk
+/// boundary.
+#[test]
+fn customer_service_is_stored_at_its_narrowest_widths() {
+    let dataset = DashboardDataset::CustomerService;
+    let rows = CHUNK_ROWS + 1;
+    let table = dataset.generate_rows_with_threads(rows, 42, 1);
+    assert!(dataset
+        .generate_rows_with_threads(rows, 42, 4)
+        .bitwise_eq(&table));
+    let mut bytes_per_row = 0;
+    for (def, col) in table.schema().columns.iter().zip(0..) {
+        let col = table.column(col);
+        assert!(col.all_valid(), "{}", def.name);
+        let width = match (col.int_data(), col.code_data()) {
+            (Some(ints), _) => ints.width(),
+            (_, Some(codes)) => codes.width(),
+            _ => 8,
+        };
+        let want = match def.name.as_str() {
+            "call_date" => 4,
+            "handle_time" | "hold_time" | "wait_time" | "talk_time" => 8,
+            _ => 1,
+        };
+        assert_eq!(width, want, "{}", def.name);
+        bytes_per_row += width;
+    }
+    assert_eq!(bytes_per_row, 49);
+    let size = table.byte_size();
+    assert!(size <= 50 * rows, "{size} bytes for {rows} rows");
+}
+
 /// The assembled zone maps equal what a lazy post-hoc build would compute.
 #[test]
 fn eager_zone_maps_match_lazy_rebuild() {

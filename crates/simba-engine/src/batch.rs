@@ -5,8 +5,10 @@
 //! dispatch and a `Value` allocation per row per expression. The batch path
 //! instead evaluates each compiled filter kernel over a contiguous column
 //! slice with a tight typed loop, refining a [`SelectionVector`] of
-//! surviving row indices, and feeds aggregates from raw `i64`/`f64` slices
-//! into dense group-indexed states — no `Value` boxing on the hot path.
+//! surviving row indices, and feeds aggregates from raw `f64` slices and
+//! Int / code slices at their stored width (matched once per batch with
+//! [`for_width!`]) into dense group-indexed states — no `Value` boxing on
+//! the hot path.
 //! Semantics are pinned to the row path: the equivalence suite requires
 //! byte-identical results from both.
 
@@ -17,7 +19,7 @@ use crate::group::GroupTable;
 use crate::plan::{PreparedQuery, QueryKind};
 use simba_sql::Func;
 use simba_store::zonemap::{float_key, morsel_bounds, morsel_count, ZoneMaps, MORSEL_ROWS};
-use simba_store::{ColumnData, Table, Value};
+use simba_store::{for_width, ColumnData, Table, Value};
 use std::cmp::Ordering;
 
 /// Rows per scan batch. Equal to the zone-map granularity so every batch is
@@ -111,7 +113,12 @@ impl Kernel {
                 let (lo, hi, negated) = (*lo, *hi, *negated);
                 let keep = |key: i64| (lo <= key && key <= hi) != negated;
                 if let Some(data) = c.int_data() {
-                    filter_keys(|i| data[i], valid, keep, sel);
+                    for_width!(data, |lane| filter_keys(
+                        |i| lane[i] as i64,
+                        valid,
+                        keep,
+                        sel
+                    ));
                 } else if let Some(data) = c.float_data() {
                     filter_keys(|i| float_key(data[i]), valid, keep, sel);
                 } else {
@@ -124,13 +131,15 @@ impl Kernel {
                 match c.code_data() {
                     Some(codes) => {
                         let valid = c.validity();
-                        let keep_code =
-                            |i: usize| mask.get(codes[i] as usize).copied().unwrap_or(false);
-                        if valid.is_empty() {
-                            compact!(sel, keep_code);
-                        } else {
-                            compact!(sel, |i: usize| valid[i] && keep_code(i));
-                        }
+                        for_width!(codes, |lane| {
+                            let keep_code =
+                                |i: usize| mask.get(lane[i] as usize).copied().unwrap_or(false);
+                            if valid.is_empty() {
+                                compact!(sel, keep_code);
+                            } else {
+                                compact!(sel, |i: usize| valid[i] && keep_code(i));
+                            }
+                        })
                     }
                     None => sel.clear(),
                 }
@@ -182,7 +191,8 @@ impl Kernel {
 
 /// Keep the selected rows that are valid and whose ordered key passes
 /// `keep`. `key` reads a row's key off the raw slice; one instance per
-/// column type, so the loop stays monomorphic and branch-light.
+/// column type and stored width, so the loop stays monomorphic and
+/// branch-light.
 fn filter_keys(
     key: impl Fn(usize) -> i64,
     valid: &[bool],
@@ -439,7 +449,9 @@ impl TypedGroupStates {
     }
 }
 
-/// Iterate `(row, slot)` pairs where the column is valid at `row`.
+/// Iterate `(row, slot)` pairs where the column is valid at `row`. Int
+/// arguments run it inside [`for_width!`], so each stored width gets its
+/// own copy of the loop.
 macro_rules! for_valid {
     ($valid:expr, $sel:expr, $slots:expr, |$i:ident, $s:ident| $body:expr) => {{
         let valid = $valid;
@@ -480,10 +492,10 @@ fn update_one(
             let c = table.column(col);
             // simba: allow(panic-hygiene): TypedGroupStates::compile pinned this kernel to the column's physical type; a mismatch is a planner bug, not a runtime condition
             let data = c.int_data().expect("typed agg column is Int");
-            for_valid!(c.validity(), sel, slots, |i, s| {
-                int[s] = int[s].wrapping_add(data[i]);
+            for_width!(data, |lane| for_valid!(c.validity(), sel, slots, |i, s| {
+                int[s] = int[s].wrapping_add(lane[i] as i64);
                 any[s] = true;
-            });
+            }));
         }
         (TypedAggKind::SumFloat { col }, AggStateVec::SumFloat { sum, any }) => {
             let c = table.column(col);
@@ -498,10 +510,10 @@ fn update_one(
             let c = table.column(col);
             // simba: allow(panic-hygiene): TypedGroupStates::compile pinned this kernel to the column's physical type; a mismatch is a planner bug, not a runtime condition
             let data = c.int_data().expect("typed agg column is Int");
-            for_valid!(c.validity(), sel, slots, |i, s| {
-                sum[s] += data[i] as f64;
+            for_width!(data, |lane| for_valid!(c.validity(), sel, slots, |i, s| {
+                sum[s] += lane[i] as f64;
                 n[s] += 1;
-            });
+            }));
         }
         (TypedAggKind::AvgFloat { col }, AggStateVec::Avg { sum, n }) => {
             let c = table.column(col);
@@ -516,27 +528,27 @@ fn update_one(
             let c = table.column(col);
             // simba: allow(panic-hygiene): TypedGroupStates::compile pinned this kernel to the column's physical type; a mismatch is a planner bug, not a runtime condition
             let data = c.int_data().expect("typed agg column is Int");
-            for_valid!(c.validity(), sel, slots, |i, s| {
-                let v = data[i];
+            for_width!(data, |lane| for_valid!(c.validity(), sel, slots, |i, s| {
+                let v = lane[i] as i64;
                 // Strict `<`: ties keep the earlier value, like the
                 // accumulator's keep-first rule.
                 if !seen[s] || v < val[s] {
                     val[s] = v;
                     seen[s] = true;
                 }
-            });
+            }));
         }
         (TypedAggKind::MaxInt { col }, AggStateVec::MinMaxInt { val, seen }) => {
             let c = table.column(col);
             // simba: allow(panic-hygiene): TypedGroupStates::compile pinned this kernel to the column's physical type; a mismatch is a planner bug, not a runtime condition
             let data = c.int_data().expect("typed agg column is Int");
-            for_valid!(c.validity(), sel, slots, |i, s| {
-                let v = data[i];
+            for_width!(data, |lane| for_valid!(c.validity(), sel, slots, |i, s| {
+                let v = lane[i] as i64;
                 if !seen[s] || v > val[s] {
                     val[s] = v;
                     seen[s] = true;
                 }
-            });
+            }));
         }
         (TypedAggKind::MinFloat { col }, AggStateVec::MinMaxFloat { val, seen }) => {
             let c = table.column(col);
@@ -643,18 +655,18 @@ pub fn dict_key_slots(col: &ColumnData, sel: &[u32], slots: &mut Vec<u32>, null_
     // simba: allow(panic-hygiene): only dictionary-encoded key columns are routed here (TypedDict mode selection); a codeless column is a planner bug
     let codes = col.code_data().expect("dict key column");
     let valid = col.validity();
-    if valid.is_empty() {
-        slots.extend(sel.iter().map(|&i| codes[i as usize]));
+    for_width!(codes, |lane| if valid.is_empty() {
+        slots.extend(sel.iter().map(|&i| lane[i as usize] as u32));
     } else {
         slots.extend(sel.iter().map(|&i| {
             let i = i as usize;
             if valid[i] {
-                codes[i]
+                lane[i] as u32
             } else {
                 null_slot
             }
         }));
-    }
+    })
 }
 
 /// Reset `sel` to the rows `[start, end)` and refine it through each filter

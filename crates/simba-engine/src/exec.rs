@@ -113,7 +113,7 @@ impl Kernel {
                     return false;
                 }
                 let key = match c {
-                    ColumnData::Int { data, .. } => data[row],
+                    ColumnData::Int { data, .. } => data.get(row),
                     ColumnData::Float { data, .. } => float_key(data[row]),
                     _ => return false,
                 };

@@ -727,6 +727,34 @@ fn contradictory_filters_answer_without_reading_a_row() {
     }
 }
 
+/// The edge table reaches the widest lane: `big` holds the `i64` extremes
+/// and ±2^53, so every test above runs the kernels' and aggregates' 8-byte
+/// copies, while `n` (−9..15) and the all-NULL `void_i` run the 1-byte ones.
+#[test]
+fn edge_table_stores_big_at_eight_bytes_and_small_ints_at_one() {
+    let table = edge_table();
+    let width = |col: &str| {
+        table
+            .column_by_name(col)
+            .unwrap()
+            .int_data()
+            .unwrap()
+            .width()
+    };
+    assert_eq!(width("big"), 8);
+    assert_eq!(width("n"), 1);
+    assert_eq!(width("void_i"), 1);
+    assert_eq!(
+        table
+            .column_by_name("queue")
+            .unwrap()
+            .code_data()
+            .unwrap()
+            .width(),
+        1
+    );
+}
+
 /// `sql_cmp` compares two `Int`s exactly, so the interpreter (`sqlite-like`
 /// is the row oracle's twin) tells 2^53 + 1 from 2^53 like the kernels do.
 #[test]

@@ -13,7 +13,9 @@ use crate::proto::{
     EngineSel, Request, Response, ServerStatsSnapshot, TableBlock, WireError, CHUNK_ROWS,
 };
 use simba_engine::{EngineError, ExecStats, QueryCtx};
-use simba_store::{ColumnData, ColumnDef, ColumnRole, DataType, ResultSet, Schema, Value};
+use simba_store::{
+    for_width, ColumnData, ColumnDef, ColumnRole, DataType, ResultSet, Schema, Value,
+};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -219,11 +221,7 @@ pub(crate) fn encode_register(sel: &EngineSel, block: &TableBlock) -> Vec<u8> {
             .iter()
             .map(|c| c.name.len() + 6)
             .sum::<usize>()
-        + block
-            .columns()
-            .iter()
-            .map(|c| c.byte_size() + 6 + 4 * c.dictionary().map_or(0, <[_]>::len))
-            .sum::<usize>();
+        + block.columns().iter().map(column_wire_size).sum::<usize>();
     let mut w = Writer::with_capacity(hint);
     w.u8(REQ_REGISTER);
     put_sel(&mut w, sel);
@@ -307,6 +305,22 @@ fn put_validity(w: &mut Writer, valid: &[bool]) {
     w.buf.extend(valid.iter().map(|&v| u8::from(v)));
 }
 
+/// Bytes [`put_block`] writes for one column's data: type tag, validity
+/// flag and bytes, then 8 per Int or Float value, 1 per Bool, or a string
+/// column's dictionary (a count, then each entry length-prefixed) and 4 per
+/// code — whatever width the column is stored at.
+fn column_wire_size(col: &ColumnData) -> usize {
+    let values = match col {
+        ColumnData::Int { data, .. } => 8 * data.len(),
+        ColumnData::Float { data, .. } => 8 * data.len(),
+        ColumnData::Bool { data, .. } => data.len(),
+        ColumnData::Str { dict, codes, .. } => {
+            4 + dict.iter().map(|s| 4 + s.len()).sum::<usize>() + 4 * codes.len()
+        }
+    };
+    2 + col.validity().len() + values
+}
+
 fn put_block(w: &mut Writer, block: &TableBlock) {
     let schema = block.schema();
     w.str(&schema.table);
@@ -323,11 +337,11 @@ fn put_block(w: &mut Writer, block: &TableBlock) {
         w.u8(type_code(def.data_type));
         put_validity(w, col.validity());
         match col {
-            ColumnData::Int { data, .. } => {
-                for v in data {
-                    w.buf.extend_from_slice(&v.to_le_bytes());
-                }
-            }
+            // Int values and codes cross at full width whatever their
+            // stored one; the decoder narrows them again.
+            ColumnData::Int { data, .. } => for_width!(data, |lane| for &v in lane {
+                w.buf.extend_from_slice(&(v as i64).to_le_bytes());
+            }),
             ColumnData::Float { data, .. } => {
                 for v in data {
                     w.buf.extend_from_slice(&v.to_bits().to_le_bytes());
@@ -339,9 +353,9 @@ fn put_block(w: &mut Writer, block: &TableBlock) {
                 for entry in dict {
                     w.str(entry);
                 }
-                for c in codes {
-                    w.buf.extend_from_slice(&c.to_le_bytes());
-                }
+                for_width!(codes, |lane| for &c in lane {
+                    w.buf.extend_from_slice(&(c as u32).to_le_bytes());
+                })
             }
         }
     }

@@ -84,6 +84,10 @@
 //! blocks (`TableAssembler` remaps per-chunk dictionaries into the
 //! table's, as it does for generated chunks).
 //!
+//! Ints and codes cross at full width whatever width the sender stores
+//! them at; the decoder collects them straight into the narrowest width
+//! that holds the block's values, so the layout is independent of storage.
+//!
 //! Validation happens in [`TableBlock::new`], before the server touches
 //! the block: the column count and every type tag match the schema; every
 //! column holds exactly `rows` values and validity is absent or `rows`
@@ -152,7 +156,9 @@
 
 use crate::codec;
 use simba_engine::{EngineError, ExecStats, QueryCtx};
-use simba_store::{ColumnData, DataType, ResultSet, Schema, Table, MORSEL_ROWS};
+use simba_store::{
+    for_width, ColumnData, DataType, NarrowVec, ResultSet, Schema, Table, MORSEL_ROWS,
+};
 use std::ops::Range;
 
 /// Frame magic: the first four bytes of every frame.
@@ -526,7 +532,7 @@ fn slice_column(col: &ColumnData, range: Range<usize>, local_of: &mut [u32]) -> 
     };
     match col {
         ColumnData::Int { data, .. } => ColumnData::Int {
-            data: data[range].to_vec(),
+            data: data.slice(range),
             valid,
         },
         ColumnData::Float { data, .. } => ColumnData::Float {
@@ -540,22 +546,26 @@ fn slice_column(col: &ColumnData, range: Range<usize>, local_of: &mut [u32]) -> 
         ColumnData::Str { dict, codes, .. } => {
             let mut local_dict = Vec::new();
             let mut touched = Vec::new();
-            let mut local_codes = Vec::with_capacity(range.len());
-            for (i, &code) in codes[range].iter().enumerate() {
-                if valid.get(i) == Some(&false) {
-                    local_codes.push(0);
-                    continue;
+            let mut local_codes = NarrowVec::with_capacity(range.len());
+            for_width!(
+                codes,
+                |lane| for (i, &code) in lane[range].iter().enumerate() {
+                    if valid.get(i) == Some(&false) {
+                        local_codes.push(0);
+                        continue;
+                    }
+                    let code = code as usize;
+                    let slot = &mut local_of[code];
+                    if *slot == u32::MAX {
+                        *slot = local_dict.len() as u32;
+                        local_dict.push(dict[code].clone());
+                        touched.push(code);
+                    }
+                    local_codes.push(*slot);
                 }
-                let slot = &mut local_of[code as usize];
-                if *slot == u32::MAX {
-                    *slot = local_dict.len() as u32;
-                    local_dict.push(dict[code as usize].clone());
-                    touched.push(code);
-                }
-                local_codes.push(*slot);
-            }
+            );
             for code in touched {
-                local_of[code as usize] = u32::MAX;
+                local_of[code] = u32::MAX;
             }
             ColumnData::Str {
                 dict: local_dict,
@@ -638,7 +648,7 @@ fn check_block(
             ));
         }
         if let ColumnData::Str { dict, codes, .. } = col {
-            let bad = codes.iter().enumerate().find(|&(i, &code)| {
+            let bad = codes.iter().enumerate().find(|&(i, code)| {
                 if valid.get(i) == Some(&false) {
                     code != 0
                 } else {
@@ -984,7 +994,7 @@ mod tests {
         let (schema, columns) = block.clone().into_parts();
         let mut torn = columns.clone();
         torn[1] = ColumnData::Int {
-            data: vec![1],
+            data: vec![1].into(),
             valid: vec![],
         };
         assert!(matches!(
@@ -1003,7 +1013,7 @@ mod tests {
         let mut wild = columns.clone();
         wild[0] = ColumnData::Str {
             dict: vec!["A".into()],
-            codes: vec![0, 1],
+            codes: vec![0, 1].into(),
             valid: vec![],
         };
         assert!(matches!(
@@ -1050,7 +1060,14 @@ mod tests {
         // The second block ships only what its own rows index, and its
         // NULL row does not count as an appearance of code 0.
         assert_eq!(dict(&blocks[1]), ["late"]);
-        assert_eq!(blocks[1].columns()[0].code_data().unwrap(), [0, 0, 0]);
+        assert_eq!(
+            blocks[1].columns()[0]
+                .code_data()
+                .unwrap()
+                .iter()
+                .collect::<Vec<_>>(),
+            [0, 0, 0]
+        );
         assert_eq!(blocks[1].columns()[0].validity(), [false, true, true]);
     }
 

@@ -11,7 +11,10 @@
 //! them in chunk-index order the finished table is bit-for-bit identical —
 //! including dictionary order, which follows first appearance across the
 //! concatenated row stream exactly as a single [`TableBuilder`] over the
-//! same rows would produce.
+//! same rows would produce, and column widths, which are a function of the
+//! values (see [`NarrowVec`](crate::narrow::NarrowVec)). Each column is
+//! appended into the same [`ColumnBuilder`] a [`TableBuilder`] pushes rows
+//! into, so no stage holds a wide copy.
 //!
 //! Zone maps are built *eagerly* here: each [`TableChunk`] computes the
 //! min/max zones of its own rows (on the worker thread, in parallel), and
@@ -20,12 +23,10 @@
 //!
 //! [`TableBuilder`]: crate::table::TableBuilder
 
-use crate::column::ColumnData;
+use crate::column::{ColumnBuilder, ColumnData};
 use crate::schema::{DataType, Schema};
 use crate::table::Table;
 use crate::zonemap::{morsel_count, ColumnZones, Zone, ZoneMaps, MORSEL_ROWS};
-use std::collections::HashMap;
-use std::sync::Arc;
 
 /// One generated fragment of a table: column data for a contiguous row
 /// range, plus the zone maps of those rows (computed at construction, i.e.
@@ -70,7 +71,7 @@ impl TableChunk {
 #[derive(Debug)]
 pub struct TableAssembler {
     schema: Schema,
-    columns: Vec<ColumnAppender>,
+    columns: Vec<ColumnBuilder>,
     /// Concatenated per-morsel zones per column (`None` = no statistics for
     /// this column type).
     zones: Vec<Option<Vec<Zone>>>,
@@ -86,7 +87,7 @@ impl TableAssembler {
         let columns = schema
             .columns
             .iter()
-            .map(|c| ColumnAppender::new(c.data_type, capacity))
+            .map(|c| ColumnBuilder::new(c.data_type, capacity))
             .collect();
         let zones = schema
             .columns
@@ -168,7 +169,7 @@ impl TableAssembler {
         let columns: Vec<ColumnData> = self
             .columns
             .into_iter()
-            .map(ColumnAppender::finish)
+            .map(ColumnBuilder::finish)
             .collect();
         let zone_maps = ZoneMaps::from_column_zones(
             morsel_count(self.rows),
@@ -178,257 +179,6 @@ impl TableAssembler {
                 .collect(),
         );
         Table::from_columns_with_zone_maps(self.schema, columns, zone_maps)
-    }
-}
-
-/// Bulk-append builder for one column: the chunk-wise dual of
-/// [`ColumnBuilder`](crate::column::ColumnBuilder).
-#[derive(Debug)]
-enum ColumnAppender {
-    Int {
-        data: Vec<i64>,
-        valid: Vec<bool>,
-        any_null: bool,
-    },
-    Float {
-        data: Vec<f64>,
-        valid: Vec<bool>,
-        any_null: bool,
-    },
-    Bool {
-        data: Vec<bool>,
-        valid: Vec<bool>,
-        any_null: bool,
-    },
-    Str {
-        dict: Vec<Arc<str>>,
-        lookup: HashMap<Arc<str>, u32>,
-        codes: Vec<u32>,
-        valid: Vec<bool>,
-        any_null: bool,
-    },
-}
-
-/// Fold one chunk's validity into the accumulated validity, preserving the
-/// "empty = all valid" compression: the accumulated vector stays empty
-/// until the first NULL arrives, at which point history is materialized.
-fn append_validity(
-    valid: &mut Vec<bool>,
-    any_null: &mut bool,
-    rows_before: usize,
-    src: &[bool],
-    src_rows: usize,
-) {
-    let src_has_null = src.iter().any(|v| !v);
-    if src_has_null {
-        if !*any_null {
-            valid.resize(rows_before, true);
-            *any_null = true;
-        }
-        valid.extend_from_slice(src);
-    } else if *any_null {
-        valid.resize(valid.len() + src_rows, true);
-    }
-}
-
-/// Validity stays unallocated until the first NULL arrives; once it is
-/// materialized it grows with the data.
-fn reserve_validity(valid: &mut Vec<bool>, additional: usize) {
-    if !valid.is_empty() {
-        valid.reserve_exact(additional);
-    }
-}
-
-impl ColumnAppender {
-    fn new(data_type: DataType, capacity: usize) -> ColumnAppender {
-        match data_type {
-            DataType::Int => ColumnAppender::Int {
-                data: Vec::with_capacity(capacity),
-                valid: Vec::new(),
-                any_null: false,
-            },
-            DataType::Float => ColumnAppender::Float {
-                data: Vec::with_capacity(capacity),
-                valid: Vec::new(),
-                any_null: false,
-            },
-            DataType::Bool => ColumnAppender::Bool {
-                data: Vec::with_capacity(capacity),
-                valid: Vec::new(),
-                any_null: false,
-            },
-            DataType::Str => ColumnAppender::Str {
-                dict: Vec::new(),
-                lookup: HashMap::new(),
-                codes: Vec::with_capacity(capacity),
-                valid: Vec::new(),
-                any_null: false,
-            },
-        }
-    }
-
-    fn reserve(&mut self, additional: usize) {
-        match self {
-            ColumnAppender::Int { data, valid, .. } => {
-                data.reserve_exact(additional);
-                reserve_validity(valid, additional);
-            }
-            ColumnAppender::Float { data, valid, .. } => {
-                data.reserve_exact(additional);
-                reserve_validity(valid, additional);
-            }
-            ColumnAppender::Bool { data, valid, .. } => {
-                data.reserve_exact(additional);
-                reserve_validity(valid, additional);
-            }
-            ColumnAppender::Str { codes, valid, .. } => {
-                codes.reserve_exact(additional);
-                reserve_validity(valid, additional);
-            }
-        }
-    }
-
-    fn append(&mut self, chunk: ColumnData) {
-        match (self, chunk) {
-            (
-                ColumnAppender::Int {
-                    data,
-                    valid,
-                    any_null,
-                },
-                ColumnData::Int {
-                    data: src,
-                    valid: src_valid,
-                },
-            ) => {
-                append_validity(valid, any_null, data.len(), &src_valid, src.len());
-                data.extend_from_slice(&src);
-            }
-            (
-                ColumnAppender::Float {
-                    data,
-                    valid,
-                    any_null,
-                },
-                ColumnData::Float {
-                    data: src,
-                    valid: src_valid,
-                },
-            ) => {
-                append_validity(valid, any_null, data.len(), &src_valid, src.len());
-                data.extend_from_slice(&src);
-            }
-            (
-                ColumnAppender::Bool {
-                    data,
-                    valid,
-                    any_null,
-                },
-                ColumnData::Bool {
-                    data: src,
-                    valid: src_valid,
-                },
-            ) => {
-                append_validity(valid, any_null, data.len(), &src_valid, src.len());
-                data.extend_from_slice(&src);
-            }
-            (
-                ColumnAppender::Str {
-                    dict,
-                    lookup,
-                    codes,
-                    valid,
-                    any_null,
-                },
-                ColumnData::Str {
-                    dict: src_dict,
-                    codes: src_codes,
-                    valid: src_valid,
-                },
-            ) => {
-                // Remap the chunk's dictionary into the global one. Chunk
-                // dictionaries are in first-appearance order, so inserting
-                // them in order reproduces the dictionary a single
-                // row-at-a-time builder would have produced over the
-                // concatenated stream.
-                let map: Vec<u32> = src_dict
-                    .iter()
-                    .map(|s| match lookup.get(s) {
-                        Some(&code) => code,
-                        None => {
-                            let code = dict.len() as u32;
-                            dict.push(s.clone());
-                            lookup.insert(s.clone(), code);
-                            code
-                        }
-                    })
-                    .collect();
-                append_validity(valid, any_null, codes.len(), &src_valid, src_codes.len());
-                if src_valid.is_empty() {
-                    codes.extend(src_codes.iter().map(|&c| map[c as usize]));
-                } else {
-                    // NULL slots carry a meaningless local code; normalize
-                    // them to global code 0, matching ColumnBuilder.
-                    codes.extend(src_codes.iter().zip(&src_valid).map(|(&c, &ok)| {
-                        if ok {
-                            map[c as usize]
-                        } else {
-                            0
-                        }
-                    }));
-                }
-            }
-            (appender, chunk) => {
-                panic!("chunk type mismatch appending {chunk:?} into {appender:?}")
-            }
-        }
-    }
-
-    fn finish(self) -> ColumnData {
-        fn seal(valid: Vec<bool>, any_null: bool) -> Vec<bool> {
-            if any_null {
-                valid
-            } else {
-                Vec::new()
-            }
-        }
-        match self {
-            ColumnAppender::Int {
-                data,
-                valid,
-                any_null,
-            } => ColumnData::Int {
-                data,
-                valid: seal(valid, any_null),
-            },
-            ColumnAppender::Float {
-                data,
-                valid,
-                any_null,
-            } => ColumnData::Float {
-                data,
-                valid: seal(valid, any_null),
-            },
-            ColumnAppender::Bool {
-                data,
-                valid,
-                any_null,
-            } => ColumnData::Bool {
-                data,
-                valid: seal(valid, any_null),
-            },
-            ColumnAppender::Str {
-                dict,
-                codes,
-                valid,
-                any_null,
-                ..
-            } => ColumnData::Str {
-                dict,
-                codes,
-                valid: seal(valid, any_null),
-            },
-        }
     }
 }
 

@@ -6,7 +6,10 @@
 //! * [`value`] — the dynamic [`Value`] type shared by all engines.
 //! * [`schema`] — logical schemas with the paper's column taxonomy
 //!   (Categorical / Quantitative / Temporal).
-//! * [`mod@column`] — dictionary-encoded columnar storage.
+//! * [`mod@column`] — dictionary-encoded columnar storage, every Int value
+//!   and dictionary code at the narrowest width its column needs.
+//! * [`narrow`] — [`NarrowVec`], the integer vector that stores them, and
+//!   [`for_width!`], which expands a reader's loop once per width.
 //! * [`table`] — the in-memory table (columnar layout with row views, so
 //!   both row-oriented and column-oriented engines share one copy).
 //! * [`result`] — query [`ResultSet`]s with the multiset/subsumption/overlap
@@ -23,6 +26,7 @@
 pub mod append;
 pub mod column;
 pub mod mix;
+pub mod narrow;
 pub mod result;
 pub mod schema;
 pub mod table;
@@ -31,6 +35,7 @@ pub mod zonemap;
 
 pub use append::{TableAssembler, TableChunk};
 pub use column::{ColumnBuilder, ColumnData};
+pub use narrow::NarrowVec;
 pub use result::{CoverageStore, ResultSet};
 pub use schema::{ColumnDef, ColumnRole, DataType, Schema};
 pub use table::{Table, TableBuilder};

@@ -1,7 +1,7 @@
 //! The in-memory table: one columnar store shared by every engine.
 
 use crate::column::{ColumnBuilder, ColumnData};
-use crate::schema::{DataType, Schema};
+use crate::schema::Schema;
 use crate::value::Value;
 use crate::zonemap::ZoneMaps;
 use std::sync::{Arc, OnceLock};
@@ -99,6 +99,7 @@ impl Table {
     }
 
     /// Column data by position.
+    #[inline]
     pub fn column(&self, idx: usize) -> &ColumnData {
         &self.columns[idx]
     }
@@ -124,7 +125,8 @@ impl Table {
         buf.extend(self.columns.iter().map(|c| c.value(i)));
     }
 
-    /// Total approximate heap size in bytes.
+    /// Heap bytes of the table's column data (see
+    /// [`ColumnData::byte_size`]).
     pub fn byte_size(&self) -> usize {
         self.columns.iter().map(ColumnData::byte_size).sum()
     }
@@ -160,12 +162,7 @@ impl TableBuilder {
         let builders = schema
             .columns
             .iter()
-            .map(|c| match c.data_type {
-                DataType::Int => ColumnBuilder::int(capacity),
-                DataType::Float => ColumnBuilder::float(capacity),
-                DataType::Str => ColumnBuilder::string(capacity),
-                DataType::Bool => ColumnBuilder::boolean(capacity),
-            })
+            .map(|c| ColumnBuilder::new(c.data_type, capacity))
             .collect();
         Self {
             schema,

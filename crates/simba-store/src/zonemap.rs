@@ -139,7 +139,11 @@ impl ZoneMaps {
             .iter()
             .map(|col| match col {
                 ColumnData::Int { data, valid } => Some(ColumnZones {
-                    zones: int_zones(data, valid, rows),
+                    zones: crate::for_width!(data, |lane| int_zones(
+                        |i| lane[i] as i64,
+                        valid,
+                        rows
+                    )),
                 }),
                 ColumnData::Float { data, valid } => Some(ColumnZones {
                     zones: float_zones(data, valid, rows),
@@ -175,7 +179,9 @@ impl ZoneMaps {
     }
 }
 
-fn int_zones(data: &[i64], valid: &[bool], rows: usize) -> Vec<Zone> {
+/// Int zones over `rows` rows, reading row `i`'s value as `value(i)` (one
+/// instance per stored width).
+fn int_zones(value: impl Fn(usize) -> i64, valid: &[bool], rows: usize) -> Vec<Zone> {
     (0..morsel_count(rows))
         .map(|m| {
             let (start, end) = morsel_bounds(m, rows);
@@ -187,8 +193,9 @@ fn int_zones(data: &[i64], valid: &[bool], rows: usize) -> Vec<Zone> {
                     continue;
                 }
                 any = true;
-                min = min.min(data[i]);
-                max = max.max(data[i]);
+                let v = value(i);
+                min = min.min(v);
+                max = max.max(v);
             }
             if any {
                 Zone::Int { min, max }
@@ -238,11 +245,11 @@ fn float_zones(data: &[f64], valid: &[bool], rows: usize) -> Vec<Zone> {
 mod tests {
     use super::*;
     use crate::value::Value;
-    use crate::ColumnBuilder;
+    use crate::{ColumnBuilder, DataType};
 
     fn int_col(vals: impl IntoIterator<Item = Option<i64>>) -> ColumnData {
         let vals: Vec<_> = vals.into_iter().collect();
-        let mut b = ColumnBuilder::int(vals.len());
+        let mut b = ColumnBuilder::new(DataType::Int, vals.len());
         for v in vals {
             b.push(v.map_or(Value::Null, Value::Int));
         }
@@ -303,7 +310,7 @@ mod tests {
 
     #[test]
     fn float_nan_is_total_order_maximum() {
-        let mut b = ColumnBuilder::float(3);
+        let mut b = ColumnBuilder::new(DataType::Float, 3);
         b.push(Value::Float(1.0));
         b.push(Value::Float(f64::NAN));
         b.push(Value::Float(2.0));
@@ -320,7 +327,7 @@ mod tests {
 
     #[test]
     fn float_negative_zero_is_the_minimum() {
-        let mut b = ColumnBuilder::float(2);
+        let mut b = ColumnBuilder::new(DataType::Float, 2);
         b.push(Value::Float(0.0));
         b.push(Value::Float(-0.0));
         let col = b.finish();
@@ -387,7 +394,7 @@ mod tests {
             (Value::Int(-9), Value::Int(MORSEL_ROWS as i64 - 8))
         );
 
-        let mut b = ColumnBuilder::float(3);
+        let mut b = ColumnBuilder::new(DataType::Float, 3);
         for v in [0.0, -0.0, f64::NAN] {
             b.push(Value::Float(v));
         }
@@ -407,7 +414,7 @@ mod tests {
 
     #[test]
     fn categorical_columns_carry_no_zones() {
-        let mut b = ColumnBuilder::string(1);
+        let mut b = ColumnBuilder::new(DataType::Str, 1);
         b.push(Value::str("A"));
         let col = b.finish();
         let maps = ZoneMaps::build(std::slice::from_ref(&col), 1);
