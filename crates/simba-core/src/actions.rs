@@ -9,7 +9,7 @@
 
 use crate::graph::{DashboardState, InteractionGraph, NodeId, NodeKind, NodeState, WidgetState};
 use crate::spec::ControlSpec;
-use simba_store::{ColumnRole, Table};
+use simba_store::{ColumnRole, Table, Zone};
 use std::collections::{BTreeSet, HashMap};
 
 /// Maximum categories enumerated per control (very high-cardinality fields
@@ -235,10 +235,10 @@ impl FieldDomains {
     pub fn from_table(table: &Table) -> Self {
         let mut map = HashMap::new();
         for (i, def) in table.schema().columns.iter().enumerate() {
-            let col = table.column(i);
             let domain = match def.role {
                 ColumnRole::Categorical => {
-                    let mut cats: Vec<String> = col
+                    let mut cats: Vec<String> = table
+                        .column(i)
                         .distinct_values()
                         .into_iter()
                         .filter_map(|v| v.as_str().map(str::to_string))
@@ -247,13 +247,14 @@ impl FieldDomains {
                     cats.truncate(MAX_CATEGORIES);
                     FieldDomain::Categories(cats)
                 }
-                ColumnRole::Quantitative | ColumnRole::Temporal => match col.min_max() {
-                    Some((lo, hi)) => FieldDomain::Numeric {
-                        min: lo.as_f64().unwrap_or(0.0),
-                        max: hi.as_f64().unwrap_or(0.0),
-                    },
-                    None => FieldDomain::Numeric { min: 0.0, max: 0.0 },
-                },
+                ColumnRole::Quantitative | ColumnRole::Temporal => {
+                    let (min, max) = table
+                        .zone_maps()
+                        .column(i)
+                        .and_then(Zone::f64_range)
+                        .unwrap_or((0.0, 0.0));
+                    FieldDomain::Numeric { min, max }
+                }
             };
             map.insert(def.name.to_ascii_lowercase(), domain);
         }

@@ -13,9 +13,9 @@
 //! scheduling order, and the assembled table is *byte-identical* for a
 //! given `(dataset, rows, seed)` triple — the merge
 //! ([`simba_store::TableAssembler`]) consumes chunks strictly in index
-//! order, remapping dictionary codes and concatenating the zone maps each
-//! worker computed for its own rows. Zone maps therefore come out of
-//! generation already built; the first scan never pays the lazy build.
+//! order, remapping dictionary codes into the table's dictionary. Column
+//! bounds are not built here: the finished table folds them in one pass on
+//! first use.
 //!
 //! The chunk size is part of the determinism contract: the same triple
 //! generated under a different `chunk_rows` yields *different* (equally
@@ -29,7 +29,7 @@ use simba_store::{Schema, Table, TableAssembler, TableBuilder, TableChunk, MORSE
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex};
 
-/// Rows per generation chunk: 32 zone-map morsels. Large enough that
+/// Rows per generation chunk: 32 morsels. Large enough that
 /// per-chunk setup (RNG seeding, lookup-table construction) is noise,
 /// small enough that a 10M-row table yields ~150 chunks to parallelize
 /// over.
@@ -73,9 +73,7 @@ pub struct ChunkCtx {
 ///   constant folded into it before chunk-seed derivation (so different
 ///   datasets draw disjoint streams from one master seed).
 /// * `threads == 0` means one worker per available core.
-/// * `chunk_rows` must be a positive multiple of
-///   [`MORSEL_ROWS`] so each chunk's eagerly
-///   computed zone maps land on the table-wide morsel grid.
+/// * `chunk_rows` is the (positive) number of rows per chunk.
 /// * `fill` receives a chunk-private RNG already seeded by
 ///   [`chunk_seed`], the chunk's [`ChunkCtx`], and a row builder holding
 ///   exactly `ctx.len` rows' capacity; it must push exactly `ctx.len`
@@ -96,10 +94,6 @@ pub fn generate_chunked<F>(
 where
     F: Fn(&mut ChaCha8Rng, &ChunkCtx, &mut TableBuilder) + Sync,
 {
-    assert!(
-        chunk_rows > 0 && chunk_rows.is_multiple_of(MORSEL_ROWS),
-        "chunk_rows must be a positive multiple of MORSEL_ROWS"
-    );
     let n_chunks = rows.div_ceil(chunk_rows);
     let master = seed ^ salt;
 
@@ -278,12 +272,15 @@ mod tests {
     #[test]
     fn thread_count_does_not_change_bytes() {
         let rows = 2 * MORSEL_ROWS + 17;
-        let reference = toy_table(rows, 9, 1, MORSEL_ROWS);
-        for threads in [2, 3, 8] {
-            assert!(
-                toy_table(rows, 9, threads, MORSEL_ROWS).bitwise_eq(&reference),
-                "threads={threads}"
-            );
+        // A chunk size off the morsel grid is as deterministic.
+        for chunk_rows in [MORSEL_ROWS, 1000] {
+            let reference = toy_table(rows, 9, 1, chunk_rows);
+            for threads in [2, 3, 8] {
+                assert!(
+                    toy_table(rows, 9, threads, chunk_rows).bitwise_eq(&reference),
+                    "threads={threads} chunk_rows={chunk_rows}"
+                );
+            }
         }
     }
 
@@ -302,13 +299,6 @@ mod tests {
     }
 
     #[test]
-    fn zone_maps_come_out_eager() {
-        let t = toy_table(MORSEL_ROWS * 2, 3, 2, MORSEL_ROWS);
-        assert!(t.zone_maps_built());
-        assert_eq!(t.zone_maps().n_morsels(), 2);
-    }
-
-    #[test]
     fn zero_rows_is_fine() {
         let t = toy_table(0, 0, 4, CHUNK_ROWS);
         assert_eq!(t.row_count(), 0);
@@ -321,12 +311,6 @@ mod tests {
         let b = chunk_seed(0, 1);
         assert_ne!(a ^ b, 1, "adjacent chunks differ by more than one bit");
         assert_ne!(chunk_seed(1, 0), chunk_seed(0, 0));
-    }
-
-    #[test]
-    #[should_panic(expected = "multiple of MORSEL_ROWS")]
-    fn misaligned_chunk_rows_panics() {
-        toy_table(10, 0, 1, 100);
     }
 
     #[test]

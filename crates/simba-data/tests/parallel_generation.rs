@@ -18,7 +18,7 @@
 use proptest::prelude::*;
 use simba_data::chunk::{generate_chunked, CHUNK_ROWS};
 use simba_data::DashboardDataset;
-use simba_store::{Table, MORSEL_ROWS};
+use simba_store::{Table, Value, Zone, MORSEL_ROWS};
 
 /// Generate `dataset` at a test-scale chunk size (one morsel) so a few
 /// thousand rows span several chunks.
@@ -125,34 +125,38 @@ fn customer_service_is_stored_at_its_narrowest_widths() {
     assert!(size <= 50 * rows, "{size} bytes for {rows} rows");
 }
 
-/// The assembled zone maps equal what a lazy post-hoc build would compute.
+/// The column bounds are the extremes a boxed fold over every valid row
+/// finds (`Value`'s order compares floats by `total_cmp`), for every
+/// dataset, whatever the thread count.
 #[test]
-fn eager_zone_maps_match_lazy_rebuild() {
+fn zone_maps_are_column_bounds_at_any_thread_count() {
     for dataset in DashboardDataset::ALL {
-        let rows = 2 * MORSEL_ROWS + 7;
-        let table = small_chunked(dataset, rows, 5, 4);
-        assert!(table.zone_maps_built(), "{}", dataset.table_name());
-        let eager = table.zone_maps();
-        let lazy = simba_store::ZoneMaps::build(
-            &(0..table.schema().width())
-                .map(|c| table.column(c).clone())
-                .collect::<Vec<_>>(),
-            rows,
-        );
-        assert_eq!(eager.n_morsels(), lazy.n_morsels());
-        for col in 0..table.schema().width() {
-            match (eager.column(col), lazy.column(col)) {
-                (None, None) => {}
-                (Some(a), Some(b)) => assert_eq!(
-                    a.zones(),
-                    b.zones(),
-                    "{} column {col}",
+        for threads in [1, 4] {
+            let table = small_chunked(dataset, 2 * MORSEL_ROWS + 7, 5, threads);
+            for c in 0..table.schema().width() {
+                let col = table.column(c);
+                let bounds = match table.zone_maps().column(c) {
+                    Some(Zone::Int { min, max }) => Some((Value::Int(min), Value::Int(max))),
+                    Some(Zone::Float { min, max }) => Some((Value::Float(min), Value::Float(max))),
+                    Some(Zone::AllNull) => None,
+                    None => {
+                        assert!(col.int_data().is_none() && col.float_data().is_none());
+                        continue;
+                    }
+                };
+                let valid = (0..table.row_count()).filter(|&i| !col.is_null(i));
+                let naive = valid
+                    .clone()
+                    .map(|i| col.value(i))
+                    .min()
+                    .zip(valid.map(|i| col.value(i)).max());
+                // Debug tells -0.0 from 0.0 and NaN apart.
+                assert_eq!(
+                    format!("{bounds:?}"),
+                    format!("{naive:?}"),
+                    "{} column {c} threads={threads}",
                     dataset.table_name()
-                ),
-                _ => panic!(
-                    "{} column {col}: zone presence differs",
-                    dataset.table_name()
-                ),
+                );
             }
         }
     }

@@ -1,5 +1,6 @@
 //! Batch-at-a-time execution: selection vectors, columnar filter kernels,
-//! zone-map pruning, typed aggregation states, and the morsel-driven scan.
+//! typed aggregation states, and the morsel-driven scan, which reads no row
+//! when the compiled filter cannot match.
 //!
 //! The row-at-a-time interpreter ([`crate::exec::run_row`]) pays an enum
 //! dispatch and a `Value` allocation per row per expression. The batch path
@@ -18,12 +19,11 @@ use crate::exec::{compile_kernels, emit_finalized_groups, ExecStats, Kernel};
 use crate::group::GroupTable;
 use crate::plan::{PreparedQuery, QueryKind};
 use simba_sql::Func;
-use simba_store::zonemap::{float_key, morsel_bounds, morsel_count, ZoneMaps, MORSEL_ROWS};
+use simba_store::zonemap::{float_key, morsel_bounds, morsel_count, MORSEL_ROWS};
 use simba_store::{for_width, ColumnData, Table, Value};
 use std::cmp::Ordering;
 
-/// Rows per scan batch. Equal to the zone-map granularity so every batch is
-/// covered by exactly one zone per column.
+/// Rows per scan batch: one morsel.
 pub const MORSEL: usize = MORSEL_ROWS;
 
 /// The set of row indices (within a morsel or a whole table) still alive
@@ -151,41 +151,6 @@ impl Kernel {
                 ) == Some(true));
             }
         }
-    }
-
-    /// Can this kernel rule out every row of morsel `m` without reading it —
-    /// from the morsel's zone, or because the kernel
-    /// [never matches](Kernel::never_matches) at all?
-    pub fn prunes_morsel(&self, zones: &ZoneMaps, m: usize) -> bool {
-        if self.never_matches() {
-            return true;
-        }
-        match self {
-            Kernel::Range {
-                col,
-                lo,
-                hi,
-                negated,
-            } => {
-                let Some(zones) = zones.column(*col) else {
-                    return false;
-                };
-                match zones.zone(m).key_range() {
-                    // Every row NULL: no comparison can match.
-                    None => true,
-                    Some((min, max)) if *negated => *lo <= min && max <= *hi,
-                    Some((min, max)) => max < *lo || *hi < min,
-                }
-            }
-            // Dictionary and generic filters carry no zone statistics.
-            Kernel::DictIn { .. } | Kernel::Generic(_) => false,
-        }
-    }
-
-    /// True when [`prunes_morsel`](Self::prunes_morsel) can ever say yes for
-    /// this kernel (used to decide whether the prune pre-pass is worthwhile).
-    pub fn is_zone_prunable(&self) -> bool {
-        matches!(self, Kernel::Range { .. }) || self.never_matches()
     }
 }
 
@@ -781,9 +746,8 @@ enum Partial {
 struct RangePartial {
     partial: Partial,
     matched: usize,
-    pruned: usize,
-    /// Rows never examined: inside pruned morsels for the fresh scan, or
-    /// outside the seed for a seeded scan.
+    /// Rows never examined: every row when the filter cannot match, the
+    /// rows outside the seed for a seeded scan, none otherwise.
     skipped: usize,
     /// Surviving row indices in table order (delta capture only).
     selection: Option<Vec<u32>>,
@@ -840,11 +804,12 @@ pub struct DeltaCapture {
     pub states: Option<GroupStates>,
 }
 
-/// Morsel-driven vectorized scan: zone-map pruning, selection-vector filter
-/// kernels, and (where the plan allows) typed aggregation. With `threads > 1`
-/// the morsels are split into contiguous chunks scanned by scoped worker
-/// threads whose partial states are merged in morsel order, keeping output
-/// deterministic.
+/// Morsel-driven vectorized scan: selection-vector filter kernels and
+/// (where the plan allows) typed aggregation. A filter whose compiled
+/// kernels never match reads no row: every morsel counts as pruned. With
+/// `threads > 1` the morsels are split into contiguous chunks scanned by
+/// scoped worker threads whose partial states are merged in morsel order,
+/// keeping output deterministic.
 ///
 /// `delta` is the scan's session-delta participation: none, capture the
 /// surviving selection / group states for later reuse, or seed the scan
@@ -875,49 +840,37 @@ pub fn run_morsels(
     } else {
         plan.filter.as_ref().map(|f| compile_kernels(f, table))
     };
-    let zones = kernels
-        .as_deref()
-        .is_some_and(|ks| ks.iter().any(Kernel::is_zone_prunable))
-        .then(|| table.zone_maps());
     let n_morsels = morsel_count(n);
+    // `compile_kernels` returns a kernel that never matches alone.
+    let never = kernels
+        .as_deref()
+        .is_some_and(|ks| ks.iter().any(Kernel::never_matches));
 
-    let partials: Vec<RangePartial> = if let Some((seed, exact)) = seeded {
+    let partials: Vec<RangePartial> = if never {
+        vec![RangePartial {
+            partial: make_partial(plan, table, &mode),
+            matched: 0,
+            skipped: n,
+            selection: capture_requested.then(Vec::new),
+        }]
+    } else if let Some((seed, exact)) = seeded {
         let _scan = simba_obs::phase!("engine.scan", "engine", "engine.phase.scan");
         vec![scan_seeded(
             plan,
             table,
             kernels.as_deref(),
-            zones,
             &mode,
             seed,
             exact,
         )]
     } else {
         let threads = threads.clamp(1, n_morsels.max(1));
-        // Zone-map pruning runs as one pre-pass over all morsels so the
-        // prune phase is attributable on its own; scan workers then consult
-        // the bitmap. The per-morsel decisions are identical to checking
-        // inline.
-        let pruned_map: Option<Vec<bool>> = match (kernels.as_deref(), zones) {
-            (Some(ks), Some(z)) => {
-                let _p = simba_obs::phase!("engine.prune", "engine", "engine.phase.prune");
-                Some(
-                    (0..n_morsels)
-                        .map(|m| ks.iter().any(|k| k.prunes_morsel(z, m)))
-                        .collect(),
-                )
-            }
-            _ => None,
-        };
-
         let _scan = simba_obs::phase!("engine.scan", "engine", "engine.phase.scan");
-        let pruned_map_ref = pruned_map.as_deref();
         if threads <= 1 {
             vec![scan_range(
                 plan,
                 table,
                 kernels.as_deref(),
-                pruned_map_ref,
                 &mode,
                 0..n_morsels,
                 capture_requested,
@@ -930,15 +883,7 @@ pub fn run_morsels(
                     .into_iter()
                     .map(|range| {
                         scope.spawn(move || {
-                            scan_range(
-                                plan,
-                                table,
-                                kernels,
-                                pruned_map_ref,
-                                mode,
-                                range,
-                                capture_requested,
-                            )
+                            scan_range(plan, table, kernels, mode, range, capture_requested)
                         })
                     })
                     .collect();
@@ -954,6 +899,7 @@ pub fn run_morsels(
     let _agg_phase = simba_obs::phase!("engine.aggregate", "engine", "engine.phase.aggregate");
     let mut stats = ExecStats {
         rows_scanned: n,
+        morsels_pruned: if never { n_morsels } else { 0 },
         ..ExecStats::default()
     };
     if let Some((seed, _)) = seeded {
@@ -967,7 +913,6 @@ pub fn run_morsels(
     // simba: allow(panic-hygiene): split_ranges always yields >= 1 range, so there is always a first partial
     let first = iter.next().expect("at least one scan range");
     stats.rows_matched = first.matched;
-    stats.morsels_pruned = first.pruned;
     stats.rows_scanned -= first.skipped;
     if let Some(sel) = first.selection {
         chain_selection = sel;
@@ -975,7 +920,6 @@ pub fn run_morsels(
     let mut merged = first.partial;
     for p in iter {
         stats.rows_matched += p.matched;
-        stats.morsels_pruned += p.pruned;
         stats.rows_scanned -= p.skipped;
         if let Some(sel) = p.selection {
             chain_selection.extend_from_slice(&sel);
@@ -1151,7 +1095,6 @@ fn scan_range(
     plan: &PreparedQuery,
     table: &Table,
     kernels: Option<&[Kernel]>,
-    pruned_map: Option<&[bool]>,
     mode: &AggMode,
     morsels: std::ops::Range<usize>,
     capture: bool,
@@ -1159,17 +1102,12 @@ fn scan_range(
     let n = table.row_count();
     let mut sel = SelectionVector::with_capacity(MORSEL);
     let mut slots: Vec<u32> = Vec::new();
-    let (mut matched, mut pruned, mut skipped) = (0usize, 0usize, 0usize);
+    let mut matched = 0usize;
     let mut partial = make_partial(plan, table, mode);
     let mut selection = capture.then(Vec::new);
 
     for m in morsels {
         let (start, end) = morsel_bounds(m, n);
-        if pruned_map.is_some_and(|p| p[m]) {
-            pruned += 1;
-            skipped += end - start;
-            continue;
-        }
         fill_filtered(&mut sel, table, start, end, kernels);
         if sel.is_empty() {
             continue;
@@ -1183,21 +1121,19 @@ fn scan_range(
     RangePartial {
         partial,
         matched,
-        pruned,
-        skipped,
+        skipped: 0,
         selection,
     }
 }
 
-/// Scan only the seed rows (a previous refinement step's survivors),
-/// morsel-aligned so zone maps can still prune and the aggregation arms see
-/// batches no wider than [`MORSEL`]. `rows_scanned` counts the candidates
-/// actually examined, so the stats honestly show the seeded scan's work.
+/// Scan only the seed rows (a previous refinement step's survivors), one
+/// morsel's share at a time so the aggregation arms see batches no wider
+/// than [`MORSEL`]. `rows_scanned` counts the candidates actually examined,
+/// so the stats honestly show the seeded scan's work.
 fn scan_seeded(
     plan: &PreparedQuery,
     table: &Table,
     kernels: Option<&[Kernel]>,
-    zones: Option<&ZoneMaps>,
     mode: &AggMode,
     seed: &[u32],
     exact: bool,
@@ -1207,7 +1143,7 @@ fn scan_seeded(
     let mut slots: Vec<u32> = Vec::new();
     let mut partial = make_partial(plan, table, mode);
     let mut selection = Vec::with_capacity(seed.len());
-    let (mut matched, mut pruned, mut examined) = (0usize, 0usize, 0usize);
+    let mut matched = 0usize;
 
     let mut pos = 0;
     while pos < seed.len() {
@@ -1216,13 +1152,6 @@ fn scan_seeded(
         let chunk_end = pos + seed[pos..].partition_point(|&r| r < morsel_end);
         let chunk = &seed[pos..chunk_end];
         pos = chunk_end;
-        if let (Some(ks), Some(z)) = (kernels, zones) {
-            if ks.iter().any(|k| k.prunes_morsel(z, m)) {
-                pruned += 1;
-                continue;
-            }
-        }
-        examined += chunk.len();
         sel.fill_from(chunk);
         if !exact {
             if let Some(ks) = kernels {
@@ -1244,10 +1173,9 @@ fn scan_seeded(
     RangePartial {
         partial,
         matched,
-        pruned,
         // The caller derives rows_scanned as `n - skipped`; report the
         // candidates examined, not the table size.
-        skipped: n - examined,
+        skipped: n - seed.len(),
         selection: Some(selection),
     }
 }
@@ -1334,13 +1262,13 @@ mod tests {
     #[test]
     fn zone_pruning_skips_impossible_morsels() {
         let t = table();
-        let zones = t.zone_maps();
-        // calls ∈ [1, 7]; `calls > 100` prunes the only morsel.
-        assert!(kernels(&t, "calls > 100")[0].prunes_morsel(zones, 0));
-        assert!(!kernels(&t, "calls > 3")[0].prunes_morsel(zones, 0));
-        // A hole covering the whole zone prunes; one inside it does not.
-        assert!(kernels(&t, "calls NOT BETWEEN 0 AND 7")[0].prunes_morsel(zones, 0));
-        assert!(!kernels(&t, "calls NOT BETWEEN 2 AND 7")[0].prunes_morsel(zones, 0));
+        let never = |filter: &str| matches!(&kernels(&t, filter)[..], [k] if k.never_matches());
+        // calls ∈ [1, 7]: `calls > 100` compiles to the empty interval.
+        assert!(never("calls > 100"));
+        assert!(!never("calls > 3"));
+        // A hole covering the column's span never matches; one inside it can.
+        assert!(never("calls NOT BETWEEN 0 AND 7"));
+        assert!(!never("calls NOT BETWEEN 2 AND 7"));
     }
 
     #[test]
@@ -1412,8 +1340,11 @@ mod tests {
         assert_eq!(rows.len(), 1);
         assert_eq!(rows[0][0], Value::Int(0));
         assert!(rows[0][1].is_null());
-        assert_eq!(stats.morsels_pruned, 1, "zone map prunes the only morsel");
-        assert_eq!(stats.rows_scanned, 0, "pruned rows are never read");
+        assert_eq!(
+            stats.morsels_pruned, 1,
+            "the column's bounds rule out the only morsel"
+        );
+        assert_eq!(stats.rows_scanned, 0, "no row is read");
     }
 
     #[test]

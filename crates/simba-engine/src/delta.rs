@@ -24,7 +24,7 @@
 //!    query provably [`refines`](NormalizedSelect::refines) — one implication
 //!    check over the two forms' stored WHERE domains — seeds the scan: only
 //!    the stored survivors are candidates, re-filtered through the new
-//!    query's kernels (zone maps still prune whole morsels of the seed).
+//!    query's kernels (none is read when those cannot match).
 //! 4. **Miss:** a fresh capturing scan, whose selection/states are stored
 //!    for the steps that follow.
 //!

@@ -1,7 +1,7 @@
 //! `duckdb-like`: vectorized columnar execution.
 //!
 //! Mirrors a vectorized analytical engine: scans proceed morsel-at-a-time
-//! (2048 rows), zone maps skip morsels a comparison predicate cannot match,
+//! (2048 rows) and skip every morsel when the compiled filter cannot match,
 //! predicates run as typed kernels refining a selection vector, aggregation
 //! uses dense dictionary-code group slots with unboxed typed states, and an
 //! opt-in morsel-parallel mode fans contiguous morsel ranges out to scoped

@@ -4,7 +4,7 @@
 //! Mirrors MonetDB's BAT algebra: each operator consumes and produces fully
 //! materialized intermediate vectors. Selection runs one conjunct at a time
 //! over the *whole* candidate vector (a single table-sized "morsel" — no
-//! blocking, no zone maps), each pass a shared batch kernel. Aggregation is
+//! blocking), each pass a shared batch kernel. Aggregation is
 //! BAT-wise too: with a dictionary-encoded group key and typed aggregates it
 //! feeds the entire candidate vector into dense typed group states in one
 //! call; otherwise the whole candidate vector goes through the shared boxed

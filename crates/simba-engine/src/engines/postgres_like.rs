@@ -7,8 +7,7 @@
 //! attributes a conjunct references — PostgreSQL's slot-based lazy attribute
 //! access), and each block's survivors are grouped through the shared boxed
 //! [`GroupTable`] (per-row key and argument evaluation over `Value`s). No
-//! zone maps and no typed aggregation: a heap has no morsel statistics, and
-//! the executor materializes datums per tuple.
+//! typed aggregation: the executor materializes datums per tuple.
 
 use crate::batch::{fill_filtered, SelectionVector};
 use crate::error::EngineError;

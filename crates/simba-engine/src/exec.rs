@@ -10,7 +10,7 @@ use crate::error::EngineError;
 use crate::eval::{eval, eval_predicate, CExpr, RowSlice, TableRow, ValueSet};
 use crate::plan::{prepare, PreparedQuery, QueryKind};
 use simba_sql::{BinOp, Select};
-use simba_store::zonemap::float_key;
+use simba_store::zonemap::{float_key, Zone, ZoneMaps};
 use simba_store::{ColumnData, ResultSet, Table, Value};
 use std::cmp::Ordering;
 use std::collections::BTreeMap;
@@ -20,14 +20,16 @@ use std::time::{Duration, Instant};
 /// Per-query execution statistics.
 #[derive(Debug, Clone, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct ExecStats {
-    /// Rows actually scanned from base storage (rows inside zone-map-pruned
-    /// morsels are never read and are not counted).
+    /// Rows actually scanned from base storage. A filter the kernel
+    /// compiler proves cannot match reads none (vectorized scans only).
     pub rows_scanned: usize,
     /// Rows surviving the WHERE clause.
     pub rows_matched: usize,
     /// Groups produced (aggregate queries only).
     pub groups: usize,
-    /// Morsels skipped entirely by zone-map pruning (vectorized scans only).
+    /// Morsels skipped without reading a row: every morsel of the table
+    /// when the compiled filter cannot match, otherwise none (vectorized
+    /// scans only).
     pub morsels_pruned: usize,
     /// 1 when this execution was seeded from a session-delta selection
     /// instead of rescanning the table (session-delta execution only).
@@ -146,10 +148,12 @@ impl Kernel {
 /// Compile a filter for the given table: every conjunct to a kernel (typed
 /// where its shape allows), then the kernels of one column folded into one —
 /// interval ∩ interval, mask ∧ mask, anything else kept beside them — so a
-/// scan runs at most one typed kernel per column. A folded kernel that
+/// scan runs at most one typed kernel per column. Each interval is then
+/// checked against its column's bounds, and one no valid row can pass
+/// becomes the empty interval. A kernel that
 /// [never matches](Kernel::never_matches) makes the filter contradictory,
-/// and it is returned alone: the prune pre-pass then skips every morsel and
-/// no row is read. Kernels run in WHERE order (of their first conjunct).
+/// and it is returned alone: the scan then reads no row. Kernels run in
+/// WHERE order (of their first conjunct).
 pub fn compile_kernels(filter: &CExpr, table: &Table) -> Vec<Kernel> {
     let mut kernels: Vec<Kernel> = Vec::new();
     for conjunct in cexpr_conjuncts(filter) {
@@ -159,6 +163,10 @@ pub fn compile_kernels(filter: &CExpr, table: &Table) -> Vec<Kernel> {
             kernels.push(kernel);
         }
     }
+    let bounds = table.zone_maps();
+    for kernel in &mut kernels {
+        kernel.settle(bounds);
+    }
     if let Some(i) = kernels.iter().position(Kernel::never_matches) {
         return vec![kernels.swap_remove(i)];
     }
@@ -166,6 +174,33 @@ pub fn compile_kernels(filter: &CExpr, table: &Table) -> Vec<Kernel> {
 }
 
 impl Kernel {
+    /// Turn a `Range` that no valid key of its column can pass into the
+    /// empty interval: its interval misses the column's `[min, max]`, its
+    /// hole covers it, or the column holds no valid row.
+    fn settle(&mut self, bounds: &ZoneMaps) {
+        if let Kernel::Range {
+            col,
+            lo,
+            hi,
+            negated,
+        } = *self
+        {
+            let passable = match bounds.column(col).and_then(Zone::key_range) {
+                None => false,
+                Some((min, max)) if negated => min < lo || hi < max,
+                Some((min, max)) => lo <= max && min <= hi,
+            };
+            if !passable {
+                *self = Kernel::Range {
+                    col,
+                    lo: i64::MAX,
+                    hi: i64::MIN,
+                    negated: false,
+                };
+            }
+        }
+    }
+
     /// Tighten `self` to `self AND other` when both are the same typed
     /// kind on one column; `false` (and no change) otherwise. Negated
     /// intervals have a hole in the middle and stay separate.

@@ -1,11 +1,12 @@
 //! Property test: the vectorized batch path is byte-identical to the
 //! row-at-a-time oracle.
 //!
-//! The batch kernels, zone-map pruning, and typed aggregation states are
-//! only admissible because they change *nothing* about results: every
-//! engine's output must match `execute_row_oracle` value-for-value — same
-//! variants, same float bit patterns — across NULL-heavy columns, morsel
-//! boundaries, and morsels emptied (or pruned) by selective predicates.
+//! The batch kernels, the filters settled by column bounds, and typed
+//! aggregation states are only admissible because they change *nothing*
+//! about results: every engine's output must match `execute_row_oracle`
+//! value-for-value — same variants, same float bit patterns — across
+//! NULL-heavy columns, morsel boundaries, and morsels emptied by selective
+//! predicates.
 
 use proptest::prelude::*;
 use simba_engine::batch::{run_morsels, DeltaScan};
@@ -16,6 +17,7 @@ use simba_engine::{
 };
 use simba_sql::{BinOp, Expr, Func, Select, SelectItem};
 use simba_store::mix::splitmix64;
+use simba_store::zonemap::morsel_count;
 use simba_store::{ColumnDef, ResultSet, Schema, Table, TableBuilder, Value, MORSEL_ROWS};
 use std::cmp::Ordering;
 use std::sync::{Arc, OnceLock};
@@ -247,9 +249,8 @@ proptest! {
 }
 
 /// Build a table spanning several morsels: morsel 0 mixed, morsel 1 entirely
-/// NULL in the numeric columns (an all-NULL zone the scan prunes), morsel 2
-/// partial. Exercises boundary alignment, pruned morsels, and morsels
-/// emptied by selective filters.
+/// NULL in the numeric columns, morsel 2 partial. Exercises boundary
+/// alignment, all-NULL morsels, and morsels emptied by selective filters.
 fn multi_morsel_table() -> Arc<Table> {
     let n = MORSEL_ROWS * 2 + 500;
     let schema = Schema::new(
@@ -292,13 +293,13 @@ fn multi_morsel_table() -> Arc<Table> {
 fn multi_morsel_byte_identity_with_pruning_and_parallelism() {
     let table = multi_morsel_table();
     let queries = [
-        // Selective: empties some morsels, prunes the all-NULL one.
+        // Selective: empties some morsels, the all-NULL one among them.
         "SELECT queue, COUNT(*), SUM(calls), MIN(calls), MAX(calls) \
          FROM t WHERE calls > 900 GROUP BY queue",
         // Unfiltered typed aggregation across all morsels.
         "SELECT queue, COUNT(*), AVG(cost), SUM(cost) FROM t GROUP BY queue",
-        // Global aggregate with an impossible predicate: every morsel pruned
-        // or emptied, still exactly one output row.
+        // Global aggregate with an impossible predicate: no row read, still
+        // exactly one output row.
         "SELECT COUNT(*), SUM(calls) FROM t WHERE calls > 100000",
         // Projection crossing morsel boundaries.
         "SELECT queue, calls FROM t WHERE calls >= 995",
@@ -393,6 +394,20 @@ const FLOAT_POOL: &[f64] = &[
     f64::NAN,
 ];
 
+fn edge_schema() -> Schema {
+    Schema::new(
+        "t",
+        vec![
+            ColumnDef::categorical("queue"),
+            ColumnDef::quantitative_int("n"),
+            ColumnDef::quantitative_int("big"),
+            ColumnDef::quantitative_float("x"),
+            ColumnDef::quantitative_int("void_i"),
+            ColumnDef::quantitative_float("void_f"),
+        ],
+    )
+}
+
 /// Four full morsels and a partial one, so four scan threads each own a
 /// range: `n` small ints, `big` ints at the edges of `f64` and `i64`, `x`
 /// floats from the pool (NaN, infinities and both zeros included), each
@@ -402,18 +417,7 @@ fn edge_table() -> Arc<Table> {
     TABLE
         .get_or_init(|| {
             let n = 4 * MORSEL_ROWS + 777;
-            let schema = Schema::new(
-                "t",
-                vec![
-                    ColumnDef::categorical("queue"),
-                    ColumnDef::quantitative_int("n"),
-                    ColumnDef::quantitative_int("big"),
-                    ColumnDef::quantitative_float("x"),
-                    ColumnDef::quantitative_int("void_i"),
-                    ColumnDef::quantitative_float("void_f"),
-                ],
-            );
-            let mut b = TableBuilder::new(schema, n);
+            let mut b = TableBuilder::new(edge_schema(), n);
             for i in 0..n as u64 {
                 let draw = |salt: u64| splitmix64(i ^ (salt << 56)) as usize;
                 let or_null = |salt: u64, v: Value| {
@@ -815,4 +819,181 @@ fn unrepresentable_buckets_and_magnitudes_group_under_null_on_every_engine() {
     assert_eq!(null_group("BIN(big, 3)"), Value::Int(nulls + mins));
     assert_eq!(null_group("BIN(big, 7)"), Value::Int(nulls + mins));
     assert_eq!(null_group("ABS(big)"), Value::Int(nulls + mins));
+}
+
+// ---------------------------------------------------------------------------
+// Column bounds.
+//
+// `compile_kernels` checks every interval against its column's `[min, max]`
+// and turns one no valid row can pass into the empty interval, so the scan
+// reads no row. The bounds decide nothing else: a range that can match reads
+// every row, even where one morsel's own span would have ruled it out.
+
+/// The edge table's columns, 3.4 morsels of them, with `n` and `big`
+/// ascending down the table — morsel `m` holds `n` in
+/// `[m * MORSEL_ROWS, (m + 1) * MORSEL_ROWS)` — and `x` ascending in
+/// quarters, NULL in every fifth row but the last.
+fn sorted_table() -> Arc<Table> {
+    let n = 3 * MORSEL_ROWS + 800;
+    let mut b = TableBuilder::new(edge_schema(), n);
+    for i in 0..n {
+        b.push_row(vec![
+            Value::str(QUEUES[i % QUEUES.len()]),
+            Value::Int(i as i64),
+            Value::Int(i as i64 * 1_000_003 - 7),
+            if i % 5 == 1 && i + 1 < n {
+                Value::Null
+            } else {
+                Value::Float(i as f64 / 4.0)
+            },
+            Value::Null,
+            Value::Null,
+        ]);
+    }
+    Arc::new(b.finish())
+}
+
+/// `filter` on `table` in the three query shapes, each on the four engines
+/// and four-thread `duckdb-like`, and as seeded delta scans — exact, and
+/// refining a satisfiable `queue` filter — at one and four threads, all
+/// against `sqlite-like`. Returns `duckdb-like`'s `(rows_scanned,
+/// morsels_pruned)`, which every shape and every seeded scan must share.
+fn bounds_case(filter: &str, table: &Arc<Table>) -> (usize, usize) {
+    let parse = |f: &str| {
+        simba_sql::parse_select(&format!("SELECT n FROM t WHERE {f}"))
+            .unwrap()
+            .where_clause
+            .unwrap()
+    };
+    let wide = "queue IN ('A', 'B', 'C')";
+    let base = shapes(&parse(wide))[0].clone();
+    let refined = shapes(&parse(&format!("{wide} AND ({filter})")));
+    let duck = DuckDbLike::new();
+    duck.register(table.clone());
+    let mut seen = None;
+    for (select, refined) in shapes(&parse(filter)).iter().zip(&refined) {
+        assert_batch_engines_match_sqlite(select, table);
+        let out = duck.execute(select).unwrap();
+        let stats = (out.stats.rows_scanned, out.stats.morsels_pruned);
+        assert_eq!(*seen.get_or_insert(stats), stats, "`{select}`");
+        for threads in [1, 4] {
+            for (base, query) in [(select, select), (&base, refined)] {
+                let seeded = DeltaPath {
+                    table: table.clone(),
+                    threads,
+                    base: Some(base.clone()),
+                };
+                assert_byte_identical(seeded.name(), query, &seeded, table);
+            }
+        }
+        if stats.0 == 0 {
+            // A settled filter reads nothing from a seed either.
+            let seeded = DeltaPath {
+                table: table.clone(),
+                threads: 1,
+                base: Some(base.clone()),
+            };
+            let out = seeded.execute(refined).unwrap();
+            assert_eq!(out.stats.rows_scanned, 0, "`{refined}`");
+        }
+    }
+    seen.unwrap()
+}
+
+/// `SELECT MIN(col), MAX(col)` from the row oracle.
+fn oracle_bounds(table: &Arc<Table>, col: &str) -> (Value, Value) {
+    let select = simba_sql::parse_select(&format!("SELECT MIN({col}), MAX({col}) FROM t")).unwrap();
+    let rows = execute_row_oracle(table.clone(), &select)
+        .unwrap()
+        .result
+        .rows;
+    (rows[0][0].clone(), rows[0][1].clone())
+}
+
+/// Filters that reach past a column's span, or whose hole covers it, or on
+/// a column with no valid row, read no row and prune every morsel; the ones
+/// a key short of that read every row.
+#[test]
+fn column_bounds_settle_filters_that_cannot_match() {
+    for table in [edge_table(), sorted_table()] {
+        let (Value::Int(lo), Value::Int(hi)) = oracle_bounds(&table, "n") else {
+            panic!("`n` holds Ints");
+        };
+        let Value::Float(top) = oracle_bounds(&table, "x").1 else {
+            panic!("`x` holds Floats");
+        };
+        let above_top = f64::from_bits(top.to_bits() + 1);
+        // Float literals half a key outside and inside the span.
+        let (below, above) = (lo as f64 - 0.5, hi as f64 + 0.5);
+        let (inside_lo, inside_hi) = (lo as f64 + 0.5, hi as f64 - 0.5);
+        let settled = [
+            format!("n < {lo}"),
+            format!("n > {hi}"),
+            format!("n BETWEEN {} AND {}", lo - 100, lo - 1),
+            format!("n BETWEEN {} AND {}", hi + 1, hi + 100),
+            format!("n > {above}"),
+            format!("n >= {above}"),
+            format!("n <= {below}"),
+            format!("n NOT BETWEEN {lo} AND {hi}"),
+            format!("n NOT BETWEEN {} AND {}", lo - 1, hi + 1),
+            "void_i > 0".into(),
+            "void_f BETWEEN -1 AND 1".into(),
+            "void_i NOT BETWEEN 1 AND 0".into(),
+            "void_f <> 0.5".into(),
+        ];
+        let passable = [
+            format!("n <= {lo}"),
+            format!("n >= {hi}"),
+            format!("n BETWEEN {} AND {lo}", lo - 100),
+            format!("n BETWEEN {hi} AND {}", hi + 100),
+            format!("n < {inside_lo}"),
+            format!("n > {inside_hi}"),
+            format!("n NOT BETWEEN {} AND {hi}", lo + 1),
+            format!("n NOT BETWEEN {lo} AND {}", hi - 1),
+            "void_i NOT BETWEEN 1 AND 0 OR n > 0".into(),
+        ];
+        let rows = table.row_count();
+        let morsels = morsel_count(rows);
+        for filter in &settled {
+            assert_eq!(bounds_case(filter, &table), (0, morsels), "`{filter}`");
+        }
+        for filter in &passable {
+            assert_eq!(bounds_case(filter, &table), (rows, 0), "`{filter}`");
+        }
+        // `x`'s maximum is NaN on the edge table, which SQL cannot spell.
+        if !top.is_nan() {
+            for filter in [format!("x > {top}"), format!("x >= {above_top}")] {
+                assert_eq!(bounds_case(&filter, &table), (0, morsels), "`{filter}`");
+            }
+            let filter = format!("x >= {top}");
+            assert_eq!(bounds_case(&filter, &table), (rows, 0), "`{filter}`");
+        }
+    }
+}
+
+/// A range inside the span of a sorted column matches only the first morsel
+/// or only the last. A min/max per morsel would skip the others; the column
+/// bounds read them all, and the answers stay the oracle's.
+#[test]
+fn ranges_one_morsel_span_would_prune_read_every_row() {
+    let table = sorted_table();
+    let rows = table.row_count();
+    let last = (morsel_count(rows) - 1) * MORSEL_ROWS;
+    for filter in [
+        "n < 100".to_string(),
+        format!("n >= {last}"),
+        format!("x BETWEEN 10 AND {}", MORSEL_ROWS / 8),
+    ] {
+        assert_eq!(bounds_case(&filter, &table), (rows, 0), "`{filter}`");
+    }
+}
+
+/// On a table with no rows every column is all-NULL, so every range
+/// settles: nothing is read and there is no morsel to prune.
+#[test]
+fn ranges_on_a_zero_row_table_settle() {
+    let table = Arc::new(TableBuilder::new(edge_schema(), 0).finish());
+    for filter in ["n > 0", "x BETWEEN -1 AND 1", "big NOT BETWEEN 1 AND 0"] {
+        assert_eq!(bounds_case(filter, &table), (0, 0), "`{filter}`");
+    }
 }

@@ -212,13 +212,11 @@ fn random_filter(table: &Table, rng: &mut ChaCha8Rng) -> IdeFilter {
             }
         }
         _ => {
-            // The column's extrema, folded from the zone maps: the values
-            // `col.min_max()` finds, without its pass over every row.
-            let (lo, hi) = match table.zone_maps().column(idx).map(|z| z.bounds()) {
-                Some(Zone::Int { min, max }) => (min as f64, max as f64),
-                Some(Zone::Float { min, max }) => (min, max),
-                Some(Zone::AllNull) | None => (0.0, 0.0),
-            };
+            let (lo, hi) = table
+                .zone_maps()
+                .column(idx)
+                .and_then(Zone::f64_range)
+                .unwrap_or((0.0, 0.0));
             let span = (hi - lo).max(f64::EPSILON);
             let a = lo + rng.gen_range(0.0..1.0) * span;
             let b = lo + rng.gen_range(0.0..1.0) * span;

@@ -66,8 +66,8 @@ impl Upload {
             && block.schema() == self.assembler.schema()
     }
 
-    /// `TableBlock`'s own checks plus `continues_with` are exactly the
-    /// conditions `TableChunk::new` and `append_chunk` would panic on.
+    /// `TableBlock`'s own checks plus `continues_with` cover every
+    /// condition `TableChunk::new` and `append_chunk` would panic on.
     fn append(&mut self, block: TableBlock) {
         let after = self.rows() + block.rows() as u64;
         if after > self.reserved {

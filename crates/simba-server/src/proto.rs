@@ -410,7 +410,8 @@ pub const CHUNK_ROWS: usize = 32 * MORSEL_ROWS;
 /// the [module docs](self) — [`new`](TableBlock::new) is the only way in
 /// from outside this crate, and decoding goes through it — so the server
 /// can hand its columns to `TableChunk::new` / `TableAssembler`, which
-/// panic on exactly those conditions, without re-checking.
+/// panic on a subset of those conditions, without re-checking. The
+/// morsel-grid rule is the protocol's own, not an assembler precondition.
 #[derive(Debug, Clone)]
 pub struct TableBlock {
     schema: Schema,

@@ -260,13 +260,19 @@ fn write_literal(lit: &Literal, out: &mut String) {
         Literal::Int(v) => {
             let _ = write!(out, "{v}");
         }
+        // A float re-parses as the same float: an integral one keeps a
+        // trailing `.0` below 1e15 and takes an exponent from there on
+        // (`9.3e18`; written out in full it would read back as an Int, or
+        // not at all past `i64`). NaN and ±inf have no spelling in this
+        // dialect: they print as `NaN` / `inf` and do not re-parse.
         Literal::Float(v) => {
-            if v.fract() == 0.0 && v.is_finite() && v.abs() < 1e15 {
-                // Keep a trailing `.0` so floats re-parse as floats.
-                let _ = write!(out, "{v:.1}");
+            let _ = if v.fract() != 0.0 {
+                write!(out, "{v}")
+            } else if v.abs() < 1e15 {
+                write!(out, "{v:.1}")
             } else {
-                let _ = write!(out, "{v}");
-            }
+                write!(out, "{v:e}")
+            };
         }
         Literal::Str(s) => {
             out.push('\'');
@@ -363,6 +369,24 @@ mod tests {
     fn float_keeps_decimal_point() {
         assert_eq!(print_expr(&Expr::float(2.0)), "2.0");
         assert_eq!(print_expr(&Expr::float(2.5)), "2.5");
+    }
+
+    /// Past 1e15 an integral float prints with an exponent, and reads back
+    /// as the same `f64`, not as an Int or a parse error.
+    #[test]
+    fn large_integral_floats_roundtrip_as_floats() {
+        for (v, printed) in [
+            (1e15, "1e15"),
+            (9_007_199_254_740_992.0, "9.007199254740992e15"),
+            (9.3e18, "9.3e18"),
+            (-1e300, "-1e300"),
+            (999_999_999_999_999.0, "999999999999999.0"),
+        ] {
+            let e = Expr::binary(Expr::col("x"), BinOp::Gt, Expr::float(v));
+            let text = print_expr(&e);
+            assert_eq!(text, format!("x > {printed}"));
+            assert_eq!(parse_expr(&text).unwrap(), e, "{text}");
+        }
     }
 
     #[test]

@@ -3,8 +3,8 @@
 //! Generators that produce a table as a sequence of fixed-size chunks (see
 //! `simba_data::chunk`) need the opposite of [`TableBuilder`]'s row-at-a-time
 //! interface: bulk append of whole column fragments, with dictionary codes
-//! remapped into one global dictionary and per-chunk zone maps concatenated
-//! into the table-wide [`ZoneMaps`]. That is what [`TableAssembler`] does.
+//! remapped into one global dictionary. That is what [`TableAssembler`]
+//! does.
 //!
 //! The merge is a pure function of the chunk *sequence*: workers may build
 //! chunks on any thread in any order, but as long as the assembler receives
@@ -14,32 +14,25 @@
 //! same rows would produce, and column widths, which are a function of the
 //! values (see [`NarrowVec`](crate::narrow::NarrowVec)). Each column is
 //! appended into the same [`ColumnBuilder`] a [`TableBuilder`] pushes rows
-//! into, so no stage holds a wide copy.
-//!
-//! Zone maps are built *eagerly* here: each [`TableChunk`] computes the
-//! min/max zones of its own rows (on the worker thread, in parallel), and
-//! [`TableAssembler::finish`] installs the concatenated maps into the
-//! table, so the first scan never pays the lazy build.
+//! into, so no stage holds a wide copy. Chunks may hold any number of rows;
+//! the column bounds are built from the finished table, on first use.
 //!
 //! [`TableBuilder`]: crate::table::TableBuilder
 
 use crate::column::{ColumnBuilder, ColumnData};
-use crate::schema::{DataType, Schema};
+use crate::schema::Schema;
 use crate::table::Table;
-use crate::zonemap::{morsel_count, ColumnZones, Zone, ZoneMaps, MORSEL_ROWS};
 
 /// One generated fragment of a table: column data for a contiguous row
-/// range, plus the zone maps of those rows (computed at construction, i.e.
-/// on the generating worker's thread).
+/// range.
 #[derive(Debug)]
 pub struct TableChunk {
     columns: Vec<ColumnData>,
-    zones: ZoneMaps,
     rows: usize,
 }
 
 impl TableChunk {
-    /// Package generated column fragments, computing their zone maps.
+    /// Package generated column fragments.
     ///
     /// # Panics
     /// Panics if the columns disagree on row count.
@@ -48,12 +41,7 @@ impl TableChunk {
         for col in &columns {
             assert_eq!(col.len(), rows, "chunk columns disagree on row count");
         }
-        let zones = ZoneMaps::build(&columns, rows);
-        TableChunk {
-            columns,
-            zones,
-            rows,
-        }
+        TableChunk { columns, rows }
     }
 
     /// Number of rows in this chunk.
@@ -63,21 +51,11 @@ impl TableChunk {
 }
 
 /// Assembles a [`Table`] from [`TableChunk`]s appended in chunk order.
-///
-/// Every chunk except the last must span a whole number of
-/// [`MORSEL_ROWS`]-row morsels, so each chunk's locally computed zones land
-/// exactly on the table-wide morsel grid; appending another chunk after a
-/// ragged one panics.
 #[derive(Debug)]
 pub struct TableAssembler {
     schema: Schema,
     columns: Vec<ColumnBuilder>,
-    /// Concatenated per-morsel zones per column (`None` = no statistics for
-    /// this column type).
-    zones: Vec<Option<Vec<Zone>>>,
     rows: usize,
-    /// Set once a chunk ends off a morsel boundary: it must be the last.
-    ragged: bool,
 }
 
 impl TableAssembler {
@@ -89,20 +67,10 @@ impl TableAssembler {
             .iter()
             .map(|c| ColumnBuilder::new(c.data_type, capacity))
             .collect();
-        let zones = schema
-            .columns
-            .iter()
-            .map(|c| match c.data_type {
-                DataType::Int | DataType::Float => Some(Vec::with_capacity(morsel_count(capacity))),
-                DataType::Str | DataType::Bool => None,
-            })
-            .collect();
         TableAssembler {
             schema,
             columns,
-            zones,
             rows: 0,
-            ragged: false,
         }
     }
 
@@ -110,34 +78,17 @@ impl TableAssembler {
     /// the assembled table to be deterministic.
     ///
     /// # Panics
-    /// Panics if the chunk's width or column types mismatch the schema, or
-    /// if a previous chunk ended off a morsel boundary.
+    /// Panics if the chunk's width or column types mismatch the schema.
     pub fn append_chunk(&mut self, chunk: TableChunk) {
-        assert!(
-            !self.ragged,
-            "only the final chunk may end off a morsel boundary"
-        );
         assert_eq!(
             chunk.columns.len(),
             self.columns.len(),
             "chunk width mismatch"
         );
-        for (idx, col) in chunk.columns.into_iter().enumerate() {
-            if let Some(zones) = &mut self.zones[idx] {
-                zones.extend(
-                    chunk
-                        .zones
-                        .column(idx)
-                        .expect("numeric columns carry zones")
-                        .zones(),
-                );
-            }
-            self.columns[idx].append(col);
+        for (builder, col) in self.columns.iter_mut().zip(chunk.columns) {
+            builder.append(col);
         }
         self.rows += chunk.rows;
-        if !chunk.rows.is_multiple_of(MORSEL_ROWS) {
-            self.ragged = true;
-        }
     }
 
     /// Rows appended so far.
@@ -158,27 +109,16 @@ impl TableAssembler {
         for col in &mut self.columns {
             col.reserve(additional);
         }
-        for zones in self.zones.iter_mut().flatten() {
-            zones.reserve_exact(morsel_count(additional));
-        }
     }
 
-    /// Finish assembly: seal the columns and install the eagerly built zone
-    /// maps into the table.
+    /// Finish assembly: seal the columns into the table.
     pub fn finish(self) -> Table {
         let columns: Vec<ColumnData> = self
             .columns
             .into_iter()
             .map(ColumnBuilder::finish)
             .collect();
-        let zone_maps = ZoneMaps::from_column_zones(
-            morsel_count(self.rows),
-            self.zones
-                .into_iter()
-                .map(|z| z.map(ColumnZones::new))
-                .collect(),
-        );
-        Table::from_columns_with_zone_maps(self.schema, columns, zone_maps)
+        Table::from_columns(self.schema, columns)
     }
 }
 
@@ -236,12 +176,20 @@ mod tests {
     #[test]
     fn chunked_assembly_matches_monolithic_build() {
         let total = 2 * MORSEL_ROWS + 100;
-        let mut asm = TableAssembler::new(schema(), total);
-        asm.append_chunk(chunk(0, MORSEL_ROWS));
-        asm.append_chunk(chunk(MORSEL_ROWS, MORSEL_ROWS));
-        asm.append_chunk(chunk(2 * MORSEL_ROWS, 100));
-        let table = asm.finish();
-        assert!(table.bitwise_eq(&monolithic(total)));
+        // Chunks need not sit on the morsel grid.
+        for split in [
+            [MORSEL_ROWS, MORSEL_ROWS, 100],
+            [100, 2 * MORSEL_ROWS - 1, 1],
+        ] {
+            let mut asm = TableAssembler::new(schema(), total);
+            let mut start = 0;
+            for rows in split {
+                asm.append_chunk(chunk(start, rows));
+                start += rows;
+            }
+            let table = asm.finish();
+            assert!(table.bitwise_eq(&monolithic(total)), "{split:?}");
+        }
     }
 
     #[test]
@@ -255,28 +203,6 @@ mod tests {
         asm.append_chunk(chunk(2 * MORSEL_ROWS, 100));
         assert_eq!(asm.rows(), total);
         assert!(asm.finish().bitwise_eq(&monolithic(total)));
-    }
-
-    #[test]
-    fn assembled_zone_maps_are_eager_and_match_lazy_build() {
-        let total = MORSEL_ROWS + 50;
-        let mut asm = TableAssembler::new(schema(), total);
-        asm.append_chunk(chunk(0, MORSEL_ROWS));
-        asm.append_chunk(chunk(MORSEL_ROWS, 50));
-        let table = asm.finish();
-        assert!(table.zone_maps_built(), "zone maps must be eager");
-
-        let lazy = monolithic(total);
-        assert!(!lazy.zone_maps_built());
-        let (a, b) = (table.zone_maps(), lazy.zone_maps());
-        assert_eq!(a.n_morsels(), b.n_morsels());
-        for col in 0..3 {
-            match (a.column(col), b.column(col)) {
-                (None, None) => {}
-                (Some(x), Some(y)) => assert_eq!(x.zones(), y.zones(), "column {col}"),
-                _ => panic!("zone presence differs on column {col}"),
-            }
-        }
     }
 
     #[test]
@@ -315,18 +241,8 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "morsel boundary")]
-    fn ragged_chunk_must_be_last() {
-        let mut asm = TableAssembler::new(schema(), 200);
-        asm.append_chunk(chunk(0, 100));
-        asm.append_chunk(chunk(100, 100));
-    }
-
-    #[test]
     fn empty_assembly_yields_empty_table() {
         let table = TableAssembler::new(schema(), 0).finish();
         assert_eq!(table.row_count(), 0);
-        assert!(table.zone_maps_built());
-        assert_eq!(table.zone_maps().n_morsels(), 0);
     }
 }

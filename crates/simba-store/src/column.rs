@@ -182,27 +182,6 @@ impl ColumnData {
         }
     }
 
-    /// Minimum and maximum non-null values, if any row is non-null.
-    pub fn min_max(&self) -> Option<(Value, Value)> {
-        let mut min: Option<Value> = None;
-        let mut max: Option<Value> = None;
-        for i in 0..self.len() {
-            if self.is_null(i) {
-                continue;
-            }
-            let v = self.value(i);
-            match &min {
-                Some(m) if &v >= m => {}
-                _ => min = Some(v.clone()),
-            }
-            match &max {
-                Some(m) if &v <= m => {}
-                _ => max = Some(v),
-            }
-        }
-        Some((min?, max?))
-    }
-
     /// Physical, bit-for-bit equality: identical variant, identical raw
     /// buffers at identical widths (floats by bit pattern), identical
     /// dictionary *order*, and identical validity representation (an empty
@@ -530,6 +509,7 @@ impl ColumnBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::zonemap::{Zone, ZoneMaps};
 
     #[test]
     fn builds_int_column_with_nulls() {
@@ -601,6 +581,11 @@ mod tests {
         );
     }
 
+    /// A column's min/max is its bounds in [`ZoneMaps`].
+    fn bounds(c: &ColumnData) -> Option<Zone> {
+        ZoneMaps::build(std::slice::from_ref(c)).column(0)
+    }
+
     #[test]
     fn min_max_skips_nulls() {
         let mut b = ColumnBuilder::new(DataType::Int, 3);
@@ -608,14 +593,14 @@ mod tests {
         b.push(Value::Int(5));
         b.push(Value::Int(2));
         let c = b.finish();
-        assert_eq!(c.min_max(), Some((Value::Int(2), Value::Int(5))));
+        assert_eq!(bounds(&c), Some(Zone::Int { min: 2, max: 5 }));
     }
 
     #[test]
     fn min_max_all_null_is_none() {
         let mut b = ColumnBuilder::new(DataType::Int, 1);
         b.push(Value::Null);
-        assert_eq!(b.finish().min_max(), None);
+        assert_eq!(bounds(&b.finish()), Some(Zone::AllNull));
     }
 
     #[test]

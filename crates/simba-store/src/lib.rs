@@ -14,10 +14,11 @@
 //!   both row-oriented and column-oriented engines share one copy).
 //! * [`result`] — query [`ResultSet`]s with the multiset/subsumption/overlap
 //!   operations the equivalence suite (§4.1.2) is built on.
-//! * [`zonemap`] — per-morsel min/max statistics that let vectorized scans
-//!   skip row ranges a comparison predicate cannot match.
-//! * [`append`] — chunk-append assembly for morsel-parallel dataset
-//!   generation (bulk column append, dictionary remap, eager zone maps).
+//! * [`zonemap`] — one min/max per Int/Float column, which settles a
+//!   comparison that cannot match before any row is read, and the morsel
+//!   grid scans batch on.
+//! * [`append`] — chunk-append assembly for chunk-parallel dataset
+//!   generation (bulk column append, dictionary remap).
 //! * [`mix`] — the one SplitMix64 seed mixer and the one FNV-1a hasher every
 //!   crate derives seeds and digests with.
 

@@ -4,7 +4,7 @@ use crate::column::{ColumnBuilder, ColumnData};
 use crate::schema::Schema;
 use crate::value::Value;
 use crate::zonemap::ZoneMaps;
-use std::sync::{Arc, OnceLock};
+use std::sync::OnceLock;
 
 /// An immutable, denormalized, columnar table.
 #[derive(Debug, Clone)]
@@ -12,9 +12,9 @@ pub struct Table {
     schema: Schema,
     columns: Vec<ColumnData>,
     row_count: usize,
-    /// Per-morsel min/max statistics, built on first use. Cloning a table
-    /// carries the cache along (the data it summarizes is immutable).
-    zone_maps: OnceLock<Arc<ZoneMaps>>,
+    /// Column bounds, built on first use. Cloning a table carries the
+    /// cache along (the data it summarizes is immutable).
+    zone_maps: OnceLock<ZoneMaps>,
 }
 
 impl Table {
@@ -42,45 +42,11 @@ impl Table {
         }
     }
 
-    /// Assemble a table with zone maps that were already computed during
-    /// generation (the eager path of chunked generation). The pre-built
-    /// maps are installed into the cache, so the lazy build never runs.
-    ///
-    /// # Panics
-    /// Panics on column/row-count mismatches (as
-    /// [`from_columns`](Self::from_columns)) or when `zone_maps` covers a
-    /// different morsel count than the data.
-    pub fn from_columns_with_zone_maps(
-        schema: Schema,
-        columns: Vec<ColumnData>,
-        zone_maps: ZoneMaps,
-    ) -> Self {
-        let table = Self::from_columns(schema, columns);
-        assert_eq!(
-            zone_maps.n_morsels(),
-            crate::zonemap::morsel_count(table.row_count),
-            "zone maps cover a different morsel count than the table"
-        );
-        table
-            .zone_maps
-            .set(Arc::new(zone_maps))
-            .expect("fresh table has no cached zone maps");
-        table
-    }
-
-    /// Per-morsel zone maps for this table, built lazily on first access
-    /// and cached for the table's lifetime. Tables assembled by
-    /// [`from_columns_with_zone_maps`](Self::from_columns_with_zone_maps)
-    /// return their eagerly built maps without recomputation.
+    /// The bounds of every Int/Float column, built by one pass over the
+    /// table on first access and cached for the table's lifetime.
     pub fn zone_maps(&self) -> &ZoneMaps {
         self.zone_maps
-            .get_or_init(|| Arc::new(ZoneMaps::build(&self.columns, self.row_count)))
-    }
-
-    /// True when the zone maps are already materialized (eagerly at
-    /// assembly, or by an earlier [`zone_maps`](Self::zone_maps) call).
-    pub fn zone_maps_built(&self) -> bool {
-        self.zone_maps.get().is_some()
+            .get_or_init(|| ZoneMaps::build(&self.columns))
     }
 
     /// The table's schema.
@@ -279,13 +245,15 @@ mod tests {
 
     #[test]
     fn zone_maps_cached_and_cover_numeric_columns() {
+        use crate::zonemap::Zone;
         let t = sample_table();
         let maps = t.zone_maps();
-        assert_eq!(maps.n_morsels(), 1);
         assert!(maps.column(0).is_none(), "categorical column has no zones");
+        assert_eq!(maps.column(1), Some(Zone::Int { min: 1, max: 3 }));
         assert_eq!(
-            maps.column(1).unwrap().zone(0),
-            crate::zonemap::Zone::Int { min: 1, max: 3 }
+            maps.column(2),
+            Some(Zone::Float { min: 0.5, max: 1.5 }),
+            "the NULL row is skipped"
         );
         // Second call returns the cached build (same allocation).
         assert!(std::ptr::eq(t.zone_maps(), maps));

@@ -1,16 +1,21 @@
-//! Per-morsel zone maps: min/max statistics over fixed-size row ranges.
+//! Column bounds: one min/max per Int/Float column, and the morsel grid.
 //!
-//! A zone map lets comparison predicates skip whole morsels without touching
-//! the data: if a morsel's `[min, max]` range cannot satisfy `col > 900`,
-//! none of its rows can. Statistics are kept per Int/Float column only —
-//! categorical filters go through dictionary-code masks instead — and cover
-//! *valid* rows only, so an all-NULL morsel reports no zone (nothing in it
-//! can ever match a comparison).
+//! The filter compiler asks the bounds one question per query: can this
+//! filter match at all? A comparison whose interval misses its column's
+//! `[min, max]` — `calls > 900` on a column whose maximum is 7 — is settled
+//! when the kernels compile, and the scan reads no row. Bounds are kept per
+//! Int/Float column only — categorical filters go through dictionary-code
+//! masks instead — and cover *valid* rows only, so an all-NULL column
+//! reports no zone (nothing in it can ever match a comparison).
+//!
+//! There are no per-morsel statistics. Generated data is unclustered, so a
+//! range that can match at all overlaps every morsel, and a min/max per
+//! morsel would skip almost nothing the column bounds do not.
 
 use crate::column::ColumnData;
 
-/// Rows per morsel. This is also the batch size of the vectorized engines;
-/// keeping the two aligned means each scan batch maps to exactly one zone.
+/// Rows per morsel: the batch size of the vectorized engines and the grid
+/// uploaded table blocks sit on.
 pub const MORSEL_ROWS: usize = 2048;
 
 /// Number of morsels needed to cover `rows` rows.
@@ -24,38 +29,43 @@ pub fn morsel_bounds(m: usize, rows: usize) -> (usize, usize) {
     (start, (start + MORSEL_ROWS).min(rows))
 }
 
-/// Min/max over the valid rows of one morsel of one column.
+/// Min/max over the valid rows of one column.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Zone {
-    /// Int column morsel with at least one valid row.
+    /// Int column with at least one valid row.
     Int {
-        /// Smallest valid value in the morsel.
+        /// Smallest valid value.
         min: i64,
-        /// Largest valid value in the morsel.
+        /// Largest valid value.
         max: i64,
     },
-    /// Float column morsel with at least one valid row (extrema under
+    /// Float column with at least one valid row (extrema under
     /// `total_cmp`).
     Float {
-        /// Smallest valid value in the morsel.
+        /// Smallest valid value.
         min: f64,
-        /// Largest valid value in the morsel.
+        /// Largest valid value.
         max: f64,
     },
-    /// Every row in the morsel is NULL: no comparison can match.
+    /// Every row is NULL: no comparison can match.
     AllNull,
 }
 
 /// The order-preserving image of an `f64` in `i64`: `float_key(a) <
 /// float_key(b)` exactly when `a.total_cmp(&b)` is `Less`. Range kernels
 /// hold Float bounds as these keys, so an Int and a Float column are
-/// filtered and pruned by the same integer interval test. A bijection
+/// filtered and bounded by the same integer interval test. A bijection
 /// (its own inverse on the bit pattern), so every `i64` is some float's
 /// key and `key ± 1` is the neighbouring float in the total order.
 #[inline]
 pub fn float_key(v: f64) -> i64 {
     let bits = v.to_bits() as i64;
     bits ^ (((bits >> 63) as u64) >> 1) as i64
+}
+
+/// The float whose [`float_key`] is `key`.
+fn key_float(key: i64) -> f64 {
+    f64::from_bits(float_key(f64::from_bits(key as u64)) as u64)
 }
 
 impl Zone {
@@ -68,177 +78,77 @@ impl Zone {
             Zone::AllNull => None,
         }
     }
-}
 
-/// Zones for one column, indexed by morsel.
-#[derive(Debug, Clone)]
-pub struct ColumnZones {
-    zones: Vec<Zone>,
-}
-
-impl ColumnZones {
-    /// Wrap a per-morsel zone vector (index = morsel number).
-    pub fn new(zones: Vec<Zone>) -> ColumnZones {
-        ColumnZones { zones }
-    }
-
-    /// Zone of morsel `m`.
-    pub fn zone(&self, m: usize) -> Zone {
-        self.zones[m]
-    }
-
-    /// All zones, indexed by morsel.
-    pub fn zones(&self) -> &[Zone] {
-        &self.zones
-    }
-
-    /// The column's extrema over every morsel, folded from the zones: the
-    /// values [`ColumnData::min_max`] finds, without reading a row.
-    /// [`Zone::AllNull`] when the column holds no valid row.
-    pub fn bounds(&self) -> Zone {
-        self.zones
-            .iter()
-            .fold(Zone::AllNull, |all, &zone| match (all, zone) {
-                (Zone::Int { min, max }, Zone::Int { min: lo, max: hi }) => Zone::Int {
-                    min: min.min(lo),
-                    max: max.max(hi),
-                },
-                (Zone::Float { min, max }, Zone::Float { min: lo, max: hi }) => Zone::Float {
-                    min: std::cmp::min_by(min, lo, f64::total_cmp),
-                    max: std::cmp::max_by(max, hi, f64::total_cmp),
-                },
-                (all, Zone::AllNull) => all,
-                (_, zone) => zone,
-            })
-    }
-
-    /// Number of morsels covered.
-    pub fn len(&self) -> usize {
-        self.zones.len()
-    }
-
-    /// True when the column spans no morsels (empty table).
-    pub fn is_empty(&self) -> bool {
-        self.zones.is_empty()
+    /// The zone's extrema as `f64`s — the range a slider or a random filter
+    /// draws from — or `None` when every row is NULL.
+    pub fn f64_range(self) -> Option<(f64, f64)> {
+        match self {
+            Zone::Int { min, max } => Some((min as f64, max as f64)),
+            Zone::Float { min, max } => Some((min, max)),
+            Zone::AllNull => None,
+        }
     }
 }
 
-/// Zone maps for every column of a table. Columns without min/max
+/// The bounds of every column of a table. Columns without min/max
 /// statistics (Str, Bool) hold `None`.
 #[derive(Debug, Clone)]
 pub struct ZoneMaps {
-    n_morsels: usize,
-    columns: Vec<Option<ColumnZones>>,
+    columns: Vec<Option<Zone>>,
 }
 
 impl ZoneMaps {
-    /// Build zone maps over `columns`, each holding `rows` rows.
-    pub fn build(columns: &[ColumnData], rows: usize) -> ZoneMaps {
-        let n_morsels = morsel_count(rows);
+    /// Bounds of `columns`: one typed fold per Int/Float column, over its
+    /// values at their stored width.
+    pub fn build(columns: &[ColumnData]) -> ZoneMaps {
         let columns = columns
             .iter()
             .map(|col| match col {
-                ColumnData::Int { data, valid } => Some(ColumnZones {
-                    zones: crate::for_width!(data, |lane| int_zones(
-                        |i| lane[i] as i64,
-                        valid,
-                        rows
-                    )),
-                }),
-                ColumnData::Float { data, valid } => Some(ColumnZones {
-                    zones: float_zones(data, valid, rows),
-                }),
+                ColumnData::Int { data, valid } => Some(
+                    match crate::for_width!(data, |lane| key_bounds(
+                        lane.iter().map(|&v| v as i64),
+                        valid
+                    )) {
+                        Some((min, max)) => Zone::Int { min, max },
+                        None => Zone::AllNull,
+                    },
+                ),
+                // Folding the keys is folding under `total_cmp`: -0.0 sits
+                // below 0.0 and NaN at the ends of the order.
+                ColumnData::Float { data, valid } => Some(
+                    match key_bounds(data.iter().map(|&v| float_key(v)), valid) {
+                        Some((min, max)) => Zone::Float {
+                            min: key_float(min),
+                            max: key_float(max),
+                        },
+                        None => Zone::AllNull,
+                    },
+                ),
                 ColumnData::Bool { .. } | ColumnData::Str { .. } => None,
             })
             .collect();
-        ZoneMaps { n_morsels, columns }
+        ZoneMaps { columns }
     }
 
-    /// Assemble zone maps from pre-computed per-column zones — the eager
-    /// path used by chunked generation, where each worker computes the
-    /// zones of its own chunk and the assembler concatenates them.
-    ///
-    /// # Panics
-    /// Panics if any `Some` column covers a number of morsels other than
-    /// `n_morsels`.
-    pub fn from_column_zones(n_morsels: usize, columns: Vec<Option<ColumnZones>>) -> ZoneMaps {
-        for col in columns.iter().flatten() {
-            assert_eq!(col.len(), n_morsels, "column zone count mismatch");
-        }
-        ZoneMaps { n_morsels, columns }
-    }
-
-    /// Number of morsels per column.
-    pub fn n_morsels(&self) -> usize {
-        self.n_morsels
-    }
-
-    /// Zones of column `idx`, if it carries statistics.
-    pub fn column(&self, idx: usize) -> Option<&ColumnZones> {
-        self.columns[idx].as_ref()
+    /// Bounds of column `idx`, if it carries statistics.
+    pub fn column(&self, idx: usize) -> Option<Zone> {
+        self.columns[idx]
     }
 }
 
-/// Int zones over `rows` rows, reading row `i`'s value as `value(i)` (one
-/// instance per stored width).
-fn int_zones(value: impl Fn(usize) -> i64, valid: &[bool], rows: usize) -> Vec<Zone> {
-    (0..morsel_count(rows))
-        .map(|m| {
-            let (start, end) = morsel_bounds(m, rows);
-            let mut min = i64::MAX;
-            let mut max = i64::MIN;
-            let mut any = false;
-            for i in start..end {
-                if !valid.is_empty() && !valid[i] {
-                    continue;
-                }
-                any = true;
-                let v = value(i);
-                min = min.min(v);
-                max = max.max(v);
-            }
-            if any {
-                Zone::Int { min, max }
-            } else {
-                Zone::AllNull
-            }
-        })
-        .collect()
-}
-
-fn float_zones(data: &[f64], valid: &[bool], rows: usize) -> Vec<Zone> {
-    // Extrema are taken under `total_cmp` — the same order the comparison
-    // kernels use — so the zone stays a sound bound even for -0.0 vs 0.0
-    // and NaN payloads (NaN is simply the total-order maximum/minimum).
-    (0..morsel_count(rows))
-        .map(|m| {
-            let (start, end) = morsel_bounds(m, rows);
-            let mut min = 0.0f64;
-            let mut max = 0.0f64;
-            let mut any = false;
-            for i in start..end {
-                if !valid.is_empty() && !valid[i] {
-                    continue;
-                }
-                let v = data[i];
-                if !any {
-                    (min, max, any) = (v, v, true);
-                } else {
-                    if v.total_cmp(&min) == std::cmp::Ordering::Less {
-                        min = v;
-                    }
-                    if v.total_cmp(&max) == std::cmp::Ordering::Greater {
-                        max = v;
-                    }
-                }
-            }
-            if any {
-                Zone::Float { min, max }
-            } else {
-                Zone::AllNull
-            }
-        })
-        .collect()
+/// Smallest and largest of the keys whose row is valid (`valid` empty =
+/// every row is), or `None` when no row is.
+fn key_bounds(keys: impl Iterator<Item = i64>, valid: &[bool]) -> Option<(i64, i64)> {
+    let fold = |(min, max): (i64, i64), key: i64| (min.min(key), max.max(key));
+    let (min, max) = if valid.is_empty() {
+        keys.fold((i64::MAX, i64::MIN), fold)
+    } else {
+        keys.zip(valid)
+            .filter(|&(_, &ok)| ok)
+            .map(|(key, _)| key)
+            .fold((i64::MAX, i64::MIN), fold)
+    };
+    (min <= max).then_some((min, max))
 }
 
 #[cfg(test)]
@@ -247,13 +157,24 @@ mod tests {
     use crate::value::Value;
     use crate::{ColumnBuilder, DataType};
 
-    fn int_col(vals: impl IntoIterator<Item = Option<i64>>) -> ColumnData {
+    fn col(data_type: DataType, vals: impl IntoIterator<Item = Value>) -> ColumnData {
         let vals: Vec<_> = vals.into_iter().collect();
-        let mut b = ColumnBuilder::new(DataType::Int, vals.len());
+        let mut b = ColumnBuilder::new(data_type, vals.len());
         for v in vals {
-            b.push(v.map_or(Value::Null, Value::Int));
+            b.push(v);
         }
         b.finish()
+    }
+
+    fn int_col(vals: impl IntoIterator<Item = Option<i64>>) -> ColumnData {
+        col(
+            DataType::Int,
+            vals.into_iter().map(|v| v.map_or(Value::Null, Value::Int)),
+        )
+    }
+
+    fn bounds(col: &ColumnData) -> Option<Zone> {
+        ZoneMaps::build(std::slice::from_ref(col)).column(0)
     }
 
     #[test]
@@ -271,53 +192,27 @@ mod tests {
     #[test]
     fn int_zone_spans_valid_rows_only() {
         let col = int_col([Some(5), None, Some(-3), Some(9)]);
-        let maps = ZoneMaps::build(std::slice::from_ref(&col), 4);
-        assert_eq!(maps.n_morsels(), 1);
-        let zones = maps.column(0).unwrap();
-        assert_eq!(zones.zone(0), Zone::Int { min: -3, max: 9 });
+        assert_eq!(bounds(&col), Some(Zone::Int { min: -3, max: 9 }));
     }
 
     #[test]
     fn all_null_morsel_has_no_zone() {
-        let col = int_col([None, None]);
-        let maps = ZoneMaps::build(std::slice::from_ref(&col), 2);
-        assert_eq!(maps.column(0).unwrap().zone(0), Zone::AllNull);
-    }
-
-    #[test]
-    fn second_morsel_gets_own_bounds() {
-        let n = MORSEL_ROWS + 3;
-        let vals: Vec<Option<i64>> = (0..n as i64).map(Some).collect();
-        let col = int_col(vals);
-        let maps = ZoneMaps::build(std::slice::from_ref(&col), n);
-        assert_eq!(maps.n_morsels(), 2);
-        let zones = maps.column(0).unwrap();
+        assert_eq!(bounds(&int_col([None, None])), Some(Zone::AllNull));
         assert_eq!(
-            zones.zone(0),
-            Zone::Int {
-                min: 0,
-                max: MORSEL_ROWS as i64 - 1
-            }
+            bounds(&col(DataType::Float, [Value::Null])),
+            Some(Zone::AllNull)
         );
-        assert_eq!(
-            zones.zone(1),
-            Zone::Int {
-                min: MORSEL_ROWS as i64,
-                max: n as i64 - 1
-            }
-        );
+        assert_eq!(bounds(&int_col([])), Some(Zone::AllNull), "no rows");
     }
 
     #[test]
     fn float_nan_is_total_order_maximum() {
-        let mut b = ColumnBuilder::new(DataType::Float, 3);
-        b.push(Value::Float(1.0));
-        b.push(Value::Float(f64::NAN));
-        b.push(Value::Float(2.0));
-        let col = b.finish();
-        let maps = ZoneMaps::build(std::slice::from_ref(&col), 3);
-        match maps.column(0).unwrap().zone(0) {
-            Zone::Float { min, max } => {
+        let col = col(
+            DataType::Float,
+            [1.0, f64::NAN, 2.0].into_iter().map(Value::Float),
+        );
+        match bounds(&col) {
+            Some(Zone::Float { min, max }) => {
                 assert_eq!(min, 1.0);
                 assert!(max.is_nan(), "NaN sorts above +inf under total_cmp");
             }
@@ -327,13 +222,9 @@ mod tests {
 
     #[test]
     fn float_negative_zero_is_the_minimum() {
-        let mut b = ColumnBuilder::new(DataType::Float, 2);
-        b.push(Value::Float(0.0));
-        b.push(Value::Float(-0.0));
-        let col = b.finish();
-        let maps = ZoneMaps::build(std::slice::from_ref(&col), 2);
-        match maps.column(0).unwrap().zone(0) {
-            Zone::Float { min, max } => {
+        let col = col(DataType::Float, [Value::Float(0.0), Value::Float(-0.0)]);
+        match bounds(&col) {
+            Some(Zone::Float { min, max }) => {
                 assert!(min.is_sign_negative() && min == 0.0);
                 assert!(max.is_sign_positive() && max == 0.0);
             }
@@ -356,6 +247,7 @@ mod tests {
             f64::NAN,
         ];
         for a in vs {
+            assert_eq!(key_float(float_key(a)).to_bits(), a.to_bits(), "{a}");
             for b in vs {
                 assert_eq!(
                     float_key(a).cmp(&float_key(b)),
@@ -371,53 +263,68 @@ mod tests {
         );
     }
 
+    /// The bounds are what a boxed fold over every valid row's `Value`
+    /// finds — `Value`'s order compares floats by `total_cmp` — at every
+    /// stored width, across NULL runs and morsel boundaries.
     #[test]
     fn column_bounds_fold_to_min_max() {
-        let n = 2 * MORSEL_ROWS + 2;
-        let mut vals: Vec<Option<i64>> = (0..MORSEL_ROWS as i64).map(|v| Some(v - 7)).collect();
-        vals.extend(std::iter::repeat_n(None, MORSEL_ROWS));
-        vals.extend([Some(-9), Some(3)]);
-        let col = int_col(vals);
-        let maps = ZoneMaps::build(std::slice::from_ref(&col), n);
-        let zones = maps.column(0).unwrap();
-        assert_eq!(zones.zone(1), Zone::AllNull);
-        let (min, max) = col.min_max().unwrap();
-        assert_eq!(
-            zones.bounds(),
-            Zone::Int {
-                min: min.as_i64().unwrap(),
-                max: max.as_i64().unwrap()
-            }
-        );
-        assert_eq!(
-            (min, max),
-            (Value::Int(-9), Value::Int(MORSEL_ROWS as i64 - 8))
-        );
-
-        let mut b = ColumnBuilder::new(DataType::Float, 3);
-        for v in [0.0, -0.0, f64::NAN] {
-            b.push(Value::Float(v));
+        fn naive(col: &ColumnData) -> Option<(Value, Value)> {
+            let vals = (0..col.len()).filter(|&i| !col.is_null(i));
+            let min = vals.clone().map(|i| col.value(i)).min()?;
+            Some((min, vals.map(|i| col.value(i)).max()?))
         }
-        let col = b.finish();
-        let maps = ZoneMaps::build(std::slice::from_ref(&col), 3);
-        match maps.column(0).unwrap().bounds() {
-            Zone::Float { min, max } => {
-                assert!(min == 0.0 && min.is_sign_negative() && max.is_nan());
+        fn as_values(zone: Option<Zone>) -> Option<(Value, Value)> {
+            match zone? {
+                Zone::Int { min, max } => Some((Value::Int(min), Value::Int(max))),
+                Zone::Float { min, max } => Some((Value::Float(min), Value::Float(max))),
+                Zone::AllNull => None,
             }
-            z => panic!("unexpected bounds {z:?}"),
         }
-
-        let nulls = int_col([None, None]);
-        let maps = ZoneMaps::build(std::slice::from_ref(&nulls), 2);
-        assert_eq!(maps.column(0).unwrap().bounds(), Zone::AllNull);
+        let mut spread: Vec<Option<i64>> = (0..MORSEL_ROWS as i64).map(|v| Some(v - 7)).collect();
+        spread.extend(std::iter::repeat_n(None, MORSEL_ROWS));
+        spread.extend([Some(-9), Some(3)]);
+        let cases = [
+            int_col([None, Some(5), Some(2)]),
+            int_col([None]),
+            int_col(spread),
+            int_col([Some(i64::MIN), Some(300), None, Some(i64::MAX)]),
+            int_col([Some(70_000), Some(-70_000)]),
+            col(
+                DataType::Float,
+                [0.0, -0.0, f64::NAN, -2.5].into_iter().map(Value::Float),
+            ),
+            col(
+                DataType::Float,
+                [
+                    Value::Null,
+                    Value::Float(f64::NEG_INFINITY),
+                    Value::Float(1e300),
+                ],
+            ),
+        ];
+        for col in &cases {
+            // Debug tells the variants, -0.0 from 0.0 and NaN apart.
+            let (want, got) = (naive(col), as_values(bounds(col)));
+            assert_eq!(format!("{want:?}"), format!("{got:?}"));
+        }
+        assert_eq!(
+            as_values(bounds(&cases[0])),
+            Some((Value::Int(2), Value::Int(5))),
+            "NULLs are skipped"
+        );
+        assert_eq!(bounds(&cases[1]), Some(Zone::AllNull));
+        assert_eq!(
+            bounds(&cases[2]),
+            Some(Zone::Int {
+                min: -9,
+                max: MORSEL_ROWS as i64 - 8
+            })
+        );
     }
 
     #[test]
     fn categorical_columns_carry_no_zones() {
-        let mut b = ColumnBuilder::new(DataType::Str, 1);
-        b.push(Value::str("A"));
-        let col = b.finish();
-        let maps = ZoneMaps::build(std::slice::from_ref(&col), 1);
-        assert!(maps.column(0).is_none());
+        let col = col(DataType::Str, [Value::str("A")]);
+        assert!(bounds(&col).is_none());
     }
 }
