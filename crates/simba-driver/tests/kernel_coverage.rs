@@ -7,12 +7,13 @@
 //! compiler, and counts kernels by kind. The IDEBench storm — the workload
 //! that stacks filters — must compile to no `Kernel::Generic` at all: a
 //! `BETWEEN` falling back to the row interpreter fails here, not just in a
-//! benchmark. Each aggregate is classified by the path the engines pick for
-//! it — global, one dictionary key with typed aggregates, one dictionary key
-//! without them (the group table's dense index), or the group table's hash
-//! index — with its key count: the hash-indexed share is what typed keys can
-//! still speed up. `cargo test -p simba-driver --test kernel_coverage --
-//! --nocapture` prints both tables.
+//! benchmark. Each aggregate is classified the way the engines' one group
+//! table builds it: by key index — global, dense (one dictionary key) or
+//! hash (anything else) — and by aggregate column, typed or boxed, with its
+//! key count. The hash-indexed share is what typed keys can still speed up,
+//! and the share of those whose columns are all typed is what a typed key
+//! encoder would reach without boxed columns beside it. `cargo test -p
+//! simba-driver --test kernel_coverage -- --nocapture` prints both tables.
 
 use simba_core::dashboard::Dashboard;
 use simba_core::session::batch::{synthesize_scripts, BatchConfig};
@@ -23,8 +24,8 @@ use simba_data::DashboardDataset;
 use simba_driver::{
     AdaptiveSource, AdaptiveWalkConfig, Driver, DriverConfig, ScriptedSource, SessionSource,
 };
-use simba_engine::batch::{dict_group_key_col, TypedGroupStates};
 use simba_engine::exec::{cexpr_conjuncts, compile_kernels, Kernel};
+use simba_engine::group::GroupTable;
 use simba_engine::plan::{compile_row_expr, prepare, QueryKind};
 use simba_engine::{Dbms, EngineError, EngineKind, QueryOutput};
 use simba_idebench::IdebenchSource;
@@ -68,14 +69,16 @@ struct Inventory {
     generic: usize,
     /// Queries whose filter compiles to one kernel that never matches.
     contradictory: usize,
-    /// Aggregates without GROUP BY.
+    /// Aggregates without GROUP BY: the global key index.
     global: usize,
-    /// One dictionary key, every aggregate typed: code-indexed typed states.
-    dict_typed: usize,
-    /// One dictionary key, some aggregate untyped: the dense group table.
-    dict_boxed: usize,
-    /// Everything else grouped: the hash-indexed group table.
+    /// One dictionary key: the dense key index.
+    dense: usize,
+    /// Everything else grouped: the hash key index.
     hash: usize,
+    /// Hash-indexed aggregates whose aggregate columns are all typed.
+    hash_typed: usize,
+    /// Aggregate columns: typed, boxed.
+    columns: [usize; 2],
     /// Aggregates by GROUP BY key count: 0, 1, 2, 3 or more.
     keys: [usize; 4],
 }
@@ -86,7 +89,7 @@ impl Inventory {
     }
 
     fn aggregates(&self) -> usize {
-        self.global + self.dict_typed + self.dict_boxed + self.hash
+        self.global + self.dense + self.hash
     }
 }
 
@@ -110,12 +113,16 @@ fn inventory(table: &Arc<Table>, source: &dyn SessionSource) -> Inventory {
         if let QueryKind::Aggregate { keys, aggs, .. } = prepare(query, table.clone()).unwrap().kind
         {
             inv.keys[keys.len().min(3)] += 1;
-            let typed = TypedGroupStates::compile(&aggs, table, 1).is_some();
-            match dict_group_key_col(&keys, table) {
-                Some(_) if typed => inv.dict_typed += 1,
-                Some(_) => inv.dict_boxed += 1,
-                None if keys.is_empty() => inv.global += 1,
-                None => inv.hash += 1,
+            let (index, typed) = GroupTable::new(&keys, &aggs, table).layout();
+            inv.columns[0] += typed;
+            inv.columns[1] += aggs.len() - typed;
+            match index {
+                "global" => inv.global += 1,
+                "dense" => inv.dense += 1,
+                _ => {
+                    inv.hash += 1;
+                    inv.hash_typed += usize::from(typed == aggs.len());
+                }
             }
         }
         let Some(filter) = &query.where_clause else {
@@ -212,30 +219,34 @@ fn idebench_storm_compiles_to_typed_kernels_only() {
     }
 
     println!(
-        "\n{:<9} {:>10} {:>6} {:>10} {:>10} {:>5} {:>6} {:>6} {:>6} {:>10}",
+        "\n{:<9} {:>10} {:>6} {:>5} {:>5} {:>5} {:>5} {:>5} {:>6} {:>6} {:>10} {:>10}",
         "source",
         "aggregates",
         "global",
-        "dict-typed",
-        "dict-boxed",
+        "dense",
         "hash",
+        "typed",
+        "boxed",
         "1-key",
         "2-key",
         "3+-key",
-        "hash share"
+        "hash share",
+        "hash typed"
     );
     for (name, inv) in &inventories {
         println!(
-            "{name:<9} {:>10} {:>6} {:>10} {:>10} {:>5} {:>6} {:>6} {:>6} {:>10.3}",
+            "{name:<9} {:>10} {:>6} {:>5} {:>5} {:>5} {:>5} {:>5} {:>6} {:>6} {:>10.3} {:>10.3}",
             inv.aggregates(),
             inv.global,
-            inv.dict_typed,
-            inv.dict_boxed,
+            inv.dense,
             inv.hash,
+            inv.columns[0],
+            inv.columns[1],
             inv.keys[1],
             inv.keys[2],
             inv.keys[3],
             inv.hash as f64 / inv.queries as f64,
+            inv.hash_typed as f64 / inv.hash.max(1) as f64,
         );
         if *name != "scripted" {
             assert!(inv.hash > 0, "{name} never reaches the hash table: {inv:?}");

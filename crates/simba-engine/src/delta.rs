@@ -3,16 +3,15 @@
 //! Exploration sessions step through *refinements* — each query tightens or
 //! repeats the previous step's filter far more often than it starts from
 //! scratch (§2 of the paper). A [`SessionDelta`] store retains, per session,
-//! the surviving selection vector (and, for aggregations, the merged group
-//! states — typed per-slot states or the [`GroupTable`](crate::group::GroupTable))
-//! of recent queries, each under the [`NormalizedSelect`] of the query that
-//! produced it. `execute_with_delta` builds the new query's form once and
-//! resolves it against the stored forms — no stored entry is ever
-//! normalized again:
+//! the surviving selection vector (and, for aggregations, the merged
+//! [`GroupTable`]) of recent queries, each under the [`NormalizedSelect`] of
+//! the query that produced it. `execute_with_delta` builds the new query's
+//! form once and resolves it against the stored forms — no stored entry is
+//! ever normalized again:
 //!
 //! 1. **Group-state reuse (tier 2):** an entry with the
 //!    [`same_states`](NormalizedSelect::same_states) re-finalizes the cached
-//!    [`GroupStates`] without touching the table at all — exact re-renders
+//!    [`GroupTable`] without touching the table at all — exact re-renders
 //!    and ORDER BY / LIMIT variants of the same aggregation hit this tier,
 //!    including the multi-key hash aggregations behind unfiltered dashboard
 //!    charts.
@@ -25,8 +24,10 @@
 //!    check over the two forms' stored WHERE domains — seeds the scan: only
 //!    the stored survivors are candidates, re-filtered through the new
 //!    query's kernels (none is read when those cannot match).
-//! 4. **Miss:** a fresh capturing scan, whose selection/states are stored
-//!    for the steps that follow.
+//! 4. **Miss:** a fresh capturing scan, whose selection and group table
+//!    are stored for the steps that follow. A table holding more than
+//!    65,536 slots (groups, or dictionary codes under a dense index) is
+//!    not kept.
 //!
 //! The same form hands the planner its aggregate-slot layout, so the slots
 //! cached states are replayed into are the ones the matching form printed.
@@ -48,10 +49,11 @@
 //! sound implication), and the differential suite pins delta-on execution
 //! byte-identical to fresh execution.
 
-use crate::batch::{run_from_cache, run_morsels, DeltaScan, GroupStates};
+use crate::batch::{run_from_cache, run_morsels, DeltaScan};
 use crate::engines::execute_common;
 use crate::error::EngineError;
 use crate::exec::{Catalog, QueryOutput};
+use crate::group::GroupTable;
 use simba_sql::{NormalizedSelect, Select};
 use simba_store::Table;
 use std::collections::VecDeque;
@@ -71,8 +73,8 @@ struct DeltaEntry {
     snapshot: Arc<Table>,
     /// Surviving row indices over the whole table, ascending.
     selection: Arc<Vec<u32>>,
-    /// Merged group states, typed or a group table.
-    states: Option<GroupStates>,
+    /// The merged group table of an aggregation.
+    states: Option<GroupTable>,
 }
 
 /// Store-side counters: events the per-query [`ExecStats`](crate::exec::ExecStats)
@@ -175,7 +177,7 @@ impl SessionDelta {
 
     /// Newest entry with cached group states for exactly this aggregation
     /// shape, plus the surviving-row count its states summarize.
-    fn states_for(&self, form: &NormalizedSelect) -> Option<(&GroupStates, usize)> {
+    fn states_for(&self, form: &NormalizedSelect) -> Option<(&GroupTable, usize)> {
         self.entries
             .iter()
             .rev()
@@ -384,6 +386,15 @@ mod tests {
         let o = run(&catalog, &mut delta, limited);
         assert_eq!(o.stats.delta_group_hits, 1);
         assert_eq!(o.result, fresh(&catalog, limited).result);
+        // Typed and boxed aggregate columns in one captured table replay
+        // byte-identically too.
+        let mixed = "SELECT q, a, COUNT(*), SUM(v), COUNT(DISTINCT v), MIN(q), SUM(a + 1) \
+                     FROM t WHERE a > 30 GROUP BY q, a ORDER BY q, a";
+        run(&catalog, &mut delta, mixed);
+        let o = run(&catalog, &mut delta, mixed);
+        assert_eq!(o.stats.delta_group_hits, 1, "mixed columns replayed");
+        assert_eq!(o.stats.rows_scanned, 0);
+        assert_eq!(o.result, fresh(&catalog, mixed).result);
         // Unfiltered multi-key charts are stored for their states (never as
         // a seed) and replay when the walk returns to the overview.
         let chart = "SELECT q, a, COUNT(*) FROM t GROUP BY q, a ORDER BY q, a";
@@ -463,6 +474,43 @@ mod tests {
             )
             .result
         );
+    }
+
+    /// One capture bound for every group table: a dense index over a
+    /// dictionary of more than 65,536 strings is answered but not kept,
+    /// while a small dictionary's table is.
+    #[test]
+    fn group_tables_past_the_slot_bound_are_not_retained() {
+        let n = crate::batch::MAX_CAPTURED_GROUPS + 1;
+        let schema = Schema::new(
+            "big",
+            vec![ColumnDef::categorical("k"), ColumnDef::categorical("small")],
+        );
+        let mut b = TableBuilder::new(schema, n);
+        for i in 0..n {
+            b.push_row(vec![
+                Value::str(format!("k{i}")),
+                Value::str(format!("s{}", i % 3)),
+            ]);
+        }
+        let table = Arc::new(b.finish());
+        let catalog = Catalog::default();
+        catalog.register(table.clone());
+        let mut delta = SessionDelta::default();
+        let wide = "SELECT k, COUNT(*) FROM big GROUP BY k";
+        let oracle = crate::exec::execute_row_oracle(table, &parse_select(wide).unwrap()).unwrap();
+        for _ in 0..2 {
+            let o = run(&catalog, &mut delta, wide);
+            assert_eq!(o.stats.delta_group_hits, 0, "not retained, not replayed");
+            assert_eq!((o.stats.groups, o.result.n_rows()), (n, n));
+            assert_eq!(o.result.sorted_rows(), oracle.result.sorted_rows());
+        }
+        assert!(delta.is_empty());
+        let small = "SELECT small, COUNT(*) FROM big GROUP BY small";
+        run(&catalog, &mut delta, small);
+        let o = run(&catalog, &mut delta, small);
+        assert_eq!(o.stats.delta_group_hits, 1, "small dictionary retained");
+        assert_eq!(o.result, fresh(&catalog, small).result);
     }
 
     #[test]

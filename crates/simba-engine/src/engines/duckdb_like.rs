@@ -2,11 +2,13 @@
 //!
 //! Mirrors a vectorized analytical engine: scans proceed morsel-at-a-time
 //! (2048 rows) and skip every morsel when the compiled filter cannot match,
-//! predicates run as typed kernels refining a selection vector, aggregation
-//! uses dense dictionary-code group slots with unboxed typed states, and an
-//! opt-in morsel-parallel mode fans contiguous morsel ranges out to scoped
-//! worker threads whose partial states merge in scan order. All of that
-//! machinery lives in [`crate::batch`]; this engine uses it wholesale.
+//! predicates run as typed kernels refining a selection vector, each
+//! morsel's survivors feed the shared [`GroupTable`](crate::group::GroupTable)
+//! (dictionary-code, hash or global key index; typed or boxed aggregate
+//! columns), and an opt-in morsel-parallel mode fans contiguous morsel
+//! ranges out to scoped worker threads whose partial tables merge in scan
+//! order. All of that machinery lives in [`crate::batch`] and
+//! [`crate::group`]; this engine uses it wholesale.
 
 use crate::batch::{run_morsels, DeltaScan};
 use crate::error::EngineError;

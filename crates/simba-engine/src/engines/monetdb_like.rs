@@ -5,20 +5,16 @@
 //! materialized intermediate vectors. Selection runs one conjunct at a time
 //! over the *whole* candidate vector (a single table-sized "morsel" — no
 //! blocking), each pass a shared batch kernel. Aggregation is
-//! BAT-wise too: with a dictionary-encoded group key and typed aggregates it
-//! feeds the entire candidate vector into dense typed group states in one
-//! call; otherwise the whole candidate vector goes through the shared boxed
-//! [`GroupTable`] in one `update`. Projections materialize each output
-//! column in full before zipping rows. Fast per operator, but pays full
-//! intermediate-materialization cost.
+//! BAT-wise too: the whole candidate vector goes through the shared
+//! [`GroupTable`] in one `update` — one pass of the key index, then one
+//! whole-vector pass per aggregate column. Projections materialize each
+//! output column in full before zipping rows. Fast per operator, but pays
+//! full intermediate-materialization cost.
 
-use crate::batch::{
-    dict_group_key_col, dict_key_slots, fill_filtered, finalize_typed_groups, SelectionVector,
-    TypedGroupStates,
-};
+use crate::batch::{fill_filtered, SelectionVector};
 use crate::error::EngineError;
 use crate::eval::{eval, CExpr, TableRow};
-use crate::exec::{compile_kernels, emit_finalized_groups, Catalog, ExecStats, QueryOutput};
+use crate::exec::{compile_kernels, Catalog, ExecStats, QueryOutput};
 use crate::group::GroupTable;
 use crate::plan::{PreparedQuery, QueryKind};
 use crate::Dbms;
@@ -73,28 +69,6 @@ impl MonetDbLike {
                 projections,
                 having,
             } => {
-                // BAT-wise fast path: one dictionary-encoded key, all-typed
-                // aggregates → a single whole-vector update into dense
-                // code-indexed states.
-                if let Some(key_col) = dict_group_key_col(keys, table) {
-                    let dict = table.column(key_col).dictionary().unwrap_or(&[]);
-                    if let Some(mut states) = TypedGroupStates::compile(aggs, table, dict.len() + 1)
-                    {
-                        let mut slots = Vec::with_capacity(candidates.len());
-                        dict_key_slots(
-                            table.column(key_col),
-                            candidates,
-                            &mut slots,
-                            dict.len() as u32,
-                        );
-                        states.update_batch(table, candidates, &slots);
-                        let groups = finalize_typed_groups(&states, dict, false);
-                        stats.groups = groups.len();
-                        let rows = emit_finalized_groups(projections, having.as_ref(), groups);
-                        return (rows, stats);
-                    }
-                }
-
                 let mut groups = GroupTable::new(keys, aggs, table);
                 groups.update(table, candidates);
                 stats.groups = groups.len();
@@ -182,8 +156,8 @@ mod tests {
 
     #[test]
     fn typed_bat_aggregation_matches_materialized_path() {
-        // AVG(duration) is typed; adding COUNT(DISTINCT ts) forces the
-        // boxed group table — both must agree on the shared columns.
+        // AVG(duration) and SUM(calls) are typed columns; COUNT(DISTINCT ts)
+        // adds a boxed one beside them, which must not change theirs.
         let typed = engine()
             .execute(
                 &parse_select("SELECT queue, AVG(duration), SUM(calls) FROM cs GROUP BY queue")

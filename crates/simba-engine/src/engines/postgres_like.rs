@@ -1,13 +1,13 @@
-//! `postgres-like`: a row engine with lazy attribute access and hash
+//! `postgres-like`: a row engine with lazy attribute access and block-wise
 //! aggregation.
 //!
 //! Mirrors a server-class row store executing analytics without indexes:
 //! the scan proceeds in page-sized blocks, predicates run through the shared
 //! filter kernels over each block's selection vector (touching only the
 //! attributes a conjunct references — PostgreSQL's slot-based lazy attribute
-//! access), and each block's survivors are grouped through the shared boxed
-//! [`GroupTable`] (per-row key and argument evaluation over `Value`s). No
-//! typed aggregation: the executor materializes datums per tuple.
+//! access), and each block's survivors are grouped through the shared
+//! [`GroupTable`], one `update` per block: the key index, then each
+//! aggregate column (typed over raw slices, or boxed accumulators).
 
 use crate::batch::{fill_filtered, SelectionVector};
 use crate::error::EngineError;
@@ -23,7 +23,7 @@ use std::sync::Arc;
 /// Rows per scan block (loop blocking akin to page-at-a-time access).
 const BLOCK: usize = 1024;
 
-/// Lazy row engine with hash aggregation (PostgreSQL-style architecture).
+/// Lazy row engine with block-wise aggregation (PostgreSQL-style architecture).
 #[derive(Default)]
 pub struct PostgresLike {
     catalog: Catalog,

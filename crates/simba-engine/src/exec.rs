@@ -35,7 +35,7 @@ pub struct ExecStats {
     /// instead of rescanning the table (session-delta execution only).
     #[serde(default)]
     pub delta_hits: usize,
-    /// 1 when cached typed group states were reused outright, skipping the
+    /// 1 when a cached group table was reused outright, skipping the
     /// scan *and* the aggregation (session-delta execution only).
     #[serde(default)]
     pub delta_group_hits: usize,
@@ -404,7 +404,7 @@ pub fn emit_groups(
 }
 
 /// Like [`emit_groups`], but for group states that are already finalized to
-/// values (the typed aggregation fast path produces these directly).
+/// values (what the [`GroupTable`](crate::group::GroupTable) emits).
 pub fn emit_finalized_groups<K: AsRef<[Value]>>(
     projections: &[CExpr],
     having: Option<&CExpr>,

@@ -8,12 +8,15 @@
 //! | Engine | Architecture |
 //! |---|---|
 //! | [`SqliteLike`] | row-at-a-time Volcano interpreter, ordered grouping |
-//! | [`PostgresLike`] | lazy row access, block iteration, boxed group table |
-//! | [`DuckDbLike`] | vectorized batches, typed filter kernels, dictionary-code grouping |
-//! | [`MonetDbLike`] | operator-at-a-time, full intermediate materialization |
+//! | [`PostgresLike`] | lazy row access, 1024-row blocks, group table per block |
+//! | [`DuckDbLike`] | vectorized morsels, typed filter kernels, parallel group-table partials |
+//! | [`MonetDbLike`] | operator-at-a-time, full intermediate materialization, one group-table pass |
 //!
-//! All four share a planner ([`plan`]) and evaluator ([`eval`]), so they
-//! return identical results (property-tested) and differ only in latency.
+//! All four share a planner ([`plan`]) and evaluator ([`eval`]), and all
+//! but the `sqlite-like` oracle aggregate through the one
+//! [`GroupTable`](group::GroupTable) (typed and boxed aggregate columns
+//! behind a global, dense or hash key index), so they return identical
+//! results (property-tested) and differ only in latency.
 
 pub mod agg;
 pub mod batch;
@@ -29,7 +32,7 @@ pub mod plan;
 #[cfg(test)]
 pub(crate) mod test_support;
 
-pub use batch::{DeltaCapture, DeltaScan, GroupStates, SelectionVector, MORSEL};
+pub use batch::{DeltaCapture, DeltaScan, SelectionVector, MORSEL};
 pub use delta::{DeltaStoreStats, SessionDelta};
 pub use engines::duckdb_like::DuckDbLike;
 pub use engines::monetdb_like::MonetDbLike;

@@ -163,8 +163,8 @@ fn predicate_strategy() -> impl Strategy<Value = Expr> {
     ]
 }
 
-/// Aggregates with typed fast paths *and* ones that force the generic
-/// accumulator fallback, mixed freely.
+/// Aggregates that get typed columns *and* ones that get boxed accumulator
+/// columns, mixed freely in one group table.
 fn aggregate_strategy() -> impl Strategy<Value = Expr> {
     prop_oneof![
         Just(Expr::count_star()),
@@ -185,6 +185,8 @@ fn aggregate_strategy() -> impl Strategy<Value = Expr> {
             Func::Sum,
             Expr::binary(Expr::col("calls"), BinOp::Add, Expr::int(1))
         )),
+        // MIN over a dictionary column: a boxed column over strings.
+        Just(Expr::agg(Func::Min, Expr::col("queue"))),
     ]
 }
 
@@ -292,7 +294,7 @@ fn multi_morsel_table() -> Arc<Table> {
 #[test]
 fn multi_morsel_byte_identity_with_pruning_and_parallelism() {
     let table = multi_morsel_table();
-    let queries = [
+    let mut queries: Vec<String> = [
         // Selective: empties some morsels, the all-NULL one among them.
         "SELECT queue, COUNT(*), SUM(calls), MIN(calls), MAX(calls) \
          FROM t WHERE calls > 900 GROUP BY queue",
@@ -303,17 +305,35 @@ fn multi_morsel_byte_identity_with_pruning_and_parallelism() {
         "SELECT COUNT(*), SUM(calls) FROM t WHERE calls > 100000",
         // Projection crossing morsel boundaries.
         "SELECT queue, calls FROM t WHERE calls >= 995",
-    ];
+    ]
+    .map(String::from)
+    .into();
+    // Typed and boxed aggregate columns side by side in one table, under a
+    // dictionary key, a two-key hash key and no key; the scan threads merge
+    // them across ranges.
+    for keys in ["queue", "queue, BIN(calls, 100)", ""] {
+        for aggs in [
+            "COUNT(*), SUM(cost), COUNT(DISTINCT queue), SUM(calls + 1)",
+            "COUNT(*), SUM(calls), MAX(cost), COUNT(DISTINCT ts), SUM(calls + 1), MIN(queue)",
+        ] {
+            queries.push(if keys.is_empty() {
+                format!("SELECT {aggs} FROM t")
+            } else {
+                format!("SELECT {keys}, {aggs} FROM t GROUP BY {keys}")
+            });
+        }
+    }
     let mut engines = all_engines();
-    engines.push(Arc::new(DuckDbLike::with_scan_threads(3)));
-    for sql in queries {
+    engines.push(Arc::new(DuckDbLike::with_scan_threads(4)));
+    for sql in &queries {
         let select = simba_sql::parse_select(sql).unwrap();
         for engine in &engines {
             engine.register(table.clone());
             // Float SUM/AVG under the parallel scan may associate partial
             // sums differently; the parallel engine only sees the queries
             // whose aggregates are exact.
-            if engine.scan_threads() > 1 && sql.contains("cost") {
+            if engine.scan_threads() > 1 && (sql.contains("SUM(cost)") || sql.contains("AVG(cost)"))
+            {
                 continue;
             }
             assert_byte_identical(engine.name(), &select, engine.as_ref(), &table);

@@ -299,9 +299,9 @@ fn grouped_limit_without_total_order_is_one_answer() {
         "SELECT region, queue, MIN(calls) FROM t WHERE calls > 10 GROUP BY region, queue LIMIT 7",
         // A computed key: the hash index too.
         "SELECT HOUR(ts), COUNT(*), MAX(calls) FROM t GROUP BY HOUR(ts) LIMIT 6",
-        // One dictionary key with an untyped aggregate: the dense index.
+        // One dictionary key, a boxed column beside a typed one: the dense index.
         "SELECT queue, COUNT(DISTINCT region), COUNT(*) FROM t GROUP BY queue LIMIT 3",
-        // A global aggregate through the group table.
+        // A global aggregate, boxed and typed columns side by side.
         "SELECT COUNT(DISTINCT region), COUNT(*), SUM(calls) FROM t WHERE calls < 0 LIMIT 1",
     ] {
         let query = simba_sql::parse_select(sql).unwrap();
