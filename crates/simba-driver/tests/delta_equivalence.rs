@@ -44,7 +44,8 @@ fn spec(seed: u64, kind: EngineKind, source: SourceSpec, cache: bool, delta: boo
 }
 
 /// Aggregation shapes the dashboards never emit but the delta tiers must
-/// survive: per step one WHERE and group key, then every tail below in a
+/// survive: per step one WHERE and group key (under each of the dense,
+/// packed and hash key indexes), then every tail below in a
 /// seeded order under seeded projection permutations — so group-state
 /// replay sees ORDER BY over a non-projected aggregate (two different
 /// ones), HAVING with two hidden aggregates in both written orders, LIMIT,
@@ -59,7 +60,16 @@ fn shape_storm(seed: u64, sessions: usize, steps: usize) -> Vec<SessionScript> {
         "WHERE queue IN ('A', 'B', 'C')",
         "WHERE calls > 2 AND satisfaction >= 3",
     ];
-    const KEYS: [&str; 2] = ["queue", "queue, call_type"];
+    // A dictionary key alone (the dense index); two dictionary keys and
+    // binned Int and Float keys (the packed index); a bare Int key (the
+    // boxed hash index).
+    const KEYS: [&str; 5] = [
+        "queue",
+        "queue, call_type",
+        "BIN(hour, 6), queue",
+        "queue, BIN(wait_time, 50)",
+        "queue, satisfaction",
+    ];
     const TAILS: [&str; 8] = [
         "LIMIT 4",
         "ORDER BY COUNT(*) DESC LIMIT 3",
@@ -85,7 +95,9 @@ fn shape_storm(seed: u64, sessions: usize, steps: usize) -> Vec<SessionScript> {
                         draw = splitmix(draw);
                         (draw % n as u64) as usize
                     };
-                    let (filter, key) = (WHERES[next(WHERES.len())], KEYS[next(KEYS.len())]);
+                    // Keys rotate, so two sessions of four steps meet all five.
+                    let (filter, key) =
+                        (WHERES[next(WHERES.len())], KEYS[(user + step) % KEYS.len()]);
                     let mut tails = TAILS.to_vec();
                     let queries = (0..TAILS.len())
                         .map(|i| {

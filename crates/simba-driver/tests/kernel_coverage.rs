@@ -8,11 +8,12 @@
 //! that stacks filters — must compile to no `Kernel::Generic` at all: a
 //! `BETWEEN` falling back to the row interpreter fails here, not just in a
 //! benchmark. Each aggregate is classified the way the engines' one group
-//! table builds it: by key index — global, dense (one dictionary key) or
-//! hash (anything else) — and by aggregate column, typed or boxed, with its
-//! key count. The hash-indexed share is what typed keys can still speed up,
-//! and the share of those whose columns are all typed is what a typed key
-//! encoder would reach without boxed columns beside it. `cargo test -p
+//! table builds it: by key index — global, dense (one dictionary key),
+//! packed (dictionary and `BIN` keys in one integer) or hash (anything
+//! else, the key boxed) — and by aggregate column, typed or boxed, with its
+//! key count. The IDEBench storm must leave no aggregate on the hash index,
+//! and every hash-indexed aggregate of the other sources must have a bare
+//! Int key: the one shape packing does not reach yet. `cargo test -p
 //! simba-driver --test kernel_coverage -- --nocapture` prints both tables.
 
 use simba_core::dashboard::Dashboard;
@@ -30,7 +31,7 @@ use simba_engine::plan::{compile_row_expr, prepare, QueryKind};
 use simba_engine::{Dbms, EngineError, EngineKind, QueryOutput};
 use simba_idebench::IdebenchSource;
 use simba_sql::Select;
-use simba_store::Table;
+use simba_store::{ColumnData, Table};
 use std::sync::{Arc, Mutex};
 
 const ROWS: usize = 2_000;
@@ -73,8 +74,12 @@ struct Inventory {
     global: usize,
     /// One dictionary key: the dense key index.
     dense: usize,
+    /// Dictionary and `BIN` keys only: the packed key index.
+    packed: usize,
     /// Everything else grouped: the hash key index.
     hash: usize,
+    /// Hash-indexed aggregates with a bare Int key.
+    hash_int_key: usize,
     /// Hash-indexed aggregates whose aggregate columns are all typed.
     hash_typed: usize,
     /// Aggregate columns: typed, boxed.
@@ -89,7 +94,7 @@ impl Inventory {
     }
 
     fn aggregates(&self) -> usize {
-        self.global + self.dense + self.hash
+        self.global + self.dense + self.packed + self.hash
     }
 }
 
@@ -116,11 +121,17 @@ fn inventory(table: &Arc<Table>, source: &dyn SessionSource) -> Inventory {
             let (index, typed) = GroupTable::new(&keys, &aggs, table).layout();
             inv.columns[0] += typed;
             inv.columns[1] += aggs.len() - typed;
+            let int_key = keys.iter().any(|k| {
+                k.as_col()
+                    .is_some_and(|c| matches!(table.column(c), ColumnData::Int { .. }))
+            });
             match index {
                 "global" => inv.global += 1,
                 "dense" => inv.dense += 1,
+                "packed" => inv.packed += 1,
                 _ => {
                     inv.hash += 1;
+                    inv.hash_int_key += usize::from(int_key);
                     inv.hash_typed += usize::from(typed == aggs.len());
                 }
             }
@@ -219,36 +230,55 @@ fn idebench_storm_compiles_to_typed_kernels_only() {
     }
 
     println!(
-        "\n{:<9} {:>10} {:>6} {:>5} {:>5} {:>5} {:>5} {:>5} {:>6} {:>6} {:>10} {:>10}",
+        "\n{:<9} {:>10} {:>6} {:>5} {:>6} {:>5} {:>5} {:>5} {:>5} {:>6} {:>6} {:>12} {:>10} {:>10}",
         "source",
         "aggregates",
         "global",
         "dense",
+        "packed",
         "hash",
         "typed",
         "boxed",
         "1-key",
         "2-key",
         "3+-key",
+        "packed share",
         "hash share",
         "hash typed"
     );
     for (name, inv) in &inventories {
         println!(
-            "{name:<9} {:>10} {:>6} {:>5} {:>5} {:>5} {:>5} {:>5} {:>6} {:>6} {:>10.3} {:>10.3}",
+            "{name:<9} {:>10} {:>6} {:>5} {:>6} {:>5} {:>5} {:>5} {:>5} {:>6} {:>6} {:>12.3} {:>10.3} {:>10.3}",
             inv.aggregates(),
             inv.global,
             inv.dense,
+            inv.packed,
             inv.hash,
             inv.columns[0],
             inv.columns[1],
             inv.keys[1],
             inv.keys[2],
             inv.keys[3],
+            inv.packed as f64 / inv.queries as f64,
             inv.hash as f64 / inv.queries as f64,
             inv.hash_typed as f64 / inv.hash.max(1) as f64,
         );
-        if *name != "scripted" {
+        if *name == "idebench" {
+            // Storms bin every numeric axis and pair categorical ones: all
+            // of their multi-key and binned GROUP BYs pack.
+            assert!(inv.packed > 0, "{inv:?}");
+            assert_eq!(
+                inv.hash, 0,
+                "a storm GROUP BY left the packed index: {inv:?}"
+            );
+        } else {
+            // What is left on the hash index is the deferred bare-Int arm.
+            assert_eq!(
+                inv.hash_int_key, inv.hash,
+                "{name}: a hash-indexed GROUP BY without a bare Int key: {inv:?}"
+            );
+        }
+        if matches!(*name, "adaptive" | "goal") {
             assert!(inv.hash > 0, "{name} never reaches the hash table: {inv:?}");
         }
     }

@@ -404,6 +404,57 @@ mod tests {
         assert_eq!(o.result, fresh(&catalog, chart).result);
     }
 
+    /// Packed tables — one of them with radixes far past the capture bound
+    /// and groups well under it — are kept and replayed byte for byte, in
+    /// the capturing scan's first-appearance order, so a LIMIT without
+    /// ORDER BY cuts the same groups.
+    #[test]
+    fn packed_group_tables_replay_from_cached_groups() {
+        let catalog = catalog();
+        let mut b = TableBuilder::new(
+            Schema::new(
+                "sparse",
+                vec![
+                    ColumnDef::quantitative_int("a"),
+                    ColumnDef::categorical("q"),
+                ],
+            ),
+            60,
+        );
+        for i in 0..60i64 {
+            b.push_row(vec![
+                Value::Int(i * 7_919),
+                Value::str(format!("g{}", i % 3)),
+            ]);
+        }
+        catalog.register(Arc::new(b.finish()));
+        let mut delta = SessionDelta::default();
+        for sql in [
+            // Radixes (values and NULL) 8 x 11 and 5 x 8.
+            "SELECT q, BIN(a, 10), COUNT(*), SUM(v), MIN(q) FROM t WHERE a > 20 \
+             GROUP BY q, BIN(a, 10)",
+            "SELECT BIN(v, 2), q, COUNT(*) FROM t WHERE q <> 'g3' GROUP BY BIN(v, 2), q LIMIT 5",
+            // Radixes 467,223 x 4, holding 60 groups.
+            "SELECT BIN(a, 1), q, COUNT(*) FROM sparse GROUP BY BIN(a, 1), q LIMIT 7",
+        ] {
+            let query = parse_select(sql).unwrap();
+            let table = catalog.get(&query.from).unwrap();
+            let crate::plan::QueryKind::Aggregate { keys, aggs, .. } =
+                prepare(&query, table.clone()).unwrap().kind
+            else {
+                unreachable!("a GROUP BY aggregates")
+            };
+            let groups = GroupTable::new(&keys, &aggs, &table);
+            assert_eq!(groups.layout().0, "packed", "`{sql}`");
+            let first = run(&catalog, &mut delta, sql);
+            let o = run(&catalog, &mut delta, sql);
+            assert_eq!(o.stats.delta_group_hits, 1, "`{sql}` replayed");
+            assert_eq!(o.stats.rows_scanned, 0);
+            assert_eq!(o.result, first.result);
+            assert_eq!(o.result, fresh(&catalog, sql).result);
+        }
+    }
+
     #[test]
     fn reregister_invalidates_retained_entries() {
         let catalog = catalog();

@@ -283,13 +283,14 @@ fn specialize(e: &CExpr, table: &Table) -> Option<Kernel> {
 }
 
 /// `col <op> lit` as a typed kernel, when the column and literal allow one.
+/// On a dictionary column `=` is `IN (lit)` and `<>` is `NOT IN (lit)`.
 fn compare_kernel(col: usize, column: &ColumnData, op: BinOp, lit: &Value) -> Option<Kernel> {
-    if let (ColumnData::Str { .. }, Value::Str(_), BinOp::Eq) = (column, lit, op) {
+    if let (ColumnData::Str { .. }, Value::Str(_), BinOp::Eq | BinOp::NotEq) = (column, lit, op) {
         return Some(dict_in_kernel(
             col,
             column,
             std::slice::from_ref(lit),
-            false,
+            op == BinOp::NotEq,
         ));
     }
     let cut = Cut::of(column, lit)?;
@@ -830,6 +831,36 @@ mod tests {
         assert!(!nk.matches(&t, 0));
         assert!(nk.matches(&t, 1));
         assert!(!nk.matches(&t, 3), "NULL never matches NOT IN");
+    }
+
+    /// `<>` on a dictionary column is a negated mask: NULL rows fail it, a
+    /// literal the dictionary lacks admits every valid row, and it folds
+    /// with an `IN` on the same column into one kernel.
+    #[test]
+    fn not_equal_on_a_dictionary_column_is_a_negated_mask() {
+        let t = table();
+        let ne = |s: &str| lit(CExpr::Col(0), BinOp::NotEq, Value::str(s));
+        for (filter, want) in [
+            (ne("A"), vec![1]),
+            (ne("Z"), vec![0, 1, 2]),
+            (and(ne("B"), dict_in_expr(&["A", "B"], false)), vec![0, 2]),
+        ] {
+            let kernels = compile_kernels(&filter, &t);
+            assert!(
+                matches!(kernels[..], [Kernel::DictIn { col: 0, .. }]),
+                "{filter:?}"
+            );
+            let (typed, interpreted) = kept(&filter, &t);
+            assert_eq!(typed, want, "{filter:?}");
+            assert_eq!(typed, interpreted, "{filter:?}");
+        }
+        // A number is never equal to a string: the interpreter keeps every
+        // valid row, and the filter stays with it.
+        let filter = lit(CExpr::Col(0), BinOp::NotEq, Value::Int(1));
+        assert!(matches!(
+            compile_kernels(&filter, &t)[..],
+            [Kernel::Generic(_)]
+        ));
     }
 
     #[test]

@@ -5,8 +5,12 @@
 //! - a **key index** that turns a batch of selected rows into group ids:
 //!   *global* (no GROUP BY: one group, emitted even over no rows), *dense*
 //!   (the only key is a bare dictionary-encoded column: one slot per code,
-//!   the NULL slot last) or *hash* (any other key: the key tuple, each key
-//!   stored once);
+//!   the NULL slot last), *packed* (every key is a bare dictionary column or
+//!   `BIN(col, w)` over an Int or Float column with a positive Int literal
+//!   `w`: each key's slot — its code, or its bucket minus the column's
+//!   lowest bucket, NULL last — packed mixed-radix into one `u64` that keys
+//!   a hash map) or *hash* (any other key, or a packed key that would not
+//!   fit: the boxed key tuple, each key stored once);
 //! - one **aggregate column** per aggregate, indexed by group id: *typed*
 //!   when that aggregate alone allows it — `COUNT`, or `SUM` / `AVG` /
 //!   `MIN` / `MAX` over a bare Int or Float column, fed batch-wise from the
@@ -18,19 +22,33 @@
 //! The emission order is fixed, so a `LIMIT` without a total `ORDER BY`
 //! cuts the same groups on every engine, thread count and delta tier:
 //!
+//! - **global index**: its one group;
 //! - **dense index**: code order, the NULL slot last;
+//! - **packed index**: first appearance in scan order, never packed-key
+//!   order;
 //! - **hash index**: first appearance in scan order;
 //! - `GroupTable::merge` appends the other table's unseen keys in its
 //!   order, so range partials merged in range order emit what one
 //!   sequential scan would.
+//!
+//! A packed key stands for exactly one boxed key tuple, or the table stays
+//! on the hash index. So a `BIN` whose lowest or highest bucket `BIN` itself
+//! maps to NULL (its `checked_mul` overflows) stays boxed, and so does a
+//! Float column whose bounds hold NaN, ±inf or a magnitude of 2^53 or more,
+//! or straddle zero's sign: `BIN` keeps the sign of a −0.0 bucket, and one
+//! `floor(x / w)` slot would merge it with 0.0's. The index only maps keys
+//! to group ids. Each group's boxed key is still what `eval` makes of its
+//! first row, so every index emits the same key values.
 
 use crate::agg::{Accumulator, AggSpec};
 use crate::eval::{eval, CExpr, TableRow};
 use crate::exec::emit_finalized_groups;
 use simba_sql::Func;
+use simba_store::zonemap::Zone;
 use simba_store::{for_width, ColumnData, Table, Value};
 use std::cmp::Ordering;
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
 /// How a row finds its group id.
@@ -41,6 +59,8 @@ enum KeyIndex {
     /// Slot = the key column's dictionary code, the last slot NULL; each
     /// slot holds its group id once a row has reached it.
     Dense { col: usize, slots: Vec<Option<u32>> },
+    /// Every key packed into one `u64` (see [`Packed`]).
+    Packed(Packed),
     /// Key tuple → group id, probed from `scratch` so a row that joins an
     /// existing group allocates nothing. Probed, never iterated.
     Hash {
@@ -56,7 +76,308 @@ fn push(keys: &mut Vec<Arc<[Value]>>, key: Arc<[Value]>) -> u32 {
     (keys.len() - 1) as u32
 }
 
+/// 2^53: past it an `f64` no longer holds every integer.
+const EXACT_F64: f64 = 9_007_199_254_740_992.0;
+
+/// One GROUP BY key's digit of a packed key: `0..null` for a valid row,
+/// `null` for a NULL one, weighted by `stride`.
+#[derive(Debug, Clone, Copy)]
+struct Part {
+    col: usize,
+    kind: PartKind,
+    /// NULL's slot, one past the last value slot; the part's radix is
+    /// `null + 1`.
+    null: u64,
+    /// The product of the radixes of the parts before this one.
+    stride: u64,
+}
+
+#[derive(Debug, Clone, Copy)]
+enum PartKind {
+    /// A bare dictionary column: slot = code.
+    Code,
+    /// `BIN(col, width)` over an Int column: slot = bucket − `low`.
+    IntBin { width: i64, low: i64 },
+    /// `BIN(col, width)` over a Float column: slot = bucket − `low`, the
+    /// buckets integral `f64`s below 2^53.
+    FloatBin { width: f64, low: f64 },
+}
+
+impl Part {
+    /// The part for GROUP BY `key` over `table`, or `None` when the key is
+    /// not one of the packed shapes or one slot could stand for two boxed
+    /// keys (see the module docs).
+    fn of(key: &CExpr, table: &Table) -> Option<Part> {
+        let (col, width) = match key {
+            CExpr::Col(col) => (*col, None),
+            CExpr::Call {
+                func: Func::Bin,
+                args,
+            } => match args.as_slice() {
+                [CExpr::Col(col), CExpr::Lit(Value::Int(w))] if *w > 0 => (*col, Some(*w)),
+                _ => return None,
+            },
+            _ => return None,
+        };
+        let zone = || table.zone_maps().column(col);
+        let (kind, null) = match (table.column(col), width) {
+            (ColumnData::Str { dict, .. }, None) => (PartKind::Code, dict.len() as u64),
+            (ColumnData::Int { .. }, Some(width)) => match zone()? {
+                Zone::Int { min, max } => {
+                    let (low, high) = (min.div_euclid(width), max.div_euclid(width));
+                    low.checked_mul(width)?;
+                    high.checked_mul(width)?;
+                    let buckets = i128::from(high) - i128::from(low) + 1;
+                    (
+                        PartKind::IntBin { width, low },
+                        u64::try_from(buckets).ok()?,
+                    )
+                }
+                Zone::AllNull => (PartKind::IntBin { width, low: 0 }, 0),
+                Zone::Float { .. } => return None,
+            },
+            (ColumnData::Float { .. }, Some(width)) => match zone()? {
+                Zone::Float { min, max } => {
+                    let exact = |x: f64| x.abs() < EXACT_F64;
+                    if !exact(min)
+                        || !exact(max)
+                        || min.is_sign_negative() != max.is_sign_negative()
+                    {
+                        return None;
+                    }
+                    let width = width as f64;
+                    let (low, high) = ((min / width).floor(), (max / width).floor());
+                    if !exact(low * width) || !exact(high * width) {
+                        return None;
+                    }
+                    (PartKind::FloatBin { width, low }, (high - low) as u64 + 1)
+                }
+                Zone::AllNull => (
+                    PartKind::FloatBin {
+                        width: 1.0,
+                        low: 0.0,
+                    },
+                    0,
+                ),
+                Zone::Int { .. } => return None,
+            },
+            _ => return None,
+        };
+        Some(Part {
+            col,
+            kind,
+            null,
+            stride: 0,
+        })
+    }
+
+    /// Add this part's slot times its stride to `packed[k]` for each row
+    /// `rows[k]`.
+    fn add(&self, table: &Table, rows: &[u32], packed: &mut [u64]) {
+        let column = table.column(self.col);
+        let valid = column.validity();
+        let (null, stride) = (self.null, self.stride);
+        match self.kind {
+            PartKind::Code => {
+                if let Some(codes) = column.code_data() {
+                    for_width!(codes, |lane| add_slots(
+                        packed,
+                        rows,
+                        valid,
+                        null,
+                        stride,
+                        |i| { lane[i] as u64 }
+                    ))
+                }
+            }
+            PartKind::IntBin { width, low } => {
+                if let Some(data) = column.int_data() {
+                    for_width!(data, |lane| add_slots(
+                        packed,
+                        rows,
+                        valid,
+                        null,
+                        stride,
+                        |i| { (lane[i] as i64).div_euclid(width).wrapping_sub(low) as u64 }
+                    ))
+                }
+            }
+            PartKind::FloatBin { width, low } => {
+                if let Some(data) = column.float_data() {
+                    add_slots(packed, rows, valid, null, stride, |i| {
+                        ((data[i] / width).floor() - low) as u64
+                    })
+                }
+            }
+        }
+    }
+}
+
+/// `packed[k] += stride × slot` for each selected row `rows[k]`: `slot(i)`
+/// for a valid row, `null` for a NULL one. One instance per part kind and
+/// stored width, so the loop stays monomorphic.
+fn add_slots(
+    packed: &mut [u64],
+    rows: &[u32],
+    valid: &[bool],
+    null: u64,
+    stride: u64,
+    slot: impl Fn(usize) -> u64,
+) {
+    if valid.is_empty() {
+        for (key, &row) in packed.iter_mut().zip(rows) {
+            *key += stride * slot(row as usize);
+        }
+    } else {
+        for (key, &row) in packed.iter_mut().zip(rows) {
+            let i = row as usize;
+            *key += stride * if valid[i] { slot(i) } else { null };
+        }
+    }
+}
+
+/// Hashes a packed key with one folded multiply: the key times a 64-bit
+/// odd constant, the product's high half XORed into its low half, so every
+/// key bit reaches the bits the map indexes and tags by. The std hasher
+/// (SipHash) cut `filter_storm_100k`'s queries per second by 27 % on a
+/// 2-vCPU machine. It is not seeded, so values chosen to collide can slow
+/// the GROUP BYs over their own table: tables are generated in-process or
+/// registered by the client that then queries them.
+#[derive(Debug, Default, Clone, Copy)]
+struct PackedHasher(u64);
+
+impl Hasher for PackedHasher {
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("packed keys hash as u64")
+    }
+
+    fn write_u64(&mut self, key: u64) {
+        let product = u128::from(key) * 0x9E37_79B9_7F4A_7C15;
+        self.0 = product as u64 ^ (product >> 64) as u64;
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// The packed key index: each key's slot weighted by the radixes of the
+/// keys before it, so a key tuple is one integer below the radixes'
+/// product. Groups are numbered in first appearance, like the hash index.
+#[derive(Debug, Clone)]
+struct Packed {
+    /// The keys, evaluated on a new group's first row for its boxed key.
+    exprs: Vec<CExpr>,
+    parts: Vec<Part>,
+    /// Each group's packed key, by group id: what `merge` looks the other
+    /// table's groups up by.
+    ids_packed: Vec<u64>,
+    /// Packed key → group id. Probed, never iterated.
+    by_key: HashMap<u64, u32, BuildHasherDefault<PackedHasher>>,
+}
+
+impl Packed {
+    /// The packed index for GROUP BY `keys` over `table`, or `None` when a
+    /// key has no part or the radixes' product overflows `u64`.
+    fn new(keys: &[CExpr], table: &Table) -> Option<Packed> {
+        let mut parts = Vec::with_capacity(keys.len());
+        let mut product = 1u64;
+        for key in keys {
+            let mut part = Part::of(key, table)?;
+            part.stride = product;
+            product = product.checked_mul(part.null.checked_add(1)?)?;
+            parts.push(part);
+        }
+        Some(Packed {
+            exprs: keys.to_vec(),
+            parts,
+            ids_packed: Vec::new(),
+            by_key: HashMap::default(),
+        })
+    }
+
+    /// [`KeyIndex::assign`] for the packed index.
+    fn assign(
+        &mut self,
+        table: &Table,
+        rows: &[u32],
+        ids: &mut Vec<u32>,
+        keys: &mut Vec<Arc<[Value]>>,
+    ) {
+        let Packed {
+            exprs,
+            parts,
+            ids_packed,
+            by_key,
+        } = self;
+        let mut batch = vec![0; rows.len()];
+        for part in parts.iter() {
+            part.add(table, rows, &mut batch);
+        }
+        for (&packed, &row) in batch.iter().zip(rows) {
+            ids.push(*by_key.entry(packed).or_insert_with(|| {
+                let ctx = TableRow {
+                    table,
+                    row: row as usize,
+                };
+                ids_packed.push(packed);
+                push(keys, exprs.iter().map(|k| eval(k, &ctx)).collect())
+            }));
+        }
+    }
+
+    /// `map[t]`: this table's id for the other table's group `t`, given
+    /// that table's `(packed key, key)` pairs in its id order; each one
+    /// not seen here is appended in that order.
+    fn merge(
+        &mut self,
+        theirs: impl Iterator<Item = (u64, Arc<[Value]>)>,
+        keys: &mut Vec<Arc<[Value]>>,
+    ) -> Vec<u32> {
+        let Packed {
+            ids_packed, by_key, ..
+        } = self;
+        theirs
+            .map(|(packed, key)| {
+                *by_key.entry(packed).or_insert_with(|| {
+                    ids_packed.push(packed);
+                    push(keys, key)
+                })
+            })
+            .collect()
+    }
+}
+
 impl KeyIndex {
+    /// The index for GROUP BY `keys` over `table`: global without keys,
+    /// dense for one bare dictionary column, packed when every key packs,
+    /// hash otherwise.
+    fn new(keys: &[CExpr], table: &Table) -> KeyIndex {
+        let dense = match keys {
+            [key] => key
+                .as_col()
+                .filter(|&c| matches!(table.column(c), ColumnData::Str { .. })),
+            _ => None,
+        };
+        if let Some(col) = dense {
+            return KeyIndex::Dense {
+                col,
+                slots: vec![None; table.column(col).dictionary().map_or(0, <[_]>::len) + 1],
+            };
+        }
+        if keys.is_empty() {
+            return KeyIndex::Global;
+        }
+        match Packed::new(keys, table) {
+            Some(packed) => KeyIndex::Packed(packed),
+            None => KeyIndex::Hash {
+                exprs: keys.to_vec(),
+                by_key: HashMap::new(),
+                scratch: Vec::with_capacity(keys.len()),
+            },
+        }
+    }
+
     /// Set `ids` (empty on entry) to the group id of each of `rows`,
     /// appending the key of every group first reached to `keys`.
     fn assign(
@@ -76,6 +397,7 @@ impl KeyIndex {
                         .get_or_insert_with(|| push(keys, Arc::from([column.value(row as usize)])));
                 }
             }
+            KeyIndex::Packed(packed) => packed.assign(table, rows, ids, keys),
             KeyIndex::Hash {
                 exprs,
                 by_key,
@@ -466,26 +788,8 @@ impl GroupTable {
     /// An empty table for GROUP BY `keys` computing `aggs` over `table`; a
     /// global aggregate starts with its one group, emitted even over no rows.
     pub fn new(keys: &[CExpr], aggs: &[AggSpec], table: &Table) -> GroupTable {
-        let dense = match keys {
-            [key] => key
-                .as_col()
-                .filter(|&c| matches!(table.column(c), ColumnData::Str { .. })),
-            _ => None,
-        };
-        let index = match dense {
-            Some(col) => KeyIndex::Dense {
-                col,
-                slots: vec![None; table.column(col).dictionary().map_or(0, <[_]>::len) + 1],
-            },
-            None if keys.is_empty() => KeyIndex::Global,
-            None => KeyIndex::Hash {
-                exprs: keys.to_vec(),
-                by_key: HashMap::new(),
-                scratch: Vec::with_capacity(keys.len()),
-            },
-        };
         let mut groups = GroupTable {
-            index,
+            index: KeyIndex::new(keys, table),
             keys: Vec::new(),
             columns: aggs
                 .iter()
@@ -501,12 +805,13 @@ impl GroupTable {
         groups
     }
 
-    /// The key index (`"global"`, `"dense"` or `"hash"`) and how many
-    /// aggregate columns are typed.
+    /// The key index (`"global"`, `"dense"`, `"packed"` or `"hash"`) and
+    /// how many aggregate columns are typed.
     pub fn layout(&self) -> (&'static str, usize) {
         let index = match self.index {
             KeyIndex::Global => "global",
             KeyIndex::Dense { .. } => "dense",
+            KeyIndex::Packed(_) => "packed",
             KeyIndex::Hash { .. } => "hash",
         };
         let boxed = self
@@ -567,6 +872,9 @@ impl GroupTable {
                 }
                 map
             }
+            (KeyIndex::Packed(packed), KeyIndex::Packed(theirs)) => {
+                packed.merge(theirs.ids_packed.into_iter().zip(other.keys), keys)
+            }
             (KeyIndex::Hash { by_key, .. }, KeyIndex::Hash { .. }) => other
                 .keys
                 .into_iter()
@@ -621,5 +929,189 @@ impl GroupTable {
             (key, aggs)
         });
         emit_finalized_groups(projections, having, groups)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::plan::{prepare, QueryKind};
+    use simba_store::mix::splitmix64;
+    use simba_store::{ColumnDef, Schema, TableBuilder};
+
+    type Row = (Option<&'static str>, Option<i64>, Option<f64>);
+
+    /// `t(q, n, x)`: a dictionary, an Int and a Float column.
+    fn table(rows: &[Row]) -> Arc<Table> {
+        let schema = Schema::new(
+            "t",
+            vec![
+                ColumnDef::categorical("q"),
+                ColumnDef::quantitative_int("n"),
+                ColumnDef::quantitative_float("x"),
+            ],
+        );
+        let mut b = TableBuilder::new(schema, rows.len());
+        for &(q, n, x) in rows {
+            b.push_row(vec![
+                q.map_or(Value::Null, Value::str),
+                n.map_or(Value::Null, Value::Int),
+                x.map_or(Value::Null, Value::Float),
+            ]);
+        }
+        Arc::new(b.finish())
+    }
+
+    /// The keys and aggregates of `SELECT … GROUP BY {keys}` over `table`.
+    fn plan(keys: &str, table: &Arc<Table>) -> (Vec<CExpr>, Vec<AggSpec>) {
+        let sql = format!("SELECT COUNT(*), SUM(n), MAX(x), MIN(q) FROM t GROUP BY {keys}");
+        let query = simba_sql::parse_select(&sql).unwrap();
+        match prepare(&query, table.clone()).unwrap().kind {
+            QueryKind::Aggregate { keys, aggs, .. } => (keys, aggs),
+            QueryKind::Project { .. } => unreachable!("a GROUP BY aggregates"),
+        }
+    }
+
+    /// The name of the index GROUP BY `keys` gets over `table`.
+    fn index(keys: &str, table: &Arc<Table>) -> &'static str {
+        let (keys, aggs) = plan(keys, table);
+        GroupTable::new(&keys, &aggs, table).layout().0
+    }
+
+    fn ints(values: &[i64]) -> Arc<Table> {
+        let rows: Vec<Row> = values.iter().map(|&n| (Some("A"), Some(n), None)).collect();
+        table(&rows)
+    }
+
+    fn floats(values: &[f64]) -> Arc<Table> {
+        let rows: Vec<Row> = values.iter().map(|&x| (None, None, Some(x))).collect();
+        table(&rows)
+    }
+
+    /// Dictionary and `BIN` keys pack while the radixes' product fits a
+    /// `u64`; any other key, or a product past `u64`, stays boxed.
+    #[test]
+    fn keys_pack_while_the_radix_product_fits_u64() {
+        let t = table(&[
+            (Some("A"), Some(0), Some(0.5)),
+            (Some("B"), Some(65_534), None),
+            (None, None, Some(7.0)),
+        ]);
+        for packed in ["BIN(n, 1)", "q, BIN(x, 5)", "BIN(x, 5), q"] {
+            assert_eq!(index(packed, &t), "packed", "{packed}");
+        }
+        assert_eq!(index("q", &t), "dense");
+        for boxed in [
+            "n",
+            "q, n",
+            "BIN(n, 0)",
+            "BIN(x, 2.5)",
+            "BIN(n + 1, 5)",
+            "HOUR(n)",
+        ] {
+            assert_eq!(index(boxed, &t), "hash", "{boxed}");
+        }
+        let wide = ints(&[0, 1 << 62]);
+        assert_eq!(index("BIN(n, 1)", &wide), "packed");
+        assert_eq!(index("BIN(n, 1), BIN(n, 2)", &wide), "hash");
+        assert_eq!(index("BIN(n, 1)", &ints(&[i64::MIN, i64::MAX])), "hash");
+    }
+
+    /// A part falls back whenever one slot could stand for two boxed keys,
+    /// or for a key `BIN` makes NULL.
+    #[test]
+    fn keys_one_slot_could_merge_stay_boxed() {
+        // BIN(i64::MIN + 1, 3) is below i64::MIN: NULL, not a bucket.
+        assert_eq!(index("BIN(n, 3)", &ints(&[i64::MIN + 1, 5])), "hash");
+        assert_eq!(index("BIN(n, 2)", &ints(&[i64::MIN, 5])), "packed");
+        assert_eq!(index("BIN(n, 3)", &ints(&[-7, i64::MAX])), "packed");
+        for (values, packs) in [
+            (&[0.0, 3.5][..], true),
+            (&[-2.5, -0.0], true),
+            (&[-0.0, 3.5], false),
+            (&[-0.0, 0.0], false),
+            (&[-1.0, 1.0], false),
+            (&[f64::NAN, 1.0], false),
+            (&[-f64::NAN, 1.0], false),
+            (&[f64::INFINITY, 1.0], false),
+            (&[f64::NEG_INFINITY, -1.0], false),
+            (&[EXACT_F64, 1.0], false),
+            (&[EXACT_F64 - 1.0, 1.0], true),
+        ] {
+            let got = index("BIN(x, 1)", &floats(values));
+            assert_eq!(got != "hash", packs, "{values:?}: {got}");
+        }
+        // Columns with no valid row pack into their NULL slot alone.
+        assert_eq!(
+            index("q, BIN(n, 5), BIN(x, 5)", &table(&[(None, None, None)])),
+            "packed"
+        );
+    }
+
+    /// GROUP BY `keys` over `t` through the packed index and, forced, the
+    /// hash index: three scan ranges of two batches each, merged in range
+    /// order, then emitted and consumed.
+    fn packed_and_hashed(keys: &str, t: &Arc<Table>) -> [String; 2] {
+        let (exprs, aggs) = plan(keys, t);
+        let projections: Vec<CExpr> = (0..exprs.len() + aggs.len()).map(CExpr::Col).collect();
+        let run = |hash: bool| {
+            let new = || {
+                let mut groups = GroupTable::new(&exprs, &aggs, t);
+                if hash {
+                    groups.index = KeyIndex::Hash {
+                        exprs: exprs.clone(),
+                        by_key: HashMap::new(),
+                        scratch: Vec::new(),
+                    };
+                }
+                groups
+            };
+            let rows: Vec<u32> = (0..t.row_count() as u32).collect();
+            let mut merged: Option<GroupTable> = None;
+            for range in rows.chunks(rows.len().div_ceil(3)) {
+                let mut partial = new();
+                for batch in range.chunks(range.len().div_ceil(2)) {
+                    partial.update(t, batch);
+                }
+                match &mut merged {
+                    Some(m) => m.merge(partial),
+                    None => merged = Some(partial),
+                }
+            }
+            let merged = merged.unwrap();
+            let emitted = format!("{:?}", merged.emit(&projections, None));
+            assert_eq!(
+                emitted,
+                format!("{:?}", merged.into_rows(&projections, None))
+            );
+            emitted
+        };
+        let (packed, hashed) = (run(false), run(true));
+        assert_ne!(index(keys, t), "hash", "{keys}");
+        [packed, hashed]
+    }
+
+    /// A packed table numbers, merges and emits its groups exactly like the
+    /// hash index — first appearance, a later range's new keys appended in
+    /// its order — over NULLs in every column.
+    #[test]
+    fn packed_tables_emit_what_the_hash_index_emits() {
+        const QUEUES: [&str; 4] = ["A", "B", "C", "D"];
+        let draw = |i: u64, salt: u64| splitmix64(i ^ (salt << 56));
+        let rows: Vec<Row> = (0..900u64)
+            .map(|i| {
+                let valid = |salt| draw(i, salt) % 7 != 0;
+                (
+                    valid(1).then(|| QUEUES[(draw(i, 2) % 4) as usize]),
+                    valid(3).then(|| (draw(i, 4) % 4000) as i64 - 2000),
+                    valid(5).then(|| (draw(i, 6) % 5000) as f64 / 100.0),
+                )
+            })
+            .collect();
+        let t = table(&rows);
+        for keys in ["q, BIN(n, 7)", "BIN(x, 2), q", "BIN(n, 1), BIN(x, 1), q"] {
+            let [packed, hashed] = packed_and_hashed(keys, &t);
+            assert_eq!(packed, hashed, "{keys}");
+        }
     }
 }

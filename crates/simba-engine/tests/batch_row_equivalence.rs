@@ -11,7 +11,8 @@
 use proptest::prelude::*;
 use simba_engine::batch::{run_morsels, DeltaScan};
 use simba_engine::exec::finalize_rows;
-use simba_engine::plan::prepare;
+use simba_engine::group::GroupTable;
+use simba_engine::plan::{prepare, QueryKind};
 use simba_engine::{
     all_engines, execute_row_oracle, Dbms, DuckDbLike, EngineError, QueryOutput, SqliteLike,
 };
@@ -1016,4 +1017,251 @@ fn ranges_on_a_zero_row_table_settle() {
     for filter in ["n > 0", "x BETWEEN -1 AND 1", "big NOT BETWEEN 1 AND 0"] {
         assert_eq!(bounds_case(filter, &table), (0, 0), "`{filter}`");
     }
+}
+
+// ---------------------------------------------------------------------------
+// Packed group keys.
+//
+// A GROUP BY whose every key is a bare dictionary column or `BIN(col, w)`
+// over an Int or Float column packs its key into one `u64`. A packed key
+// must stand for exactly one boxed key, so the shapes where one slot could
+// stand for two — or for a key `BIN` makes NULL — stay on the boxed hash
+// index. Each column below isolates one rule.
+
+fn packed_schema() -> Schema {
+    Schema::new(
+        "t",
+        vec![
+            ColumnDef::categorical("queue"),
+            ColumnDef::quantitative_int("n"),
+            ColumnDef::quantitative_float("x"),
+            // Both zeros: BIN keeps -0.0's sign, one slot would merge them.
+            ColumnDef::quantitative_float("zeros"),
+            // Sign-negative only: -0.0 is a bucket of its own, and packs.
+            ColumnDef::quantitative_float("neg"),
+            ColumnDef::quantitative_float("nan"),
+            ColumnDef::quantitative_float("inf"),
+            ColumnDef::quantitative_float("huge"),
+            // The i64 extremes: BIN(ext, 3) of i64::MIN is NULL.
+            ColumnDef::quantitative_int("ext"),
+            // A span whose BIN(_, 1) has 65,536 buckets: with NULL, a
+            // radix of 65,537, past the capture bound on its own.
+            ColumnDef::quantitative_int("r17"),
+        ],
+    )
+}
+
+/// Four full morsels and a partial one. Every column but the span is NULL
+/// now and then; the first rows pin the span's bounds. Keys are drawn
+/// per row, so each scan range meets them in its own order.
+fn packed_table() -> Arc<Table> {
+    static TABLE: OnceLock<Arc<Table>> = OnceLock::new();
+    TABLE
+        .get_or_init(|| {
+            let n = 4 * MORSEL_ROWS + 777;
+            let mut b = TableBuilder::new(packed_schema(), n);
+            for i in 0..n as u64 {
+                let draw = |salt: u64| splitmix64(i ^ (salt << 56)) as usize;
+                let or_null = |salt: u64, v: Value| {
+                    if draw(salt) % 6 == 0 {
+                        Value::Null
+                    } else {
+                        v
+                    }
+                };
+                let pick = |salt: u64, pool: &[f64]| Value::Float(pool[draw(salt) % pool.len()]);
+                let span = |top: i64| match i {
+                    0 => top,
+                    1 => 0,
+                    _ => (draw(20) % 40) as i64 * (top / 40),
+                };
+                b.push_row(vec![
+                    or_null(1, Value::str(QUEUES[draw(2) % QUEUES.len()])),
+                    or_null(3, Value::Int((draw(4) % 25) as i64 - 9)),
+                    or_null(5, Value::Float((draw(6) % 200) as f64 * 0.25)),
+                    or_null(7, pick(8, &[-0.0, 0.0, 0.25, 3.0, 7.5])),
+                    or_null(9, pick(10, &[-0.0, -0.5, -3.0, -12.25])),
+                    or_null(11, pick(12, &[f64::NAN, 1.5, 2.0])),
+                    or_null(13, pick(14, &[f64::INFINITY, f64::NEG_INFINITY, 1.0])),
+                    or_null(15, pick(16, &[BIG as f64, 1.0, 5.0])),
+                    or_null(17, Value::Int(INT_POOL[draw(18) % INT_POOL.len()])),
+                    Value::Int(span(65_535)),
+                ]);
+            }
+            Arc::new(b.finish())
+        })
+        .clone()
+}
+
+/// GROUP BY shapes over [`packed_table`] and the key index each must get.
+const PACKED_SHAPES: &[(&str, &str)] = &[
+    ("queue, BIN(n, 5)", "packed"),
+    ("BIN(x, 5)", "packed"),
+    ("BIN(x, 1), queue, BIN(n, 2)", "packed"),
+    ("BIN(neg, 1), queue", "packed"),
+    ("BIN(zeros, 1)", "hash"),
+    ("queue, BIN(nan, 1)", "hash"),
+    ("BIN(inf, 2)", "hash"),
+    ("BIN(huge, 1)", "hash"),
+    ("BIN(ext, 3)", "hash"),
+    ("BIN(ext, 2)", "packed"),
+    ("BIN(r17, 1)", "packed"),
+    ("queue, BIN(r17, 1)", "packed"),
+    ("BIN(r17, 1), BIN(ext, 2)", "hash"),
+    ("queue, n", "hash"),
+];
+
+/// `SELECT {keys}, <exact aggregates> FROM t [WHERE filter] GROUP BY {keys}`.
+fn packed_query(keys: &str, filter: &str) -> Select {
+    let filter = if filter.is_empty() {
+        String::new()
+    } else {
+        format!("WHERE {filter}")
+    };
+    simba_sql::parse_select(&format!(
+        "SELECT {keys}, COUNT(*), SUM(n), MIN(ext), MAX(x), COUNT(DISTINCT queue) \
+         FROM t {filter} GROUP BY {keys}"
+    ))
+    .unwrap()
+}
+
+/// Every shape answers like `sqlite-like` on every engine, four scan
+/// threads, capturing scans and seeded scans (exact, and refining a wider
+/// filter), with NULLs in every dictionary and binned column and under a
+/// `<>` on the dictionary column.
+#[test]
+fn packed_keys_and_their_fall_backs_match_sqlite_like() {
+    let table = packed_table();
+    let wide = "n > -5";
+    for &(keys, want) in PACKED_SHAPES {
+        let (exprs, aggs) = match prepare(&packed_query(keys, ""), table.clone())
+            .unwrap()
+            .kind
+        {
+            QueryKind::Aggregate { keys, aggs, .. } => (keys, aggs),
+            QueryKind::Project { .. } => unreachable!(),
+        };
+        let (index, _) = GroupTable::new(&exprs, &aggs, &table).layout();
+        assert_eq!(index, want, "`{keys}`");
+        let base = packed_query(keys, wide);
+        for filter in ["", wide, "n > 0 AND queue <> 'B'", "queue <> 'Z'"] {
+            let select = packed_query(keys, filter);
+            assert_batch_engines_match_sqlite(&select, &table);
+            for threads in [1, 4] {
+                let capturing = DeltaPath {
+                    table: table.clone(),
+                    threads,
+                    base: None,
+                };
+                assert_byte_identical(capturing.name(), &select, &capturing, &table);
+                if filter.is_empty() {
+                    continue;
+                }
+                let refined = packed_query(keys, &format!("{wide} AND {filter}"));
+                for (base, query) in [(&select, &select), (&base, &refined)] {
+                    let seeded = DeltaPath {
+                        table: table.clone(),
+                        threads,
+                        base: Some(base.clone()),
+                    };
+                    assert_byte_identical(seeded.name(), query, &seeded, &table);
+                }
+            }
+        }
+    }
+}
+
+/// The group keys `select` must emit, in order: each key in the first
+/// appearance of its rows in table order, read off `sqlite-like`'s
+/// projection of the key expressions.
+fn first_appearance(keys: &str, filter: &str, table: &Arc<Table>) -> Vec<String> {
+    let filter = if filter.is_empty() {
+        String::new()
+    } else {
+        format!("WHERE {filter}")
+    };
+    let projection = simba_sql::parse_select(&format!("SELECT {keys} FROM t {filter}")).unwrap();
+    let rows = execute_row_oracle(table.clone(), &projection)
+        .unwrap()
+        .result
+        .rows;
+    let mut seen: Vec<String> = Vec::new();
+    for row in rows {
+        // Debug tells -0.0 from 0.0, like the engines' keys do.
+        let key = format!("{row:?}");
+        if !seen.contains(&key) {
+            seen.push(key);
+        }
+    }
+    seen
+}
+
+/// A packed table emits in first appearance, never slot order, whatever
+/// scanned it: one block, blocks, one morsel range or four merged in range
+/// order, capturing or seeded — and the four ranges meet their keys in
+/// different orders, so a merge that appended in any other order would
+/// show.
+#[test]
+fn packed_groups_emit_in_first_appearance_across_merged_ranges() {
+    let table = packed_table();
+    let rows = table.row_count();
+    for (keys, filter) in [
+        ("queue, BIN(n, 5)", ""),
+        ("BIN(x, 25), queue", "n > 0"),
+        ("BIN(r17, 8192), queue", ""),
+        ("BIN(neg, 1), BIN(n, 10)", "queue <> 'A'"),
+    ] {
+        let want = first_appearance(keys, filter, &table);
+        let select = packed_query(keys, filter);
+        let mut engines: Vec<Arc<dyn Dbms>> = all_engines()
+            .into_iter()
+            .filter(|e| e.name() != "sqlite-like")
+            .collect();
+        engines.push(Arc::new(DuckDbLike::with_scan_threads(4)));
+        for threads in [1, 4] {
+            engines.push(Arc::new(DeltaPath {
+                table: table.clone(),
+                threads,
+                base: None,
+            }));
+            engines.push(Arc::new(DeltaPath {
+                table: table.clone(),
+                threads,
+                base: Some(packed_query(keys, "")),
+            }));
+        }
+        let width = select.group_by.len();
+        for engine in engines {
+            engine.register(table.clone());
+            let got: Vec<String> = engine
+                .execute(&select)
+                .unwrap()
+                .result
+                .rows
+                .iter()
+                .map(|row| format!("{:?}", &row[..width]))
+                .collect();
+            assert_eq!(got, want, "{}: `{select}`", engine.name());
+        }
+    }
+    // The four scan ranges meet the `queue` values in different orders, so
+    // the merges above really interleave.
+    let queue = table.column_by_name("queue").unwrap();
+    let order_in = |range: std::ops::Range<usize>| {
+        let mut seen: Vec<Value> = Vec::new();
+        for v in range.map(|i| queue.value(i)) {
+            if !seen.contains(&v) {
+                seen.push(v);
+            }
+        }
+        seen
+    };
+    // Five morsels over four threads: two, one, one and the partial one.
+    let m = MORSEL_ROWS;
+    let orders: Vec<Vec<Value>> = [0..2 * m, 2 * m..3 * m, 3 * m..4 * m, 4 * m..rows]
+        .into_iter()
+        .map(order_in)
+        .collect();
+    assert!(orders.iter().all(|o| o.len() == QUEUES.len() + 1));
+    assert!(orders.windows(2).any(|w| w[0] != w[1]), "{orders:?}");
 }

@@ -263,7 +263,8 @@ proptest! {
 /// merge partials. sqlite-like is left out: its ordered-map oracle emits in
 /// key order, and the multiset checks above hold it to the others. Then the
 /// order rules themselves: a dictionary key alone emits in code order with
-/// NULL last, anything else in first appearance.
+/// NULL last, anything else — a packed key or a boxed one — in first
+/// appearance.
 #[test]
 fn grouped_limit_without_total_order_is_one_answer() {
     let mut state = 0x5eed_u64;
@@ -294,11 +295,17 @@ fn grouped_limit_without_total_order_is_one_answer() {
         e.register(table.clone());
     }
     for sql in [
-        // Two keys: the hash index, first appearance in scan order.
+        // Two dictionary keys: the packed index, first appearance in scan
+        // order, never slot order.
         "SELECT queue, region, COUNT(*), SUM(calls) FROM t GROUP BY queue, region LIMIT 5",
         "SELECT region, queue, MIN(calls) FROM t WHERE calls > 10 GROUP BY region, queue LIMIT 7",
-        // A computed key: the hash index too.
+        // Binned Int keys, alone and beside a dictionary key: packed too.
+        "SELECT BIN(calls, 10), COUNT(*) FROM t GROUP BY BIN(calls, 10) LIMIT 4",
+        "SELECT BIN(calls, 7), queue, COUNT(*), MAX(ts) FROM t WHERE region <> 'east' \
+         GROUP BY BIN(calls, 7), queue LIMIT 9",
+        // A computed key and a bare Int key: the hash index.
         "SELECT HOUR(ts), COUNT(*), MAX(calls) FROM t GROUP BY HOUR(ts) LIMIT 6",
+        "SELECT queue, calls, COUNT(*) FROM t GROUP BY queue, calls LIMIT 8",
         // One dictionary key, a boxed column beside a typed one: the dense index.
         "SELECT queue, COUNT(DISTINCT region), COUNT(*) FROM t GROUP BY queue LIMIT 3",
         // A global aggregate, boxed and typed columns side by side.
@@ -333,6 +340,9 @@ fn grouped_limit_without_total_order_is_one_answer() {
     };
     let value = |s: Option<&'static str>| s.map_or(Value::Null, Value::from);
     let pairs = first_seen(&|r| vec![value(r.queue), value(r.region)]);
+    let bin = |c: Option<i64>| c.map_or(Value::Null, |c| Value::Int(c.div_euclid(10) * 10));
+    let binned = first_seen(&|r| vec![bin(r.calls), value(r.region)]);
+    let with_calls = first_seen(&|r| vec![value(r.queue), r.calls.map_or(Value::Null, Value::Int)]);
     // A dictionary is in first-appearance order, so its codes are too.
     let mut queues = first_seen(&|r| vec![value(r.queue)]);
     queues.retain(|k| !k[0].is_null());
@@ -341,6 +351,14 @@ fn grouped_limit_without_total_order_is_one_answer() {
         (
             "SELECT queue, region, COUNT(*) FROM t GROUP BY queue, region",
             pairs,
+        ),
+        (
+            "SELECT BIN(calls, 10), region, COUNT(*) FROM t GROUP BY BIN(calls, 10), region",
+            binned,
+        ),
+        (
+            "SELECT queue, calls, COUNT(*) FROM t GROUP BY queue, calls",
+            with_calls,
         ),
         (
             "SELECT queue, COUNT(DISTINCT region) FROM t GROUP BY queue",
