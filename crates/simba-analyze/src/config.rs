@@ -6,10 +6,10 @@
 //! * determinism-sensitive code (fingerprint/report paths, engines, the
 //!   store) is **in scope** for iteration-order and panic lints;
 //! * wall-clock reads are **allowed** only where time is the deliverable
-//!   (`simba-obs`, the driver's pacing and deadline modules, bench bins);
-//! * environment reads are **allowed** only in the `simba-bench` CLI
-//!   harness crate — library behavior must stay `ScenarioSpec`-driven;
-//! * seeded randomness is enforced *everywhere* — no allowed paths.
+//!   (`simba-obs`, the driver's pacing and deadline modules); any other
+//!   timing site carries an inline pragma saying why;
+//! * environment reads and unseeded randomness are banned *everywhere* —
+//!   no allowed paths: every knob is a flag or a `ScenarioSpec` field.
 //!
 //! `tests/`, `benches/`, `examples/`, fixtures, and vendored crates are
 //! skipped globally: the contract governs shipped library behavior.
@@ -88,9 +88,6 @@ impl Config {
                     "crates/simba-driver/src/driver.rs".into(),
                     // Deadlines, backoff, and breaker cool-downs.
                     "crates/simba-driver/src/resilience.rs".into(),
-                    // Bench bins exist to measure; their timings are
-                    // artifacts, not behavior.
-                    "crates/simba-bench/src/bin/".into(),
                 ],
             },
         );
@@ -102,11 +99,8 @@ impl Config {
         );
         scopes.insert(
             crate::lints::ENV_READ.to_string(),
-            LintScope {
-                include: vec![],
-                // The CLI harness crate: env vars are its knob surface.
-                exclude: vec!["crates/simba-bench/".into()],
-            },
+            // Banned everywhere: every knob is a flag or a spec field.
+            LintScope::default(),
         );
         scopes.insert(
             crate::lints::PANIC_HYGIENE.to_string(),
@@ -207,7 +201,8 @@ mod tests {
         assert!(cfg.lint_covers(crate::lints::NONDET_ITER, "crates/simba-sql/src/refine.rs"));
         assert!(!cfg.lint_covers(crate::lints::WALL_CLOCK, "crates/simba-obs/src/trace.rs"));
         assert!(cfg.lint_covers(crate::lints::WALL_CLOCK, "crates/simba-engine/src/exec.rs"));
-        assert!(!cfg.lint_covers(crate::lints::ENV_READ, "crates/simba-bench/src/lib.rs"));
+        assert!(cfg.lint_covers(crate::lints::ENV_READ, "crates/simba-bench/src/lib.rs"));
+        assert!(cfg.lint_covers(crate::lints::WALL_CLOCK, "crates/simba-bench/src/paper.rs"));
         assert!(cfg.lint_covers(crate::lints::ENV_READ, "crates/simba-core/src/lib.rs"));
         assert!(cfg.lint_covers(
             crate::lints::UNSEEDED_RANDOMNESS,

@@ -26,7 +26,7 @@
 //! | `nondeterministic-iteration` | hash-ordered iteration must not reach results/reports |
 //! | `wall-clock-outside-obs` | time is read only where time is the deliverable |
 //! | `unseeded-randomness` | all randomness chains from the scenario seed |
-//! | `env-read-outside-cli` | library behavior is spec-driven, not env-driven |
+//! | `env-read-outside-cli` | no crate reads the environment: every knob is a flag or a spec field |
 //! | `panic-hygiene` | worker-critical paths degrade, never die |
 //!
 //! ## Suppression

@@ -1,11 +1,10 @@
-//! `env-read-outside-cli`: library behavior is `ScenarioSpec`-driven.
+//! `env-read-outside-cli`: behavior is driven by flags and specs only.
 //!
-//! An `std::env::var` read inside a library crate gives the process
-//! environment silent influence over results: a scenario replayed on
-//! another machine (or in CI) can behave differently with no change to
-//! the spec. All environment knobs belong to the `simba-bench` harness
-//! crate, which resolves them into explicit spec/config values before any
-//! library code runs.
+//! An `std::env::var` read anywhere gives the process environment silent
+//! influence over results: a scenario replayed on another machine (or in
+//! CI) can behave differently with no change to the command line or the
+//! spec. No crate may read the environment; every knob is a command-line
+//! flag or a `ScenarioSpec` field, which a run's report or command records.
 
 use super::{diag, Lint, ENV_READ};
 use crate::config::Config;
@@ -25,7 +24,7 @@ impl Lint for EnvReadOutsideCli {
     }
 
     fn description(&self) -> &'static str {
-        "std::env reads outside the simba-bench CLI harness crate"
+        "std::env reads anywhere: every knob is a flag or a spec field"
     }
 
     fn level(&self) -> Level {
@@ -43,9 +42,8 @@ impl Lint for EnvReadOutsideCli {
                         file,
                         i,
                         format!(
-                            "`env::{accessor}` in library code: environment knobs belong to \
-                             the simba-bench CLI, which must resolve them into explicit \
-                             ScenarioSpec/config values"
+                            "`env::{accessor}`: no crate may read the environment; make the \
+                             knob a command-line flag or a ScenarioSpec field"
                         ),
                     ));
                 }

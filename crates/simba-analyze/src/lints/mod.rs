@@ -23,7 +23,8 @@ pub const NONDET_ITER: &str = "nondeterministic-iteration";
 pub const WALL_CLOCK: &str = "wall-clock-outside-obs";
 /// Lint name: entropy-seeded RNG anywhere.
 pub const UNSEEDED_RANDOMNESS: &str = "unseeded-randomness";
-/// Lint name: `std::env` reads outside the CLI harness.
+/// Lint name: `std::env` reads anywhere (every knob is a flag or a spec
+/// field).
 pub const ENV_READ: &str = "env-read-outside-cli";
 /// Lint name: `unwrap()`/`expect()`/indexing in worker-critical paths.
 pub const PANIC_HYGIENE: &str = "panic-hygiene";

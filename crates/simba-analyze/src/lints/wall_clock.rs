@@ -3,8 +3,8 @@
 //! A wall-clock read in a fingerprint or report-content path makes output
 //! depend on *when* the run happened — the exact thing the byte-identical
 //! RunReport contract forbids. Time is allowed only where it is the
-//! deliverable: the observability substrate, the driver's pacing/deadline
-//! modules, and bench bins (see [`Config::workspace_default`]). Everything
+//! deliverable: the observability substrate and the driver's
+//! pacing/deadline modules (see [`Config::workspace_default`]). Everything
 //! else must thread durations through from those layers, or pragma the
 //! site with a justification.
 

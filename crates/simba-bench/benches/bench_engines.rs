@@ -1,7 +1,6 @@
 //! Criterion microbenchmarks: the four engine architectures on fixed
-//! dashboard-shaped queries (supports the §6 engine comparison), the
-//! filter compiler's kernels against what they replace, and the wire codec
-//! against the JSON it replaced.
+//! dashboard-shaped queries (supports the §6 engine comparison) and the
+//! filter compiler's kernels against what they replace.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use simba_data::DashboardDataset;
@@ -9,10 +8,8 @@ use simba_engine::batch::{fill_filtered, SelectionVector, MORSEL};
 use simba_engine::exec::{cexpr_conjuncts, compile_kernels, Kernel};
 use simba_engine::plan::compile_row_expr;
 use simba_engine::{Dbms, EngineKind};
-use simba_server::proto::{EngineSel, TableBlock};
-use simba_server::{Frame, Request, Response};
 use simba_sql::parse_select;
-use simba_store::{ResultSet, Table};
+use simba_store::Table;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -120,73 +117,5 @@ fn bench_filters(c: &mut Criterion) {
     group.finish();
 }
 
-/// `wire/`: one grouped dashboard result and one 10K-row table, each
-/// through the binary codec (frame payload encode + decode) and through
-/// `serde_json` of the same data as a `ResultSet` — what protocol version 1
-/// put in a frame (for the table, its row-major spelling).
-fn bench_wire(c: &mut Criterion) {
-    let table = DashboardDataset::CustomerService.generate_rows(10_000, 42);
-    let engine = EngineKind::DuckDbLike.build();
-    let table = Arc::new(table);
-    engine.register(table.clone());
-    let grouped = parse_select(
-        "SELECT rep_id, COUNT(calls), SUM(abandoned), AVG(handle_time) \
-         FROM customer_service GROUP BY rep_id",
-    )
-    .unwrap();
-    let out = engine.execute(&grouped).unwrap();
-    let result = out.result.clone();
-    let response = Response::Result {
-        result: out.result,
-        stats: out.stats,
-        elapsed_ns: 0,
-    };
-    let row_major = ResultSet::new(
-        table
-            .schema()
-            .columns
-            .iter()
-            .map(|c| c.name.clone())
-            .collect(),
-        (0..table.row_count()).map(|i| table.row(i)).collect(),
-    );
-    let sel = EngineSel {
-        kind: "duckdb-like".to_string(),
-        scan_threads: 1,
-    };
-    let json_round_trip = |r: &ResultSet| {
-        let text = serde_json::to_string(r).unwrap();
-        serde_json::from_str::<ResultSet>(&text).unwrap().n_rows()
-    };
-
-    let mut group = c.benchmark_group("wire");
-    group
-        .sample_size(20)
-        .measurement_time(Duration::from_secs(3));
-    group.bench_function("result/binary", |b| {
-        b.iter(|| {
-            let frame = Frame::response(1, &response).unwrap();
-            frame.parse_response().unwrap()
-        })
-    });
-    group.bench_function("result/json", |b| b.iter(|| json_round_trip(&result)));
-    group.bench_function("table_10k/binary", |b| {
-        b.iter(|| {
-            TableBlock::split(&table)
-                .map(|block| {
-                    let request = Request::RegisterTable {
-                        engine: sel.clone(),
-                        block,
-                    };
-                    let frame = Frame::request(1, &request).unwrap();
-                    frame.parse_request().unwrap()
-                })
-                .count()
-        })
-    });
-    group.bench_function("table_10k/json", |b| b.iter(|| json_round_trip(&row_major)));
-    group.finish();
-}
-
-criterion_group!(benches, bench_engines, bench_filters, bench_wire);
+criterion_group!(benches, bench_engines, bench_filters);
 criterion_main!(benches);

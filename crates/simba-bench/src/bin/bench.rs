@@ -1,5 +1,6 @@
 //! The single benchmark entry point: run any scenario — built-in or from a
-//! JSON spec file — through `Driver::execute`.
+//! JSON spec file — through `Driver::execute`, or one of the paper's
+//! experiments (`paper/<name>`, see `simba_bench::paper`).
 //!
 //! The usage text lives in `src/bench_usage.txt` — one file backs `--help`
 //! *and* the `simba_bench` crate docs, so they cannot drift apart.
@@ -8,24 +9,29 @@
 //! file is authoritative and a flag rewrites it: `--rows`, `--seed`,
 //! `--steps`, `--workers`, `--think-ms` rewrite every spec in the file,
 //! `--addr` re-points remote engine specs, and `--users` is rejected
-//! because a sweep does not map onto explicit per-spec fields.
+//! because a sweep does not map onto explicit per-spec fields. A `paper/`
+//! scenario takes `--rows`, `--seed` and `--runs` and nothing else.
 
+use simba_bench::paper::{self, Knobs, EXPERIMENTS};
 use simba_bench::scenario_cli::{
     check_max_degraded, emit_json, enable_tracing, parse_users, run_specs, write_trace,
 };
 use simba_driver::{
     all_scenarios, scenario, validate_addr, EngineSpec, ScenarioParams, ScenarioSpec, ThinkTime,
 };
+use std::io::Write;
 
 /// Every flag `bench` accepts, and whether it takes a value: what
 /// `parse_args` matches against and what the usage text must list.
-const FLAGS: [(&str, bool); 15] = [
+const FLAGS: [(&str, bool); 18] = [
     ("--scenario", true),
     ("--spec", true),
     ("--engine", true),
     ("--list", false),
     ("--dump", false),
+    ("--json-out", true),
     ("--trace-out", true),
+    ("--trace-sample", true),
     ("--metrics", false),
     ("--max-degraded", true),
     ("--rows", true),
@@ -35,7 +41,12 @@ const FLAGS: [(&str, bool); 15] = [
     ("--workers", true),
     ("--think-ms", true),
     ("--addr", true),
+    ("--runs", true),
 ];
+
+/// What a `paper/` scenario accepts; any other flag typed with one is an
+/// error.
+const PAPER_FLAGS: [&str; 4] = ["--scenario", "--rows", "--seed", "--runs"];
 
 #[derive(Debug, Default)]
 struct Args {
@@ -44,7 +55,9 @@ struct Args {
     engine: Option<String>,
     list: bool,
     dump: bool,
+    json_out: Option<String>,
     trace_out: Option<String>,
+    trace_sample: Option<u64>,
     metrics: bool,
     max_degraded: Option<f64>,
     rows: Option<usize>,
@@ -54,6 +67,9 @@ struct Args {
     workers: Option<usize>,
     think_ms: Option<u64>,
     addr: Option<String>,
+    runs: Option<u64>,
+    /// Every flag on the command line, in order.
+    typed: Vec<&'static str>,
 }
 
 fn usage() -> ! {
@@ -69,9 +85,10 @@ fn parse_args(mut it: impl Iterator<Item = String>) -> Result<Args, String> {
         if flag == "--help" || flag == "-h" {
             usage();
         }
-        let Some(&(_, takes_value)) = FLAGS.iter().find(|(name, _)| *name == flag) else {
+        let Some(&(name, takes_value)) = FLAGS.iter().find(|(name, _)| *name == flag) else {
             return Err(format!("unknown flag `{flag}`"));
         };
+        args.typed.push(name);
         // A switch must not pull the next token: it is the next flag.
         let value = if takes_value {
             it.next()
@@ -86,7 +103,14 @@ fn parse_args(mut it: impl Iterator<Item = String>) -> Result<Args, String> {
             "--engine" => args.engine = Some(value),
             "--list" => args.list = true,
             "--dump" => args.dump = true,
+            "--json-out" => args.json_out = Some(value),
             "--trace-out" => args.trace_out = Some(value),
+            "--trace-sample" => {
+                args.trace_sample = Some(
+                    simba_obs::trace::parse_sample(&value)
+                        .ok_or_else(|| format!("{} (want \"N\", \"1/N\", or \"0\")", invalid()))?,
+                )
+            }
             "--metrics" => args.metrics = true,
             "--max-degraded" => match value.parse::<f64>() {
                 Ok(p) if (0.0..=100.0).contains(&p) => args.max_degraded = Some(p),
@@ -104,10 +128,62 @@ fn parse_args(mut it: impl Iterator<Item = String>) -> Result<Args, String> {
                 validate_addr(&value).map_err(|e| e.to_string())?;
                 args.addr = Some(value);
             }
+            "--runs" => match value.parse::<u64>() {
+                Ok(n) if n > 0 => args.runs = Some(n),
+                _ => return Err(format!("{} (want a positive count)", invalid())),
+            },
             _ => unreachable!("every FLAGS entry has an arm"),
         }
     }
     Ok(args)
+}
+
+/// Reject flags that parse but do not fit together: a `paper/` scenario
+/// with any flag but its own, `--runs` without one, and `--trace-sample`
+/// without a trace to sample.
+fn check_combinations(args: &Args) -> Result<(), String> {
+    if paper_name(args).is_some() {
+        if let Some(flag) = args.typed.iter().find(|f| !PAPER_FLAGS.contains(f)) {
+            return Err(format!(
+                "{flag} does not apply to paper/ scenarios (they take --rows, --seed and --runs)"
+            ));
+        }
+    } else if args.runs.is_some() {
+        return Err("--runs applies to paper/ scenarios only".into());
+    }
+    if args.trace_sample.is_some() && args.trace_out.is_none() {
+        return Err("--trace-sample needs --trace-out".into());
+    }
+    Ok(())
+}
+
+/// The experiment a `--scenario paper/<name>` names, if one does.
+fn paper_name(args: &Args) -> Option<&str> {
+    args.scenario.as_deref()?.strip_prefix("paper/")
+}
+
+/// Run the paper experiment `name` (the part after `paper/`) to stdout.
+fn run_paper(name: &str, args: &Args) {
+    let Some(experiment) = paper::experiment(name) else {
+        let known: Vec<String> = EXPERIMENTS
+            .iter()
+            .map(|e| format!("paper/{}", e.name))
+            .collect();
+        fail(format!(
+            "unknown scenario `paper/{name}`; known: {}",
+            known.join(", ")
+        ))
+    };
+    let knobs = Knobs {
+        rows: args.rows,
+        runs: args.runs,
+        seed: args.seed.unwrap_or(0),
+    };
+    let mut out = std::io::stdout().lock();
+    if let Err(e) = (experiment.run)(&knobs, &mut out).and_then(|()| out.flush()) {
+        eprintln!("error: paper/{name}: {e}");
+        std::process::exit(1);
+    }
 }
 
 /// The scale knobs of a built-in scenario: a flag where one was typed, the
@@ -201,6 +277,10 @@ fn main() {
         eprintln!("{e}");
         usage()
     });
+    check_combinations(&args).unwrap_or_else(|e| fail(e));
+    if let Some(name) = paper_name(&args) {
+        return run_paper(name, &args);
+    }
     let params = params(&args);
 
     if args.list {
@@ -219,6 +299,10 @@ fn main() {
                 sc.description,
                 sc.specs.len()
             );
+        }
+        println!("paper experiments (--rows, --seed, --runs only):");
+        for e in &EXPERIMENTS {
+            println!("  {:<28} {}", format!("paper/{}", e.name), e.about);
         }
         return;
     }
@@ -277,23 +361,27 @@ fn main() {
     }
 
     if args.trace_out.is_some() {
-        enable_tracing();
+        enable_tracing(args.trace_sample);
     }
 
     println!("{banner}");
     let suite = run_specs(&specs);
     // Write whatever spans were collected even when a late spec fails, so
     // a partial trace is still there to debug the failure with.
+    let mut errors = Vec::new();
     if let Some(path) = &args.trace_out {
-        write_trace(path);
+        errors.extend(write_trace(path).err());
     }
     // Emit the report JSON before deciding the exit status: a failed or
     // over-budget run is exactly the one someone will want to inspect.
     if !suite.reports.is_empty() {
-        emit_json(&suite.reports);
+        errors.extend(emit_json(&suite.reports, args.json_out.as_deref()).err());
     }
-    if let Some(e) = suite.error {
-        eprintln!("error: {e}");
+    errors.extend(suite.error);
+    if !errors.is_empty() {
+        for e in errors {
+            eprintln!("error: {e}");
+        }
         std::process::exit(1);
     }
     if let Some(max) = args.max_degraded {
@@ -329,6 +417,9 @@ mod tests {
         let mut accepted: Vec<&str> = FLAGS.iter().map(|(name, _)| *name).collect();
         accepted.sort_unstable();
         assert_eq!(documented_flags(), accepted);
+        for flag in ["--runs", "--json-out", "--trace-sample"] {
+            assert!(accepted.contains(&flag), "{flag}");
+        }
         // ... and the table is what the parser really accepts: each entry
         // reaches its own `match` arm (a missing arm would panic here) and
         // a value flag refuses to go without its value.
@@ -381,6 +472,9 @@ mod tests {
             ("--rows", "1e6"),
             ("--think-ms", ""),
             ("--max-degraded", "101"),
+            ("--runs", "0"),
+            ("--runs", "two"),
+            ("--trace-sample", "1/x"),
         ] {
             let err = parse(&[flag, value]).unwrap_err();
             assert!(
@@ -395,5 +489,56 @@ mod tests {
         assert_eq!(ok.seed, Some(7));
         assert_eq!(params(&ok).users, vec![1, 8, 64]);
         assert_eq!(params(&ok).rows, ScenarioParams::default().rows);
+        assert_eq!(
+            parse(&["--trace-sample", "1/8"]).unwrap().trace_sample,
+            Some(8)
+        );
+    }
+
+    fn combination(line: &[&str]) -> Result<(), String> {
+        check_combinations(&parse(line).unwrap())
+    }
+
+    #[test]
+    fn paper_scenarios_take_rows_seed_and_runs_only() {
+        let paper = ["--scenario", "paper/ablation_interleave"];
+        combination(&[&paper[..], &["--rows", "600", "--seed", "5", "--runs", "1"]].concat())
+            .unwrap();
+        for extra in [
+            &["--users", "2"][..],
+            &["--dump"],
+            &["--engine", "duckdb-like"],
+            &["--spec", "f.json"],
+            &["--json-out", "r.json"],
+            &["--trace-out", "t.json"],
+        ] {
+            let err = combination(&[&paper[..], extra].concat()).unwrap_err();
+            assert!(
+                err.starts_with(&format!("{} does not apply", extra[0])),
+                "{err}"
+            );
+        }
+    }
+
+    #[test]
+    fn runs_and_trace_sample_need_their_context() {
+        assert_eq!(
+            combination(&["--scenario", "smoke", "--runs", "2"]).unwrap_err(),
+            "--runs applies to paper/ scenarios only"
+        );
+        assert!(combination(&["--spec", "f.json", "--runs", "2"]).is_err());
+        assert_eq!(
+            combination(&["--scenario", "smoke", "--trace-sample", "8"]).unwrap_err(),
+            "--trace-sample needs --trace-out"
+        );
+        combination(&[
+            "--scenario",
+            "smoke",
+            "--trace-out",
+            "t.json",
+            "--trace-sample",
+            "8",
+        ])
+        .unwrap();
     }
 }

@@ -3,7 +3,7 @@
 //! One code path expands a named scenario (or a spec file) into
 //! [`ScenarioSpec`]s, executes each through [`Driver::execute`], prints a
 //! progress table, and emits the full [`RunReport`] array as JSON — to
-//! stdout or to the file named by `SIMBA_JSON_OUT`. Empty or errored runs
+//! stdout or to the file named by `--json-out`. Empty or errored runs
 //! make the process exit non-zero, which is what CI keys on.
 
 use simba_driver::workload::TableCache;
@@ -173,43 +173,37 @@ pub fn check_max_degraded(reports: &[RunReport], max_percent: f64) -> Result<(),
     Ok(())
 }
 
-/// Arm span collection for the rest of the process. `SIMBA_TRACE_SAMPLE`
-/// (`"8"` or `"1/8"`; `"0"` disables) sets root-span sampling first so no
+/// Arm span collection for the rest of the process. A `--trace-sample`
+/// (`sample`: keep 1-in-N root spans; 0 keeps none) is set first so no
 /// unsampled root sneaks in.
-pub fn enable_tracing() {
-    if let Ok(s) = std::env::var("SIMBA_TRACE_SAMPLE") {
-        match simba_obs::trace::parse_sample(&s) {
-            Some(n) => simba_obs::trace::set_sample_every(n),
-            None => {
-                eprintln!("invalid SIMBA_TRACE_SAMPLE `{s}` (want \"N\", \"1/N\", or \"0\")");
-                std::process::exit(2);
-            }
-        }
+pub fn enable_tracing(sample: Option<u64>) {
+    if let Some(n) = sample {
+        simba_obs::trace::set_sample_every(n);
     }
     simba_obs::trace::set_enabled(true);
 }
 
 /// Drain every span collected so far and write them as one Chrome
 /// `trace_event` JSON file (load in `chrome://tracing` or Perfetto).
-pub fn write_trace(path: &str) {
+pub fn write_trace(path: &str) -> Result<(), String> {
     let events = simba_obs::trace::take_events();
     let json = simba_obs::trace::export_chrome_trace(&events);
-    if let Err(e) = std::fs::write(path, &json) {
-        eprintln!("cannot write trace to {path}: {e}");
-        std::process::exit(1);
-    }
+    std::fs::write(path, &json).map_err(|e| format!("cannot write trace to {path}: {e}"))?;
     println!("wrote {} spans to {path}", events.len());
+    Ok(())
 }
 
-/// Write the report array as pretty JSON to the `SIMBA_JSON_OUT` file, or
-/// print it to stdout when unset.
-pub fn emit_json(reports: &[RunReport]) {
+/// Write the report array as pretty JSON to the `--json-out` file, or
+/// print it to stdout when there is none.
+pub fn emit_json(reports: &[RunReport], json_out: Option<&str>) -> Result<(), String> {
     let json = serde_json::to_string_pretty(reports).expect("reports serialize");
-    match std::env::var("SIMBA_JSON_OUT") {
-        Ok(path) => {
-            std::fs::write(&path, json).expect("write SIMBA_JSON_OUT");
+    match json_out {
+        Some(path) => {
+            std::fs::write(path, json)
+                .map_err(|e| format!("cannot write reports to {path}: {e}"))?;
             println!("wrote {} reports to {path}", reports.len());
         }
-        Err(_) => println!("{json}"),
+        None => println!("{json}"),
     }
+    Ok(())
 }

@@ -126,7 +126,7 @@ impl DashboardDataset {
     }
 
     /// The dataset's seed salt: folded into the master seed so the six
-    /// datasets draw disjoint RNG streams from one `SIMBA_SEED`.
+    /// datasets draw disjoint RNG streams from one master seed (`--seed`).
     pub fn chunk_salt(self) -> u64 {
         match self {
             DashboardDataset::CirculationActivity => circulation::SALT,

@@ -4,7 +4,8 @@
 //!
 //! Both fixtures under `tests/fixtures/` were written by `bench` at the
 //! commit *before* the spec types and the runtime types were merged
-//! (`bench --spec … --dump` and `bench --spec …` with `SIMBA_JSON_OUT`), so
+//! (`bench --spec … --dump` and `bench --spec …` writing its report array to
+//! a file, which `--json-out` does today), so
 //! they record what that code produced, not what this code thinks is right.
 
 use serde::{Content, Serialize};
