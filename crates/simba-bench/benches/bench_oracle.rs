@@ -5,12 +5,12 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use simba_core::dashboard::Dashboard;
-use simba_core::equivalence::augment_result;
+use simba_core::equivalence::augment;
 use simba_core::oracle::{Oracle, OracleConfig};
 use simba_core::spec::builtin::builtin;
 use simba_data::DashboardDataset;
 use simba_engine::EngineKind;
-use simba_sql::parse_select;
+use simba_sql::{parse_select, NormalizedSelect};
 use simba_store::CoverageStore;
 use std::sync::Arc;
 use std::time::Duration;
@@ -31,7 +31,7 @@ fn bench_oracle(c: &mut Criterion) {
     let mut coverage = CoverageStore::new();
     for (_, q) in dashboard.all_queries(&state) {
         let out = engine.execute(&q).unwrap();
-        coverage.absorb(&augment_result(&q, out.result));
+        coverage.absorb(&augment(&NormalizedSelect::from_select(&q), out.result));
     }
 
     let mut group = c.benchmark_group("oracle_plan_step");

@@ -13,8 +13,8 @@
 //! SQL themselves: a [`GoalChecker`] holds its goal's form from
 //! construction, a session builds each emitted query's form once and hands
 //! it to every goal's [`check_observed`](GoalChecker::check_observed) and to
-//! [`augment`]. The `&Select` functions build the forms for callers that
-//! compare two queries once.
+//! [`augment`]. A caller comparing two queries once builds both forms with
+//! [`NormalizedSelect::from_select`].
 
 pub mod progress;
 
@@ -45,22 +45,12 @@ impl Method {
 /// Syntactic equivalence: identical canonical text, or nearly identical
 /// under the >95 % similarity rule.
 pub fn syntactic_equivalent(a: &Select, b: &Select) -> bool {
-    let ta = print_select(a);
-    let tb = print_select(b);
-    ta == tb || nearly_identical(&ta, &tb)
+    same_text(&print_select(a), &print_select(b))
 }
 
-/// Semantic equivalence: equal normal forms (ignoring row order).
-pub fn semantic_equivalent(a: &Select, b: &Select) -> bool {
-    NormalizedSelect::from_select(a).same_rows(&NormalizedSelect::from_select(b))
-}
-
-/// [`subsumes`] over the two queries' normal forms.
-pub fn semantically_subsumes(observed: &Select, goal: &Select) -> bool {
-    subsumes(
-        &NormalizedSelect::from_select(observed),
-        &NormalizedSelect::from_select(goal),
-    )
+/// [`syntactic_equivalent`] over two printed queries.
+fn same_text(a: &str, b: &str) -> bool {
+    a == b || nearly_identical(a, b)
 }
 
 /// Sound semantic subsumption: does `observed`'s result set necessarily
@@ -94,14 +84,6 @@ pub fn subsumes(observed: &NormalizedSelect, goal: &NormalizedSelect) -> bool {
     }
     observed.having().is_absent()
         || (!goal.having().is_absent() && goal.having().implies(observed.having()))
-}
-
-/// [`fragment_of`] over the two queries' normal forms.
-pub fn semantic_fragment_of(observed: &Select, goal: &Select) -> bool {
-    fragment_of(
-        &NormalizedSelect::from_select(observed),
-        &NormalizedSelect::from_select(goal),
-    )
 }
 
 /// Is `observed` a *fragment* of `goal` — a restriction of the goal query to
@@ -168,11 +150,6 @@ fn constrained_expressions(e: &Expr) -> Vec<String> {
     }
 }
 
-/// [`augment`] for a caller that holds only the `Select`.
-pub fn augment_result(query: &Select, result: ResultSet) -> ResultSet {
-    augment(&NormalizedSelect::from_select(query), result)
-}
-
 /// Augment a query's result with constant columns implied by its
 /// single-value equality filters.
 ///
@@ -233,8 +210,9 @@ pub fn augment(query: &NormalizedSelect, result: ResultSet) -> ResultSet {
 pub struct GoalChecker {
     /// The goal query.
     pub goal: Select,
-    /// The goal's normal form, built once: the goal never changes, every
-    /// emitted query is checked against it.
+    /// The goal's printed text and normal form, built once: the goal never
+    /// changes, every emitted query is checked against it.
+    goal_sql: String,
     goal_form: NormalizedSelect,
     /// The goal's executed result set (for the result-equivalence method).
     pub goal_result: ResultSet,
@@ -246,17 +224,12 @@ impl GoalChecker {
     /// New checker for a goal with its pre-executed result set.
     pub fn new(goal: Select, goal_result: ResultSet) -> Self {
         Self {
+            goal_sql: print_select(&goal),
             goal_form: NormalizedSelect::from_select(&goal),
             goal,
             goal_result,
             solved: None,
         }
-    }
-
-    /// [`check_observed`](Self::check_observed) for a caller that has not
-    /// analyzed `query`.
-    pub fn check_emitted(&mut self, query: &Select) -> Option<Method> {
-        self.check_observed(query, &NormalizedSelect::from_select(query))
     }
 
     /// Check an emitted query, with its normal form, against the goal
@@ -267,7 +240,7 @@ impl GoalChecker {
         if self.solved.is_some() {
             return None;
         }
-        if syntactic_equivalent(query, &self.goal) {
+        if same_text(&print_select(query), &self.goal_sql) {
             self.solved = Some(Method::Syntactic);
         } else if form.same_rows(&self.goal_form) || subsumes(form, &self.goal_form) {
             self.solved = Some(Method::Semantic);
@@ -307,6 +280,15 @@ mod tests {
         parse_select(sql).unwrap()
     }
 
+    fn form(sql: &str) -> NormalizedSelect {
+        NormalizedSelect::from_select(&q(sql))
+    }
+
+    /// [`GoalChecker::check_observed`] with the form built here.
+    fn check(checker: &mut GoalChecker, query: &Select) -> Option<Method> {
+        checker.check_observed(query, &NormalizedSelect::from_select(query))
+    }
+
     #[test]
     fn syntactic_catches_whitespace_and_case() {
         assert!(syntactic_equivalent(
@@ -330,60 +312,58 @@ mod tests {
 
     #[test]
     fn semantic_equivalence_modulo_form() {
-        assert!(semantic_equivalent(
-            &q("SELECT rep, SUM(c) / COUNT(c) FROM t GROUP BY rep"),
-            &q("SELECT AVG(c), rep FROM t GROUP BY rep")
-        ));
-        assert!(!semantic_equivalent(
-            &q("SELECT rep, SUM(c) FROM t GROUP BY rep"),
-            &q("SELECT rep, AVG(c) FROM t GROUP BY rep")
-        ));
+        assert!(form("SELECT rep, SUM(c) / COUNT(c) FROM t GROUP BY rep")
+            .same_rows(&form("SELECT AVG(c), rep FROM t GROUP BY rep")));
+        assert!(!form("SELECT rep, SUM(c) FROM t GROUP BY rep")
+            .same_rows(&form("SELECT rep, AVG(c) FROM t GROUP BY rep")));
     }
 
     #[test]
     fn projection_subsumption_with_weaker_filter() {
-        let observed = q("SELECT a, b, c FROM t");
-        let goal = q("SELECT a, b FROM t WHERE a > 5");
-        assert!(semantically_subsumes(&observed, &goal));
-        assert!(!semantically_subsumes(&goal, &observed));
+        let observed = form("SELECT a, b, c FROM t");
+        let goal = form("SELECT a, b FROM t WHERE a > 5");
+        assert!(subsumes(&observed, &goal));
+        assert!(!subsumes(&goal, &observed));
     }
 
     #[test]
     fn aggregate_subsumption_requires_equal_filters() {
-        let observed = q("SELECT queue, COUNT(*), SUM(x) FROM t GROUP BY queue");
-        let goal = q("SELECT queue, COUNT(*) FROM t GROUP BY queue");
-        assert!(semantically_subsumes(&observed, &goal));
+        let observed = form("SELECT queue, COUNT(*), SUM(x) FROM t GROUP BY queue");
+        let goal = form("SELECT queue, COUNT(*) FROM t GROUP BY queue");
+        assert!(subsumes(&observed, &goal));
         // Different WHERE on aggregates: unsound, must refuse.
-        let observed2 = q("SELECT queue, COUNT(*) FROM t WHERE a > 1 GROUP BY queue");
-        assert!(!semantically_subsumes(&observed2, &goal));
+        let observed2 = form("SELECT queue, COUNT(*) FROM t WHERE a > 1 GROUP BY queue");
+        assert!(!subsumes(&observed2, &goal));
     }
 
     #[test]
     fn having_weakening_is_subsumption() {
-        let observed = q("SELECT q, COUNT(*) FROM t GROUP BY q HAVING COUNT(*) > 1");
-        let goal = q("SELECT q, COUNT(*) FROM t GROUP BY q HAVING COUNT(*) > 5");
-        assert!(semantically_subsumes(&observed, &goal));
-        assert!(!semantically_subsumes(&goal, &observed));
+        let observed = form("SELECT q, COUNT(*) FROM t GROUP BY q HAVING COUNT(*) > 1");
+        let goal = form("SELECT q, COUNT(*) FROM t GROUP BY q HAVING COUNT(*) > 5");
+        assert!(subsumes(&observed, &goal));
+        assert!(!subsumes(&goal, &observed));
     }
 
     #[test]
     fn limit_blocks_subsumption() {
-        let observed = q("SELECT a FROM t LIMIT 10");
-        let goal = q("SELECT a FROM t");
-        assert!(!semantically_subsumes(&observed, &goal));
+        let observed = form("SELECT a FROM t LIMIT 10");
+        let goal = form("SELECT a FROM t");
+        assert!(!subsumes(&observed, &goal));
     }
 
     #[test]
     fn fragment_detection_figure_3() {
         // The Figure 3 scenario: per-queue restrictions of the goal query
         // are fragments when the filter hits the group key.
-        let goal = q("SELECT queue, COUNT(lost_calls) FROM cs GROUP BY queue");
-        let frag =
-            q("SELECT queue, COUNT(lost_calls) FROM cs WHERE queue IN ('A', 'B') GROUP BY queue");
-        assert!(semantic_fragment_of(&frag, &goal));
+        let goal = form("SELECT queue, COUNT(lost_calls) FROM cs GROUP BY queue");
+        let frag = form(
+            "SELECT queue, COUNT(lost_calls) FROM cs WHERE queue IN ('A', 'B') GROUP BY queue",
+        );
+        assert!(fragment_of(&frag, &goal));
         // Filtering on a non-key column changes aggregate values: not a fragment.
-        let not_frag = q("SELECT queue, COUNT(lost_calls) FROM cs WHERE hour > 9 GROUP BY queue");
-        assert!(!semantic_fragment_of(&not_frag, &goal));
+        let not_frag =
+            form("SELECT queue, COUNT(lost_calls) FROM cs WHERE hour > 9 GROUP BY queue");
+        assert!(!fragment_of(&not_frag, &goal));
     }
 
     #[test]
@@ -399,7 +379,7 @@ mod tests {
         let mut checker = GoalChecker::new(goal.clone(), goal_result.clone());
 
         // Unrelated query: no match.
-        assert!(checker.check_emitted(&q("SELECT x FROM t")).is_none());
+        assert!(check(&mut checker, &q("SELECT x FROM t")).is_none());
         assert!(checker.solved.is_none());
 
         // Result coverage path.
@@ -409,7 +389,7 @@ mod tests {
         assert_eq!(checker.solved, Some(Method::Result));
 
         // Solved goals stay solved.
-        assert!(checker.check_emitted(&goal).is_none());
+        assert!(check(&mut checker, &goal).is_none());
     }
 
     #[test]
@@ -420,7 +400,7 @@ mod tests {
             ResultSet::empty(vec!["queue".into(), "COUNT(*)".into()]),
         );
         let emitted = q("SELECT COUNT(*), queue, SUM(x) FROM t GROUP BY queue");
-        assert_eq!(checker.check_emitted(&emitted), Some(Method::Semantic));
+        assert_eq!(check(&mut checker, &emitted), Some(Method::Semantic));
     }
 
     #[test]

@@ -29,7 +29,6 @@ pub mod dashboard;
 pub mod equivalence;
 pub mod error;
 pub mod graph;
-pub mod interface;
 pub mod markov;
 pub mod metrics;
 pub mod oracle;
@@ -42,5 +41,4 @@ pub use algebra::{parse::parse_goal, GoalExpr};
 pub use dashboard::Dashboard;
 pub use error::CoreError;
 pub use graph::{DashboardState, InteractionGraph, NodeId};
-pub use interface::InterfaceAction;
 pub use spec::DashboardSpec;

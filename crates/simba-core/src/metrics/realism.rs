@@ -37,8 +37,10 @@ impl EmptyResultStats {
     }
 
     /// The expert heuristic: does the log look machine-generated? Humans
-    /// occasionally hit an empty view but rarely *repeat* it, so a run of
-    /// 2+ consecutive empty-result interactions is the tell.
+    /// occasionally hit an empty view but rarely *repeat* it, so the tell
+    /// is 3+ consecutive zero-row queries (across interaction boundaries),
+    /// or 3+ interactions in the session whose queries all returned zero
+    /// rows, consecutive or not.
     pub fn looks_simulated(&self) -> bool {
         self.longest_empty_run >= 3 || self.empty_interactions >= 3
     }

@@ -9,12 +9,14 @@
 
 use crate::actions::Action;
 use crate::dashboard::Dashboard;
+use crate::equivalence::augment;
 use crate::equivalence::progress::covered_after;
 use crate::error::CoreError;
 use crate::graph::DashboardState;
 use rand::seq::SliceRandom;
 use rand::Rng;
 use simba_engine::Dbms;
+use simba_sql::NormalizedSelect;
 use simba_store::{CoverageStore, ResultSet};
 
 /// Oracle tuning knobs.
@@ -115,7 +117,7 @@ impl Oracle {
             let mut results = Vec::with_capacity(emitted.len());
             for (_, query) in &emitted {
                 let out = engine.execute(query)?;
-                results.push(crate::equivalence::augment_result(query, out.result));
+                results.push(augment(&NormalizedSelect::from_select(query), out.result));
             }
             let score = covered_after(coverage, &results, goals);
             scored.push(PlannedStep {
@@ -135,7 +137,8 @@ impl Oracle {
                 let mut hypothetical = coverage.clone();
                 for (_, query) in &emitted {
                     let out = engine.execute(query)?;
-                    hypothetical.absorb(&crate::equivalence::augment_result(query, out.result));
+                    hypothetical
+                        .absorb(&augment(&NormalizedSelect::from_select(query), out.result));
                 }
                 if let Some(deeper) = self.plan_depth(
                     dashboard,
@@ -249,7 +252,7 @@ mod tests {
         // Absorb the initial render, as the session runner does.
         for (_, q) in dashboard.all_queries(&state) {
             let out = engine.execute(&q).unwrap();
-            coverage.absorb(&crate::equivalence::augment_result(&q, out.result));
+            coverage.absorb(&augment(&NormalizedSelect::from_select(&q), out.result));
         }
 
         let mut steps = 0;
@@ -268,7 +271,7 @@ mod tests {
             let emitted = dashboard.apply(&mut state, &step.action);
             for (_, q) in &emitted {
                 let out = engine.execute(q).unwrap();
-                coverage.absorb(&crate::equivalence::augment_result(q, out.result));
+                coverage.absorb(&augment(&NormalizedSelect::from_select(q), out.result));
             }
             steps += 1;
         }

@@ -7,7 +7,6 @@
 
 pub mod adaptive;
 pub mod batch;
-pub mod export;
 pub mod goal;
 pub mod interleave;
 pub mod planner;

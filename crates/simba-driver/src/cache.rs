@@ -10,7 +10,9 @@
 //! locked shards so concurrent sessions rarely contend; hits take only a
 //! shard read-lock (recency is tracked with a per-entry atomic, not a lock).
 //! Each shard holds at most `capacity_per_shard` entries and evicts its
-//! least-recently-used entry on overflow.
+//! least-recently-used entry on overflow. Nothing invalidates an entry: the
+//! driver builds one cache per run, over tables registered before the run
+//! starts, and drops it with the run.
 
 use serde::{Deserialize, Serialize};
 use simba_engine::{EngineError, ExecStats, QueryOutput};
@@ -49,8 +51,6 @@ pub struct CacheStats {
     /// Misses that waited on another caller's in-flight execution of the
     /// same key instead of running the engine themselves (single-flight).
     pub coalesced: u64,
-    /// Full-cache invalidations (one per [`ShardedResultCache::clear`]).
-    pub invalidations: u64,
     /// Leader executions that ended in an error. Errors are **never
     /// cached** — the failure is handed to this flight's followers and
     /// then forgotten, so the next caller re-executes rather than being
@@ -161,11 +161,6 @@ pub struct ShardedResultCache {
     shards: Vec<RwLock<HashMap<String, Entry>>>,
     /// Keys currently being executed by a leader, striped like `shards`.
     inflight: Vec<Mutex<HashMap<String, Arc<Flight>>>>,
-    /// Bumped by [`clear`](Self::clear) *before* the shards are wiped; a
-    /// single-flight leader only inserts its result if the generation it
-    /// read before executing is still current, so an execution that raced
-    /// an invalidation cannot re-seed the cache with stale data.
-    generation: AtomicU64,
     capacity_per_shard: usize,
     clock: AtomicU64,
     hits: AtomicU64,
@@ -173,7 +168,6 @@ pub struct ShardedResultCache {
     insertions: AtomicU64,
     evictions: AtomicU64,
     coalesced: AtomicU64,
-    invalidations: AtomicU64,
     error_passthrough: AtomicU64,
 }
 
@@ -183,7 +177,6 @@ impl ShardedResultCache {
         ShardedResultCache {
             shards: (0..shards).map(|_| RwLock::new(HashMap::new())).collect(),
             inflight: (0..shards).map(|_| Mutex::new(HashMap::new())).collect(),
-            generation: AtomicU64::new(0),
             capacity_per_shard: config.capacity_per_shard.max(1),
             clock: AtomicU64::new(0),
             hits: AtomicU64::new(0),
@@ -191,7 +184,6 @@ impl ShardedResultCache {
             insertions: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
             coalesced: AtomicU64::new(0),
-            invalidations: AtomicU64::new(0),
             error_passthrough: AtomicU64::new(0),
         }
     }
@@ -209,8 +201,8 @@ impl ShardedResultCache {
     }
 
     /// Recover a shard's map from a poisoned lock. A panic while a guard
-    /// was held cannot corrupt the `HashMap` structurally (insert/remove/
-    /// clear don't unwind mid-rebalance), and the worst observable state —
+    /// was held cannot corrupt the `HashMap` structurally (insert/remove
+    /// don't unwind mid-rebalance), and the worst observable state —
     /// a stale-but-valid entry — is exactly what a cache is allowed to
     /// serve. Propagating the poison would instead fail every later query
     /// that hashes to this shard.
@@ -260,45 +252,10 @@ impl ShardedResultCache {
         })
     }
 
-    /// Drop every resident entry (all shards). Counters other than
-    /// `invalidations` are left running — a cleared cache has still served
-    /// its historical hits. In-flight executions are *not* cancelled, but
-    /// they cannot repopulate the cache either: the generation bump below
-    /// makes any leader that started before this clear skip its insert
-    /// (its followers still receive the result, exactly as if they had
-    /// executed the query themselves while the data changed).
-    pub fn clear(&self) {
-        // Bump first: a leader that checks its generation under a shard
-        // write lock after this line either loses the check (no insert) or
-        // inserts before we take that shard's lock — and is then wiped.
-        self.generation.fetch_add(1, Ordering::AcqRel);
-        for shard in &self.shards {
-            Self::write_shard(shard).clear();
-        }
-        self.invalidations.fetch_add(1, Ordering::Relaxed);
-    }
-
     /// Insert (or replace) an entry, evicting the shard's LRU entry when at
     /// capacity.
     pub fn insert(&self, key: String, value: Arc<CachedResult>) {
-        self.insert_guarded(key, value, None);
-    }
-
-    /// [`insert`](Self::insert), but a no-op when `only_if_generation` no
-    /// longer matches — checked under the shard write lock, so it cannot
-    /// race [`clear`](Self::clear).
-    fn insert_guarded(
-        &self,
-        key: String,
-        value: Arc<CachedResult>,
-        only_if_generation: Option<u64>,
-    ) {
         let mut shard = Self::write_shard(self.shard_of(&key));
-        if let Some(generation) = only_if_generation {
-            if self.generation.load(Ordering::Acquire) != generation {
-                return;
-            }
-        }
         if let Some(existing) = shard.get_mut(&key) {
             existing.value = value;
             return;
@@ -405,7 +362,6 @@ impl ShardedResultCache {
         // otherwise followers would block on the condvar forever and the
         // driver's thread scope would hang instead of propagating the
         // panic.
-        let generation = self.generation.load(Ordering::Acquire);
         let mut guard = LeaderGuard {
             inflight,
             key: &key,
@@ -416,9 +372,7 @@ impl ShardedResultCache {
                 result: out.result,
                 stats: out.stats,
             });
-            // Skip the insert if the cache was invalidated while we ran:
-            // this result may have been computed against replaced data.
-            self.insert_guarded(key.clone(), value.clone(), Some(generation));
+            self.insert(key.clone(), value.clone());
             (value, out.elapsed)
         });
         if outcome.is_err() {
@@ -449,7 +403,6 @@ impl ShardedResultCache {
             insertions: self.insertions.load(Ordering::Relaxed),
             evictions: self.evictions.load(Ordering::Relaxed),
             coalesced: self.coalesced.load(Ordering::Relaxed),
-            invalidations: self.invalidations.load(Ordering::Relaxed),
             error_passthrough: self.error_passthrough.load(Ordering::Relaxed),
         }
     }
@@ -525,68 +478,6 @@ mod tests {
             v.result.sorted_rows(),
             vec![vec![simba_store::Value::Int(2)]]
         );
-    }
-
-    #[test]
-    fn clear_empties_every_shard_and_counts_invalidation() {
-        let cache = ShardedResultCache::new(CacheConfig {
-            shards: 4,
-            capacity_per_shard: 8,
-        });
-        for i in 0..20 {
-            cache.insert(format!("k{i}"), result_of(i));
-        }
-        assert_eq!(cache.len(), 20);
-        cache.clear();
-        assert!(cache.is_empty());
-        assert!(cache.lookup("k3").is_none());
-        let stats = cache.stats();
-        assert_eq!(stats.invalidations, 1);
-        assert_eq!(stats.insertions, 20, "counters survive a clear");
-    }
-
-    /// A clear that lands while a leader is still executing must not let
-    /// the leader re-seed the cache with a result computed against the
-    /// replaced data — the caller still gets its result, the cache stays
-    /// empty.
-    #[test]
-    fn invalidation_during_inflight_execution_suppresses_stale_insert() {
-        struct ClearingEngine<'a> {
-            cache: &'a ShardedResultCache,
-        }
-        impl Dbms for ClearingEngine<'_> {
-            fn name(&self) -> &'static str {
-                "clearing-stub"
-            }
-            fn register(&self, _table: Arc<simba_store::Table>) {}
-            fn execute(&self, _query: &Select) -> Result<QueryOutput, EngineError> {
-                // The data is replaced while this query is mid-execution.
-                self.cache.clear();
-                Ok(QueryOutput {
-                    result: ResultSet::new(
-                        vec!["n".to_string()],
-                        vec![vec![simba_store::Value::Int(1)]],
-                    ),
-                    stats: ExecStats::default(),
-                    elapsed: Duration::from_micros(1),
-                })
-            }
-        }
-        let cache = ShardedResultCache::new(CacheConfig::default());
-        let q = simba_sql::parse_select("SELECT n FROM t").unwrap();
-        let engine = ClearingEngine { cache: &cache };
-        let (value, _elapsed, hit) = cache.execute_cached(&q, || engine.execute(&q)).unwrap();
-        assert!(!hit);
-        assert_eq!(
-            value.result.rows,
-            vec![vec![simba_store::Value::Int(1)]],
-            "the caller still receives its result"
-        );
-        assert!(
-            cache.is_empty(),
-            "a potentially-stale in-flight result must not be cached"
-        );
-        assert_eq!(cache.stats().insertions, 0);
     }
 
     /// A leader that panics inside `engine.execute` must retire its flight
@@ -764,8 +655,6 @@ mod tests {
         assert!(cache.lookup("a").is_some());
         cache.insert("b".to_string(), result_of(2));
         assert_eq!(cache.len(), 2);
-        cache.clear();
-        assert!(cache.is_empty());
     }
 
     /// Regression: a follower coalesced onto a panicking leader's flight

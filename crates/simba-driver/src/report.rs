@@ -45,8 +45,6 @@ pub struct CacheReport {
     /// Misses served by another caller's in-flight execution
     /// (single-flight coalescing).
     pub coalesced: u64,
-    /// Full invalidations (`register` of a replacement table).
-    pub invalidations: u64,
     /// Leader executions that errored: passed to that flight's followers
     /// but never cached, so later callers re-execute.
     pub error_passthrough: u64,
@@ -62,7 +60,6 @@ impl CacheReport {
             insertions: stats.insertions,
             evictions: stats.evictions,
             coalesced: stats.coalesced,
-            invalidations: stats.invalidations,
             error_passthrough: stats.error_passthrough,
             hit_rate: stats.hit_rate(),
             entries,
@@ -393,7 +390,9 @@ impl RunReport {
     ///   totals, present exactly when the run executed with session-delta
     ///   enabled) and `fingerprint_digest` (present exactly when the run
     ///   collected result fingerprints).
-    pub const SCHEMA_VERSION: u32 = 5;
+    /// * 6 — dropped `cache.invalidations`: a cache lives for one run over
+    ///   tables registered before it starts, so nothing invalidates it.
+    pub const SCHEMA_VERSION: u32 = 6;
 
     /// Pretty JSON, for harness output files.
     pub fn to_json(&self) -> String {
@@ -457,7 +456,6 @@ mod tests {
                     insertions: 14,
                     evictions: 0,
                     coalesced: 2,
-                    invalidations: 0,
                     error_passthrough: 0,
                 },
                 14,
@@ -523,7 +521,7 @@ mod tests {
     fn report_serializes_to_json() {
         let report = sample();
         let json = report.to_json();
-        assert!(json.contains("\"schema_version\": 5"), "{json}");
+        assert!(json.contains("\"schema_version\": 6"), "{json}");
         assert!(json.contains("\"rows_scanned\": 52000"), "{json}");
         assert!(json.contains("\"morsels_pruned\": 6"), "{json}");
         assert!(json.contains("\"metrics\": null"), "{json}");
@@ -642,8 +640,8 @@ mod tests {
         // must be rejected, not silently reinterpreted.
         let future = sample()
             .to_json()
-            .replace("\"schema_version\": 5", "\"schema_version\": 6");
+            .replace("\"schema_version\": 6", "\"schema_version\": 7");
         let err = RunReport::from_json(&future).unwrap_err();
-        assert!(err.contains("schema_version 6"), "{err}");
+        assert!(err.contains("schema_version 7"), "{err}");
     }
 }

@@ -93,40 +93,35 @@ pub struct DeltaStoreStats {
 
 /// Per-session store of recently captured selections / group states.
 ///
-/// Bounded: the oldest entry is evicted once `capacity` is reached, matching
-/// the observation that refinements chain off *recent* steps. The store is
-/// an optimization cache only — dropping any entry is always safe.
+/// Bounded: the oldest entry is evicted once `CAPACITY` (32) entries are
+/// held, matching the observation that refinements chain off *recent*
+/// steps. The store is an optimization cache only — dropping any entry is
+/// always safe.
 #[derive(Debug)]
 pub struct SessionDelta {
     entries: VecDeque<DeltaEntry>,
-    capacity: usize,
     stats: DeltaStoreStats,
 }
 
+/// Entry bound of a [`SessionDelta`]: a dashboard render captures up to one
+/// entry per chart (~5) and adaptive walks revisit the overview after half
+/// a dozen drill steps, so the window must span several steps' worth of
+/// captures for the return leg to hit tier 1/2 instead of re-scanning. 32
+/// covers ~6 steps of a 5-chart dashboard without unbounded retention; each
+/// entry holds one `SelectionVector` (≤ row-count u32s), so worst case is a
+/// few MB per session at the 1M-row tier.
+const CAPACITY: usize = 32;
+
 impl Default for SessionDelta {
     fn default() -> Self {
-        Self::new(Self::DEFAULT_CAPACITY)
+        Self {
+            entries: VecDeque::with_capacity(CAPACITY),
+            stats: DeltaStoreStats::default(),
+        }
     }
 }
 
 impl SessionDelta {
-    /// Default entry bound: a dashboard render captures up to one entry per
-    /// chart (~5) and adaptive walks revisit the overview after half a dozen
-    /// drill steps, so the window must span several steps' worth of captures
-    /// for the return leg to hit tier 1/2 instead of re-scanning. 32 covers
-    /// ~6 steps of a 5-chart dashboard without unbounded retention; each
-    /// entry holds one `SelectionVector` (≤ row-count u32s), so worst case
-    /// is a few MB per session at the 1M-row tier.
-    pub const DEFAULT_CAPACITY: usize = 32;
-
-    pub fn new(capacity: usize) -> Self {
-        Self {
-            entries: VecDeque::with_capacity(capacity.min(Self::DEFAULT_CAPACITY)),
-            capacity: capacity.max(1),
-            stats: DeltaStoreStats::default(),
-        }
-    }
-
     /// An empty store that goes on counting from `stats`: the replacement
     /// for a store lost with an abandoned attempt, whose earlier events
     /// still happened.
@@ -209,7 +204,7 @@ impl SessionDelta {
     /// the same states identity and evicting the oldest at capacity.
     fn store(&mut self, entry: DeltaEntry) {
         self.entries.retain(|e| !e.form.same_states(&entry.form));
-        while self.entries.len() >= self.capacity {
+        while self.entries.len() >= CAPACITY {
             self.entries.pop_front();
         }
         self.entries.push_back(entry);
@@ -567,14 +562,14 @@ mod tests {
     #[test]
     fn store_is_bounded() {
         let catalog = catalog();
-        let mut delta = SessionDelta::new(2);
-        for lo in 0..5 {
+        let mut delta = SessionDelta::default();
+        for lo in 0..CAPACITY + 3 {
             run(
                 &catalog,
                 &mut delta,
                 &format!("SELECT COUNT(*) FROM t WHERE a > {lo}"),
             );
         }
-        assert_eq!(delta.len(), 2, "oldest entries evicted at capacity");
+        assert_eq!(delta.len(), CAPACITY, "oldest entries evicted at capacity");
     }
 }

@@ -28,7 +28,7 @@ use crate::core::{reframe, ServerCore};
 use crate::proto::{
     Decoder, EngineSel, Frame, FrameKind, Request, Response, TableBlock, WireError,
 };
-use simba_engine::{Dbms, EngineError, EngineKind, QueryCtx, QueryOutput};
+use simba_engine::{Dbms, EngineError, EngineKind, QueryOutput};
 use simba_sql::printer::print_select;
 use simba_sql::Select;
 use simba_store::Table;
@@ -175,29 +175,6 @@ impl RemoteDbms {
         })
     }
 
-    /// Connect a second client to the same loopback server, so tests can
-    /// model several engines sharing one server process.
-    pub fn sibling(&self, kind: EngineKind, scan_threads: usize) -> Result<RemoteDbms, WireError> {
-        match &self.loopback {
-            Some(core) => {
-                core.connection_opened();
-                Ok(RemoteDbms {
-                    addr: self.addr.clone(),
-                    sel: EngineSel {
-                        kind: kind.name().to_string(),
-                        scan_threads,
-                    },
-                    kind,
-                    pool: Mutex::new(vec![Box::new(LoopbackTransport::new(Arc::clone(core)))]),
-                    next_id: AtomicU64::new(1),
-                    register_failure: Mutex::new(None),
-                    loopback: Some(Arc::clone(core)),
-                })
-            }
-            None => RemoteDbms::connect(&self.addr, kind, scan_threads),
-        }
-    }
-
     /// The loopback core, when this client is a loopback client (tests
     /// use it to inspect server counters).
     pub fn loopback_core(&self) -> Option<Arc<ServerCore>> {
@@ -305,44 +282,6 @@ impl RemoteDbms {
             WireError::Io("connection pool exhausted".to_string())
         })))
     }
-
-    fn execute_sql(
-        &self,
-        query: &Select,
-        ctx: Option<&QueryCtx>,
-    ) -> Result<QueryOutput, EngineError> {
-        if let Some(msg) = self
-            .register_failure
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .clone()
-        {
-            return Err(EngineError::Internal(format!(
-                "a prior remote register failed: {msg}"
-            )));
-        }
-        let payload = codec::encode_execute(&self.sel, &print_select(query), ctx);
-        match self.round_trip_payload(payload)? {
-            Response::Result {
-                result,
-                stats,
-                elapsed_ns,
-            } => Ok(QueryOutput {
-                result,
-                stats,
-                // Server-side engine latency: the paper's latency metric
-                // measures the engine, not the network between harness
-                // processes. The driver's own wall-clock wraps this call
-                // and captures round-trip latency separately.
-                elapsed: Duration::from_nanos(elapsed_ns),
-            }),
-            Response::EngineFailure { error } => Err(error),
-            Response::BadRequest { message } => Err(EngineError::Internal(format!(
-                "server rejected the request: {message}"
-            ))),
-            other => Err(unexpected_response("execute", &other)),
-        }
-    }
 }
 
 impl Dbms for RemoteDbms {
@@ -385,11 +324,37 @@ impl Dbms for RemoteDbms {
     }
 
     fn execute(&self, query: &Select) -> Result<QueryOutput, EngineError> {
-        self.execute_sql(query, None)
-    }
-
-    fn execute_at(&self, query: &Select, ctx: &QueryCtx) -> Result<QueryOutput, EngineError> {
-        self.execute_sql(query, Some(ctx))
+        if let Some(msg) = self
+            .register_failure
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .clone()
+        {
+            return Err(EngineError::Internal(format!(
+                "a prior remote register failed: {msg}"
+            )));
+        }
+        let payload = codec::encode_execute(&self.sel, &print_select(query));
+        match self.round_trip_payload(payload)? {
+            Response::Result {
+                result,
+                stats,
+                elapsed_ns,
+            } => Ok(QueryOutput {
+                result,
+                stats,
+                // Server-side engine latency: the paper's latency metric
+                // measures the engine, not the network between harness
+                // processes. The driver's own wall-clock wraps this call
+                // and captures round-trip latency separately.
+                elapsed: Duration::from_nanos(elapsed_ns),
+            }),
+            Response::EngineFailure { error } => Err(error),
+            Response::BadRequest { message } => Err(EngineError::Internal(format!(
+                "server rejected the request: {message}"
+            ))),
+            other => Err(unexpected_response("execute", &other)),
+        }
     }
 }
 
@@ -455,22 +420,6 @@ mod tests {
     }
 
     #[test]
-    fn execute_at_forwards_the_context() {
-        let remote =
-            RemoteDbms::connect(LOOPBACK_ADDR, EngineKind::DuckDbLike, 1).expect("loopback");
-        remote.register(Arc::new(tiny_table()));
-        let query = parse_select("SELECT COUNT(*) AS c FROM t").expect("parses");
-        let ctx = QueryCtx {
-            session: 1,
-            step: 2,
-            query: 0,
-            attempt: 0,
-        };
-        let out = remote.execute_at(&query, &ctx).expect("remote executes");
-        assert_eq!(out.result.rows, vec![vec![Value::Int(3)]]);
-    }
-
-    #[test]
     fn unreachable_server_fails_eagerly_and_transiently() {
         // Reserved port on localhost with nothing listening: connect must
         // fail now, not on first query.
@@ -478,22 +427,6 @@ mod tests {
             .expect_err("nothing listens on port 1");
         assert!(matches!(err, WireError::Io(_)), "{err:?}");
         assert!(wire_to_engine(err).is_transient());
-    }
-
-    #[test]
-    fn siblings_share_one_loopback_server() {
-        let a = RemoteDbms::connect(LOOPBACK_ADDR, EngineKind::SqliteLike, 1).expect("loopback");
-        let b = a.sibling(EngineKind::MonetDbLike, 1).expect("sibling");
-        a.register(Arc::new(tiny_table()));
-        b.register(Arc::new(tiny_table()));
-        let stats = a.loopback_core().expect("loopback core").stats_snapshot();
-        assert_eq!(stats.registers, 2);
-        assert_eq!(stats.connections, 2);
-        let query = parse_select("SELECT COUNT(*) AS c FROM t").expect("parses");
-        assert_eq!(
-            b.execute(&query).expect("executes").result.rows,
-            vec![vec![Value::Int(3)]]
-        );
     }
 
     #[test]

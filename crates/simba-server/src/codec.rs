@@ -12,7 +12,7 @@
 use crate::proto::{
     EngineSel, Request, Response, ServerStatsSnapshot, TableBlock, WireError, CHUNK_ROWS,
 };
-use simba_engine::{EngineError, ExecStats, QueryCtx};
+use simba_engine::{EngineError, ExecStats};
 use simba_store::{
     for_width, ColumnData, ColumnDef, ColumnRole, DataType, ResultSet, Schema, Value,
 };
@@ -21,7 +21,6 @@ use std::sync::Arc;
 
 const REQ_REGISTER: u8 = 0;
 const REQ_EXECUTE: u8 = 1;
-const REQ_EXECUTE_AT: u8 = 2;
 const REQ_STATS: u8 = 3;
 const REQ_SHUTDOWN: u8 = 4;
 
@@ -189,24 +188,14 @@ fn get_sel(r: &mut Reader<'_>) -> Result<EngineSel, WireError> {
     })
 }
 
-/// Payload of `Execute` (`ctx` absent) or `ExecuteAt`, from borrowed parts:
-/// the client encodes straight from its selector and the printed SQL
-/// without building a [`Request`] around clones of them.
-pub(crate) fn encode_execute(sel: &EngineSel, sql: &str, ctx: Option<&QueryCtx>) -> Vec<u8> {
+/// Payload of `Execute`, from borrowed parts: the client encodes straight
+/// from its selector and the printed SQL without building a [`Request`]
+/// around clones of them.
+pub(crate) fn encode_execute(sel: &EngineSel, sql: &str) -> Vec<u8> {
     let mut w = Writer::with_capacity(48 + sel.kind.len() + sql.len());
-    w.u8(if ctx.is_some() {
-        REQ_EXECUTE_AT
-    } else {
-        REQ_EXECUTE
-    });
+    w.u8(REQ_EXECUTE);
     put_sel(&mut w, sel);
     w.str(sql);
-    if let Some(ctx) = ctx {
-        w.u64(ctx.session);
-        w.u64(ctx.step);
-        w.u64(ctx.query);
-        w.u32(ctx.attempt);
-    }
     w.buf
 }
 
@@ -232,8 +221,7 @@ pub(crate) fn encode_register(sel: &EngineSel, block: &TableBlock) -> Vec<u8> {
 pub(crate) fn encode_request(req: &Request) -> Vec<u8> {
     match req {
         Request::RegisterTable { engine, block } => encode_register(engine, block),
-        Request::Execute { engine, sql } => encode_execute(engine, sql, None),
-        Request::ExecuteAt { engine, sql, ctx } => encode_execute(engine, sql, Some(ctx)),
+        Request::Execute { engine, sql } => encode_execute(engine, sql),
         Request::Stats => vec![REQ_STATS],
         Request::Shutdown => vec![REQ_SHUTDOWN],
     }
@@ -249,16 +237,6 @@ pub(crate) fn decode_request(payload: &[u8]) -> Result<Request, WireError> {
         REQ_EXECUTE => Request::Execute {
             engine: get_sel(&mut r)?,
             sql: r.str()?.to_string(),
-        },
-        REQ_EXECUTE_AT => Request::ExecuteAt {
-            engine: get_sel(&mut r)?,
-            sql: r.str()?.to_string(),
-            ctx: QueryCtx {
-                session: r.u64()?,
-                step: r.u64()?,
-                query: r.u64()?,
-                attempt: r.u32()?,
-            },
         },
         REQ_STATS => Request::Stats,
         REQ_SHUTDOWN => Request::Shutdown,

@@ -244,8 +244,7 @@ impl ServerCore {
         self.stats.requests.fetch_add(1, Ordering::Relaxed);
         match req {
             Request::RegisterTable { engine, block } => self.register_block(&engine, block),
-            Request::Execute { engine, sql } => self.execute(&engine, &sql, None),
-            Request::ExecuteAt { engine, sql, ctx } => self.execute(&engine, &sql, Some(&ctx)),
+            Request::Execute { engine, sql } => self.execute(&engine, &sql),
             Request::Stats => Response::Stats {
                 stats: self.stats.snapshot(),
             },
@@ -310,12 +309,7 @@ impl ServerCore {
         Response::Registered { rows }
     }
 
-    fn execute(
-        &self,
-        sel: &EngineSel,
-        sql: &str,
-        ctx: Option<&simba_engine::QueryCtx>,
-    ) -> Response {
+    fn execute(&self, sel: &EngineSel, sql: &str) -> Response {
         let _span = simba_obs::trace::span("server.execute", "server");
         let dbms = match self.engine(sel) {
             Ok((_, dbms)) => dbms,
@@ -326,11 +320,7 @@ impl ServerCore {
             Err(e) => return self.bad_request(format!("unparseable SQL: {e}")),
         };
         self.stats.executes.fetch_add(1, Ordering::Relaxed);
-        let outcome = match ctx {
-            Some(ctx) => dbms.execute_at(&query, ctx),
-            None => dbms.execute(&query),
-        };
-        match outcome {
+        match dbms.execute(&query) {
             Ok(out) => Response::Result {
                 result: out.result,
                 stats: out.stats,

@@ -6,7 +6,7 @@
 //! ```text
 //! offset  size  field
 //! 0       4     magic  "SMBA" (0x53 0x4D 0x42 0x41)
-//! 4       1     protocol version (currently 2)
+//! 4       1     protocol version (currently 3)
 //! 5       1     frame kind: 0 = request, 1 = response
 //! 6       8     request id, u64 little-endian
 //! 14      4     payload length, u32 little-endian
@@ -27,6 +27,9 @@
 //!   frames with an unknown version are rejected before payload parsing.
 //!   Version 1 carried JSON payloads and is rejected like any other
 //!   unknown version — there is no negotiation and no second format.
+//!   Version 2 had a second execute request (tag 2) carrying the
+//!   caller's `QueryCtx`, which no served engine reads; version 3 has
+//!   one execute request, and tag 2 is an unknown request.
 //! * Within a version nothing is optional and nothing is skipped: a new
 //!   field, tag or request kind requires a bump.
 //!
@@ -43,8 +46,6 @@
 //! ```text
 //! u8 tag   0 RegisterTable   sel, block (below)
 //!          1 Execute         sel, str sql
-//!          2 ExecuteAt       sel, str sql,
-//!                            u64 session, u64 step, u64 query, u32 attempt
 //!          3 Stats           (nothing)
 //!          4 Shutdown        (nothing)
 //! ```
@@ -155,7 +156,7 @@
 //! module and this documentation is its specification.
 
 use crate::codec;
-use simba_engine::{EngineError, ExecStats, QueryCtx};
+use simba_engine::{EngineError, ExecStats};
 use simba_store::{
     for_width, ColumnData, DataType, NarrowVec, ResultSet, Schema, Table, MORSEL_ROWS,
 };
@@ -165,7 +166,7 @@ use std::ops::Range;
 pub const MAGIC: [u8; 4] = *b"SMBA";
 
 /// Current protocol version; bumped on any incompatible payload change.
-pub const PROTOCOL_VERSION: u8 = 2;
+pub const PROTOCOL_VERSION: u8 = 3;
 
 /// Fixed frame header size in bytes (magic + version + kind + id + len).
 pub const HEADER_LEN: usize = 18;
@@ -690,16 +691,6 @@ pub enum Request {
         /// `SELECT` statement text.
         sql: String,
     },
-    /// [`Request::Execute`] with the caller's deterministic execution
-    /// identity attached (retry attempt, session/step/query position).
-    ExecuteAt {
-        /// Engine instance to execute on.
-        engine: EngineSel,
-        /// `SELECT` statement text.
-        sql: String,
-        /// Execution identity forwarded to [`simba_engine::Dbms::execute_at`].
-        ctx: QueryCtx,
-    },
     /// Snapshot the server's request/connection counters.
     Stats,
     /// Begin graceful drain: stop accepting connections, finish what is
@@ -758,7 +749,7 @@ pub struct ServerStatsSnapshot {
     pub active_connections: u64,
     /// Frames dispatched (all request kinds).
     pub requests: u64,
-    /// Execute/ExecuteAt requests served.
+    /// Execute requests served.
     pub executes: u64,
     /// Tables registered.
     pub registers: u64,
@@ -775,18 +766,12 @@ mod tests {
     use simba_store::{ColumnDef, TableBuilder, Value};
 
     fn sample_request() -> Request {
-        Request::ExecuteAt {
+        Request::Execute {
             engine: EngineSel {
                 kind: "duckdb-like".into(),
                 scan_threads: 2,
             },
             sql: "SELECT q, SUM(n) FROM t GROUP BY q".into(),
-            ctx: QueryCtx {
-                session: 3,
-                step: 1,
-                query: 4,
-                attempt: 1,
-            },
         }
     }
 
@@ -812,29 +797,19 @@ mod tests {
     fn payloads_follow_the_documented_layout() {
         let frame = Frame::request(
             1,
-            &Request::ExecuteAt {
+            &Request::Execute {
                 engine: EngineSel {
                     kind: "ab".into(),
                     scan_threads: 3,
                 },
                 sql: "S".into(),
-                ctx: QueryCtx {
-                    session: 1,
-                    step: 2,
-                    query: 3,
-                    attempt: 4,
-                },
             },
         )
         .unwrap();
-        let mut want = vec![2u8];
+        let mut want = vec![1u8];
         want.extend_from_slice(&[2, 0, 0, 0, b'a', b'b']);
         want.extend_from_slice(&3u64.to_le_bytes());
         want.extend_from_slice(&[1, 0, 0, 0, b'S']);
-        want.extend_from_slice(&1u64.to_le_bytes());
-        want.extend_from_slice(&2u64.to_le_bytes());
-        want.extend_from_slice(&3u64.to_le_bytes());
-        want.extend_from_slice(&4u32.to_le_bytes());
         assert_eq!(frame.payload, want);
 
         let frame = Frame::response(

@@ -9,7 +9,7 @@
 //!   no upload pending and the server usable.
 
 use proptest::prelude::*;
-use simba_engine::{EngineError, EngineKind, ExecStats, QueryCtx};
+use simba_engine::{EngineError, EngineKind, ExecStats};
 use simba_server::proto::{
     EngineSel, FrameKind, ServerStatsSnapshot, TableBlock, CHUNK_ROWS, MAX_PAYLOAD,
 };
@@ -374,17 +374,7 @@ proptest! {
         let mut d = Draw(seed);
         let engine = EngineSel { kind: format!("{text}-like"), scan_threads: threads };
         let requests = [
-            Request::Execute { engine: engine.clone(), sql: text.to_string() },
-            Request::ExecuteAt {
-                engine,
-                sql: format!("SELECT '{text}'"),
-                ctx: QueryCtx {
-                    session: d.next(),
-                    step: d.next(),
-                    query: d.next(),
-                    attempt: d.next() as u32,
-                },
-            },
+            Request::Execute { engine, sql: text.to_string() },
             Request::Stats,
             Request::Shutdown,
         ];
@@ -543,15 +533,9 @@ fn sample_payloads(seed: u64) -> Vec<(FrameKind, Vec<u8>)> {
             engine: sel("duckdb-like"),
             block,
         },
-        Request::ExecuteAt {
+        Request::Execute {
             engine: sel("sqlite-like"),
             sql: "SELECT q, COUNT(*) FROM t GROUP BY q".into(),
-            ctx: QueryCtx {
-                session: 1,
-                step: 2,
-                query: 3,
-                attempt: 4,
-            },
         },
         Request::Stats,
     ];

@@ -2,7 +2,9 @@
 //! decode identically no matter how the bytes are torn into reads, and
 //! arbitrary garbage must never panic, never allocate past the declared
 //! payload cap, and always either park (waiting for more bytes) or fail
-//! with a protocol error — the decoder has no third state.
+//! with a protocol error — the decoder has no third state. Over a real
+//! localhost socket, a retired request tag and a retired protocol version
+//! are refused the way the protocol documents.
 
 use proptest::prelude::*;
 use simba_server::{Decoder, Frame, FrameKind, Request, PROTOCOL_VERSION};
@@ -130,4 +132,161 @@ fn future_protocol_version_is_rejected() {
     let mut decoder = Decoder::new();
     decoder.feed(&bytes);
     assert!(decoder.next_frame().is_err());
+}
+
+/// A server on a free localhost port, and the thread running it.
+fn spawn_server() -> (
+    String,
+    std::sync::Arc<simba_server::ServerCore>,
+    std::thread::JoinHandle<()>,
+) {
+    let core = std::sync::Arc::new(simba_server::ServerCore::new());
+    let server = simba_server::Server::bind(
+        simba_server::ServerConfig {
+            addr: "127.0.0.1:0".to_string(),
+            ..simba_server::ServerConfig::default()
+        },
+        std::sync::Arc::clone(&core),
+    )
+    .expect("bind 127.0.0.1:0");
+    let addr = server.local_addr().expect("bound").to_string();
+    (
+        addr,
+        core,
+        std::thread::spawn(move || server.run().expect("server runs")),
+    )
+}
+
+/// Drain a server started by [`spawn_server`].
+fn stop_server(addr: &str, serving: std::thread::JoinHandle<()>) {
+    let client = simba_server::RemoteDbms::connect(addr, simba_engine::EngineKind::DuckDbLike, 1)
+        .expect("dial");
+    client.shutdown_server().expect("shutdown acknowledged");
+    drop(client);
+    serving.join().expect("server drains");
+}
+
+/// Write one frame and read back the response to it.
+fn exchange(stream: &mut std::net::TcpStream, frame: &Frame) -> simba_server::Response {
+    use std::io::{Read, Write};
+    stream.write_all(&frame.encode()).expect("write frame");
+    let mut decoder = Decoder::new();
+    let mut buf = [0u8; 4096];
+    loop {
+        if let Some(reply) = decoder.next_frame().expect("well-formed reply") {
+            assert_eq!(reply.request_id, frame.request_id);
+            return reply.parse_response().expect("reply decodes");
+        }
+        let n = stream.read(&mut buf).expect("read reply");
+        assert!(n > 0, "server closed before answering");
+        decoder.feed(&buf[..n]);
+    }
+}
+
+/// Version 2's second execute request (tag 2: selector, SQL and a
+/// four-field query context) is an unknown request in version 3: the
+/// server answers it `BadRequest` and the same connection goes on serving.
+#[test]
+fn retired_request_tag_is_a_bad_request_and_the_connection_survives() {
+    use simba_server::proto::{EngineSel, TableBlock};
+    use simba_server::Response;
+    use simba_store::{ColumnDef, Schema, TableBuilder, Value};
+
+    let mut table = TableBuilder::new(
+        Schema::new(
+            "t",
+            vec![
+                ColumnDef::categorical("q"),
+                ColumnDef::quantitative_int("n"),
+            ],
+        ),
+        3,
+    );
+    for (q, n) in [("A", 1), ("B", 2), ("A", 4)] {
+        table.push_row(vec![Value::str(q), Value::Int(n)]);
+    }
+    let table = table.finish();
+    let engine = EngineSel {
+        kind: "duckdb-like".into(),
+        scan_threads: 1,
+    };
+    let sql = "SELECT COUNT(*) AS c FROM t";
+
+    let (addr, core, serving) = spawn_server();
+    let mut stream = std::net::TcpStream::connect(&addr).expect("connect");
+    for block in TableBlock::split(&table) {
+        let register = Request::RegisterTable {
+            engine: engine.clone(),
+            block,
+        };
+        let reply = exchange(&mut stream, &Frame::request(1, &register).expect("encodes"));
+        assert_eq!(reply, Response::Registered { rows: 3 });
+    }
+
+    let put_str = |out: &mut Vec<u8>, text: &str| {
+        out.extend_from_slice(&(text.len() as u32).to_le_bytes());
+        out.extend_from_slice(text.as_bytes());
+    };
+    let mut retired = vec![2u8];
+    put_str(&mut retired, &engine.kind);
+    retired.extend_from_slice(&1u64.to_le_bytes());
+    put_str(&mut retired, sql);
+    for field in [1u64, 2, 3] {
+        retired.extend_from_slice(&field.to_le_bytes());
+    }
+    retired.extend_from_slice(&4u32.to_le_bytes());
+    let frame = Frame::new(FrameKind::Request, 2, retired).expect("under the cap");
+    match exchange(&mut stream, &frame) {
+        Response::BadRequest { message } => {
+            assert!(message.contains("unknown request tag 2"), "{message}")
+        }
+        other => panic!("expected BadRequest, got {other:?}"),
+    }
+
+    let execute = Request::Execute {
+        engine,
+        sql: sql.into(),
+    };
+    match exchange(&mut stream, &Frame::request(3, &execute).expect("encodes")) {
+        Response::Result { result, .. } => assert_eq!(result.rows, vec![vec![Value::Int(3)]]),
+        other => panic!("expected a result, got {other:?}"),
+    }
+    let stats = core.stats_snapshot();
+    assert_eq!((stats.executes, stats.protocol_errors), (1, 1));
+    drop(stream);
+    stop_server(&addr, serving);
+}
+
+/// A version-2 header is refused on its own: the decoder fails on the
+/// header without waiting for the payload it declares, and a server drops
+/// the connection with the payload still unsent.
+#[test]
+fn previous_protocol_version_is_refused_before_its_payload() {
+    use std::io::{ErrorKind, Read, Write};
+
+    let mut header = Frame::new(FrameKind::Request, 1, vec![0; 64])
+        .expect("under the cap")
+        .encode();
+    header.truncate(simba_server::proto::HEADER_LEN);
+    header[4] = PROTOCOL_VERSION - 1;
+    assert_eq!(header[4], 2);
+    let mut decoder = Decoder::new();
+    decoder.feed(&header);
+    assert!(decoder.next_frame().is_err(), "refused at the header");
+
+    let (addr, core, serving) = spawn_server();
+    let mut stream = std::net::TcpStream::connect(&addr).expect("connect");
+    stream
+        .set_read_timeout(Some(std::time::Duration::from_secs(10)))
+        .expect("read timeout");
+    stream.write_all(&header).expect("write header");
+    let mut buf = [0u8; 64];
+    match stream.read(&mut buf) {
+        Ok(0) => {}
+        Err(e) if e.kind() == ErrorKind::ConnectionReset => {}
+        other => panic!("expected the server to close the connection, got {other:?}"),
+    }
+    assert_eq!(core.stats_snapshot().protocol_errors, 1);
+    drop(stream);
+    stop_server(&addr, serving);
 }

@@ -7,9 +7,10 @@
 //! ```
 
 use rand::SeedableRng;
-use simba::core::equivalence::augment_result;
+use simba::core::equivalence::augment;
 use simba::core::oracle::Oracle;
 use simba::prelude::*;
+use simba::sql::NormalizedSelect;
 use simba::store::CoverageStore;
 use std::sync::Arc;
 
@@ -55,7 +56,7 @@ fn main() {
     // Initial render.
     for (_, q) in dashboard.all_queries(&state) {
         let out = engine.execute(&q).unwrap();
-        coverage.absorb(&augment_result(&q, out.result));
+        coverage.absorb(&augment(&NormalizedSelect::from_select(&q), out.result));
     }
 
     let mut step = 0;
@@ -87,7 +88,7 @@ fn main() {
                 out.result.n_rows(),
                 out.elapsed.as_secs_f64() * 1e3
             );
-            coverage.absorb(&augment_result(q, out.result));
+            coverage.absorb(&augment(&NormalizedSelect::from_select(q), out.result));
         }
         let covered = coverage.covered_rows(&goal_result);
         println!(
