@@ -1,14 +1,16 @@
 //! Criterion microbenchmarks: the four engine architectures on fixed
-//! dashboard-shaped queries (supports the §6 engine comparison) and the
-//! filter compiler's kernels against what they replace.
+//! dashboard-shaped queries (supports the §6 engine comparison), the
+//! filter compiler's kernels against what they replace, and the plan layer
+//! (`prepare` plus `compile_kernels`) on storm-shaped filters.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use simba_data::DashboardDataset;
 use simba_engine::batch::{fill_filtered, SelectionVector, MORSEL};
 use simba_engine::exec::{cexpr_conjuncts, compile_kernels, Kernel};
-use simba_engine::plan::compile_row_expr;
+use simba_engine::plan::{compile_row_expr, prepare};
 use simba_engine::{Dbms, EngineKind};
-use simba_sql::parse_select;
+use simba_idebench::{IdeBenchConfig, IdeBenchWalk};
+use simba_sql::{parse_select, Select};
 use simba_store::Table;
 use std::sync::Arc;
 use std::time::Duration;
@@ -117,5 +119,105 @@ fn bench_filters(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_engines, bench_filters);
+/// One query's plan: `prepare` plus `compile_kernels` over its WHERE — all
+/// the work a query proved empty costs before its scan reads nothing.
+fn plan(query: &Select, table: &Arc<Table>) -> usize {
+    let plan = prepare(query, table.clone()).unwrap();
+    plan.filter
+        .as_ref()
+        .map_or(0, |f| compile_kernels(f, table).len())
+}
+
+/// `plan/`: `prepare` plus `compile_kernels` on storm-shaped filters —
+/// Float bounds on Int columns, dictionary `IN` lists, one contradiction —
+/// each also as `compile_kernels` alone; then the same over every query of
+/// eight seeded IDEBench storms (26 interactions each) that compiles to a
+/// contradiction, one iteration timing the whole set.
+fn bench_plan(c: &mut Criterion) {
+    let table = Arc::new(DashboardDataset::CustomerService.generate_rows(100_000, 42));
+    let query = |filter: &str| {
+        parse_select(&format!(
+            "SELECT queue, COUNT(*) FROM customer_service WHERE {filter} GROUP BY queue"
+        ))
+        .unwrap()
+    };
+    let cases = [
+        (
+            "float_on_int",
+            query(
+                "calls BETWEEN 3.27 AND 18.9 AND satisfaction BETWEEN 1.5 AND 4.25 \
+                 AND transfers BETWEEN 0.2 AND 2.7 AND callbacks BETWEEN 0.1 AND 1.9",
+            ),
+        ),
+        (
+            "dict_in",
+            query(
+                "queue IN ('A', 'B') AND rep_id IN ('rep_03', 'rep_07', 'rep_11') \
+                 AND call_type IN ('billing', 'sales') AND customer_tier IN ('gold')",
+            ),
+        ),
+        (
+            "contradiction",
+            query(
+                "handle_time BETWEEN 60.5 AND 612.25 AND queue IN ('A', 'C') \
+                 AND lost_calls BETWEEN 0.04 AND 0.45 AND calls BETWEEN 2.5 AND 30.75",
+            ),
+        ),
+    ];
+    let proved_empty: Vec<Select> = (0..8)
+        .flat_map(|seed| {
+            let config = IdeBenchConfig {
+                seed,
+                interactions: 26,
+                ..Default::default()
+            };
+            let mut walk = IdeBenchWalk::new(&table, &config);
+            let mut queries = Vec::new();
+            while let Some(step) = walk.next() {
+                queries.extend(step.queries.into_iter().map(|(_, q)| q));
+            }
+            queries
+        })
+        .filter(|q| {
+            let filter = prepare(q, table.clone()).unwrap().filter;
+            filter.is_some_and(|f| {
+                compile_kernels(&f, &table)
+                    .iter()
+                    .any(Kernel::never_matches)
+            })
+        })
+        .collect();
+
+    let mut group = c.benchmark_group("plan");
+    group
+        .sample_size(2_000)
+        .measurement_time(Duration::from_secs(2));
+    for (name, query) in &cases {
+        let filter = prepare(query, table.clone()).unwrap().filter.unwrap();
+        group.bench_function(name, |b| b.iter(|| plan(query, &table)));
+        group.bench_function(format!("{name}/compile_kernels"), |b| {
+            b.iter(|| compile_kernels(&filter, &table).len())
+        });
+    }
+    let filters: Vec<_> = proved_empty
+        .iter()
+        .map(|q| prepare(q, table.clone()).unwrap().filter.unwrap())
+        .collect();
+    let set = format!("storm_proved_empty x{}", proved_empty.len());
+    group.sample_size(50);
+    group.bench_function(&set, |b| {
+        b.iter(|| proved_empty.iter().map(|q| plan(q, &table)).sum::<usize>())
+    });
+    group.bench_function(format!("{set}/compile_kernels"), |b| {
+        b.iter(|| {
+            filters
+                .iter()
+                .map(|f| compile_kernels(f, &table).len())
+                .sum::<usize>()
+        })
+    });
+    group.finish();
+}
+
+criterion_group!(benches, bench_engines, bench_filters, bench_plan);
 criterion_main!(benches);

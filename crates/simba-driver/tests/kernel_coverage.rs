@@ -13,8 +13,12 @@
 //! else, the key boxed) — and by aggregate column, typed or boxed, with its
 //! key count. The IDEBench storm must leave no aggregate on the hash index,
 //! and every hash-indexed aggregate of the other sources must have a bare
-//! Int key: the one shape packing does not reach yet. `cargo test -p
-//! simba-driver --test kernel_coverage -- --nocapture` prints both tables.
+//! Int key: the one shape packing does not reach yet. Each Float literal
+//! compared with an Int column is counted by how the filter compiler places
+//! it among the column's keys: in closed form (finite and below 2^53 in
+//! magnitude) or by bisection (the rest); the storm must reach the closed
+//! form. `cargo test -p simba-driver --test kernel_coverage -- --nocapture`
+//! prints the three tables.
 
 use simba_core::dashboard::Dashboard;
 use simba_core::session::batch::{synthesize_scripts, BatchConfig};
@@ -25,13 +29,14 @@ use simba_data::DashboardDataset;
 use simba_driver::{
     AdaptiveSource, AdaptiveWalkConfig, Driver, DriverConfig, ScriptedSource, SessionSource,
 };
+use simba_engine::eval::CExpr;
 use simba_engine::exec::{cexpr_conjuncts, compile_kernels, Kernel};
 use simba_engine::group::GroupTable;
 use simba_engine::plan::{compile_row_expr, prepare, QueryKind};
 use simba_engine::{Dbms, EngineError, EngineKind, QueryOutput};
 use simba_idebench::IdebenchSource;
 use simba_sql::Select;
-use simba_store::{ColumnData, Table};
+use simba_store::{ColumnData, Table, Value};
 use std::sync::{Arc, Mutex};
 
 const ROWS: usize = 2_000;
@@ -70,6 +75,9 @@ struct Inventory {
     generic: usize,
     /// Queries whose filter compiles to one kernel that never matches.
     contradictory: usize,
+    /// Float literals compared with an Int column: placed in closed form,
+    /// placed by bisection.
+    int_float: [usize; 2],
     /// Aggregates without GROUP BY: the global key index.
     global: usize,
     /// One dictionary key: the dense key index.
@@ -141,7 +149,13 @@ fn inventory(table: &Arc<Table>, source: &dyn SessionSource) -> Inventory {
         };
         let filter = compile_row_expr(filter, table.schema()).unwrap();
         let kernels = compile_kernels(&filter, table);
-        inv.conjuncts += cexpr_conjuncts(&filter).len();
+        let conjuncts = cexpr_conjuncts(&filter);
+        inv.conjuncts += conjuncts.len();
+        for conjunct in conjuncts {
+            for f in int_column_float_literals(conjunct, table) {
+                inv.int_float[usize::from(f.abs() >= 2f64.powi(53) || f.is_nan())] += 1;
+            }
+        }
         inv.contradictory += usize::from(kernels.iter().any(Kernel::never_matches));
         for kernel in &kernels {
             match kernel {
@@ -152,6 +166,27 @@ fn inventory(table: &Arc<Table>, source: &dyn SessionSource) -> Inventory {
         }
     }
     inv
+}
+
+/// The Float literals `conjunct` compares with an Int column, in the shapes
+/// the filter compiler types: `col <op> lit` and `col BETWEEN lit AND lit`.
+fn int_column_float_literals(conjunct: &CExpr, table: &Table) -> Vec<f64> {
+    let (col, bounds) = match conjunct {
+        CExpr::Bin { l, op, r } if op.is_comparison() => (l.as_col(), vec![r.as_ref()]),
+        CExpr::Between { e, low, high, .. } => (e.as_col(), vec![low.as_ref(), high.as_ref()]),
+        _ => return Vec::new(),
+    };
+    let int_column = col.is_some_and(|c| matches!(table.column(c), ColumnData::Int { .. }));
+    if !int_column || !bounds.iter().all(|b| matches!(b, CExpr::Lit(_))) {
+        return Vec::new();
+    }
+    bounds
+        .into_iter()
+        .filter_map(|b| match b {
+            CExpr::Lit(Value::Float(f)) => Some(*f),
+            _ => None,
+        })
+        .collect()
 }
 
 #[test]
@@ -280,6 +315,30 @@ fn idebench_storm_compiles_to_typed_kernels_only() {
         }
         if matches!(*name, "adaptive" | "goal") {
             assert!(inv.hash > 0, "{name} never reaches the hash table: {inv:?}");
+        }
+    }
+
+    println!(
+        "\n{:<9} {:>7} {:>16} {:>16} {:>14} {:>19}",
+        "source",
+        "queries",
+        "Int~Float closed",
+        "Int~Float bisect",
+        "closed / query",
+        "contradictory share"
+    );
+    for (name, inv) in &inventories {
+        println!(
+            "{name:<9} {:>7} {:>16} {:>16} {:>14.3} {:>19.3}",
+            inv.queries,
+            inv.int_float[0],
+            inv.int_float[1],
+            inv.int_float[0] as f64 / inv.queries as f64,
+            inv.contradictory as f64 / inv.queries as f64,
+        );
+        if *name == "idebench" {
+            // Storm ranges are Float bounds whatever the column's type.
+            assert!(inv.int_float[0] > 0, "{inv:?}");
         }
     }
 }

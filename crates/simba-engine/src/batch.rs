@@ -225,9 +225,9 @@ struct RangePartial {
 pub enum DeltaScan<'a> {
     /// No participation: the plain fresh scan.
     Off,
-    /// Fresh scan that additionally captures the surviving selection (and,
-    /// for aggregations, the merged group table) so a session
-    /// delta store can seed later refinements from it.
+    /// Fresh scan that additionally captures the surviving selection of a
+    /// filtered query (and, for aggregations, the merged group table) so a
+    /// session delta store can seed later refinements from it.
     Capture,
     /// Scan seeded from a previously captured selection: only the seed rows
     /// are candidates, everything else is provably filtered out already.
@@ -253,8 +253,10 @@ pub(crate) const MAX_CAPTURED_GROUPS: usize = 1 << 16;
 /// Work retained from one scan for reuse by a later refinement step.
 #[derive(Debug, Clone)]
 pub struct DeltaCapture {
-    /// Surviving row indices over the whole table, ascending.
-    pub selection: Vec<u32>,
+    /// Surviving row indices over the whole table, ascending; `None` for a
+    /// query without WHERE, whose survivors are the whole table and never
+    /// seed a later scan.
+    pub selection: Option<Vec<u32>>,
     /// The merged group table, moved in after emitting: re-finalizable
     /// without a scan when a later query repeats the same aggregation shape
     /// (`states_key` match) over the same table snapshot.
@@ -288,6 +290,8 @@ pub fn run_morsels(
         DeltaScan::Capture => (None, true),
         DeltaScan::Seeded { seed, exact } => (Some((seed, exact)), true),
     };
+    // Only a filtered scan's survivors are worth a row list.
+    let capture_rows = capture_requested && plan.filter.is_some();
     // On an exact seed the WHERE is byte-for-byte the seeding query's: the
     // seed rows *are* the survivors, so kernels are never evaluated and
     // need not be compiled.
@@ -307,7 +311,7 @@ pub fn run_morsels(
             partial: make_partial(plan),
             matched: 0,
             skipped: n,
-            selection: capture_requested.then(Vec::new),
+            selection: capture_rows.then(Vec::new),
         }]
     } else if let Some((seed, exact)) = seeded {
         let _scan = simba_obs::phase!("engine.scan", "engine", "engine.phase.scan");
@@ -320,7 +324,7 @@ pub fn run_morsels(
                 plan,
                 kernels.as_deref(),
                 0..n_morsels,
-                capture_requested,
+                capture_rows,
             )]
         } else {
             let kernels = kernels.as_deref();
@@ -328,7 +332,7 @@ pub fn run_morsels(
                 let handles: Vec<_> = split_ranges(n_morsels, threads)
                     .into_iter()
                     .map(|range| {
-                        scope.spawn(move || scan_range(plan, kernels, range, capture_requested))
+                        scope.spawn(move || scan_range(plan, kernels, range, capture_rows))
                     })
                     .collect();
                 handles
@@ -400,7 +404,7 @@ pub fn run_morsels(
         }
     };
     let capture = capture_requested.then(|| DeltaCapture {
-        selection: chain_selection,
+        selection: capture_rows.then_some(chain_selection),
         states,
     });
     (rows, stats, capture)

@@ -71,8 +71,12 @@ struct DeltaEntry {
     /// the same table name requires pointer identity with the snapshot the
     /// new plan resolved.
     snapshot: Arc<Table>,
-    /// Surviving row indices over the whole table, ascending.
-    selection: Arc<Vec<u32>>,
+    /// Surviving row indices over the whole table, ascending; `None` for an
+    /// entry without a WHERE, kept only for its group states.
+    selection: Option<Arc<Vec<u32>>>,
+    /// How many rows survived the WHERE: the `rows_matched` a replay of
+    /// the group states reports.
+    matched: usize,
     /// The merged group table of an aggregation.
     states: Option<GroupTable>,
 }
@@ -177,7 +181,7 @@ impl SessionDelta {
             .iter()
             .rev()
             .filter(|e| e.form.same_states(form))
-            .find_map(|e| e.states.as_ref().map(|s| (s, e.selection.len())))
+            .find_map(|e| e.states.as_ref().map(|s| (s, e.matched)))
     }
 
     /// Best seed for the query `form` analyzes: an entry with the same
@@ -191,13 +195,14 @@ impl SessionDelta {
                 .iter()
                 .rev()
                 .filter(|e| !e.form.filter().is_absent())
+                .filter_map(|e| Some((e, e.selection.as_ref()?)))
         };
-        if let Some(e) = candidates().find(|e| e.form.same_selection(form)) {
-            return Some((Arc::clone(&e.selection), true));
+        if let Some((_, selection)) = candidates().find(|(e, _)| e.form.same_selection(form)) {
+            return Some((Arc::clone(selection), true));
         }
         candidates()
-            .find(|e| form.refines(&e.form))
-            .map(|e| (Arc::clone(&e.selection), false))
+            .find(|(e, _)| form.refines(&e.form))
+            .map(|(_, selection)| (Arc::clone(selection), false))
     }
 
     /// Retain a freshly captured entry, replacing any previous entry with
@@ -250,13 +255,13 @@ pub(crate) fn execute_with_delta(
             }
         };
         let (rows, stats, captured) = run_morsels(plan, scan_threads, scan);
-        capture = captured;
+        capture = captured.map(|cap| (cap, stats.rows_matched));
         (rows, stats)
     })?;
-    if let Some(cap) = capture {
-        // Entries without a WHERE carry a full-table selection — useless as
-        // a seed — but their group states still serve tier 2 (e.g. the
-        // unfiltered step-0 dashboard re-sorted at step 1).
+    if let Some((cap, matched)) = capture {
+        // Entries without a WHERE hold no selection — the whole table is
+        // useless as a seed — but their group states still serve tier 2
+        // (e.g. the unfiltered step-0 dashboard re-sorted at step 1).
         if query.where_clause.is_some() || cap.states.is_some() {
             let table = catalog.get(&query.from);
             // The plan resolved this table moments ago; a concurrent
@@ -267,7 +272,8 @@ pub(crate) fn execute_with_delta(
                     form,
                     generation,
                     snapshot,
-                    selection: Arc::new(cap.selection),
+                    selection: cap.selection.map(Arc::new),
+                    matched,
                     states: cap.states,
                 });
             }
@@ -520,6 +526,41 @@ mod tests {
             )
             .result
         );
+    }
+
+    /// An unfiltered chart's entry keeps its group states and a count, not
+    /// a row list of the whole table; a tier-2 replay reports the
+    /// `rows_matched` of the scan it replays. A filtered chart keeps its
+    /// rows.
+    #[test]
+    fn unfiltered_entries_keep_a_count_not_the_rows() {
+        let catalog = catalog();
+        let mut delta = SessionDelta::default();
+        let sql = "SELECT q, COUNT(*), SUM(v) FROM t GROUP BY q";
+        let first = run(&catalog, &mut delta, sql);
+        let entry = delta.entries.back().unwrap();
+        assert!(entry.selection.is_none());
+        assert_eq!(entry.matched, 10_000);
+        let resorted = "SELECT q, COUNT(*), SUM(v) FROM t GROUP BY q ORDER BY q DESC";
+        let replay = run(&catalog, &mut delta, resorted);
+        assert_eq!(replay.stats.delta_group_hits, 1);
+        assert_eq!(replay.stats.rows_matched, first.stats.rows_matched);
+        let fresh = fresh(&catalog, resorted);
+        assert_eq!(replay.stats.rows_matched, fresh.stats.rows_matched);
+        assert_eq!(replay.result, fresh.result);
+
+        let filtered = run(
+            &catalog,
+            &mut delta,
+            "SELECT q, COUNT(*) FROM t WHERE a > 10 GROUP BY q",
+        );
+        let entry = delta.entries.back().unwrap();
+        let rows = entry
+            .selection
+            .as_ref()
+            .expect("a filtered chart keeps rows");
+        assert_eq!(rows.len(), filtered.stats.rows_matched);
+        assert_eq!(entry.matched, filtered.stats.rows_matched);
     }
 
     /// One capture bound for every group table: a dense index over a

@@ -7,7 +7,7 @@
 
 use crate::agg::{Accumulator, AggSpec};
 use crate::error::EngineError;
-use crate::eval::{eval, eval_predicate, CExpr, RowSlice, TableRow, ValueSet};
+use crate::eval::{eval, eval_predicate, CExpr, RowSlice, TableRow};
 use crate::plan::{prepare, PreparedQuery, QueryKind};
 use simba_sql::{BinOp, Select};
 use simba_store::zonemap::{float_key, Zone, ZoneMaps};
@@ -310,10 +310,18 @@ fn compare_kernel(col: usize, column: &ColumnData, op: BinOp, lit: &Value) -> Op
 /// key that compares `>=` to it and the first that compares `>`, under
 /// `sql_cmp` (for equality `sql_eq`, which agrees on numbers). Either is one
 /// past `i64::MAX` when no key does, hence `i128`.
+///
+/// A Float literal on an Int column is placed in closed form when it is
+/// finite and below 2^53 in magnitude; a bisection over `i64` places the
+/// rest (see [`Cut::int_column`]).
+#[derive(Debug, PartialEq, Eq)]
 struct Cut {
     ge: i128,
     gt: i128,
 }
+
+/// 2^53: every integer of smaller magnitude is exactly an `f64`.
+const EXACT_INT_F64: f64 = 9_007_199_254_740_992.0;
 
 impl Cut {
     /// `None` unless the column is Int or Float and the literal a number —
@@ -324,14 +332,7 @@ impl Cut {
                 ge: i128::from(*v),
                 gt: i128::from(*v) + 1,
             }),
-            // A mixed pair compares as `(v as f64).total_cmp(f)`. The
-            // conversion rounds but never reorders, so each outcome holds on
-            // an upper set of `v` whose start a bisection finds exactly —
-            // past 2^53 too, where many `v` share one `f64`.
-            (ColumnData::Int { .. }, Value::Float(f)) => Some(Cut {
-                ge: first_int(|v| (v as f64).total_cmp(f) != Ordering::Less),
-                gt: first_int(|v| (v as f64).total_cmp(f) == Ordering::Greater),
-            }),
+            (ColumnData::Int { .. }, Value::Float(f)) => Some(Cut::int_column(*f)),
             (ColumnData::Float { .. }, Value::Int(_) | Value::Float(_)) => {
                 let key = i128::from(float_key(lit.as_f64()?));
                 Some(Cut {
@@ -340,6 +341,38 @@ impl Cut {
                 })
             }
             _ => None,
+        }
+    }
+
+    /// `f` among an Int column's keys, which compare to it as
+    /// `(v as f64).total_cmp(f)`. Below 2^53 every `v` near `f` converts
+    /// exactly, so the cut is `f` rounded: `ge = ceil(f)`, `gt = floor(f) +
+    /// 1` — except that `0 as f64` is `+0.0`, which `total_cmp` orders above
+    /// `-0.0`, so `-0.0` has `gt = 0`. Where the conversion rounds (|f| ≥
+    /// 2^53, ±inf, NaN) many `v` share one `f64`; it never reorders, so each
+    /// outcome still holds on an upper set of `v` whose start a bisection
+    /// finds exactly.
+    fn int_column(f: f64) -> Cut {
+        // False for NaN and ±inf.
+        if f.abs() < EXACT_INT_F64 {
+            let gt = if f == 0.0 && f.is_sign_negative() {
+                0
+            } else {
+                f.floor() as i128 + 1
+            };
+            return Cut {
+                ge: f.ceil() as i128,
+                gt,
+            };
+        }
+        Cut::bisected(f)
+    }
+
+    /// [`Cut::int_column`] by bisection, for any `f`.
+    fn bisected(f: f64) -> Cut {
+        Cut {
+            ge: first_int(|v| (v as f64).total_cmp(&f) != Ordering::Less),
+            gt: first_int(|v| (v as f64).total_cmp(&f) == Ordering::Greater),
         }
     }
 }
@@ -376,10 +409,17 @@ fn range_kernel(col: usize, lo: i128, hi: i128, negated: bool) -> Kernel {
 fn dict_in_kernel(col: usize, column: &ColumnData, values: &[Value], negated: bool) -> Kernel {
     // simba: allow(panic-hygiene): kernel selection only routes dictionary-encoded string columns here; a bare column is a planner bug
     let dict = column.dictionary().expect("string column has a dictionary");
-    let set: ValueSet = ValueSet::new(values.to_vec());
+    // Only a string literal can equal a dictionary entry.
+    let wanted: Vec<&str> = values
+        .iter()
+        .filter_map(|v| match v {
+            Value::Str(s) => Some(&**s),
+            _ => None,
+        })
+        .collect();
     let mut mask: Vec<bool> = dict
         .iter()
-        .map(|s| set.contains(&Value::Str(s.clone())) != negated)
+        .map(|s| wanted.contains(&&**s) != negated)
         .collect();
     if !mask.contains(&true) {
         mask.clear();
@@ -604,6 +644,7 @@ impl Catalog {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::eval::ValueSet;
     use simba_store::{ColumnDef, Schema, TableBuilder};
 
     fn table() -> Table {
@@ -810,6 +851,109 @@ mod tests {
         let (typed, interpreted) = kept(&filter, &t);
         assert_eq!(typed, vec![0]);
         assert_eq!(typed, interpreted);
+    }
+
+    /// A Float literal on an Int column: the closed-form cut equals the
+    /// bisection's on over a million sampled literals below 2^53 (random bit
+    /// patterns, random reals in ±1e6, quarter-integers) and on the edges
+    /// where rounding or the sign of zero could split them. From 2^53 on, at
+    /// ±inf and at NaN the bisection answers.
+    #[test]
+    fn closed_form_int_cut_equals_the_bisection() {
+        use simba_store::mix::splitmix64;
+        let check = |f: f64| {
+            assert!(f.abs() < EXACT_INT_F64, "{f:e}");
+            assert_eq!(
+                Cut::int_column(f),
+                Cut::bisected(f),
+                "{f:e} ({:#018x})",
+                f.to_bits()
+            );
+        };
+
+        let mut edges = Vec::new();
+        for e in [
+            0.0,
+            f64::MIN_POSITIVE,
+            5e-324,
+            EXACT_INT_F64 - 1.0,
+            4_503_599_627_370_495.5,
+        ] {
+            for f in [e, -e] {
+                edges.extend([f.next_down(), f, f.next_up()]);
+            }
+        }
+        // Zero's neighbours are ±5e-324; 2^53 - 1's upper one is 2^53.
+        edges.retain(|f| f.abs() < EXACT_INT_F64);
+        for &f in &edges {
+            check(f);
+        }
+        assert_eq!(Cut::int_column(-0.0), Cut { ge: 0, gt: 0 });
+        assert_eq!(Cut::int_column(0.0), Cut { ge: 0, gt: 1 });
+
+        let mut draw = {
+            let mut state = 0x5EED_0C07_u64;
+            move || {
+                state = splitmix64(state);
+                state
+            }
+        };
+        let mut samples = 0;
+        while samples < 400_000 {
+            let f = f64::from_bits(draw());
+            if f.abs() < EXACT_INT_F64 {
+                check(f);
+                samples += 1;
+            }
+        }
+        for _ in 0..400_000 {
+            // 53 random bits scaled onto [-1e6, 1e6).
+            let unit = (draw() >> 11) as f64 / (1u64 << 53) as f64;
+            check((unit * 2.0 - 1.0) * 1e6);
+            samples += 1;
+        }
+        for _ in 0..250_000 {
+            // k / 4 for k in ±2^40: integers, halves and quarters.
+            let k = (draw() >> 23) as i64 - (1 << 40);
+            check(k as f64 / 4.0);
+            samples += 1;
+        }
+        assert!(samples >= 1_000_000);
+
+        // Where `i64 → f64` rounds, the bisection is the answer: 2^53 + 1
+        // rounds to 2^53, so the first key above 2^53 is 2^53 + 2.
+        let two53 = 1i128 << 53;
+        assert_eq!(
+            Cut::int_column(EXACT_INT_F64),
+            Cut {
+                ge: two53,
+                gt: two53 + 2
+            }
+        );
+        let past = i128::from(i64::MAX) + 1;
+        let min = i128::from(i64::MIN);
+        for (f, want) in [
+            (f64::INFINITY, Cut { ge: past, gt: past }),
+            (f64::NEG_INFINITY, Cut { ge: min, gt: min }),
+            (f64::NAN, Cut { ge: past, gt: past }),
+            (-f64::NAN, Cut { ge: min, gt: min }),
+        ] {
+            assert_eq!(Cut::int_column(f), want, "{f}");
+        }
+        for f in [
+            EXACT_INT_F64.next_down(),
+            EXACT_INT_F64,
+            EXACT_INT_F64.next_up(),
+            -EXACT_INT_F64.next_down(),
+            -EXACT_INT_F64,
+            -EXACT_INT_F64.next_up(),
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            -f64::NAN,
+        ] {
+            assert_eq!(Cut::int_column(f), Cut::bisected(f), "{f:e}");
+        }
     }
 
     fn dict_in_expr(values: &[&str], negated: bool) -> CExpr {

@@ -77,7 +77,7 @@ pub(crate) fn prepare_with(
     key_prints: &[String],
     table: Arc<Table>,
 ) -> Result<PreparedQuery, EngineError> {
-    let schema = table.schema().clone();
+    let schema = table.schema();
     if !query.from.eq_ignore_ascii_case(&schema.table) {
         return Err(EngineError::UnknownTable(query.from.clone()));
     }
@@ -88,7 +88,7 @@ pub(crate) fn prepare_with(
     let filter = query
         .where_clause
         .as_ref()
-        .map(|w| compile_row_expr(w, &schema))
+        .map(|w| compile_row_expr(w, schema))
         .transpose()?;
 
     let output_names: Vec<String> = query.projections.iter().map(|p| p.output_name()).collect();
@@ -112,7 +112,7 @@ pub(crate) fn prepare_with(
         let keys: Vec<CExpr> = query
             .group_by
             .iter()
-            .map(|g| compile_row_expr(g, &schema))
+            .map(|g| compile_row_expr(g, schema))
             .collect::<Result<_, _>>()?;
         // Compile aggregate argument specs.
         let mut aggs = Vec::with_capacity(agg_calls.len());
@@ -127,7 +127,7 @@ pub(crate) fn prepare_with(
             };
             let arg = match args.first() {
                 None | Some(Expr::Wildcard) => None,
-                Some(a) => Some(compile_row_expr(a, &schema)?),
+                Some(a) => Some(compile_row_expr(a, schema)?),
             };
             let spec = AggSpec {
                 func: *func,
@@ -138,7 +138,7 @@ pub(crate) fn prepare_with(
             aggs.push(spec);
         }
         let ctx = GroupCtx {
-            schema: &schema,
+            schema,
             keys: &query.group_by,
             key_prints,
             agg_calls,
@@ -182,10 +182,10 @@ pub(crate) fn prepare_with(
         let mut exprs: Vec<CExpr> = query
             .projections
             .iter()
-            .map(|p| compile_row_expr(&p.expr, &schema))
+            .map(|p| compile_row_expr(&p.expr, schema))
             .collect::<Result<_, _>>()?;
         for o in &order_exprs {
-            exprs.push(compile_row_expr(o, &schema)?);
+            exprs.push(compile_row_expr(o, schema)?);
         }
         Ok(PreparedQuery {
             table,

@@ -622,7 +622,15 @@ impl Dbms for DeltaPath {
             Some(base) => {
                 let base_plan = prepare(base, self.table.clone())?;
                 let (_, _, capture) = run_morsels(&base_plan, self.threads, DeltaScan::Capture);
-                let seed = capture.expect("a capturing scan captures").selection;
+                // A base without WHERE keeps no row list: its survivors
+                // are every row.
+                let seed = capture
+                    .expect("a capturing scan captures")
+                    .selection
+                    .unwrap_or_else(|| {
+                        assert!(base.where_clause.is_none(), "`{base}` kept no rows");
+                        (0..self.table.row_count() as u32).collect()
+                    });
                 let exact = base.where_clause == query.where_clause;
                 run_morsels(
                     &plan,
@@ -632,11 +640,17 @@ impl Dbms for DeltaPath {
             }
         };
         let capture = capture.expect("capturing and seeded scans both capture");
-        assert_eq!(capture.selection.len(), stats.rows_matched, "`{query}`");
-        assert!(
-            capture.selection.windows(2).all(|w| w[0] < w[1]),
+        // A query without WHERE keeps no row list: its survivors are the
+        // whole table.
+        assert_eq!(
+            capture.selection.is_some(),
+            query.where_clause.is_some(),
             "`{query}`"
         );
+        if let Some(selection) = &capture.selection {
+            assert_eq!(selection.len(), stats.rows_matched, "`{query}`");
+            assert!(selection.windows(2).all(|w| w[0] < w[1]), "`{query}`");
+        }
         let rows = finalize_rows(rows, plan.n_output, &plan.order_dirs, plan.limit);
         Ok(QueryOutput {
             result: ResultSet::new(plan.output_names.clone(), rows),
