@@ -1,14 +1,15 @@
 //! Criterion microbenchmarks: the four engine architectures on fixed
 //! dashboard-shaped queries (supports the §6 engine comparison), the
-//! filter compiler's kernels against what they replace, and the plan layer
-//! (`prepare` plus `compile_kernels`) on storm-shaped filters.
+//! filter compiler's kernels against what they replace, the plan layer
+//! (`prepare` plus `compile_kernels`) on storm-shaped filters, and the group
+//! layer on the storm's packed GROUP BY shapes.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use simba_data::DashboardDataset;
-use simba_engine::batch::{fill_filtered, SelectionVector, MORSEL};
+use simba_engine::batch::{fill_filtered, run_morsels, SelectionVector, MORSEL};
 use simba_engine::exec::{cexpr_conjuncts, compile_kernels, Kernel};
 use simba_engine::plan::{compile_row_expr, prepare};
-use simba_engine::{Dbms, EngineKind};
+use simba_engine::{Dbms, DeltaScan, EngineKind};
 use simba_idebench::{IdeBenchConfig, IdeBenchWalk};
 use simba_sql::{parse_select, Select};
 use simba_store::Table;
@@ -219,5 +220,43 @@ fn bench_plan(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_engines, bench_filters, bench_plan);
+/// `group/`: `run_morsels` (one scan thread, no delta) at 100K rows on the
+/// storm's packed GROUP BY shapes: an Int bin holding one group, two
+/// dictionaries, a Float bin beside a dictionary, and a date bin across two
+/// dictionaries (≈26K groups, past the direct slot table).
+fn bench_group(c: &mut Criterion) {
+    let table = Arc::new(DashboardDataset::CustomerService.generate_rows(100_000, 42));
+    let cases = [
+        ("bin_satisfaction_100", "BIN(satisfaction, 100)"),
+        ("queue_call_type", "queue, call_type"),
+        (
+            "bin_talk_time_100_direction",
+            "BIN(talk_time, 100), call_direction",
+        ),
+        (
+            "bin_call_date_5_queue_call_type",
+            "BIN(call_date, 5), queue, call_type",
+        ),
+    ];
+    let mut group = c.benchmark_group("group");
+    group
+        .sample_size(20)
+        .measurement_time(Duration::from_secs(3));
+    for (name, keys) in cases {
+        let sql = format!("SELECT {keys}, COUNT(*) FROM customer_service GROUP BY {keys}");
+        let plan = prepare(&parse_select(&sql).unwrap(), table.clone()).unwrap();
+        group.bench_function(name, |b| {
+            b.iter(|| run_morsels(&plan, 1, DeltaScan::Off).0.len())
+        });
+    }
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_engines,
+    bench_filters,
+    bench_plan,
+    bench_group
+);
 criterion_main!(benches);

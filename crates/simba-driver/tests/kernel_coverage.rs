@@ -13,12 +13,16 @@
 //! else, the key boxed) — and by aggregate column, typed or boxed, with its
 //! key count. The IDEBench storm must leave no aggregate on the hash index,
 //! and every hash-indexed aggregate of the other sources must have a bare
-//! Int key: the one shape packing does not reach yet. Each Float literal
-//! compared with an Int column is counted by how the filter compiler places
-//! it among the column's keys: in closed form (finite and below 2^53 in
-//! magnitude) or by bisection (the rest); the storm must reach the closed
-//! form. `cargo test -p simba-driver --test kernel_coverage -- --nocapture`
-//! prints the three tables.
+//! Int key: the one shape packing does not reach yet. Packed aggregates
+//! are split by where a row finds its group — the direct slot table (a
+//! radix product of at most 2^16) or the map — with the groups each call
+//! emits: the storm must reach both arms and no other source either, which
+//! is why the `dash_*` and `wire_*` workloads cannot move with them. Each
+//! Float literal compared with an Int column is counted by how the filter
+//! compiler places it among the column's keys: in closed form (finite and
+//! below 2^53 in magnitude) or by bisection (the rest); the storm must
+//! reach the closed form. `cargo test -p simba-driver --test
+//! kernel_coverage -- --nocapture` prints the four tables.
 
 use simba_core::dashboard::Dashboard;
 use simba_core::session::batch::{synthesize_scripts, BatchConfig};
@@ -29,11 +33,12 @@ use simba_data::DashboardDataset;
 use simba_driver::{
     AdaptiveSource, AdaptiveWalkConfig, Driver, DriverConfig, ScriptedSource, SessionSource,
 };
+use simba_engine::batch::run_morsels;
 use simba_engine::eval::CExpr;
 use simba_engine::exec::{cexpr_conjuncts, compile_kernels, Kernel};
 use simba_engine::group::GroupTable;
 use simba_engine::plan::{compile_row_expr, prepare, QueryKind};
-use simba_engine::{Dbms, EngineError, EngineKind, QueryOutput};
+use simba_engine::{Dbms, DeltaScan, EngineError, EngineKind, QueryOutput};
 use simba_idebench::IdebenchSource;
 use simba_sql::Select;
 use simba_store::{ColumnData, Table, Value};
@@ -86,6 +91,10 @@ struct Inventory {
     packed: usize,
     /// Everything else grouped: the hash key index.
     hash: usize,
+    /// Groups per call of the packed aggregates whose rows find their
+    /// group in the direct slot table, and of those probing the map.
+    direct: Vec<usize>,
+    map: Vec<usize>,
     /// Hash-indexed aggregates with a bare Int key.
     hash_int_key: usize,
     /// Hash-indexed aggregates whose aggregate columns are all typed.
@@ -123,10 +132,18 @@ fn inventory(table: &Arc<Table>, source: &dyn SessionSource) -> Inventory {
     let mut inv = Inventory::default();
     for query in engine.seen.lock().unwrap().iter() {
         inv.queries += 1;
-        if let QueryKind::Aggregate { keys, aggs, .. } = prepare(query, table.clone()).unwrap().kind
-        {
+        let plan = prepare(query, table.clone()).unwrap();
+        if let QueryKind::Aggregate { keys, aggs, .. } = &plan.kind {
             inv.keys[keys.len().min(3)] += 1;
-            let (index, typed) = GroupTable::new(&keys, &aggs, table).layout();
+            let groups = GroupTable::new(keys, aggs, table);
+            let (index, typed) = groups.layout();
+            if let Some(arm) = groups.packed_arm() {
+                let (_, stats, _) = run_morsels(&plan, 1, DeltaScan::Off);
+                match arm {
+                    "direct" => inv.direct.push(stats.groups),
+                    _ => inv.map.push(stats.groups),
+                }
+            }
             inv.columns[0] += typed;
             inv.columns[1] += aggs.len() - typed;
             let int_key = keys.iter().any(|k| {
@@ -319,6 +336,47 @@ fn idebench_storm_compiles_to_typed_kernels_only() {
     }
 
     println!(
+        "\n{:<9} {:>6} {:>6} {:>7} {:>10} {:>10} {:>6} {:>7} {:>10} {:>10}",
+        "source",
+        "packed",
+        "direct",
+        "reading",
+        "p50 groups",
+        "max groups",
+        "map",
+        "reading",
+        "p50 groups",
+        "max groups"
+    );
+    for (name, inv) in &inventories {
+        let (direct, map) = (groups_per_call(&inv.direct), groups_per_call(&inv.map));
+        println!(
+            "{name:<9} {:>6} {:>6} {:>7} {:>10} {:>10} {:>6} {:>7} {:>10} {:>10}",
+            inv.packed,
+            inv.direct.len(),
+            direct.0,
+            direct.1,
+            direct.2,
+            inv.map.len(),
+            map.0,
+            map.1,
+            map.2,
+        );
+        assert_eq!(
+            inv.direct.len() + inv.map.len(),
+            inv.packed,
+            "{name}: {inv:?}"
+        );
+        if *name == "idebench" {
+            // Binned single keys and pairs of dictionaries fit the direct
+            // table; a fine date bin across two dictionaries does not.
+            assert!(!inv.direct.is_empty() && !inv.map.is_empty(), "{inv:?}");
+        } else {
+            assert_eq!(inv.packed, 0, "{name} reached a packed arm: {inv:?}");
+        }
+    }
+
+    println!(
         "\n{:<9} {:>7} {:>16} {:>16} {:>14} {:>19}",
         "source",
         "queries",
@@ -341,4 +399,13 @@ fn idebench_storm_compiles_to_typed_kernels_only() {
             assert!(inv.int_float[0] > 0, "{inv:?}");
         }
     }
+}
+
+/// Of the calls that emit a group (a contradictory filter reads no row):
+/// how many there are, and the median and largest groups per call.
+fn groups_per_call(calls: &[usize]) -> (usize, usize, usize) {
+    let mut reading: Vec<usize> = calls.iter().copied().filter(|&g| g > 0).collect();
+    reading.sort_unstable();
+    let p50 = reading.get(reading.len() / 2).copied().unwrap_or(0);
+    (reading.len(), p50, reading.last().copied().unwrap_or(0))
 }

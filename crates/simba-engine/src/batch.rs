@@ -393,9 +393,12 @@ pub fn run_morsels(
         ) => {
             stats.groups = groups.len();
             if capture_requested && groups.slots() <= MAX_CAPTURED_GROUPS {
-                (groups.emit(projections, having.as_ref()), Some(groups))
+                (
+                    groups.emit(table, projections, having.as_ref()),
+                    Some(groups),
+                )
             } else {
-                (groups.into_rows(projections, having.as_ref()), None)
+                (groups.into_rows(table, projections, having.as_ref()), None)
             }
         }
         (Partial::Rows(rows), _) => (rows, None),
@@ -441,7 +444,10 @@ pub fn run_from_cache(
         delta_rows_saved: plan.table.row_count(),
         ..ExecStats::default()
     };
-    Some((groups.emit(projections, having.as_ref()), stats))
+    Some((
+        groups.emit(&plan.table, projections, having.as_ref()),
+        stats,
+    ))
 }
 
 /// Empty partial state for one scan range, shaped by the plan.

@@ -456,6 +456,66 @@ mod tests {
         }
     }
 
+    /// The capture bound counts a direct-arm packed table by its slot
+    /// table: a radix product of exactly 2^16 (16,384 × 4) is kept and
+    /// replays at tier 2 reading no row, and a map-arm table (a product of
+    /// 2^16 + 1), counted by its 60 groups, is kept and replays too.
+    #[test]
+    fn packed_tables_on_either_arm_are_kept_and_replayed() {
+        let catalog = catalog();
+        let mut b = TableBuilder::new(
+            Schema::new(
+                "arms",
+                vec![
+                    ColumnDef::quantitative_int("a"),
+                    ColumnDef::quantitative_int("b"),
+                    ColumnDef::categorical("q"),
+                ],
+            ),
+            60,
+        );
+        for i in 0..60i64 {
+            b.push_row(vec![
+                Value::Int(i * 16_382 / 59),
+                Value::Int(i * 65_535 / 59),
+                Value::str(format!("g{}", i % 3)),
+            ]);
+        }
+        let table = Arc::new(b.finish());
+        catalog.register(table.clone());
+        let mut delta = SessionDelta::default();
+        for (sql, arm, slots) in [
+            (
+                "SELECT BIN(a, 1), q, COUNT(*) FROM arms WHERE a > 100 GROUP BY BIN(a, 1), q",
+                "direct",
+                1 << 16,
+            ),
+            (
+                "SELECT BIN(b, 1), COUNT(*) FROM arms WHERE b >= 0 GROUP BY BIN(b, 1) LIMIT 9",
+                "map",
+                60,
+            ),
+        ] {
+            let query = parse_select(sql).unwrap();
+            let crate::plan::QueryKind::Aggregate { keys, aggs, .. } =
+                prepare(&query, table.clone()).unwrap().kind
+            else {
+                unreachable!("a GROUP BY aggregates")
+            };
+            let mut groups = GroupTable::new(&keys, &aggs, &table);
+            assert_eq!(groups.packed_arm(), Some(arm), "`{sql}`");
+            groups.update(&table, &(0..60).collect::<Vec<u32>>());
+            assert_eq!(groups.slots(), slots, "`{sql}`");
+            assert!(slots <= crate::batch::MAX_CAPTURED_GROUPS);
+            let first = run(&catalog, &mut delta, sql);
+            let o = run(&catalog, &mut delta, sql);
+            assert_eq!(o.stats.delta_group_hits, 1, "`{sql}` kept and replayed");
+            assert_eq!(o.stats.rows_scanned, 0);
+            assert_eq!(o.result, first.result);
+            assert_eq!(o.result, fresh(&catalog, sql).result);
+        }
+    }
+
     #[test]
     fn reregister_invalidates_retained_entries() {
         let catalog = catalog();

@@ -72,7 +72,7 @@ impl MonetDbLike {
                 let mut groups = GroupTable::new(keys, aggs, table);
                 groups.update(table, candidates);
                 stats.groups = groups.len();
-                (groups.into_rows(projections, having.as_ref()), stats)
+                (groups.into_rows(table, projections, having.as_ref()), stats)
             }
         }
     }

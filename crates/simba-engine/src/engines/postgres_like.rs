@@ -75,7 +75,7 @@ impl PostgresLike {
                     groups.update(table, sel.as_slice());
                 }
                 stats.groups = groups.len();
-                (groups.into_rows(projections, having.as_ref()), stats)
+                (groups.into_rows(table, projections, having.as_ref()), stats)
             }
         }
     }

@@ -5,8 +5,9 @@
 //! results (property-tested) while differing in *how* they iterate storage.
 //!
 //! Column references are resolved to indices at plan time; at group level the
-//! same [`CExpr`] type is reused with `Col(i)` indexing into a virtual row of
-//! `[group keys… , aggregate results…]`.
+//! same [`CExpr`] type is reused with `Col(i)` indexing into a group row of
+//! `[group keys… , aggregate results…]` (any [`ColumnAccess`]: the oracle's
+//! materialized row, or the group table's view of one group).
 
 use simba_sql::{BinOp, Func, Literal, UnaryOp};
 use simba_store::Value;

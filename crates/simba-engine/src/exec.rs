@@ -427,37 +427,18 @@ fn dict_in_kernel(col: usize, column: &ColumnData, values: &[Value], negated: bo
     Kernel::DictIn { col, mask }
 }
 
-/// Emit output rows for [`run_row`]'s groups from their accumulators.
-/// Applies the group-level HAVING predicate and projections.
+/// Emit output rows for [`run_row`]'s groups from their accumulators: each
+/// group's `[keys…, finalized aggregates…]` row, filtered by the group-level
+/// HAVING predicate and projected.
 pub fn emit_groups(
     projections: &[CExpr],
     having: Option<&CExpr>,
     groups: impl IntoIterator<Item = (Vec<Value>, Vec<Accumulator>)>,
 ) -> Vec<Vec<Value>> {
-    emit_finalized_groups(
-        projections,
-        having,
-        groups.into_iter().map(|(keys, accs)| {
-            let finalized = accs.iter().map(Accumulator::finalize).collect();
-            (keys, finalized)
-        }),
-    )
-}
-
-/// Like [`emit_groups`], but for group states that are already finalized to
-/// values (what the [`GroupTable`](crate::group::GroupTable) emits).
-pub fn emit_finalized_groups<K: AsRef<[Value]>>(
-    projections: &[CExpr],
-    having: Option<&CExpr>,
-    groups: impl IntoIterator<Item = (K, Vec<Value>)>,
-) -> Vec<Vec<Value>> {
     let mut rows = Vec::new();
-    let mut virtual_row: Vec<Value> = Vec::new();
-    for (keys, aggs) in groups {
-        virtual_row.clear();
-        virtual_row.extend_from_slice(keys.as_ref());
-        virtual_row.extend(aggs);
-        let ctx = RowSlice(&virtual_row);
+    for (mut group, accs) in groups {
+        group.extend(accs.iter().map(Accumulator::finalize));
+        let ctx = RowSlice(&group);
         if let Some(h) = having {
             if eval_predicate(h, &ctx) != Some(true) {
                 continue;

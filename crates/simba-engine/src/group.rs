@@ -8,9 +8,9 @@
 //!   the NULL slot last), *packed* (every key is a bare dictionary column or
 //!   `BIN(col, w)` over an Int or Float column with a positive Int literal
 //!   `w`: each key's slot — its code, or its bucket minus the column's
-//!   lowest bucket, NULL last — packed mixed-radix into one `u64` that keys
-//!   a hash map) or *hash* (any other key, or a packed key that would not
-//!   fit: the boxed key tuple, each key stored once);
+//!   lowest bucket, NULL last — packed mixed-radix into one `u64`) or *hash*
+//!   (any other key, or a packed key that would not fit: the boxed key
+//!   tuple, each key stored once);
 //! - one **aggregate column** per aggregate, indexed by group id: *typed*
 //!   when that aggregate alone allows it — `COUNT`, or `SUM` / `AVG` /
 //!   `MIN` / `MAX` over a bare Int or Float column, fed batch-wise from the
@@ -18,6 +18,16 @@
 //!   row — and *boxed* otherwise, an [`Accumulator`] per group
 //!   (`COUNT(DISTINCT …)`, `MIN` / `MAX` over strings, computed arguments).
 //!   Typed columns finalize to exactly the accumulators' values.
+//!
+//! A packed table keeps each group's `u64` key and nothing else. A row finds
+//! its group id in a *direct* slot table indexed by the packed key when the
+//! radixes' product is at most `MAX_CAPTURED_GROUPS` (2^16), and in a map
+//! keyed by it above that. Slots cost no libm call and no hardware division: a
+//! Float `BIN` floors `x / w` by truncating and adjusting (exact, as every
+//! packed Float is below 2^53 in magnitude), an Int `BIN` multiplies the
+//! row's offset from the lowest bucket by an exact reciprocal of `w`
+//! (Lemire, Kaser & Kurz 2019), and `BIN(col, 1)` subtracts. Only an Int
+//! column spanning more offsets than the reciprocal is proven for divides.
 //!
 //! The emission order is fixed, so a `LIMIT` without a total `ORDER BY`
 //! cuts the same groups on every engine, thread count and delta tier:
@@ -36,14 +46,19 @@
 //! maps to NULL (its `checked_mul` overflows) stays boxed, and so does a
 //! Float column whose bounds hold NaN, ±inf or a magnitude of 2^53 or more,
 //! or straddle zero's sign: `BIN` keeps the sign of a −0.0 bucket, and one
-//! `floor(x / w)` slot would merge it with 0.0's. The index only maps keys
-//! to group ids. Each group's boxed key is still what `eval` makes of its
-//! first row, so every index emits the same key values.
+//! `floor(x / w)` slot would merge it with 0.0's. A packed key is decoded
+//! only when its group is emitted, bitwise what `eval` makes of the key on
+//! the group's first row: a code is its dictionary string, a bucket
+//! `(low + slot)·w` — the zero bucket of a sign-negative Float column
+//! `-0.0` — and the NULL slot NULL. Every index emits through one
+//! `GroupRow` view, which reads a key part or finalizes an aggregate only
+//! when HAVING or a projection asks for it.
 
 use crate::agg::{Accumulator, AggSpec};
-use crate::eval::{eval, CExpr, TableRow};
-use crate::exec::emit_finalized_groups;
+use crate::batch::MAX_CAPTURED_GROUPS;
+use crate::eval::{eval, eval_predicate, CExpr, ColumnAccess, TableRow};
 use simba_sql::Func;
+use simba_store::narrow::NarrowVec;
 use simba_store::zonemap::Zone;
 use simba_store::{for_width, ColumnData, Table, Value};
 use std::cmp::Ordering;
@@ -57,21 +72,28 @@ enum KeyIndex {
     /// No GROUP BY: every row is in group 0.
     Global,
     /// Slot = the key column's dictionary code, the last slot NULL; each
-    /// slot holds its group id once a row has reached it.
-    Dense { col: usize, slots: Vec<Option<u32>> },
+    /// slot holds its group id once a row has reached it, and `codes`
+    /// each group's slot, by group id.
+    Dense {
+        col: usize,
+        slots: Vec<Option<u32>>,
+        codes: Vec<u32>,
+    },
     /// Every key packed into one `u64` (see [`Packed`]).
     Packed(Packed),
     /// Key tuple → group id, probed from `scratch` so a row that joins an
-    /// existing group allocates nothing. Probed, never iterated.
+    /// existing group allocates nothing. Probed, never iterated; `keys`
+    /// holds each group's key, by group id.
     Hash {
         exprs: Vec<CExpr>,
         by_key: HashMap<Arc<[Value]>, u32>,
+        keys: Vec<Arc<[Value]>>,
         scratch: Vec<Value>,
     },
 }
 
 /// Append a group's key and return its id.
-fn push(keys: &mut Vec<Arc<[Value]>>, key: Arc<[Value]>) -> u32 {
+fn push<K>(keys: &mut Vec<K>, key: K) -> u32 {
     keys.push(key);
     (keys.len() - 1) as u32
 }
@@ -96,11 +118,81 @@ struct Part {
 enum PartKind {
     /// A bare dictionary column: slot = code.
     Code,
-    /// `BIN(col, width)` over an Int column: slot = bucket − `low`.
-    IntBin { width: i64, low: i64 },
+    /// `BIN(col, width)` over an Int column: slot = bucket − `low`, the
+    /// offset `x − low·width` divided by `width`.
+    IntBin {
+        width: i64,
+        low: i64,
+        divide: Divide,
+    },
     /// `BIN(col, width)` over a Float column: slot = bucket − `low`, the
-    /// buckets integral `f64`s below 2^53.
-    FloatBin { width: f64, low: f64 },
+    /// buckets integers below 2^53; `sign` is ±1.0, the sign every value
+    /// of the column has, and so every bucket.
+    FloatBin { width: f64, low: i64, sign: f64 },
+}
+
+/// `n / w` for the non-negative offsets `n` of one Int `BIN` part.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Divide {
+    /// `w = 1`: the offset is the slot.
+    One,
+    /// Every offset is at most the reciprocal's [`limit`](Reciprocal::limit).
+    Reciprocal(Reciprocal),
+    /// Offsets past the limit: a column spanning some 2^64 / `w` values.
+    Hardware(u64),
+}
+
+impl Divide {
+    /// The division for width `w ≥ 1` over offsets up to `largest`.
+    fn of(w: u64, largest: u64) -> Divide {
+        if w == 1 {
+            return Divide::One;
+        }
+        let reciprocal = Reciprocal::of(w);
+        if largest <= reciprocal.limit(w) {
+            Divide::Reciprocal(reciprocal)
+        } else {
+            Divide::Hardware(w)
+        }
+    }
+
+    /// `n / w`, for an offset `n` up to the `largest` it was made for.
+    #[cfg(test)]
+    fn quotient(self, n: u64) -> u64 {
+        match self {
+            Divide::One => n,
+            Divide::Reciprocal(r) => r.quotient(n),
+            Divide::Hardware(w) => n / w,
+        }
+    }
+}
+
+/// Division by a constant `w ≥ 2` as one multiply (Lemire, Kaser & Kurz
+/// 2019): with `c = ⌈2^64 / w⌉` and `c·w = 2^64 + e`, `0 ≤ e < w`,
+/// `⌊c·n / 2^64⌋ = n / w + ⌊(n mod w + n·e / 2^64) / w⌋`, which is `n / w`
+/// whenever `n·e < 2^64`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Reciprocal(u64);
+
+impl Reciprocal {
+    fn of(w: u64) -> Reciprocal {
+        debug_assert!(w >= 2, "c = 2^64 does not fit a u64");
+        Reciprocal(u64::MAX / w + 1)
+    }
+
+    /// The largest `n` that `n·e < 2^64` holds for: every `u64` when `w`
+    /// is a power of two (`e = 0`).
+    fn limit(self, w: u64) -> u64 {
+        match self.0.wrapping_mul(w) {
+            0 => u64::MAX,
+            e => u64::MAX / e,
+        }
+    }
+
+    #[inline]
+    fn quotient(self, n: u64) -> u64 {
+        ((u128::from(self.0) * u128::from(n)) >> 64) as u64
+    }
 }
 
 impl Part {
@@ -125,15 +217,27 @@ impl Part {
             (ColumnData::Int { .. }, Some(width)) => match zone()? {
                 Zone::Int { min, max } => {
                     let (low, high) = (min.div_euclid(width), max.div_euclid(width));
-                    low.checked_mul(width)?;
+                    let origin = low.checked_mul(width)?;
                     high.checked_mul(width)?;
                     let buckets = i128::from(high) - i128::from(low) + 1;
+                    let largest = max.wrapping_sub(origin) as u64;
+                    let divide = Divide::of(width as u64, largest);
                     (
-                        PartKind::IntBin { width, low },
+                        PartKind::IntBin { width, low, divide },
                         u64::try_from(buckets).ok()?,
                     )
                 }
-                Zone::AllNull => (PartKind::IntBin { width, low: 0 }, 0),
+                Zone::AllNull => {
+                    let divide = Divide::of(width as u64, 0);
+                    (
+                        PartKind::IntBin {
+                            width,
+                            low: 0,
+                            divide,
+                        },
+                        0,
+                    )
+                }
                 Zone::Float { .. } => return None,
             },
             (ColumnData::Float { .. }, Some(width)) => match zone()? {
@@ -150,15 +254,21 @@ impl Part {
                     if !exact(low * width) || !exact(high * width) {
                         return None;
                     }
-                    (PartKind::FloatBin { width, low }, (high - low) as u64 + 1)
+                    let kind = PartKind::FloatBin {
+                        width,
+                        low: low as i64,
+                        sign: 1f64.copysign(min),
+                    };
+                    (kind, (high - low) as u64 + 1)
                 }
-                Zone::AllNull => (
-                    PartKind::FloatBin {
+                Zone::AllNull => {
+                    let kind = PartKind::FloatBin {
                         width: 1.0,
-                        low: 0.0,
-                    },
-                    0,
-                ),
+                        low: 0,
+                        sign: 1.0,
+                    };
+                    (kind, 0)
+                }
                 Zone::Int { .. } => return None,
             },
             _ => return None,
@@ -190,27 +300,61 @@ impl Part {
                     ))
                 }
             }
-            PartKind::IntBin { width, low } => {
+            PartKind::IntBin { width, low, divide } => {
                 if let Some(data) = column.int_data() {
-                    for_width!(data, |lane| add_slots(
-                        packed,
-                        rows,
-                        valid,
-                        null,
-                        stride,
-                        |i| { (lane[i] as i64).div_euclid(width).wrapping_sub(low) as u64 }
-                    ))
+                    // Each offset is in `0..2^64`: the row is at or above
+                    // the lowest bucket's first value.
+                    let origin = low * width;
+                    let offset = move |x: i64| x.wrapping_sub(origin) as u64;
+                    let add = (packed, rows, valid, null, stride);
+                    match divide {
+                        Divide::One => add_int_slots(add, data, offset),
+                        Divide::Reciprocal(r) => {
+                            add_int_slots(add, data, |x| r.quotient(offset(x)))
+                        }
+                        Divide::Hardware(w) => add_int_slots(add, data, |x| offset(x) / w),
+                    }
                 }
             }
-            PartKind::FloatBin { width, low } => {
+            PartKind::FloatBin { width, low, .. } => {
                 if let Some(data) = column.float_data() {
                     add_slots(packed, rows, valid, null, stride, |i| {
-                        ((data[i] / width).floor() - low) as u64
+                        // `floor(q)`: truncated, then one lower for a
+                        // negative `q` with a fraction. Exact: |q| < 2^53.
+                        let q = data[i] / width;
+                        let t = q as i64;
+                        (t - i64::from((t as f64) > q) - low) as u64
                     })
                 }
             }
         }
     }
+
+    /// The key a row in `slot` has: bitwise what `eval` makes of the key
+    /// on any such row.
+    fn decode(&self, table: &Table, slot: u64) -> Value {
+        if slot == self.null {
+            return Value::Null;
+        }
+        match self.kind {
+            PartKind::Code => dict_value(table.column(self.col), slot as usize),
+            PartKind::IntBin { width, low, .. } => Value::Int((low + slot as i64) * width),
+            PartKind::FloatBin { width, low, sign } => {
+                // `floor(x / w)` of a sign-negative `x` is `-0.0`, never
+                // `0.0`, when `x / w` rounds to zero.
+                let bucket = ((low + slot as i64) as f64).copysign(sign);
+                Value::Float(bucket * width)
+            }
+        }
+    }
+}
+
+/// Dictionary entry `code` of a dictionary column, NULL past its end.
+fn dict_value(column: &ColumnData, code: usize) -> Value {
+    column
+        .dictionary()
+        .and_then(|dict| dict.get(code))
+        .map_or(Value::Null, |s| Value::Str(s.clone()))
 }
 
 /// `packed[k] += stride × slot` for each selected row `rows[k]`: `slot(i)`
@@ -234,6 +378,23 @@ fn add_slots(
             *key += stride * if valid[i] { slot(i) } else { null };
         }
     }
+}
+
+/// [`add_slots`] over an Int column read at its stored width, `slot`
+/// taking the row's value.
+fn add_int_slots(
+    (packed, rows, valid, null, stride): (&mut [u64], &[u32], &[bool], u64, u64),
+    data: &NarrowVec<i64>,
+    slot: impl Fn(i64) -> u64,
+) {
+    for_width!(data, |lane| add_slots(
+        packed,
+        rows,
+        valid,
+        null,
+        stride,
+        |i| slot(lane[i] as i64)
+    ))
 }
 
 /// Hashes a packed key with one folded multiply: the key times a 64-bit
@@ -261,19 +422,32 @@ impl Hasher for PackedHasher {
     }
 }
 
+/// Packed key → group id.
+#[derive(Debug, Clone)]
+enum Lookup {
+    /// Indexed by the packed key: its group id plus one, `0` until a row
+    /// reaches it. Empty until a key arrives, then as long as the radixes'
+    /// product and zeroed by the allocator, whose large blocks are fresh
+    /// pages that no key may ever touch.
+    Direct(Vec<u32>),
+    /// Probed, never iterated.
+    Map(HashMap<u64, u32, BuildHasherDefault<PackedHasher>>),
+}
+
 /// The packed key index: each key's slot weighted by the radixes of the
 /// keys before it, so a key tuple is one integer below the radixes'
 /// product. Groups are numbered in first appearance, like the hash index.
 #[derive(Debug, Clone)]
 struct Packed {
-    /// The keys, evaluated on a new group's first row for its boxed key.
-    exprs: Vec<CExpr>,
     parts: Vec<Part>,
-    /// Each group's packed key, by group id: what `merge` looks the other
-    /// table's groups up by.
+    /// The radixes' product: one past the largest packed key.
+    product: u64,
+    /// Each group's packed key, by group id: what its key is decoded from
+    /// and what `merge` looks the other table's groups up by.
     ids_packed: Vec<u64>,
-    /// Packed key → group id. Probed, never iterated.
-    by_key: HashMap<u64, u32, BuildHasherDefault<PackedHasher>>,
+    lookup: Lookup,
+    /// The current batch's packed keys, kept for the next batch.
+    batch: Vec<u64>,
 }
 
 impl Packed {
@@ -288,63 +462,65 @@ impl Packed {
             product = product.checked_mul(part.null.checked_add(1)?)?;
             parts.push(part);
         }
+        let lookup = if product <= MAX_CAPTURED_GROUPS as u64 {
+            Lookup::Direct(Vec::new())
+        } else {
+            Lookup::Map(HashMap::default())
+        };
         Some(Packed {
-            exprs: keys.to_vec(),
             parts,
+            product,
             ids_packed: Vec::new(),
-            by_key: HashMap::default(),
+            lookup,
+            batch: Vec::new(),
         })
     }
 
     /// [`KeyIndex::assign`] for the packed index.
-    fn assign(
-        &mut self,
-        table: &Table,
-        rows: &[u32],
-        ids: &mut Vec<u32>,
-        keys: &mut Vec<Arc<[Value]>>,
-    ) {
-        let Packed {
-            exprs,
-            parts,
-            ids_packed,
-            by_key,
-        } = self;
-        let mut batch = vec![0; rows.len()];
-        for part in parts.iter() {
+    fn assign(&mut self, table: &Table, rows: &[u32], ids: &mut Vec<u32>) {
+        let mut batch = std::mem::take(&mut self.batch);
+        batch.clear();
+        batch.resize(rows.len(), 0);
+        for part in &self.parts {
             part.add(table, rows, &mut batch);
         }
-        for (&packed, &row) in batch.iter().zip(rows) {
-            ids.push(*by_key.entry(packed).or_insert_with(|| {
-                let ctx = TableRow {
-                    table,
-                    row: row as usize,
-                };
-                ids_packed.push(packed);
-                push(keys, exprs.iter().map(|k| eval(k, &ctx)).collect())
-            }));
+        self.find(&batch, ids);
+        self.batch = batch;
+    }
+
+    /// Push to `ids` the group id of each of the packed keys `keys`, each
+    /// key not seen yet appended to `ids_packed` as a new group.
+    fn find(&mut self, keys: &[u64], ids: &mut Vec<u32>) {
+        let Packed {
+            product,
+            ids_packed,
+            lookup,
+            ..
+        } = self;
+        match lookup {
+            Lookup::Direct(slots) => {
+                if slots.is_empty() && !keys.is_empty() {
+                    *slots = vec![0; *product as usize];
+                }
+                ids.extend(keys.iter().map(|&packed| {
+                    let slot = &mut slots[packed as usize];
+                    if *slot == 0 {
+                        *slot = push(ids_packed, packed) + 1;
+                    }
+                    *slot - 1
+                }));
+            }
+            Lookup::Map(map) => ids.extend(keys.iter().map(|&packed| {
+                *map.entry(packed)
+                    .or_insert_with(|| push(ids_packed, packed))
+            })),
         }
     }
 
-    /// `map[t]`: this table's id for the other table's group `t`, given
-    /// that table's `(packed key, key)` pairs in its id order; each one
-    /// not seen here is appended in that order.
-    fn merge(
-        &mut self,
-        theirs: impl Iterator<Item = (u64, Arc<[Value]>)>,
-        keys: &mut Vec<Arc<[Value]>>,
-    ) -> Vec<u32> {
-        let Packed {
-            ids_packed, by_key, ..
-        } = self;
-        theirs
-            .map(|(packed, key)| {
-                *by_key.entry(packed).or_insert_with(|| {
-                    ids_packed.push(packed);
-                    push(keys, key)
-                })
-            })
-            .collect()
+    /// Part `part` of group `id`'s key.
+    fn key(&self, table: &Table, id: usize, part: usize) -> Value {
+        let part = &self.parts[part];
+        part.decode(table, self.ids_packed[id] / part.stride % (part.null + 1))
     }
 }
 
@@ -363,6 +539,7 @@ impl KeyIndex {
             return KeyIndex::Dense {
                 col,
                 slots: vec![None; table.column(col).dictionary().map_or(0, <[_]>::len) + 1],
+                codes: Vec::new(),
             };
         }
         if keys.is_empty() {
@@ -373,34 +550,49 @@ impl KeyIndex {
             None => KeyIndex::Hash {
                 exprs: keys.to_vec(),
                 by_key: HashMap::new(),
+                keys: Vec::new(),
                 scratch: Vec::with_capacity(keys.len()),
             },
         }
     }
 
+    /// Number of groups.
+    fn len(&self) -> usize {
+        match self {
+            KeyIndex::Global => 1,
+            KeyIndex::Dense { codes, .. } => codes.len(),
+            KeyIndex::Packed(packed) => packed.ids_packed.len(),
+            KeyIndex::Hash { keys, .. } => keys.len(),
+        }
+    }
+
+    /// Number of GROUP BY keys: the key parts of a group row.
+    fn width(&self) -> usize {
+        match self {
+            KeyIndex::Global => 0,
+            KeyIndex::Dense { .. } => 1,
+            KeyIndex::Packed(packed) => packed.parts.len(),
+            KeyIndex::Hash { exprs, .. } => exprs.len(),
+        }
+    }
+
     /// Set `ids` (empty on entry) to the group id of each of `rows`,
-    /// appending the key of every group first reached to `keys`.
-    fn assign(
-        &mut self,
-        table: &Table,
-        rows: &[u32],
-        ids: &mut Vec<u32>,
-        keys: &mut Vec<Arc<[Value]>>,
-    ) {
+    /// numbering every group first reached after the existing ones.
+    fn assign(&mut self, table: &Table, rows: &[u32], ids: &mut Vec<u32>) {
         match self {
             KeyIndex::Global => ids.resize(rows.len(), 0),
-            KeyIndex::Dense { col, slots } => {
-                let column = table.column(*col);
-                dict_key_slots(column, rows, ids, (slots.len() - 1) as u32);
-                for (id, &row) in ids.iter_mut().zip(rows) {
-                    *id = *slots[*id as usize]
-                        .get_or_insert_with(|| push(keys, Arc::from([column.value(row as usize)])));
+            KeyIndex::Dense { col, slots, codes } => {
+                dict_key_slots(table.column(*col), rows, ids, (slots.len() - 1) as u32);
+                for id in ids.iter_mut() {
+                    let slot = *id;
+                    *id = *slots[slot as usize].get_or_insert_with(|| push(codes, slot));
                 }
             }
-            KeyIndex::Packed(packed) => packed.assign(table, rows, ids, keys),
+            KeyIndex::Packed(packed) => packed.assign(table, rows, ids),
             KeyIndex::Hash {
                 exprs,
                 by_key,
+                keys,
                 scratch,
             } => {
                 for &row in rows {
@@ -422,6 +614,35 @@ impl KeyIndex {
                     ids.push(id);
                 }
             }
+        }
+    }
+
+    /// Free what only finds a row's group — the packed lookup and batch,
+    /// the hash map — keeping each group's key for emission.
+    fn drop_lookup(&mut self) {
+        match self {
+            KeyIndex::Packed(packed) => {
+                packed.batch = Vec::new();
+                match &mut packed.lookup {
+                    Lookup::Direct(slots) => *slots = Vec::new(),
+                    Lookup::Map(map) => *map = HashMap::default(),
+                }
+            }
+            KeyIndex::Hash { by_key, .. } => *by_key = HashMap::new(),
+            KeyIndex::Global | KeyIndex::Dense { .. } => {}
+        }
+    }
+
+    /// Part `part` of group `id`'s key, over the `table` the index was
+    /// built for.
+    fn key(&self, table: &Table, id: usize, part: usize) -> Value {
+        match self {
+            KeyIndex::Global => unreachable!("a global aggregate has no key"),
+            KeyIndex::Dense { col, codes, .. } => {
+                dict_value(table.column(*col), codes[id] as usize)
+            }
+            KeyIndex::Packed(packed) => packed.key(table, id, part),
+            KeyIndex::Hash { keys, .. } => keys[id][part].clone(),
         }
     }
 }
@@ -762,12 +983,10 @@ impl AggColumn {
         }
     }
 
-    /// The values of groups `0..n` in id order, each accumulator freed once
-    /// it is finalized.
-    fn into_values(self, n: usize) -> Box<dyn Iterator<Item = Value>> {
-        match self {
-            AggColumn::Boxed { accs, .. } => Box::new(accs.into_iter().map(|acc| acc.finalize())),
-            typed => Box::new((0..n).map(move |g| typed.value(g))),
+    /// Free what group `g`'s boxed state holds once its row is out.
+    fn release(&mut self, g: usize) {
+        if let AggColumn::Boxed { accs, .. } = self {
+            accs[g] = Accumulator::CountStar(0);
         }
     }
 }
@@ -776,33 +995,57 @@ impl AggColumn {
 /// aggregate, with a fixed emission order (see the module docs).
 #[derive(Debug, Clone)]
 pub struct GroupTable {
+    /// Hands out group ids in insertion order and keeps each group's key.
     index: KeyIndex,
-    /// Each group's key, indexed by group id; ids are handed out in
-    /// insertion order.
-    keys: Vec<Arc<[Value]>>,
-    /// One column per aggregate, each as long as `keys`.
+    /// One column per aggregate, each as long as the index has groups.
     columns: Vec<AggColumn>,
+}
+
+/// Group `id` of a table read as the row `[keys…, aggregates…]` HAVING and
+/// the projections are compiled against: a key part is decoded, and an
+/// aggregate finalized, only when an expression reads it.
+struct GroupRow<'a> {
+    groups: &'a GroupTable,
+    /// The table the group table was built over: dictionary keys decode
+    /// from its dictionaries.
+    table: &'a Table,
+    id: usize,
+}
+
+impl ColumnAccess for GroupRow<'_> {
+    fn value(&self, idx: usize) -> Value {
+        let GroupTable { index, columns } = self.groups;
+        match idx.checked_sub(index.width()) {
+            None => index.key(self.table, self.id, idx),
+            Some(agg) => columns[agg].value(self.id),
+        }
+    }
+}
+
+impl GroupRow<'_> {
+    /// The group's output row, or `None` when `having` drops it.
+    fn emit(&self, projections: &[CExpr], having: Option<&CExpr>) -> Option<Vec<Value>> {
+        if having.is_some_and(|h| eval_predicate(h, self) != Some(true)) {
+            return None;
+        }
+        Some(projections.iter().map(|p| eval(p, self)).collect())
+    }
 }
 
 impl GroupTable {
     /// An empty table for GROUP BY `keys` computing `aggs` over `table`; a
     /// global aggregate starts with its one group, emitted even over no rows.
     pub fn new(keys: &[CExpr], aggs: &[AggSpec], table: &Table) -> GroupTable {
-        let mut groups = GroupTable {
-            index: KeyIndex::new(keys, table),
-            keys: Vec::new(),
-            columns: aggs
-                .iter()
-                .map(|spec| AggColumn::new(spec, table))
-                .collect(),
-        };
-        if keys.is_empty() {
-            groups.keys.push(Arc::from([]));
-            for column in &mut groups.columns {
-                column.resize(1);
-            }
-        }
-        groups
+        let index = KeyIndex::new(keys, table);
+        let columns = aggs
+            .iter()
+            .map(|spec| {
+                let mut column = AggColumn::new(spec, table);
+                column.resize(index.len());
+                column
+            })
+            .collect();
+        GroupTable { index, columns }
     }
 
     /// The key index (`"global"`, `"dense"`, `"packed"` or `"hash"`) and
@@ -821,9 +1064,21 @@ impl GroupTable {
         (index, self.columns.len() - boxed.count())
     }
 
+    /// Under a packed index, where a row finds its group id: `"direct"`
+    /// (the slot table) or `"map"`; `None` under any other index.
+    pub fn packed_arm(&self) -> Option<&'static str> {
+        match &self.index {
+            KeyIndex::Packed(packed) => Some(match packed.lookup {
+                Lookup::Direct(_) => "direct",
+                Lookup::Map(_) => "map",
+            }),
+            _ => None,
+        }
+    }
+
     /// Number of groups.
     pub(crate) fn len(&self) -> usize {
-        self.keys.len()
+        self.index.len()
     }
 
     /// Number of aggregate columns.
@@ -832,10 +1087,16 @@ impl GroupTable {
     }
 
     /// Slots the table holds: one per dictionary code and one for NULL
-    /// under a dense index, one per group otherwise.
+    /// under a dense index, the direct table's length (the radixes'
+    /// product once a row has arrived) under a packed index's direct arm,
+    /// one per group otherwise.
     pub(crate) fn slots(&self) -> usize {
         match &self.index {
             KeyIndex::Dense { slots, .. } => slots.len(),
+            KeyIndex::Packed(Packed {
+                lookup: Lookup::Direct(slots),
+                ..
+            }) => slots.len(),
             _ => self.len(),
         }
     }
@@ -844,9 +1105,10 @@ impl GroupTable {
     /// batch to group ids, then each aggregate column takes the whole batch.
     pub(crate) fn update(&mut self, table: &Table, rows: &[u32]) {
         let mut ids = Vec::with_capacity(rows.len());
-        self.index.assign(table, rows, &mut ids, &mut self.keys);
+        self.index.assign(table, rows, &mut ids);
+        let n = self.index.len();
         for column in &mut self.columns {
-            column.resize(self.keys.len());
+            column.resize(n);
             column.update(table, rows, &ids);
         }
     }
@@ -857,26 +1119,33 @@ impl GroupTable {
     pub(crate) fn merge(&mut self, other: GroupTable) {
         let GroupTable {
             index,
-            keys,
-            columns,
-        } = self;
+            columns: their_columns,
+        } = other;
         // `map[t]`: this table's id for `other`'s group `t`.
-        let map: Vec<u32> = match (index, other.index) {
+        let map: Vec<u32> = match (&mut self.index, index) {
             (KeyIndex::Global, KeyIndex::Global) => vec![0],
-            (KeyIndex::Dense { slots, .. }, KeyIndex::Dense { slots: theirs, .. }) => {
-                let mut map = vec![0; other.keys.len()];
-                for (slot, their) in slots.iter_mut().zip(theirs) {
-                    if let Some(t) = their.map(|t| t as usize) {
-                        map[t] = *slot.get_or_insert_with(|| push(keys, other.keys[t].clone()));
+            (
+                KeyIndex::Dense { slots, codes, .. },
+                KeyIndex::Dense {
+                    slots: theirs,
+                    codes: their_codes,
+                    ..
+                },
+            ) => {
+                let mut map = vec![0; their_codes.len()];
+                for (code, (slot, their)) in slots.iter_mut().zip(theirs).enumerate() {
+                    if let Some(t) = their {
+                        map[t as usize] = *slot.get_or_insert_with(|| push(codes, code as u32));
                     }
                 }
                 map
             }
             (KeyIndex::Packed(packed), KeyIndex::Packed(theirs)) => {
-                packed.merge(theirs.ids_packed.into_iter().zip(other.keys), keys)
+                let mut map = Vec::with_capacity(theirs.ids_packed.len());
+                packed.find(&theirs.ids_packed, &mut map);
+                map
             }
-            (KeyIndex::Hash { by_key, .. }, KeyIndex::Hash { .. }) => other
-                .keys
+            (KeyIndex::Hash { by_key, keys, .. }, KeyIndex::Hash { keys: theirs, .. }) => theirs
                 .into_iter()
                 .map(|key| {
                     *by_key
@@ -886,49 +1155,69 @@ impl GroupTable {
                 .collect(),
             _ => unreachable!("one query's group tables share one key index"),
         };
-        for (mine, theirs) in columns.iter_mut().zip(other.columns) {
-            mine.resize(keys.len());
+        let n = self.index.len();
+        for (mine, theirs) in self.columns.iter_mut().zip(their_columns) {
+            mine.resize(n);
             mine.merge(theirs, &map);
         }
     }
 
     /// Output rows, in emission order: each group's `[keys…, aggregates…]`
-    /// filtered by `having` and projected through `projections`.
-    pub(crate) fn emit(&self, projections: &[CExpr], having: Option<&CExpr>) -> Vec<Vec<Value>> {
-        let group = |id: u32| {
-            let id = id as usize;
-            let aggs = self.columns.iter().map(|c| c.value(id)).collect();
-            (&self.keys[id], aggs)
+    /// filtered by `having` and projected through `projections`. `table`
+    /// is the one the group table was built over.
+    pub(crate) fn emit(
+        &self,
+        table: &Table,
+        projections: &[CExpr],
+        having: Option<&CExpr>,
+    ) -> Vec<Vec<Value>> {
+        let mut rows = Vec::with_capacity(self.len());
+        let mut push = |id: usize| {
+            let group = GroupRow {
+                groups: self,
+                table,
+                id,
+            };
+            rows.extend(group.emit(projections, having));
         };
         match &self.index {
-            KeyIndex::Dense { slots, .. } => emit_finalized_groups(
-                projections,
-                having,
-                slots.iter().flatten().map(|&id| group(id)),
-            ),
-            _ => emit_finalized_groups(projections, having, (0..self.len() as u32).map(group)),
+            KeyIndex::Dense { slots, .. } => {
+                slots.iter().flatten().for_each(|&id| push(id as usize))
+            }
+            _ => (0..self.len()).for_each(push),
         }
+        rows
     }
 
-    /// [`emit`](Self::emit) for a table nobody keeps: each group's key and
-    /// accumulators are freed once its row is out, so table and rows never
-    /// peak together.
+    /// [`emit`](Self::emit) for a table nobody keeps: each group's hash key
+    /// and boxed accumulators are freed once its row is out, so table and
+    /// rows never peak together.
     pub(crate) fn into_rows(
-        self,
+        mut self,
+        table: &Table,
         projections: &[CExpr],
         having: Option<&CExpr>,
     ) -> Vec<Vec<Value>> {
         if let KeyIndex::Dense { .. } = self.index {
-            return self.emit(projections, having);
+            return self.emit(table, projections, having);
         }
-        drop(self.index);
-        let n = self.keys.len();
-        let mut columns: Vec<_> = self.columns.into_iter().map(|c| c.into_values(n)).collect();
-        let groups = self.keys.into_iter().map(|key| {
-            let aggs = columns.iter_mut().flat_map(Iterator::next).collect();
-            (key, aggs)
-        });
-        emit_finalized_groups(projections, having, groups)
+        self.index.drop_lookup();
+        let mut rows = Vec::with_capacity(self.len());
+        for id in 0..self.len() {
+            let group = GroupRow {
+                groups: &self,
+                table,
+                id,
+            };
+            rows.extend(group.emit(projections, having));
+            if let KeyIndex::Hash { keys, .. } = &mut self.index {
+                keys[id] = Arc::default();
+            }
+            for column in &mut self.columns {
+                column.release(id);
+            }
+        }
+        rows
     }
 }
 
@@ -1061,6 +1350,7 @@ mod tests {
                     groups.index = KeyIndex::Hash {
                         exprs: exprs.clone(),
                         by_key: HashMap::new(),
+                        keys: Vec::new(),
                         scratch: Vec::new(),
                     };
                 }
@@ -1079,10 +1369,10 @@ mod tests {
                 }
             }
             let merged = merged.unwrap();
-            let emitted = format!("{:?}", merged.emit(&projections, None));
+            let emitted = format!("{:?}", merged.emit(t, &projections, None));
             assert_eq!(
                 emitted,
-                format!("{:?}", merged.into_rows(&projections, None))
+                format!("{:?}", merged.into_rows(t, &projections, None))
             );
             emitted
         };
@@ -1110,6 +1400,161 @@ mod tests {
             .collect();
         let t = table(&rows);
         for keys in ["q, BIN(n, 7)", "BIN(x, 2), q", "BIN(n, 1), BIN(x, 1), q"] {
+            let [packed, hashed] = packed_and_hashed(keys, &t);
+            assert_eq!(packed, hashed, "{keys}");
+        }
+    }
+
+    /// `a` and `b` are the same value, a Float bit for bit.
+    fn same_bits(a: &Value, b: &Value) -> bool {
+        match (a, b) {
+            (Value::Float(a), Value::Float(b)) => a.to_bits() == b.to_bits(),
+            (Value::Float(_), _) | (_, Value::Float(_)) => false,
+            _ => a == b,
+        }
+    }
+
+    /// Each group's decoded key under GROUP BY `keys` over `t` is bitwise
+    /// what `eval` makes of the keys on the group's first row.
+    fn assert_keys_decode(keys: &str, t: &Arc<Table>) {
+        let (exprs, aggs) = plan(keys, t);
+        let mut groups = GroupTable::new(&exprs, &aggs, t);
+        assert_eq!(groups.layout().0, "packed", "{keys}");
+        for row in 0..t.row_count() {
+            let id = groups.len();
+            groups.update(t, &[row as u32]);
+            if groups.len() == id {
+                continue;
+            }
+            let ctx = TableRow { table: t, row };
+            for (part, key) in exprs.iter().enumerate() {
+                let (got, want) = (groups.index.key(t, id, part), eval(key, &ctx));
+                assert!(
+                    same_bits(&got, &want),
+                    "{keys}, row {row}: {got:?} vs {want:?}"
+                );
+            }
+        }
+    }
+
+    /// Every part kind decodes to `eval`'s key: codes, Int buckets at
+    /// width 1, a power of two and a reciprocal, Float buckets on both
+    /// sides of zero's sign — `-0.0` from a `-0.0` and from a subnormal
+    /// whose `x / w` underflows, `+0.0` on a positive column — the NULL
+    /// slot of each, and the `BIN` edges that still pack.
+    #[test]
+    fn packed_keys_decode_to_what_eval_makes_of_the_first_row() {
+        const TINY: f64 = 5e-324;
+        let t = table(&[
+            (Some("B"), Some(-9), Some(-0.0)),
+            (None, Some(7), Some(-TINY)),
+            (Some("A"), None, Some(-2.5)),
+            (Some("B"), Some(-1), None),
+            (Some("C"), Some(6), Some(-1e-4)),
+            (Some("A"), Some(0), Some(-7.0)),
+        ]);
+        for keys in [
+            "q, BIN(n, 1)",
+            "BIN(n, 4), q",
+            "BIN(n, 7), BIN(x, 3)",
+            "BIN(x, 1), q, BIN(n, 3)",
+        ] {
+            assert_keys_decode(keys, &t);
+        }
+        let positive = floats(&[3.5, 0.0, TINY, 2.0, 11.0]);
+        assert_keys_decode("BIN(x, 2)", &positive);
+        assert_keys_decode("BIN(x, 1)", &positive);
+        let nulls = table(&[(Some("A"), None, Some(1.0)), (None, None, None)]);
+        assert_keys_decode("q, BIN(n, 5), BIN(x, 5)", &nulls);
+        // The edges of `keys_one_slot_could_merge_stay_boxed` that pack.
+        assert_keys_decode("BIN(n, 2)", &ints(&[5, i64::MIN, -3]));
+        assert_keys_decode("BIN(n, 3)", &ints(&[i64::MAX, -7, 0]));
+        assert_keys_decode("BIN(x, 1)", &floats(&[0.0, 3.5]));
+        assert_keys_decode("BIN(x, 1)", &floats(&[-0.0, -2.5]));
+        assert_keys_decode("BIN(x, 1)", &floats(&[EXACT_F64 - 1.0, 1.0]));
+    }
+
+    /// The reciprocal's quotient is `div_euclid`'s for every width in
+    /// 1..=1000: on 1,024 offsets per width drawn below the fit bound, each
+    /// beside its bucket's first and last offset (where `n mod w` is
+    /// largest and the bound is tight), and on the bound − 1. The bound is
+    /// checked against `c = ⌈2^64 / w⌉` independently, and an offset at the
+    /// bound or past it divides.
+    #[test]
+    fn reciprocal_quotients_are_div_euclid() {
+        assert_eq!(Divide::of(1, u64::MAX), Divide::One);
+        for w in 1..=1000u64 {
+            let limit = match Divide::of(w, 0) {
+                Divide::One => u64::MAX,
+                Divide::Reciprocal(r) => {
+                    let e = (u128::from(r.0) * u128::from(w)).checked_sub(1 << 64);
+                    assert!(e.is_some_and(|e| e < u128::from(w)), "c = ⌈2^64 / {w}⌉");
+                    r.limit(w)
+                }
+                Divide::Hardware(_) => unreachable!("offset 0 fits every reciprocal"),
+            };
+            // `e < w`: the bound covers every offset of a column spanning
+            // 2^64 / w² buckets.
+            assert!(limit >= u64::MAX / w, "width {w}: bound {limit}");
+            let exact = Divide::of(w, limit);
+            assert!(!matches!(exact, Divide::Hardware(_)), "width {w}");
+            let samples = (0..1024).map(|i| splitmix64(w << 16 | i) % limit);
+            let edges = samples.flat_map(|n| {
+                let first = n - n % w;
+                [n, first, first.saturating_add(w - 1).min(limit)]
+            });
+            for n in edges.chain([0, limit - 1, limit]) {
+                let want = i128::from(n).div_euclid(i128::from(w)) as u64;
+                assert_eq!(exact.quotient(n), want, "{n} / {w}");
+            }
+            if limit < u64::MAX {
+                for n in [limit + 1, limit.saturating_add(2)] {
+                    let past = Divide::of(w, n);
+                    assert_eq!(past, Divide::Hardware(w), "width {w}, offset {n}");
+                    assert_eq!(past.quotient(n), n / w);
+                }
+            }
+        }
+    }
+
+    /// The direct slot table and the map hold the same groups in the same
+    /// order: a radix product of 2^16 (4 × 16,384) takes the direct arm and
+    /// one of 2^16 + 1 (65,536 values and NULL) the map, each emitting what
+    /// the forced hash index does over three merged ranges.
+    #[test]
+    fn direct_and_map_arms_emit_what_the_hash_index_emits() {
+        const QUEUES: [&str; 3] = ["A", "B", "C"];
+        for (max, keys, arm) in [
+            (16_382, "q, BIN(n, 1)", "direct"),
+            (65_535, "BIN(n, 1)", "map"),
+        ] {
+            let rows: Vec<Row> = (0..900u64)
+                .map(|i| {
+                    let draw = splitmix64(i ^ max);
+                    let n = match i {
+                        0 => 0,
+                        1 => max as i64,
+                        _ => (draw % (max + 1)) as i64,
+                    };
+                    let q = QUEUES[(draw >> 32) as usize % 3];
+                    (
+                        (!draw.is_multiple_of(11)).then_some(q),
+                        (!draw.is_multiple_of(13)).then_some(n),
+                        None,
+                    )
+                })
+                .collect();
+            let t = table(&rows);
+            let (exprs, aggs) = plan(keys, &t);
+            let mut groups = GroupTable::new(&exprs, &aggs, &t);
+            assert_eq!(groups.packed_arm(), Some(arm), "{keys}");
+            groups.update(&t, &(0..900).collect::<Vec<u32>>());
+            let slots = if arm == "direct" {
+                1 << 16
+            } else {
+                groups.len()
+            };
+            assert_eq!(groups.slots(), slots, "{keys}");
             let [packed, hashed] = packed_and_hashed(keys, &t);
             assert_eq!(packed, hashed, "{keys}");
         }

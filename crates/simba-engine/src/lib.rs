@@ -15,7 +15,7 @@
 //! All four share a planner ([`plan`]) and evaluator ([`eval`]), and all
 //! but the `sqlite-like` oracle aggregate through the one
 //! [`GroupTable`](group::GroupTable) (typed and boxed aggregate columns
-//! behind a global, dense or hash key index), so they return identical
+//! behind a global, dense, packed or hash key index), so they return identical
 //! results (property-tested) and differ only in latency.
 
 pub mod agg;
