@@ -1,8 +1,9 @@
 //! Criterion microbenchmarks: the four engine architectures on fixed
 //! dashboard-shaped queries (supports the §6 engine comparison), the
 //! filter compiler's kernels against what they replace, the plan layer
-//! (`prepare` plus `compile_kernels`) on storm-shaped filters, and the group
-//! layer on the storm's packed GROUP BY shapes.
+//! (`prepare` plus `compile_kernels`) on storm-shaped filters, the group
+//! layer on the storm's packed GROUP BY shapes, and seeded scans against
+//! the fresh scans they replace.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use simba_data::DashboardDataset;
@@ -252,11 +253,68 @@ fn bench_group(c: &mut Criterion) {
     group.finish();
 }
 
+/// `seeded/`: `run_morsels` (one scan thread) at 100K rows on one filtered
+/// GROUP BY, as a fresh scan and seeded from the bitmap a capturing scan
+/// kept: an exact seed at ≈30 % of the rows (`queue` B), whose kernels are
+/// skipped, and a refining seed at ≈1 % (`transfers` 3 in queues B and C),
+/// re-filtered through a query that adds a conjunct. Each name carries its
+/// seed's measured density.
+fn bench_seeded(c: &mut Criterion) {
+    let table = Arc::new(DashboardDataset::CustomerService.generate_rows(100_000, 42));
+    let plan = |filter: &str| {
+        let sql = format!(
+            "SELECT call_type, COUNT(*), AVG(handle_time) FROM customer_service \
+             WHERE {filter} GROUP BY call_type"
+        );
+        prepare(&parse_select(&sql).unwrap(), table.clone()).unwrap()
+    };
+    let sparse = "transfers = 3 AND queue IN ('B', 'C')";
+    let cases = [
+        (
+            "exact",
+            plan("queue IN ('B')"),
+            plan("queue IN ('B')"),
+            true,
+        ),
+        (
+            "refining",
+            plan(sparse),
+            plan(&format!("{sparse} AND call_direction IN ('incoming')")),
+            false,
+        ),
+    ];
+    let mut group = c.benchmark_group("seeded");
+    group
+        .sample_size(20)
+        .measurement_time(Duration::from_secs(3));
+    for (name, base, query, exact) in &cases {
+        let seed = run_morsels(base, 1, DeltaScan::Capture)
+            .2
+            .and_then(|capture| capture.selection)
+            .unwrap();
+        let name = format!("{name}_{:.1}pct", 100.0 * seed.len() as f64 / 100_000.0);
+        group.bench_function(format!("{name}/fresh"), |b| {
+            b.iter(|| run_morsels(query, 1, DeltaScan::Off).0.len())
+        });
+        group.bench_function(format!("{name}/seeded"), |b| {
+            b.iter(|| {
+                let scan = DeltaScan::Seeded {
+                    seed: &seed,
+                    exact: *exact,
+                };
+                run_morsels(query, 1, scan).0.len()
+            })
+        });
+    }
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_engines,
     bench_filters,
     bench_plan,
-    bench_group
+    bench_group,
+    bench_seeded
 );
 criterion_main!(benches);

@@ -44,12 +44,29 @@ impl SelectionVector {
         self.rows.extend(start as u32..end as u32);
     }
 
-    /// Reset to an explicit (sorted) row list — the seeded-scan entry point,
-    /// where the candidate rows come from a prior step's captured selection
-    /// rather than a dense range.
-    pub fn fill_from(&mut self, rows: &[u32]) {
+    /// Reset to the rows whose bits are set in `words`, the [`RowBitmap`]
+    /// words of the rows from `base` (a multiple of 64) on, in ascending
+    /// order — the seeded-scan entry point, where the candidates are a
+    /// prior step's survivors rather than a dense range.
+    pub(crate) fn fill_from_bits(&mut self, base: usize, words: &[u64]) {
         self.rows.clear();
-        self.rows.extend_from_slice(rows);
+        for (w, &word) in words.iter().enumerate() {
+            let row = (base + w * 64) as u32;
+            let mut bits = word;
+            while bits != 0 {
+                self.rows.push(row + bits.trailing_zeros());
+                bits &= bits - 1;
+            }
+        }
+    }
+
+    /// Set the bit of every surviving row in `words`, the bitmap words of
+    /// the rows from `base` (a multiple of 64) on.
+    fn set_bits(&self, base: usize, words: &mut [u64]) {
+        for &row in &self.rows {
+            let i = row as usize - base;
+            words[i / 64] |= 1 << (i % 64);
+        }
     }
 
     /// Surviving row indices.
@@ -70,6 +87,74 @@ impl SelectionVector {
     /// Drop every row.
     pub fn clear(&mut self) {
         self.rows.clear();
+    }
+}
+
+/// Bitmap words per morsel: a morsel's survivors fill whole words, so each
+/// morsel owns its own words and a scan range writes a disjoint slice.
+const MORSEL_WORDS: usize = MORSEL / 64;
+const _: () = assert!(
+    MORSEL.is_multiple_of(64),
+    "a morsel spans whole bitmap words"
+);
+
+/// A set of rows of one table: one bit per row in ⌈rows / 64⌉ words, row
+/// `r` at bit `r % 64` of word `r / 64`, plus the number of set bits. This
+/// is how session-delta execution keeps a query's survivors, at rows/8
+/// bytes whatever their density; a set with no row holds no words.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct RowBitmap {
+    words: Vec<u64>,
+    len: usize,
+}
+
+impl RowBitmap {
+    /// Every row of a `rows`-row table.
+    pub fn full(rows: usize) -> RowBitmap {
+        let mut words = vec![u64::MAX; rows.div_ceil(64)];
+        if let Some(last) = words.last_mut() {
+            *last >>= (64 - rows % 64) % 64;
+        }
+        RowBitmap::from_words(words, rows)
+    }
+
+    /// The set `words` holds, whose set bits number `len`.
+    fn from_words(words: Vec<u64>, len: usize) -> RowBitmap {
+        debug_assert_eq!(
+            words.iter().map(|w| w.count_ones() as usize).sum::<usize>(),
+            len
+        );
+        let words = if len == 0 { Vec::new() } else { words };
+        RowBitmap { words, len }
+    }
+
+    /// Number of rows in the set.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// True when the set holds no row.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Bytes the words take: ⌈rows / 64⌉ × 8, or none for an empty set.
+    pub fn heap_bytes(&self) -> usize {
+        self.words.capacity() * std::mem::size_of::<u64>()
+    }
+
+    /// The rows in the set, ascending.
+    pub fn iter(&self) -> impl Iterator<Item = u32> + '_ {
+        self.words.iter().enumerate().flat_map(|(w, &word)| {
+            let mut bits = word;
+            std::iter::from_fn(move || {
+                (bits != 0).then(|| {
+                    let row = (w * 64) as u32 + bits.trailing_zeros();
+                    bits &= bits - 1;
+                    row
+                })
+            })
+        })
     }
 }
 
@@ -217,8 +302,6 @@ struct RangePartial {
     /// Rows never examined: every row when the filter cannot match, the
     /// rows outside the seed for a seeded scan, none otherwise.
     skipped: usize,
-    /// Surviving row indices in table order (delta capture only).
-    selection: Option<Vec<u32>>,
 }
 
 /// How a scan participates in session-delta execution.
@@ -235,8 +318,8 @@ pub enum DeltaScan<'a> {
     /// so the filter kernels are not re-evaluated at all. Seeded scans
     /// capture their own (sub)selection so refinement chains compound.
     Seeded {
-        /// Ascending row indices that survived the seeding query's WHERE.
-        seed: &'a [u32],
+        /// The rows that survived the seeding query's WHERE.
+        seed: &'a RowBitmap,
         /// The WHERE clauses are semantically identical, not merely implied.
         exact: bool,
     },
@@ -253,10 +336,10 @@ pub(crate) const MAX_CAPTURED_GROUPS: usize = 1 << 16;
 /// Work retained from one scan for reuse by a later refinement step.
 #[derive(Debug, Clone)]
 pub struct DeltaCapture {
-    /// Surviving row indices over the whole table, ascending; `None` for a
-    /// query without WHERE, whose survivors are the whole table and never
-    /// seed a later scan.
-    pub selection: Option<Vec<u32>>,
+    /// Surviving rows of the whole table; `None` for a query without
+    /// WHERE, whose survivors are the whole table and never seed a later
+    /// scan.
+    pub selection: Option<RowBitmap>,
     /// The merged group table, moved in after emitting: re-finalizable
     /// without a scan when a later query repeats the same aggregation shape
     /// (`states_key` match) over the same table snapshot.
@@ -274,10 +357,13 @@ pub struct DeltaCapture {
 /// surviving selection / group table for later reuse, or seed the scan
 /// from a previously captured selection (see [`DeltaScan`]).
 ///
+/// A capture sets each survivor's bit in its morsel's own words of one
+/// bitmap sized to the table, so the ranges scanned in parallel write
+/// disjoint slices and the bitmap needs no merge at any thread count.
+///
 /// Seeded scans run sequentially regardless of `threads`: the seed already
 /// collapsed the candidate set to the previous step's survivors, so the
-/// remaining work is too small to amortize worker spawn + merge, and a
-/// single pass keeps the captured chain selection trivially in table order.
+/// remaining work is too small to amortize worker spawn + merge.
 pub fn run_morsels(
     plan: &PreparedQuery,
     threads: usize,
@@ -290,12 +376,16 @@ pub fn run_morsels(
         DeltaScan::Capture => (None, true),
         DeltaScan::Seeded { seed, exact } => (Some((seed, exact)), true),
     };
-    // Only a filtered scan's survivors are worth a row list.
+    // Only a filtered scan's survivors are worth a bitmap.
     let capture_rows = capture_requested && plan.filter.is_some();
     // On an exact seed the WHERE is byte-for-byte the seeding query's: the
     // seed rows *are* the survivors, so kernels are never evaluated and
-    // need not be compiled.
-    let kernels: Option<Vec<Kernel>> = if matches!(seeded, Some((_, true))) {
+    // need not be compiled, and a capture is a copy of the seed.
+    let exact_seed = match seeded {
+        Some((seed, true)) => Some(seed),
+        _ => None,
+    };
+    let kernels: Option<Vec<Kernel>> = if exact_seed.is_some() {
         None
     } else {
         plan.filter.as_ref().map(|f| compile_kernels(f, table))
@@ -306,33 +396,41 @@ pub fn run_morsels(
         .as_deref()
         .is_some_and(|ks| ks.iter().any(Kernel::never_matches));
 
+    // The words the scan sets the captured survivors in: none when the
+    // filter cannot match or the survivors are an exact seed.
+    let set_words = capture_rows && !never && exact_seed.is_none();
+    let mut words = vec![0u64; if set_words { n.div_ceil(64) } else { 0 }];
     let partials: Vec<RangePartial> = if never {
         vec![RangePartial {
             partial: make_partial(plan),
             matched: 0,
             skipped: n,
-            selection: capture_rows.then(Vec::new),
         }]
     } else if let Some((seed, exact)) = seeded {
         let _scan = simba_obs::phase!("engine.scan", "engine", "engine.phase.scan");
-        vec![scan_seeded(plan, kernels.as_deref(), seed, exact)]
+        let words = set_words.then_some(words.as_mut_slice());
+        vec![scan_seeded(plan, kernels.as_deref(), seed, exact, words)]
     } else {
         let threads = threads.clamp(1, n_morsels.max(1));
         let _scan = simba_obs::phase!("engine.scan", "engine", "engine.phase.scan");
+        let kernels = kernels.as_deref();
+        // Each range takes its morsels' words off the front of the rest.
+        let mut rest = words.as_mut_slice();
+        let ranges = split_ranges(n_morsels, threads).into_iter().map(|range| {
+            let take = rest.len().min(range.len() * MORSEL_WORDS);
+            let (own, tail) = std::mem::take(&mut rest).split_at_mut(take);
+            rest = tail;
+            (range, set_words.then_some(own))
+        });
         if threads <= 1 {
-            vec![scan_range(
-                plan,
-                kernels.as_deref(),
-                0..n_morsels,
-                capture_rows,
-            )]
+            ranges
+                .map(|(range, words)| scan_range(plan, kernels, range, words))
+                .collect()
         } else {
-            let kernels = kernels.as_deref();
             std::thread::scope(|scope| {
-                let handles: Vec<_> = split_ranges(n_morsels, threads)
-                    .into_iter()
-                    .map(|range| {
-                        scope.spawn(move || scan_range(plan, kernels, range, capture_rows))
+                let handles: Vec<_> = ranges
+                    .map(|(range, words)| {
+                        scope.spawn(move || scan_range(plan, kernels, range, words))
                     })
                     .collect();
                 handles
@@ -354,24 +452,15 @@ pub fn run_morsels(
         stats.delta_hits = 1;
         stats.delta_rows_saved = n - seed.len();
     }
-    // Captured range selections concatenate in range order, so the chain
-    // selection is in ascending table order however many threads scanned.
-    let mut chain_selection: Vec<u32> = Vec::new();
     let mut iter = partials.into_iter();
     // simba: allow(panic-hygiene): split_ranges always yields >= 1 range, so there is always a first partial
     let first = iter.next().expect("at least one scan range");
     stats.rows_matched = first.matched;
     stats.rows_scanned -= first.skipped;
-    if let Some(sel) = first.selection {
-        chain_selection = sel;
-    }
     let mut merged = first.partial;
     for p in iter {
         stats.rows_matched += p.matched;
         stats.rows_scanned -= p.skipped;
-        if let Some(sel) = p.selection {
-            chain_selection.extend_from_slice(&sel);
-        }
         match (&mut merged, p.partial) {
             (Partial::Rows(a), Partial::Rows(b)) => a.extend(b),
             (Partial::Groups(a), Partial::Groups(b)) => a.merge(b),
@@ -380,11 +469,12 @@ pub fn run_morsels(
     }
 
     // A kept table emits through the same `GroupTable::emit` a replay
-    // does, so a replay emits exactly what this scan did; an unkept one
+    // does, so a replay emits exactly what this scan did, then frees what
+    // only finds a row's group, which a replay never does; an unkept one
     // frees itself as it emits.
     let (rows, states) = match (merged, &plan.kind) {
         (
-            Partial::Groups(groups),
+            Partial::Groups(mut groups),
             QueryKind::Aggregate {
                 projections,
                 having,
@@ -393,10 +483,9 @@ pub fn run_morsels(
         ) => {
             stats.groups = groups.len();
             if capture_requested && groups.slots() <= MAX_CAPTURED_GROUPS {
-                (
-                    groups.emit(table, projections, having.as_ref()),
-                    Some(groups),
-                )
+                let rows = groups.emit(table, projections, having.as_ref());
+                groups.drop_lookup();
+                (rows, Some(groups))
             } else {
                 (groups.into_rows(table, projections, having.as_ref()), None)
             }
@@ -407,7 +496,10 @@ pub fn run_morsels(
         }
     };
     let capture = capture_requested.then(|| DeltaCapture {
-        selection: capture_rows.then_some(chain_selection),
+        selection: capture_rows.then(|| match exact_seed {
+            Some(seed) => seed.clone(),
+            None => RowBitmap::from_words(words, stats.rows_matched),
+        }),
         states,
     });
     (rows, stats, capture)
@@ -481,18 +573,20 @@ fn update_partial(partial: &mut Partial, plan: &PreparedQuery, sel: &SelectionVe
     }
 }
 
+/// Scan `morsels`, setting each survivor's bit in `words` (when capturing):
+/// the bitmap words of those morsels' rows, from the range's first row on.
 fn scan_range(
     plan: &PreparedQuery,
     kernels: Option<&[Kernel]>,
     morsels: std::ops::Range<usize>,
-    capture: bool,
+    mut words: Option<&mut [u64]>,
 ) -> RangePartial {
     let table = plan.table.as_ref();
     let n = table.row_count();
+    let base = morsels.start * MORSEL;
     let mut sel = SelectionVector::with_capacity(MORSEL);
     let mut matched = 0usize;
     let mut partial = make_partial(plan);
-    let mut selection = capture.then(Vec::new);
 
     for m in morsels {
         let (start, end) = morsel_bounds(m, n);
@@ -501,8 +595,8 @@ fn scan_range(
             continue;
         }
         matched += sel.len();
-        if let Some(out) = selection.as_mut() {
-            out.extend_from_slice(sel.as_slice());
+        if let Some(words) = words.as_deref_mut() {
+            sel.set_bits(base, words);
         }
         update_partial(&mut partial, plan, &sel);
     }
@@ -510,35 +604,38 @@ fn scan_range(
         partial,
         matched,
         skipped: 0,
-        selection,
     }
 }
 
 /// Scan only the seed rows (a previous refinement step's survivors), one
-/// morsel's share at a time so the aggregation sees batches no wider
-/// than [`MORSEL`]. `rows_scanned` counts the candidates actually examined,
-/// so the stats honestly show the seeded scan's work.
+/// morsel's words at a time so the aggregation sees batches no wider
+/// than [`MORSEL`]; a morsel with no seed row is passed over. Survivors set
+/// their bits in `words` (when capturing), the bitmap words of the whole
+/// table. `rows_scanned` counts the candidates actually examined, so the
+/// stats honestly show the seeded scan's work.
 fn scan_seeded(
     plan: &PreparedQuery,
     kernels: Option<&[Kernel]>,
-    seed: &[u32],
+    seed: &RowBitmap,
     exact: bool,
+    mut words: Option<&mut [u64]>,
 ) -> RangePartial {
     let table = plan.table.as_ref();
     let n = table.row_count();
+    assert!(
+        seed.is_empty() || seed.words.len() == n.div_ceil(64),
+        "a seed is a bitmap of the table it seeds a scan of"
+    );
     let mut sel = SelectionVector::with_capacity(MORSEL);
     let mut partial = make_partial(plan);
-    let mut selection = Vec::with_capacity(seed.len());
     let mut matched = 0usize;
 
-    let mut pos = 0;
-    while pos < seed.len() {
-        let m = seed[pos] as usize / MORSEL;
-        let morsel_end = ((m + 1) * MORSEL) as u32;
-        let chunk_end = pos + seed[pos..].partition_point(|&r| r < morsel_end);
-        let chunk = &seed[pos..chunk_end];
-        pos = chunk_end;
-        sel.fill_from(chunk);
+    for (m, morsel) in seed.words.chunks(MORSEL_WORDS).enumerate() {
+        if morsel.iter().all(|&w| w == 0) {
+            continue;
+        }
+        let base = m * MORSEL;
+        sel.fill_from_bits(base, morsel);
         if !exact {
             if let Some(ks) = kernels {
                 for k in ks {
@@ -553,7 +650,9 @@ fn scan_seeded(
             continue;
         }
         matched += sel.len();
-        selection.extend_from_slice(sel.as_slice());
+        if let Some(words) = words.as_deref_mut() {
+            sel.set_bits(0, words);
+        }
         update_partial(&mut partial, plan, &sel);
     }
     RangePartial {
@@ -562,7 +661,6 @@ fn scan_seeded(
         // The caller derives rows_scanned as `n - skipped`; report the
         // candidates examined, not the table size.
         skipped: n - seed.len(),
-        selection: Some(selection),
     }
 }
 

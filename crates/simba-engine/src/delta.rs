@@ -3,7 +3,7 @@
 //! Exploration sessions step through *refinements* — each query tightens or
 //! repeats the previous step's filter far more often than it starts from
 //! scratch (§2 of the paper). A [`SessionDelta`] store retains, per session,
-//! the surviving selection vector (and, for aggregations, the merged
+//! the surviving rows as a [`RowBitmap`] (and, for aggregations, the merged
 //! [`GroupTable`]) of recent queries, each under the [`NormalizedSelect`] of
 //! the query that produced it. `execute_with_delta` builds the new query's
 //! form once and resolves it against the stored forms — no stored entry is
@@ -49,7 +49,7 @@
 //! sound implication), and the differential suite pins delta-on execution
 //! byte-identical to fresh execution.
 
-use crate::batch::{run_from_cache, run_morsels, DeltaScan};
+use crate::batch::{run_from_cache, run_morsels, DeltaScan, RowBitmap};
 use crate::engines::execute_common;
 use crate::error::EngineError;
 use crate::exec::{Catalog, QueryOutput};
@@ -71,9 +71,9 @@ struct DeltaEntry {
     /// the same table name requires pointer identity with the snapshot the
     /// new plan resolved.
     snapshot: Arc<Table>,
-    /// Surviving row indices over the whole table, ascending; `None` for an
+    /// Surviving rows of the snapshot, one bit per row; `None` for an
     /// entry without a WHERE, kept only for its group states.
-    selection: Option<Arc<Vec<u32>>>,
+    selection: Option<RowBitmap>,
     /// How many rows survived the WHERE: the `rows_matched` a replay of
     /// the group states reports.
     matched: usize,
@@ -111,9 +111,10 @@ pub struct SessionDelta {
 /// entry per chart (~5) and adaptive walks revisit the overview after half
 /// a dozen drill steps, so the window must span several steps' worth of
 /// captures for the return leg to hit tier 1/2 instead of re-scanning. 32
-/// covers ~6 steps of a 5-chart dashboard without unbounded retention; each
-/// entry holds one `SelectionVector` (≤ row-count u32s), so worst case is a
-/// few MB per session at the 1M-row tier.
+/// covers ~6 steps of a 5-chart dashboard without unbounded retention. Each
+/// entry's selection is a [`RowBitmap`] of at most rows/8 bytes whatever
+/// its density, so the selections of one session take at most 32 × rows/8
+/// bytes: 4 MB at 1M rows, 40 MB at 10M.
 const CAPACITY: usize = 32;
 
 impl Default for SessionDelta {
@@ -189,7 +190,7 @@ impl SessionDelta {
     /// provably implied by the query's. Entries without a WHERE are never
     /// seeds — their selection is the whole table, so seeding from them
     /// saves nothing over a fresh scan.
-    fn seed_for(&self, form: &NormalizedSelect) -> Option<(Arc<Vec<u32>>, bool)> {
+    fn seed_for(&self, form: &NormalizedSelect) -> Option<(&RowBitmap, bool)> {
         let candidates = || {
             self.entries
                 .iter()
@@ -198,11 +199,11 @@ impl SessionDelta {
                 .filter_map(|e| Some((e, e.selection.as_ref()?)))
         };
         if let Some((_, selection)) = candidates().find(|(e, _)| e.form.same_selection(form)) {
-            return Some((Arc::clone(selection), true));
+            return Some((selection, true));
         }
         candidates()
             .find(|(e, _)| form.refines(&e.form))
-            .map(|(_, selection)| (Arc::clone(selection), false))
+            .map(|(_, selection)| (selection, false))
     }
 
     /// Retain a freshly captured entry, replacing any previous entry with
@@ -243,40 +244,32 @@ pub(crate) fn execute_with_delta(
         }
         // Tier 1: seed the scan from a captured selection; else a fresh
         // capturing scan.
-        let seed = delta.seed_for(&form);
-        let scan = match &seed {
-            Some((seed, exact)) => DeltaScan::Seeded {
-                seed,
-                exact: *exact,
-            },
+        let scan = match delta.seed_for(&form) {
+            Some((seed, exact)) => DeltaScan::Seeded { seed, exact },
             None => {
                 delta.stats.misses += 1;
                 DeltaScan::Capture
             }
         };
         let (rows, stats, captured) = run_morsels(plan, scan_threads, scan);
-        capture = captured.map(|cap| (cap, stats.rows_matched));
+        // The entry pairs what was captured with the snapshot that was
+        // scanned, never with what the name resolves to by now.
+        capture = captured.map(|cap| (cap, stats.rows_matched, Arc::clone(&plan.table)));
         (rows, stats)
     })?;
-    if let Some((cap, matched)) = capture {
+    if let Some((cap, matched, snapshot)) = capture {
         // Entries without a WHERE hold no selection — the whole table is
         // useless as a seed — but their group states still serve tier 2
         // (e.g. the unfiltered step-0 dashboard re-sorted at step 1).
         if query.where_clause.is_some() || cap.states.is_some() {
-            let table = catalog.get(&query.from);
-            // The plan resolved this table moments ago; a concurrent
-            // re-register can remove or replace it, in which case the
-            // capture is already stale and is simply not retained.
-            if let Some(snapshot) = table {
-                delta.store(DeltaEntry {
-                    form,
-                    generation,
-                    snapshot,
-                    selection: cap.selection.map(Arc::new),
-                    matched,
-                    states: cap.states,
-                });
-            }
+            delta.store(DeltaEntry {
+                form,
+                generation,
+                snapshot,
+                selection: cap.selection,
+                matched,
+                states: cap.states,
+            });
         }
     }
     Ok(output)
@@ -621,6 +614,39 @@ mod tests {
             .expect("a filtered chart keeps rows");
         assert_eq!(rows.len(), filtered.stats.rows_matched);
         assert_eq!(entry.matched, filtered.stats.rows_matched);
+    }
+
+    /// A kept selection costs ⌈rows / 64⌉ words whether one row or most of
+    /// the table survived, and none when no row did; a kept group table has
+    /// freed its lookup (here a direct slot table of 98 × 8 slots) and
+    /// still replays.
+    #[test]
+    fn kept_entries_hold_a_bitmap_and_no_lookup() {
+        let catalog = catalog();
+        let mut delta = SessionDelta::default();
+        let words = 10_000usize.div_ceil(64);
+        for (filter, matched, bytes) in [
+            ("a = 5 AND v = 0.0", 8, words * 8),
+            ("a > 10", 8_858, words * 8),
+            ("a > 1000", 0, 0),
+        ] {
+            let o = run(
+                &catalog,
+                &mut delta,
+                &format!("SELECT COUNT(*) FROM t WHERE {filter}"),
+            );
+            let selection = delta.entries.back().unwrap().selection.as_ref().unwrap();
+            assert_eq!((selection.len(), o.stats.rows_matched), (matched, matched));
+            assert_eq!(selection.heap_bytes(), bytes, "`{filter}`");
+        }
+        let sql = "SELECT BIN(a, 1), q, COUNT(*) FROM t WHERE a > 10 GROUP BY BIN(a, 1), q";
+        run(&catalog, &mut delta, sql);
+        let states = delta.entries.back().unwrap().states.as_ref().unwrap();
+        assert_eq!(states.packed_arm(), Some("direct"));
+        assert_eq!(states.slots(), 0, "the slot table is freed once kept");
+        let o = run(&catalog, &mut delta, sql);
+        assert_eq!(o.stats.delta_group_hits, 1);
+        assert_eq!(o.result, fresh(&catalog, sql).result);
     }
 
     /// One capture bound for every group table: a dense index over a

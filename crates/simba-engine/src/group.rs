@@ -1101,6 +1101,13 @@ impl GroupTable {
         }
     }
 
+    /// Free what only finds a row's group — the direct slot table, the
+    /// packed or hash map — for a table that is only emitted from now on.
+    /// A dense index keeps its slots: they are its emission order.
+    pub(crate) fn drop_lookup(&mut self) {
+        self.index.drop_lookup();
+    }
+
     /// Feed the selected `rows` of `table`, in order: the key index maps the
     /// batch to group ids, then each aggregate column takes the whole batch.
     pub(crate) fn update(&mut self, table: &Table, rows: &[u32]) {

@@ -32,7 +32,7 @@ pub mod plan;
 #[cfg(test)]
 pub(crate) mod test_support;
 
-pub use batch::{DeltaCapture, DeltaScan, SelectionVector, MORSEL};
+pub use batch::{DeltaCapture, DeltaScan, RowBitmap, SelectionVector, MORSEL};
 pub use delta::{DeltaStoreStats, SessionDelta};
 pub use engines::duckdb_like::DuckDbLike;
 pub use engines::monetdb_like::MonetDbLike;

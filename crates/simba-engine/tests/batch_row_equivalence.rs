@@ -14,7 +14,8 @@ use simba_engine::exec::finalize_rows;
 use simba_engine::group::GroupTable;
 use simba_engine::plan::{prepare, QueryKind};
 use simba_engine::{
-    all_engines, execute_row_oracle, Dbms, DuckDbLike, EngineError, QueryOutput, SqliteLike,
+    all_engines, execute_row_oracle, Dbms, DuckDbLike, EngineError, QueryOutput, RowBitmap,
+    SqliteLike,
 };
 use simba_sql::{BinOp, Expr, Func, Select, SelectItem};
 use simba_store::mix::splitmix64;
@@ -622,14 +623,14 @@ impl Dbms for DeltaPath {
             Some(base) => {
                 let base_plan = prepare(base, self.table.clone())?;
                 let (_, _, capture) = run_morsels(&base_plan, self.threads, DeltaScan::Capture);
-                // A base without WHERE keeps no row list: its survivors
-                // are every row.
+                // A base without WHERE keeps no bitmap: its survivors are
+                // every row.
                 let seed = capture
                     .expect("a capturing scan captures")
                     .selection
                     .unwrap_or_else(|| {
                         assert!(base.where_clause.is_none(), "`{base}` kept no rows");
-                        (0..self.table.row_count() as u32).collect()
+                        RowBitmap::full(self.table.row_count())
                     });
                 let exact = base.where_clause == query.where_clause;
                 run_morsels(
@@ -640,7 +641,7 @@ impl Dbms for DeltaPath {
             }
         };
         let capture = capture.expect("capturing and seeded scans both capture");
-        // A query without WHERE keeps no row list: its survivors are the
+        // A query without WHERE keeps no bitmap: its survivors are the
         // whole table.
         assert_eq!(
             capture.selection.is_some(),
@@ -649,7 +650,8 @@ impl Dbms for DeltaPath {
         );
         if let Some(selection) = &capture.selection {
             assert_eq!(selection.len(), stats.rows_matched, "`{query}`");
-            assert!(selection.windows(2).all(|w| w[0] < w[1]), "`{query}`");
+            assert_eq!(selection.iter().count(), selection.len(), "`{query}`");
+            assert_bitmap_bound(selection, self.table.row_count());
         }
         let rows = finalize_rows(rows, plan.n_output, &plan.order_dirs, plan.limit);
         Ok(QueryOutput {
@@ -658,6 +660,22 @@ impl Dbms for DeltaPath {
             elapsed: std::time::Duration::ZERO,
         })
     }
+}
+
+/// A bitmap of a `rows`-row table takes ⌈rows / 64⌉ words, and none when
+/// it holds no row.
+fn assert_bitmap_bound(bitmap: &RowBitmap, rows: usize) {
+    let bound = if bitmap.is_empty() {
+        0
+    } else {
+        rows.div_ceil(64) * 8
+    };
+    assert_eq!(
+        bitmap.heap_bytes(),
+        bound,
+        "{} of {rows} rows",
+        bitmap.len()
+    );
 }
 
 /// `select` on the three batch engines (`duckdb-like` at one and four scan
@@ -1278,4 +1296,134 @@ fn packed_groups_emit_in_first_appearance_across_merged_ranges() {
         .collect();
     assert!(orders.iter().all(|o| o.len() == QUEUES.len() + 1));
     assert!(orders.windows(2).any(|w| w[0] != w[1]), "{orders:?}");
+}
+
+// Row bitmaps.
+//
+// Session-delta execution keeps a query's survivors as a `RowBitmap`, one
+// bit per row in ⌈rows / 64⌉ words. Each morsel's scan sets its survivors
+// in the morsel's own 32 words, and a seeded scan reads a seed back one
+// morsel at a time. The tables below end one row short of, on, and one row
+// past a word or a morsel edge, and one partial word into a third morsel.
+
+/// `rows` rows: `n` is the row number, `queue` cycles over `QUEUES`.
+fn numbered_table(rows: usize) -> Arc<Table> {
+    let schema = Schema::new(
+        "t",
+        vec![
+            ColumnDef::categorical("queue"),
+            ColumnDef::quantitative_int("n"),
+        ],
+    );
+    let mut b = TableBuilder::new(schema, rows);
+    for i in 0..rows {
+        b.push_row(vec![
+            Value::str(QUEUES[i % QUEUES.len()]),
+            Value::Int(i as i64),
+        ]);
+    }
+    Arc::new(b.finish())
+}
+
+/// The selections checked on a `rows`-row table, as filters on the row
+/// number: none (settled by the column bounds, and read row by row), every
+/// row, the first row, the last, and the rows either side of each word
+/// edge.
+fn bitmap_filters(rows: usize) -> Vec<String> {
+    let mut filters = vec![
+        "n < 0".to_string(),
+        "n + 0 < 0".to_string(),
+        "n >= 0".to_string(),
+        "n = 0".to_string(),
+        format!("n = {}", rows - 1),
+    ];
+    for edge in (64..rows).step_by(64) {
+        filters.push(format!("n = {}", edge - 1));
+        filters.push(format!("n = {edge}"));
+    }
+    filters
+}
+
+/// `plan`'s capturing scan on `threads` threads: its rows, its stats and
+/// the bitmap it captured.
+fn capture(
+    plan: &simba_engine::plan::PreparedQuery,
+    threads: usize,
+) -> (Vec<Vec<Value>>, simba_engine::ExecStats, RowBitmap) {
+    let (rows, stats, capture) = run_morsels(plan, threads, DeltaScan::Capture);
+    let bitmap = capture
+        .and_then(|c| c.selection)
+        .expect("a filtered capturing scan keeps a bitmap");
+    (rows, stats, bitmap)
+}
+
+#[test]
+fn bitmap_seeds_at_word_and_morsel_edges_match_fresh_scans() {
+    for rows in [63, 64, 65, 2047, 2048, 2049, 4159] {
+        let table = numbered_table(rows);
+        for filter in bitmap_filters(rows) {
+            let survivors: Vec<u32> = execute_row_oracle(
+                table.clone(),
+                &simba_sql::parse_select(&format!("SELECT n FROM t WHERE {filter}")).unwrap(),
+            )
+            .unwrap()
+            .result
+            .rows
+            .iter()
+            .map(|row| match row[0] {
+                Value::Int(n) => n as u32,
+                ref v => panic!("`n` is an Int, not {v:?}"),
+            })
+            .collect();
+            for shape in [
+                "SELECT COUNT(*), SUM(n) FROM t WHERE {}",
+                "SELECT queue, COUNT(*), MIN(n), MAX(n) FROM t WHERE {} GROUP BY queue",
+                "SELECT n, queue FROM t WHERE {}",
+            ] {
+                let sql = shape.replace("{}", &filter);
+                let refined_sql = shape.replace("{}", &format!("{filter} AND queue IN ('A', 'B')"));
+                let plan = prepare(&simba_sql::parse_select(&sql).unwrap(), table.clone()).unwrap();
+                let refined = prepare(
+                    &simba_sql::parse_select(&refined_sql).unwrap(),
+                    table.clone(),
+                )
+                .unwrap();
+                let (fresh, fresh_stats, _) = run_morsels(&plan, 1, DeltaScan::Off);
+
+                // Captures at one and four threads are one bitmap: the
+                // survivors' row numbers, counted as matched.
+                let (one, one_stats, seed) = capture(&plan, 1);
+                let (four, four_stats, four_bitmap) = capture(&plan, 4);
+                assert_eq!((&one, &four), (&fresh, &fresh), "`{sql}` on {rows} rows");
+                assert_eq!(seed, four_bitmap, "`{sql}` on {rows} rows");
+                assert_eq!(
+                    seed.iter().collect::<Vec<_>>(),
+                    survivors,
+                    "`{sql}` on {rows} rows"
+                );
+                for stats in [&one_stats, &four_stats] {
+                    assert_eq!(stats.rows_matched, seed.len(), "`{sql}` on {rows} rows");
+                    assert_eq!(stats.rows_matched, fresh_stats.rows_matched);
+                }
+                assert_bitmap_bound(&seed, rows);
+
+                // The exact seed answers as the fresh scan does and
+                // captures itself; the refining one answers as the refined
+                // query's fresh scan does and captures what it would.
+                for (plan, exact) in [(&plan, true), (&refined, false)] {
+                    let (fresh, fresh_stats, fresh_bitmap) = capture(plan, 1);
+                    let (seeded, stats, captured) =
+                        run_morsels(plan, 1, DeltaScan::Seeded { seed: &seed, exact });
+                    let captured = captured.and_then(|c| c.selection).unwrap();
+                    let what = format!("`{sql}` seeding exact={exact} on {rows} rows");
+                    assert_eq!(seeded, fresh, "{what}");
+                    assert_eq!(captured, fresh_bitmap, "{what}");
+                    assert_eq!(stats.rows_matched, fresh_stats.rows_matched, "{what}");
+                    assert_eq!(stats.rows_matched, captured.len(), "{what}");
+                    assert_eq!(stats.groups, fresh_stats.groups, "{what}");
+                    assert_eq!(stats.delta_rows_saved, rows - seed.len(), "{what}");
+                }
+            }
+        }
+    }
 }
