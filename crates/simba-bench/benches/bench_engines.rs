@@ -2,15 +2,16 @@
 //! dashboard-shaped queries (supports the §6 engine comparison), the
 //! filter compiler's kernels against what they replace, the plan layer
 //! (`prepare` plus `compile_kernels`) on storm-shaped filters, the group
-//! layer on the storm's packed GROUP BY shapes, and seeded scans against
-//! the fresh scans they replace.
+//! layer on the storm's packed GROUP BY shapes, seeded scans against the
+//! fresh scans they replace, and the result layer on the storm's largest
+//! result.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use simba_data::DashboardDataset;
 use simba_engine::batch::{fill_filtered, run_morsels, SelectionVector, MORSEL};
 use simba_engine::exec::{cexpr_conjuncts, compile_kernels, Kernel};
 use simba_engine::plan::{compile_row_expr, prepare};
-use simba_engine::{Dbms, DeltaScan, EngineKind};
+use simba_engine::{Dbms, DeltaScan, DuckDbLike, EngineKind};
 use simba_idebench::{IdeBenchConfig, IdeBenchWalk};
 use simba_sql::{parse_select, Select};
 use simba_store::Table;
@@ -247,7 +248,7 @@ fn bench_group(c: &mut Criterion) {
         let sql = format!("SELECT {keys}, COUNT(*) FROM customer_service GROUP BY {keys}");
         let plan = prepare(&parse_select(&sql).unwrap(), table.clone()).unwrap();
         group.bench_function(name, |b| {
-            b.iter(|| run_morsels(&plan, 1, DeltaScan::Off).0.len())
+            b.iter(|| run_morsels(&plan, 1, DeltaScan::Off).0.n_rows())
         });
     }
     group.finish();
@@ -294,7 +295,7 @@ fn bench_seeded(c: &mut Criterion) {
             .unwrap();
         let name = format!("{name}_{:.1}pct", 100.0 * seed.len() as f64 / 100_000.0);
         group.bench_function(format!("{name}/fresh"), |b| {
-            b.iter(|| run_morsels(query, 1, DeltaScan::Off).0.len())
+            b.iter(|| run_morsels(query, 1, DeltaScan::Off).0.n_rows())
         });
         group.bench_function(format!("{name}/seeded"), |b| {
             b.iter(|| {
@@ -302,10 +303,37 @@ fn bench_seeded(c: &mut Criterion) {
                     seed: &seed,
                     exact: *exact,
                 };
-                run_morsels(query, 1, scan).0.len()
+                run_morsels(query, 1, scan).0.n_rows()
             })
         });
     }
+    group.finish();
+}
+
+/// `result/`: the storm's largest result — `BIN(call_date, 5), queue,
+/// call_type` with `MAX(lost_calls)`, ≈26K groups at 100K rows — executed
+/// through `DuckDbLike::execute`, which builds the result set and drops
+/// it, and fingerprinted.
+fn bench_result(c: &mut Criterion) {
+    let table = Arc::new(DashboardDataset::CustomerService.generate_rows(100_000, 42));
+    let engine = DuckDbLike::new();
+    engine.register(table);
+    let query = parse_select(
+        "SELECT BIN(call_date, 5), queue, call_type, MAX(lost_calls) FROM customer_service \
+         GROUP BY BIN(call_date, 5), queue, call_type",
+    )
+    .unwrap();
+    let result = engine.execute(&query).unwrap().result;
+    let mut group = c.benchmark_group("result");
+    group
+        .sample_size(20)
+        .measurement_time(Duration::from_secs(3));
+    group.bench_function(format!("execute_{}_groups", result.n_rows()), |b| {
+        b.iter(|| engine.execute(&query).unwrap().result.n_rows())
+    });
+    group.bench_function(format!("fingerprint_{}_groups", result.n_rows()), |b| {
+        b.iter(|| simba_driver::fingerprint(&result))
+    });
     group.finish();
 }
 
@@ -315,6 +343,7 @@ criterion_group!(
     bench_filters,
     bench_plan,
     bench_group,
-    bench_seeded
+    bench_seeded,
+    bench_result
 );
 criterion_main!(benches);

@@ -159,7 +159,7 @@ fn constrained_expressions(e: &Expr) -> Vec<String> {
 /// This function materializes that context: for every conjunct of the form
 /// `expr = literal` (or single-element `IN`), a constant column named by the
 /// expression is appended, unless the result already has one.
-pub fn augment(query: &NormalizedSelect, result: ResultSet) -> ResultSet {
+pub fn augment(query: &NormalizedSelect, mut result: ResultSet) -> ResultSet {
     let mut extra: Vec<(String, Value)> = Vec::new();
     for conjunct in query.filter().atoms().values() {
         let Expr::Binary {
@@ -191,18 +191,10 @@ pub fn augment(query: &NormalizedSelect, result: ResultSet) -> ResultSet {
         };
         extra.push((name, value));
     }
-    if extra.is_empty() {
-        return result;
-    }
-    let mut columns = result.columns;
-    let mut rows = result.rows;
     for (name, value) in extra {
-        columns.push(name);
-        for row in &mut rows {
-            row.push(value.clone());
-        }
+        result.push_constant(name, value);
     }
-    ResultSet::new(columns, rows)
+    result
 }
 
 /// Tracks progress of one goal query through a session.

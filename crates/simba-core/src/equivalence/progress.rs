@@ -44,8 +44,7 @@ mod tests {
             vec!["queue".into(), "n".into()],
             values
                 .iter()
-                .map(|(q, n)| vec![Value::str(q), Value::Int(*n)])
-                .collect(),
+                .map(|(q, n)| vec![Value::str(q), Value::Int(*n)]),
         )
     }
 

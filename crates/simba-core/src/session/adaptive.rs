@@ -21,7 +21,7 @@ use super::source::QueryFeedback;
 use crate::actions::Action;
 use crate::dashboard::Dashboard;
 use crate::graph::{DashboardState, NodeId, NodeKind, NodeState};
-use simba_store::{ResultSet, Value};
+use simba_store::{ResultSet, ValueRef};
 
 /// Which steering rule fired (for driver counters and logs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -192,12 +192,13 @@ fn drill_top_group(
             continue;
         }
         let mut top: Option<(f64, &str)> = None;
-        for row in &result.rows {
-            let (Some(Value::Str(cat)), Some(measure)) = (row.first(), row.get(measure_col)) else {
+        for row in result.rows() {
+            let ValueRef::Str(cat) = row.get_ref(0) else {
                 continue;
             };
-            let cat: &str = cat;
-            let Some(m) = measure.as_f64() else { continue };
+            let Some(m) = row.get(measure_col).as_f64() else {
+                continue;
+            };
             let better = match top {
                 None => true,
                 Some((best, cat_best)) => match m.total_cmp(&best) {
@@ -239,6 +240,7 @@ mod tests {
     use super::*;
     use crate::spec::builtin::builtin;
     use simba_data::DashboardDataset;
+    use simba_store::Value;
 
     fn dashboard() -> Dashboard {
         let ds = DashboardDataset::CustomerService;
@@ -250,8 +252,7 @@ mod tests {
         ResultSet::new(
             vec!["queue".to_string(), "count".to_string()],
             rows.into_iter()
-                .map(|(q, n)| vec![Value::from(q), Value::Int(n)])
-                .collect(),
+                .map(|(q, n)| vec![Value::from(q), Value::Int(n)]),
         )
     }
 
@@ -355,8 +356,7 @@ mod tests {
             ResultSet::new(
                 vec!["rep_id".into(), "hour".into(), "count".into()],
                 rows.into_iter()
-                    .map(|(r, n)| vec![Value::from(r), Value::Int(9), Value::Int(n)])
-                    .collect(),
+                    .map(|(r, n)| vec![Value::from(r), Value::Int(9), Value::Int(n)]),
             )
         };
 

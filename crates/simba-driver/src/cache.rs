@@ -523,7 +523,10 @@ mod tests {
         }
         let (value, _elapsed, hit) = cache.execute_cached(&q, || OkEngine.execute(&q)).unwrap();
         assert!(!hit);
-        assert_eq!(value.result.rows, vec![vec![simba_store::Value::Int(2)]]);
+        assert_eq!(
+            value.result.sorted_rows(),
+            vec![vec![simba_store::Value::Int(2)]]
+        );
     }
 
     /// Negative-result policy: an erroring leader must not seed the cache
@@ -567,7 +570,10 @@ mod tests {
 
         let (value, _elapsed, hit) = cache.execute_cached(&q, || engine.execute(&q)).unwrap();
         assert!(!hit, "the retry re-executes instead of replaying the error");
-        assert_eq!(value.result.rows, vec![vec![simba_store::Value::Int(7)]]);
+        assert_eq!(
+            value.result.sorted_rows(),
+            vec![vec![simba_store::Value::Int(7)]]
+        );
         assert_eq!(cache.stats().insertions, 1);
         // And now the key serves hits like any healthy entry.
         let (_, _, hit) = cache.execute_cached(&q, || engine.execute(&q)).unwrap();
@@ -620,7 +626,10 @@ mod tests {
             .unwrap();
         assert!(!hit);
         assert_eq!(attempts, 3, "two transient failures were retried away");
-        assert_eq!(value.result.rows, vec![vec![simba_store::Value::Int(9)]]);
+        assert_eq!(
+            value.result.sorted_rows(),
+            vec![vec![simba_store::Value::Int(9)]]
+        );
         let stats = cache.stats();
         assert_eq!(
             stats.error_passthrough, 0,

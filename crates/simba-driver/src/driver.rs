@@ -581,6 +581,10 @@ impl Driver {
                     None => break,
                 }
             };
+            // The stream has read the previous step's results: free them
+            // before this step's results are made, so two steps' results
+            // never peak together.
+            observed.clear();
             if !first {
                 out.interactions += 1;
                 let pause = self.config.think_time.sample(&mut pace_rng);

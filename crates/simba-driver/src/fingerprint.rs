@@ -8,6 +8,7 @@
 //! everywhere.
 
 use simba_store::ResultSet;
+use std::fmt::Write as _;
 
 /// Sentinel fingerprint recorded for a query that returned an engine error.
 ///
@@ -22,10 +23,18 @@ pub const ERROR_FINGERPRINT: u64 = u64::MAX;
 /// Order-insensitive content hash of a result set (FNV-1a over the
 /// canonically sorted rows). Two results get equal fingerprints iff their
 /// row multisets are byte-identical.
+///
+/// Each row's `Debug` form — a `Vec<Value>`'s, `[Int(1), Str("a")]` —
+/// is hashed, then `0xFF`, in the total value order. The rows are read in
+/// place through a sorted row permutation and written into one reused
+/// buffer.
 pub fn fingerprint(result: &ResultSet) -> u64 {
     let mut h = simba_store::mix::Fnv1a::new();
-    for row in result.sorted_rows() {
-        h.write(format!("{row:?}").as_bytes());
+    let mut line = String::new();
+    for row in result.sorted_order() {
+        line.clear();
+        let _ = write!(line, "{:?}", result.row(row));
+        h.write(line.as_bytes());
         h.write(&[0xFF]);
     }
     h.finish()

@@ -18,7 +18,7 @@ use crate::exec::{compile_kernels, ExecStats, Kernel};
 use crate::group::GroupTable;
 use crate::plan::{PreparedQuery, QueryKind};
 use simba_store::zonemap::{float_key, morsel_bounds, morsel_count, MORSEL_ROWS};
-use simba_store::{for_width, Table, Value};
+use simba_store::{for_width, ResultBuilder, Table};
 
 /// Rows per scan batch: one morsel.
 pub const MORSEL: usize = MORSEL_ROWS;
@@ -292,7 +292,7 @@ fn split_ranges(n: usize, parts: usize) -> Vec<std::ops::Range<usize>> {
 /// Partial result of scanning one contiguous range of morsels: projected
 /// rows, or the query's group table.
 enum Partial {
-    Rows(Vec<Vec<Value>>),
+    Rows(ResultBuilder),
     Groups(GroupTable),
 }
 
@@ -368,7 +368,7 @@ pub fn run_morsels(
     plan: &PreparedQuery,
     threads: usize,
     delta: DeltaScan<'_>,
-) -> (Vec<Vec<Value>>, ExecStats, Option<DeltaCapture>) {
+) -> (ResultBuilder, ExecStats, Option<DeltaCapture>) {
     let table = plan.table.as_ref();
     let n = table.row_count();
     let (seeded, capture_requested) = match delta {
@@ -462,7 +462,7 @@ pub fn run_morsels(
         stats.rows_matched += p.matched;
         stats.rows_scanned -= p.skipped;
         match (&mut merged, p.partial) {
-            (Partial::Rows(a), Partial::Rows(b)) => a.extend(b),
+            (Partial::Rows(a), Partial::Rows(b)) => a.append(b),
             (Partial::Groups(a), Partial::Groups(b)) => a.merge(b),
             _ => unreachable!("scan ranges share one plan"),
         }
@@ -516,7 +516,7 @@ pub fn run_from_cache(
     plan: &PreparedQuery,
     groups: &GroupTable,
     matched: usize,
-) -> Option<(Vec<Vec<Value>>, ExecStats)> {
+) -> Option<(ResultBuilder, ExecStats)> {
     let QueryKind::Aggregate {
         aggs,
         projections,
@@ -545,7 +545,7 @@ pub fn run_from_cache(
 /// Empty partial state for one scan range, shaped by the plan.
 fn make_partial(plan: &PreparedQuery) -> Partial {
     match &plan.kind {
-        QueryKind::Project { .. } => Partial::Rows(Vec::new()),
+        QueryKind::Project { exprs } => Partial::Rows(ResultBuilder::new(exprs.len())),
         QueryKind::Aggregate { keys, aggs, .. } => {
             Partial::Groups(GroupTable::new(keys, aggs, &plan.table))
         }
@@ -563,7 +563,7 @@ fn update_partial(partial: &mut Partial, plan: &PreparedQuery, sel: &SelectionVe
                     table,
                     row: i as usize,
                 };
-                rows.push(exprs.iter().map(|e| eval(e, &ctx)).collect());
+                rows.push_row(exprs.iter().map(|e| eval(e, &ctx)));
             }
         }
         (Partial::Groups(groups), _) => groups.update(table, sel.as_slice()),
@@ -668,8 +668,9 @@ fn scan_seeded(
 mod tests {
     use super::*;
     use crate::eval::CExpr;
-    use crate::test_support::sample_table;
+    use crate::test_support::{built_rows, sample_table};
     use simba_sql::{parse_select, BinOp};
+    use simba_store::Value;
     use std::sync::Arc;
 
     fn table() -> Table {
@@ -774,7 +775,11 @@ mod tests {
             .unwrap();
             let plan = crate::plan::prepare(&q, t.clone()).unwrap();
             let (rows, stats, _) = run_morsels(&plan, 1, DeltaScan::Off);
-            assert_eq!(rows, vec![vec![Value::Int(0), Value::Null]], "{filter}");
+            assert_eq!(
+                built_rows(rows),
+                vec![vec![Value::Int(0), Value::Null]],
+                "{filter}"
+            );
             assert_eq!(
                 (stats.rows_scanned, stats.morsels_pruned),
                 (0, 1),
@@ -794,8 +799,8 @@ mod tests {
         let plan = crate::plan::prepare(&q, t).unwrap();
         let (batch_rows, batch_stats, _) = run_morsels(&plan, 1, DeltaScan::Off);
         let (row_rows, row_stats) = crate::exec::run_row(&plan);
-        let mut a = batch_rows;
-        let mut b = row_rows;
+        let mut a = built_rows(batch_rows);
+        let mut b = built_rows(row_rows);
         a.sort();
         b.sort();
         assert_eq!(a, b);
@@ -812,7 +817,7 @@ mod tests {
         let plan = crate::plan::prepare(&q, t).unwrap();
         let (seq, _, _) = run_morsels(&plan, 1, DeltaScan::Off);
         let (par, _, _) = run_morsels(&plan, 4, DeltaScan::Off);
-        assert_eq!(seq, par);
+        assert_eq!(built_rows(seq), built_rows(par));
     }
 
     #[test]
@@ -821,6 +826,7 @@ mod tests {
         let q = parse_select("SELECT COUNT(*), SUM(calls) FROM cs WHERE calls > 999").unwrap();
         let plan = crate::plan::prepare(&q, t).unwrap();
         let (rows, stats, _) = run_morsels(&plan, 1, DeltaScan::Off);
+        let rows = built_rows(rows);
         assert_eq!(rows.len(), 1);
         assert_eq!(rows[0][0], Value::Int(0));
         assert!(rows[0][1].is_null());

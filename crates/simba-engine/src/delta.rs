@@ -312,9 +312,9 @@ mod tests {
         let table = catalog.get(&query.from).unwrap();
         let plan = prepare(&query, table).unwrap();
         let (rows, stats, _) = run_morsels(&plan, 1, DeltaScan::Off);
-        let rows = crate::exec::finalize_rows(rows, plan.n_output, &plan.order_dirs, plan.limit);
+        let names = plan.output_names.clone();
         QueryOutput {
-            result: simba_store::ResultSet::new(plan.output_names.clone(), rows),
+            result: crate::exec::finalize_rows(rows, names, &plan.order_dirs, plan.limit),
             stats,
             elapsed: std::time::Duration::ZERO,
         }

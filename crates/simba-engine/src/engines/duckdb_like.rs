@@ -114,7 +114,7 @@ mod tests {
         let out = engine()
             .execute(&parse_select("SELECT COUNT(*) FROM cs WHERE queue IN ('A')").unwrap())
             .unwrap();
-        assert_eq!(out.result.rows[0][0], Value::Int(2));
+        assert_eq!(out.result.value(0, 0), Value::Int(2));
     }
 
     #[test]
@@ -133,7 +133,7 @@ mod tests {
         let out = engine()
             .execute(&parse_select("SELECT COUNT(*) FROM cs WHERE calls BETWEEN 3 AND 7").unwrap())
             .unwrap();
-        assert_eq!(out.result.rows[0][0], Value::Int(3)); // 5, 3, 7
+        assert_eq!(out.result.value(0, 0), Value::Int(3)); // 5, 3, 7
     }
 
     #[test]
@@ -141,7 +141,7 @@ mod tests {
         let out = engine()
             .execute(&parse_select("SELECT COUNT(*) FROM cs WHERE calls > 1000").unwrap())
             .unwrap();
-        assert_eq!(out.result.rows[0][0], Value::Int(0));
+        assert_eq!(out.result.value(0, 0), Value::Int(0));
         assert_eq!(out.stats.morsels_pruned, 1);
         assert_eq!(out.stats.rows_scanned, 0);
     }

@@ -14,7 +14,7 @@ use crate::error::EngineError;
 use crate::exec::{finalize_rows, Catalog, ExecStats, QueryOutput};
 use crate::plan::{prepare, prepare_with, PreparedQuery};
 use simba_sql::{NormalizedSelect, Select};
-use simba_store::{ResultSet, Value};
+use simba_store::ResultBuilder;
 use std::time::Instant;
 
 /// Shared execute wrapper: look up the table, plan, run the engine-specific
@@ -30,7 +30,7 @@ pub(crate) fn execute_common(
     catalog: &Catalog,
     query: &Select,
     form: Option<&NormalizedSelect>,
-    runner: impl FnOnce(&PreparedQuery) -> (Vec<Vec<Value>>, ExecStats),
+    runner: impl FnOnce(&PreparedQuery) -> (ResultBuilder, ExecStats),
 ) -> Result<QueryOutput, EngineError> {
     let _span = simba_obs::trace::span("engine.execute", "engine");
     // simba: allow(wall-clock-outside-obs): `elapsed` is the engine-latency deliverable consumed by latency stats; results and fingerprints never see it
@@ -46,12 +46,17 @@ pub(crate) fn execute_common(
         }
     };
     let (rows, stats) = runner(&plan);
-    let rows = {
+    let result = {
         let _p = simba_obs::phase!("engine.finalize", "engine", "engine.phase.finalize");
-        finalize_rows(rows, plan.n_output, &plan.order_dirs, plan.limit)
+        finalize_rows(
+            rows,
+            plan.output_names.clone(),
+            &plan.order_dirs,
+            plan.limit,
+        )
     };
     Ok(QueryOutput {
-        result: ResultSet::new(plan.output_names.clone(), rows),
+        result,
         stats,
         elapsed: start.elapsed(),
     })

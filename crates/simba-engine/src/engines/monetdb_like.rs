@@ -19,7 +19,7 @@ use crate::group::GroupTable;
 use crate::plan::{PreparedQuery, QueryKind};
 use crate::Dbms;
 use simba_sql::Select;
-use simba_store::{Table, Value};
+use simba_store::{ResultBuilder, Table, Value};
 use std::sync::Arc;
 
 /// Operator-at-a-time columnar engine (MonetDB-style architecture).
@@ -33,7 +33,7 @@ impl MonetDbLike {
         Self::default()
     }
 
-    fn run(plan: &PreparedQuery) -> (Vec<Vec<Value>>, ExecStats) {
+    fn run(plan: &PreparedQuery) -> (ResultBuilder, ExecStats) {
         let table = &plan.table;
         let n = table.row_count();
         let mut stats = ExecStats {
@@ -57,9 +57,10 @@ impl MonetDbLike {
                     .iter()
                     .map(|e| materialize(e, table, candidates))
                     .collect();
-                let mut rows = Vec::with_capacity(candidates.len());
-                for r in 0..candidates.len() {
-                    rows.push(cols.iter().map(|c| c[r].clone()).collect());
+                let mut columns: Vec<_> = cols.into_iter().map(Vec::into_iter).collect();
+                let mut rows = ResultBuilder::with_capacity(exprs.len(), candidates.len());
+                for _ in candidates {
+                    rows.push_row(columns.iter_mut().flat_map(Iterator::next));
                 }
                 (rows, stats)
             }
@@ -126,7 +127,7 @@ mod tests {
             .execute(&parse_select("SELECT queue, calls FROM cs WHERE calls >= 3").unwrap())
             .unwrap();
         assert_eq!(out.result.n_rows(), 3);
-        assert_eq!(out.result.columns, vec!["queue", "calls"]);
+        assert_eq!(out.result.columns(), vec!["queue", "calls"]);
     }
 
     #[test]

@@ -17,7 +17,7 @@ use crate::group::GroupTable;
 use crate::plan::{PreparedQuery, QueryKind};
 use crate::Dbms;
 use simba_sql::Select;
-use simba_store::{Table, Value};
+use simba_store::{ResultBuilder, Table};
 use std::sync::Arc;
 
 /// Rows per scan block (loop blocking akin to page-at-a-time access).
@@ -34,7 +34,7 @@ impl PostgresLike {
         Self::default()
     }
 
-    fn run(plan: &PreparedQuery) -> (Vec<Vec<Value>>, ExecStats) {
+    fn run(plan: &PreparedQuery) -> (ResultBuilder, ExecStats) {
         let table = &plan.table;
         let n = table.row_count();
         let mut stats = ExecStats {
@@ -46,7 +46,7 @@ impl PostgresLike {
 
         match &plan.kind {
             QueryKind::Project { exprs } => {
-                let mut rows = Vec::new();
+                let mut rows = ResultBuilder::new(exprs.len());
                 for block_start in (0..n).step_by(BLOCK) {
                     let end = (block_start + BLOCK).min(n);
                     fill_filtered(&mut sel, table, block_start, end, kernels.as_deref());
@@ -56,7 +56,7 @@ impl PostgresLike {
                             table,
                             row: i as usize,
                         };
-                        rows.push(exprs.iter().map(|e| eval(e, &ctx)).collect());
+                        rows.push_row(exprs.iter().map(|e| eval(e, &ctx)));
                     }
                 }
                 (rows, stats)
@@ -100,6 +100,7 @@ mod tests {
     use super::*;
     use crate::test_support::sample_table;
     use simba_sql::parse_select;
+    use simba_store::Value;
 
     fn engine() -> PostgresLike {
         let e = PostgresLike::new();
@@ -134,7 +135,7 @@ mod tests {
             )
             .unwrap();
         assert_eq!(out.result.n_rows(), 1);
-        assert_eq!(out.result.rows[0][1], Value::Int(2));
+        assert_eq!(out.result.value(0, 1), Value::Int(2));
     }
 
     #[test]

@@ -82,8 +82,8 @@ mod tests {
             )
             .unwrap();
         assert_eq!(out.result.n_rows(), 1);
-        assert_eq!(out.result.rows[0][0], Value::Int(0));
-        assert!(out.result.rows[0][1].is_null());
+        assert_eq!(out.result.value(0, 0), Value::Int(0));
+        assert!(out.result.value(0, 1).is_null());
     }
 
     #[test]

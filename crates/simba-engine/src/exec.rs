@@ -11,7 +11,7 @@ use crate::eval::{eval, eval_predicate, CExpr, RowSlice, TableRow};
 use crate::plan::{prepare, PreparedQuery, QueryKind};
 use simba_sql::{BinOp, Select};
 use simba_store::zonemap::{float_key, Zone, ZoneMaps};
-use simba_store::{ColumnData, ResultSet, Table, Value};
+use simba_store::{ColumnData, ResultBuilder, ResultSet, Table, Value};
 use std::cmp::Ordering;
 use std::collections::BTreeMap;
 use std::sync::{Arc, PoisonError};
@@ -434,8 +434,8 @@ pub fn emit_groups(
     projections: &[CExpr],
     having: Option<&CExpr>,
     groups: impl IntoIterator<Item = (Vec<Value>, Vec<Accumulator>)>,
-) -> Vec<Vec<Value>> {
-    let mut rows = Vec::new();
+) -> ResultBuilder {
+    let mut out = ResultBuilder::new(projections.len());
     for (mut group, accs) in groups {
         group.extend(accs.iter().map(Accumulator::finalize));
         let ctx = RowSlice(&group);
@@ -444,50 +444,52 @@ pub fn emit_groups(
                 continue;
             }
         }
-        rows.push(projections.iter().map(|p| eval(p, &ctx)).collect());
+        out.push_row(projections.iter().map(|p| eval(p, &ctx)));
     }
-    rows
+    out
 }
 
-/// Sort by trailing sort-key columns, strip them, and apply LIMIT.
+/// The query's result from its emitted rows: a permutation of the rows is
+/// sorted by the trailing sort-key columns (one per entry of `order_dirs`,
+/// `true` ascending), the rows are gathered in that order without the
+/// sort keys, and LIMIT keeps the first ones. Rows that tie keep their
+/// emission order.
 pub fn finalize_rows(
-    mut rows: Vec<Vec<Value>>,
-    n_output: usize,
+    rows: ResultBuilder,
+    names: Vec<String>,
     order_dirs: &[bool],
     limit: Option<usize>,
-) -> Vec<Vec<Value>> {
-    if !order_dirs.is_empty() {
-        rows.sort_by(|a, b| {
-            for (k, asc) in order_dirs.iter().enumerate() {
-                let i = n_output + k;
-                let ord = a[i].cmp(&b[i]);
-                let ord = if *asc { ord } else { ord.reverse() };
-                if ord != Ordering::Equal {
-                    return ord;
-                }
-            }
-            Ordering::Equal
-        });
-    }
-    // Rows carry trailing sort-key columns exactly when ORDER BY is present
-    // (`exprs.len() == n_output + order_dirs.len()`), so the emptiness of
-    // `order_dirs` decides truncation — no per-row pre-scan needed.
-    if !order_dirs.is_empty() {
-        for r in &mut rows {
-            r.truncate(n_output);
+) -> ResultSet {
+    let n_output = names.len();
+    let n = rows.n_rows();
+    let keep = limit.map_or(n, |l| l.min(n));
+    if order_dirs.is_empty() {
+        if keep == n {
+            return rows.finish(names);
         }
+        let first: Vec<usize> = (0..keep).collect();
+        return rows.finish_rows(names, &first);
     }
-    if let Some(l) = limit {
-        rows.truncate(l);
-    }
-    rows
+    let mut order: Vec<usize> = (0..n).collect();
+    order.sort_by(|&a, &b| {
+        for (k, asc) in order_dirs.iter().enumerate() {
+            let ord = rows.cmp_cells(n_output + k, a, b);
+            let ord = if *asc { ord } else { ord.reverse() };
+            if ord != Ordering::Equal {
+                return ord;
+            }
+        }
+        Ordering::Equal
+    });
+    order.truncate(keep);
+    rows.finish_rows(names, &order)
 }
 
 /// The row-at-a-time reference path: fully materialize each row, interpret
 /// the filter per row, and group through an ordered map. This is both the
 /// `sqlite-like` engine's personality and the oracle the vectorized path is
 /// property-tested against.
-pub fn run_row(plan: &PreparedQuery) -> (Vec<Vec<Value>>, ExecStats) {
+pub fn run_row(plan: &PreparedQuery) -> (ResultBuilder, ExecStats) {
     let table = &plan.table;
     let n = table.row_count();
     let mut stats = ExecStats {
@@ -498,7 +500,7 @@ pub fn run_row(plan: &PreparedQuery) -> (Vec<Vec<Value>>, ExecStats) {
 
     match &plan.kind {
         QueryKind::Project { exprs } => {
-            let mut rows = Vec::new();
+            let mut rows = ResultBuilder::new(exprs.len());
             for i in 0..n {
                 table.read_row_into(i, &mut buf);
                 let ctx = RowSlice(&buf);
@@ -508,7 +510,7 @@ pub fn run_row(plan: &PreparedQuery) -> (Vec<Vec<Value>>, ExecStats) {
                     }
                 }
                 stats.rows_matched += 1;
-                rows.push(exprs.iter().map(|e| eval(e, &ctx)).collect());
+                rows.push_row(exprs.iter().map(|e| eval(e, &ctx)));
             }
             (rows, stats)
         }
@@ -556,9 +558,13 @@ pub fn execute_row_oracle(table: Arc<Table>, query: &Select) -> Result<QueryOutp
     let start = Instant::now();
     let plan = prepare(query, table)?;
     let (rows, stats) = run_row(&plan);
-    let rows = finalize_rows(rows, plan.n_output, &plan.order_dirs, plan.limit);
     Ok(QueryOutput {
-        result: ResultSet::new(plan.output_names.clone(), rows),
+        result: finalize_rows(
+            rows,
+            plan.output_names.clone(),
+            &plan.order_dirs,
+            plan.limit,
+        ),
         stats,
         elapsed: start.elapsed(),
     })
@@ -990,25 +996,24 @@ mod tests {
 
     #[test]
     fn finalize_sorts_desc_and_strips_keys() {
-        let rows = vec![
-            vec![Value::str("A"), Value::Int(1)],
-            vec![Value::str("B"), Value::Int(3)],
-            vec![Value::str("C"), Value::Int(2)],
-        ];
-        let out = finalize_rows(rows, 1, &[false], Some(2));
-        assert_eq!(out, vec![vec![Value::str("B")], vec![Value::str("C")]]);
+        let mut rows = ResultBuilder::new(2);
+        rows.push_row([Value::str("A"), Value::Int(1)]);
+        rows.push_row([Value::str("B"), Value::Int(3)]);
+        rows.push_row([Value::str("C"), Value::Int(2)]);
+        let out = finalize_rows(rows, vec!["q".into()], &[false], Some(2));
+        let rows: Vec<Vec<Value>> = out.rows().map(|r| r.to_vec()).collect();
+        assert_eq!(rows, vec![vec![Value::str("B")], vec![Value::str("C")]]);
     }
 
     #[test]
     fn finalize_without_order_preserves_and_limits() {
-        let rows = vec![
-            vec![Value::Int(1)],
-            vec![Value::Int(2)],
-            vec![Value::Int(3)],
-        ];
-        let out = finalize_rows(rows, 1, &[], Some(2));
-        assert_eq!(out.len(), 2);
-        assert_eq!(out[0], vec![Value::Int(1)]);
+        let mut rows = ResultBuilder::new(1);
+        for v in 1..=3 {
+            rows.push_row([Value::Int(v)]);
+        }
+        let out = finalize_rows(rows, vec!["x".into()], &[], Some(2));
+        assert_eq!(out.n_rows(), 2);
+        assert_eq!(out.row(0).to_vec(), vec![Value::Int(1)]);
     }
 
     #[test]

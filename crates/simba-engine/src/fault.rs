@@ -309,7 +309,7 @@ mod tests {
         let db = wrapped(FaultConfig::default());
         assert!(!db.config().is_active());
         let out = db.execute(&query()).unwrap();
-        assert_eq!(out.result.rows, vec![vec![Value::Int(8)]]);
+        assert_eq!(out.result.sorted_rows(), vec![vec![Value::Int(8)]]);
         assert_eq!(db.stats(), FaultStats::default());
         assert_eq!(db.name(), "sqlite-like", "wrapper reports the inner name");
     }
@@ -336,8 +336,8 @@ mod tests {
                         query: 0,
                         attempt,
                     };
-                    let ra = a.execute_at(&q, &ctx).map(|o| o.result.rows);
-                    let rb = b.execute_at(&q, &ctx).map(|o| o.result.rows);
+                    let ra = a.execute_at(&q, &ctx).map(|o| o.result);
+                    let rb = b.execute_at(&q, &ctx).map(|o| o.result);
                     assert_eq!(ra, rb, "ctx {ctx:?}");
                 }
             }

@@ -60,7 +60,7 @@ use crate::eval::{eval, eval_predicate, CExpr, ColumnAccess, TableRow};
 use simba_sql::Func;
 use simba_store::narrow::NarrowVec;
 use simba_store::zonemap::Zone;
-use simba_store::{for_width, ColumnData, Table, Value};
+use simba_store::{for_width, ColumnData, ResultBuilder, Table, Value};
 use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -1023,12 +1023,15 @@ impl ColumnAccess for GroupRow<'_> {
 }
 
 impl GroupRow<'_> {
-    /// The group's output row, or `None` when `having` drops it.
-    fn emit(&self, projections: &[CExpr], having: Option<&CExpr>) -> Option<Vec<Value>> {
+    /// Push the group's output row into `out`, unless `having` drops it.
+    fn emit(&self, projections: &[CExpr], having: Option<&CExpr>, out: &mut ResultBuilder) {
         if having.is_some_and(|h| eval_predicate(h, self) != Some(true)) {
-            return None;
+            return;
         }
-        Some(projections.iter().map(|p| eval(p, self)).collect())
+        for p in projections {
+            out.push(eval(p, self));
+        }
+        out.end_row();
     }
 }
 
@@ -1170,22 +1173,22 @@ impl GroupTable {
     }
 
     /// Output rows, in emission order: each group's `[keys…, aggregates…]`
-    /// filtered by `having` and projected through `projections`. `table`
-    /// is the one the group table was built over.
+    /// filtered by `having` and projected through `projections`, one cell
+    /// per projection. `table` is the one the group table was built over.
     pub(crate) fn emit(
         &self,
         table: &Table,
         projections: &[CExpr],
         having: Option<&CExpr>,
-    ) -> Vec<Vec<Value>> {
-        let mut rows = Vec::with_capacity(self.len());
+    ) -> ResultBuilder {
+        let mut out = ResultBuilder::with_capacity(projections.len(), self.len());
         let mut push = |id: usize| {
             let group = GroupRow {
                 groups: self,
                 table,
                 id,
             };
-            rows.extend(group.emit(projections, having));
+            group.emit(projections, having, &mut out);
         };
         match &self.index {
             KeyIndex::Dense { slots, .. } => {
@@ -1193,7 +1196,7 @@ impl GroupTable {
             }
             _ => (0..self.len()).for_each(push),
         }
-        rows
+        out
     }
 
     /// [`emit`](Self::emit) for a table nobody keeps: each group's hash key
@@ -1204,19 +1207,19 @@ impl GroupTable {
         table: &Table,
         projections: &[CExpr],
         having: Option<&CExpr>,
-    ) -> Vec<Vec<Value>> {
+    ) -> ResultBuilder {
         if let KeyIndex::Dense { .. } = self.index {
             return self.emit(table, projections, having);
         }
         self.index.drop_lookup();
-        let mut rows = Vec::with_capacity(self.len());
+        let mut out = ResultBuilder::with_capacity(projections.len(), self.len());
         for id in 0..self.len() {
             let group = GroupRow {
                 groups: &self,
                 table,
                 id,
             };
-            rows.extend(group.emit(projections, having));
+            group.emit(projections, having, &mut out);
             if let KeyIndex::Hash { keys, .. } = &mut self.index {
                 keys[id] = Arc::default();
             }
@@ -1224,7 +1227,7 @@ impl GroupTable {
                 column.release(id);
             }
         }
-        rows
+        out
     }
 }
 
@@ -1266,6 +1269,12 @@ mod tests {
             QueryKind::Aggregate { keys, aggs, .. } => (keys, aggs),
             QueryKind::Project { .. } => unreachable!("a GROUP BY aggregates"),
         }
+    }
+
+    /// Emitted rows in the form a `Vec<Vec<Value>>` prints: bitwise.
+    fn shown(rows: ResultBuilder) -> String {
+        let names = vec![String::new(); rows.width()];
+        format!("{:?}", rows.finish(names).rows().collect::<Vec<_>>())
     }
 
     /// The name of the index GROUP BY `keys` gets over `table`.
@@ -1376,11 +1385,8 @@ mod tests {
                 }
             }
             let merged = merged.unwrap();
-            let emitted = format!("{:?}", merged.emit(t, &projections, None));
-            assert_eq!(
-                emitted,
-                format!("{:?}", merged.into_rows(t, &projections, None))
-            );
+            let emitted = shown(merged.emit(t, &projections, None));
+            assert_eq!(emitted, shown(merged.into_rows(t, &projections, None)));
             emitted
         };
         let (packed, hashed) = (run(false), run(true));

@@ -23,9 +23,8 @@ pub struct PreparedQuery {
     /// Row-level filter (WHERE).
     pub filter: Option<CExpr>,
     pub kind: QueryKind,
-    /// Number of user-visible output columns; compiled projection lists may
-    /// carry extra trailing sort-key columns.
-    pub n_output: usize,
+    /// The user-visible output columns; compiled projection lists carry a
+    /// trailing sort-key column per entry of `order_dirs` after them.
     pub output_names: Vec<String>,
     /// Sort directions for the trailing sort-key columns (`true` = ASC).
     pub order_dirs: Vec<bool>,
@@ -35,7 +34,8 @@ pub struct PreparedQuery {
 /// The two query shapes in the dashboard fragment.
 #[derive(Debug, Clone)]
 pub enum QueryKind {
-    /// Plain projection (no aggregation). `exprs.len() == n_output + order_dirs.len()`.
+    /// Plain projection (no aggregation).
+    /// `exprs.len() == output_names.len() + order_dirs.len()`.
     Project { exprs: Vec<CExpr> },
     /// Grouped aggregation.
     Aggregate {
@@ -44,7 +44,7 @@ pub enum QueryKind {
         /// Row-level aggregate argument specs.
         aggs: Vec<AggSpec>,
         /// Group-level projections over `[keys…, aggs…]`;
-        /// `len == n_output + order_dirs.len()`.
+        /// `len == output_names.len() + order_dirs.len()`.
         projections: Vec<CExpr>,
         /// Group-level HAVING predicate.
         having: Option<CExpr>,
@@ -92,7 +92,6 @@ pub(crate) fn prepare_with(
         .transpose()?;
 
     let output_names: Vec<String> = query.projections.iter().map(|p| p.output_name()).collect();
-    let n_output = output_names.len();
     let limit = query.limit.map(|l| l as usize);
     let order_dirs: Vec<bool> = query.order_by.iter().map(|o| o.asc).collect();
 
@@ -165,7 +164,6 @@ pub(crate) fn prepare_with(
                 projections,
                 having,
             },
-            n_output,
             output_names,
             order_dirs,
             limit,
@@ -191,7 +189,6 @@ pub(crate) fn prepare_with(
             table,
             filter,
             kind: QueryKind::Project { exprs },
-            n_output,
             output_names,
             order_dirs,
             limit,
@@ -430,7 +427,7 @@ mod tests {
     fn plans_simple_projection() {
         let p = plan("SELECT queue, calls FROM cs WHERE calls > 0").unwrap();
         assert!(!p.is_aggregate());
-        assert_eq!(p.n_output, 2);
+        assert_eq!(p.output_names.len(), 2);
         assert!(p.filter.is_some());
     }
 

@@ -47,3 +47,10 @@ pub fn sample_table() -> Table {
 pub fn sorted(rs: &ResultSet) -> Vec<Vec<Value>> {
     rs.sorted_rows()
 }
+
+/// Built rows in stored order, every column kept.
+pub fn built_rows(rows: simba_store::ResultBuilder) -> Vec<Vec<Value>> {
+    let names = vec![String::new(); rows.width()];
+    let set = rows.finish(names);
+    set.rows().map(|r| r.to_vec()).collect()
+}

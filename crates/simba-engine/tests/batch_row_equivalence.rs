@@ -20,11 +20,24 @@ use simba_engine::{
 use simba_sql::{BinOp, Expr, Func, Select, SelectItem};
 use simba_store::mix::splitmix64;
 use simba_store::zonemap::morsel_count;
-use simba_store::{ColumnDef, ResultSet, Schema, Table, TableBuilder, Value, MORSEL_ROWS};
+use simba_store::{
+    ColumnDef, ResultBuilder, ResultSet, Schema, Table, TableBuilder, Value, MORSEL_ROWS,
+};
 use std::cmp::Ordering;
 use std::sync::{Arc, OnceLock};
 
 const QUEUES: &[&str] = &["A", "B", "C", "D"];
+
+/// A result's rows in stored order.
+fn rows_of(result: &ResultSet) -> Vec<Vec<Value>> {
+    result.rows().map(|r| r.to_vec()).collect()
+}
+
+/// A scan's emitted rows in emission order, sort keys included.
+fn built(rows: ResultBuilder) -> Vec<Vec<Value>> {
+    let names = vec![String::new(); rows.width()];
+    rows_of(&rows.finish(names))
+}
 
 /// Bitwise value equality: `Int(3)` ≠ `Float(3.0)`, floats compare by bits.
 fn strict_eq(a: &Value, b: &Value) -> bool {
@@ -65,15 +78,16 @@ fn assert_byte_identical(name: &str, select: &Select, engine: &dyn Dbms, table: 
     let oracle = execute_row_oracle(table.clone(), select).expect("oracle executes");
     let out = engine.execute(select).expect("engine executes");
     assert_eq!(
-        out.result.columns, oracle.result.columns,
+        out.result.columns(),
+        oracle.result.columns(),
         "{name}: column names differ on `{select}`"
     );
     assert_eq!(
         out.stats.rows_matched, oracle.stats.rows_matched,
         "{name}: rows_matched differs on `{select}` (pruning must not change matches)"
     );
-    let mut got = out.result.rows.clone();
-    let mut want = oracle.result.rows.clone();
+    let mut got = rows_of(&out.result);
+    let mut want = rows_of(&oracle.result);
     got.sort_by(|a, b| canon_cmp(a, b));
     want.sort_by(|a, b| canon_cmp(a, b));
     assert_eq!(
@@ -653,9 +667,9 @@ impl Dbms for DeltaPath {
             assert_eq!(selection.iter().count(), selection.len(), "`{query}`");
             assert_bitmap_bound(selection, self.table.row_count());
         }
-        let rows = finalize_rows(rows, plan.n_output, &plan.order_dirs, plan.limit);
+        let names = plan.output_names.clone();
         Ok(QueryOutput {
-            result: ResultSet::new(plan.output_names.clone(), rows),
+            result: finalize_rows(rows, names, &plan.order_dirs, plan.limit),
             stats,
             elapsed: std::time::Duration::ZERO,
         })
@@ -768,7 +782,7 @@ fn contradictory_filters_answer_without_reading_a_row() {
         }
         let out = duck.execute(global).unwrap();
         assert_eq!(
-            out.result.rows,
+            rows_of(&out.result),
             vec![vec![
                 Value::Int(0),
                 Value::Null,
@@ -823,7 +837,7 @@ fn ints_past_2_pow_53_compare_exactly_on_every_engine() {
         let select =
             simba_sql::parse_select(&format!("SELECT COUNT(*) FROM t WHERE {filter}")).unwrap();
         assert_batch_engines_match_sqlite(&select, &table);
-        sqlite.execute(&select).unwrap().result.rows[0][0].clone()
+        sqlite.execute(&select).unwrap().result.value(0, 0)
     };
     let above = count("big > 9007199254740992");
     let at_least_next = count("big >= 9007199254740993");
@@ -848,7 +862,7 @@ fn unrepresentable_buckets_and_magnitudes_group_under_null_on_every_engine() {
     let run = |sql: String| {
         let select = simba_sql::parse_select(&sql).unwrap();
         assert_batch_engines_match_sqlite(&select, &table);
-        sqlite.execute(&select).unwrap().result.rows
+        rows_of(&sqlite.execute(&select).unwrap().result)
     };
     let count = |filter: &str| run(format!("SELECT COUNT(*) FROM t WHERE {filter}"))[0][0].clone();
     let null_group = |key: &str| {
@@ -956,11 +970,8 @@ fn bounds_case(filter: &str, table: &Arc<Table>) -> (usize, usize) {
 /// `SELECT MIN(col), MAX(col)` from the row oracle.
 fn oracle_bounds(table: &Arc<Table>, col: &str) -> (Value, Value) {
     let select = simba_sql::parse_select(&format!("SELECT MIN({col}), MAX({col}) FROM t")).unwrap();
-    let rows = execute_row_oracle(table.clone(), &select)
-        .unwrap()
-        .result
-        .rows;
-    (rows[0][0].clone(), rows[0][1].clone())
+    let result = execute_row_oracle(table.clone(), &select).unwrap().result;
+    (result.value(0, 0), result.value(0, 1))
 }
 
 /// Filters that reach past a column's span, or whose hole covers it, or on
@@ -1213,10 +1224,11 @@ fn first_appearance(keys: &str, filter: &str, table: &Arc<Table>) -> Vec<String>
         format!("WHERE {filter}")
     };
     let projection = simba_sql::parse_select(&format!("SELECT {keys} FROM t {filter}")).unwrap();
-    let rows = execute_row_oracle(table.clone(), &projection)
-        .unwrap()
-        .result
-        .rows;
+    let rows = rows_of(
+        &execute_row_oracle(table.clone(), &projection)
+            .unwrap()
+            .result,
+    );
     let mut seen: Vec<String> = Vec::new();
     for row in rows {
         // Debug tells -0.0 from 0.0, like the engines' keys do.
@@ -1265,11 +1277,7 @@ fn packed_groups_emit_in_first_appearance_across_merged_ranges() {
         let width = select.group_by.len();
         for engine in engines {
             engine.register(table.clone());
-            let got: Vec<String> = engine
-                .execute(&select)
-                .unwrap()
-                .result
-                .rows
+            let got: Vec<String> = rows_of(&engine.execute(&select).unwrap().result)
                 .iter()
                 .map(|row| format!("{:?}", &row[..width]))
                 .collect();
@@ -1354,7 +1362,7 @@ fn capture(
     let bitmap = capture
         .and_then(|c| c.selection)
         .expect("a filtered capturing scan keeps a bitmap");
-    (rows, stats, bitmap)
+    (built(rows), stats, bitmap)
 }
 
 #[test]
@@ -1362,13 +1370,14 @@ fn bitmap_seeds_at_word_and_morsel_edges_match_fresh_scans() {
     for rows in [63, 64, 65, 2047, 2048, 2049, 4159] {
         let table = numbered_table(rows);
         for filter in bitmap_filters(rows) {
-            let survivors: Vec<u32> = execute_row_oracle(
-                table.clone(),
-                &simba_sql::parse_select(&format!("SELECT n FROM t WHERE {filter}")).unwrap(),
+            let survivors: Vec<u32> = rows_of(
+                &execute_row_oracle(
+                    table.clone(),
+                    &simba_sql::parse_select(&format!("SELECT n FROM t WHERE {filter}")).unwrap(),
+                )
+                .unwrap()
+                .result,
             )
-            .unwrap()
-            .result
-            .rows
             .iter()
             .map(|row| match row[0] {
                 Value::Int(n) => n as u32,
@@ -1389,6 +1398,7 @@ fn bitmap_seeds_at_word_and_morsel_edges_match_fresh_scans() {
                 )
                 .unwrap();
                 let (fresh, fresh_stats, _) = run_morsels(&plan, 1, DeltaScan::Off);
+                let fresh = built(fresh);
 
                 // Captures at one and four threads are one bitmap: the
                 // survivors' row numbers, counted as matched.
@@ -1415,6 +1425,7 @@ fn bitmap_seeds_at_word_and_morsel_edges_match_fresh_scans() {
                     let (seeded, stats, captured) =
                         run_morsels(plan, 1, DeltaScan::Seeded { seed: &seed, exact });
                     let captured = captured.and_then(|c| c.selection).unwrap();
+                    let seeded = built(seeded);
                     let what = format!("`{sql}` seeding exact={exact} on {rows} rows");
                     assert_eq!(seeded, fresh, "{what}");
                     assert_eq!(captured, fresh_bitmap, "{what}");

@@ -315,7 +315,8 @@ fn grouped_limit_without_total_order_is_one_answer() {
         let mut answers: Vec<(String, String)> = Vec::new();
         for e in &engines {
             for _ in 0..20 {
-                let rows = format!("{:?}", e.execute(&query).unwrap().result.rows);
+                let result = e.execute(&query).unwrap().result;
+                let rows = format!("{:?}", result.rows().collect::<Vec<_>>());
                 if !answers.iter().any(|(_, a)| *a == rows) {
                     answers.push((format!("{} x{}", e.name(), e.scan_threads()), rows));
                 }
@@ -367,7 +368,8 @@ fn grouped_limit_without_total_order_is_one_answer() {
     ] {
         let query = simba_sql::parse_select(sql).unwrap();
         for e in &engines {
-            let rows = e.execute(&query).unwrap().result.rows;
+            let result = e.execute(&query).unwrap().result;
+            let rows: Vec<Vec<Value>> = result.rows().map(|r| r.to_vec()).collect();
             let keys: Vec<&[Value]> = rows.iter().map(|r| &r[..want[0].len()]).collect();
             assert_eq!(keys, want, "{} x{}: `{sql}`", e.name(), e.scan_threads());
         }

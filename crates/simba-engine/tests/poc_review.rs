@@ -66,13 +66,13 @@ fn having_conjunct_order_swap() {
         .execute_delta(&parse_select(q2).unwrap(), &mut delta)
         .unwrap();
     let fresh2 = e.execute(&parse_select(q2).unwrap()).unwrap();
-    eprintln!("o1 rows={}", o1.result.rows.len());
+    eprintln!("o1 rows={}", o1.result.n_rows());
     eprintln!(
         "delta o2 rows={} (group_hits={})",
-        o2.result.rows.len(),
+        o2.result.n_rows(),
         o2.stats.delta_group_hits
     );
-    eprintln!("fresh o2 rows={}", fresh2.result.rows.len());
+    eprintln!("fresh o2 rows={}", fresh2.result.n_rows());
     assert_eq!(
         o2.result, fresh2.result,
         "HAVING conjunct order corrupted replay"

@@ -14,7 +14,8 @@ use crate::proto::{
 };
 use simba_engine::{EngineError, ExecStats};
 use simba_store::{
-    for_width, ColumnData, ColumnDef, ColumnRole, DataType, ResultSet, Schema, Value,
+    for_width, ColumnData, ColumnDef, ColumnRole, DataType, ResultBuilder, ResultSet, Schema,
+    Value, ValueRef,
 };
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -454,43 +455,37 @@ fn get_block(r: &mut Reader<'_>) -> Result<TableBlock, WireError> {
 // --------------------------------------------------------------- responses
 
 fn put_result(w: &mut Writer, result: &ResultSet) -> Result<(), WireError> {
-    let width = result.columns.len();
-    if width == 0 && !result.rows.is_empty() {
+    let width = result.n_cols();
+    if width == 0 && !result.is_empty() {
         return Err(bad(
             "a result with rows but no columns cannot cross the wire",
         ));
     }
     w.count(width);
-    for name in &result.columns {
+    for name in result.columns() {
         w.str(name);
     }
     // One pass: values go to a side buffer while the string table fills,
     // then the table is written ahead of them.
     let mut table: Vec<&str> = Vec::new();
     let mut index: HashMap<&str, u32> = HashMap::new();
-    let mut values = Writer::with_capacity(result.rows.len() * width * 9);
-    for (i, row) in result.rows.iter().enumerate() {
-        if row.len() != width {
-            return Err(bad(format!(
-                "result row {i} has {} values for {width} columns",
-                row.len()
-            )));
-        }
-        for v in row {
+    let mut values = Writer::with_capacity(result.n_rows() * width * 9);
+    for row in result.rows() {
+        for v in row.refs() {
             match v {
-                Value::Null => values.u8(VAL_NULL),
-                Value::Bool(false) => values.u8(VAL_FALSE),
-                Value::Bool(true) => values.u8(VAL_TRUE),
+                ValueRef::Null => values.u8(VAL_NULL),
+                ValueRef::Bool(false) => values.u8(VAL_FALSE),
+                ValueRef::Bool(true) => values.u8(VAL_TRUE),
                 // The narrowest width that holds the value: grouped
                 // results are mostly counts and small keys.
-                Value::Int(x) => {
-                    if let Ok(v) = i8::try_from(*x) {
+                ValueRef::Int(x) => {
+                    if let Ok(v) = i8::try_from(x) {
                         values.u8(VAL_INT8);
                         values.buf.extend_from_slice(&v.to_le_bytes());
-                    } else if let Ok(v) = i16::try_from(*x) {
+                    } else if let Ok(v) = i16::try_from(x) {
                         values.u8(VAL_INT16);
                         values.buf.extend_from_slice(&v.to_le_bytes());
-                    } else if let Ok(v) = i32::try_from(*x) {
+                    } else if let Ok(v) = i32::try_from(x) {
                         values.u8(VAL_INT32);
                         values.buf.extend_from_slice(&v.to_le_bytes());
                     } else {
@@ -498,14 +493,14 @@ fn put_result(w: &mut Writer, result: &ResultSet) -> Result<(), WireError> {
                         values.buf.extend_from_slice(&x.to_le_bytes());
                     }
                 }
-                Value::Float(x) => {
+                ValueRef::Float(x) => {
                     values.u8(VAL_FLOAT);
                     values.u64(x.to_bits());
                 }
-                Value::Str(s) => {
+                ValueRef::Str(s) => {
                     let next = table.len();
-                    let at = *index.entry(s.as_ref()).or_insert_with(|| {
-                        table.push(s.as_ref());
+                    let at = *index.entry(s).or_insert_with(|| {
+                        table.push(s);
                         u32::try_from(next).unwrap_or(u32::MAX)
                     });
                     values.u8(VAL_STR);
@@ -518,7 +513,7 @@ fn put_result(w: &mut Writer, result: &ResultSet) -> Result<(), WireError> {
     for s in table {
         w.str(s);
     }
-    w.count(result.rows.len());
+    w.count(result.n_rows());
     w.buf.extend_from_slice(&values.buf);
     Ok(())
 }
@@ -540,11 +535,10 @@ fn get_result(r: &mut Reader<'_>) -> Result<ResultSet, WireError> {
     if width == 0 && n_rows != 0 {
         return Err(bad(format!("result declares {n_rows} rows of no columns")));
     }
-    let mut rows = Vec::with_capacity(n_rows);
+    let mut rows = ResultBuilder::with_capacity(width, n_rows);
     for _ in 0..n_rows {
-        let mut row = Vec::with_capacity(width);
         for _ in 0..width {
-            row.push(match r.u8()? {
+            rows.push(match r.u8()? {
                 VAL_NULL => Value::Null,
                 VAL_FALSE => Value::Bool(false),
                 VAL_TRUE => Value::Bool(true),
@@ -568,9 +562,9 @@ fn get_result(r: &mut Reader<'_>) -> Result<ResultSet, WireError> {
                 other => return Err(bad(format!("unknown value tag {other}"))),
             });
         }
-        rows.push(row);
+        rows.end_row();
     }
-    Ok(ResultSet { columns, rows })
+    Ok(rows.finish(columns))
 }
 
 fn put_exec_stats(w: &mut Writer, s: &ExecStats) {
@@ -680,12 +674,12 @@ fn get_engine_error(r: &mut Reader<'_>) -> Result<EngineError, WireError> {
     })
 }
 
-/// Fails only for a [`ResultSet`] the format cannot carry: a row whose
-/// width is not the column count, or rows of no columns.
+/// Fails only for a [`ResultSet`] the format cannot carry: rows of no
+/// columns.
 pub(crate) fn encode_response(resp: &Response) -> Result<Vec<u8>, WireError> {
     let mut w = Writer::with_capacity(match resp {
         Response::Result { result, .. } => {
-            160 + 16 * result.columns.len() + 10 * result.rows.len() * result.columns.len()
+            160 + 16 * result.n_cols() + 10 * result.n_rows() * result.n_cols()
         }
         _ => 64,
     });

@@ -458,7 +458,7 @@ mod tests {
         });
         match resp {
             Response::Result { result, stats, .. } => {
-                let mut rows = result.rows;
+                let mut rows: Vec<Vec<Value>> = result.rows().map(|r| r.to_vec()).collect();
                 rows.sort_by(|a, b| format!("{a:?}").cmp(&format!("{b:?}")));
                 assert_eq!(
                     rows,
@@ -496,7 +496,7 @@ mod tests {
         let n = rows as i64;
         match sum_n(&core, "tall") {
             Response::Result { result, .. } => assert_eq!(
-                result.rows,
+                result.sorted_rows(),
                 vec![vec![Value::Int(n), Value::Int(n * (n - 1) / 2)]]
             ),
             other => panic!("expected a result, got {other:?}"),
@@ -657,17 +657,16 @@ mod tests {
     }
 
     #[test]
-    fn a_ragged_result_is_refused_at_encode_not_sent_malformed() {
-        let ragged = Response::Result {
-            result: simba_store::ResultSet {
-                columns: vec!["a".into(), "b".into()],
-                rows: vec![vec![Value::Int(1)]],
-            },
+    fn rows_of_no_columns_are_refused_at_encode_not_sent_malformed() {
+        let mut rows = simba_store::ResultBuilder::new(0);
+        rows.end_row();
+        let malformed = Response::Result {
+            result: rows.finish(Vec::new()),
             stats: Default::default(),
             elapsed_ns: 0,
         };
         assert!(matches!(
-            Frame::response(3, &ragged),
+            Frame::response(3, &malformed),
             Err(WireError::Protocol(_))
         ));
     }

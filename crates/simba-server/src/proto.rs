@@ -860,14 +860,14 @@ mod tests {
         let Response::Result { result, .. } = frame.parse_response().unwrap() else {
             panic!("a result");
         };
-        let Value::Str(first) = &result.rows[0][0] else {
+        let Value::Str(first) = result.value(0, 0) else {
             panic!("a string");
         };
-        assert_eq!(std::sync::Arc::strong_count(first), 48);
+        // The 48 cells and `first`.
+        assert_eq!(std::sync::Arc::strong_count(&first), 49);
         assert!(result
-            .rows
-            .iter()
-            .all(|r| matches!(&r[0], Value::Str(s) if std::sync::Arc::ptr_eq(s, first))));
+            .rows()
+            .all(|r| matches!(r.get(0), Value::Str(s) if std::sync::Arc::ptr_eq(&s, &first))));
     }
 
     #[test]

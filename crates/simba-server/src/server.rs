@@ -316,7 +316,7 @@ mod tests {
         assert_eq!(reply.request_id, 2);
         match reply.parse_response().unwrap() {
             Response::Result { result, .. } => {
-                assert_eq!(result.rows, vec![vec![Value::Int(5)]]);
+                assert_eq!(result.sorted_rows(), vec![vec![Value::Int(5)]]);
             }
             other => panic!("expected a result, got {other:?}"),
         }

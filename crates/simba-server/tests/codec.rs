@@ -150,18 +150,49 @@ fn draw_value(d: &mut Draw) -> Value {
     }
 }
 
-/// Any mix of value types in any column; no columns means no rows.
-fn draw_result(seed: u64, width: usize, rows: usize) -> ResultSet {
+/// A value of column kind `kind`: any value (0), or NULL a quarter of the
+/// time and otherwise an Int (1), a Float (2), a Bool (3), a string (4) or
+/// an Int or a Float (5).
+fn draw_cell(d: &mut Draw, kind: usize) -> Value {
+    if kind == 0 {
+        return draw_value(d);
+    }
+    if d.below(4) == 0 {
+        return Value::Null;
+    }
+    loop {
+        let v = draw_value(d);
+        let fits = match &v {
+            Value::Int(_) => kind == 1 || kind == 5,
+            Value::Float(_) => kind == 2 || kind == 5,
+            Value::Bool(_) => kind == 3,
+            Value::Str(_) => kind == 4,
+            Value::Null => false,
+        };
+        if fits {
+            return v;
+        }
+    }
+}
+
+/// Column names and rows: each column holds any mix of value types or one
+/// type with NULLs (see [`draw_cell`]); no columns means no rows.
+fn draw_rows(seed: u64, width: usize, rows: usize) -> (Vec<String>, Vec<Vec<Value>>) {
     let mut d = Draw(seed);
     let rows = if width == 0 { 0 } else { rows };
-    ResultSet {
-        columns: (0..width)
-            .map(|c| format!("{}{c}", STRINGS[d.below(STRINGS.len())]))
-            .collect(),
-        rows: (0..rows)
-            .map(|_| (0..width).map(|_| draw_value(&mut d)).collect())
-            .collect(),
-    }
+    let columns = (0..width)
+        .map(|c| format!("{}{c}", STRINGS[d.below(STRINGS.len())]))
+        .collect();
+    let kinds: Vec<usize> = (0..width).map(|_| d.below(6)).collect();
+    let rows = (0..rows)
+        .map(|_| kinds.iter().map(|&k| draw_cell(&mut d, k)).collect())
+        .collect();
+    (columns, rows)
+}
+
+fn draw_result(seed: u64, width: usize, rows: usize) -> ResultSet {
+    let (columns, rows) = draw_rows(seed, width, rows);
+    ResultSet::new(columns, rows)
 }
 
 const TYPES: [DataType; 4] = [
@@ -238,12 +269,13 @@ fn strict_eq(a: &Value, b: &Value) -> bool {
 }
 
 fn assert_same_result(got: &ResultSet, want: &ResultSet) {
-    assert_eq!(got.columns, want.columns);
-    assert_eq!(got.rows.len(), want.rows.len());
-    for (g, w) in got.rows.iter().zip(&want.rows) {
+    assert_eq!(got.columns(), want.columns());
+    assert_eq!(got.n_rows(), want.n_rows());
+    for (g, w) in got.rows().zip(want.rows()) {
+        let (g, w) = (g.to_vec(), w.to_vec());
         assert_eq!(g.len(), w.len());
         assert!(
-            g.iter().zip(w).all(|(a, b)| strict_eq(a, b)),
+            g.iter().zip(&w).all(|(a, b)| strict_eq(a, b)),
             "{g:?} != {w:?}"
         );
     }
@@ -412,14 +444,82 @@ proptest! {
     }
 }
 
+/// A result section as the row-major encoder wrote it before results were
+/// stored as columns: `put_result` must write exactly these bytes.
+fn row_major_result_bytes(columns: &[String], rows: &[Vec<Value>]) -> Vec<u8> {
+    let mut head = Raw::default().u32(columns.len() as u32);
+    for name in columns {
+        head = head.str(name);
+    }
+    let mut table: Vec<&str> = Vec::new();
+    let mut values = Raw::default();
+    for row in rows {
+        for v in row {
+            values = match v {
+                Value::Null => values.u8(0),
+                Value::Bool(false) => values.u8(1),
+                Value::Bool(true) => values.u8(2),
+                Value::Int(x) => {
+                    if let Ok(v) = i8::try_from(*x) {
+                        values.u8(3).bytes(&v.to_le_bytes())
+                    } else if let Ok(v) = i16::try_from(*x) {
+                        values.u8(4).bytes(&v.to_le_bytes())
+                    } else if let Ok(v) = i32::try_from(*x) {
+                        values.u8(5).bytes(&v.to_le_bytes())
+                    } else {
+                        values.u8(6).bytes(&x.to_le_bytes())
+                    }
+                }
+                Value::Float(x) => values.u8(7).u64(x.to_bits()),
+                Value::Str(s) => {
+                    let at = match table.iter().position(|t| *t == &**s) {
+                        Some(at) => at,
+                        None => {
+                            table.push(s);
+                            table.len() - 1
+                        }
+                    };
+                    values.u8(8).u32(at as u32)
+                }
+            };
+        }
+    }
+    head = head.u32(table.len() as u32);
+    for s in table {
+        head = head.str(s);
+    }
+    head.u32(rows.len() as u32).bytes(&values.0).0
+}
+
+#[test]
+fn result_bytes_equal_the_row_major_encoders() {
+    let payload = |result: ResultSet, seed| {
+        Frame::response(1, &result_response(result, seed))
+            .expect("encodes")
+            .payload
+    };
+    for seed in 0..1024u64 {
+        let (width, rows) = ((seed % 6) as usize, (seed / 6 % 48) as usize);
+        let (columns, rows) = draw_rows(seed, width, rows);
+        let want = row_major_result_bytes(&columns, &rows);
+        let got = payload(ResultSet::new(columns, rows), seed);
+        // A response tag, the result section, then the statistics and the
+        // elapsed time, which an empty result is followed by too.
+        let tail = payload(ResultSet::empty(vec![]), seed)[1 + 12..].to_vec();
+        assert_eq!(got[0], 1, "seed {seed}: a result response");
+        assert_eq!(&got[1..got.len() - tail.len()], &want[..], "seed {seed}");
+        assert_eq!(&got[got.len() - tail.len()..], &tail[..], "seed {seed}");
+    }
+}
+
 #[test]
 fn edge_results_round_trip() {
     // No rows; no columns; one column that changes type on every row.
     assert_result_round_trips(ResultSet::empty(vec!["a".into(), "b".into()]), 1);
     assert_result_round_trips(ResultSet::empty(vec![]), 2);
-    let mixed = ResultSet {
-        columns: vec!["m".into()],
-        rows: vec![
+    let mixed = ResultSet::new(
+        vec!["m".into()],
+        vec![
             vec![Value::Int(3)],
             vec![Value::Float(3.0)],
             vec![Value::str("3")],
@@ -430,26 +530,16 @@ fn edge_results_round_trip() {
             vec![Value::Int(i64::MIN)],
             vec![Value::Int(i64::MAX)],
         ],
-    };
+    );
     assert_result_round_trips(mixed, 3);
 
-    // Rows of no columns have no encoding; a ragged row is not a result.
-    for broken in [
-        ResultSet {
-            columns: vec![],
-            rows: vec![vec![], vec![]],
-        },
-        ResultSet {
-            columns: vec!["a".into()],
-            rows: vec![vec![Value::Int(1), Value::Int(2)]],
-        },
-    ] {
-        let refused = Frame::response(1, &result_response(broken, 4));
-        assert!(
-            matches!(refused, Err(WireError::Protocol(_))),
-            "{refused:?}"
-        );
-    }
+    // Rows of no columns have no encoding.
+    let broken = ResultSet::new(vec![], vec![vec![], vec![]]);
+    let refused = Frame::response(1, &result_response(broken, 4));
+    assert!(
+        matches!(refused, Err(WireError::Protocol(_))),
+        "{refused:?}"
+    );
 }
 
 /// One Int column of `rows` rows: cheap to build at block-boundary sizes.
@@ -487,7 +577,10 @@ fn tables_at_the_block_boundary_round_trip_and_register() {
         };
         match counted {
             Response::Result { result, .. } => {
-                assert_eq!(result.rows, vec![vec![Value::Int(rows as i64), top]])
+                assert_eq!(
+                    result.sorted_rows(),
+                    vec![vec![Value::Int(rows as i64), top]]
+                )
             }
             other => panic!("expected a result, got {other:?}"),
         }
@@ -642,6 +735,10 @@ impl Raw {
     }
     fn u64(mut self, v: u64) -> Raw {
         self.0.extend_from_slice(&v.to_le_bytes());
+        self
+    }
+    fn bytes(mut self, v: &[u8]) -> Raw {
+        self.0.extend_from_slice(v);
         self
     }
     fn str(self, s: &str) -> Raw {
@@ -904,7 +1001,7 @@ fn bad_blocks_are_bad_requests_that_leave_nothing_pending() {
         let half = Value::Int(CHUNK_ROWS as i64 / 2 + 1);
         match reply {
             Response::Result { result, .. } => assert_eq!(
-                result.rows,
+                result.rows().map(|r| r.to_vec()).collect::<Vec<_>>(),
                 vec![
                     vec![Value::str("x"), half.clone()],
                     vec![Value::str("y"), half]

@@ -119,7 +119,9 @@ fn rows_of(engine: &dyn Dbms) -> Vec<Vec<Value>> {
         .execute(&parse_select(GROUP_BY).expect("parses"))
         .expect("executes")
         .result
-        .rows
+        .rows()
+        .map(|r| r.to_vec())
+        .collect()
 }
 
 #[test]

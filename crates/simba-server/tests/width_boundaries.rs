@@ -245,13 +245,13 @@ fn canon_cmp(a: &[Value], b: &[Value]) -> Ordering {
 /// as the same query: NaN and ±inf have no spelling in the dialect.
 fn assert_engines_match_oracle(select: &Select, table: &Arc<Table>, remote: &RemoteDbms) {
     let oracle = execute_row_oracle(table.clone(), select).expect("oracle executes");
-    let mut want = oracle.result.rows;
+    let mut want: Vec<Vec<Value>> = oracle.result.rows().map(|r| r.to_vec()).collect();
     want.sort_by(|a, b| canon_cmp(a, b));
     let mut engines = all_engines();
     engines.push(Arc::new(DuckDbLike::with_scan_threads(4)));
     let check = |engine: &dyn Dbms| {
         let out = engine.execute(select).expect("engine executes");
-        let mut got = out.result.rows;
+        let mut got: Vec<Vec<Value>> = out.result.rows().map(|r| r.to_vec()).collect();
         got.sort_by(|a, b| canon_cmp(a, b));
         let same = got.len() == want.len()
             && got

@@ -248,7 +248,9 @@ fn retired_request_tag_is_a_bad_request_and_the_connection_survives() {
         sql: sql.into(),
     };
     match exchange(&mut stream, &Frame::request(3, &execute).expect("encodes")) {
-        Response::Result { result, .. } => assert_eq!(result.rows, vec![vec![Value::Int(3)]]),
+        Response::Result { result, .. } => {
+            assert_eq!(result.sorted_rows(), vec![vec![Value::Int(3)]])
+        }
         other => panic!("expected a result, got {other:?}"),
     }
     let stats = core.stats_snapshot();

@@ -37,7 +37,7 @@ pub mod zonemap;
 pub use append::{TableAssembler, TableChunk};
 pub use column::{ColumnBuilder, ColumnData};
 pub use narrow::NarrowVec;
-pub use result::{CoverageStore, ResultSet};
+pub use result::{CoverageStore, ResultBuilder, ResultSet, Row, ValueRef};
 pub use schema::{ColumnDef, ColumnRole, DataType, Schema};
 pub use table::{Table, TableBuilder};
 pub use value::Value;

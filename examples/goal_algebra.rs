@@ -40,8 +40,8 @@ fn main() {
             out.result.n_rows(),
             out.elapsed.as_secs_f64() * 1e3
         );
-        for row in out.result.rows.iter().take(3) {
-            let cells: Vec<String> = row.iter().map(|v| v.to_string()).collect();
+        for row in out.result.rows().take(3) {
+            let cells: Vec<String> = row.to_vec().iter().map(|v| v.to_string()).collect();
             println!("          {}", cells.join(" | "));
         }
         println!();

@@ -129,8 +129,8 @@ fn empty_table_queries_behave() {
     let global = parse_select("SELECT COUNT(*), SUM(calls) FROM customer_service").unwrap();
     let rs = engine.execute(&global).unwrap().result;
     assert_eq!(rs.n_rows(), 1);
-    assert_eq!(rs.rows[0][0], Value::Int(0));
-    assert!(rs.rows[0][1].is_null());
+    assert_eq!(rs.value(0, 0), Value::Int(0));
+    assert!(rs.value(0, 1).is_null());
 }
 
 #[test]

@@ -22,8 +22,8 @@ fn algebra_text_to_executable_sql() {
     let query = to_sql(&goal, "customer_service").unwrap();
     let out = engine.execute(&query).unwrap();
     // Every row passes the HAVING threshold.
-    for row in &out.result.rows {
-        let count = row[1].as_i64().unwrap();
+    for row in out.result.rows() {
+        let count = row.get(1).as_i64().unwrap();
         assert!(count >= 2, "{count}");
     }
 }
