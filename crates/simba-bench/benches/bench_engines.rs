@@ -3,8 +3,8 @@
 //! filter compiler's kernels against what they replace, the plan layer
 //! (`prepare` plus `compile_kernels`) on storm-shaped filters, the group
 //! layer on the storm's packed GROUP BY shapes, seeded scans against the
-//! fresh scans they replace, and the result layer on the storm's largest
-//! result.
+//! fresh scans they replace, the result layer on the storm's largest
+//! result, and dataset generation.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use simba_data::DashboardDataset;
@@ -337,6 +337,23 @@ fn bench_result(c: &mut Criterion) {
     group.finish();
 }
 
+/// `data/`: generating the benchmark's dataset, `customer_service`, at
+/// 100K rows on one thread — the path every workload's set-up takes.
+fn bench_data(c: &mut Criterion) {
+    let mut group = c.benchmark_group("data");
+    group
+        .sample_size(10)
+        .measurement_time(Duration::from_secs(5));
+    group.bench_function("customer_service_100k", |b| {
+        b.iter(|| {
+            DashboardDataset::CustomerService
+                .generate_rows_with_threads(100_000, 42, 1)
+                .row_count()
+        })
+    });
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_engines,
@@ -344,6 +361,7 @@ criterion_group!(
     bench_plan,
     bench_group,
     bench_seeded,
-    bench_result
+    bench_result,
+    bench_data
 );
 criterion_main!(benches);

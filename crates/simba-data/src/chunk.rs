@@ -10,12 +10,26 @@
 //! ```
 //!
 //! so chunks can be generated on any number of worker threads, in any
-//! scheduling order, and the assembled table is *byte-identical* for a
-//! given `(dataset, rows, seed)` triple — the merge
-//! ([`simba_store::TableAssembler`]) consumes chunks strictly in index
-//! order, remapping dictionary codes into the table's dictionary. Column
-//! bounds are not built here: the finished table folds them in one pass on
-//! first use.
+//! scheduling order, and the table is *byte-identical* for a given
+//! `(dataset, rows, seed)` triple. Column bounds are not built here: the
+//! finished table folds them in one pass on first use.
+//!
+//! **The fill contract.** A generator's `fill` writes one chunk's rows into
+//! the [`TableBuilder`] it is handed, cell by cell through
+//! [`TableBuilder::row`]: Ints and Floats as they are, strings as indexes
+//! into lists it fixes per column with [`TableBuilder::set_labels`] at the
+//! start of the chunk. It draws only from its chunk's RNG and [`ChunkCtx`],
+//! and it may not assume the builder is empty.
+//!
+//! **Who holds fragments.** With one worker, every chunk is filled in index
+//! order into one builder sized for the whole table, so the table's columns
+//! are the only copy of the data. With more, each worker fills a chunk into
+//! a builder of its own, and the finished fragment
+//! ([`simba_store::TableChunk`]) waits until the merge
+//! ([`simba_store::TableAssembler`]) consumes it, strictly in index order,
+//! remapping its dictionary codes into the table's. Both paths give the
+//! same bytes: a dictionary's order (first appearance) and a column's width
+//! are functions of the row stream alone.
 //!
 //! The chunk size is part of the determinism contract: the same triple
 //! generated under a different `chunk_rows` yields *different* (equally
@@ -67,7 +81,7 @@ pub struct ChunkCtx {
 }
 
 /// Generate a table by filling fixed-size chunks on `threads` worker
-/// threads and merging them in chunk order.
+/// threads, in chunk order on one.
 ///
 /// * `seed` is the caller's master seed; `salt` is the per-dataset
 ///   constant folded into it before chunk-seed derivation (so different
@@ -75,9 +89,11 @@ pub struct ChunkCtx {
 /// * `threads == 0` means one worker per available core.
 /// * `chunk_rows` is the (positive) number of rows per chunk.
 /// * `fill` receives a chunk-private RNG already seeded by
-///   [`chunk_seed`], the chunk's [`ChunkCtx`], and a row builder holding
-///   exactly `ctx.len` rows' capacity; it must push exactly `ctx.len`
-///   rows.
+///   [`chunk_seed`], the chunk's [`ChunkCtx`], and a row builder with room
+///   for at least `ctx.len` more rows; it must push exactly `ctx.len` rows
+///   (see the [module docs](self) for the contract). With one worker the
+///   builder is the table's own and already holds the chunks before this
+///   one; with more it is a fresh fragment, merged in chunk order.
 ///
 /// The output is byte-identical for the same
 /// `(schema, rows, seed, salt, chunk_rows, fill)` at **any** thread
@@ -97,20 +113,25 @@ where
     let n_chunks = rows.div_ceil(chunk_rows);
     let master = seed ^ salt;
 
-    let build_chunk = |index: usize| -> TableChunk {
+    let chunk_len = |index: usize| chunk_rows.min(rows - index * chunk_rows);
+    // Fill chunk `index` into `builder`, which holds the chunks before it
+    // or none.
+    let fill_into = |index: usize, builder: &mut TableBuilder| {
         let _p = simba_obs::phase!("data.chunk", "data", "data.phase.chunk");
-        let start = index * chunk_rows;
         let ctx = ChunkCtx {
-            start,
-            len: chunk_rows.min(rows - start),
+            start: index * chunk_rows,
+            len: chunk_len(index),
             total_rows: rows,
             seed,
         };
         let mut rng = ChaCha8Rng::seed_from_u64(chunk_seed(master, index as u64));
-        let mut builder = TableBuilder::new(schema.clone(), ctx.len);
-        fill(&mut rng, &ctx, &mut builder);
-        assert_eq!(builder.len(), ctx.len, "fill pushed a wrong row count");
-        TableChunk::new(builder.finish_parts().1)
+        let before = builder.len();
+        fill(&mut rng, &ctx, builder);
+        assert_eq!(
+            builder.len() - before,
+            ctx.len,
+            "fill pushed a wrong row count"
+        );
     };
 
     let threads = if threads == 0 {
@@ -120,14 +141,23 @@ where
     };
     let workers = threads.min(n_chunks);
 
-    let mut assembler = TableAssembler::new(schema.clone(), rows);
     if workers <= 1 {
-        let _p = simba_obs::phase!("data.assemble", "data", "data.phase.assemble");
+        // Every chunk straight into the table's own columns: no fragment
+        // and no merge, so the table is the only copy of the data.
+        let mut builder = TableBuilder::new(schema, rows);
         for index in 0..n_chunks {
-            assembler.append_chunk(build_chunk(index));
+            fill_into(index, &mut builder);
         }
-        return assembler.finish();
+        return builder.finish();
     }
+
+    // A worker fills each chunk into a fragment of its own.
+    let build_chunk = |index: usize| -> TableChunk {
+        let mut builder = TableBuilder::new(schema.clone(), chunk_len(index));
+        fill_into(index, &mut builder);
+        TableChunk::new(builder.finish_parts().1)
+    };
+    let mut assembler = TableAssembler::new(schema.clone(), rows);
 
     // Workers pull chunk indices from a shared counter and park finished
     // chunks in their slot; the merge (cheap memcpy-scale work) runs on
@@ -235,7 +265,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use simba_store::{ColumnDef, Value};
+    use simba_store::ColumnDef;
 
     fn toy_schema() -> Schema {
         Schema::new(
@@ -249,11 +279,12 @@ mod tests {
 
     fn toy_fill(rng: &mut ChaCha8Rng, ctx: &ChunkCtx, b: &mut TableBuilder) {
         use rand::Rng;
+        b.set_labels("label", &["l0", "l1", "l2", "l3", "l4"]);
         for i in ctx.start..ctx.start + ctx.len {
-            b.push_row(vec![
-                Value::str(format!("l{}", rng.gen_range(0..5))),
-                Value::Int(i as i64 + rng.gen_range(0..100)),
-            ]);
+            b.row()
+                .label(rng.gen_range(0..5))
+                .int(i as i64 + rng.gen_range(0..100))
+                .end();
         }
     }
 

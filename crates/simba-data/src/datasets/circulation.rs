@@ -5,10 +5,10 @@
 //! which is why its query durations show almost no variance (§6.3).
 
 use crate::chunk::{generate_chunked, ChunkCtx, CHUNK_ROWS};
-use crate::util::{clamped_normal, epoch_at, weighted_pick, zipf_index};
+use crate::util::{clamped_normal, epoch_at, Weights};
 use rand::Rng;
 use rand_chacha::ChaCha8Rng;
-use simba_store::{ColumnDef, Schema, Table, TableBuilder, Value};
+use simba_store::{ColumnDef, Schema, Table, TableBuilder};
 
 /// Per-dataset seed salt: distinct datasets draw disjoint RNG streams from
 /// one master seed.
@@ -46,35 +46,39 @@ pub fn generate(rows: usize, seed: u64) -> Table {
 }
 
 /// Fill one generation chunk (see [`crate::chunk`] for the contract).
-pub(crate) fn fill_chunk(mut rng: &mut ChaCha8Rng, ctx: &ChunkCtx, b: &mut TableBuilder) {
-    let branches: Vec<Value> = BRANCHES.iter().map(Value::str).collect();
-    let event_types: Vec<Value> = EVENT_TYPES.iter().map(Value::str).collect();
+pub(crate) fn fill_chunk(rng: &mut ChaCha8Rng, ctx: &ChunkCtx, b: &mut TableBuilder) {
+    b.set_labels("branch", &BRANCHES);
+    b.set_labels("event_type", &EVENT_TYPES);
+    let branch_zipf = Weights::zipf(BRANCHES.len(), 0.9);
+    let event_weights = Weights::new(&[45.0, 15.0, 32.0, 8.0]);
 
     for _ in 0..ctx.len {
-        let branch = zipf_index(&mut rng, BRANCHES.len(), 0.9);
-        let event = *weighted_pick(&mut rng, &[0usize, 1, 2, 3], &[45.0, 15.0, 32.0, 8.0]);
+        let branch = branch_zipf.pick(rng);
+        let event = event_weights.pick(rng);
         let day = rng.gen_range(0i64..365);
         // Central branch moves more volume per event batch.
         let base = if branch == 0 { 14.0 } else { 6.0 };
-        let count = clamped_normal(&mut rng, base, 4.0, 1.0, 80.0).round() as i64;
+        let count = clamped_normal(rng, base, 4.0, 1.0, 80.0).round() as i64;
         let wait = if event == 3 {
-            clamped_normal(&mut rng, 12.0, 8.0, 0.0, 120.0)
+            clamped_normal(rng, 12.0, 8.0, 0.0, 120.0)
         } else {
-            clamped_normal(&mut rng, 0.5, 0.6, 0.0, 10.0)
+            clamped_normal(rng, 0.5, 0.6, 0.0, 10.0)
         };
-        b.push_row(vec![
-            branches[branch].clone(),
-            event_types[event].clone(),
-            Value::Int(count),
-            Value::Float(wait),
-            Value::Int(epoch_at(day, rng.gen_range(8 * 3600..20 * 3600))),
-        ]);
+
+        b.row()
+            .label(branch)
+            .label(event)
+            .int(count)
+            .float(wait)
+            .int(epoch_at(day, rng.gen_range(8 * 3600..20 * 3600)))
+            .end();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use simba_store::Value;
 
     #[test]
     fn all_branches_and_events_appear() {

@@ -7,10 +7,10 @@
 //! "Finding Correlations" goal template looks for.
 
 use crate::chunk::{generate_chunked, ChunkCtx, CHUNK_ROWS};
-use crate::util::{clamped_normal, diurnal_intensity, epoch_at, weighted_pick, zipf_index};
+use crate::util::{clamped_normal, diurnal_by_hour, epoch_at, Weights};
 use rand::Rng;
 use rand_chacha::ChaCha8Rng;
-use simba_store::{ColumnDef, Schema, Table, TableBuilder, Value};
+use simba_store::{ColumnDef, Schema, Table, TableBuilder};
 
 /// Per-dataset seed salt: distinct datasets draw disjoint RNG streams from
 /// one master seed.
@@ -56,28 +56,34 @@ pub fn generate(rows: usize, seed: u64) -> Table {
 }
 
 /// Fill one generation chunk (see [`crate::chunk`] for the contract).
-pub(crate) fn fill_chunk(mut rng: &mut ChaCha8Rng, ctx: &ChunkCtx, b: &mut TableBuilder) {
-    let queues: Vec<Value> = QUEUES.iter().map(Value::str).collect();
-    let reps: Vec<Value> = (0..N_REPS)
-        .map(|i| Value::from(format!("rep_{i:02}")))
-        .collect();
-    let directions: Vec<Value> = DIRECTIONS.iter().map(Value::str).collect();
-    let call_types: Vec<Value> = CALL_TYPES.iter().map(Value::str).collect();
-    let resolutions: Vec<Value> = RESOLUTIONS.iter().map(Value::str).collect();
-    let tiers: Vec<Value> = TIERS.iter().map(Value::str).collect();
+pub(crate) fn fill_chunk(rng: &mut ChaCha8Rng, ctx: &ChunkCtx, b: &mut TableBuilder) {
+    let reps: Vec<String> = (0..N_REPS).map(|i| format!("rep_{i:02}")).collect();
+    b.set_labels("queue", &QUEUES);
+    b.set_labels("rep_id", &reps);
+    b.set_labels("call_direction", &DIRECTIONS);
+    b.set_labels("call_type", &CALL_TYPES);
+    b.set_labels("resolution", &RESOLUTIONS);
+    b.set_labels("customer_tier", &TIERS);
+    let diurnal = diurnal_by_hour();
+    let queue_weights = Weights::new(&[4.0, 3.0, 2.0, 1.0]);
+    let rep_zipf = Weights::zipf(N_REPS, 0.7);
+    let transfer_weights = Weights::new(&[75.0, 18.0, 5.0, 2.0]);
+    let resolution_weights = Weights::new(&[85.0, 15.0]);
+    let call_type_zipf = Weights::zipf(CALL_TYPES.len(), 0.8);
+    let tier_zipf = Weights::zipf(TIERS.len(), 0.5);
 
     for _ in 0..ctx.len {
         // Business-hours-weighted hour of day.
         let hour = loop {
             let h = rng.gen_range(0i64..24);
-            if rng.gen_bool(diurnal_intensity(h)) {
+            if rng.gen_bool(diurnal[h as usize]) {
                 break h;
             }
         };
         let day = rng.gen_range(0i64..90);
-        let load = diurnal_intensity(hour);
+        let load = diurnal[hour as usize];
 
-        let queue_idx = weighted_pick(&mut rng, &[0usize, 1, 2, 3], &[4.0, 3.0, 2.0, 1.0]);
+        let queue_idx = queue_weights.pick(rng);
         // Queue D is understaffed: higher abandonment under load.
         let queue_stress = match queue_idx {
             3 => 2.5,
@@ -88,19 +94,13 @@ pub(crate) fn fill_chunk(mut rng: &mut ChaCha8Rng, ctx: &ChunkCtx, b: &mut Table
         let abandoned = i64::from(rng.gen_bool(p_abandon.min(0.9)));
         let lost = i64::from(abandoned == 0 && rng.gen_bool((0.01 + 0.03 * load) * queue_stress));
 
-        let rep = zipf_index(&mut rng, N_REPS, 0.7);
-        let wait = clamped_normal(
-            &mut rng,
-            30.0 + 240.0 * load * queue_stress,
-            40.0,
-            0.0,
-            1800.0,
-        );
-        let hold = clamped_normal(&mut rng, 20.0 + 60.0 * load, 25.0, 0.0, 900.0);
+        let rep = rep_zipf.pick(rng);
+        let wait = clamped_normal(rng, 30.0 + 240.0 * load * queue_stress, 40.0, 0.0, 1800.0);
+        let hold = clamped_normal(rng, 20.0 + 60.0 * load, 25.0, 0.0, 900.0);
         let talk = if abandoned == 1 {
             0.0
         } else {
-            clamped_normal(&mut rng, 280.0, 120.0, 15.0, 2400.0)
+            clamped_normal(rng, 280.0, 120.0, 15.0, 2400.0)
         };
         let handle = wait + hold + talk;
         let satisfaction = if abandoned == 1 || lost == 1 {
@@ -108,42 +108,44 @@ pub(crate) fn fill_chunk(mut rng: &mut ChaCha8Rng, ctx: &ChunkCtx, b: &mut Table
         } else {
             // Longer waits depress satisfaction.
             let base = 5.0 - (wait / 300.0).min(2.5);
-            clamped_normal(&mut rng, base, 0.8, 1.0, 5.0).round() as i64
+            clamped_normal(rng, base, 0.8, 1.0, 5.0).round() as i64
         };
-        let transfers = weighted_pick(&mut rng, &[0i64, 1, 2, 3], &[75.0, 18.0, 5.0, 2.0]);
+        let transfers = transfer_weights.pick(rng) as i64;
         let callbacks = i64::from(rng.gen_bool(0.08));
         let resolution_idx = if abandoned == 1 || lost == 1 {
             2
         } else {
-            *weighted_pick(&mut rng, &[0usize, 1], &[85.0, 15.0])
+            resolution_weights.pick(rng)
         };
 
-        b.push_row(vec![
-            queues[*queue_idx].clone(),
-            reps[rep].clone(),
-            directions[usize::from(rng.gen_bool(0.25))].clone(),
-            call_types[zipf_index(&mut rng, CALL_TYPES.len(), 0.8)].clone(),
-            resolutions[resolution_idx].clone(),
-            tiers[zipf_index(&mut rng, TIERS.len(), 0.5)].clone(),
-            Value::Int(1), // calls: one record per call
-            Value::Int(abandoned),
-            Value::Int(lost),
-            Value::Float(handle),
-            Value::Float(hold),
-            Value::Float(wait),
-            Value::Float(talk),
-            Value::Int(satisfaction),
-            Value::Int(*transfers),
-            Value::Int(callbacks),
-            Value::Int(hour),
-            Value::Int(epoch_at(day, hour * 3600)),
-        ]);
+        // The direction, call type and tier are drawn here, in column order.
+        b.row()
+            .label(queue_idx)
+            .label(rep)
+            .label(usize::from(rng.gen_bool(0.25)))
+            .label(call_type_zipf.pick(rng))
+            .label(resolution_idx)
+            .label(tier_zipf.pick(rng))
+            .int(1) // calls: one record per call
+            .int(abandoned)
+            .int(lost)
+            .float(handle)
+            .float(hold)
+            .float(wait)
+            .float(talk)
+            .int(satisfaction)
+            .int(transfers)
+            .int(callbacks)
+            .int(hour)
+            .int(epoch_at(day, hour * 3600))
+            .end();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use simba_store::Value;
 
     #[test]
     fn queues_are_skewed_a_heaviest() {

@@ -6,10 +6,10 @@
 //! "in-depth examination of anomalies" workflow something real to find.
 
 use crate::chunk::{generate_chunked, ChunkCtx, CHUNK_ROWS};
-use crate::util::{clamped_normal, diurnal_intensity, epoch_at, weighted_pick, zipf_index};
+use crate::util::{clamped_normal, diurnal_by_hour, epoch_at, Weights};
 use rand::Rng;
 use rand_chacha::ChaCha8Rng;
-use simba_store::{ColumnDef, Schema, Table, TableBuilder, Value};
+use simba_store::{ColumnDef, Schema, Table, TableBuilder};
 
 /// Per-dataset seed salt: distinct datasets draw disjoint RNG streams from
 /// one master seed.
@@ -63,64 +63,69 @@ pub fn generate(rows: usize, seed: u64) -> Table {
 }
 
 /// Fill one generation chunk (see [`crate::chunk`] for the contract).
-pub(crate) fn fill_chunk(mut rng: &mut ChaCha8Rng, ctx: &ChunkCtx, b: &mut TableBuilder) {
-    let hosts: Vec<Value> = (0..N_HOSTS)
-        .map(|i| Value::from(format!("host-{i:03}")))
-        .collect();
-    let dcs: Vec<Value> = DATACENTERS.iter().map(Value::str).collect();
-    let services: Vec<Value> = SERVICES.iter().map(Value::str).collect();
-    let severities: Vec<Value> = SEVERITIES.iter().map(Value::str).collect();
-    let alerts: Vec<Value> = ALERT_TYPES.iter().map(Value::str).collect();
+pub(crate) fn fill_chunk(rng: &mut ChaCha8Rng, ctx: &ChunkCtx, b: &mut TableBuilder) {
+    let hosts: Vec<String> = (0..N_HOSTS).map(|i| format!("host-{i:03}")).collect();
+    b.set_labels("host", &hosts);
+    b.set_labels("datacenter", &DATACENTERS);
+    b.set_labels("service", &SERVICES);
+    b.set_labels("severity", &SEVERITIES);
+    b.set_labels("alert_type", &ALERT_TYPES);
+    let diurnal = diurnal_by_hour();
+    let service_zipf = Weights::zipf(SERVICES.len(), 0.6);
+    let anomaly_severities = Weights::new(&[60.0, 40.0]);
+    let severities = Weights::new(&[80.0, 17.0, 3.0]);
+    let alert_zipf = Weights::zipf(ALERT_TYPES.len(), 0.5);
 
     for _ in 0..ctx.len {
         let host = rng.gen_range(0..N_HOSTS);
         let dc = host % DATACENTERS.len();
-        let service = zipf_index(&mut rng, SERVICES.len(), 0.6);
+        let service = service_zipf.pick(rng);
         let day = rng.gen_range(0i64..30);
         let hour = rng.gen_range(0i64..24);
-        let load = diurnal_intensity(hour);
-
+        let load = diurnal[hour as usize];
         // ~2% of records are anomalies: latency spike + error severity.
         let anomaly = rng.gen_bool(0.02);
         let cpu = if anomaly {
-            clamped_normal(&mut rng, 92.0, 6.0, 50.0, 100.0)
+            clamped_normal(rng, 92.0, 6.0, 50.0, 100.0)
         } else {
-            clamped_normal(&mut rng, 25.0 + 40.0 * load, 12.0, 0.0, 100.0)
+            clamped_normal(rng, 25.0 + 40.0 * load, 12.0, 0.0, 100.0)
         };
-        let mem = clamped_normal(&mut rng, 40.0 + 20.0 * load, 10.0, 0.0, 100.0);
+        let mem = clamped_normal(rng, 40.0 + 20.0 * load, 10.0, 0.0, 100.0);
         let response = if anomaly {
-            clamped_normal(&mut rng, 2500.0, 900.0, 500.0, 10_000.0)
+            clamped_normal(rng, 2500.0, 900.0, 500.0, 10_000.0)
         } else {
-            clamped_normal(&mut rng, 80.0 + 120.0 * load, 40.0, 1.0, 800.0)
+            clamped_normal(rng, 80.0 + 120.0 * load, 40.0, 1.0, 800.0)
         };
         let severity_idx = if anomaly {
-            *weighted_pick(&mut rng, &[2usize, 3], &[60.0, 40.0])
+            // error or critical
+            2 + anomaly_severities.pick(rng)
         } else {
-            *weighted_pick(&mut rng, &[0usize, 1, 2], &[80.0, 17.0, 3.0])
+            severities.pick(rng)
         };
         let alert_idx = if anomaly {
             0 // latency
         } else {
-            zipf_index(&mut rng, ALERT_TYPES.len(), 0.5)
+            alert_zipf.pick(rng)
         };
 
-        b.push_row(vec![
-            hosts[host].clone(),
-            dcs[dc].clone(),
-            services[service].clone(),
-            severities[severity_idx].clone(),
-            alerts[alert_idx].clone(),
-            Value::Float(cpu),
-            Value::Float(mem),
-            Value::Float(response),
-            Value::Int(epoch_at(day, hour * 3600 + rng.gen_range(0..3600))),
-        ]);
+        b.row()
+            .label(host)
+            .label(dc)
+            .label(service)
+            .label(severity_idx)
+            .label(alert_idx)
+            .float(cpu)
+            .float(mem)
+            .float(response)
+            .int(epoch_at(day, hour * 3600 + rng.gen_range(0..3600)))
+            .end();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use simba_store::Value;
 
     #[test]
     fn anomalies_exist_and_are_rare() {

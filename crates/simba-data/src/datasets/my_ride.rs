@@ -6,9 +6,9 @@
 //! workflows (§6.2.3) — the schema reproduces that property.
 
 use crate::chunk::{generate_chunked, ChunkCtx, CHUNK_ROWS};
-use crate::util::{clamped_normal, epoch_at, weighted_pick};
+use crate::util::{clamped_normal, epoch_at, Weights};
 use rand_chacha::ChaCha8Rng;
-use simba_store::{ColumnDef, Schema, Table, TableBuilder, Value};
+use simba_store::{ColumnDef, Schema, Table, TableBuilder};
 
 /// Per-dataset seed salt: distinct datasets draw disjoint RNG streams from
 /// one master seed.
@@ -65,62 +65,58 @@ pub fn generate(rows: usize, seed: u64) -> Table {
 /// slowly shifting weather) derive from the *global* row index in
 /// [`ChunkCtx`], not from RNG state, so they are chunk-independent by
 /// construction.
-pub(crate) fn fill_chunk(mut rng: &mut ChaCha8Rng, ctx: &ChunkCtx, b: &mut TableBuilder) {
+pub(crate) fn fill_chunk(rng: &mut ChaCha8Rng, ctx: &ChunkCtx, b: &mut TableBuilder) {
     let rows = ctx.total_rows;
-    let segments: Vec<Value> = SEGMENTS.iter().map(Value::str).collect();
-    let terrain: Vec<Value> = TERRAIN.iter().map(Value::str).collect();
-    let weather: Vec<Value> = WEATHER.iter().map(Value::str).collect();
+    b.set_labels("route_segment", &SEGMENTS);
+    b.set_labels("terrain", &TERRAIN);
+    b.set_labels("weather", &WEATHER);
+    let terrain_weights = Weights::new(&[55.0, 25.0, 12.0, 8.0]);
 
     for i in ctx.start..ctx.start + ctx.len {
         // Samples progress along the route: segment advances with the row.
         let seg = (i * SEGMENTS.len() / rows.max(1)).min(SEGMENTS.len() - 1);
-        let ter = *weighted_pick(rng, &[0usize, 1, 2, 3], &[55.0, 25.0, 12.0, 8.0]);
+        let ter = terrain_weights.pick(rng);
         let wea = (ctx.seed as usize + i / 5000) % WEATHER.len(); // weather shifts slowly
         let gradient: f64 = match ter {
-            0 => clamped_normal(&mut rng, 0.0, 0.5, -1.0, 1.0),
-            1 => clamped_normal(&mut rng, 1.0, 1.5, -3.0, 4.0),
-            2 => clamped_normal(&mut rng, 5.0, 2.0, 2.0, 12.0),
-            _ => clamped_normal(&mut rng, -4.5, 1.5, -10.0, -2.0),
+            0 => clamped_normal(rng, 0.0, 0.5, -1.0, 1.0),
+            1 => clamped_normal(rng, 1.0, 1.5, -3.0, 4.0),
+            2 => clamped_normal(rng, 5.0, 2.0, 2.0, 12.0),
+            _ => clamped_normal(rng, -4.5, 1.5, -10.0, -2.0),
         };
-        let power = clamped_normal(&mut rng, 180.0 + 22.0 * gradient.max(0.0), 35.0, 0.0, 900.0);
-        let heart = clamped_normal(&mut rng, 105.0 + power * 0.28, 8.0, 55.0, 200.0).round() as i64;
-        let speed = clamped_normal(&mut rng, 27.0 - 2.2 * gradient, 3.0, 2.0, 70.0);
-        let cadence = clamped_normal(&mut rng, 85.0 - gradient.max(0.0) * 2.0, 7.0, 30.0, 130.0)
-            .round() as i64;
+        let power = clamped_normal(rng, 180.0 + 22.0 * gradient.max(0.0), 35.0, 0.0, 900.0);
+        let heart = clamped_normal(rng, 105.0 + power * 0.28, 8.0, 55.0, 200.0).round() as i64;
+        let speed = clamped_normal(rng, 27.0 - 2.2 * gradient, 3.0, 2.0, 70.0);
+        let cadence =
+            clamped_normal(rng, 85.0 - gradient.max(0.0) * 2.0, 7.0, 30.0, 130.0).round() as i64;
         let distance = 40.0 * i as f64 / rows.max(1) as f64;
         let elevation = 25.0 + 15.0 * (distance / 6.0).sin() + gradient * 2.0;
-        let temp = clamped_normal(&mut rng, 29.0, 2.0, 18.0, 38.0);
-        let humidity = clamped_normal(
-            &mut rng,
-            if wea == 1 { 85.0 } else { 62.0 },
-            8.0,
-            20.0,
-            100.0,
-        );
+        let temp = clamped_normal(rng, 29.0, 2.0, 18.0, 38.0);
+        let humidity = clamped_normal(rng, if wea == 1 { 85.0 } else { 62.0 }, 8.0, 20.0, 100.0);
         let calories = power * 3.6 / 4.184 * 0.24; // rough kcal per sample window
 
-        b.push_row(vec![
-            segments[seg].clone(),
-            terrain[ter].clone(),
-            weather[wea].clone(),
-            Value::Int(heart),
-            Value::Float(speed),
-            Value::Int(cadence),
-            Value::Float(power),
-            Value::Float(elevation),
-            Value::Float(gradient),
-            Value::Float(temp),
-            Value::Float(distance),
-            Value::Float(calories),
-            Value::Float(humidity),
-            Value::Int(epoch_at(10, 7 * 3600 + i as i64)),
-        ]);
+        b.row()
+            .label(seg)
+            .label(ter)
+            .label(wea)
+            .int(heart)
+            .float(speed)
+            .int(cadence)
+            .float(power)
+            .float(elevation)
+            .float(gradient)
+            .float(temp)
+            .float(distance)
+            .float(calories)
+            .float(humidity)
+            .int(epoch_at(10, 7 * 3600 + i as i64))
+            .end();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use simba_store::Value;
 
     #[test]
     fn heart_rate_tracks_power() {

@@ -6,10 +6,10 @@
 //! it (as "Superstore") producing the slowest, highest-variance queries.
 
 use crate::chunk::{generate_chunked, ChunkCtx, CHUNK_ROWS};
-use crate::util::{clamped_normal, epoch_at, weighted_pick, zipf_index};
+use crate::util::{clamped_normal, epoch_at, Weights};
 use rand::Rng;
 use rand_chacha::ChaCha8Rng;
-use simba_store::{ColumnDef, Schema, Table, TableBuilder, Value};
+use simba_store::{ColumnDef, Schema, Table, TableBuilder};
 
 /// Per-dataset seed salt: distinct datasets draw disjoint RNG streams from
 /// one master seed.
@@ -33,6 +33,14 @@ const PAYMENTS: [&str; 5] = ["card", "invoice", "transfer", "cash", "credit_line
 const CHANNELS: [&str; 3] = ["online", "retail", "wholesale"];
 const PACKAGING: [&str; 4] = ["box", "envelope", "pallet", "crate"];
 const RETURN_FLAGS: [&str; 2] = ["kept", "returned"];
+const DISCOUNTS: [f64; 5] = [0.0, 0.05, 0.10, 0.20, 0.30];
+const N_BRANDS: usize = 12;
+const N_COUNTRIES: usize = 15;
+const N_STATES: usize = 30;
+const N_CITIES: usize = 50;
+const N_CARRIERS: usize = 6;
+const N_WAREHOUSES: usize = 10;
+const N_SUPPLIERS: usize = 20;
 
 /// Schema: 18 categorical, 5 quantitative, 1 temporal column.
 pub fn schema() -> Schema {
@@ -72,114 +80,115 @@ pub fn generate(rows: usize, seed: u64) -> Table {
     generate_chunked(schema(), rows, seed, SALT, 0, CHUNK_ROWS, fill_chunk)
 }
 
+/// `n` labels `"{prefix}{i:02}"`.
+fn numbered(prefix: &str, n: usize) -> Vec<String> {
+    (0..n).map(|i| format!("{prefix}{i:02}")).collect()
+}
+
 /// Fill one generation chunk (see [`crate::chunk`] for the contract).
-pub(crate) fn fill_chunk(mut rng: &mut ChaCha8Rng, ctx: &ChunkCtx, b: &mut TableBuilder) {
-    let categories: Vec<Value> = CATEGORIES.iter().map(Value::str).collect();
-    let subcats: Vec<Value> = (0..CATEGORIES.len() * SUBCATS_PER_CAT)
+pub(crate) fn fill_chunk(rng: &mut ChaCha8Rng, ctx: &ChunkCtx, b: &mut TableBuilder) {
+    let subcats: Vec<String> = (0..CATEGORIES.len() * SUBCATS_PER_CAT)
         .map(|i| {
-            Value::from(format!(
+            format!(
                 "{}_{}",
                 CATEGORIES[i / SUBCATS_PER_CAT],
                 i % SUBCATS_PER_CAT
-            ))
+            )
         })
         .collect();
-    let brands: Vec<Value> = (0..12)
-        .map(|i| Value::from(format!("brand_{i:02}")))
-        .collect();
-    let regions: Vec<Value> = REGIONS.iter().map(Value::str).collect();
-    let countries: Vec<Value> = (0..15)
-        .map(|i| Value::from(format!("country_{i:02}")))
-        .collect();
-    let states: Vec<Value> = (0..30)
-        .map(|i| Value::from(format!("state_{i:02}")))
-        .collect();
-    let cities: Vec<Value> = (0..50)
-        .map(|i| Value::from(format!("city_{i:02}")))
-        .collect();
-    let ship_modes: Vec<Value> = SHIP_MODES.iter().map(Value::str).collect();
-    let carriers: Vec<Value> = (0..6)
-        .map(|i| Value::from(format!("carrier_{i}")))
-        .collect();
-    let priorities: Vec<Value> = PRIORITIES.iter().map(Value::str).collect();
-    let segments: Vec<Value> = SEGMENTS.iter().map(Value::str).collect();
-    let warehouses: Vec<Value> = (0..10).map(|i| Value::from(format!("wh_{i:02}"))).collect();
-    let suppliers: Vec<Value> = (0..20)
-        .map(|i| Value::from(format!("sup_{i:02}")))
-        .collect();
-    let statuses: Vec<Value> = STATUSES.iter().map(Value::str).collect();
-    let return_flags: Vec<Value> = RETURN_FLAGS.iter().map(Value::str).collect();
-    let payments: Vec<Value> = PAYMENTS.iter().map(Value::str).collect();
-    let channels: Vec<Value> = CHANNELS.iter().map(Value::str).collect();
-    let packaging: Vec<Value> = PACKAGING.iter().map(Value::str).collect();
+    let carriers: Vec<String> = (0..N_CARRIERS).map(|i| format!("carrier_{i}")).collect();
+    b.set_labels("product_category", &CATEGORIES);
+    b.set_labels("product_subcategory", &subcats);
+    b.set_labels("brand", &numbered("brand_", N_BRANDS));
+    b.set_labels("region", &REGIONS);
+    b.set_labels("country", &numbered("country_", N_COUNTRIES));
+    b.set_labels("state", &numbered("state_", N_STATES));
+    b.set_labels("city", &numbered("city_", N_CITIES));
+    b.set_labels("ship_mode", &SHIP_MODES);
+    b.set_labels("carrier", &carriers);
+    b.set_labels("priority", &PRIORITIES);
+    b.set_labels("segment", &SEGMENTS);
+    b.set_labels("warehouse", &numbered("wh_", N_WAREHOUSES));
+    b.set_labels("supplier", &numbered("sup_", N_SUPPLIERS));
+    b.set_labels("order_status", &STATUSES);
+    b.set_labels("return_flag", &RETURN_FLAGS);
+    b.set_labels("payment_method", &PAYMENTS);
+    b.set_labels("sales_channel", &CHANNELS);
+    b.set_labels("packaging", &PACKAGING);
+    let category_zipf = Weights::zipf(CATEGORIES.len(), 0.7);
+    let ship_mode_weights = Weights::new(&[55.0, 22.0, 17.0, 6.0]);
+    let status_weights = Weights::new(&[6.0, 10.0, 22.0, 56.0, 6.0]);
+    let quantity_zipf = Weights::zipf(10, 1.2);
+    let discount_weights = Weights::new(&[55.0, 15.0, 15.0, 10.0, 5.0]);
+    let brand_zipf = Weights::zipf(N_BRANDS, 0.8);
+    let priority_zipf = Weights::zipf(PRIORITIES.len(), 0.6);
+    let segment_zipf = Weights::zipf(SEGMENTS.len(), 0.4);
+    let supplier_zipf = Weights::zipf(N_SUPPLIERS, 0.5);
+    let payment_zipf = Weights::zipf(PAYMENTS.len(), 0.7);
+    let channel_zipf = Weights::zipf(CHANNELS.len(), 0.5);
 
     for _ in 0..ctx.len {
-        let cat = zipf_index(&mut rng, CATEGORIES.len(), 0.7);
+        let cat = category_zipf.pick(rng);
         let sub = cat * SUBCATS_PER_CAT + rng.gen_range(0..SUBCATS_PER_CAT);
         let region = rng.gen_range(0..REGIONS.len());
-        let country = rng.gen_range(0..countries.len());
-        let state = (country * 2 + rng.gen_range(0..2)) % states.len();
-        let city = (state * 2 + rng.gen_range(0..3)) % cities.len();
-        let ship_mode = *weighted_pick(&mut rng, &[0usize, 1, 2, 3], &[55.0, 22.0, 17.0, 6.0]);
-        let status = *weighted_pick(
-            &mut rng,
-            &[0usize, 1, 2, 3, 4],
-            &[6.0, 10.0, 22.0, 56.0, 6.0],
-        );
+        let country = rng.gen_range(0..N_COUNTRIES);
+        let state = (country * 2 + rng.gen_range(0..2)) % N_STATES;
+        let city = (state * 2 + rng.gen_range(0..3)) % N_CITIES;
+        let ship_mode = ship_mode_weights.pick(rng);
+        let status = status_weights.pick(rng);
         let returned = status == 4 || rng.gen_bool(0.02);
-
-        let quantity = 1 + zipf_index(&mut rng, 10, 1.2) as i64;
+        let quantity = 1 + quantity_zipf.pick(rng) as i64;
         let unit_price = match cat {
-            1 => clamped_normal(&mut rng, 420.0, 260.0, 15.0, 3500.0), // technology
-            0 => clamped_normal(&mut rng, 210.0, 120.0, 25.0, 2000.0), // furniture
-            _ => clamped_normal(&mut rng, 35.0, 22.0, 1.0, 400.0),
+            1 => clamped_normal(rng, 420.0, 260.0, 15.0, 3500.0), // technology
+            0 => clamped_normal(rng, 210.0, 120.0, 25.0, 2000.0), // furniture
+            _ => clamped_normal(rng, 35.0, 22.0, 1.0, 400.0),
         };
-        let discount = *weighted_pick(
-            &mut rng,
-            &[0.0f64, 0.05, 0.10, 0.20, 0.30],
-            &[55.0, 15.0, 15.0, 10.0, 5.0],
-        );
+        let discount = DISCOUNTS[discount_weights.pick(rng)];
         let shipping = match ship_mode {
-            3 => clamped_normal(&mut rng, 45.0, 12.0, 12.0, 150.0),
-            2 => clamped_normal(&mut rng, 22.0, 7.0, 5.0, 80.0),
-            1 => clamped_normal(&mut rng, 12.0, 4.0, 3.0, 50.0),
-            _ => clamped_normal(&mut rng, 7.0, 3.0, 1.0, 30.0),
+            3 => clamped_normal(rng, 45.0, 12.0, 12.0, 150.0),
+            2 => clamped_normal(rng, 22.0, 7.0, 5.0, 80.0),
+            1 => clamped_normal(rng, 12.0, 4.0, 3.0, 50.0),
+            _ => clamped_normal(rng, 7.0, 3.0, 1.0, 30.0),
         };
         let revenue = quantity as f64 * unit_price * (1.0 - discount);
         let day = rng.gen_range(0i64..365);
 
-        b.push_row(vec![
-            categories[cat].clone(),
-            subcats[sub].clone(),
-            brands[zipf_index(&mut rng, brands.len(), 0.8)].clone(),
-            regions[region].clone(),
-            countries[country].clone(),
-            states[state].clone(),
-            cities[city].clone(),
-            ship_modes[ship_mode].clone(),
-            carriers[rng.gen_range(0..carriers.len())].clone(),
-            priorities[zipf_index(&mut rng, PRIORITIES.len(), 0.6)].clone(),
-            segments[zipf_index(&mut rng, SEGMENTS.len(), 0.4)].clone(),
-            warehouses[rng.gen_range(0..warehouses.len())].clone(),
-            suppliers[zipf_index(&mut rng, suppliers.len(), 0.5)].clone(),
-            statuses[status].clone(),
-            return_flags[usize::from(returned)].clone(),
-            payments[zipf_index(&mut rng, PAYMENTS.len(), 0.7)].clone(),
-            channels[zipf_index(&mut rng, CHANNELS.len(), 0.5)].clone(),
-            packaging[rng.gen_range(0..PACKAGING.len())].clone(),
-            Value::Int(quantity),
-            Value::Float(unit_price),
-            Value::Float(discount),
-            Value::Float(shipping),
-            Value::Float(revenue),
-            Value::Int(epoch_at(day, rng.gen_range(0..86_400))),
-        ]);
+        // Brand, carrier, priority, segment, warehouse, supplier, payment,
+        // channel, packaging and the time of day are drawn here, in column
+        // order.
+        b.row()
+            .label(cat)
+            .label(sub)
+            .label(brand_zipf.pick(rng))
+            .label(region)
+            .label(country)
+            .label(state)
+            .label(city)
+            .label(ship_mode)
+            .label(rng.gen_range(0..N_CARRIERS))
+            .label(priority_zipf.pick(rng))
+            .label(segment_zipf.pick(rng))
+            .label(rng.gen_range(0..N_WAREHOUSES))
+            .label(supplier_zipf.pick(rng))
+            .label(status)
+            .label(usize::from(returned))
+            .label(payment_zipf.pick(rng))
+            .label(channel_zipf.pick(rng))
+            .label(rng.gen_range(0..PACKAGING.len()))
+            .int(quantity)
+            .float(unit_price)
+            .float(discount)
+            .float(shipping)
+            .float(revenue)
+            .int(epoch_at(day, rng.gen_range(0..86_400)))
+            .end();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use simba_store::Value;
 
     #[test]
     fn schema_has_18_categoricals() {

@@ -6,10 +6,10 @@
 //! that enumerate aggregate attributes (Identification in Table 2).
 
 use crate::chunk::{generate_chunked, ChunkCtx, CHUNK_ROWS};
-use crate::util::{clamped_normal, diurnal_intensity, epoch_at, zipf_index};
+use crate::util::{clamped_normal, diurnal_by_hour, epoch_at, Weights};
 use rand::Rng;
 use rand_chacha::ChaCha8Rng;
-use simba_store::{ColumnDef, Schema, Table, TableBuilder, Value};
+use simba_store::{ColumnDef, Schema, Table, TableBuilder};
 
 /// Per-dataset seed salt: distinct datasets draw disjoint RNG streams from
 /// one master seed.
@@ -78,21 +78,23 @@ pub fn generate(rows: usize, seed: u64) -> Table {
 }
 
 /// Fill one generation chunk (see [`crate::chunk`] for the contract).
-pub(crate) fn fill_chunk(mut rng: &mut ChaCha8Rng, ctx: &ChunkCtx, b: &mut TableBuilder) {
-    let btypes: Vec<Value> = BUILDING_TYPES.iter().map(Value::str).collect();
-    let etypes: Vec<Value> = ENERGY_TYPES.iter().map(Value::str).collect();
-    let zones: Vec<Value> = ZONES.iter().map(Value::str).collect();
-    let operators: Vec<Value> = OPERATORS.iter().map(Value::str).collect();
+pub(crate) fn fill_chunk(rng: &mut ChaCha8Rng, ctx: &ChunkCtx, b: &mut TableBuilder) {
+    b.set_labels("building_type", &BUILDING_TYPES);
+    b.set_labels("energy_type", &ENERGY_TYPES);
+    b.set_labels("campus_zone", &ZONES);
+    b.set_labels("operator", &OPERATORS);
+    let diurnal = diurnal_by_hour();
+    let building_zipf = Weights::zipf(BUILDING_TYPES.len(), 0.5);
+    let energy_zipf = Weights::zipf(ENERGY_TYPES.len(), 0.8);
 
     for _ in 0..ctx.len {
-        let bt = zipf_index(&mut rng, BUILDING_TYPES.len(), 0.5);
-        let et = zipf_index(&mut rng, ENERGY_TYPES.len(), 0.8);
+        let bt = building_zipf.pick(rng);
+        let et = energy_zipf.pick(rng);
         let zone = rng.gen_range(0..ZONES.len());
         let operator = bt % OPERATORS.len();
         let day = rng.gen_range(0i64..365);
         let hour = rng.gen_range(0i64..24);
-        let load = diurnal_intensity(hour);
-
+        let load = diurnal[hour as usize];
         // Labs and hospitals burn far more energy than offices.
         let scale = match bt {
             0 | 6 => 4.0,
@@ -100,77 +102,72 @@ pub(crate) fn fill_chunk(mut rng: &mut ChaCha8Rng, ctx: &ChunkCtx, b: &mut Table
             3 => 1.5,
             _ => 1.0,
         };
-        let area = clamped_normal(&mut rng, 4500.0 * scale, 1500.0, 300.0, 60_000.0);
-        let occupancy = (clamped_normal(&mut rng, 120.0 * load * scale, 40.0, 0.0, 4000.0)) as i64;
-        let elec = clamped_normal(
-            &mut rng,
-            220.0 * scale * (0.4 + 0.6 * load),
-            60.0,
-            5.0,
-            8000.0,
-        );
-        let gas = clamped_normal(&mut rng, 90.0 * scale, 35.0, 0.0, 4000.0);
-        let steam = clamped_normal(&mut rng, 60.0 * scale, 25.0, 0.0, 3000.0);
-        let chilled = clamped_normal(&mut rng, 45.0 * scale * load, 20.0, 0.0, 2500.0);
+        let area = clamped_normal(rng, 4500.0 * scale, 1500.0, 300.0, 60_000.0);
+        let occupancy = (clamped_normal(rng, 120.0 * load * scale, 40.0, 0.0, 4000.0)) as i64;
+        let elec = clamped_normal(rng, 220.0 * scale * (0.4 + 0.6 * load), 60.0, 5.0, 8000.0);
+        let gas = clamped_normal(rng, 90.0 * scale, 35.0, 0.0, 4000.0);
+        let steam = clamped_normal(rng, 60.0 * scale, 25.0, 0.0, 3000.0);
+        let chilled = clamped_normal(rng, 45.0 * scale * load, 20.0, 0.0, 2500.0);
         let solar = if (7..19).contains(&hour) {
-            clamped_normal(&mut rng, 30.0, 12.0, 0.0, 150.0)
+            clamped_normal(rng, 30.0, 12.0, 0.0, 150.0)
         } else {
             0.0
         };
-        let water = clamped_normal(&mut rng, 8.0 * scale, 3.0, 0.1, 300.0);
-        let hvac = elec * clamped_normal(&mut rng, 0.45, 0.06, 0.2, 0.7);
-        let lighting = elec * clamped_normal(&mut rng, 0.22, 0.04, 0.05, 0.4);
+        let water = clamped_normal(rng, 8.0 * scale, 3.0, 0.1, 300.0);
+        let hvac = elec * clamped_normal(rng, 0.45, 0.06, 0.2, 0.7);
+        let lighting = elec * clamped_normal(rng, 0.22, 0.04, 0.05, 0.4);
         let plug = (elec - hvac - lighting).max(0.0);
-        let battery = clamped_normal(&mut rng, 5.0, 3.0, 0.0, 40.0);
-        let peak = elec / 24.0 * clamped_normal(&mut rng, 2.2, 0.3, 1.2, 4.0);
-        let base = elec / 24.0 * clamped_normal(&mut rng, 0.6, 0.1, 0.2, 1.0);
+        let battery = clamped_normal(rng, 5.0, 3.0, 0.0, 40.0);
+        let peak = elec / 24.0 * clamped_normal(rng, 2.2, 0.3, 1.2, 4.0);
+        let base = elec / 24.0 * clamped_normal(rng, 0.6, 0.1, 0.2, 1.0);
         let total = elec + gas + steam + chilled;
         let intensity = total / area * 1000.0;
         let carbon = gas * 0.18 + elec * 0.011 + steam * 0.07;
         let temp = clamped_normal(
-            &mut rng,
+            rng,
             11.0 + 9.0 * ((day as f64 / 365.0) * std::f64::consts::TAU).sin(),
             3.0,
             -10.0,
             35.0,
         );
-        let efficiency = clamped_normal(&mut rng, 100.0 - intensity.min(80.0), 8.0, 5.0, 100.0);
+        let efficiency = clamped_normal(rng, 100.0 - intensity.min(80.0), 8.0, 5.0, 100.0);
 
-        b.push_row(vec![
-            btypes[bt].clone(),
-            etypes[et].clone(),
-            zones[zone].clone(),
-            operators[operator].clone(),
-            Value::Float(elec),
-            Value::Float(gas),
-            Value::Float(steam),
-            Value::Float(chilled),
-            Value::Float(solar),
-            Value::Float(water),
-            Value::Float(area),
-            Value::Int(occupancy),
-            Value::Float(intensity),
-            Value::Float(elec * 0.11),
-            Value::Float(gas * 0.05),
-            Value::Float(steam * 0.07),
-            Value::Float(water * 2.5),
-            Value::Float(carbon),
-            Value::Float(peak),
-            Value::Float(base),
-            Value::Float(hvac),
-            Value::Float(lighting),
-            Value::Float(plug),
-            Value::Float(battery),
-            Value::Float(temp),
-            Value::Float(efficiency),
-            Value::Int(epoch_at(day, hour * 3600)),
-        ]);
+        b.row()
+            .label(bt)
+            .label(et)
+            .label(zone)
+            .label(operator)
+            .float(elec)
+            .float(gas)
+            .float(steam)
+            .float(chilled)
+            .float(solar)
+            .float(water)
+            .float(area)
+            .int(occupancy)
+            .float(intensity)
+            .float(elec * 0.11)
+            .float(gas * 0.05)
+            .float(steam * 0.07)
+            .float(water * 2.5)
+            .float(carbon)
+            .float(peak)
+            .float(base)
+            .float(hvac)
+            .float(lighting)
+            .float(plug)
+            .float(battery)
+            .float(temp)
+            .float(efficiency)
+            .int(epoch_at(day, hour * 3600))
+            .end();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use simba_store::Value;
 
     #[test]
     fn labs_use_more_energy_than_offices() {

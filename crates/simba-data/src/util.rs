@@ -2,34 +2,44 @@
 
 use rand::Rng;
 
-/// Pick from `items` with the given relative weights (not necessarily
-/// normalized). Deterministic given the RNG state.
-pub fn weighted_pick<'a, T, R: Rng>(rng: &mut R, items: &'a [T], weights: &[f64]) -> &'a T {
-    debug_assert_eq!(items.len(), weights.len());
-    let total: f64 = weights.iter().sum();
-    let mut x = rng.gen_range(0.0..total);
-    for (item, w) in items.iter().zip(weights) {
-        if x < *w {
-            return item;
-        }
-        x -= w;
-    }
-    items.last().expect("non-empty items")
+/// Relative weights (not necessarily normalized), summed once, to pick
+/// indexes from. A generator builds its pickers once per chunk; every pick
+/// then costs one draw and a walk, never a re-summing.
+#[derive(Debug, Clone)]
+pub struct Weights {
+    weights: Vec<f64>,
+    total: f64,
 }
 
-/// Zipf-like skewed index in `0..n`: index `i` has weight `1/(i+1)^s`.
-pub fn zipf_index<R: Rng>(rng: &mut R, n: usize, s: f64) -> usize {
-    debug_assert!(n > 0);
-    let total: f64 = (0..n).map(|i| 1.0 / ((i + 1) as f64).powf(s)).sum();
-    let mut x = rng.gen_range(0.0..total);
-    for i in 0..n {
-        let w = 1.0 / ((i + 1) as f64).powf(s);
-        if x < w {
-            return i;
+impl Weights {
+    /// Pick index `i` with weight `weights[i]`.
+    pub fn new(weights: &[f64]) -> Weights {
+        debug_assert!(!weights.is_empty());
+        Weights {
+            weights: weights.to_vec(),
+            total: weights.iter().sum(),
         }
-        x -= w;
     }
-    n - 1
+
+    /// Zipf-like skew over `0..n`: index `i` has weight `1/(i+1)^s`.
+    pub fn zipf(n: usize, s: f64) -> Weights {
+        let weights: Vec<f64> = (0..n).map(|i| 1.0 / ((i + 1) as f64).powf(s)).collect();
+        Weights::new(&weights)
+    }
+
+    /// Pick an index. Deterministic given the RNG state: one
+    /// `gen_range(0.0..total)` draw.
+    #[inline]
+    pub fn pick<R: Rng>(&self, rng: &mut R) -> usize {
+        let mut x = rng.gen_range(0.0..self.total);
+        for (i, w) in self.weights.iter().enumerate() {
+            if x < *w {
+                return i;
+            }
+            x -= w;
+        }
+        self.weights.len() - 1
+    }
 }
 
 /// Sample from a normal distribution via Box–Muller.
@@ -55,6 +65,11 @@ pub fn diurnal_intensity(hour: i64) -> f64 {
     (0.15 + 0.85 * morning.max(afternoon)).min(1.0)
 }
 
+/// [`diurnal_intensity`] of every hour of the day, indexed by hour.
+pub fn diurnal_by_hour() -> [f64; 24] {
+    std::array::from_fn(|hour| diurnal_intensity(hour as i64))
+}
+
 /// Epoch seconds for a timestamp `day` days and `secs` seconds after the
 /// base date 2021-01-01 00:00:00 UTC.
 pub fn epoch_at(day: i64, secs: i64) -> i64 {
@@ -75,11 +90,10 @@ mod tests {
     #[test]
     fn weighted_pick_respects_weights() {
         let mut r = rng();
-        let items = ["common", "rare"];
+        let weights = Weights::new(&[9.0, 1.0]);
         let mut counts = [0usize; 2];
         for _ in 0..10_000 {
-            let pick = weighted_pick(&mut r, &items, &[9.0, 1.0]);
-            counts[items.iter().position(|i| i == pick).unwrap()] += 1;
+            counts[weights.pick(&mut r)] += 1;
         }
         assert!(counts[0] > 8_000 && counts[0] < 9_800, "{counts:?}");
     }
@@ -87,9 +101,10 @@ mod tests {
     #[test]
     fn zipf_skews_to_low_indices() {
         let mut r = rng();
+        let zipf = Weights::zipf(10, 1.0);
         let mut counts = vec![0usize; 10];
         for _ in 0..10_000 {
-            counts[zipf_index(&mut r, 10, 1.0)] += 1;
+            counts[zipf.pick(&mut r)] += 1;
         }
         assert!(counts[0] > counts[9] * 3, "{counts:?}");
     }
@@ -118,9 +133,11 @@ mod tests {
     fn diurnal_peaks_midday() {
         assert!(diurnal_intensity(10) > diurnal_intensity(3));
         assert!(diurnal_intensity(15) > diurnal_intensity(22));
+        let by_hour = diurnal_by_hour();
         for h in 0..24 {
             let v = diurnal_intensity(h);
             assert!((0.0..=1.0).contains(&v));
+            assert_eq!(by_hour[h as usize].to_bits(), v.to_bits());
         }
     }
 

@@ -1,10 +1,11 @@
 //! Chunk-append table assembly for parallel dataset generation.
 //!
-//! Generators that produce a table as a sequence of fixed-size chunks (see
-//! `simba_data::chunk`) need the opposite of [`TableBuilder`]'s row-at-a-time
-//! interface: bulk append of whole column fragments, with dictionary codes
-//! remapped into one global dictionary. That is what [`TableAssembler`]
-//! does.
+//! Generators that build a table's fixed-size chunks on several threads
+//! (see `simba_data::chunk`; on one thread they write every chunk into one
+//! [`TableBuilder`] instead), and a server receiving a table block by
+//! block, need the opposite of [`TableBuilder`]'s row-at-a-time interface:
+//! bulk append of whole column fragments, with dictionary codes remapped
+//! into one global dictionary. That is what [`TableAssembler`] does.
 //!
 //! The merge is a pure function of the chunk *sequence*: workers may build
 //! chunks on any thread in any order, but as long as the assembler receives

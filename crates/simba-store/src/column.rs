@@ -238,8 +238,12 @@ impl ColumnData {
     }
 }
 
-/// Incrementally builds a [`ColumnData`], row by row from pushed
-/// [`Value`]s or chunk by chunk from appended column fragments.
+/// Incrementally builds a [`ColumnData`]: row by row from pushed
+/// [`Value`]s, row by row from typed cells (a [`TableBuilder`]'s
+/// [`RowWriter`]), or chunk by chunk from appended column fragments.
+///
+/// [`TableBuilder`]: crate::TableBuilder
+/// [`RowWriter`]: crate::RowWriter
 ///
 /// The physical type is fixed at construction; pushing a mismatched value
 /// panics (generators are trusted code — schema validation happens
@@ -278,6 +282,22 @@ pub enum ColumnBuilder {
         /// Per-row validity; empty until the first NULL.
         valid: Vec<bool>,
     },
+}
+
+/// The code of `s` in a dictionary built in first-appearance order, adding
+/// it as the next code if it is new.
+fn dictionary_code(
+    dict: &mut Vec<Arc<str>>,
+    lookup: &mut HashMap<Arc<str>, u32>,
+    s: &Arc<str>,
+) -> u32 {
+    if let Some(&code) = lookup.get(s) {
+        return code;
+    }
+    let code = dict.len() as u32;
+    dict.push(s.clone());
+    lookup.insert(s.clone(), code);
+    code
 }
 
 /// Append `rows` rows' validity (`src`, empty = all valid) to `valid`
@@ -319,6 +339,84 @@ impl ColumnBuilder {
         }
     }
 
+    /// Append a non-NULL Int.
+    ///
+    /// # Panics
+    /// Panics if this is not an Int column.
+    #[inline]
+    pub(crate) fn push_int(&mut self, v: i64) {
+        match self {
+            ColumnBuilder::Int { data, valid } => {
+                data.push(v);
+                if !valid.is_empty() {
+                    valid.push(true);
+                }
+            }
+            builder => panic!("type mismatch pushing Int({v}) into {builder:?}"),
+        }
+    }
+
+    /// Append a non-NULL Float.
+    ///
+    /// # Panics
+    /// Panics if this is not a Float column.
+    #[inline]
+    pub(crate) fn push_float(&mut self, v: f64) {
+        match self {
+            ColumnBuilder::Float { data, valid } => {
+                data.push(v);
+                if !valid.is_empty() {
+                    valid.push(true);
+                }
+            }
+            builder => panic!("type mismatch pushing Float({v}) into {builder:?}"),
+        }
+    }
+
+    /// Append a non-NULL string and return its dictionary code, which
+    /// [`push_code`](Self::push_code) may repeat without a lookup.
+    ///
+    /// # Panics
+    /// Panics if this is not a Str column.
+    pub(crate) fn push_str(&mut self, s: &Arc<str>) -> u32 {
+        match self {
+            ColumnBuilder::Str {
+                dict,
+                lookup,
+                codes,
+                valid,
+            } => {
+                let code = dictionary_code(dict, lookup, s);
+                codes.push(code);
+                if !valid.is_empty() {
+                    valid.push(true);
+                }
+                code
+            }
+            builder => panic!("type mismatch pushing {s:?} into {builder:?}"),
+        }
+    }
+
+    /// Append the string [`push_str`](Self::push_str) returned `code` for.
+    ///
+    /// # Panics
+    /// Panics if this is not a Str column.
+    #[inline]
+    pub(crate) fn push_code(&mut self, code: u32) {
+        match self {
+            ColumnBuilder::Str {
+                dict, codes, valid, ..
+            } => {
+                debug_assert!((code as usize) < dict.len());
+                codes.push(code);
+                if !valid.is_empty() {
+                    valid.push(true);
+                }
+            }
+            builder => panic!("type mismatch pushing code {code} into {builder:?}"),
+        }
+    }
+
     /// Append one value.
     pub fn push(&mut self, v: Value) {
         let ok = !v.is_null();
@@ -355,17 +453,8 @@ impl ColumnBuilder {
                 },
                 Value::Str(s),
             ) => {
-                let code = match lookup.get(&s) {
-                    Some(&c) => c,
-                    None => {
-                        let c = dict.len() as u32;
-                        dict.push(s.clone());
-                        lookup.insert(s, c);
-                        c
-                    }
-                };
                 let n = codes.len();
-                codes.push(code);
+                codes.push(dictionary_code(dict, lookup, &s));
                 (valid, n)
             }
             (ColumnBuilder::Str { codes, valid, .. }, Value::Null) => {
@@ -436,15 +525,7 @@ impl ColumnBuilder {
                 // concatenated stream.
                 let map: Vec<u32> = src_dict
                     .iter()
-                    .map(|s| match lookup.get(s) {
-                        Some(&code) => code,
-                        None => {
-                            let code = dict.len() as u32;
-                            dict.push(s.clone());
-                            lookup.insert(s.clone(), code);
-                            code
-                        }
-                    })
+                    .map(|s| dictionary_code(dict, lookup, s))
                     .collect();
                 append_validity(valid, codes.len(), &src_valid, src_codes.len());
                 crate::for_width!(&src_codes, |lane| if src_valid.is_empty() {

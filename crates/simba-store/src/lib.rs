@@ -39,6 +39,6 @@ pub use column::{ColumnBuilder, ColumnData};
 pub use narrow::NarrowVec;
 pub use result::{CoverageStore, ResultBuilder, ResultSet, Row, ValueRef};
 pub use schema::{ColumnDef, ColumnRole, DataType, Schema};
-pub use table::{Table, TableBuilder};
+pub use table::{RowWriter, Table, TableBuilder};
 pub use value::Value;
 pub use zonemap::{Zone, ZoneMaps, MORSEL_ROWS};
