@@ -882,7 +882,10 @@ fn ablation_horizon(k: &Knobs, out: &mut dyn Write) -> io::Result<()> {
         let mut first_goal = 0usize;
         let mut met = 0usize;
         let mut queries = 0usize;
-        // simba: allow(wall-clock-outside-obs): the wall-time column is this table's planning-cost measurement; no session input or counted column reads it
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the wall-time column is this table's planning-cost measurement; no session input or counted column reads it"
+        )]
         let start = std::time::Instant::now();
         for seed in 0..sessions {
             let config = SessionConfig {

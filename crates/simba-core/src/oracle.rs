@@ -89,7 +89,10 @@ impl Oracle {
         )
     }
 
-    #[allow(clippy::too_many_arguments)]
+    #[allow(
+        clippy::too_many_arguments,
+        reason = "one recursion level of the look-ahead: each argument is state the next level reads"
+    )]
     fn plan_depth(
         &self,
         dashboard: &Dashboard,

@@ -14,6 +14,8 @@
 //! driver builds one cache per run, over tables registered before the run
 //! starts, and drops it with the run.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing)]
+
 use serde::{Deserialize, Serialize};
 use simba_engine::{EngineError, ExecStats, QueryOutput};
 use simba_sql::{query_cache_key, Select};
@@ -196,7 +198,10 @@ impl ShardedResultCache {
     }
 
     fn shard_of(&self, key: &str) -> &RwLock<HashMap<String, Entry>> {
-        // simba: allow(panic-hygiene): shard_index masks by the power-of-two shard count, so the index is in range by construction
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "shard_index masks by the power-of-two shard count, so the index is in range by construction"
+        )]
         &self.shards[self.shard_index(key)]
     }
 
@@ -266,7 +271,10 @@ impl ShardedResultCache {
             // key tie-break pins the winner even if two entries ever carry
             // the same tick — which entry is evicted never depends on the
             // hasher's iteration order.
-            // simba: allow(nondeterministic-iteration): min over the totally ordered (last_used, key) pair; iteration order cannot change the winner
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "min over the totally ordered (last_used, key) pair; iteration order cannot change the winner"
+            )]
             let lru = shard
                 .iter()
                 .min_by(|(ka, ea), (kb, eb)| {
@@ -315,7 +323,10 @@ impl ShardedResultCache {
         // Key construction (AST normalization + printing) is the dominant
         // cost of a hit — time it, or cache-on latency reports understate
         // the real per-query cost.
-        // simba: allow(wall-clock-outside-obs): hit/wait latency is this layer's measured deliverable, surfaced via obs phases; it never reaches fingerprints
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "hit/wait latency is this layer's measured deliverable, surfaced via obs phases; it never reaches fingerprints"
+        )]
         let start = Instant::now();
         let lookup_phase = simba_obs::phase!("cache.lookup", "cache", "cache.phase.lookup");
         let key = query_cache_key(query);
@@ -325,7 +336,10 @@ impl ShardedResultCache {
         drop(lookup_phase);
         // Miss (counted). Join an in-flight execution of this key, or
         // become its leader.
-        // simba: allow(panic-hygiene): shard_index masks by the power-of-two stripe count, so the index is in range by construction
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "shard_index masks by the power-of-two stripe count, so the index is in range by construction"
+        )]
         let inflight = &self.inflight[self.shard_index(&key)];
         let flight = {
             // Poisoned-lock recovery throughout the inflight map: its only

@@ -35,13 +35,15 @@
 //! [`Driver::execute`](crate::workload); a hand-assembled run builds a
 //! source and calls [`Driver::run_source`], the loop `execute` itself uses.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing)]
+
 use crate::cache::{CacheConfig, CachedResult, ShardedResultCache};
 use crate::fingerprint::{fingerprint, ERROR_FINGERPRINT};
 use crate::report::{
     CacheReport, DeltaReport, ExecReport, LatencySummary, ResilienceReport, RunReport,
     SteeringReport, ADHOC_SCENARIO,
 };
-use crate::resilience::{jitter_key, CircuitBreaker, ResiliencePolicy};
+use crate::resilience::{jitter_key, ResiliencePolicy};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
@@ -126,9 +128,9 @@ pub struct DriverConfig {
     /// attach a run-scoped [`MetricsSnapshot`](simba_obs::MetricsSnapshot)
     /// (plus the derived phase breakdown) to the report.
     pub collect_metrics: bool,
-    /// Deadline, retry/backoff, and circuit-breaker policy applied around
-    /// every query. Inert by default: one attempt, no deadline, no breaker
-    /// — of the same attempt loop every run goes through.
+    /// Deadline and retry/backoff policy applied around every query. Inert
+    /// by default: one attempt, no deadline — of the same attempt loop
+    /// every run goes through.
     pub resilience: ResiliencePolicy,
 }
 
@@ -162,8 +164,7 @@ pub struct DriverOutcome {
     /// unless `collect_fingerprints` was set.
     pub actions: Vec<Vec<String>>,
     /// Per session (session-index order): did any of its queries end in a
-    /// final failure — exhausted retries, a permanent error, or a breaker
-    /// shed?
+    /// final failure — exhausted retries or a permanent error?
     pub degraded: Vec<bool>,
 }
 
@@ -173,8 +174,8 @@ pub struct Driver {
 }
 
 /// What one worker thread accumulated. Totals are kept in the report's own
-/// section types; their run-level fields (policy strings, rates, breaker
-/// transitions) are filled once in [`Driver::finish`].
+/// section types; their run-level fields (policy strings, rates) are
+/// filled once in [`Driver::finish`].
 #[derive(Default)]
 struct WorkerOutcome {
     latency: LatencyHistogram,
@@ -244,11 +245,6 @@ impl Driver {
         let sessions = source.sessions();
         let workers = self.resolve_workers(sessions);
         let cache = self.build_cache();
-        let breaker = self
-            .config
-            .resilience
-            .breaker_enabled()
-            .then(|| CircuitBreaker::new(&self.config.resilience));
         let arrivals = self.arrival_offsets(sessions);
         // Metric recording is scoped to the run: a capture at the start
         // lets the report carry only what this run itself recorded.
@@ -261,17 +257,20 @@ impl Driver {
             .collect_metrics
             .then(simba_obs::metrics::capture);
         let next = AtomicUsize::new(0);
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the run's wall time and open-loop arrival schedule are measured from here; no session input reads them"
+        )]
         let start = Instant::now();
         let outcomes: Vec<WorkerOutcome> = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..workers)
                 .map(|_| {
                     let engine = &engine;
                     let cache = cache.as_deref();
-                    let breaker = breaker.as_ref();
                     let next = &next;
                     let arrivals = &arrivals;
                     scope.spawn(move || {
-                        self.worker_loop(engine, cache, breaker, source, arrivals, next, start)
+                        self.worker_loop(engine, cache, source, arrivals, next, start)
                     })
                 })
                 .collect();
@@ -282,8 +281,13 @@ impl Driver {
                 // failure (engine errors, timeouts, panicking engines) into
                 // degraded-session outcomes, so a panic escaping it is a
                 // driver bug whose report would be garbage anyway.
-                // simba: allow(panic-hygiene): join only fails if worker_loop itself panicked; propagating that bug beats fabricating a report from partial outcomes
-                .map(|h| h.join().expect("worker panicked"))
+                .map(
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "join only fails if worker_loop itself panicked; propagating that bug beats fabricating a report from partial outcomes"
+                    )]
+                    |h| h.join().expect("worker panicked"),
+                )
                 .collect()
         });
         let wall = start.elapsed();
@@ -296,7 +300,6 @@ impl Driver {
             wall,
             outcomes,
             cache,
-            breaker.as_ref(),
             metrics,
         )
     }
@@ -368,7 +371,10 @@ impl Driver {
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
+    #[allow(
+        clippy::too_many_arguments,
+        reason = "the run-level state a report is assembled from, gathered at its one call site"
+    )]
     fn finish(
         &self,
         engine: &dyn Dbms,
@@ -377,7 +383,6 @@ impl Driver {
         wall: Duration,
         outcomes: Vec<WorkerOutcome>,
         cache: Option<Arc<ShardedResultCache>>,
-        breaker: Option<&CircuitBreaker>,
         metrics: Option<simba_obs::MetricsSnapshot>,
     ) -> DriverOutcome {
         let sessions = source.sessions();
@@ -475,12 +480,8 @@ impl Driver {
             // Reported when failure handling was configured or had anything
             // to handle; a clean run under an inert policy has no taxonomy.
             resilience: (self.config.resilience.is_active() || errors > 0).then(|| {
-                let breaker_stats = breaker.map(|b| b.stats()).unwrap_or_default();
                 ResilienceReport {
                     policy: self.config.resilience.describe(),
-                    breaker_opens: breaker_stats.opens,
-                    breaker_half_opens: breaker_stats.half_opens,
-                    breaker_closes: breaker_stats.closes,
                     degraded_sessions: degraded.iter().filter(|d| **d).count() as u64,
                     degraded: degraded.clone(),
                     ..resilience
@@ -497,12 +498,10 @@ impl Driver {
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn worker_loop(
         &self,
         engine: &Arc<dyn Dbms>,
         cache: Option<&ShardedResultCache>,
-        breaker: Option<&CircuitBreaker>,
         source: &dyn SessionSource,
         arrivals: &[Duration],
         next: &AtomicUsize,
@@ -524,19 +523,17 @@ impl Driver {
             // sampled session carries all of its steps, cache lookups, and
             // engine phases while an unsampled one records nothing.
             let _session = simba_obs::trace::span("driver.session", "driver");
-            self.run_session(engine, cache, breaker, source, user, lateness, &mut out);
+            self.run_session(engine, cache, source, user, lateness, &mut out);
         }
         out
     }
 
     /// One session: pull steps from the stream, execute their queries, and
     /// feed the results back for the next step.
-    #[allow(clippy::too_many_arguments)]
     fn run_session(
         &self,
         engine: &Arc<dyn Dbms>,
         cache: Option<&ShardedResultCache>,
-        breaker: Option<&CircuitBreaker>,
         source: &dyn SessionSource,
         user: usize,
         lateness: Duration,
@@ -612,7 +609,6 @@ impl Driver {
             observed = self.execute_step(
                 engine,
                 cache,
-                breaker,
                 &step,
                 pos,
                 &mut lateness,
@@ -637,12 +633,14 @@ impl Driver {
     /// and empty-result counts; returns per-query observations for the
     /// stream's feedback. Every query of every run goes through
     /// [`execute_query`](Self::execute_query).
-    #[allow(clippy::too_many_arguments)]
+    #[allow(
+        clippy::too_many_arguments,
+        reason = "the per-session state a step threads through to each of its queries"
+    )]
     fn execute_step(
         &self,
         engine: &Arc<dyn Dbms>,
         cache: Option<&ShardedResultCache>,
-        breaker: Option<&CircuitBreaker>,
         step: &SourceStep,
         pos: StepPos,
         lateness: &mut Duration,
@@ -653,44 +651,33 @@ impl Driver {
         let mut observed = Vec::with_capacity(step.queries.len());
         for (query_index, (_vis, query)) in step.queries.iter().enumerate() {
             out.queries += 1;
-            let executed =
-                self.execute_query(engine, cache, breaker, query, query_index, pos, delta, out);
+            let executed = self.execute_query(engine, cache, query, query_index, pos, delta, out);
             self.record_query_outcome(executed, lateness, out, fps, &mut observed);
         }
         observed
     }
 
     /// Execute one query to its final outcome — the one path every session
-    /// mode, cache setting and failure policy is timed through. Breaker
-    /// admission (nothing to admit without a breaker), then the attempt
-    /// loop — run *inside* the single-flight cache leader when caching, so
+    /// mode, cache setting and failure policy is timed through: the attempt
+    /// loop, run *inside* the single-flight cache leader when caching, so
     /// followers coalesced onto a flaky key observe the leader's post-retry
     /// outcome, never its raw first failure, and a cache hit leaves the
     /// session's delta store exactly as it was: only fresh executions
     /// consult or grow it.
-    #[allow(clippy::too_many_arguments)]
+    #[allow(
+        clippy::too_many_arguments,
+        reason = "the per-session state one query is executed against and recorded into"
+    )]
     fn execute_query(
         &self,
         engine: &Arc<dyn Dbms>,
         cache: Option<&ShardedResultCache>,
-        breaker: Option<&CircuitBreaker>,
         query: &Select,
         query_index: usize,
         pos: StepPos,
         delta: &mut Option<SessionDelta>,
         out: &mut WorkerOutcome,
     ) -> Result<(Observed, Duration), EngineError> {
-        // Admission: an open breaker sheds the query before any cache or
-        // engine work — failing fast is the point.
-        if let Some(br) = breaker {
-            if !br.try_acquire() {
-                let _shed = simba_obs::trace::span("driver.breaker", "driver");
-                out.resilience.shed += 1;
-                return Err(EngineError::Transient(
-                    "shed by open circuit breaker".to_string(),
-                ));
-            }
-        }
         let first = QueryCtx {
             session: pos.user,
             step: pos.step,
@@ -720,14 +707,6 @@ impl Driver {
         };
         if executed.is_ok() && out.resilience.retries > retries_before {
             out.resilience.retries_succeeded += 1;
-        }
-        if let Some(br) = breaker {
-            // The breaker judges *final* outcomes: a query that recovered
-            // on retry is a success, not evidence against the engine.
-            match &executed {
-                Ok(_) => br.on_success(),
-                Err(_) => br.on_failure(),
-            }
         }
         executed
     }

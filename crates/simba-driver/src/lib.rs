@@ -24,8 +24,8 @@
 //! * [`simba_obs::LatencyHistogram`] log-bucketed latencies feed a versioned
 //!   [`RunReport`] with throughput, p50/p95/p99, queue delay, steering
 //!   counters, and cache hit rates.
-//! * A [`ResiliencePolicy`] (per-query deadlines, seeded retry/backoff, a
-//!   circuit breaker) hardens the worker loop against the deterministic
+//! * A [`ResiliencePolicy`] (per-query deadlines, seeded retry/backoff)
+//!   hardens the worker loop against the deterministic
 //!   faults a [`simba_engine::FaultInjectingDbms`]-wrapped engine injects;
 //!   chaos runs report an error taxonomy and per-session degradation in
 //!   the [`FaultReport`]/[`ResilienceReport`] sections.
@@ -87,7 +87,7 @@ pub use report::{
     CacheReport, FaultReport, LatencySummary, ResilienceReport, RunReport, SteeringReport,
     ADHOC_SCENARIO,
 };
-pub use resilience::{jitter_key, BreakerStats, CircuitBreaker, ResiliencePolicy};
+pub use resilience::{jitter_key, ResiliencePolicy};
 pub use workload::registry::{all_scenarios, scenario, Scenario, ScenarioParams, SCENARIO_NAMES};
 pub use workload::{
     validate_addr, EngineSpec, ScenarioSpec, SourceSpec, TableCache, WorkloadError,

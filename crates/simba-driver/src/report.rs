@@ -97,23 +97,15 @@ pub struct ResilienceReport {
     pub transient_errors: u64,
     /// Attempts that failed with a permanent error.
     pub permanent_errors: u64,
-    /// Queries shed without execution by an open circuit breaker.
-    pub shed: u64,
     /// Attempts that panicked and were caught (treated as transient).
     pub panics_recovered: u64,
     /// Retry attempts issued (attempts beyond each query's first).
     pub retries: u64,
     /// Queries whose final outcome was success after ≥ 1 retry.
     pub retries_succeeded: u64,
-    /// Breaker transitions to open.
-    pub breaker_opens: u64,
-    /// Breaker transitions to half-open.
-    pub breaker_half_opens: u64,
-    /// Breaker transitions back to closed.
-    pub breaker_closes: u64,
     /// Per-session degraded flags, session-index order. A session is
     /// degraded when any of its queries ended in a final failure: exhausted
-    /// retries, a permanent error, or a breaker shed.
+    /// retries or a permanent error.
     pub degraded: Vec<bool>,
     /// `degraded.iter().filter(|d| **d).count()`, precomputed for
     /// threshold checks and dashboards.
@@ -122,13 +114,11 @@ pub struct ResilienceReport {
 
 impl ResilienceReport {
     /// Sum another worker's per-attempt counters into this one. The
-    /// run-level fields (policy, breaker transitions, degraded flags) are
-    /// not per-worker; the driver fills them once when the run ends.
+    /// run-level fields (policy, degraded flags) are not per-worker; the driver fills them once when the run ends.
     pub fn merge(&mut self, other: &ResilienceReport) {
         self.timeouts += other.timeouts;
         self.transient_errors += other.transient_errors;
         self.permanent_errors += other.permanent_errors;
-        self.shed += other.shed;
         self.panics_recovered += other.panics_recovered;
         self.retries += other.retries;
         self.retries_succeeded += other.retries_succeeded;
@@ -358,7 +348,7 @@ pub struct RunReport {
     /// Injected-fault totals; present exactly when the run had an active
     /// `fault` block (chaos runs).
     pub fault: Option<FaultReport>,
-    /// Error taxonomy, retry/breaker counters, and per-session degraded
+    /// Error taxonomy, retry counters, and per-session degraded
     /// flags; present when the run's
     /// [`ResiliencePolicy`](crate::resilience::ResiliencePolicy) was active
     /// or any query ended in an error.
@@ -392,7 +382,9 @@ impl RunReport {
     ///   collected result fingerprints).
     /// * 6 — dropped `cache.invalidations`: a cache lives for one run over
     ///   tables registered before it starts, so nothing invalidates it.
-    pub const SCHEMA_VERSION: u32 = 6;
+    /// * 7 — dropped `resilience.shed` and `resilience.breaker_{opens,
+    ///   half_opens,closes}` with the circuit breaker.
+    pub const SCHEMA_VERSION: u32 = 7;
 
     /// Pretty JSON, for harness output files.
     pub fn to_json(&self) -> String {
@@ -521,7 +513,7 @@ mod tests {
     fn report_serializes_to_json() {
         let report = sample();
         let json = report.to_json();
-        assert!(json.contains("\"schema_version\": 6"), "{json}");
+        assert!(json.contains("\"schema_version\": 7"), "{json}");
         assert!(json.contains("\"rows_scanned\": 52000"), "{json}");
         assert!(json.contains("\"morsels_pruned\": 6"), "{json}");
         assert!(json.contains("\"metrics\": null"), "{json}");
@@ -576,13 +568,9 @@ mod tests {
             timeouts: 1,
             transient_errors: 9,
             permanent_errors: 1,
-            shed: 0,
             panics_recovered: 2,
             retries: 12,
             retries_succeeded: 11,
-            breaker_opens: 0,
-            breaker_half_opens: 0,
-            breaker_closes: 0,
             degraded: vec![false, true, false, false],
             degraded_sessions: 1,
         });
@@ -640,8 +628,8 @@ mod tests {
         // must be rejected, not silently reinterpreted.
         let future = sample()
             .to_json()
-            .replace("\"schema_version\": 6", "\"schema_version\": 7");
+            .replace("\"schema_version\": 7", "\"schema_version\": 8");
         let err = RunReport::from_json(&future).unwrap_err();
-        assert!(err.contains("schema_version 7"), "{err}");
+        assert!(err.contains("schema_version 8"), "{err}");
     }
 }

@@ -449,8 +449,8 @@ pub struct ScenarioSpec {
     /// byte-identical to pre-chaos builds.
     #[serde(default, skip_serializing_if = "Option::is_none")]
     pub fault: Option<FaultConfig>,
-    /// Deadlines, retries and the circuit breaker around every query;
-    /// `None` is the inert policy (one attempt, no deadline, no breaker).
+    /// Deadlines and retries around every query; `None` is the inert
+    /// policy (one attempt, no deadline).
     #[serde(default, skip_serializing_if = "Option::is_none")]
     pub resilience: Option<ResiliencePolicy>,
 }
@@ -940,9 +940,6 @@ mod tests {
             max_retries: 3,
             backoff_base_ms: 10,
             backoff_cap_ms: 200,
-            breaker_failure_threshold: 5,
-            breaker_cooldown_ms: 2_000,
-            breaker_half_open_probes: 2,
         });
         spec.validate().unwrap();
         let parsed = ScenarioSpec::from_json(&spec.to_json()).unwrap();

@@ -262,9 +262,6 @@ fn chaos(params: &ScenarioParams) -> Vec<ScenarioSpec> {
         max_retries: 4,
         backoff_base_ms: 1,
         backoff_cap_ms: 8,
-        breaker_failure_threshold: 0,
-        breaker_cooldown_ms: 0,
-        breaker_half_open_probes: 1,
     };
 
     let mut specs = Vec::new();
@@ -309,15 +306,12 @@ fn chaos(params: &ScenarioParams) -> Vec<ScenarioSpec> {
     });
     specs.push(timeout);
 
-    // Breaker storm: every execution fails permanently, so the breaker
-    // must trip and shed; the run ends with every session degraded. This
-    // is the worst case the degraded-run report exists for.
+    // Permanent-error storm: every execution fails permanently, so the run
+    // ends with every session degraded. This is the worst case the
+    // degraded-run report exists for.
     let mut storm = params.base("chaos", users);
     storm.engine = EngineSpec::new(EngineKind::SqliteLike);
     storm.source = SourceSpec::scripted();
-    // Pace the storm past the breaker cooldown so half-open probes get a
-    // chance to run (and re-trip, since every probe fails too).
-    storm.think = ThinkTime::Fixed { millis: 10 };
     storm.fault = Some(FaultConfig {
         seed: fault_seed,
         permanent_error_prob: 1.0,
@@ -328,9 +322,6 @@ fn chaos(params: &ScenarioParams) -> Vec<ScenarioSpec> {
         max_retries: 1,
         backoff_base_ms: 1,
         backoff_cap_ms: 2,
-        breaker_failure_threshold: 3,
-        breaker_cooldown_ms: 50,
-        breaker_half_open_probes: 1,
     });
     specs.push(storm);
 
@@ -433,7 +424,7 @@ mod tests {
     fn chaos_covers_every_fault_kind_and_cache_state() {
         let sc = scenario("chaos", &ScenarioParams::default()).unwrap();
         let specs = &sc.specs;
-        // 4 engines x 2 cache states + timeout spec + breaker storm.
+        // 4 engines x 2 cache states + timeout spec + permanent-error storm.
         assert_eq!(specs.len(), 10);
         assert!(specs.iter().all(|s| s.fault.is_some()));
         assert!(specs.iter().all(|s| s.resilience.is_some()));
@@ -445,16 +436,14 @@ mod tests {
         assert!(faults.iter().any(|f| f.latency_spike_prob > 0.0));
         assert!(faults.iter().any(|f| f.panic_prob > 0.0));
         // At least one spec forces timeouts (deadline under spike length)
-        // and one enables the breaker.
+        // and one fails every execution permanently.
         assert!(specs.iter().any(|s| {
             let (Some(f), Some(r)) = (&s.fault, &s.resilience) else {
                 return false;
             };
             r.deadline_ms > 0 && f.latency_spike_ms > r.deadline_ms
         }));
-        assert!(specs
-            .iter()
-            .any(|s| s.resilience.as_ref().unwrap().breaker_failure_threshold > 0));
+        assert!(faults.iter().any(|f| f.permanent_error_prob >= 1.0));
     }
 
     #[test]

@@ -42,9 +42,6 @@ fn retrying_policy() -> ResiliencePolicy {
         max_retries: 6,
         backoff_base_ms: 0,
         backoff_cap_ms: 0,
-        breaker_failure_threshold: 0,
-        breaker_cooldown_ms: 0,
-        breaker_half_open_probes: 1,
     }
 }
 
@@ -235,6 +232,10 @@ fn deadline_abandons_wedged_queries_and_finishes_the_run() {
         },
         ..Default::default()
     });
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the deadline's stopwatch: the test asserts wall time, never result content"
+    )]
     let start = Instant::now();
     let outcome = driver.run_source(Arc::new(WedgedEngine), &ScriptedSource::borrowed(&scripts));
     let elapsed = start.elapsed();

@@ -147,7 +147,10 @@ impl Accumulator {
             (Accumulator::CountStar(a), Accumulator::CountStar(b))
             | (Accumulator::Count(a), Accumulator::Count(b)) => *a += b,
             (Accumulator::CountDistinct(a), Accumulator::CountDistinct(b)) => {
-                // simba: allow(nondeterministic-iteration): set union — insertion order cannot change the resulting set or its count
+                #[expect(
+                    clippy::disallowed_methods,
+                    reason = "set union — insertion order cannot change the resulting set or its count"
+                )]
                 a.extend(b.iter().cloned());
             }
             (

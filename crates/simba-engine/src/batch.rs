@@ -13,6 +13,8 @@
 //! Semantics are pinned to the row path: the equivalence suite requires
 //! byte-identical results from both.
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use crate::eval::{eval, eval_predicate, TableRow};
 use crate::exec::{compile_kernels, ExecStats, Kernel};
 use crate::group::GroupTable;
@@ -435,8 +437,13 @@ pub fn run_morsels(
                     .collect();
                 handles
                     .into_iter()
-                    // simba: allow(panic-hygiene): scan_range catches no panics by design — a panicking scan worker is an engine bug, and re-raising it here is the only honest outcome
-                    .map(|h| h.join().expect("scan worker panicked"))
+                    .map(
+                        #[expect(
+                            clippy::expect_used,
+                            reason = "scan_range catches no panics by design — a panicking scan worker is an engine bug, and re-raising it here is the only honest outcome"
+                        )]
+                        |h| h.join().expect("scan worker panicked"),
+                    )
                     .collect()
             })
         }
@@ -453,7 +460,10 @@ pub fn run_morsels(
         stats.delta_rows_saved = n - seed.len();
     }
     let mut iter = partials.into_iter();
-    // simba: allow(panic-hygiene): split_ranges always yields >= 1 range, so there is always a first partial
+    #[expect(
+        clippy::expect_used,
+        reason = "split_ranges always yields >= 1 range, so there is always a first partial"
+    )]
     let first = iter.next().expect("at least one scan range");
     stats.rows_matched = first.matched;
     stats.rows_scanned -= first.skipped;

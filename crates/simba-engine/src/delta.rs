@@ -49,6 +49,8 @@
 //! sound implication), and the differential suite pins delta-on execution
 //! byte-identical to fresh execution.
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use crate::batch::{run_from_cache, run_morsels, DeltaScan, RowBitmap};
 use crate::engines::execute_common;
 use crate::error::EngineError;

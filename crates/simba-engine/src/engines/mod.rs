@@ -5,6 +5,8 @@
 //! results are identical — but iterate storage very differently, which is
 //! what produces their distinct latency profiles.
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 pub mod duckdb_like;
 pub mod monetdb_like;
 pub mod postgres_like;
@@ -33,7 +35,10 @@ pub(crate) fn execute_common(
     runner: impl FnOnce(&PreparedQuery) -> (ResultBuilder, ExecStats),
 ) -> Result<QueryOutput, EngineError> {
     let _span = simba_obs::trace::span("engine.execute", "engine");
-    // simba: allow(wall-clock-outside-obs): `elapsed` is the engine-latency deliverable consumed by latency stats; results and fingerprints never see it
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "`elapsed` is the engine-latency deliverable consumed by latency stats; results and fingerprints never see it"
+    )]
     let start = Instant::now();
     let plan = {
         let _p = simba_obs::phase!("engine.plan", "engine", "engine.phase.plan");

@@ -5,6 +5,8 @@
 //! latency, never in results — the property the benchmark's comparative
 //! claims rest on.
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use crate::agg::{Accumulator, AggSpec};
 use crate::error::EngineError;
 use crate::eval::{eval, eval_predicate, CExpr, RowSlice, TableRow};
@@ -407,7 +409,10 @@ fn range_kernel(col: usize, lo: i128, hi: i128, negated: bool) -> Kernel {
 }
 
 fn dict_in_kernel(col: usize, column: &ColumnData, values: &[Value], negated: bool) -> Kernel {
-    // simba: allow(panic-hygiene): kernel selection only routes dictionary-encoded string columns here; a bare column is a planner bug
+    #[expect(
+        clippy::expect_used,
+        reason = "kernel selection only routes dictionary-encoded string columns here; a bare column is a planner bug"
+    )]
     let dict = column.dictionary().expect("string column has a dictionary");
     // Only a string literal can equal a dictionary entry.
     let wanted: Vec<&str> = values
@@ -554,7 +559,10 @@ pub fn run_row(plan: &PreparedQuery) -> (ResultBuilder, ExecStats) {
 /// same [`QueryOutput`] shape as `Dbms::execute`. Benchmarks and equivalence
 /// tests use this as the reference implementation.
 pub fn execute_row_oracle(table: Arc<Table>, query: &Select) -> Result<QueryOutput, EngineError> {
-    // simba: allow(wall-clock-outside-obs): latency parity with Dbms::execute — `elapsed` is the measured deliverable, never result content
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "latency parity with Dbms::execute — `elapsed` is the measured deliverable, never result content"
+    )]
     let start = Instant::now();
     let plan = prepare(query, table)?;
     let (rows, stats) = run_row(&plan);

@@ -54,6 +54,8 @@
 //! `GroupRow` view, which reads a key part or finalizes an aggregate only
 //! when HAVING or a projection asks for it.
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use crate::agg::{Accumulator, AggSpec};
 use crate::batch::MAX_CAPTURED_GROUPS;
 use crate::eval::{eval, eval_predicate, CExpr, ColumnAccess, TableRow};
@@ -651,7 +653,10 @@ impl KeyIndex {
 /// column, `null_slot` for NULL rows.
 fn dict_key_slots(col: &ColumnData, rows: &[u32], slots: &mut Vec<u32>, null_slot: u32) {
     slots.clear();
-    // simba: allow(panic-hygiene): the dense index is only built over a dictionary-encoded key column; a codeless column is a planner bug
+    #[expect(
+        clippy::expect_used,
+        reason = "the dense index is only built over a dictionary-encoded key column; a codeless column is a planner bug"
+    )]
     let codes = col.code_data().expect("dict key column");
     let valid = col.validity();
     for_width!(codes, |lane| if valid.is_empty() {

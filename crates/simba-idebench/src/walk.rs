@@ -95,7 +95,10 @@ impl<'a> IdeBenchWalk<'a> {
 
     /// Advance the walk one step (the initial render first, then
     /// `interactions` random filter mutations), or `None` when done.
-    #[allow(clippy::should_implement_trait)] // not an Iterator: borrows state per call
+    #[allow(
+        clippy::should_implement_trait,
+        reason = "not an Iterator: borrows state per call"
+    )]
     pub fn next(&mut self) -> Option<IdeStep> {
         let step = self.next_step;
         if step > self.interactions {

@@ -239,6 +239,10 @@ impl PhaseGuard {
     /// Wrap `span`; `hist` is only resolved when metrics are enabled.
     pub fn new(span: SpanGuard, hist: impl FnOnce() -> Histogram) -> PhaseGuard {
         let metric = if is_enabled() {
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "the observability substrate is about time: a phase's duration is what it records"
+            )]
             Some((hist(), Instant::now()))
         } else {
             None

@@ -63,6 +63,10 @@ fn stripes() -> &'static [Mutex<Vec<TraceEvent>>; STRIPES] {
 
 fn epoch() -> &'static Instant {
     static E: OnceLock<Instant> = OnceLock::new();
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the observability substrate is about time: span timestamps count from this epoch"
+    )]
     E.get_or_init(Instant::now)
 }
 

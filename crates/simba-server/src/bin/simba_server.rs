@@ -14,10 +14,12 @@
 //! The second form is the matching control client: it dials the address,
 //! sends a shutdown frame, and waits for the acknowledgement.
 //!
-//! Configuration is flags-only, deliberately: the workspace determinism
-//! lint confines environment reads to the `bench` CLI, and a server that
-//! can only be configured by its command line is trivially reproducible
-//! from a process listing.
+//! Configuration is flags-only, deliberately: the workspace `clippy.toml`
+//! bans environment reads in every crate, and a server that can only be
+//! configured by its command line is trivially reproducible from a
+//! process listing.
+
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 
 use simba_server::client::{TcpTransport, Transport};
 use simba_server::proto::{Frame, Request, Response};

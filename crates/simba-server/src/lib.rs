@@ -30,6 +30,7 @@
 //! what lets CI pin remote-vs-local fingerprint equality.
 
 #![warn(missing_docs)]
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 
 pub mod client;
 mod codec;

@@ -12,8 +12,8 @@
 //! All blocking reads use a short poll timeout instead of wall-clock
 //! arithmetic: the reader counts consecutive empty polls to detect idle
 //! connections, and re-checks the drain flag between polls. This keeps
-//! the server free of `Instant::now()` outside the obs layer, matching
-//! the workspace-wide determinism lint.
+//! the server free of `Instant::now()`, which the workspace `clippy.toml`
+//! bans outside a site that sanctions it with an `#[expect]`.
 
 use crate::core::ServerCore;
 use crate::proto::{Decoder, Frame, WireError};

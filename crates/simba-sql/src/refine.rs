@@ -28,6 +28,8 @@
 //! Soundness matters more than completeness here: a wrong `true` silently
 //!   returns stale rows, while a wrong `false` merely rescans.
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use crate::ast::Select;
 use crate::normalize::NormalizedSelect;
 

@@ -1,7 +1,10 @@
 //! Query generators shared by the `simba-sql` integration tests: the random
 //! AST strategies of `prop_roundtrip.rs`, and the aggregation-shape storm of
 //! `simba-driver`'s `delta_equivalence.rs` as SQL text.
-#![allow(dead_code)]
+#![allow(
+    dead_code,
+    reason = "each test target uses only some of the shared generators"
+)]
 
 pub mod six_pass;
 

@@ -98,16 +98,26 @@ pub enum Lanes<'a, T: NarrowInt> {
 #[macro_export]
 macro_rules! for_width {
     ($vec:expr, |$lane:ident| $body:expr) => {
-        // A lane may be the logical type itself, where the cast the body
-        // spells for every lane is a no-op.
         match $crate::narrow::NarrowVec::lanes($vec) {
-            #[allow(clippy::unnecessary_cast)]
+            #[allow(
+                clippy::unnecessary_cast,
+                reason = "a lane may be the logical type itself, where the cast the body spells for every lane is a no-op"
+            )]
             $crate::narrow::Lanes::W1($lane) => $body,
-            #[allow(clippy::unnecessary_cast)]
+            #[allow(
+                clippy::unnecessary_cast,
+                reason = "a lane may be the logical type itself, where the cast the body spells for every lane is a no-op"
+            )]
             $crate::narrow::Lanes::W2($lane) => $body,
-            #[allow(clippy::unnecessary_cast)]
+            #[allow(
+                clippy::unnecessary_cast,
+                reason = "a lane may be the logical type itself, where the cast the body spells for every lane is a no-op"
+            )]
             $crate::narrow::Lanes::W4($lane) => $body,
-            #[allow(clippy::unnecessary_cast)]
+            #[allow(
+                clippy::unnecessary_cast,
+                reason = "a lane may be the logical type itself, where the cast the body spells for every lane is a no-op"
+            )]
             $crate::narrow::Lanes::W8($lane) => $body,
         }
     };

@@ -658,7 +658,10 @@ impl CoverageStore {
             .collect();
         let goal_rows: Vec<_> = goal.rows().map(|r| r.to_vec()).collect();
         let mut best = 0usize;
-        // simba: allow(nondeterministic-iteration): max over per-signature coverage counts — visiting signatures in any order yields the same maximum
+        #[expect(
+            clippy::iter_over_hash_type,
+            reason = "max over per-signature coverage counts — visiting signatures in any order yields the same maximum"
+        )]
         for (sig, bag) in &self.seen {
             // Map goal columns into this signature.
             let Some(indices) = goal_cols
@@ -668,12 +671,7 @@ impl CoverageStore {
             else {
                 continue;
             };
-            // Project the absorbed rows onto the goal columns.
-            let mut have: HashMap<Vec<Value>, usize> = HashMap::with_capacity(bag.len());
-            for (row, count) in bag {
-                let projected: Vec<Value> = indices.iter().map(|&i| row[i].clone()).collect();
-                *have.entry(projected).or_insert(0) += count;
-            }
+            let mut have = project(bag, &indices);
             let mut covered = 0usize;
             for r in &goal_rows {
                 if let Some(count) = have.get_mut(r) {
@@ -692,6 +690,21 @@ impl CoverageStore {
     pub fn covers(&self, goal: &ResultSet) -> bool {
         self.covered_rows(goal) == goal.n_rows()
     }
+}
+
+/// Project the absorbed rows of one signature onto the goal columns at
+/// `indices`, summing the counts of rows that meet.
+fn project(bag: &HashMap<Vec<Value>, usize>, indices: &[usize]) -> HashMap<Vec<Value>, usize> {
+    let mut have: HashMap<Vec<Value>, usize> = HashMap::with_capacity(bag.len());
+    #[expect(
+        clippy::iter_over_hash_type,
+        reason = "count merge — adding counts in any order yields the same sums"
+    )]
+    for (row, count) in bag {
+        let projected: Vec<Value> = indices.iter().map(|&i| row[i].clone()).collect();
+        *have.entry(projected).or_insert(0) += count;
+    }
+    have
 }
 
 #[cfg(test)]
