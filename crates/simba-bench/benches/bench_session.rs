@@ -1,8 +1,12 @@
 //! Criterion benchmark: full SIMBA sessions and IDEBench runs at matched
-//! interaction counts — the end-to-end cost of each benchmarking approach.
+//! interaction counts — the end-to-end cost of each benchmarking approach —
+//! and the synthesis of a scripted batch (`synthesize/`), which a scripted
+//! workload pays before its first query.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use simba_core::dashboard::Dashboard;
+use simba_core::markov::MarkovModel;
+use simba_core::session::batch::{synthesize_scripts, BatchConfig};
 use simba_core::session::interleave::DecayConfig;
 use simba_core::session::workflows::Workflow;
 use simba_core::session::{SessionConfig, SessionRunner};
@@ -70,5 +74,25 @@ fn bench_session(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_session);
+/// The benchmark's wire batch: `customer_service` at 10K rows, 12 sessions
+/// × 192 interactions (8,199 step queries, 2,287 distinct).
+fn bench_synthesize(c: &mut Criterion) {
+    let ds = DashboardDataset::CustomerService;
+    let table = ds.generate_rows(10_000, 7);
+    let dashboard = Dashboard::new(builtin(ds), &table).unwrap();
+    let config = BatchConfig {
+        base_seed: 7,
+        steps_per_session: 192,
+        mix: MarkovModel::presets(),
+    };
+
+    let mut group = c.benchmark_group("synthesize");
+    group.sample_size(10);
+    group.bench_function("customer_service_12x192", |b| {
+        b.iter(|| synthesize_scripts(&dashboard, &config, 12).len())
+    });
+    group.finish();
+}
+
+criterion_group!(benches, bench_session, bench_synthesize);
 criterion_main!(benches);

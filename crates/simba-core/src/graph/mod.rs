@@ -245,6 +245,44 @@ pub enum NodeState {
     VisSelection(BTreeSet<String>),
 }
 
+impl NodeState {
+    /// Append this state's exact key to `out`: a tag, then each string
+    /// length-prefixed, each range bound by its bits. The encoding is
+    /// self-delimiting, so two states write the same bytes exactly when
+    /// they are the same state — `0.0` and `-0.0` bounds included, which
+    /// `==` would equate and print differently.
+    pub(crate) fn write_key(&self, out: &mut Vec<u8>) {
+        fn len(out: &mut Vec<u8>, n: usize) {
+            let n =
+                u32::try_from(n).expect("a state's strings are category labels, far under 4 GiB");
+            out.extend_from_slice(&n.to_le_bytes());
+        }
+        fn strs<'s>(out: &mut Vec<u8>, tag: u8, set: impl ExactSizeIterator<Item = &'s String>) {
+            out.push(tag);
+            len(out, set.len());
+            for s in set {
+                len(out, s.len());
+                out.extend_from_slice(s.as_bytes());
+            }
+        }
+        match self {
+            NodeState::Widget(WidgetState::Checkbox { selected }) => strs(out, 0, selected.iter()),
+            NodeState::Widget(WidgetState::Single { selected }) => {
+                strs(out, 1, selected.iter());
+            }
+            NodeState::Widget(WidgetState::Range { bounds: None }) => out.push(2),
+            NodeState::Widget(WidgetState::Range {
+                bounds: Some((lo, hi)),
+            }) => {
+                out.push(3);
+                out.extend_from_slice(&lo.to_bits().to_le_bytes());
+                out.extend_from_slice(&hi.to_bits().to_le_bytes());
+            }
+            NodeState::VisSelection(selected) => strs(out, 4, selected.iter()),
+        }
+    }
+}
+
 /// The complete interaction-layer state: one entry per graph node.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct DashboardState {

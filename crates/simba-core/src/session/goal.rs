@@ -149,8 +149,9 @@ impl SessionStream for GoalStream<'_> {
             self.plan(step)?
         };
         self.models.push((model, planned.kind));
-        self.pending = planned.queries.iter().map(|(_, q)| q.clone()).collect();
-        Some(SourceStep::planned(self.planner.dashboard(), &planned))
+        let step = SourceStep::planned(&self.planner, &planned);
+        self.pending = step.queries.iter().map(|(_, q)| q.clone()).collect();
+        Some(step)
     }
 }
 

@@ -3,20 +3,26 @@
 //!
 //! Every dashboard session model needs the same core loop — hold a
 //! [`DashboardState`], sample the next action from a [`MarkovModel`], apply
-//! it, and collect the refreshed queries. The planner owns exactly that
+//! it, and note which charts it refreshes. The planner owns exactly that
 //! loop and nothing engine-shaped, so scripted synthesis ([`super::batch`]),
 //! adaptive walks and goal-directed sessions ([`super::goal`], which also
 //! applies the Oracle's actions) share one walk implementation: identical
 //! seeds produce identical action sequences in all of them.
+//!
+//! A planned step names the visualizations it refreshes, not their queries:
+//! each query is built once, from the planner's state, where the step is
+//! handed out — [`SourceStep::planned`](super::source::SourceStep) for live
+//! streams, the batch's memo for scripts (which builds only the queries it
+//! has not seen).
 
 use crate::actions::{Action, ActionKind};
 use crate::dashboard::Dashboard;
 use crate::graph::{DashboardState, NodeId};
 use crate::markov::MarkovModel;
 use rand::Rng;
-use simba_sql::Select;
 
-/// One planned step: the action taken (if any) and the queries it emits.
+/// One planned step: the action taken (if any) and the visualizations it
+/// refreshes.
 #[derive(Debug, Clone)]
 pub struct PlannedStep {
     /// The applied action; `None` for the initial dashboard render.
@@ -25,8 +31,10 @@ pub struct PlannedStep {
     pub description: String,
     /// Coarse kind of the action (`None` for the initial render).
     pub kind: Option<ActionKind>,
-    /// Refreshed visualization queries, in node order.
-    pub queries: Vec<(NodeId, Select)>,
+    /// Refreshed visualizations, in node order. Their queries are built
+    /// from the planner's [`state`](SessionPlanner::state) until the next
+    /// step.
+    pub nodes: Vec<NodeId>,
 }
 
 /// Walks one simulated user through a dashboard without executing queries.
@@ -71,14 +79,14 @@ impl<'a> SessionPlanner<'a> {
         self.prev
     }
 
-    /// The "open dashboard" step: every visualization's query in the
-    /// current state. Does not advance the walk.
+    /// The "open dashboard" step: every visualization, in the current
+    /// state. Does not advance the walk.
     pub fn initial_render(&self) -> PlannedStep {
         PlannedStep {
             action: None,
             description: "open dashboard".to_string(),
             kind: None,
-            queries: self.dashboard.all_queries(&self.state),
+            nodes: self.dashboard.graph().visualization_nodes(),
         }
     }
 
@@ -97,13 +105,13 @@ impl<'a> SessionPlanner<'a> {
         let graph = self.dashboard.graph();
         let description = action.describe(graph);
         let kind = action.kind(graph);
-        let queries = self.dashboard.apply(&mut self.state, &action);
+        let nodes = action.apply(graph, &mut self.state);
         self.prev = Some(kind);
         PlannedStep {
             action: Some(action),
             description,
             kind: Some(kind),
-            queries,
+            nodes,
         }
     }
 }
@@ -129,7 +137,7 @@ mod tests {
         let step = planner.initial_render();
         assert_eq!(step.action, None);
         assert_eq!(step.kind, None);
-        assert_eq!(step.queries.len(), d.all_queries(&d.initial_state()).len());
+        assert_eq!(step.nodes.len(), d.all_queries(&d.initial_state()).len());
     }
 
     #[test]
@@ -160,6 +168,10 @@ mod tests {
         assert_eq!(step.kind, Some(ActionKind::Checkbox));
         assert_eq!(planner.prev_kind(), Some(ActionKind::Checkbox));
         assert_eq!(planner.state().active_count(), 1);
-        assert_eq!(step.queries.len(), 5, "checkbox refreshes all five charts");
+        assert_eq!(step.nodes.len(), 5, "checkbox refreshes all five charts");
+        for &node in &step.nodes {
+            let sql = d.query_for(planner.state(), node).to_string();
+            assert!(sql.contains("queue IN ('A')"), "{sql}");
+        }
     }
 }

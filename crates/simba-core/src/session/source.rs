@@ -52,14 +52,19 @@ pub struct SourceStep {
 }
 
 impl SourceStep {
-    /// A planned step as streams emit it: each node becomes its
-    /// visualization id.
-    pub(crate) fn planned(dashboard: &Dashboard, planned: &PlannedStep) -> SourceStep {
-        let vis = |(n, q): &(NodeId, Select)| (dashboard.graph().id(*n).to_string(), q.clone());
+    /// A planned step as streams emit it: each refreshed node becomes its
+    /// visualization id and its query, built here, once, from the
+    /// planner's state.
+    pub(crate) fn planned(planner: &SessionPlanner<'_>, planned: &PlannedStep) -> SourceStep {
+        let dashboard = planner.dashboard();
+        let vis = |&n: &NodeId| {
+            let query = dashboard.query_for(planner.state(), n);
+            (dashboard.graph().id(n).to_string(), query)
+        };
         SourceStep {
             description: planned.description.clone(),
             steering: None,
-            queries: planned.queries.iter().map(vis).collect(),
+            queries: planned.nodes.iter().map(vis).collect(),
         }
     }
 }
@@ -251,7 +256,7 @@ impl SessionStream for ScriptedStream<'_> {
             queries: step
                 .queries
                 .iter()
-                .map(|q| (q.vis.clone(), q.query.clone()))
+                .map(|q| (q.vis.to_string(), Select::clone(&q.query)))
                 .collect(),
         })
     }
@@ -364,13 +369,14 @@ struct AdaptiveStream<'a> {
 }
 
 impl AdaptiveStream<'_> {
-    fn record(&mut self, planned: &PlannedStep, steered: bool) -> SourceStep {
+    fn record(&mut self, planned: PlannedStep, steered: bool) -> SourceStep {
+        let step = SourceStep::planned(&self.planner, &planned);
         self.last = Some(LastStep {
-            action: planned.action.clone(),
-            nodes: planned.queries.iter().map(|(n, _)| *n).collect(),
+            action: planned.action,
+            nodes: planned.nodes,
             steered,
         });
-        SourceStep::planned(self.planner.dashboard(), planned)
+        step
     }
 
     /// Ask the policy for a correction to the previous step.
@@ -405,7 +411,7 @@ impl SessionStream for AdaptiveStream<'_> {
     fn next_step(&mut self, feedback: &[QueryFeedback<'_>]) -> Option<SourceStep> {
         if self.last.is_none() {
             let planned = self.planner.initial_render();
-            return Some(self.record(&planned, false));
+            return Some(self.record(planned, false));
         }
         if self.remaining == 0 {
             return None;
@@ -415,7 +421,7 @@ impl SessionStream for AdaptiveStream<'_> {
             None => (None, self.planner.plan_next(&mut self.walk_rng)?),
         };
         self.remaining -= 1;
-        let mut step = self.record(&planned, steering.is_some());
+        let mut step = self.record(planned, steering.is_some());
         step.steering = steering;
         Some(step)
     }
@@ -465,7 +471,7 @@ mod tests {
                 assert_eq!(got.steering, None);
                 assert_eq!(got.queries.len(), want.queries.len());
                 for ((vis, q), sq) in got.queries.iter().zip(&want.queries) {
-                    assert_eq!(vis, &sq.vis);
+                    assert_eq!(vis.as_str(), &*sq.vis);
                     assert_eq!(q.to_string(), sq.query.to_string());
                 }
             }

@@ -107,8 +107,8 @@ fn shape_storm(seed: u64, sessions: usize, steps: usize) -> Vec<SessionScript> {
                                 projections(key, next(3) as u64)
                             );
                             ScriptQuery {
-                                vis: format!("shape{i}"),
-                                query: parse_select(&sql).unwrap(),
+                                vis: format!("shape{i}").into(),
+                                query: Arc::new(parse_select(&sql).unwrap()),
                             }
                         })
                         .collect();
@@ -203,8 +203,8 @@ fn range_storm(seed: u64, sessions: usize, steps: usize) -> Vec<SessionScript> {
                                 ),
                             };
                             ScriptQuery {
-                                vis: format!("range{n}"),
-                                query: parse_select(&sql).unwrap(),
+                                vis: format!("range{n}").into(),
+                                query: Arc::new(parse_select(&sql).unwrap()),
                             }
                         })
                         .collect();
@@ -655,11 +655,13 @@ fn abandoned_attempt_keeps_the_store_counters() {
         .iter()
         .enumerate()
         .map(|(i, filter)| ScriptQuery {
-            vis: format!("v{i}"),
-            query: parse_select(&format!(
-                "SELECT queue, COUNT(*) FROM customer_service WHERE {filter} GROUP BY queue ORDER BY queue"
-            ))
-            .unwrap(),
+            vis: format!("v{i}").into(),
+            query: Arc::new(
+                parse_select(&format!(
+                    "SELECT queue, COUNT(*) FROM customer_service WHERE {filter} GROUP BY queue ORDER BY queue"
+                ))
+                .unwrap(),
+            ),
         })
         .collect();
     let script = SessionScript {
