@@ -1,4 +1,4 @@
-//! Criterion microbenchmarks: the four engine architectures on fixed
+//! Criterion microbenchmarks: the two engine architectures on fixed
 //! dashboard-shaped queries (supports the §6 engine comparison), the
 //! filter compiler's kernels against what they replace, the plan layer
 //! (`prepare` plus `compile_kernels`) on storm-shaped filters, the group

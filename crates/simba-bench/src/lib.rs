@@ -24,7 +24,7 @@
 //! | `paper/table4_workload_stats` | Table 4: workload shape statistics |
 //! | `paper/figure9_idebench` | Figure 9: IDEBench dashboard variance |
 //! | `paper/user_study_probe` | §6.4: realism probe + binomial test |
-//! | `paper/dbms_shootout` | §6 headline: four engines × dataset sizes |
+//! | `paper/dbms_shootout` | §6 headline: the two engine architectures × dataset sizes |
 //! | `paper/ablation_interleave` | interleaving ablation (P(Markov) ∈ {0, ½, 1}) |
 //! | `paper/ablation_horizon` | Oracle lookahead-depth ablation |
 //!

@@ -107,7 +107,7 @@ pub static EXPERIMENTS: [Experiment; 9] = [
     },
     Experiment {
         name: "dbms_shootout",
-        about: "§6 headline: four engines x dataset sizes",
+        about: "§6 headline: the two engine architectures x dataset sizes",
         run: dbms_shootout,
     },
     Experiment {
@@ -190,7 +190,9 @@ fn table3_grid(k: &Knobs, out: &mut dyn Write) -> io::Result<()> {
     writeln!(
         out,
         "parameters: {} dashboards x {} workflows x {} engines",
-        6, 3, 4
+        6,
+        3,
+        EngineKind::ALL.len()
     )?;
     writeln!(out)?;
     writeln!(
@@ -722,9 +724,11 @@ fn user_study_probe(k: &Knobs, out: &mut dyn Write) -> io::Result<()> {
     )
 }
 
-/// §6 headline: the four DBMS architectures across dataset sizes on one
-/// fixed workload. Reports mean/p95 latency per engine per size so scaling
-/// behavior (who degrades fastest as rows grow) is visible.
+/// §6 headline: the engine architectures across dataset sizes on one fixed
+/// workload. Reports mean/p95 latency per engine per size so scaling
+/// behavior (who degrades fastest as rows grow) is visible. The paper
+/// compares four DBMSs; their in-process stand-ins come down to two
+/// architectures, and the header says why.
 fn dbms_shootout(k: &Knobs, out: &mut dyn Write) -> io::Result<()> {
     // Sizes scale with --rows as the largest: [max/25, max/5, max].
     let max_rows = k.rows.unwrap_or(250_000);
@@ -732,6 +736,15 @@ fn dbms_shootout(k: &Knobs, out: &mut dyn Write) -> io::Result<()> {
     writeln!(
         out,
         "=== DBMS shootout: Customer Service workload at {sizes:?} rows ===\n"
+    )?;
+    writeln!(
+        out,
+        "engines: duckdb-like (vectorized morsels, typed filter kernels, one group\n\
+         table) and sqlite-like (row-at-a-time interpreter, the oracle). The paper\n\
+         compares four DBMSs; a block-at-a-time row store and an operator-at-a-time\n\
+         column store ran duckdb-like's kernels and group table over 1,024-row\n\
+         blocks or the whole table, and their rankings against it changed from run\n\
+         to run, so two architectures are all these engines can tell apart.\n"
     )?;
     writeln!(
         out,

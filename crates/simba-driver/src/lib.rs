@@ -2,7 +2,7 @@
 //!
 //! The paper benchmarks one exploration session at a time; a production
 //! deployment serves *many simultaneous users* whose dashboards hammer the
-//! same engine. This crate turns the session sources plus the four engines
+//! same engine. This crate turns the session sources plus the two engines
 //! into a load-generation harness with **one execution surface**:
 //!
 //! * [`workload::ScenarioSpec`] declaratively describes a run — dataset,

@@ -130,14 +130,15 @@ impl ResilienceReport {
 /// does not re-count the work its leader already did.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct ExecReport {
-    /// Rows actually read from storage (rows inside zone-pruned morsels
-    /// are never read and never counted).
+    /// Rows actually read from storage. A filter the kernel compiler
+    /// proves cannot match reads none, so its rows are never counted.
     pub rows_scanned: u64,
     /// Rows that survived all filter predicates.
     pub rows_matched: u64,
     /// Groups materialized by aggregation.
     pub groups: u64,
-    /// Morsels skipped whole via zone-map pruning.
+    /// Morsels skipped without reading a row: every morsel of the table
+    /// when the compiled filter cannot match, otherwise none.
     pub morsels_pruned: u64,
 }
 

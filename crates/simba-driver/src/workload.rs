@@ -129,7 +129,7 @@ impl std::fmt::Display for WorkloadError {
 
 impl std::error::Error for WorkloadError {}
 
-/// Engine selection: which of the four architectures, at what intra-query
+/// Engine selection: which of the two architectures, at what intra-query
 /// scan parallelism — and *where* it runs.
 ///
 /// `Local` executes in-process, as every scenario did before the server
@@ -151,8 +151,7 @@ impl std::error::Error for WorkloadError {}
 pub enum EngineSpec {
     /// An in-process engine.
     Local {
-        /// Engine name (`"duckdb-like"`, `"postgres-like"`,
-        /// `"sqlite-like"`, `"monetdb-like"`).
+        /// Engine name (`"duckdb-like"` or `"sqlite-like"`).
         kind: String,
         /// Morsel-parallel scan threads; `1` = sequential, `0` = one per
         /// core. Only `duckdb-like` honors values other than 1.
@@ -819,12 +818,12 @@ mod tests {
             "{json}"
         );
 
-        let remote = EngineSpec::remote("10.0.0.7:4640", EngineSpec::local("monetdb-like", 1));
+        let remote = EngineSpec::remote("10.0.0.7:4640", EngineSpec::local("sqlite-like", 1));
         let json = serde_json::to_string(&remote).unwrap();
         assert!(json.contains("\"addr\""), "{json}");
         let back: EngineSpec = serde_json::from_str(&json).unwrap();
         assert_eq!(back, remote);
-        assert_eq!(back.kind_name(), "monetdb-like");
+        assert_eq!(back.kind_name(), "sqlite-like");
         assert_eq!(back.scan_threads(), 1);
         assert!(back.is_remote());
         assert!(back.needs_external_server());
@@ -832,6 +831,39 @@ mod tests {
             !EngineSpec::remote("loopback", EngineSpec::new(EngineKind::SqliteLike))
                 .needs_external_server()
         );
+    }
+
+    /// `postgres-like` and `monetdb-like` were engines once (they ran the
+    /// vectorized executor over other range sizes). Their names are now
+    /// unknown wherever an engine is named: no alias maps them onto
+    /// `duckdb-like`.
+    #[test]
+    fn retired_engine_names_are_unknown_everywhere() {
+        for name in ["postgres-like", "monetdb-like"] {
+            assert_eq!(EngineKind::from_name(name), None, "{name}");
+        }
+
+        let json = ScenarioSpec::new("retired", "customer_service")
+            .to_json()
+            .replace("\"duckdb-like\"", "\"monetdb-like\"");
+        assert!(json.contains("\"kind\": \"monetdb-like\""), "{json}");
+        let spec = ScenarioSpec::from_json(&json).expect("the JSON itself parses");
+        assert_eq!(
+            spec.validate(),
+            Err(WorkloadError::UnknownEngine("monetdb-like".into()))
+        );
+
+        use simba_server::proto::{EngineSel, Request, Response};
+        let server = simba_server::ServerCore::new();
+        let reply = server.handle(Request::Execute {
+            engine: EngineSel {
+                kind: "postgres-like".into(),
+                scan_threads: 1,
+            },
+            sql: "SELECT COUNT(*) FROM customer_service".into(),
+        });
+        assert!(matches!(reply, Response::BadRequest { .. }), "{reply:?}");
+        assert_eq!(server.stats_snapshot().protocol_errors, 1);
     }
 
     #[test]

@@ -403,20 +403,20 @@ mod tests {
             ..Default::default()
         };
         let sc = scenario("adaptive-shootout", &params).unwrap();
-        // 1 user count x 4 engines x 2 cache states x 2 modes.
-        assert_eq!(sc.specs.len(), 16);
+        // 1 user count x 2 engines x 2 cache states x 2 modes.
+        assert_eq!(sc.specs.len(), 8);
         assert!(sc.specs.iter().any(|s| s.cache.is_some()));
         assert!(sc.specs.iter().any(|s| s.cache.is_none()));
         let engines: std::collections::HashSet<&str> =
             sc.specs.iter().map(|s| s.engine.kind_name()).collect();
-        assert_eq!(engines.len(), 4);
+        assert_eq!(engines.len(), 2);
     }
 
     #[test]
     fn smoke_is_case_insensitive_and_fingerprinted() {
         let params = ScenarioParams::default();
         let sc = scenario("SMOKE", &params).unwrap();
-        assert_eq!(sc.specs.len(), 12, "4 engines x 3 session modes");
+        assert_eq!(sc.specs.len(), 6, "2 engines x 3 session modes");
         assert!(sc.specs.iter().all(|s| s.collect_fingerprints));
     }
 
@@ -424,8 +424,8 @@ mod tests {
     fn chaos_covers_every_fault_kind_and_cache_state() {
         let sc = scenario("chaos", &ScenarioParams::default()).unwrap();
         let specs = &sc.specs;
-        // 4 engines x 2 cache states + timeout spec + permanent-error storm.
-        assert_eq!(specs.len(), 10);
+        // 2 engines x 2 cache states + timeout spec + permanent-error storm.
+        assert_eq!(specs.len(), 6);
         assert!(specs.iter().all(|s| s.fault.is_some()));
         assert!(specs.iter().all(|s| s.resilience.is_some()));
         assert!(specs.iter().any(|s| s.cache.is_some()));
@@ -449,8 +449,8 @@ mod tests {
     #[test]
     fn remote_shootout_defaults_to_loopback() {
         let sc = scenario("remote-shootout", &ScenarioParams::default()).unwrap();
-        // 4 engines x 2 cache states, all over the wire, all fingerprinted.
-        assert_eq!(sc.specs.len(), 8);
+        // 2 engines x 2 cache states, all over the wire, all fingerprinted.
+        assert_eq!(sc.specs.len(), 4);
         assert!(sc.specs.iter().all(|s| s.engine.is_remote()));
         assert!(sc.specs.iter().all(|s| !s.engine.needs_external_server()));
         assert!(sc.specs.iter().all(|s| s.collect_fingerprints));
@@ -484,7 +484,8 @@ mod tests {
     #[test]
     fn perf_report_includes_parallel_scans() {
         let sc = scenario("perf-report", &ScenarioParams::default()).unwrap();
-        assert_eq!(sc.specs.len(), 5);
+        // 2 engines sequential + duckdb-like with parallel scans.
+        assert_eq!(sc.specs.len(), 3);
         assert!(sc
             .specs
             .iter()

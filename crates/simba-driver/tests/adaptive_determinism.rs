@@ -2,7 +2,7 @@
 //! **byte-identical** action sequences and result fingerprints —
 //!
 //! * across repeated runs (no hidden timing or scheduling dependence),
-//! * across all four engines vs. the sqlite-like oracle (steering may
+//! * across both engines vs. the sqlite-like oracle (steering may
 //!   inspect result *content* only, which the equivalence suite pins to be
 //!   identical everywhere), and
 //! * with the shared result cache on vs. off (the cache, including its

@@ -315,7 +315,7 @@ proptest! {
     #[test]
     fn delta_on_matches_delta_off(
         seed in 0u64..1_000,
-        engine_ix in 0usize..4,
+        engine_ix in 0usize..EngineKind::ALL.len(),
         source_ix in 0usize..4,
         cache in any::<bool>(),
     ) {
@@ -343,7 +343,7 @@ proptest! {
     #[test]
     fn delta_on_matches_delta_off_on_range_storms(
         seed in 0u64..1_000,
-        engine_ix in 0usize..4,
+        engine_ix in 0usize..EngineKind::ALL.len(),
         cache in any::<bool>(),
     ) {
         let kind = EngineKind::ALL[engine_ix];

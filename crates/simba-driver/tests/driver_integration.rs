@@ -470,7 +470,7 @@ fn open_loop_reports_queue_delay() {
 #[test]
 fn closed_loop_accounting_matches_scripts() {
     let (table, _dashboard, scripts) = setup(500, 6);
-    let engine = EngineKind::PostgresLike.build();
+    let engine = EngineKind::DuckDbLike.build();
     engine.register(table);
     let expected_queries: usize = scripts.iter().map(|s| s.query_count()).sum();
     let expected_interactions: usize = scripts.iter().map(|s| s.steps.len() - 1).sum();
@@ -486,5 +486,5 @@ fn closed_loop_accounting_matches_scripts() {
     assert!(report.queue_delay.is_none());
     assert!(report.cache.is_none());
     let json = report.to_json();
-    assert!(json.contains("\"engine\": \"postgres-like\""), "{json}");
+    assert!(json.contains("\"engine\": \"duckdb-like\""), "{json}");
 }

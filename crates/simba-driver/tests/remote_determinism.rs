@@ -68,7 +68,7 @@ proptest! {
     #[test]
     fn remote_loopback_matches_local(
         seed in 0u64..1_000,
-        engine_ix in 0usize..4,
+        engine_ix in 0usize..EngineKind::ALL.len(),
         adaptive in any::<bool>(),
         cache in any::<bool>(),
     ) {

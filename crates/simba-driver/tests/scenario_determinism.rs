@@ -104,7 +104,7 @@ fn scripted_scenario_matches_hand_assembled_run() {
 
 #[test]
 fn adaptive_scenario_matches_hand_assembled_run() {
-    for engine_kind in [EngineKind::SqliteLike, EngineKind::MonetDbLike] {
+    for engine_kind in [EngineKind::SqliteLike, EngineKind::DuckDbLike] {
         for cache in [false, true] {
             let via_spec =
                 Driver::execute(&spec(SourceSpec::adaptive(), engine_kind, cache)).unwrap();

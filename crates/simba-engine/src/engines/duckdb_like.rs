@@ -38,8 +38,10 @@ impl DuckDbLike {
 
     /// Morsel-parallel scans across `threads` worker threads (`0` = one per
     /// available core). Results are identical to sequential execution for
-    /// every exact aggregate; float SUM/AVG may differ in the last ulp
-    /// because partial sums associate differently.
+    /// every exact aggregate. Float SUM/AVG are not: partial sums associate
+    /// differently, and in ROADMAP item 20's probe (`customer_service` at
+    /// 250K rows, one against two threads) all 32 float SUM/AVG queries
+    /// differed.
     pub fn with_scan_threads(threads: usize) -> Self {
         let threads = if threads == 0 {
             std::thread::available_parallelism().map_or(1, usize::from)
@@ -97,50 +99,101 @@ mod tests {
         e
     }
 
+    fn run(sql: &str) -> QueryOutput {
+        engine().execute(&parse_select(sql).unwrap()).unwrap()
+    }
+
+    fn rows(sql: &str) -> Vec<Vec<Value>> {
+        run(sql).result.sorted_rows()
+    }
+
+    fn row(queue: &str, ints: &[i64]) -> Vec<Value> {
+        std::iter::once(Value::str(queue))
+            .chain(ints.iter().map(|&i| Value::Int(i)))
+            .collect()
+    }
+
     #[test]
     fn dict_key_fast_path_counts() {
-        let out = engine()
-            .execute(&parse_select("SELECT queue, COUNT(*) FROM cs GROUP BY queue").unwrap())
-            .unwrap();
-        let rows = out.result.sorted_rows();
+        let counts = rows("SELECT queue, COUNT(*) FROM cs GROUP BY queue");
         // NULL group sorts first under the total order.
-        assert_eq!(rows[0], vec![Value::Null, Value::Int(1)]);
-        assert_eq!(rows[1], vec![Value::str("A"), Value::Int(2)]);
-        assert_eq!(rows[2], vec![Value::str("B"), Value::Int(2)]);
+        assert_eq!(counts[0], vec![Value::Null, Value::Int(1)]);
+        assert_eq!(counts[1..], [row("A", &[2]), row("B", &[2])]);
+    }
+
+    #[test]
+    fn grouped_sum_matches_expectation() {
+        let sums = rows("SELECT queue, SUM(calls) FROM cs WHERE queue IS NOT NULL GROUP BY queue");
+        assert_eq!(sums, [row("A", &[4]), row("B", &[12])]);
+    }
+
+    #[test]
+    fn grouped_min_max() {
+        let sql =
+            "SELECT queue, MIN(calls), MAX(calls) FROM cs WHERE queue IS NOT NULL GROUP BY queue";
+        assert_eq!(rows(sql), [row("A", &[1, 3]), row("B", &[5, 7])]);
+    }
+
+    #[test]
+    fn order_by_aggregate_desc() {
+        let out = run("SELECT queue, COUNT(*) AS n FROM cs GROUP BY queue ORDER BY n DESC LIMIT 1");
+        assert_eq!(out.result.n_rows(), 1);
+        assert_eq!(out.result.value(0, 1), Value::Int(2));
+    }
+
+    #[test]
+    fn having_filters_groups() {
+        let out = run("SELECT queue, COUNT(*) FROM cs GROUP BY queue HAVING COUNT(*) > 1");
+        assert_eq!(out.result.n_rows(), 2); // A(2) and B(2)
+    }
+
+    #[test]
+    fn projection_names_its_columns() {
+        let out = run("SELECT queue, calls FROM cs WHERE calls >= 3");
+        assert_eq!(out.result.n_rows(), 3);
+        assert_eq!(out.result.columns(), vec!["queue", "calls"]);
+    }
+
+    #[test]
+    fn empty_candidates_short_circuit() {
+        let out = run("SELECT queue FROM cs WHERE calls > 100");
+        assert!(out.result.is_empty());
+        assert_eq!(out.stats.rows_matched, 0);
+    }
+
+    #[test]
+    fn typed_aggregation_matches_boxed_path() {
+        // AVG(duration) and SUM(calls) are typed columns; COUNT(DISTINCT ts)
+        // adds a boxed one beside them, which must not change theirs.
+        let typed = rows("SELECT queue, AVG(duration), SUM(calls) FROM cs GROUP BY queue");
+        let mut boxed = rows(
+            "SELECT queue, AVG(duration), SUM(calls), COUNT(DISTINCT ts) FROM cs GROUP BY queue",
+        );
+        boxed.iter_mut().for_each(|r| r.truncate(3));
+        assert_eq!(typed, boxed);
     }
 
     #[test]
     fn in_filter_uses_dict_mask() {
-        let out = engine()
-            .execute(&parse_select("SELECT COUNT(*) FROM cs WHERE queue IN ('A')").unwrap())
-            .unwrap();
+        let out = run("SELECT COUNT(*) FROM cs WHERE queue IN ('A')");
         assert_eq!(out.result.value(0, 0), Value::Int(2));
     }
 
     #[test]
     fn generic_grouping_with_two_keys() {
-        let out = engine()
-            .execute(
-                &parse_select("SELECT queue, HOUR(ts), COUNT(*) FROM cs GROUP BY queue, HOUR(ts)")
-                    .unwrap(),
-            )
-            .unwrap();
+        let out = run("SELECT queue, HOUR(ts), COUNT(*) FROM cs GROUP BY queue, HOUR(ts)");
         assert!(out.result.n_rows() >= 3);
     }
 
     #[test]
     fn range_filter_numeric_kernel() {
-        let out = engine()
-            .execute(&parse_select("SELECT COUNT(*) FROM cs WHERE calls BETWEEN 3 AND 7").unwrap())
-            .unwrap();
+        let out = run("SELECT COUNT(*) FROM cs WHERE calls BETWEEN 3 AND 7");
         assert_eq!(out.result.value(0, 0), Value::Int(3)); // 5, 3, 7
     }
 
     #[test]
     fn zone_maps_prune_impossible_predicates() {
-        let out = engine()
-            .execute(&parse_select("SELECT COUNT(*) FROM cs WHERE calls > 1000").unwrap())
-            .unwrap();
+        let out = run("SELECT COUNT(*) FROM cs WHERE calls > 1000");
         assert_eq!(out.result.value(0, 0), Value::Int(0));
         assert_eq!(out.stats.morsels_pruned, 1);
         assert_eq!(out.stats.rows_scanned, 0);

@@ -1,15 +1,13 @@
-//! The four engine implementations.
+//! The two engine implementations: the vectorized executor and the row
+//! interpreter.
 //!
-//! Each engine mirrors the execution architecture of one DBMS from the
-//! paper's evaluation (§6.2.2). They share the planner and evaluator — so
-//! results are identical — but iterate storage very differently, which is
-//! what produces their distinct latency profiles.
+//! They share the planner and evaluator — so results are identical — but
+//! iterate storage very differently, which is what produces their distinct
+//! latency profiles.
 
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
 pub mod duckdb_like;
-pub mod monetdb_like;
-pub mod postgres_like;
 pub mod sqlite_like;
 
 use crate::error::EngineError;

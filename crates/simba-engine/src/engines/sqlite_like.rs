@@ -7,7 +7,7 @@
 //! slowest but simplest architecture. The implementation *is* the shared
 //! row-path oracle ([`crate::exec::run_row`]): keeping this engine
 //! row-at-a-time preserves the latency spread the benchmark measures and
-//! gives the vectorized engines a reference to be property-tested against.
+//! gives the vectorized engine a reference to be property-tested against.
 
 use crate::error::EngineError;
 use crate::exec::{run_row, Catalog, QueryOutput};
@@ -45,7 +45,7 @@ impl Dbms for SqliteLike {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::test_support::{sample_table, sorted};
+    use crate::test_support::sample_table;
     use simba_sql::parse_select;
     use simba_store::Value;
 
@@ -69,7 +69,7 @@ mod tests {
         let out = engine()
             .execute(&parse_select("SELECT queue, COUNT(*) FROM cs GROUP BY queue").unwrap())
             .unwrap();
-        let rows = sorted(&out.result);
+        let rows = out.result.sorted_rows();
         assert_eq!(rows.len(), 3); // A, B, NULL group
         assert_eq!(out.stats.groups, 3);
     }

@@ -1,6 +1,6 @@
 //! Compiled expressions and the shared scalar evaluator.
 //!
-//! All four engines share one *semantic* core — the same compiled expression
+//! Both engines share one *semantic* core — the same compiled expression
 //! type ([`CExpr`]) and evaluator — so that they agree bit-for-bit on query
 //! results (property-tested) while differing in *how* they iterate storage.
 //!

@@ -1,4 +1,4 @@
-//! Execution helpers shared by the four engines: filter kernels, group
+//! Execution helpers shared by the two engines: filter kernels, group
 //! emission, ordering/limit finalization, and execution statistics.
 //!
 //! Sharing the *semantics* here is what lets the engines disagree only in
@@ -640,23 +640,16 @@ impl Catalog {
 mod tests {
     use super::*;
     use crate::eval::ValueSet;
+    use crate::test_support::qnx_table;
     use simba_store::{ColumnDef, Schema, TableBuilder};
 
-    fn table() -> Table {
-        let schema = Schema::new(
-            "t",
-            vec![
-                ColumnDef::categorical("q"),
-                ColumnDef::quantitative_int("n"),
-                ColumnDef::quantitative_float("f"),
-            ],
-        );
-        let mut b = TableBuilder::new(schema, 4);
-        b.push_row(vec![Value::str("A"), Value::Int(1), Value::Float(0.5)]);
-        b.push_row(vec![Value::str("B"), Value::Int(5), Value::Float(1.5)]);
-        b.push_row(vec![Value::str("A"), Value::Int(9), Value::Float(2.5)]);
-        b.push_row(vec![Value::Null, Value::Null, Value::Null]);
-        b.finish()
+    fn table() -> Arc<Table> {
+        qnx_table(&[
+            (Some("A"), Some(1), Some(0.5)),
+            (Some("B"), Some(5), Some(1.5)),
+            (Some("A"), Some(9), Some(2.5)),
+            (None, None, None),
+        ])
     }
 
     fn lit(l: CExpr, op: BinOp, v: Value) -> CExpr {
@@ -1027,7 +1020,7 @@ mod tests {
     #[test]
     fn catalog_round_trip_case_insensitive() {
         let c = Catalog::default();
-        c.register(Arc::new(table()));
+        c.register(table());
         assert!(c.get("T").is_some());
         assert!(c.get("t").is_some());
         assert!(c.get("nope").is_none());

@@ -1,5 +1,5 @@
-//! The one group store. Every engine but the `sqlite-like` oracle (an
-//! ordered map, emitting in key order) aggregates through a [`GroupTable`],
+//! The one group store. `duckdb-like` aggregates through a [`GroupTable`]
+//! (the `sqlite-like` oracle through an ordered map, emitting in key order),
 //! which has two independent parts:
 //!
 //! - a **key index** that turns a batch of selected rows into group ids:
@@ -1240,31 +1240,8 @@ impl GroupTable {
 mod tests {
     use super::*;
     use crate::plan::{prepare, QueryKind};
+    use crate::test_support::{qnx_table as table, Row};
     use simba_store::mix::splitmix64;
-    use simba_store::{ColumnDef, Schema, TableBuilder};
-
-    type Row = (Option<&'static str>, Option<i64>, Option<f64>);
-
-    /// `t(q, n, x)`: a dictionary, an Int and a Float column.
-    fn table(rows: &[Row]) -> Arc<Table> {
-        let schema = Schema::new(
-            "t",
-            vec![
-                ColumnDef::categorical("q"),
-                ColumnDef::quantitative_int("n"),
-                ColumnDef::quantitative_float("x"),
-            ],
-        );
-        let mut b = TableBuilder::new(schema, rows.len());
-        for &(q, n, x) in rows {
-            b.push_row(vec![
-                q.map_or(Value::Null, Value::str),
-                n.map_or(Value::Null, Value::Int),
-                x.map_or(Value::Null, Value::Float),
-            ]);
-        }
-        Arc::new(b.finish())
-    }
 
     /// The keys and aggregates of `SELECT … GROUP BY {keys}` over `table`.
     fn plan(keys: &str, table: &Arc<Table>) -> (Vec<CExpr>, Vec<AggSpec>) {

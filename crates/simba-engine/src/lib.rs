@@ -1,22 +1,22 @@
-//! Four in-process SQL execution engines behind a common [`Dbms`] trait.
+//! Two in-process SQL execution engines behind a common [`Dbms`] trait.
 //!
 //! The paper benchmarks PostgreSQL, DuckDB, SQLite, and MonetDB (§6.2.2).
 //! Running external servers is out of scope for this reproduction, so this
-//! crate implements one storage layer and four executors whose
-//! *architectures* mirror those systems (see `DESIGN.md` §3):
+//! crate implements one storage layer and the two execution architectures
+//! those systems span (see ARCHITECTURE.md, "Data flow" step 5 and "Batch
+//! execution"):
 //!
 //! | Engine | Architecture |
 //! |---|---|
-//! | [`SqliteLike`] | row-at-a-time Volcano interpreter, ordered grouping |
-//! | [`PostgresLike`] | lazy row access, 1024-row blocks, group table per block |
 //! | [`DuckDbLike`] | vectorized morsels, typed filter kernels, parallel group-table partials |
-//! | [`MonetDbLike`] | operator-at-a-time, full intermediate materialization, one group-table pass |
+//! | [`SqliteLike`] | row-at-a-time Volcano interpreter, ordered grouping |
 //!
-//! All four share a planner ([`plan`]) and evaluator ([`eval`]), and all
-//! but the `sqlite-like` oracle aggregate through the one
-//! [`GroupTable`](group::GroupTable) (typed and boxed aggregate columns
-//! behind a global, dense, packed or hash key index), so they return identical
-//! results (property-tested) and differ only in latency.
+//! (Run over 1,024-row blocks or the whole table, the vectorized kernels
+//! were as fast as `duckdb-like`, so those are not engines.) Both share a
+//! planner ([`plan`]) and evaluator ([`eval`]); `duckdb-like` aggregates
+//! through the one [`GroupTable`](group::GroupTable), the `sqlite-like`
+//! oracle through an ordered map, and they return identical results
+//! (property-tested).
 
 pub mod agg;
 pub mod batch;
@@ -35,8 +35,6 @@ pub(crate) mod test_support;
 pub use batch::{DeltaCapture, DeltaScan, RowBitmap, SelectionVector, MORSEL};
 pub use delta::{DeltaStoreStats, SessionDelta};
 pub use engines::duckdb_like::DuckDbLike;
-pub use engines::monetdb_like::MonetDbLike;
-pub use engines::postgres_like::PostgresLike;
 pub use engines::sqlite_like::SqliteLike;
 pub use error::EngineError;
 pub use exec::{execute_row_oracle, ExecStats, QueryOutput};
@@ -111,31 +109,22 @@ pub trait Dbms: Send + Sync {
     }
 }
 
-/// Identifiers for the four built-in engines.
+/// Identifiers for the two built-in engines.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum EngineKind {
     SqliteLike,
-    PostgresLike,
     DuckDbLike,
-    MonetDbLike,
 }
 
 impl EngineKind {
-    /// All four engines, in the paper's reporting order.
-    pub const ALL: [EngineKind; 4] = [
-        EngineKind::PostgresLike,
-        EngineKind::DuckDbLike,
-        EngineKind::SqliteLike,
-        EngineKind::MonetDbLike,
-    ];
+    /// Both engines, the vectorized one first.
+    pub const ALL: [EngineKind; 2] = [EngineKind::DuckDbLike, EngineKind::SqliteLike];
 
     /// Stable name of the engine.
     pub fn name(self) -> &'static str {
         match self {
             EngineKind::SqliteLike => "sqlite-like",
-            EngineKind::PostgresLike => "postgres-like",
             EngineKind::DuckDbLike => "duckdb-like",
-            EngineKind::MonetDbLike => "monetdb-like",
         }
     }
 
@@ -143,15 +132,13 @@ impl EngineKind {
     pub fn build(self) -> Arc<dyn Dbms> {
         match self {
             EngineKind::SqliteLike => Arc::new(SqliteLike::new()),
-            EngineKind::PostgresLike => Arc::new(PostgresLike::new()),
             EngineKind::DuckDbLike => Arc::new(DuckDbLike::new()),
-            EngineKind::MonetDbLike => Arc::new(MonetDbLike::new()),
         }
     }
 
     /// Instantiate the engine with the given intra-query scan parallelism.
-    /// Only `duckdb-like` supports morsel-parallel scans; other engines
-    /// ignore the setting.
+    /// Only `duckdb-like` supports morsel-parallel scans; `sqlite-like`
+    /// ignores the setting.
     pub fn build_with_threads(self, scan_threads: usize) -> Arc<dyn Dbms> {
         match self {
             EngineKind::DuckDbLike => Arc::new(DuckDbLike::with_scan_threads(scan_threads)),
@@ -167,7 +154,7 @@ impl EngineKind {
     }
 }
 
-/// Instantiate all four engines.
+/// Instantiate both engines.
 pub fn all_engines() -> Vec<Arc<dyn Dbms>> {
     EngineKind::ALL.iter().map(|k| k.build()).collect()
 }

@@ -402,25 +402,11 @@ fn compile_group_expr(e: &Expr, ctx: &GroupCtx<'_>) -> Result<CExpr, EngineError
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_support::sample_table;
     use simba_sql::parse_select;
-    use simba_store::{ColumnDef, TableBuilder, Value};
-
-    fn table() -> Arc<Table> {
-        let schema = Schema::new(
-            "cs",
-            vec![
-                ColumnDef::categorical("queue"),
-                ColumnDef::quantitative_int("calls"),
-                ColumnDef::temporal("ts"),
-            ],
-        );
-        let mut b = TableBuilder::new(schema, 1);
-        b.push_row(vec![Value::str("A"), Value::Int(1), Value::Int(0)]);
-        Arc::new(b.finish())
-    }
 
     fn plan(sql: &str) -> Result<PreparedQuery, EngineError> {
-        prepare(&parse_select(sql).unwrap(), table())
+        prepare(&parse_select(sql).unwrap(), Arc::new(sample_table()))
     }
 
     #[test]
@@ -508,7 +494,11 @@ mod tests {
 
     #[test]
     fn rejects_unknown_table() {
-        let err = prepare(&parse_select("SELECT 1 FROM other").unwrap(), table()).unwrap_err();
+        let err = prepare(
+            &parse_select("SELECT 1 FROM other").unwrap(),
+            Arc::new(sample_table()),
+        )
+        .unwrap_err();
         assert!(matches!(err, EngineError::UnknownTable(_)));
     }
 

@@ -1,6 +1,7 @@
 //! Shared fixtures for engine unit tests.
 
-use simba_store::{ColumnDef, ResultSet, Schema, Table, TableBuilder, Value};
+use simba_store::{ColumnDef, Schema, Table, TableBuilder, Value};
+use std::sync::Arc;
 
 /// A small `cs` table exercising every column role, including a NULL row.
 pub fn sample_table() -> Table {
@@ -43,9 +44,28 @@ pub fn sample_table() -> Table {
     b.finish()
 }
 
-/// Sorted row view of a result for order-insensitive assertions.
-pub fn sorted(rs: &ResultSet) -> Vec<Vec<Value>> {
-    rs.sorted_rows()
+/// One row of [`qnx_table`]: `(q, n, x)`, NULL where `None`.
+pub type Row = (Option<&'static str>, Option<i64>, Option<f64>);
+
+/// `t(q, n, x)`: a dictionary, an Int and a Float column.
+pub fn qnx_table(rows: &[Row]) -> Arc<Table> {
+    let schema = Schema::new(
+        "t",
+        vec![
+            ColumnDef::categorical("q"),
+            ColumnDef::quantitative_int("n"),
+            ColumnDef::quantitative_float("x"),
+        ],
+    );
+    let mut b = TableBuilder::new(schema, rows.len());
+    for &(q, n, x) in rows {
+        b.push_row(vec![
+            q.map_or(Value::Null, Value::str),
+            n.map_or(Value::Null, Value::Int),
+            x.map_or(Value::Null, Value::Float),
+        ]);
+    }
+    Arc::new(b.finish())
 }
 
 /// Built rows in stored order, every column kept.

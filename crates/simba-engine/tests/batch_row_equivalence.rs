@@ -388,7 +388,7 @@ fn empty_table_byte_identity() {
 // The filter compiler turns every `col <op> number` and `[NOT] BETWEEN`
 // into an integer interval test and folds the conjuncts of one column into
 // one kernel. `sqlite-like` never goes through it, so it is the reference
-// here as everywhere: the batch engines (and the seeded scans session-delta
+// here as everywhere: the batch engine (and the seeded scans session-delta
 // execution runs) must agree with it value for value where the folding is
 // hardest — bounds `f64` cannot tell apart, `-0.0` against `0.0`, NaN at the
 // top of the order, inverted and contradictory bounds, all-NULL columns.
@@ -692,8 +692,8 @@ fn assert_bitmap_bound(bitmap: &RowBitmap, rows: usize) {
     );
 }
 
-/// `select` on the three batch engines (`duckdb-like` at one and four scan
-/// threads) against `sqlite-like`.
+/// `select` on both engines and on `duckdb-like` at four scan threads,
+/// against the row oracle.
 fn assert_batch_engines_match_sqlite(select: &Select, table: &Arc<Table>) {
     let mut engines = all_engines();
     engines.push(Arc::new(DuckDbLike::with_scan_threads(4)));
@@ -920,7 +920,7 @@ fn sorted_table() -> Arc<Table> {
     Arc::new(b.finish())
 }
 
-/// `filter` on `table` in the three query shapes, each on the four engines
+/// `filter` on `table` in the three query shapes, each on both engines
 /// and four-thread `duckdb-like`, and as seeded delta scans — exact, and
 /// refining a satisfiable `queue` filter — at one and four threads, all
 /// against `sqlite-like`. Returns `duckdb-like`'s `(rows_scanned,
@@ -1241,10 +1241,10 @@ fn first_appearance(keys: &str, filter: &str, table: &Arc<Table>) -> Vec<String>
 }
 
 /// A packed table emits in first appearance, never slot order, whatever
-/// scanned it: one block, blocks, one morsel range or four merged in range
-/// order, capturing or seeded — and the four ranges meet their keys in
-/// different orders, so a merge that appended in any other order would
-/// show.
+/// scanned it: one morsel range or four merged in range order, capturing
+/// or seeded — and the four ranges meet their keys in different orders, so
+/// a merge that appended in any other order would show. (`batch`'s unit
+/// tests add 1,024-row blocks and the whole table as one batch.)
 #[test]
 fn packed_groups_emit_in_first_appearance_across_merged_ranges() {
     let table = packed_table();

@@ -1,4 +1,4 @@
-//! `simba-server` — serve the four engines over TCP.
+//! `simba-server` — serve the two engines over TCP.
 //!
 //! ```text
 //! simba-server [--addr HOST:PORT] [--window N] [--idle-timeout-ms N]

@@ -289,9 +289,7 @@ impl Dbms for RemoteDbms {
         // The trait wants a `'static` name; enumerate rather than leak.
         match self.kind {
             EngineKind::SqliteLike => "remote-sqlite-like",
-            EngineKind::PostgresLike => "remote-postgres-like",
             EngineKind::DuckDbLike => "remote-duckdb-like",
-            EngineKind::MonetDbLike => "remote-monetdb-like",
         }
     }
 
@@ -413,7 +411,7 @@ mod tests {
     #[test]
     fn engine_errors_survive_the_round_trip() {
         let remote =
-            RemoteDbms::connect(LOOPBACK_ADDR, EngineKind::PostgresLike, 1).expect("loopback");
+            RemoteDbms::connect(LOOPBACK_ADDR, EngineKind::DuckDbLike, 1).expect("loopback");
         let query = parse_select("SELECT COUNT(*) FROM missing").expect("parses");
         let err = remote.execute(&query).expect_err("unknown table");
         assert_eq!(err, EngineError::UnknownTable("missing".into()));
@@ -432,8 +430,8 @@ mod tests {
     #[test]
     fn names_are_engine_specific() {
         let remote =
-            RemoteDbms::connect(LOOPBACK_ADDR, EngineKind::MonetDbLike, 1).expect("loopback");
-        assert_eq!(remote.name(), "remote-monetdb-like");
+            RemoteDbms::connect(LOOPBACK_ADDR, EngineKind::DuckDbLike, 1).expect("loopback");
+        assert_eq!(remote.name(), "remote-duckdb-like");
         assert_eq!(remote.scan_threads(), 1);
     }
 }

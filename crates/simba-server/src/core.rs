@@ -39,6 +39,13 @@ type CatalogShard = Mutex<Vec<(SelKey, Arc<dyn Dbms>)>>;
 /// declaring a huge total reserves a small multiple of its own size.
 const RESERVE_AHEAD: u64 = 16;
 
+/// Uploads a server holds part-way at once: tables whose first block has
+/// arrived and whose last has not. A client loads one table per engine at
+/// a time, so this leaves room for many clients. A first block that would
+/// open one more is refused; a block that continues or restarts a pending
+/// upload never is, and a table sent as one block holds no place.
+const MAX_UPLOADS: usize = 16;
+
 /// A table part-way through its blocks.
 struct Upload {
     total_rows: u64,
@@ -118,9 +125,11 @@ impl ServerStats {
 /// so an upload's blocks may arrive on any of a client's connections.
 pub struct ServerCore {
     shards: Vec<CatalogShard>,
-    /// Uploads that have received some but not all of their blocks. An
-    /// entry is taken out while a block is appended to it and put back
-    /// only if that block was accepted and was not the last.
+    /// Uploads that have received some but not all of their blocks, at
+    /// most [`MAX_UPLOADS`]. An entry is taken out while a block is
+    /// appended to it and put back only if that block was accepted and was
+    /// not the last. The lock is held across the append, so an upload out
+    /// for its append still counts against the cap.
     uploads: Mutex<HashMap<(SelKey, String), Upload>>,
     stats: ServerStats,
     draining: AtomicBool,
@@ -273,10 +282,21 @@ impl ServerCore {
             Err(resp) => return resp,
         };
         let key = ((kind, sel.scan_threads), block.schema().table.clone());
+        let mut uploads = self.lock_uploads();
         // Taken out, not borrowed: whichever way this block fails, nothing
         // is left behind for the next one to trip over.
-        let pending = self.lock_uploads().remove(&key);
+        let pending = uploads.remove(&key);
         let mut upload = match pending {
+            None if block.first_row() == 0
+                && (block.rows() as u64) < block.total_rows()
+                && uploads.len() >= MAX_UPLOADS =>
+            {
+                return self.bad_request(format!(
+                    "`{}` would open an upload past the {MAX_UPLOADS} a server holds in \
+                     progress; finish one first",
+                    key.1
+                ));
+            }
             _ if block.first_row() == 0 => Upload::starting_with(&block),
             Some(upload) if upload.continues_with(&block) => upload,
             Some(upload) => {
@@ -301,10 +321,11 @@ impl ServerCore {
         upload.append(block);
         let rows = upload.rows();
         if rows == upload.total_rows {
+            drop(uploads);
             dbms.register(Arc::new(upload.assembler.finish()));
             self.stats.registers.fetch_add(1, Ordering::Relaxed);
         } else {
-            self.lock_uploads().insert(key, upload);
+            uploads.insert(key, upload);
         }
         Response::Registered { rows }
     }
@@ -386,7 +407,7 @@ pub fn serve_encoded(core: &ServerCore, request_bytes: &[u8]) -> Result<Vec<u8>,
 mod tests {
     use super::*;
     use crate::proto::CHUNK_ROWS;
-    use simba_store::{ColumnDef, Schema, Table, TableBuilder, Value};
+    use simba_store::{ColumnDef, Schema, Table, TableBuilder, Value, MORSEL_ROWS};
 
     fn sel(kind: &str) -> EngineSel {
         EngineSel {
@@ -547,6 +568,59 @@ mod tests {
         assert!(matches!(sum_n(&core, "tall"), Response::Result { .. }));
     }
 
+    /// Block `half` (0 or 1) of the two-block, `2 * MORSEL_ROWS`-row
+    /// table `name`.
+    fn half_block(name: &str, half: u64) -> TableBlock {
+        let schema = Schema::new(name, vec![ColumnDef::quantitative_int("n")]);
+        let mut b = TableBuilder::new(schema.clone(), MORSEL_ROWS);
+        for i in 0..MORSEL_ROWS {
+            b.push_row(vec![Value::Int(i as i64)]);
+        }
+        let (_, columns) = TableBlock::split(&b.finish())
+            .next()
+            .expect("one block")
+            .into_parts();
+        let rows = MORSEL_ROWS as u64;
+        TableBlock::new(schema, 2 * rows, half * rows, columns).expect("well-formed")
+    }
+
+    #[test]
+    fn uploads_in_progress_are_capped_and_continuations_never_refused() {
+        let core = ServerCore::new();
+        let half = Response::Registered {
+            rows: MORSEL_ROWS as u64,
+        };
+        for i in 0..MAX_UPLOADS {
+            assert_eq!(register(&core, half_block(&format!("t{i}"), 0)), half);
+        }
+        match register(&core, half_block("extra", 0)) {
+            Response::BadRequest { message } => {
+                assert!(message.contains(&MAX_UPLOADS.to_string()), "{message}")
+            }
+            other => panic!("expected a refusal, got {other:?}"),
+        }
+        assert_eq!(core.lock_uploads().len(), MAX_UPLOADS);
+        // At the cap: a one-block table holds no place, and restarting a
+        // pending upload replaces it.
+        assert_eq!(
+            register(&core, tiny_table()),
+            Response::Registered { rows: 3 }
+        );
+        assert_eq!(register(&core, half_block("t0", 0)), half);
+        // A continuation is never refused; finishing an upload frees its
+        // place for the next one.
+        assert_eq!(
+            register(&core, half_block("t1", 1)),
+            Response::Registered {
+                rows: 2 * MORSEL_ROWS as u64
+            }
+        );
+        assert_eq!(register(&core, half_block("extra", 0)), half);
+        assert_eq!(core.lock_uploads().len(), MAX_UPLOADS);
+        let stats = core.stats_snapshot();
+        assert_eq!((stats.protocol_errors, stats.registers), (1, 2));
+    }
+
     #[test]
     fn a_declared_total_reserves_no_more_than_the_rows_received_justify() {
         let table = tall_table(CHUNK_ROWS);
@@ -561,14 +635,24 @@ mod tests {
         assert_eq!(upload.reserved, RESERVE_AHEAD * CHUNK_ROWS as u64);
     }
 
+    /// The same failing query against retired engine names and a live
+    /// engine: a retired name addresses nothing, so it is a protocol error;
+    /// the live engine's error crosses with its variant intact.
     #[test]
     fn engine_errors_cross_with_variant_intact() {
         let core = ServerCore::new();
-        let resp = core.handle(Request::Execute {
-            engine: sel("postgres-like"),
-            sql: "SELECT COUNT(*) FROM missing".to_string(),
-        });
-        match resp {
+        let missing = |kind: &str| {
+            core.handle(Request::Execute {
+                engine: sel(kind),
+                sql: "SELECT COUNT(*) FROM missing".to_string(),
+            })
+        };
+        for (i, retired) in ["postgres-like", "monetdb-like"].into_iter().enumerate() {
+            let resp = missing(retired);
+            assert!(matches!(resp, Response::BadRequest { .. }), "{resp:?}");
+            assert_eq!(core.stats_snapshot().protocol_errors, i as u64 + 1);
+        }
+        match missing("duckdb-like") {
             Response::EngineFailure { error } => {
                 assert_eq!(
                     error,
@@ -578,6 +662,8 @@ mod tests {
             }
             other => panic!("expected an engine failure, got {other:?}"),
         }
+        let stats = core.stats_snapshot();
+        assert_eq!((stats.protocol_errors, stats.engine_errors), (2, 1));
     }
 
     #[test]

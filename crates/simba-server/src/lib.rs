@@ -1,4 +1,4 @@
-//! Serve the four engines over the wire — and drive them remotely.
+//! Serve the two engines over the wire — and drive them remotely.
 //!
 //! Real exploration front-ends talk to a database over a network, where
 //! serialization, queueing, and tail latency dominate interactivity. This

@@ -102,7 +102,10 @@
 //! upload ends and agree with it on schema and `total_rows`, and the block
 //! that reaches `total_rows` registers the table. Every block is answered
 //! with `Registered { rows }` carrying the rows received so far; a block
-//! that fails any check is a `BadRequest` and drops the pending upload.
+//! that fails any check is a `BadRequest` and drops the pending upload. A
+//! server holds at most 16 uploads in progress: a first block that would
+//! open one more is a `BadRequest`, and a block that continues or restarts
+//! a pending upload never is.
 //!
 //! ## Responses
 //!
@@ -394,7 +397,7 @@ impl Decoder {
 /// selector.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EngineSel {
-    /// Engine name (`"duckdb-like"`, `"postgres-like"`, ...).
+    /// Engine name (`"duckdb-like"` or `"sqlite-like"`).
     pub kind: String,
     /// Morsel-parallel scan threads; `1` = sequential, `0` = one per core.
     pub scan_threads: usize,

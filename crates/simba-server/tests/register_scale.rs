@@ -235,10 +235,10 @@ fn a_table_of_several_blocks_registers_within_three_times_its_size() {
 
     // The pipelined upload, read back through a TCP client; then the same
     // table through that client's own multi-frame register, into a second
-    // engine of the same server.
+    // engine of the same server (the same kind at two scan threads).
     let over_tcp = RemoteDbms::connect(&addr, EngineKind::DuckDbLike, 1).expect("dial");
     assert_eq!(rows_of(&over_tcp), want);
-    let second = RemoteDbms::connect(&addr, EngineKind::MonetDbLike, 1).expect("dial");
+    let second = RemoteDbms::connect(&addr, EngineKind::DuckDbLike, 2).expect("dial");
     second.register(table.clone());
     assert_eq!(rows_of(&second), want);
     assert_eq!(core.stats_snapshot().registers, 2);

@@ -15,7 +15,7 @@
 //! let table = Arc::new(dataset.generate_rows(2_000, 42));
 //! let dashboard = Dashboard::new(builtin(dataset), &table).unwrap();
 //!
-//! // 2. A DBMS under test (four engine architectures are built in).
+//! // 2. A DBMS under test (two engine architectures are built in).
 //! let engine = EngineKind::DuckDbLike.build();
 //! engine.register(table);
 //!

@@ -1,4 +1,4 @@
-//! Cross-crate engine tests: the four architectures over real benchmark
+//! Cross-crate engine tests: the two architectures over real benchmark
 //! datasets and dashboard-emitted queries.
 
 use simba::prelude::*;
@@ -120,7 +120,7 @@ fn engine_errors_are_typed_not_panics() {
 
 #[test]
 fn empty_table_queries_behave() {
-    let engine = EngineKind::MonetDbLike.build();
+    let engine = EngineKind::DuckDbLike.build();
     let table = Arc::new(DashboardDataset::CustomerService.generate_rows(0, 1));
     engine.register(table);
     let grouped =

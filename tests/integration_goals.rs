@@ -10,7 +10,7 @@ use std::sync::Arc;
 
 fn engine_with_cs() -> Arc<dyn Dbms> {
     let table = Arc::new(DashboardDataset::CustomerService.generate_rows(3_000, 19));
-    let engine = EngineKind::PostgresLike.build();
+    let engine = EngineKind::DuckDbLike.build();
     engine.register(table);
     engine
 }
