@@ -1,7 +1,11 @@
 //! The `bench` binary end to end: what `--list` names, how a flag that a
-//! `paper/` scenario does not take is refused, and what happens when the
-//! report cannot be written.
+//! `paper/` scenario does not take is refused, what happens when the
+//! report cannot be written, what a traced smoke run writes, and how a
+//! degraded-session budget fails a run.
 
+use serde::Content;
+use simba_driver::{scenario, RunReport, ScenarioParams};
+use simba_engine::EngineKind;
 use std::path::Path;
 use std::process::{Command, Output};
 
@@ -64,4 +68,98 @@ fn an_unwritable_json_out_exits_1_with_a_message() {
         stderr.contains(&format!("error: cannot write reports to {path}")),
         "{stderr}"
     );
+}
+
+/// A path under the test target's scratch directory.
+fn scratch(name: &str) -> String {
+    let path = Path::new(env!("CARGO_TARGET_TMPDIR")).join(name);
+    path.to_str().expect("UTF-8 path").to_string()
+}
+
+/// `bench --scenario smoke` on each engine, traced: the run succeeds, and
+/// its trace is JSON whose spans are all complete events, from every layer
+/// that ran: a driver session, a cache lookup and an engine execution.
+#[test]
+fn traced_smoke_run_has_driver_cache_and_engine_spans_on_every_engine() {
+    for kind in EngineKind::ALL {
+        let path = scratch(&format!("smoke-trace-{}.json", kind.name()));
+        let out = bench(&[
+            "--scenario",
+            "smoke",
+            "--engine",
+            kind.name(),
+            "--rows",
+            "500",
+            "--users",
+            "2",
+            "--steps",
+            "4",
+            "--trace-out",
+            &path,
+            "--metrics",
+        ]);
+        assert!(out.status.success(), "{}", text(&out.stderr));
+        let json = std::fs::read_to_string(&path).expect("trace written");
+        let trace: Content = serde_json::from_str(&json).expect("trace is JSON");
+        let Some(Content::Seq(events)) = trace.get("traceEvents") else {
+            panic!("no traceEvents array");
+        };
+        let str_of = |e: &Content, key: &str| match e.get(key) {
+            Some(Content::Str(s)) => s.clone(),
+            other => panic!("{key} is {other:?}"),
+        };
+        for e in events {
+            assert_eq!(str_of(e, "ph"), "X", "{e:?}");
+            let Some(&Content::F64(dur)) = e.get("dur") else {
+                panic!("no numeric dur: {e:?}");
+            };
+            assert!(dur >= 0.0, "{e:?}");
+        }
+        for layer in ["driver", "cache", "engine"] {
+            assert!(
+                events.iter().any(|e| str_of(e, "cat") == layer),
+                "{}: no {layer} spans",
+                kind.name()
+            );
+        }
+    }
+}
+
+/// `--max-degraded 1` under chaos, whose permanent-error storm degrades
+/// every session of its run: the exit status is non-zero, and every run's
+/// report is still written first.
+#[test]
+fn a_degraded_budget_fails_the_run_after_writing_every_report() {
+    let path = scratch("chaos-over-budget.json");
+    let _ = std::fs::remove_file(&path);
+    let (rows, users, steps) = (500, 2, 4);
+    let out = bench(&[
+        "--scenario",
+        "chaos",
+        "--rows",
+        &rows.to_string(),
+        "--users",
+        &users.to_string(),
+        "--steps",
+        &steps.to_string(),
+        "--max-degraded",
+        "1",
+        "--json-out",
+        &path,
+    ]);
+    assert_eq!(out.status.code(), Some(1), "{}", text(&out.stderr));
+    assert!(text(&out.stderr).contains("over the --max-degraded 1% budget"));
+    let json = std::fs::read_to_string(&path).expect("reports written");
+    let reports: Vec<RunReport> = serde_json::from_str(&json).expect("reports parse");
+    let params = ScenarioParams {
+        rows,
+        users: vec![users],
+        steps,
+        ..ScenarioParams::default()
+    };
+    let suite = scenario("chaos", &params).expect("chaos is registered");
+    assert_eq!(reports.len(), suite.specs.len());
+    assert!(reports
+        .iter()
+        .all(|r| r.schema_version == RunReport::SCHEMA_VERSION));
 }

@@ -36,7 +36,7 @@ use crate::markov::MarkovModel;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use simba_sql::Select;
-use std::collections::HashMap;
+use simba_store::ProbeMap;
 use std::sync::Arc;
 
 /// One query a session step emits. Steps that emit the same chart query
@@ -161,7 +161,7 @@ struct QueryMemo<'d> {
     ids: Vec<Arc<str>>,
     /// Per node: the nodes whose state its query reads, in node order.
     ancestors: Vec<Vec<NodeId>>,
-    queries: HashMap<Box<[u8]>, Arc<Select>>,
+    queries: ProbeMap<Box<[u8]>, Arc<Select>>,
     /// The key being probed, reused across probes.
     key: Vec<u8>,
 }
@@ -174,7 +174,7 @@ impl<'d> QueryMemo<'d> {
             dashboard,
             ids: nodes.clone().map(|n| Arc::from(graph.id(n))).collect(),
             ancestors: nodes.map(|n| graph.ancestors(n)).collect(),
-            queries: HashMap::new(),
+            queries: ProbeMap::default(),
             key: Vec::new(),
         }
     }
@@ -214,6 +214,7 @@ mod tests {
     use crate::spec::builtin::builtin;
     use simba_data::DashboardDataset;
     use simba_sql::parse_select;
+    use std::collections::HashMap;
 
     fn dash() -> Dashboard {
         let ds = DashboardDataset::CustomerService;

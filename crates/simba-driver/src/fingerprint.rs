@@ -43,9 +43,9 @@ pub fn fingerprint(result: &ResultSet) -> u64 {
 /// Order-sensitive digest of a whole run's per-session fingerprint
 /// vectors: one `u64` two runs share iff their fingerprint sequences are
 /// identical session by session, position by position. Recorded as
-/// `RunReport.fingerprint_digest` when fingerprints are collected, so JSON
-/// artifacts (e.g. the `delta-shootout` CI gate) can assert result
-/// equality between runs without carrying every vector.
+/// `RunReport.fingerprint_digest` when fingerprints are collected, so
+/// reports (e.g. the `delta-shootout` suite's delta-on and delta-off runs)
+/// can assert result equality without carrying every vector.
 pub fn digest(fingerprints: &[Vec<u64>]) -> u64 {
     let mut h = simba_store::mix::Fnv1a::new();
     for session in fingerprints {

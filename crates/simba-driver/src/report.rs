@@ -338,8 +338,9 @@ pub struct RunReport {
     /// Order-sensitive digest over the run's per-session result
     /// fingerprints ([`crate::fingerprint::digest`]); present exactly when
     /// the run collected fingerprints. Two runs of the same workload are
-    /// result-identical iff their digests match — what the `delta-shootout`
-    /// CI gate asserts between delta-on and delta-off runs.
+    /// result-identical iff their digests match — what
+    /// `delta_equivalence.rs` asserts between the `delta-shootout` suite's
+    /// delta-on and delta-off runs.
     #[serde(default)]
     pub fingerprint_digest: Option<u64>,
     /// Open-loop only: the coordinated-omission-corrected view — per-query

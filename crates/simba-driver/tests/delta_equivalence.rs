@@ -19,7 +19,8 @@ use simba_core::spec::builtin::builtin;
 use simba_data::DashboardDataset;
 use simba_driver::workload::{EngineSpec, ScenarioSpec, SourceSpec};
 use simba_driver::{
-    CacheConfig, Driver, DriverConfig, DriverOutcome, ResiliencePolicy, ScriptedSource,
+    scenario, CacheConfig, Driver, DriverConfig, DriverOutcome, ResiliencePolicy, ScenarioParams,
+    ScriptedSource,
 };
 use simba_engine::{Dbms, EngineError, EngineKind, QueryOutput, SessionDelta};
 use simba_server::LOOPBACK_ADDR;
@@ -291,7 +292,7 @@ fn assert_delta_invisible(
         ),
         _ => panic!("{label}: steering section present on only one side"),
     }
-    // The digest is the serialized currency the delta-smoke CI gate
+    // The digest is the serialized currency the delta-shootout test below
     // compares; it must match whenever the raw fingerprints do.
     assert!(off.report.fingerprint_digest.is_some(), "{label}");
     assert_eq!(
@@ -399,6 +400,46 @@ fn adaptive_walk_reuses_work_on_duckdb_like() {
         report.hits + report.group_hits + report.misses > 0,
         "store was never consulted"
     );
+}
+
+/// `bench --scenario delta-shootout` as the driver runs it: no query
+/// errs, the delta-on runs reuse work, and each fingerprints the same as
+/// the delta-off run of its session mode.
+#[test]
+fn delta_shootout_scenario_reuses_work_invisibly() {
+    let params = ScenarioParams {
+        rows: 2000,
+        users: vec![4],
+        steps: 8,
+        ..ScenarioParams::default()
+    };
+    let suite = scenario("delta-shootout", &params).expect("delta-shootout is registered");
+    let mut digests = std::collections::BTreeMap::new();
+    let mut hits = 0;
+    for spec in &suite.specs {
+        let report = Driver::execute(spec)
+            .expect("delta-shootout spec runs")
+            .report;
+        assert!(report.queries > 0, "empty report");
+        assert_eq!(report.errors, 0, "{}", report.session_mode);
+        if spec.delta {
+            let delta = report.delta.as_ref().expect("delta section");
+            assert!(
+                delta.hits + delta.group_hits + delta.misses > 0,
+                "store never consulted: {delta:?}"
+            );
+            hits += delta.hits + delta.group_hits;
+        }
+        let cell = (report.session_mode.clone(), spec.delta);
+        let digest = report.fingerprint_digest.expect("fingerprinted");
+        assert!(digests.insert(cell, digest).is_none(), "duplicate cell");
+    }
+    assert!(hits > 0, "no delta reuse across the suite");
+    assert_eq!(digests.len(), suite.specs.len());
+    for ((mode, delta), digest) in &digests {
+        let pair = digests.get(&(mode.clone(), !delta));
+        assert_eq!(pair, Some(digest), "{mode}: delta changed results");
+    }
 }
 
 /// `EngineSpec::remote` cleanly disables delta reuse: `RemoteDbms` cannot

@@ -14,7 +14,10 @@ use simba_core::session::{GoalSource, SessionConfig};
 use simba_core::spec::builtin::builtin;
 use simba_data::DashboardDataset;
 use simba_driver::workload::{EngineSpec, ScenarioSpec, SourceSpec};
-use simba_driver::{Driver, DriverConfig, ResiliencePolicy, ScriptedSource, ERROR_FINGERPRINT};
+use simba_driver::{
+    scenario, Driver, DriverConfig, FaultReport, ResiliencePolicy, ResilienceReport,
+    ScenarioParams, ScriptedSource, ERROR_FINGERPRINT,
+};
 use simba_engine::{Dbms, EngineError, EngineKind, FaultConfig, FaultInjectingDbms, QueryOutput};
 use simba_sql::Select;
 use simba_store::{ResultSet, Table, Value};
@@ -291,4 +294,45 @@ fn errored_queries_never_solve_goals() {
     for (user, steps) in faulted.actions.iter().enumerate() {
         assert_eq!(steps.len(), 13, "user {user}: render + every step");
     }
+}
+
+/// `bench --scenario chaos` as the driver runs it: every fault kind is
+/// injected, every kind of failed attempt is observed, retries recover
+/// work, and every session of every run ends with a degraded verdict
+/// instead of wedging.
+#[test]
+fn chaos_scenario_injects_every_fault_and_recovers() {
+    let params = ScenarioParams {
+        rows: 2000,
+        users: vec![4],
+        steps: 16,
+        ..ScenarioParams::default()
+    };
+    let suite = scenario("chaos", &params).expect("chaos is registered");
+    let mut fault = FaultReport::default();
+    let mut res = ResilienceReport::default();
+    for spec in &suite.specs {
+        let report = Driver::execute(spec).expect("chaos spec runs").report;
+        assert!(report.queries > 0, "empty report");
+        let f = report.fault.as_ref().expect("fault section");
+        fault.latency_spikes += f.latency_spikes;
+        fault.transient += f.transient;
+        fault.permanent += f.permanent;
+        fault.panics += f.panics;
+        let r = report.resilience.as_ref().expect("resilience section");
+        assert_eq!(r.degraded.len(), report.sessions, "a session never ended");
+        res.merge(r);
+    }
+    assert!(
+        fault.latency_spikes > 0 && fault.transient > 0 && fault.permanent > 0 && fault.panics > 0,
+        "a fault kind was never injected: {fault:?}"
+    );
+    assert!(
+        res.timeouts > 0
+            && res.transient_errors > 0
+            && res.permanent_errors > 0
+            && res.panics_recovered > 0,
+        "a failure kind was never observed: {res:?}"
+    );
+    assert!(res.retries_succeeded > 0, "no retry recovered: {res:?}");
 }

@@ -370,28 +370,30 @@ impl Cut {
         Cut::bisected(f)
     }
 
-    /// [`Cut::int_column`] by bisection, for any `f`.
+    /// [`Cut::int_column`] by bisection, for any `f`. The bisection is
+    /// nested here so that nothing else can reach it: the closed form
+    /// cannot fall back to it by accident.
     fn bisected(f: f64) -> Cut {
+        /// The first `i64` for which a monotone (false… then true…)
+        /// predicate holds, or `i64::MAX + 1` when it never does.
+        fn first_int(holds: impl Fn(i64) -> bool) -> i128 {
+            let (mut lo, mut hi) = (i128::from(i64::MIN), i128::from(i64::MAX) + 1);
+            while lo < hi {
+                let mid = lo + (hi - lo) / 2;
+                if holds(mid as i64) {
+                    hi = mid;
+                } else {
+                    lo = mid + 1;
+                }
+            }
+            lo
+        }
+
         Cut {
             ge: first_int(|v| (v as f64).total_cmp(&f) != Ordering::Less),
             gt: first_int(|v| (v as f64).total_cmp(&f) == Ordering::Greater),
         }
     }
-}
-
-/// The first `i64` for which a monotone (false… then true…) predicate
-/// holds, or `i64::MAX + 1` when it never does.
-fn first_int(holds: impl Fn(i64) -> bool) -> i128 {
-    let (mut lo, mut hi) = (i128::from(i64::MIN), i128::from(i64::MAX) + 1);
-    while lo < hi {
-        let mid = lo + (hi - lo) / 2;
-        if holds(mid as i64) {
-            hi = mid;
-        } else {
-            lo = mid + 1;
-        }
-    }
-    lo
 }
 
 fn range_kernel(col: usize, lo: i128, hi: i128, negated: bool) -> Kernel {

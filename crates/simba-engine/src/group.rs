@@ -62,9 +62,8 @@ use crate::eval::{eval, eval_predicate, CExpr, ColumnAccess, TableRow};
 use simba_sql::Func;
 use simba_store::narrow::NarrowVec;
 use simba_store::zonemap::Zone;
-use simba_store::{for_width, ColumnData, ResultBuilder, Table, Value};
+use simba_store::{for_width, ColumnData, ProbeMap, ResultBuilder, Table, Value};
 use std::cmp::Ordering;
-use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
@@ -84,11 +83,11 @@ enum KeyIndex {
     /// Every key packed into one `u64` (see [`Packed`]).
     Packed(Packed),
     /// Key tuple → group id, probed from `scratch` so a row that joins an
-    /// existing group allocates nothing. Probed, never iterated; `keys`
-    /// holds each group's key, by group id.
+    /// existing group allocates nothing; `keys` holds each group's key, by
+    /// group id.
     Hash {
         exprs: Vec<CExpr>,
-        by_key: HashMap<Arc<[Value]>, u32>,
+        by_key: ProbeMap<Arc<[Value]>, u32>,
         keys: Vec<Arc<[Value]>>,
         scratch: Vec<Value>,
     },
@@ -432,8 +431,9 @@ enum Lookup {
     /// product and zeroed by the allocator, whose large blocks are fresh
     /// pages that no key may ever touch.
     Direct(Vec<u32>),
-    /// Probed, never iterated.
-    Map(HashMap<u64, u32, BuildHasherDefault<PackedHasher>>),
+    /// Packed key → group id, when the radixes' product exceeds
+    /// `MAX_CAPTURED_GROUPS`.
+    Map(ProbeMap<u64, u32, BuildHasherDefault<PackedHasher>>),
 }
 
 /// The packed key index: each key's slot weighted by the radixes of the
@@ -467,7 +467,7 @@ impl Packed {
         let lookup = if product <= MAX_CAPTURED_GROUPS as u64 {
             Lookup::Direct(Vec::new())
         } else {
-            Lookup::Map(HashMap::default())
+            Lookup::Map(ProbeMap::default())
         };
         Some(Packed {
             parts,
@@ -551,7 +551,7 @@ impl KeyIndex {
             Some(packed) => KeyIndex::Packed(packed),
             None => KeyIndex::Hash {
                 exprs: keys.to_vec(),
-                by_key: HashMap::new(),
+                by_key: ProbeMap::default(),
                 keys: Vec::new(),
                 scratch: Vec::with_capacity(keys.len()),
             },
@@ -627,10 +627,10 @@ impl KeyIndex {
                 packed.batch = Vec::new();
                 match &mut packed.lookup {
                     Lookup::Direct(slots) => *slots = Vec::new(),
-                    Lookup::Map(map) => *map = HashMap::default(),
+                    Lookup::Map(map) => *map = ProbeMap::default(),
                 }
             }
-            KeyIndex::Hash { by_key, .. } => *by_key = HashMap::new(),
+            KeyIndex::Hash { by_key, .. } => *by_key = ProbeMap::default(),
             KeyIndex::Global | KeyIndex::Dense { .. } => {}
         }
     }
@@ -1347,7 +1347,7 @@ mod tests {
                 if hash {
                     groups.index = KeyIndex::Hash {
                         exprs: exprs.clone(),
-                        by_key: HashMap::new(),
+                        by_key: ProbeMap::default(),
                         keys: Vec::new(),
                         scratch: Vec::new(),
                     };

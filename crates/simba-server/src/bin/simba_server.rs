@@ -9,7 +9,8 @@
 //! The first form binds and serves until a shutdown frame arrives, then
 //! drains gracefully (in-flight requests finish, workers join) and exits
 //! 0. With `--trace-out` the server collects its own `server.*` spans and
-//! writes one Chrome `trace_event` JSON file at drain — CI asserts on it.
+//! writes one Chrome `trace_event` JSON file at drain —
+//! `tests/server_process.rs` asserts on it.
 //!
 //! The second form is the matching control client: it dials the address,
 //! sends a shutdown frame, and waits for the acknowledgement.

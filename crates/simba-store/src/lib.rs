@@ -21,6 +21,8 @@
 //!   generation (bulk column append, dictionary remap).
 //! * [`mix`] — the one SplitMix64 seed mixer and the one FNV-1a hasher every
 //!   crate derives seeds and digests with.
+//! * [`probe`] — [`ProbeMap`], the hash map for lookups that are never
+//!   iterated.
 
 #![warn(missing_docs)]
 
@@ -28,6 +30,7 @@ pub mod append;
 pub mod column;
 pub mod mix;
 pub mod narrow;
+pub mod probe;
 pub mod result;
 pub mod schema;
 pub mod table;
@@ -37,6 +40,7 @@ pub mod zonemap;
 pub use append::{TableAssembler, TableChunk};
 pub use column::{ColumnBuilder, ColumnData};
 pub use narrow::NarrowVec;
+pub use probe::ProbeMap;
 pub use result::{CoverageStore, ResultBuilder, ResultSet, Row, ValueRef};
 pub use schema::{ColumnDef, ColumnRole, DataType, Schema};
 pub use table::{RowWriter, Table, TableBuilder};
