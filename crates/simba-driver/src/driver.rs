@@ -40,10 +40,12 @@
 use crate::cache::{CacheConfig, CachedResult, ShardedResultCache};
 use crate::fingerprint::{fingerprint, ERROR_FINGERPRINT};
 use crate::report::{
-    CacheReport, DeltaReport, ExecReport, LatencySummary, ResilienceReport, RunReport,
+    CacheReport, DeltaReport, ExecReport, FaultReport, LatencySummary, ResilienceReport, RunReport,
     SteeringReport, ADHOC_SCENARIO,
 };
-use crate::resilience::{jitter_key, ResiliencePolicy};
+use crate::resilience::{
+    jitter_key, silence_injected_panic_reports, Fault, FaultConfig, ResiliencePolicy,
+};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
@@ -120,7 +122,7 @@ pub struct DriverConfig {
     /// run through [`Dbms::execute_delta`], letting engines that opt in seed
     /// scans from the previous step's surviving rows. Results are
     /// byte-identical to delta-off runs (the differential suite enforces
-    /// it). Composes with `resilience`: a failed, panicked or
+    /// it). Composes with `resilience` and `fault`: a failed, panicked or
     /// deadline-abandoned attempt resets the store, so a retry never reads
     /// what the attempt before it left half-done.
     pub delta: bool,
@@ -132,6 +134,9 @@ pub struct DriverConfig {
     /// by default: one attempt, no deadline — of the same attempt loop
     /// every run goes through.
     pub resilience: ResiliencePolicy,
+    /// Faults drawn per execution attempt, before the engine is called.
+    /// Inert by default: nothing is drawn and nothing injected.
+    pub fault: FaultConfig,
 }
 
 impl Default for DriverConfig {
@@ -146,6 +151,7 @@ impl Default for DriverConfig {
             delta: false,
             collect_metrics: false,
             resilience: ResiliencePolicy::default(),
+            fault: FaultConfig::default(),
         }
     }
 }
@@ -193,6 +199,7 @@ struct WorkerOutcome {
     actions: Vec<(usize, Vec<String>)>,
     steering: SteeringReport,
     resilience: ResilienceReport,
+    fault: FaultReport,
     /// `(session, any-final-failure)` per completed session.
     degraded: Vec<(usize, bool)>,
 }
@@ -235,6 +242,9 @@ impl Observed {
 
 impl Driver {
     pub fn new(config: DriverConfig) -> Driver {
+        if config.fault.panic_prob > 0.0 {
+            silence_injected_panic_reports();
+        }
         Driver { config }
     }
 
@@ -394,6 +404,7 @@ impl Driver {
         let mut delta = DeltaReport::default();
         let mut steering = SteeringReport::default();
         let mut resilience = ResilienceReport::default();
+        let mut fault = FaultReport::default();
         let mut fingerprints: Vec<Vec<u64>> = vec![Vec::new(); sessions];
         let mut actions: Vec<Vec<String>> = vec![Vec::new(); sessions];
         let mut degraded: Vec<bool> = vec![false; sessions];
@@ -408,6 +419,7 @@ impl Driver {
             delta.merge(&w.delta);
             steering.merge(&w.steering);
             resilience.merge(&w.resilience);
+            fault.merge(&w.fault);
             // `get_mut`, not indexing: worker outcomes are keyed by the
             // session ids the dispatch loop handed out, which are in range
             // by construction — but a bookkeeping bug here should drop one
@@ -474,9 +486,7 @@ impl Driver {
                 Arrival::Closed => None,
                 Arrival::Open { .. } => Some(LatencySummary::from_histogram(&response)),
             },
-            // The workload layer fills `fault` from the wrapper's injection
-            // stats; the driver only sees a `Dbms`.
-            fault: None,
+            fault: self.config.fault.is_active().then_some(fault),
             // Reported when failure handling was configured or had anything
             // to handle; a clean run under an inert policy has no taxonomy.
             resilience: (self.config.resilience.is_active() || errors > 0).then(|| {
@@ -685,8 +695,7 @@ impl Driver {
             attempt: 0,
         };
         let retries_before = out.resilience.retries;
-        let counters = &mut out.resilience;
-        let mut run = || self.attempt_loop(engine, query, first, pos.session_seed, delta, counters);
+        let mut run = || self.attempt_loop(engine, query, first, pos.session_seed, delta, out);
         // Engine totals count fresh executions only — a cache hit or
         // coalesced wait must not re-count the work its leader already did.
         let executed = match cache {
@@ -759,7 +768,9 @@ impl Driver {
     /// deadline-bounded attempts, transient failures (including timeouts
     /// and recovered panics) retried with seeded exponential backoff up to
     /// the budget, permanent errors failing immediately. The inert policy
-    /// is this loop's first iteration. Backoff sleeps are recorded as
+    /// is this loop's first iteration. Under an active `fault` block each
+    /// attempt first draws its [`Fault`], counted here whether or not the
+    /// attempt outlives it. Backoff sleeps are recorded as
     /// `driver.phase.backoff` (think-time, not service time).
     fn attempt_loop(
         &self,
@@ -768,15 +779,23 @@ impl Driver {
         first: QueryCtx,
         session_seed: u64,
         delta: &mut Option<SessionDelta>,
-        counters: &mut ResilienceReport,
+        out: &mut WorkerOutcome,
     ) -> Result<QueryOutput, EngineError> {
         let policy = &self.config.resilience;
+        let faults = self.config.fault.is_active();
         let mut ctx = first;
         loop {
-            let failure = match run_attempt(engine, query, &ctx, policy.deadline(), delta) {
+            let fault = if faults {
+                self.config.fault.draw(&ctx)
+            } else {
+                Fault::default()
+            };
+            out.fault.add(fault);
+            let failure = match run_attempt(engine, query, &ctx, fault, policy.deadline(), delta) {
                 Ok(output) => return Ok(output),
                 Err(failure) => failure,
             };
+            let counters = &mut out.resilience;
             let (retryable, error) = match failure {
                 AttemptError::Timeout => {
                     counters.timeouts += 1;
@@ -820,7 +839,8 @@ impl Driver {
     }
 }
 
-/// One execution attempt. Without a deadline it runs inline. With one, it
+/// One execution attempt: `fault` acted out, then the engine call. Without a
+/// deadline it runs inline. With one, it
 /// runs on a freshly spawned thread and the caller waits at most
 /// `deadline`: an attempt that blows the budget is **abandoned** — the
 /// engine call finishes (and is discarded) on the detached thread, the
@@ -838,11 +858,12 @@ fn run_attempt(
     engine: &Arc<dyn Dbms>,
     query: &Select,
     ctx: &QueryCtx,
+    fault: Fault,
     deadline: Option<Duration>,
     delta: &mut Option<SessionDelta>,
 ) -> Result<QueryOutput, AttemptError> {
     let outcome = match deadline {
-        None => call_engine(engine.as_ref(), query, ctx, delta.as_mut()),
+        None => call_engine(engine.as_ref(), query, ctx, fault, delta.as_mut()),
         Some(deadline) => {
             let (tx, rx) = std::sync::mpsc::channel();
             let (engine, query, ctx) = (Arc::clone(engine), query.clone(), *ctx);
@@ -851,7 +872,7 @@ fn run_attempt(
             // had counted so far happened either way.
             let counted = store.as_ref().map(SessionDelta::stats);
             std::thread::spawn(move || {
-                let outcome = call_engine(engine.as_ref(), &query, &ctx, store.as_mut());
+                let outcome = call_engine(engine.as_ref(), &query, &ctx, fault, store.as_mut());
                 // A send error just means the caller timed out and went away.
                 let _ = tx.send((outcome, store));
             });
@@ -887,18 +908,23 @@ fn run_attempt(
     outcome
 }
 
-/// The one engine call site, under an unwind guard: through the session's
-/// delta store when it carries one, with the attempt's identity otherwise
-/// (the `Dbms` trait cannot carry both).
+/// The one engine call site, under an unwind guard that also catches an
+/// injected panic: the attempt's `fault` first (a spike sleeps here, so it
+/// counts against the deadline), then the engine, through the session's
+/// delta store when it carries one.
 fn call_engine(
     engine: &dyn Dbms,
     query: &Select,
     ctx: &QueryCtx,
+    fault: Fault,
     delta: Option<&mut SessionDelta>,
 ) -> Result<QueryOutput, AttemptError> {
-    match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| match delta {
-        Some(store) => engine.execute_delta(query, store),
-        None => engine.execute_at(query, ctx),
+    match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        fault.strike(ctx)?;
+        match delta {
+            Some(store) => engine.execute_delta(query, store),
+            None => engine.execute(query),
+        }
     })) {
         Ok(Ok(output)) => Ok(output),
         Ok(Err(e)) => Err(AttemptError::Engine(e)),

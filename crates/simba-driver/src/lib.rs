@@ -24,11 +24,11 @@
 //! * [`simba_obs::LatencyHistogram`] log-bucketed latencies feed a versioned
 //!   [`RunReport`] with throughput, p50/p95/p99, queue delay, steering
 //!   counters, and cache hit rates.
-//! * A [`ResiliencePolicy`] (per-query deadlines, seeded retry/backoff)
-//!   hardens the worker loop against the deterministic
-//!   faults a [`simba_engine::FaultInjectingDbms`]-wrapped engine injects;
-//!   chaos runs report an error taxonomy and per-session degradation in
-//!   the [`FaultReport`]/[`ResilienceReport`] sections.
+//! * A [`FaultConfig`] draws deterministic faults per execution attempt in
+//!   the worker loop, beside the [`ResiliencePolicy`] (per-query deadlines,
+//!   seeded retry/backoff) that answers them; chaos runs report what was
+//!   injected and the error taxonomy and per-session degradation in the
+//!   [`FaultReport`]/[`ResilienceReport`] sections.
 //!
 //! ```
 //! use simba_driver::workload::{ScenarioSpec, SourceSpec};
@@ -87,7 +87,7 @@ pub use report::{
     CacheReport, FaultReport, LatencySummary, ResilienceReport, RunReport, SteeringReport,
     ADHOC_SCENARIO,
 };
-pub use resilience::{jitter_key, ResiliencePolicy};
+pub use resilience::{jitter_key, FaultConfig, ResiliencePolicy};
 pub use workload::registry::{all_scenarios, scenario, Scenario, ScenarioParams, SCENARIO_NAMES};
 pub use workload::{
     validate_addr, EngineSpec, ScenarioSpec, SourceSpec, TableCache, WorkloadError,

@@ -6,6 +6,7 @@
 //! and deserialize back losslessly (see the round-trip test).
 
 use crate::cache::CacheStats;
+use crate::resilience::{Fault, InjectedError};
 use serde::{Deserialize, Serialize};
 use simba_engine::{DeltaStoreStats, ExecStats};
 use simba_obs::{LatencyHistogram, MetricsSnapshot};
@@ -67,10 +68,12 @@ impl CacheReport {
     }
 }
 
-/// What the chaos wrapper *injected* during a faulted run (the supply
-/// side). The demand side — what sessions actually observed after caching,
+/// What the fault draw *injected* during a faulted run (the supply side),
+/// counted per attempt by the driver's attempt loop where the draw happens.
+/// The demand side — what sessions actually observed after caching,
 /// coalescing, and retries — is [`ResilienceReport`]. With a shared cache
-/// the two legitimately differ: a cache hit never reaches the wrapper.
+/// the two legitimately differ: a cache hit never reaches the attempt loop,
+/// so it draws nothing.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct FaultReport {
     /// Injected latency-spike sleeps.
@@ -81,6 +84,27 @@ pub struct FaultReport {
     pub permanent: u64,
     /// Injected panics.
     pub panics: u64,
+}
+
+impl FaultReport {
+    /// Count one attempt's draw.
+    pub(crate) fn add(&mut self, fault: Fault) {
+        self.latency_spikes += u64::from(fault.spike.is_some());
+        match fault.error {
+            None => {}
+            Some(InjectedError::Transient) => self.transient += 1,
+            Some(InjectedError::Permanent) => self.permanent += 1,
+            Some(InjectedError::Panic) => self.panics += 1,
+        }
+    }
+
+    /// Add another worker's totals.
+    pub fn merge(&mut self, other: &FaultReport) {
+        self.latency_spikes += other.latency_spikes;
+        self.transient += other.transient;
+        self.permanent += other.permanent;
+        self.panics += other.panics;
+    }
 }
 
 /// Error taxonomy and recovery counters of a resilience-enabled run: what

@@ -61,8 +61,7 @@
 
 use crate::cache::CacheConfig;
 use crate::driver::{Arrival, Driver, DriverConfig, DriverOutcome, ThinkTime};
-use crate::report::FaultReport;
-use crate::resilience::ResiliencePolicy;
+use crate::resilience::{FaultConfig, ResiliencePolicy};
 
 /// The `cache` block of a spec is the cache's own [`CacheConfig`]. The old
 /// name stays importable only because the frozen `benchmark/` package
@@ -76,7 +75,7 @@ use simba_core::session::batch::{synthesize_scripts, BatchConfig};
 use simba_core::session::source::{AdaptiveSource, AdaptiveWalkConfig, ScriptedSource};
 use simba_core::spec::builtin::builtin;
 use simba_data::{DashboardDataset, DatasetSize};
-use simba_engine::{Dbms, EngineKind, FaultConfig, FaultInjectingDbms};
+use simba_engine::EngineKind;
 use simba_idebench::{ActionProbs, IdebenchSource};
 use simba_store::Table;
 use std::sync::Arc;
@@ -432,9 +431,9 @@ pub struct ScenarioSpec {
     /// store and engines that opt in (duckdb-like) seed scans from the
     /// previous step's surviving rows. Results stay byte-identical to a
     /// delta-off run; only latency and the report's `delta` section
-    /// change. Composes with `resilience` (a failed attempt resets the
-    /// store) but not with an active `fault`, which `validate` rejects.
-    /// Defaults to off so existing scenario files stay valid.
+    /// change. Composes with `resilience` and `fault` (a failed attempt
+    /// resets the store). Defaults to off so existing scenario files stay
+    /// valid.
     #[serde(default)]
     pub delta: bool,
     /// Collect a [`simba_obs`] metrics snapshot (counters + per-phase
@@ -442,9 +441,9 @@ pub struct ScenarioSpec {
     /// Defaults to off so existing scenario files stay valid.
     #[serde(default)]
     pub collect_metrics: bool,
-    /// `Some` with non-zero probabilities wraps the engine in a
-    /// [`FaultInjectingDbms`]; `None` (the default) or an
-    /// explicit-but-inert block leaves the engine untouched and the run
+    /// `Some` with non-zero probabilities draws a fault per execution
+    /// attempt ([`FaultConfig::draw`]); `None` (the default) or an
+    /// explicit-but-inert block draws nothing and leaves the run
     /// byte-identical to pre-chaos builds.
     #[serde(default, skip_serializing_if = "Option::is_none")]
     pub fault: Option<FaultConfig>,
@@ -565,16 +564,6 @@ impl ScenarioSpec {
                 ));
             }
         }
-        if self.delta && self.fault.as_ref().is_some_and(FaultConfig::is_active) {
-            // The fault wrapper keys its deterministic draws on the
-            // `QueryCtx` of `execute_at`; `execute_delta` cannot carry
-            // one, so the wrapper would decline delta for every query.
-            return Err(WorkloadError::InvalidSpec(
-                "`delta` cannot be combined with an active `fault`: injected faults are keyed \
-                 on the per-attempt query context, which delta execution cannot carry"
-                    .into(),
-            ));
-        }
         if let Some(res) = &self.resilience {
             if res.max_retries > 0 && res.backoff_cap_ms < res.backoff_base_ms {
                 return Err(WorkloadError::InvalidSpec(format!(
@@ -616,7 +605,8 @@ impl ScenarioSpec {
     }
 }
 
-/// The pacing/seed/cache/resilience half of a spec, as the driver config.
+/// The pacing/seed/cache/resilience/fault half of a spec, as the driver
+/// config.
 impl From<&ScenarioSpec> for DriverConfig {
     fn from(spec: &ScenarioSpec) -> DriverConfig {
         DriverConfig {
@@ -629,6 +619,7 @@ impl From<&ScenarioSpec> for DriverConfig {
             delta: spec.delta,
             collect_metrics: spec.collect_metrics,
             resilience: spec.resilience.clone().unwrap_or_default(),
+            fault: spec.fault.clone().unwrap_or_default(),
         }
     }
 }
@@ -696,19 +687,8 @@ impl Driver {
     ) -> Result<DriverOutcome, WorkloadError> {
         spec.validate()?;
         let table = tables.get(spec)?;
-        let bare = spec.engine.resolve()?;
-        bare.register(table.clone());
-        // Wrap *after* registration so table setup can never fault; only
-        // query execution is chaos-eligible.
-        let fault = spec
-            .fault
-            .as_ref()
-            .filter(|f| f.is_active())
-            .map(|f| Arc::new(FaultInjectingDbms::new(bare.clone(), f.clone())));
-        let engine: Arc<dyn Dbms> = match &fault {
-            Some(wrapper) => wrapper.clone(),
-            None => bare,
-        };
+        let engine = spec.engine.resolve()?;
+        engine.register(table.clone());
         let driver = Driver::new(DriverConfig::from(spec));
 
         let mut outcome = match &spec.source {
@@ -770,15 +750,6 @@ impl Driver {
             }
         };
         outcome.report.scenario_name = spec.name.clone();
-        if let Some(wrapper) = &fault {
-            let stats = wrapper.stats();
-            outcome.report.fault = Some(FaultReport {
-                latency_spikes: stats.latency_spikes,
-                transient: stats.transient_errors,
-                permanent: stats.permanent_errors,
-                panics: stats.panics,
-            });
-        }
         Ok(outcome)
     }
 }
@@ -1038,27 +1009,30 @@ mod tests {
     }
 
     #[test]
-    fn validate_rejects_delta_under_an_active_fault_by_name() {
+    fn validate_accepts_delta_under_an_active_fault() {
         let mut spec = ScenarioSpec::new("chaotic", "customer_service");
         spec.delta = true;
         spec.fault = Some(FaultConfig {
             transient_error_prob: 0.1,
             ..FaultConfig::default()
         });
-        match spec.validate() {
-            Err(WorkloadError::InvalidSpec(why)) => {
-                assert!(why.contains("`delta`") && why.contains("`fault`"), "{why}")
-            }
-            other => panic!("delta under an active fault must be rejected, got {other:?}"),
-        }
-        // Delta composes with deadlines and retries; only faults exclude it.
-        spec.fault = None;
+        spec.validate().unwrap();
+        // With deadlines and retries too, and the fault reaches the driver.
         spec.resilience = Some(ResiliencePolicy {
             deadline_ms: 100,
             max_retries: 2,
             ..ResiliencePolicy::default()
         });
         spec.validate().unwrap();
+        let config = DriverConfig::from(&spec);
+        assert!(config.delta && config.fault.is_active());
+        assert_eq!(Some(&config.fault), spec.fault.as_ref());
+        // The fault-probability checks still hold under delta.
+        spec.fault = Some(FaultConfig {
+            transient_error_prob: 1.5,
+            ..FaultConfig::default()
+        });
+        assert!(spec.validate().is_err(), "probability over 1");
     }
 
     #[test]

@@ -11,8 +11,8 @@
 use super::{EngineSpec, ScenarioSpec, SourceSpec};
 use crate::cache::CacheConfig;
 use crate::driver::{Arrival, ThinkTime};
-use crate::resilience::ResiliencePolicy;
-use simba_engine::{EngineKind, FaultConfig};
+use crate::resilience::{FaultConfig, ResiliencePolicy};
+use simba_engine::EngineKind;
 
 /// Scale knobs shared by every built-in suite.
 #[derive(Debug, Clone)]

@@ -442,6 +442,74 @@ fn delta_shootout_scenario_reuses_work_invisibly() {
     }
 }
 
+/// Delta runs under chaos. The `chaos` suite's mixed-fault specs on
+/// `duckdb-like` (adaptive walks, cache off and on) run on one worker with
+/// delta off and on. Faults are drawn per attempt from the attempt's
+/// context, so both runs draw the same faults on the same queries and
+/// recover from them the same way; each failed attempt resets the session's
+/// store, and reuse resumes after it.
+#[test]
+fn delta_under_chaos_is_invisible() {
+    let params = ScenarioParams {
+        rows: 2000,
+        users: vec![4],
+        steps: 16,
+        ..ScenarioParams::default()
+    };
+    let suite = scenario("chaos", &params).expect("chaos is registered");
+    let mixed: Vec<&ScenarioSpec> = suite
+        .specs
+        .iter()
+        .filter(|s| {
+            s.engine.kind_name() == EngineKind::DuckDbLike.name()
+                && matches!(s.source, SourceSpec::Adaptive { .. })
+        })
+        .collect();
+    assert_eq!(mixed.len(), 2, "one mixed-fault spec per cache state");
+    for spec in mixed {
+        let label = if spec.cache.is_some() {
+            "cache on"
+        } else {
+            "cache off"
+        };
+        let mut off_spec = spec.clone();
+        off_spec.workers = 1;
+        let mut on_spec = off_spec.clone();
+        on_spec.delta = true;
+        let off = Driver::execute(&off_spec).unwrap();
+        let on = Driver::execute(&on_spec).unwrap();
+
+        assert!(off.report.fingerprint_digest.is_some(), "{label}");
+        assert_eq!(
+            off.report.fingerprint_digest, on.report.fingerprint_digest,
+            "{label}: delta changed results"
+        );
+        assert_eq!(off.actions, on.actions, "{label}: delta changed the walk");
+        assert!(off.report.fault.is_some(), "{label}: fault section");
+        assert_eq!(
+            off.report.fault, on.report.fault,
+            "{label}: delta changed what was injected"
+        );
+        assert!(
+            off.report.resilience.is_some(),
+            "{label}: resilience section"
+        );
+        assert_eq!(
+            off.report.resilience, on.report.resilience,
+            "{label}: delta changed the error taxonomy"
+        );
+        let delta = on.report.delta.expect("delta-on run reports");
+        assert!(
+            delta.resets > 0,
+            "{label}: no failed attempt reset the store: {delta:?}"
+        );
+        assert!(
+            delta.hits + delta.group_hits > 0,
+            "{label}: chaos switched delta reuse off: {delta:?}"
+        );
+    }
+}
+
 /// `EngineSpec::remote` cleanly disables delta reuse: `RemoteDbms` cannot
 /// observe the server's catalog generation, so it inherits the trait's
 /// default-decline `execute_delta` and every query executes fresh. The run

@@ -1,7 +1,7 @@
 //! The chaos acceptance properties: fault injection is *deterministic* —
 //! same `(seed, FaultConfig)` ⇒ byte-identical runs regardless of worker
 //! count or rerun — an inert `FaultConfig` is *invisible* — byte-identical
-//! to a run without the wrapper — and the resilience layer actually
+//! to a run without the block — and the resilience layer actually
 //! recovers: transient faults within the retry budget never surface as
 //! errors, deadlines bound every query, and error-steered adaptive walks
 //! reproduce.
@@ -15,10 +15,10 @@ use simba_core::spec::builtin::builtin;
 use simba_data::DashboardDataset;
 use simba_driver::workload::{EngineSpec, ScenarioSpec, SourceSpec};
 use simba_driver::{
-    scenario, Driver, DriverConfig, FaultReport, ResiliencePolicy, ResilienceReport,
+    scenario, Driver, DriverConfig, FaultConfig, FaultReport, ResiliencePolicy, ResilienceReport,
     ScenarioParams, ScriptedSource, ERROR_FINGERPRINT,
 };
-use simba_engine::{Dbms, EngineError, EngineKind, FaultConfig, FaultInjectingDbms, QueryOutput};
+use simba_engine::{Dbms, EngineError, EngineKind, QueryOutput};
 use simba_sql::Select;
 use simba_store::{ResultSet, Table, Value};
 use std::sync::Arc;
@@ -54,7 +54,7 @@ proptest! {
     /// Same `(seed, FaultConfig)` ⇒ the same faults hit the same queries:
     /// actions, fingerprints, and every fault/resilience counter are
     /// byte-identical across reruns *and* across worker counts. (Cache
-    /// off: a shared cache makes the wrapper's hit pattern depend on
+    /// off: a shared cache makes the draws' hit pattern depend on
     /// which racing session leads each single-flight, by design.)
     #[test]
     fn faulted_runs_are_byte_identical_across_reruns_and_workers(
@@ -93,18 +93,18 @@ proptest! {
     #[test]
     fn inert_fault_and_resilience_specs_change_nothing(seed in 0u64..500) {
         let bare = base_spec(seed, 2);
-        let mut wrapped = base_spec(seed, 2);
-        wrapped.fault = Some(FaultConfig::default());
-        wrapped.resilience = Some(ResiliencePolicy::default());
+        let mut inert = base_spec(seed, 2);
+        inert.fault = Some(FaultConfig::default());
+        inert.resilience = Some(ResiliencePolicy::default());
         let a = Driver::execute(&bare).unwrap();
-        let b = Driver::execute(&wrapped).unwrap();
+        let b = Driver::execute(&inert).unwrap();
         prop_assert_eq!(&a.actions, &b.actions);
         prop_assert_eq!(&a.fingerprints, &b.fingerprints);
         prop_assert_eq!(a.report.queries, b.report.queries);
         prop_assert_eq!(a.report.errors, b.report.errors);
         prop_assert_eq!(&a.report.exec, &b.report.exec);
         // Inert specs must not even switch the report onto the new
-        // sections: the wrapper is never installed, the legacy path runs.
+        // sections: nothing is drawn and nothing failed.
         prop_assert!(b.report.fault.is_none());
         prop_assert!(b.report.resilience.is_none());
     }
@@ -282,14 +282,16 @@ fn errored_queries_never_solve_goals() {
     assert_eq!(healthy.report.errors, 0);
     assert!(healthy.actions.iter().all(|steps| steps.len() == 1));
 
-    let failing = FaultInjectingDbms::new(
-        engine.clone(),
-        FaultConfig {
+    let failing = Driver::new(DriverConfig {
+        workers: 1,
+        collect_fingerprints: true,
+        fault: FaultConfig {
             permanent_error_prob: 1.0,
             ..FaultConfig::default()
         },
-    );
-    let faulted = driver.run_source(Arc::new(failing), &source);
+        ..Default::default()
+    });
+    let faulted = failing.run_source(engine.clone(), &source);
     assert_eq!(faulted.report.errors, faulted.report.queries);
     for (user, steps) in faulted.actions.iter().enumerate() {
         assert_eq!(steps.len(), 13, "user {user}: render + every step");
@@ -314,11 +316,7 @@ fn chaos_scenario_injects_every_fault_and_recovers() {
     for spec in &suite.specs {
         let report = Driver::execute(spec).expect("chaos spec runs").report;
         assert!(report.queries > 0, "empty report");
-        let f = report.fault.as_ref().expect("fault section");
-        fault.latency_spikes += f.latency_spikes;
-        fault.transient += f.transient;
-        fault.permanent += f.permanent;
-        fault.panics += f.panics;
+        fault.merge(report.fault.as_ref().expect("fault section"));
         let r = report.resilience.as_ref().expect("resilience section");
         assert_eq!(r.degraded.len(), report.sessions, "a session never ended");
         res.merge(r);

@@ -4,13 +4,14 @@
 //!
 //! The engine puts a fresh `Arc<str>` into every result and keeps a `Weak`
 //! to it; at each step's first query it tries to upgrade every `Weak` of
-//! the steps before. The stream reads each result it is fed and keeps
-//! nothing.
+//! the steps before. Each query names its step and chart in two literal
+//! projections, so the engine needs nothing from the driver but the query.
+//! The stream reads each result it is fed and keeps nothing.
 
 use simba_core::session::source::{QueryFeedback, SessionSource, SessionStream, SourceStep};
 use simba_driver::{Driver, DriverConfig};
-use simba_engine::{Dbms, EngineError, ExecStats, QueryCtx, QueryOutput};
-use simba_sql::{parse_select, Select};
+use simba_engine::{Dbms, EngineError, ExecStats, QueryOutput};
+use simba_sql::{parse_select, Expr, Literal, Select};
 use simba_store::{ResultSet, Table, Value};
 use std::sync::{Arc, Mutex, Weak};
 use std::time::Duration;
@@ -37,32 +38,38 @@ impl Dbms for WatchingEngine {
 
     fn register(&self, _table: Arc<Table>) {}
 
-    fn execute(&self, _query: &Select) -> Result<QueryOutput, EngineError> {
-        unreachable!("the driver calls execute_at")
-    }
-
-    fn execute_at(&self, _query: &Select, ctx: &QueryCtx) -> Result<QueryOutput, EngineError> {
+    fn execute(&self, query: &Select) -> Result<QueryOutput, EngineError> {
+        let (at_step, chart) = position(query);
         let mut handed_out = self.handed_out.lock().unwrap();
-        if ctx.query == 0 {
+        if chart == 0 {
             *self.checks.lock().unwrap() += 1;
             let mut alive = self.alive.lock().unwrap();
             for (step, weak) in handed_out.iter() {
-                if *step < ctx.step && weak.upgrade().is_some() {
-                    alive.push((ctx.step, *step));
+                if *step < at_step && weak.upgrade().is_some() {
+                    alive.push((at_step, *step));
                 }
             }
         }
-        let cell: Arc<str> = Arc::from(format!("step {} chart {}", ctx.step, ctx.query));
-        handed_out.push((ctx.step, Arc::downgrade(&cell)));
+        let cell: Arc<str> = Arc::from(format!("step {at_step} chart {chart}"));
+        handed_out.push((at_step, Arc::downgrade(&cell)));
         Ok(QueryOutput {
             result: ResultSet::new(
                 vec!["label".into(), "n".into()],
-                vec![vec![Value::Str(cell), Value::Int(ctx.query as i64)]],
+                vec![vec![Value::Str(cell), Value::Int(chart as i64)]],
             ),
             stats: ExecStats::default(),
             elapsed: Duration::ZERO,
         })
     }
+}
+
+/// The `(step, chart)` a [`StepStream`] query names in its two projections.
+fn position(query: &Select) -> (u64, u64) {
+    let literal = |i: usize| match &query.projections[i].expr {
+        Expr::Literal(Literal::Int(n)) => *n as u64,
+        other => panic!("projection {i} is not a position literal: {other:?}"),
+    };
+    (literal(0), literal(1))
 }
 
 /// `STEPS` steps of `CHARTS` charts each.
@@ -88,13 +95,16 @@ impl SessionStream for StepStream {
         if self.taken == STEPS {
             return None;
         }
+        let step = self.taken;
         self.taken += 1;
-        let query = parse_select("SELECT COUNT(*) FROM t").unwrap();
         Some(SourceStep {
-            description: format!("step {}", self.taken - 1),
+            description: format!("step {step}"),
             steering: None,
             queries: (0..CHARTS)
-                .map(|c| (format!("c{c}"), query.clone()))
+                .map(|c| {
+                    let query = format!("SELECT {step} AS step, {c} AS chart FROM t");
+                    (format!("c{c}"), parse_select(&query).unwrap())
+                })
                 .collect(),
         })
     }

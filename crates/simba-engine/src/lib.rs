@@ -25,7 +25,6 @@ pub mod engines;
 pub mod error;
 pub mod eval;
 pub mod exec;
-pub mod fault;
 pub mod group;
 pub mod plan;
 
@@ -38,21 +37,17 @@ pub use engines::duckdb_like::DuckDbLike;
 pub use engines::sqlite_like::SqliteLike;
 pub use error::EngineError;
 pub use exec::{execute_row_oracle, ExecStats, QueryOutput};
-pub use fault::{FaultConfig, FaultInjectingDbms, FaultStats};
 
 use simba_sql::Select;
 use simba_store::Table;
 use std::sync::Arc;
 
-/// Deterministic identity of one query execution attempt, threaded through
-/// [`Dbms::execute_at`] so wrappers (notably [`FaultInjectingDbms`]) can key
-/// per-attempt decisions on *who* is executing rather than on wall-clock or
-/// shared mutable state. `(session, step, query)` name the position of the
-/// query inside a driver run; `attempt` counts retries of that position
-/// (0 = first try).
-#[derive(
-    Debug, Clone, Copy, Default, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize,
-)]
+/// Deterministic identity of one query execution attempt: the driver keys
+/// its per-attempt fault draws on *who* is executing rather than on
+/// wall-clock or shared mutable state. `(session, step, query)` name the
+/// position of the query inside a driver run; `attempt` counts retries of
+/// that position (0 = first try).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub struct QueryCtx {
     /// Session (user) index within the run.
     pub session: u64,
@@ -83,9 +78,10 @@ pub trait Dbms: Send + Sync {
     fn execute(&self, query: &Select) -> Result<QueryOutput, EngineError>;
 
     /// [`execute`](Self::execute) with the caller's execution identity
-    /// attached. Real engines ignore the context (results may never depend
-    /// on who asks); fault-injecting wrappers key their deterministic
-    /// per-attempt decisions on it.
+    /// attached; results may never depend on who asks. It survives only
+    /// because the benchmark's `TimedDbms` (`benchmark/src/probe.rs`)
+    /// overrides it: nothing in `crates/` calls it, and ROADMAP item 1 (ii)
+    /// deletes it.
     fn execute_at(&self, query: &Select, ctx: &QueryCtx) -> Result<QueryOutput, EngineError> {
         let _ = ctx;
         self.execute(query)
