@@ -2,7 +2,8 @@
 //! dashboard-shaped queries (supports the §6 engine comparison), the
 //! filter compiler's kernels against what they replace, the plan layer
 //! (`prepare` plus `compile_kernels`) on storm-shaped filters, the group
-//! layer on the storm's packed GROUP BY shapes, seeded scans against the
+//! layer on the storm's packed GROUP BY shapes, the scan's filter and
+//! aggregate loops on storm and KPI-tile queries, seeded scans against the
 //! fresh scans they replace, the result layer on the storm's largest
 //! result, and dataset generation.
 
@@ -254,6 +255,53 @@ fn bench_group(c: &mut Criterion) {
     group.finish();
 }
 
+/// `scan/`: `run_morsels` (one scan thread, no delta) at 100K rows on the
+/// scan's per-row loops: `COUNT(*)` under a mid-selectivity Float and an
+/// Int `BETWEEN` (the filter kernel), the `dash_*` workloads' two KPI tiles
+/// (global aggregates: one group), and a `COUNT(*)` over one group and
+/// over three (counted in lanes).
+fn bench_scan(c: &mut Criterion) {
+    let table = Arc::new(DashboardDataset::CustomerService.generate_rows(100_000, 42));
+    let cases = [
+        (
+            "count_float_between",
+            "SELECT COUNT(*) FROM customer_service WHERE talk_time BETWEEN 137.5 AND 790.6",
+        ),
+        (
+            "count_int_between",
+            "SELECT COUNT(*) FROM customer_service WHERE hour BETWEEN 9 AND 17",
+        ),
+        (
+            "kpi_sum_abandoned_count_calls",
+            "SELECT SUM(abandoned), COUNT(calls) FROM customer_service",
+        ),
+        (
+            "kpi_count_lost_calls",
+            "SELECT COUNT(lost_calls) FROM customer_service",
+        ),
+        (
+            "one_group_count",
+            "SELECT BIN(callbacks, 10), COUNT(*) FROM customer_service \
+             GROUP BY BIN(callbacks, 10)",
+        ),
+        (
+            "three_group_count",
+            "SELECT customer_tier, COUNT(*) FROM customer_service GROUP BY customer_tier",
+        ),
+    ];
+    let mut group = c.benchmark_group("scan");
+    group
+        .sample_size(300)
+        .measurement_time(Duration::from_secs(3));
+    for (name, sql) in cases {
+        let plan = prepare(&parse_select(sql).unwrap(), table.clone()).unwrap();
+        group.bench_function(name, |b| {
+            b.iter(|| run_morsels(&plan, 1, DeltaScan::Off).0.n_rows())
+        });
+    }
+    group.finish();
+}
+
 /// `seeded/`: `run_morsels` (one scan thread) at 100K rows on one filtered
 /// GROUP BY, as a fresh scan and seeded from the bitmap a capturing scan
 /// kept: an exact seed at ≈30 % of the rows (`queue` B), whose kernels are
@@ -360,6 +408,7 @@ criterion_group!(
     bench_filters,
     bench_plan,
     bench_group,
+    bench_scan,
     bench_seeded,
     bench_result,
     bench_data

@@ -21,8 +21,13 @@
 //! Float literal compared with an Int column is counted by how the filter
 //! compiler places it among the column's keys: in closed form (finite and
 //! below 2^53 in magnitude) or by bisection (the rest); the storm must
-//! reach the closed form. `cargo test -p simba-driver --test
-//! kernel_coverage -- --nocapture` prints the four tables.
+//! reach the closed form. Each scan that reads a row is counted by the
+//! aggregate arm it reaches: a table of one group, which folds each batch
+//! into a local, and a `COUNT(*)` over at most `LANE_GROUPS` groups, which
+//! counts in lanes, against more. The adaptive walks must reach the
+//! one-group arm (their KPI tiles are global aggregates) and the storm the
+//! lanes (its `COUNT(*)`s are all grouped). `cargo test -p simba-driver
+//! --test kernel_coverage -- --nocapture` prints the five tables.
 
 use simba_core::dashboard::Dashboard;
 use simba_core::session::batch::{synthesize_scripts, BatchConfig};
@@ -36,11 +41,11 @@ use simba_driver::{
 use simba_engine::batch::run_morsels;
 use simba_engine::eval::CExpr;
 use simba_engine::exec::{cexpr_conjuncts, compile_kernels, Kernel};
-use simba_engine::group::GroupTable;
+use simba_engine::group::{GroupTable, LANE_GROUPS};
 use simba_engine::plan::{compile_row_expr, prepare, QueryKind};
 use simba_engine::{Dbms, DeltaScan, EngineError, EngineKind, QueryOutput};
 use simba_idebench::IdebenchSource;
-use simba_sql::Select;
+use simba_sql::{Func, Select};
 use simba_store::{ColumnData, Table, Value};
 use std::sync::{Arc, Mutex};
 
@@ -103,6 +108,11 @@ struct Inventory {
     columns: [usize; 2],
     /// Aggregates by GROUP BY key count: 0, 1, 2, 3 or more.
     keys: [usize; 4],
+    /// Aggregates whose scan read a row into a table of one group.
+    one_group: usize,
+    /// `COUNT(*)` aggregates whose scan read a row, by the groups they
+    /// emit: one, at most `LANE_GROUPS`, more.
+    count_star: [usize; 3],
 }
 
 impl Inventory {
@@ -137,11 +147,24 @@ fn inventory(table: &Arc<Table>, source: &dyn SessionSource) -> Inventory {
             inv.keys[keys.len().min(3)] += 1;
             let groups = GroupTable::new(keys, aggs, table);
             let (index, typed) = groups.layout();
-            if let Some(arm) = groups.packed_arm() {
-                let (_, stats, _) = run_morsels(&plan, 1, DeltaScan::Off);
-                match arm {
-                    "direct" => inv.direct.push(stats.groups),
-                    _ => inv.map.push(stats.groups),
+            let (_, stats, _) = run_morsels(&plan, 1, DeltaScan::Off);
+            match groups.packed_arm() {
+                Some("direct") => inv.direct.push(stats.groups),
+                Some(_) => inv.map.push(stats.groups),
+                None => {}
+            }
+            if stats.rows_matched > 0 {
+                inv.one_group += usize::from(stats.groups == 1);
+                let count_star = aggs
+                    .iter()
+                    .any(|a| a.func == Func::Count && a.arg.is_none() && !a.distinct);
+                if count_star {
+                    let arm = match stats.groups {
+                        1 => 0,
+                        g if g <= LANE_GROUPS => 1,
+                        _ => 2,
+                    };
+                    inv.count_star[arm] += 1;
                 }
             }
             inv.columns[0] += typed;
@@ -397,6 +420,41 @@ fn idebench_storm_compiles_to_typed_kernels_only() {
         if *name == "idebench" {
             // Storm ranges are Float bounds whatever the column's type.
             assert!(inv.int_float[0] > 0, "{inv:?}");
+        }
+    }
+
+    print_aggregate_arms(&inventories);
+}
+
+/// The aggregate arms each source's scans reach: one group, and
+/// `COUNT(*)` by the groups it counts into.
+fn print_aggregate_arms(inventories: &[(&str, Inventory)]) {
+    println!(
+        "\n{:<9} {:>10} {:>9} {:>8} {:>8} {:>8} {:>8}",
+        "source",
+        "aggregates",
+        "one-group",
+        "COUNT(*)",
+        "1 group",
+        format!("<= {LANE_GROUPS}"),
+        format!("> {LANE_GROUPS}")
+    );
+    for (name, inv) in inventories {
+        println!(
+            "{name:<9} {:>10} {:>9} {:>8} {:>8} {:>8} {:>8}",
+            inv.aggregates(),
+            inv.one_group,
+            inv.count_star.iter().sum::<usize>(),
+            inv.count_star[0],
+            inv.count_star[1],
+            inv.count_star[2],
+        );
+        match *name {
+            // The KPI tiles: global aggregates over the walk's filters.
+            "adaptive" => assert!(inv.one_group > 0, "{name}: {inv:?}"),
+            // Every storm chart counts its rows per group.
+            "idebench" => assert!(inv.count_star[1] > 0, "{name}: {inv:?}"),
+            _ => {}
         }
     }
 }

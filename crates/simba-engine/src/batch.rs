@@ -12,6 +12,19 @@
 //! slices too — no `Value` boxing on the hot path.
 //! Semantics are pinned to the row path: the equivalence suite requires
 //! byte-identical results from both.
+//!
+//! Two rules keep the per-row loops short:
+//!
+//! - **A filter kernel has no data-dependent branch.** A row's conditions
+//!   (valid, at or above `lo`, at or below `hi`, its code in the mask)
+//!   combine with a non-short-circuit `&`, never `&&`, and the compaction
+//!   stores every row and advances by the verdict, so a filter of any
+//!   selectivity costs the same per row.
+//! - **Only `COUNT`, Int `SUM`, `MIN` and `MAX` may reassociate.** Their
+//!   results do not depend on the order rows are folded in, so the group
+//!   table may count in lanes or fold a batch into a register. Float `SUM`
+//!   and `AVG` fold in row order from the stored state (ROADMAP item 20
+//!   makes them order-free).
 
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
@@ -161,8 +174,9 @@ impl RowBitmap {
 }
 
 /// In-place compaction of a selection vector: keep row `i` iff `$keep(i)`.
-/// Written branch-light (unconditional store + predicated advance) so the
-/// typed comparison loops compile to straight-line code.
+/// Written without a branch (an unconditional store and an advance by the
+/// verdict), so with a `$keep` free of `&&` the typed comparison loops
+/// compile to straight-line code.
 macro_rules! compact {
     ($sel:expr, $keep:expr) => {{
         let rows = &mut $sel.rows;
@@ -192,7 +206,7 @@ impl Kernel {
                 let c = table.column(*col);
                 let valid = c.validity();
                 let (lo, hi, negated) = (*lo, *hi, *negated);
-                let keep = |key: i64| (lo <= key && key <= hi) != negated;
+                let keep = |key: i64| ((lo <= key) & (key <= hi)) != negated;
                 if let Some(data) = c.int_data() {
                     for_width!(data, |lane| filter_keys(
                         |i| lane[i] as i64,
@@ -218,7 +232,7 @@ impl Kernel {
                             if valid.is_empty() {
                                 compact!(sel, keep_code);
                             } else {
-                                compact!(sel, |i: usize| valid[i] && keep_code(i));
+                                compact!(sel, |i: usize| valid[i] & keep_code(i));
                             }
                         })
                     }
@@ -236,9 +250,9 @@ impl Kernel {
 }
 
 /// Keep the selected rows that are valid and whose ordered key passes
-/// `keep`. `key` reads a row's key off the raw slice; one instance per
-/// column type and stored width, so the loop stays monomorphic and
-/// branch-light.
+/// `keep`. `key` reads a row's key off the raw slice, a NULL row's too, so
+/// validity and `keep` combine without a branch; one instance per column
+/// type and stored width, so the loop stays monomorphic.
 fn filter_keys(
     key: impl Fn(usize) -> i64,
     valid: &[bool],
@@ -248,7 +262,7 @@ fn filter_keys(
     if valid.is_empty() {
         compact!(sel, |i: usize| keep(key(i)));
     } else {
-        compact!(sel, |i: usize| valid[i] && keep(key(i)));
+        compact!(sel, |i: usize| valid[i] & keep(key(i)));
     }
 }
 

@@ -53,6 +53,23 @@
 //! `-0.0` — and the NULL slot NULL. Every index emits through one
 //! `GroupRow` view, which reads a key part or finalizes an aggregate only
 //! when HAVING or a projection asks for it.
+//!
+//! A batch's per-row loops carry no dependency through memory where the
+//! result allows it, and only `COUNT`, Int `SUM`, `MIN` and `MAX` may
+//! reassociate to get there:
+//!
+//! - **one group** (a global aggregate, or a table whose only group so far
+//!   is group 0): each typed column folds the batch into a local and stores
+//!   it once. `COUNT(*)` adds the batch length and `COUNT(col)` its valid
+//!   rows. Float `SUM` and `AVG` fold in row order from the stored state,
+//!   so a lone `-0.0` still sums to `+0.0`, as the accumulator's does;
+//! - **at most [`LANE_GROUPS`] groups**: `COUNT(*)` counts row *k* into
+//!   lane *k* mod 4 and folds the lanes into the table once per batch,
+//!   exact because counts are integers;
+//! - otherwise each row updates its group's state in place.
+//!
+//! A filter kernel, for its part, has no data-dependent branch (see
+//! [`crate::batch`]).
 
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
@@ -579,10 +596,12 @@ impl KeyIndex {
     }
 
     /// Set `ids` (empty on entry) to the group id of each of `rows`,
-    /// numbering every group first reached after the existing ones.
+    /// numbering every group first reached after the existing ones. A
+    /// global index leaves `ids` empty: its one group's columns fold the
+    /// batch without them.
     fn assign(&mut self, table: &Table, rows: &[u32], ids: &mut Vec<u32>) {
         match self {
-            KeyIndex::Global => ids.resize(rows.len(), 0),
+            KeyIndex::Global => {}
             KeyIndex::Dense { col, slots, codes } => {
                 dict_key_slots(table.column(*col), rows, ids, (slots.len() - 1) as u32);
                 for id in ids.iter_mut() {
@@ -597,6 +616,7 @@ impl KeyIndex {
                 keys,
                 scratch,
             } => {
+                ids.reserve(rows.len());
                 for &row in rows {
                     let ctx = TableRow {
                         table,
@@ -760,6 +780,108 @@ fn floats(table: &Table, col: usize, rows: &[u32], ids: &[u32], mut f: impl FnMu
     }
 }
 
+/// `acc` folded through `f` with the value of each selected row whose Int
+/// column `col` is valid, in row order: the one-group twin of [`ints`],
+/// whose state stays in a register.
+fn fold_ints<A: Copy>(
+    table: &Table,
+    col: usize,
+    rows: &[u32],
+    acc: A,
+    f: impl Fn(A, i64) -> A,
+) -> A {
+    let c = table.column(col);
+    match c.int_data() {
+        Some(data) => for_width!(data, |lane| fold_valid(
+            c.validity(),
+            rows,
+            acc,
+            |i| lane[i] as i64,
+            &f
+        )),
+        None => acc,
+    }
+}
+
+/// [`fold_ints`] for a Float column.
+fn fold_floats<A: Copy>(
+    table: &Table,
+    col: usize,
+    rows: &[u32],
+    acc: A,
+    f: impl Fn(A, f64) -> A,
+) -> A {
+    let c = table.column(col);
+    match c.float_data() {
+        Some(data) => fold_valid(c.validity(), rows, acc, |i| data[i], f),
+        None => acc,
+    }
+}
+
+/// `acc` folded through `f` with `value(i)` of each row `i` of `rows` that
+/// `valid` holds (every row when it is empty). One instance per column
+/// type and stored width.
+fn fold_valid<A: Copy, T>(
+    valid: &[bool],
+    rows: &[u32],
+    acc: A,
+    value: impl Fn(usize) -> T,
+    f: impl Fn(A, T) -> A,
+) -> A {
+    if valid.is_empty() {
+        rows.iter().fold(acc, |a, &row| f(a, value(row as usize)))
+    } else {
+        rows.iter().fold(acc, |a, &row| {
+            let i = row as usize;
+            if valid[i] {
+                f(a, value(i))
+            } else {
+                a
+            }
+        })
+    }
+}
+
+/// The most groups a `COUNT(*)` counts in lanes.
+pub const LANE_GROUPS: usize = 64;
+
+/// `n[ids[k]] += 1` for each row `k`, counted into lane `k % 4`: rows next
+/// to each other in one group add to different slots, so no row waits for
+/// the previous row's store. The lanes are folded into `n` once. A lane
+/// counts at most a quarter of a batch of `u32` row indices, so a `u32`
+/// holds it.
+fn count_in_lanes(ids: &[u32], n: &mut [i64]) {
+    let mut lanes = [[0u32; LANE_GROUPS]; 4];
+    let mut quads = ids.chunks_exact(4);
+    for quad in &mut quads {
+        for (lane, &g) in lanes.iter_mut().zip(quad) {
+            lane[g as usize] += 1;
+        }
+    }
+    for (lane, &g) in lanes.iter_mut().zip(quads.remainder()) {
+        lane[g as usize] += 1;
+    }
+    for lane in &lanes {
+        for (total, &count) in n.iter_mut().zip(lane) {
+            *total += i64::from(count);
+        }
+    }
+}
+
+/// Feed row `row` of `table` into the boxed accumulator `acc` of `spec`.
+fn feed(spec: &AggSpec, acc: &mut Accumulator, table: &Table, row: u32) {
+    match &spec.arg {
+        None => acc.update_star(),
+        Some(arg) => acc.update_value(eval(
+            arg,
+            &TableRow {
+                table,
+                row: row as usize,
+            },
+        )),
+    }
+}
+
 fn add_int(sum: &mut Option<i64>, v: i64) {
     *sum = Some(sum.unwrap_or(0).wrapping_add(v));
 }
@@ -857,9 +979,15 @@ impl AggColumn {
         }
     }
 
-    /// Feed the selected `rows` of `table`, row `rows[k]` into group `ids[k]`.
-    fn update(&mut self, table: &Table, rows: &[u32], ids: &[u32]) {
+    /// Feed the selected `rows` of `table`, row `rows[k]` into group
+    /// `ids[k]`, of a table of `groups` groups; with one group every row is
+    /// in group 0 and `ids` is not read.
+    fn update(&mut self, table: &Table, rows: &[u32], ids: &[u32], groups: usize) {
+        if groups == 1 {
+            return self.fold_one(table, rows);
+        }
         match self {
+            AggColumn::Count { col: None, n } if groups <= LANE_GROUPS => count_in_lanes(ids, n),
             AggColumn::Count { col: None, n } => {
                 for &g in ids {
                     n[g as usize] += 1;
@@ -896,17 +1024,60 @@ impl AggColumn {
             }
             AggColumn::Boxed { spec, accs } => {
                 for (&row, &g) in rows.iter().zip(ids) {
-                    let acc = &mut accs[g as usize];
-                    match &spec.arg {
-                        None => acc.update_star(),
-                        Some(arg) => acc.update_value(eval(
-                            arg,
-                            &TableRow {
-                                table,
-                                row: row as usize,
-                            },
-                        )),
-                    }
+                    feed(spec, &mut accs[g as usize], table, row);
+                }
+            }
+        }
+    }
+
+    /// [`update`](Self::update) for a table of one group: the batch folds
+    /// into a local, stored once. Float `SUM` and `AVG` add in row order
+    /// from the stored state, through the per-row arm's own steps.
+    fn fold_one(&mut self, table: &Table, rows: &[u32]) {
+        match self {
+            AggColumn::Count { col: None, n } => n[0] += rows.len() as i64,
+            AggColumn::Count { col: Some(col), n } => {
+                let valid = table.column(*col).validity();
+                n[0] += if valid.is_empty() {
+                    rows.len() as i64
+                } else {
+                    rows.iter().map(|&row| i64::from(valid[row as usize])).sum()
+                };
+            }
+            AggColumn::SumInt { col, sum } => {
+                sum[0] = fold_ints(table, *col, rows, sum[0], |mut s, v| {
+                    add_int(&mut s, v);
+                    s
+                })
+            }
+            AggColumn::SumFloat { col, sum } => {
+                sum[0] = fold_floats(table, *col, rows, sum[0], |mut s, v| {
+                    add_float(&mut s, v);
+                    s
+                })
+            }
+            AggColumn::Avg { col, acc } => {
+                let add = |(s, n): (f64, i64), v: f64| (s + v, n + 1);
+                acc[0] = fold_ints(table, *col, rows, acc[0], |a, v| add(a, v as f64));
+                acc[0] = fold_floats(table, *col, rows, acc[0], add);
+            }
+            AggColumn::MinMaxInt { col, want, val } => {
+                let want = *want;
+                val[0] = fold_ints(table, *col, rows, val[0], |mut m, v| {
+                    keep_first(&mut m, v, |v, m| v.cmp(&m) == want);
+                    m
+                })
+            }
+            AggColumn::MinMaxFloat { col, want, val } => {
+                let want = *want;
+                val[0] = fold_floats(table, *col, rows, val[0], |mut m, v| {
+                    keep_first(&mut m, v, |v, m| v.total_cmp(&m) == want);
+                    m
+                })
+            }
+            AggColumn::Boxed { spec, accs } => {
+                for &row in rows {
+                    feed(spec, &mut accs[0], table, row);
                 }
             }
         }
@@ -1119,12 +1290,12 @@ impl GroupTable {
     /// Feed the selected `rows` of `table`, in order: the key index maps the
     /// batch to group ids, then each aggregate column takes the whole batch.
     pub(crate) fn update(&mut self, table: &Table, rows: &[u32]) {
-        let mut ids = Vec::with_capacity(rows.len());
+        let mut ids = Vec::new();
         self.index.assign(table, rows, &mut ids);
         let n = self.index.len();
         for column in &mut self.columns {
             column.resize(n);
-            column.update(table, rows, &ids);
+            column.update(table, rows, &ids, n);
         }
     }
 

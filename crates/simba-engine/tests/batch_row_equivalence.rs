@@ -1438,3 +1438,322 @@ fn bitmap_seeds_at_word_and_morsel_edges_match_fresh_scans() {
         }
     }
 }
+
+// ---------------------------------------------------------------------------
+// Branch-free range filters, one-group folds and lane counts.
+//
+// A range kernel combines its conditions with a non-short-circuit `&`, a
+// table of one group folds each batch into a local, and a `COUNT(*)` over
+// at most `LANE_GROUPS` groups counts row k into lane k mod 4. Each arm is
+// checked against `sqlite-like` on `duckdb-like` at one, two and three scan
+// threads and on seeded scans, over a table of three full morsels and a
+// partial one.
+
+/// `scan_table`'s rows: three full morsels and a partial one.
+const SCAN_ROWS: usize = 3 * MORSEL_ROWS + 333;
+
+/// `w1`, `w2`, `w4` and `w8` are Int columns stored at 1, 2, 4 and 8
+/// bytes, NULL now and then; `x` Floats from a pool holding both zeros,
+/// NaN and both infinities; `y` finite Floats in tenths, whose sum rounds
+/// differently in another order, and both zeros; `zero` only `-0.0` or
+/// NULL; `top` Ints near `i64::MAX`, whose sum wraps; `row` the row number;
+/// `one` one string in every row; `g1` … `g65` keys of that many groups,
+/// drawn per row.
+fn scan_table() -> Arc<Table> {
+    static TABLE: OnceLock<Arc<Table>> = OnceLock::new();
+    TABLE
+        .get_or_init(|| {
+            let mut columns = vec![
+                ColumnDef::categorical("one"),
+                ColumnDef::quantitative_int("w1"),
+                ColumnDef::quantitative_int("w2"),
+                ColumnDef::quantitative_int("w4"),
+                ColumnDef::quantitative_int("w8"),
+                ColumnDef::quantitative_float("x"),
+                ColumnDef::quantitative_float("y"),
+                ColumnDef::quantitative_float("zero"),
+                ColumnDef::quantitative_int("top"),
+                ColumnDef::quantitative_int("row"),
+            ];
+            columns.extend(
+                GROUP_COUNTS
+                    .iter()
+                    .map(|k| ColumnDef::quantitative_int(format!("g{k}"))),
+            );
+            let pool = [
+                -0.0,
+                0.0,
+                0.5,
+                -2.5,
+                3.0,
+                12.25,
+                f64::NAN,
+                f64::INFINITY,
+                f64::NEG_INFINITY,
+            ];
+            let mut b = TableBuilder::new(Schema::new("t", columns), SCAN_ROWS);
+            for i in 0..SCAN_ROWS as u64 {
+                let draw = |salt: u64| splitmix64(i ^ (salt << 56));
+                let or_null = |salt: u64, v: Value| {
+                    if draw(salt) % 5 == 0 {
+                        Value::Null
+                    } else {
+                        v
+                    }
+                };
+                let span = |salt: u64, half: u64| {
+                    Value::Int((draw(salt) % (2 * half)) as i64 - half as i64)
+                };
+                let mut row = vec![
+                    Value::str("A"),
+                    or_null(1, span(2, 100)),
+                    or_null(3, span(4, 30_000)),
+                    or_null(5, span(6, 2_000_000_000)),
+                    or_null(7, Value::Int(INT_POOL[draw(8) as usize % INT_POOL.len()])),
+                    or_null(9, Value::Float(pool[draw(10) as usize % pool.len()])),
+                    or_null(
+                        14,
+                        Value::Float(match draw(15) % 50 {
+                            0 => -0.0,
+                            1 => 0.0,
+                            d => (d as f64 - 25.0) * 0.1 + (draw(16) % 1_000) as f64,
+                        }),
+                    ),
+                    or_null(11, Value::Float(-0.0)),
+                    Value::Int(i64::MAX - (draw(12) % 1_000) as i64),
+                    Value::Int(i as i64),
+                ];
+                row.extend(
+                    GROUP_COUNTS
+                        .iter()
+                        .map(|&k| Value::Int((draw(13) % k) as i64)),
+                );
+                b.push_row(row);
+            }
+            Arc::new(b.finish())
+        })
+        .clone()
+}
+
+/// The group counts the lane arm is checked at: one group, two, and either
+/// side of `LANE_GROUPS`.
+const GROUP_COUNTS: [u64; 5] = [1, 2, 63, 64, 65];
+
+/// The engines a query of [`scan_table`] runs on besides the oracle:
+/// `duckdb-like` at `threads` scan threads, and, one thread each, seeded
+/// scans of the query from its own capture and from the full table's.
+fn scan_engines(select: &Select, table: &Arc<Table>, threads: &[usize]) -> Vec<Arc<dyn Dbms>> {
+    let mut engines: Vec<Arc<dyn Dbms>> = threads
+        .iter()
+        .map(|&t| Arc::new(DuckDbLike::with_scan_threads(t)) as Arc<dyn Dbms>)
+        .collect();
+    let mut unfiltered = select.clone();
+    unfiltered.where_clause = None;
+    for base in [select.clone(), unfiltered] {
+        engines.push(Arc::new(DeltaPath {
+            table: table.clone(),
+            threads: 1,
+            base: Some(base),
+        }));
+    }
+    engines
+}
+
+/// `sql` with `filter` as its WHERE, against the oracle on every engine of
+/// [`scan_engines`].
+fn assert_scan_arms_match(sql: &str, filter: Option<&Expr>, threads: &[usize]) {
+    let table = scan_table();
+    let mut select = simba_sql::parse_select(sql).unwrap();
+    select.where_clause = filter.cloned();
+    for engine in scan_engines(&select, &table, threads) {
+        engine.register(table.clone());
+        let name = format!("{} at {} threads", engine.name(), engine.scan_threads());
+        assert_byte_identical(&name, &select, engine.as_ref(), &table);
+    }
+}
+
+/// `col [NOT] BETWEEN lo AND hi`.
+fn between(col: &str, lo: Expr, hi: Expr, negated: bool) -> Expr {
+    Expr::Between {
+        expr: Box::new(Expr::col(col)),
+        low: Box::new(lo),
+        high: Box::new(hi),
+        negated,
+    }
+}
+
+/// Range filters on every Int width and on the Float column: an interval
+/// and its hole, the empty interval (`lo > hi`) and its hole (every valid
+/// row), the `i64` extremes, and Float bounds at `-0.0`, `+0.0`, NaN and
+/// ±inf, which order as `-inf < -0.0 < +0.0 < +inf < NaN`.
+fn range_filters() -> Vec<Expr> {
+    let mut filters = Vec::new();
+    for (col, lo, hi) in [
+        ("w1", -40, 55),
+        ("w2", -9_000, 12_000),
+        ("w4", -700_000_000, 1_500_000_000),
+        ("w8", -7, BIG),
+    ] {
+        for negated in [false, true] {
+            filters.push(between(col, Expr::int(lo), Expr::int(hi), negated));
+            filters.push(between(col, Expr::int(hi), Expr::int(lo), negated));
+        }
+        filters.push(Expr::binary(Expr::col(col), BinOp::Gt, Expr::int(lo)));
+    }
+    for negated in [false, true] {
+        filters.push(between(
+            "w8",
+            Expr::int(i64::MIN),
+            Expr::int(i64::MAX),
+            negated,
+        ));
+        filters.push(between(
+            "w8",
+            Expr::int(i64::MIN),
+            Expr::int(i64::MIN),
+            negated,
+        ));
+        filters.push(between(
+            "w8",
+            Expr::int(i64::MAX),
+            Expr::int(i64::MAX),
+            negated,
+        ));
+    }
+    filters.push(Expr::binary(
+        Expr::col("w8"),
+        BinOp::GtEq,
+        Expr::int(i64::MAX),
+    ));
+    filters.push(Expr::binary(
+        Expr::col("w8"),
+        BinOp::LtEq,
+        Expr::int(i64::MIN),
+    ));
+    let float = Expr::float;
+    for (lo, hi) in [
+        (-0.0, -0.0),
+        (0.0, 0.0),
+        (-0.0, 0.0),
+        (0.0, -0.0),
+        (-2.5, 3.0),
+        (f64::NEG_INFINITY, f64::INFINITY),
+        (f64::INFINITY, f64::NAN),
+        (f64::NAN, f64::NAN),
+        (3.0, -2.5),
+    ] {
+        for negated in [false, true] {
+            filters.push(between("x", float(lo), float(hi), negated));
+        }
+    }
+    filters.push(Expr::binary(Expr::col("x"), BinOp::Lt, float(0.0)));
+    filters
+}
+
+/// Every typed aggregate whose result does not depend on the scan's split:
+/// counts with NULLs, wrapping Int sums, `AVG` over Ints whose sums stay
+/// exact in an `f64`, `MIN` / `MAX` over both zeros and NaN, and Float
+/// `SUM` / `AVG` of `-0.0`s alone. No sum reads `x`: a NaN an addition
+/// makes (`inf + -inf`) has no sign Rust specifies, so two correct builds
+/// of one sum can differ in its bits.
+const EXACT_AGGREGATES: &str = "COUNT(*), COUNT(w1), COUNT(x), COUNT(zero), SUM(w1), SUM(w2), \
+    SUM(w8), SUM(top), AVG(w4), MIN(w2), MAX(w4), MIN(w8), MAX(w8), MIN(x), MAX(x), \
+    MIN(zero), MAX(zero), SUM(zero), AVG(zero)";
+
+/// One-group tables, under each range filter and none: a global aggregate,
+/// and a GROUP BY whose only group is group 0 on the dense, the hash and the
+/// packed index. Every typed aggregate runs at one, two and three scan
+/// threads and seeded; a Float `SUM` / `AVG` of `y`, whose rounding
+/// depends on the order it adds in, runs on one thread and seeded, where
+/// it must add in row order from the stored state.
+#[test]
+fn range_filters_and_one_group_folds_match_sqlite_like() {
+    let filters = range_filters();
+    let groupings = ["", "one", "g1", "BIN(g1, 1)"];
+    for filter in std::iter::once(None).chain(filters.iter().map(Some)) {
+        for keys in groupings {
+            let (select, group_by) = if keys.is_empty() {
+                (String::new(), String::new())
+            } else {
+                (format!("{keys}, "), format!(" GROUP BY {keys}"))
+            };
+            assert_scan_arms_match(
+                &format!("SELECT {select}{EXACT_AGGREGATES} FROM t{group_by}"),
+                filter,
+                &[1, 2, 3],
+            );
+            assert_scan_arms_match(
+                &format!("SELECT {select}SUM(y), AVG(y), MIN(y), MAX(y) FROM t{group_by}"),
+                filter,
+                &[1],
+            );
+        }
+    }
+}
+
+/// The cases above reach what they are meant to: the four Int columns
+/// are stored at 1, 2, 4 and 8 bytes, every grouping holds one group, and
+/// the sums wrap past `i64::MAX` and add up `-0.0`s alone.
+#[test]
+fn scan_table_reaches_every_width_and_one_group() {
+    let table = scan_table();
+    for (col, width) in [("w1", 1), ("w2", 2), ("w4", 4), ("w8", 8)] {
+        let data = table.column_by_name(col).unwrap().int_data().unwrap();
+        assert_eq!(data.width(), width, "`{col}`");
+    }
+    for keys in ["", "one", "g1", "BIN(g1, 1)"] {
+        let sql = if keys.is_empty() {
+            "SELECT COUNT(*) FROM t".to_string()
+        } else {
+            format!("SELECT {keys}, COUNT(*) FROM t GROUP BY {keys}")
+        };
+        let plan = prepare(&simba_sql::parse_select(&sql).unwrap(), table.clone()).unwrap();
+        let (_, stats, _) = run_morsels(&plan, 1, DeltaScan::Off);
+        assert_eq!(stats.groups, 1, "`{sql}`");
+    }
+    let sums = simba_sql::parse_select("SELECT SUM(top), SUM(zero), COUNT(zero) FROM t").unwrap();
+    let out = execute_row_oracle(table.clone(), &sums).unwrap();
+    let row = &rows_of(&out.result)[0];
+    let top = table.column_by_name("top").unwrap();
+    let exact: i128 = (0..SCAN_ROWS)
+        .map(|i| match top.value(i) {
+            Value::Int(v) => i128::from(v),
+            v => panic!("`top` is an Int, not {v:?}"),
+        })
+        .sum();
+    assert!(exact > i128::from(i64::MAX), "{exact}");
+    assert_eq!(row[0], Value::Int(exact as i64), "SUM(top) wraps");
+    assert!(
+        matches!(row[1], Value::Float(z) if z.to_bits() == 0.0f64.to_bits()),
+        "the -0.0s sum to +0.0: {row:?}"
+    );
+    assert!(matches!(row[2], Value::Int(n) if n > 0), "{row:?}");
+}
+
+/// `COUNT(*)` over 1, 2, 63, 64 and 65 groups, each group's rows spread
+/// over every morsel (a key drawn per row) or in runs across morsel edges
+/// (`BIN` of the row number), on the hash and the packed index, filtered
+/// and not: either side of `LANE_GROUPS`, lane by lane.
+#[test]
+fn count_star_over_few_and_many_groups_matches_sqlite_like() {
+    let table = scan_table();
+    let filter = between("w1", Expr::int(-60), Expr::int(70), false);
+    for k in GROUP_COUNTS {
+        let run = SCAN_ROWS.div_ceil(k as usize);
+        for keys in [
+            format!("g{k}"),
+            format!("BIN(g{k}, 1)"),
+            format!("BIN(row, {run})"),
+        ] {
+            let sql = format!("SELECT {keys}, COUNT(*), COUNT(x), COUNT(*) FROM t GROUP BY {keys}");
+            let groups = execute_row_oracle(table.clone(), &simba_sql::parse_select(&sql).unwrap())
+                .unwrap()
+                .result
+                .n_rows();
+            assert_eq!(groups, k as usize, "`{sql}`");
+            for filter in [None, Some(&filter)] {
+                assert_scan_arms_match(&sql, filter, &[1, 2, 3]);
+            }
+        }
+    }
+}
