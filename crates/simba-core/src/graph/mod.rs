@@ -151,11 +151,6 @@ impl InteractionGraph {
         out
     }
 
-    /// Direct out-degree of a node.
-    pub fn out_degree(&self, node: NodeId) -> usize {
-        self.out_edges[node.0].len()
-    }
-
     /// Total edge count.
     pub fn edge_count(&self) -> usize {
         self.out_edges.iter().map(Vec::len).sum()

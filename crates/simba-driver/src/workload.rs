@@ -294,11 +294,7 @@ impl EngineSpec {
             EngineSpec::Local { kind, scan_threads } => {
                 let kind = EngineKind::from_name(kind)
                     .ok_or_else(|| WorkloadError::UnknownEngine(kind.clone()))?;
-                Ok(if *scan_threads == 1 {
-                    kind.build()
-                } else {
-                    kind.build_with_threads(*scan_threads)
-                })
+                Ok(kind.build_with_threads(*scan_threads))
             }
             EngineSpec::Remote { addr, engine } => {
                 let kind = EngineKind::from_name(engine.kind_name())

@@ -45,8 +45,8 @@ fn spec(seed: u64, kind: EngineKind, source: SourceSpec, cache: bool, delta: boo
 }
 
 /// Aggregation shapes the dashboards never emit but the delta tiers must
-/// survive: per step one WHERE and group key (under each of the dense,
-/// packed and hash key indexes), then every tail below in a
+/// survive: per step one WHERE and group key (under the packed and the
+/// hash key index), then every tail below in a
 /// seeded order under seeded projection permutations — so group-state
 /// replay sees ORDER BY over a non-projected aggregate (two different
 /// ones), HAVING with two hidden aggregates in both written orders, LIMIT,
@@ -61,9 +61,8 @@ fn shape_storm(seed: u64, sessions: usize, steps: usize) -> Vec<SessionScript> {
         "WHERE queue IN ('A', 'B', 'C')",
         "WHERE calls > 2 AND satisfaction >= 3",
     ];
-    // A dictionary key alone (the dense index); two dictionary keys and
-    // binned Int and Float keys (the packed index); a bare Int key (the
-    // boxed hash index).
+    // A dictionary key alone, two dictionary keys, and binned Int and Float
+    // keys (the packed index); a bare Int key (the boxed hash index).
     const KEYS: [&str; 5] = [
         "queue",
         "queue, call_type",
@@ -254,7 +253,7 @@ fn run(spec: &ScenarioSpec, storm: Storm) -> DriverOutcome {
     };
     let engine = EngineKind::from_name(spec.engine.kind_name())
         .unwrap()
-        .build();
+        .build_with_threads(spec.engine.scan_threads());
     engine.register(spec.build_table().unwrap());
     let scripts = storm(spec.seed, spec.sessions, spec.steps_per_session);
     Driver::new(DriverConfig::from(spec)).run_source(engine, &ScriptedSource::new(scripts))
@@ -584,19 +583,86 @@ fn delta_off_matches_hand_assembled_run() {
 
 /// The shape storm reaches group-state replay on the columnar engine: the
 /// hidden-aggregate and HAVING-order variants above are only a differential
-/// test of `states_key` if states are actually replayed between them.
+/// test of `states_key` if states are actually replayed between them. It
+/// runs at one, two and three scan threads, so replays and seeded scans are
+/// pinned at every split of the morsels.
 #[test]
 fn shape_storm_replays_group_states_on_duckdb_like() {
-    let off_spec = spec(
-        5,
-        EngineKind::DuckDbLike,
-        SourceSpec::scripted(),
-        false,
-        false,
-    );
-    let report = assert_delta_invisible(&off_spec, true, "shape storm duckdb-like");
-    assert!(report.group_hits > 0, "no group-state replay: {report:?}");
-    assert!(report.hits > 0, "no seeded scan: {report:?}");
+    for threads in 1..=3 {
+        let mut off_spec = spec(
+            5,
+            EngineKind::DuckDbLike,
+            SourceSpec::scripted(),
+            false,
+            false,
+        );
+        off_spec.engine = EngineSpec::local("duckdb-like", threads);
+        let label = format!("shape storm duckdb-like at {threads} scan threads");
+        let report = assert_delta_invisible(&off_spec, true, &label);
+        assert!(
+            report.group_hits > 0,
+            "{label}: no group-state replay: {report:?}"
+        );
+        assert!(report.hits > 0, "{label}: no seeded scan: {report:?}");
+    }
+}
+
+/// At one, two and three scan threads `execute_delta` answers bitwise what
+/// `execute` does on every tier: a refining seed, an exact seed, a
+/// group-state replay and a refining seed of a global aggregate, each with
+/// Float `SUM` / `AVG` over `talk_time`, whose rounding depends on the order
+/// rows are added in. A seeded scan must split its morsels as the fresh
+/// scan does to add them in the same order.
+#[test]
+fn execute_delta_is_bitwise_execute_at_every_scan_thread_count() {
+    let table = Arc::new(DashboardDataset::CustomerService.generate_rows(50_000, 7));
+    let charts = "SUM(talk_time), AVG(talk_time), COUNT(*) FROM customer_service";
+    let narrowed = "WHERE hour > 3 AND hour < 20";
+    // (query, delta_hits, delta_group_hits)
+    let steps = [
+        (
+            format!("SELECT queue, {charts} WHERE hour > 3 GROUP BY queue"),
+            0,
+            0,
+        ),
+        (
+            format!("SELECT queue, {charts} {narrowed} GROUP BY queue"),
+            1,
+            0,
+        ),
+        (
+            format!("SELECT call_type, {charts} {narrowed} GROUP BY call_type"),
+            1,
+            0,
+        ),
+        (
+            format!("SELECT queue, {charts} {narrowed} GROUP BY queue ORDER BY queue"),
+            0,
+            1,
+        ),
+        (
+            format!("SELECT {charts} {narrowed} AND queue IN ('B')"),
+            1,
+            0,
+        ),
+    ];
+    for threads in 1..=3 {
+        let engine = EngineKind::DuckDbLike.build_with_threads(threads);
+        engine.register(table.clone());
+        let mut delta = SessionDelta::default();
+        for (sql, hits, group_hits) in &steps {
+            let query = parse_select(sql).unwrap();
+            let reused = engine.execute_delta(&query, &mut delta).unwrap();
+            let fresh = engine.execute(&query).unwrap();
+            let label = format!("`{sql}` at {threads} scan threads");
+            assert_eq!(
+                (reused.stats.delta_hits, reused.stats.delta_group_hits),
+                (*hits, *group_hits),
+                "{label}: the tier"
+            );
+            assert_eq!(reused.result, fresh.result, "{label}");
+        }
+    }
 }
 
 /// Delta composes with deadlines and retries: under a `ResiliencePolicy` (no

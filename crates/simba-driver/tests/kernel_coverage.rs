@@ -8,9 +8,9 @@
 //! that stacks filters — must compile to no `Kernel::Generic` at all: a
 //! `BETWEEN` falling back to the row interpreter fails here, not just in a
 //! benchmark. Each aggregate is classified the way the engines' one group
-//! table builds it: by key index — global, dense (one dictionary key),
-//! packed (dictionary and `BIN` keys in one integer) or hash (anything
-//! else, the key boxed) — and by aggregate column, typed or boxed, with its
+//! table builds it: by key index — global, packed (dictionary and `BIN`
+//! keys in one integer) or hash (anything else, the key boxed) — and by
+//! aggregate column, typed or boxed, with its
 //! key count. The IDEBench storm must leave no aggregate on the hash index,
 //! and every hash-indexed aggregate of the other sources must have a bare
 //! Int key: the one shape packing does not reach yet. Packed aggregates
@@ -90,8 +90,6 @@ struct Inventory {
     int_float: [usize; 2],
     /// Aggregates without GROUP BY: the global key index.
     global: usize,
-    /// One dictionary key: the dense key index.
-    dense: usize,
     /// Dictionary and `BIN` keys only: the packed key index.
     packed: usize,
     /// Everything else grouped: the hash key index.
@@ -121,7 +119,7 @@ impl Inventory {
     }
 
     fn aggregates(&self) -> usize {
-        self.global + self.dense + self.packed + self.hash
+        self.global + self.packed + self.hash
     }
 }
 
@@ -175,7 +173,6 @@ fn inventory(table: &Arc<Table>, source: &dyn SessionSource) -> Inventory {
             });
             match index {
                 "global" => inv.global += 1,
-                "dense" => inv.dense += 1,
                 "packed" => inv.packed += 1,
                 _ => {
                     inv.hash += 1;
@@ -305,11 +302,10 @@ fn idebench_storm_compiles_to_typed_kernels_only() {
     }
 
     println!(
-        "\n{:<9} {:>10} {:>6} {:>5} {:>6} {:>5} {:>5} {:>5} {:>5} {:>6} {:>6} {:>12} {:>10} {:>10}",
+        "\n{:<9} {:>10} {:>6} {:>6} {:>5} {:>5} {:>5} {:>5} {:>6} {:>6} {:>12} {:>10} {:>10}",
         "source",
         "aggregates",
         "global",
-        "dense",
         "packed",
         "hash",
         "typed",
@@ -323,10 +319,9 @@ fn idebench_storm_compiles_to_typed_kernels_only() {
     );
     for (name, inv) in &inventories {
         println!(
-            "{name:<9} {:>10} {:>6} {:>5} {:>6} {:>5} {:>5} {:>5} {:>5} {:>6} {:>6} {:>12.3} {:>10.3} {:>10.3}",
+            "{name:<9} {:>10} {:>6} {:>6} {:>5} {:>5} {:>5} {:>5} {:>6} {:>6} {:>12.3} {:>10.3} {:>10.3}",
             inv.aggregates(),
             inv.global,
-            inv.dense,
             inv.packed,
             inv.hash,
             inv.columns[0],

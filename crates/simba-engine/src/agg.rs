@@ -62,6 +62,14 @@ impl AggSpec {
     }
 }
 
+/// A Float `SUM` or `AVG` as a value: any NaN as [`f64::NAN`]. The sign and
+/// payload of a NaN an addition makes (`inf + -inf`) are unspecified and may
+/// differ between two code paths adding the same values, so every engine
+/// finalizes a Float sum through here.
+pub fn float_sum(x: f64) -> Value {
+    Value::Float(if x.is_nan() { f64::NAN } else { x })
+}
+
 /// Mutable aggregation state for one group and one aggregate.
 #[derive(Debug, Clone)]
 pub enum Accumulator {
@@ -204,7 +212,7 @@ impl Accumulator {
                 if !*any {
                     Value::Null
                 } else if *saw_float {
-                    Value::Float(*float)
+                    float_sum(*float)
                 } else {
                     Value::Int(*int)
                 }
@@ -213,7 +221,7 @@ impl Accumulator {
                 if *n == 0 {
                     Value::Null
                 } else {
-                    Value::Float(*sum / *n as f64)
+                    float_sum(*sum / *n as f64)
                 }
             }
             Accumulator::Min(v) | Accumulator::Max(v) => v.clone().unwrap_or(Value::Null),

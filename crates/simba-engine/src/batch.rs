@@ -61,9 +61,9 @@ impl SelectionVector {
 
     /// Reset to the rows whose bits are set in `words`, the [`RowBitmap`]
     /// words of the rows from `base` (a multiple of 64) on, in ascending
-    /// order — the seeded-scan entry point, where the candidates are a
-    /// prior step's survivors rather than a dense range.
-    pub(crate) fn fill_from_bits(&mut self, base: usize, words: &[u64]) {
+    /// order — a seeded scan's candidates, a prior step's survivors rather
+    /// than a dense range.
+    fn fill_from_bits(&mut self, base: usize, words: &[u64]) {
         self.rows.clear();
         for (w, &word) in words.iter().enumerate() {
             let row = (base + w * 64) as u32;
@@ -151,6 +151,12 @@ impl RowBitmap {
     /// True when the set holds no row.
     pub fn is_empty(&self) -> bool {
         self.len == 0
+    }
+
+    /// The words of morsel `m`'s rows: none for a set with no row.
+    fn morsel_words(&self, m: usize) -> &[u64] {
+        let words = self.words.get(m * MORSEL_WORDS..).unwrap_or_default();
+        &words[..words.len().min(MORSEL_WORDS)]
     }
 
     /// Bytes the words take: ⌈rows / 64⌉ × 8, or none for an empty set.
@@ -267,8 +273,7 @@ fn filter_keys(
 }
 
 /// Reset `sel` to the rows `[start, end)` and refine it through each filter
-/// kernel in turn, stopping early once no row survives. The fill+refine
-/// loop of every morsel a fresh scan reads; the range may be any size.
+/// kernel, as a fresh scan does each morsel; the range may be any size.
 pub fn fill_filtered(
     sel: &mut SelectionVector,
     table: &Table,
@@ -277,13 +282,17 @@ pub fn fill_filtered(
     kernels: Option<&[Kernel]>,
 ) {
     sel.fill_range(start, end);
-    if let Some(ks) = kernels {
-        for k in ks {
-            k.filter_batch(table, sel);
-            if sel.is_empty() {
-                break;
-            }
+    refine(sel, table, kernels);
+}
+
+/// Refine `sel` through each filter kernel in turn, stopping once no row
+/// survives.
+fn refine(sel: &mut SelectionVector, table: &Table, kernels: Option<&[Kernel]>) {
+    for k in kernels.unwrap_or_default() {
+        if sel.is_empty() {
+            break;
         }
+        k.filter_batch(table, sel);
     }
 }
 
@@ -309,14 +318,6 @@ enum Partial {
     Groups(GroupTable),
 }
 
-struct RangePartial {
-    partial: Partial,
-    matched: usize,
-    /// Rows never examined: every row when the filter cannot match, the
-    /// rows outside the seed for a seeded scan, none otherwise.
-    skipped: usize,
-}
-
 /// How a scan participates in session-delta execution.
 pub enum DeltaScan<'a> {
     /// No participation: the plain fresh scan.
@@ -339,7 +340,8 @@ pub enum DeltaScan<'a> {
 }
 
 /// Upper bound on the [slots](GroupTable::slots) a captured group table
-/// holds: its groups, and under a dense index every dictionary code.
+/// holds: its groups, or under a packed index's direct arm the radixes'
+/// product.
 /// Dashboard group-bys are low-cardinality (binned hours, categorical
 /// columns), so this only drops pathological high-cardinality aggregations
 /// whose captured states would rival the table itself in size. Skipping a
@@ -374,9 +376,11 @@ pub struct DeltaCapture {
 /// bitmap sized to the table, so the ranges scanned in parallel write
 /// disjoint slices and the bitmap needs no merge at any thread count.
 ///
-/// Seeded scans run sequentially regardless of `threads`: the seed already
-/// collapsed the candidate set to the previous step's survivors, so the
-/// remaining work is too small to amortize worker spawn + merge.
+/// Seeded scans split like fresh ones: the same ranges run the same loop,
+/// each morsel's candidates read from the seed's words for it instead of
+/// its row range. So a seeded scan merges the partials of the fresh scan it
+/// stands for, and a Float sum adds in the same order at every thread
+/// count.
 pub fn run_morsels(
     plan: &PreparedQuery,
     threads: usize,
@@ -384,20 +388,21 @@ pub fn run_morsels(
 ) -> (ResultBuilder, ExecStats, Option<DeltaCapture>) {
     let table = plan.table.as_ref();
     let n = table.row_count();
-    let (seeded, capture_requested) = match delta {
-        DeltaScan::Off => (None, false),
-        DeltaScan::Capture => (None, true),
-        DeltaScan::Seeded { seed, exact } => (Some((seed, exact)), true),
+    let (seed, exact, capture_requested) = match delta {
+        DeltaScan::Off => (None, false, false),
+        DeltaScan::Capture => (None, false, true),
+        DeltaScan::Seeded { seed, exact } => (Some(seed), exact, true),
     };
+    assert!(
+        seed.is_none_or(|seed| seed.is_empty() || seed.words.len() == n.div_ceil(64)),
+        "a seed is a bitmap of the table it seeds a scan of"
+    );
     // Only a filtered scan's survivors are worth a bitmap.
     let capture_rows = capture_requested && plan.filter.is_some();
     // On an exact seed the WHERE is byte-for-byte the seeding query's: the
     // seed rows *are* the survivors, so kernels are never evaluated and
     // need not be compiled, and a capture is a copy of the seed.
-    let exact_seed = match seeded {
-        Some((seed, true)) => Some(seed),
-        _ => None,
-    };
+    let exact_seed = seed.filter(|_| exact);
     let kernels: Option<Vec<Kernel>> = if exact_seed.is_some() {
         None
     } else {
@@ -413,16 +418,8 @@ pub fn run_morsels(
     // filter cannot match or the survivors are an exact seed.
     let set_words = capture_rows && !never && exact_seed.is_none();
     let mut words = vec![0u64; if set_words { n.div_ceil(64) } else { 0 }];
-    let partials: Vec<RangePartial> = if never {
-        vec![RangePartial {
-            partial: make_partial(plan),
-            matched: 0,
-            skipped: n,
-        }]
-    } else if let Some((seed, exact)) = seeded {
-        let _scan = simba_obs::phase!("engine.scan", "engine", "engine.phase.scan");
-        let words = set_words.then_some(words.as_mut_slice());
-        vec![scan_seeded(plan, kernels.as_deref(), seed, exact, words)]
+    let partials: Vec<(Partial, usize)> = if never {
+        vec![(make_partial(plan), 0)]
     } else {
         let threads = threads.clamp(1, n_morsels.max(1));
         let _scan = simba_obs::phase!("engine.scan", "engine", "engine.phase.scan");
@@ -437,13 +434,13 @@ pub fn run_morsels(
         });
         if threads <= 1 {
             ranges
-                .map(|(range, words)| scan_range(plan, kernels, range, words))
+                .map(|(range, words)| scan_range(plan, kernels, seed, range, words))
                 .collect()
         } else {
             std::thread::scope(|scope| {
                 let handles: Vec<_> = ranges
                     .map(|(range, words)| {
-                        scope.spawn(move || scan_range(plan, kernels, range, words))
+                        scope.spawn(move || scan_range(plan, kernels, seed, range, words))
                     })
                     .collect();
                 handles
@@ -461,12 +458,17 @@ pub fn run_morsels(
     };
 
     let _agg_phase = simba_obs::phase!("engine.aggregate", "engine", "engine.phase.aggregate");
+    // A seeded scan examines the seed's rows, one that cannot match none.
     let mut stats = ExecStats {
-        rows_scanned: n,
+        rows_scanned: if never {
+            0
+        } else {
+            seed.map_or(n, RowBitmap::len)
+        },
         morsels_pruned: if never { n_morsels } else { 0 },
         ..ExecStats::default()
     };
-    if let Some((seed, _)) = seeded {
+    if let Some(seed) = seed {
         stats.delta_hits = 1;
         stats.delta_rows_saved = n - seed.len();
     }
@@ -475,14 +477,11 @@ pub fn run_morsels(
         clippy::expect_used,
         reason = "split_ranges always yields >= 1 range, so there is always a first partial"
     )]
-    let first = iter.next().expect("at least one scan range");
-    stats.rows_matched = first.matched;
-    stats.rows_scanned -= first.skipped;
-    let mut merged = first.partial;
-    for p in iter {
-        stats.rows_matched += p.matched;
-        stats.rows_scanned -= p.skipped;
-        match (&mut merged, p.partial) {
+    let (mut merged, matched) = iter.next().expect("at least one scan range");
+    stats.rows_matched = matched;
+    for (partial, matched) in iter {
+        stats.rows_matched += matched;
+        match (&mut merged, partial) {
             (Partial::Rows(a), Partial::Rows(b)) => a.append(b),
             (Partial::Groups(a), Partial::Groups(b)) => a.merge(b),
             _ => unreachable!("scan ranges share one plan"),
@@ -573,8 +572,7 @@ fn make_partial(plan: &PreparedQuery) -> Partial {
     }
 }
 
-/// Feed one filtered batch into a range's partial state — the per-morsel
-/// step shared by the fresh and seeded scans.
+/// Feed one filtered batch into a range's partial state.
 fn update_partial(partial: &mut Partial, plan: &PreparedQuery, sel: &SelectionVector) {
     let table = plan.table.as_ref();
     match (partial, &plan.kind) {
@@ -594,14 +592,18 @@ fn update_partial(partial: &mut Partial, plan: &PreparedQuery, sel: &SelectionVe
     }
 }
 
-/// Scan `morsels`, setting each survivor's bit in `words` (when capturing):
-/// the bitmap words of those morsels' rows, from the range's first row on.
+/// Scan `morsels` into one partial state and count the rows that survive:
+/// each morsel's candidates are its rows, or under a `seed` its rows in the
+/// seed, refined through `kernels`. Each survivor's bit is set in `words`
+/// (when capturing): the bitmap words of those morsels' rows, from the
+/// range's first row on.
 fn scan_range(
     plan: &PreparedQuery,
     kernels: Option<&[Kernel]>,
+    seed: Option<&RowBitmap>,
     morsels: std::ops::Range<usize>,
     mut words: Option<&mut [u64]>,
-) -> RangePartial {
+) -> (Partial, usize) {
     let table = plan.table.as_ref();
     let n = table.row_count();
     let base = morsels.start * MORSEL;
@@ -611,7 +613,13 @@ fn scan_range(
 
     for m in morsels {
         let (start, end) = morsel_bounds(m, n);
-        fill_filtered(&mut sel, table, start, end, kernels);
+        match seed {
+            None => fill_filtered(&mut sel, table, start, end, kernels),
+            Some(seed) => {
+                sel.fill_from_bits(start, seed.morsel_words(m));
+                refine(&mut sel, table, kernels);
+            }
+        }
         if sel.is_empty() {
             continue;
         }
@@ -621,68 +629,7 @@ fn scan_range(
         }
         update_partial(&mut partial, plan, &sel);
     }
-    RangePartial {
-        partial,
-        matched,
-        skipped: 0,
-    }
-}
-
-/// Scan only the seed rows (a previous refinement step's survivors), one
-/// morsel's words at a time so the aggregation sees batches no wider
-/// than [`MORSEL`]; a morsel with no seed row is passed over. Survivors set
-/// their bits in `words` (when capturing), the bitmap words of the whole
-/// table. `rows_scanned` counts the candidates actually examined, so the
-/// stats honestly show the seeded scan's work.
-fn scan_seeded(
-    plan: &PreparedQuery,
-    kernels: Option<&[Kernel]>,
-    seed: &RowBitmap,
-    exact: bool,
-    mut words: Option<&mut [u64]>,
-) -> RangePartial {
-    let table = plan.table.as_ref();
-    let n = table.row_count();
-    assert!(
-        seed.is_empty() || seed.words.len() == n.div_ceil(64),
-        "a seed is a bitmap of the table it seeds a scan of"
-    );
-    let mut sel = SelectionVector::with_capacity(MORSEL);
-    let mut partial = make_partial(plan);
-    let mut matched = 0usize;
-
-    for (m, morsel) in seed.words.chunks(MORSEL_WORDS).enumerate() {
-        if morsel.iter().all(|&w| w == 0) {
-            continue;
-        }
-        let base = m * MORSEL;
-        sel.fill_from_bits(base, morsel);
-        if !exact {
-            if let Some(ks) = kernels {
-                for k in ks {
-                    k.filter_batch(table, &mut sel);
-                    if sel.is_empty() {
-                        break;
-                    }
-                }
-            }
-        }
-        if sel.is_empty() {
-            continue;
-        }
-        matched += sel.len();
-        if let Some(words) = words.as_deref_mut() {
-            sel.set_bits(0, words);
-        }
-        update_partial(&mut partial, plan, &sel);
-    }
-    RangePartial {
-        partial,
-        matched,
-        // The caller derives rows_scanned as `n - skipped`; report the
-        // candidates examined, not the table size.
-        skipped: n - seed.len(),
-    }
+    (partial, matched)
 }
 
 #[cfg(test)]

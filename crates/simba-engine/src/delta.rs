@@ -26,8 +26,7 @@
 //!    query's kernels (none is read when those cannot match).
 //! 4. **Miss:** a fresh capturing scan, whose selection and group table
 //!    are stored for the steps that follow. A table holding more than
-//!    65,536 slots (groups, or dictionary codes under a dense index) is
-//!    not kept.
+//!    65,536 slots (its groups, or its direct slot table) is not kept.
 //!
 //! The same form hands the planner its aggregate-slot layout, so the slots
 //! cached states are replayed into are the ones the matching form printed.
@@ -651,9 +650,11 @@ mod tests {
         assert_eq!(o.result, fresh(&catalog, sql).result);
     }
 
-    /// One capture bound for every group table: a dense index over a
-    /// dictionary of more than 65,536 strings is answered but not kept,
-    /// while a small dictionary's table is.
+    /// One capture bound for every group table: a dictionary key of more
+    /// than 65,536 strings finds its groups in the packed index's map, so
+    /// its table is kept when a filter leaves few groups and answered but
+    /// not kept when every string is a group; a small dictionary's table
+    /// is kept.
     #[test]
     fn group_tables_past_the_slot_bound_are_not_retained() {
         let n = crate::batch::MAX_CAPTURED_GROUPS + 1;
@@ -681,6 +682,12 @@ mod tests {
             assert_eq!(o.result.sorted_rows(), oracle.result.sorted_rows());
         }
         assert!(delta.is_empty());
+        let filtered = "SELECT k, COUNT(*) FROM big WHERE small IN ('s1') GROUP BY k";
+        run(&catalog, &mut delta, filtered);
+        let o = run(&catalog, &mut delta, filtered);
+        assert_eq!(o.stats.delta_group_hits, 1, "a third of the strings kept");
+        assert_eq!(o.stats.groups, n.div_ceil(3));
+        assert_eq!(o.result, fresh(&catalog, filtered).result);
         let small = "SELECT small, COUNT(*) FROM big GROUP BY small";
         run(&catalog, &mut delta, small);
         let o = run(&catalog, &mut delta, small);

@@ -3,14 +3,13 @@
 //! which has two independent parts:
 //!
 //! - a **key index** that turns a batch of selected rows into group ids:
-//!   *global* (no GROUP BY: one group, emitted even over no rows), *dense*
-//!   (the only key is a bare dictionary-encoded column: one slot per code,
-//!   the NULL slot last), *packed* (every key is a bare dictionary column or
-//!   `BIN(col, w)` over an Int or Float column with a positive Int literal
-//!   `w`: each key's slot — its code, or its bucket minus the column's
-//!   lowest bucket, NULL last — packed mixed-radix into one `u64`) or *hash*
-//!   (any other key, or a packed key that would not fit: the boxed key
-//!   tuple, each key stored once);
+//!   *global* (no GROUP BY: one group, emitted even over no rows), *packed*
+//!   (every key is a bare dictionary column or `BIN(col, w)` over an Int or
+//!   Float column with a positive Int literal `w`: each key's slot — its
+//!   code, or its bucket minus the column's lowest bucket, NULL last —
+//!   packed mixed-radix into one `u64`; a lone dictionary key is a packed
+//!   key of one part) or *hash* (any other key, or a packed key that would
+//!   not fit: the boxed key tuple, each key stored once);
 //! - one **aggregate column** per aggregate, indexed by group id: *typed*
 //!   when that aggregate alone allows it — `COUNT`, or `SUM` / `AVG` /
 //!   `MIN` / `MAX` over a bare Int or Float column, fed batch-wise from the
@@ -33,7 +32,6 @@
 //! cuts the same groups on every engine, thread count and delta tier:
 //!
 //! - **global index**: its one group;
-//! - **dense index**: code order, the NULL slot last;
 //! - **packed index**: first appearance in scan order, never packed-key
 //!   order;
 //! - **hash index**: first appearance in scan order;
@@ -73,7 +71,7 @@
 
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
-use crate::agg::{Accumulator, AggSpec};
+use crate::agg::{float_sum, Accumulator, AggSpec};
 use crate::batch::MAX_CAPTURED_GROUPS;
 use crate::eval::{eval, eval_predicate, CExpr, ColumnAccess, TableRow};
 use simba_sql::Func;
@@ -89,14 +87,6 @@ use std::sync::Arc;
 enum KeyIndex {
     /// No GROUP BY: every row is in group 0.
     Global,
-    /// Slot = the key column's dictionary code, the last slot NULL; each
-    /// slot holds its group id once a row has reached it, and `codes`
-    /// each group's slot, by group id.
-    Dense {
-        col: usize,
-        slots: Vec<Option<u32>>,
-        codes: Vec<u32>,
-    },
     /// Every key packed into one `u64` (see [`Packed`]).
     Packed(Packed),
     /// Key tuple → group id, probed from `scratch` so a row that joins an
@@ -545,22 +535,8 @@ impl Packed {
 
 impl KeyIndex {
     /// The index for GROUP BY `keys` over `table`: global without keys,
-    /// dense for one bare dictionary column, packed when every key packs,
-    /// hash otherwise.
+    /// packed when every key packs, hash otherwise.
     fn new(keys: &[CExpr], table: &Table) -> KeyIndex {
-        let dense = match keys {
-            [key] => key
-                .as_col()
-                .filter(|&c| matches!(table.column(c), ColumnData::Str { .. })),
-            _ => None,
-        };
-        if let Some(col) = dense {
-            return KeyIndex::Dense {
-                col,
-                slots: vec![None; table.column(col).dictionary().map_or(0, <[_]>::len) + 1],
-                codes: Vec::new(),
-            };
-        }
         if keys.is_empty() {
             return KeyIndex::Global;
         }
@@ -579,7 +555,6 @@ impl KeyIndex {
     fn len(&self) -> usize {
         match self {
             KeyIndex::Global => 1,
-            KeyIndex::Dense { codes, .. } => codes.len(),
             KeyIndex::Packed(packed) => packed.ids_packed.len(),
             KeyIndex::Hash { keys, .. } => keys.len(),
         }
@@ -589,7 +564,6 @@ impl KeyIndex {
     fn width(&self) -> usize {
         match self {
             KeyIndex::Global => 0,
-            KeyIndex::Dense { .. } => 1,
             KeyIndex::Packed(packed) => packed.parts.len(),
             KeyIndex::Hash { exprs, .. } => exprs.len(),
         }
@@ -602,13 +576,6 @@ impl KeyIndex {
     fn assign(&mut self, table: &Table, rows: &[u32], ids: &mut Vec<u32>) {
         match self {
             KeyIndex::Global => {}
-            KeyIndex::Dense { col, slots, codes } => {
-                dict_key_slots(table.column(*col), rows, ids, (slots.len() - 1) as u32);
-                for id in ids.iter_mut() {
-                    let slot = *id;
-                    *id = *slots[slot as usize].get_or_insert_with(|| push(codes, slot));
-                }
-            }
             KeyIndex::Packed(packed) => packed.assign(table, rows, ids),
             KeyIndex::Hash {
                 exprs,
@@ -651,7 +618,7 @@ impl KeyIndex {
                 }
             }
             KeyIndex::Hash { by_key, .. } => *by_key = ProbeMap::default(),
-            KeyIndex::Global | KeyIndex::Dense { .. } => {}
+            KeyIndex::Global => {}
         }
     }
 
@@ -660,37 +627,10 @@ impl KeyIndex {
     fn key(&self, table: &Table, id: usize, part: usize) -> Value {
         match self {
             KeyIndex::Global => unreachable!("a global aggregate has no key"),
-            KeyIndex::Dense { col, codes, .. } => {
-                dict_value(table.column(*col), codes[id] as usize)
-            }
             KeyIndex::Packed(packed) => packed.key(table, id, part),
             KeyIndex::Hash { keys, .. } => keys[id][part].clone(),
         }
     }
-}
-
-/// The dictionary codes of the selected rows of a dictionary-encoded
-/// column, `null_slot` for NULL rows.
-fn dict_key_slots(col: &ColumnData, rows: &[u32], slots: &mut Vec<u32>, null_slot: u32) {
-    slots.clear();
-    #[expect(
-        clippy::expect_used,
-        reason = "the dense index is only built over a dictionary-encoded key column; a codeless column is a planner bug"
-    )]
-    let codes = col.code_data().expect("dict key column");
-    let valid = col.validity();
-    for_width!(codes, |lane| if valid.is_empty() {
-        slots.extend(rows.iter().map(|&i| lane[i as usize] as u32));
-    } else {
-        slots.extend(rows.iter().map(|&i| {
-            let i = i as usize;
-            if valid[i] {
-                lane[i] as u32
-            } else {
-                null_slot
-            }
-        }));
-    })
 }
 
 /// One aggregate's state for every group, indexed by group id. The typed
@@ -1148,12 +1088,11 @@ impl AggColumn {
             AggColumn::SumInt { sum: v, .. } | AggColumn::MinMaxInt { val: v, .. } => {
                 v[g].map_or(Value::Null, Value::Int)
             }
-            AggColumn::SumFloat { sum: v, .. } | AggColumn::MinMaxFloat { val: v, .. } => {
-                v[g].map_or(Value::Null, Value::Float)
-            }
+            AggColumn::SumFloat { sum, .. } => sum[g].map_or(Value::Null, float_sum),
+            AggColumn::MinMaxFloat { val, .. } => val[g].map_or(Value::Null, Value::Float),
             AggColumn::Avg { acc, .. } => match acc[g] {
                 (_, 0) => Value::Null,
-                (sum, n) => Value::Float(sum / n as f64),
+                (sum, n) => float_sum(sum / n as f64),
             },
             AggColumn::Boxed { accs, .. } => accs[g].finalize(),
         }
@@ -1227,12 +1166,11 @@ impl GroupTable {
         GroupTable { index, columns }
     }
 
-    /// The key index (`"global"`, `"dense"`, `"packed"` or `"hash"`) and
+    /// The key index (`"global"`, `"packed"` or `"hash"`) and
     /// how many aggregate columns are typed.
     pub fn layout(&self) -> (&'static str, usize) {
         let index = match self.index {
             KeyIndex::Global => "global",
-            KeyIndex::Dense { .. } => "dense",
             KeyIndex::Packed(_) => "packed",
             KeyIndex::Hash { .. } => "hash",
         };
@@ -1265,13 +1203,11 @@ impl GroupTable {
         self.columns.len()
     }
 
-    /// Slots the table holds: one per dictionary code and one for NULL
-    /// under a dense index, the direct table's length (the radixes'
+    /// Slots the table holds: the direct table's length (the radixes'
     /// product once a row has arrived) under a packed index's direct arm,
     /// one per group otherwise.
     pub(crate) fn slots(&self) -> usize {
         match &self.index {
-            KeyIndex::Dense { slots, .. } => slots.len(),
             KeyIndex::Packed(Packed {
                 lookup: Lookup::Direct(slots),
                 ..
@@ -1282,7 +1218,6 @@ impl GroupTable {
 
     /// Free what only finds a row's group — the direct slot table, the
     /// packed or hash map — for a table that is only emitted from now on.
-    /// A dense index keeps its slots: they are its emission order.
     pub(crate) fn drop_lookup(&mut self) {
         self.index.drop_lookup();
     }
@@ -1310,22 +1245,6 @@ impl GroupTable {
         // `map[t]`: this table's id for `other`'s group `t`.
         let map: Vec<u32> = match (&mut self.index, index) {
             (KeyIndex::Global, KeyIndex::Global) => vec![0],
-            (
-                KeyIndex::Dense { slots, codes, .. },
-                KeyIndex::Dense {
-                    slots: theirs,
-                    codes: their_codes,
-                    ..
-                },
-            ) => {
-                let mut map = vec![0; their_codes.len()];
-                for (code, (slot, their)) in slots.iter_mut().zip(theirs).enumerate() {
-                    if let Some(t) = their {
-                        map[t as usize] = *slot.get_or_insert_with(|| push(codes, code as u32));
-                    }
-                }
-                map
-            }
             (KeyIndex::Packed(packed), KeyIndex::Packed(theirs)) => {
                 let mut map = Vec::with_capacity(theirs.ids_packed.len());
                 packed.find(&theirs.ids_packed, &mut map);
@@ -1358,19 +1277,13 @@ impl GroupTable {
         having: Option<&CExpr>,
     ) -> ResultBuilder {
         let mut out = ResultBuilder::with_capacity(projections.len(), self.len());
-        let mut push = |id: usize| {
+        for id in 0..self.len() {
             let group = GroupRow {
                 groups: self,
                 table,
                 id,
             };
             group.emit(projections, having, &mut out);
-        };
-        match &self.index {
-            KeyIndex::Dense { slots, .. } => {
-                slots.iter().flatten().for_each(|&id| push(id as usize))
-            }
-            _ => (0..self.len()).for_each(push),
         }
         out
     }
@@ -1384,9 +1297,6 @@ impl GroupTable {
         projections: &[CExpr],
         having: Option<&CExpr>,
     ) -> ResultBuilder {
-        if let KeyIndex::Dense { .. } = self.index {
-            return self.emit(table, projections, having);
-        }
         self.index.drop_lookup();
         let mut out = ResultBuilder::with_capacity(projections.len(), self.len());
         for id in 0..self.len() {
@@ -1455,10 +1365,12 @@ mod tests {
             (Some("B"), Some(65_534), None),
             (None, None, Some(7.0)),
         ]);
-        for packed in ["BIN(n, 1)", "q, BIN(x, 5)", "BIN(x, 5), q"] {
+        for packed in ["q", "BIN(n, 1)", "q, BIN(x, 5)", "BIN(x, 5), q"] {
             assert_eq!(index(packed, &t), "packed", "{packed}");
         }
-        assert_eq!(index("q", &t), "dense");
+        let (keys, aggs) = plan("q", &t);
+        let lone_dictionary = GroupTable::new(&keys, &aggs, &t);
+        assert_eq!(lone_dictionary.packed_arm(), Some("direct"));
         for boxed in [
             "n",
             "q, n",

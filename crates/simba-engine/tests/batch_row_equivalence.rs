@@ -1138,6 +1138,7 @@ fn packed_table() -> Arc<Table> {
 
 /// GROUP BY shapes over [`packed_table`] and the key index each must get.
 const PACKED_SHAPES: &[(&str, &str)] = &[
+    ("queue", "packed"),
     ("queue, BIN(n, 5)", "packed"),
     ("BIN(x, 5)", "packed"),
     ("BIN(x, 1), queue, BIN(n, 2)", "packed"),
@@ -1250,6 +1251,7 @@ fn packed_groups_emit_in_first_appearance_across_merged_ranges() {
     let table = packed_table();
     let rows = table.row_count();
     for (keys, filter) in [
+        ("queue", "n > 0"),
         ("queue, BIN(n, 5)", ""),
         ("BIN(x, 25), queue", "n > 0"),
         ("BIN(r17, 8192), queue", ""),
@@ -1652,17 +1654,18 @@ fn range_filters() -> Vec<Expr> {
 
 /// Every typed aggregate whose result does not depend on the scan's split:
 /// counts with NULLs, wrapping Int sums, `AVG` over Ints whose sums stay
-/// exact in an `f64`, `MIN` / `MAX` over both zeros and NaN, and Float
-/// `SUM` / `AVG` of `-0.0`s alone. No sum reads `x`: a NaN an addition
-/// makes (`inf + -inf`) has no sign Rust specifies, so two correct builds
-/// of one sum can differ in its bits.
+/// exact in an `f64`, `MIN` / `MAX` over both zeros and NaN, Float `SUM` /
+/// `AVG` of `-0.0`s alone, and of `x`, whose finite values add exactly and
+/// whose NaNs and infinities make a NaN: one canonical NaN, though the sign
+/// of a NaN an addition makes (`inf + -inf`) is left unspecified by Rust
+/// and two correct builds of one sum can differ in its bits.
 const EXACT_AGGREGATES: &str = "COUNT(*), COUNT(w1), COUNT(x), COUNT(zero), SUM(w1), SUM(w2), \
     SUM(w8), SUM(top), AVG(w4), MIN(w2), MAX(w4), MIN(w8), MAX(w8), MIN(x), MAX(x), \
-    MIN(zero), MAX(zero), SUM(zero), AVG(zero)";
+    MIN(zero), MAX(zero), SUM(zero), AVG(zero), SUM(x), AVG(x)";
 
 /// One-group tables, under each range filter and none: a global aggregate,
-/// and a GROUP BY whose only group is group 0 on the dense, the hash and the
-/// packed index. Every typed aggregate runs at one, two and three scan
+/// and a GROUP BY whose only group is group 0 on the packed index (a lone
+/// dictionary key, and a `BIN`) and the hash index. Every typed aggregate runs at one, two and three scan
 /// threads and seeded; a Float `SUM` / `AVG` of `y`, whose rounding
 /// depends on the order it adds in, runs on one thread and seeded, where
 /// it must add in row order from the stored state.

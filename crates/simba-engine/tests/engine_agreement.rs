@@ -261,9 +261,9 @@ proptest! {
 /// merged across two and three, call after call. The table spans three
 /// 2048-row morsels so three scan threads really merge partials. sqlite-like
 /// is left out: its ordered-map oracle emits in key order, and the multiset
-/// checks above hold it to duckdb-like. Then the order rules themselves: a
-/// dictionary key alone emits in code order with NULL last, anything else —
-/// a packed key or a boxed one — in first appearance.
+/// checks above hold it to duckdb-like. Then the order rule itself: every
+/// key — a packed one, a dictionary key alone among them, or a boxed one —
+/// emits in first appearance, NULL where its first row is.
 #[test]
 fn grouped_limit_without_total_order_is_one_answer() {
     let mut state = 0x5eed_u64;
@@ -273,7 +273,7 @@ fn grouped_limit_without_total_order_is_one_answer() {
             .wrapping_add(1_442_695_040_888_963_407);
         (state >> 33) % n
     };
-    // Row 0's queue is NULL, so "NULL last" and "first appearance" differ.
+    // Row 0's queue is NULL, so "NULL last" would not be first appearance.
     let rows: Vec<Row> = (0..3 * 2048 - 1000)
         .map(|i| Row {
             queue: (i > 0 && next(10) > 0).then(|| QUEUES[next(QUEUES.len() as u64) as usize]),
@@ -304,7 +304,8 @@ fn grouped_limit_without_total_order_is_one_answer() {
         // A computed key and a bare Int key: the hash index.
         "SELECT HOUR(ts), COUNT(*), MAX(calls) FROM t GROUP BY HOUR(ts) LIMIT 6",
         "SELECT queue, calls, COUNT(*) FROM t GROUP BY queue, calls LIMIT 8",
-        // One dictionary key, a boxed column beside a typed one: the dense index.
+        // One dictionary key, a boxed column beside a typed one: packed, one
+        // part.
         "SELECT queue, COUNT(DISTINCT region), COUNT(*) FROM t GROUP BY queue LIMIT 3",
         // A global aggregate, boxed and typed columns side by side.
         "SELECT COUNT(DISTINCT region), COUNT(*), SUM(calls) FROM t WHERE calls < 0 LIMIT 1",
@@ -342,10 +343,7 @@ fn grouped_limit_without_total_order_is_one_answer() {
     let bin = |c: Option<i64>| c.map_or(Value::Null, |c| Value::Int(c.div_euclid(10) * 10));
     let binned = first_seen(&|r| vec![bin(r.calls), value(r.region)]);
     let with_calls = first_seen(&|r| vec![value(r.queue), r.calls.map_or(Value::Null, Value::Int)]);
-    // A dictionary is in first-appearance order, so its codes are too.
-    let mut queues = first_seen(&|r| vec![value(r.queue)]);
-    queues.retain(|k| !k[0].is_null());
-    queues.push(vec![Value::Null]);
+    let queues = first_seen(&|r| vec![value(r.queue)]);
     for (sql, want) in [
         (
             "SELECT queue, region, COUNT(*) FROM t GROUP BY queue, region",

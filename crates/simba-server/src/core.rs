@@ -13,23 +13,14 @@ use crate::proto::{
 };
 use simba_engine::{Dbms, EngineKind};
 use simba_sql::parse_select;
-use simba_store::mix::Fnv1a;
 use simba_store::{TableAssembler, TableChunk};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
-/// Number of independent locks the engine catalog is split across.
-/// Connections addressing different engines never contend; 8 shards
-/// cover the 4 engine kinds × the handful of scan-thread settings the
-/// scenarios use.
-const CATALOG_SHARDS: usize = 8;
-
 /// An engine selector as the catalog keys it: the parsed kind, so no
 /// request allocates a name to look its engine up.
 type SelKey = (EngineKind, usize);
-
-type CatalogShard = Mutex<Vec<(SelKey, Arc<dyn Dbms>)>>;
 
 /// How far ahead of the rows actually received an upload's buffers may be
 /// sized. A block's `total_rows` is a promise the bytes have not kept yet,
@@ -124,7 +115,9 @@ impl ServerStats {
 /// uploads in progress are keyed by selector and table name the same way,
 /// so an upload's blocks may arrive on any of a client's connections.
 pub struct ServerCore {
-    shards: Vec<CatalogShard>,
+    /// One engine per selector. The lock is held only to find or build an
+    /// engine and clone its `Arc`, once per request.
+    engines: Mutex<Vec<(SelKey, Arc<dyn Dbms>)>>,
     /// Uploads that have received some but not all of their blocks, at
     /// most [`MAX_UPLOADS`]. An entry is taken out while a block is
     /// appended to it and put back only if that block was accepted and was
@@ -154,9 +147,7 @@ impl ServerCore {
     /// Fresh core with an empty engine catalog.
     pub fn new() -> ServerCore {
         ServerCore {
-            shards: (0..CATALOG_SHARDS)
-                .map(|_| Mutex::new(Vec::new()))
-                .collect(),
+            engines: Mutex::new(Vec::new()),
             uploads: Mutex::new(HashMap::new()),
             stats: ServerStats::default(),
             draining: AtomicBool::new(false),
@@ -362,28 +353,14 @@ impl ServerCore {
             return Err(self.bad_request(format!("unknown engine `{}`", sel.kind)));
         };
         let key = (kind, sel.scan_threads);
-        let shard = &self.shards[shard_index(key)];
-        let mut entries = shard.lock().unwrap_or_else(|e| e.into_inner());
-        if let Some((_, dbms)) = entries.iter().find(|(k, _)| *k == key) {
+        let mut engines = self.engines.lock().unwrap_or_else(|e| e.into_inner());
+        if let Some((_, dbms)) = engines.iter().find(|(k, _)| *k == key) {
             return Ok((kind, Arc::clone(dbms)));
         }
-        let dbms = if sel.scan_threads == 1 {
-            kind.build()
-        } else {
-            kind.build_with_threads(sel.scan_threads)
-        };
-        entries.push((key, Arc::clone(&dbms)));
+        let dbms = kind.build_with_threads(sel.scan_threads);
+        engines.push((key, Arc::clone(&dbms)));
         Ok((kind, dbms))
     }
-}
-
-/// FNV-1a over the selector key, reduced to a shard index. Deterministic
-/// (no `RandomState`), so catalog placement is identical across runs.
-fn shard_index(key: SelKey) -> usize {
-    let mut h = Fnv1a::new();
-    h.write(key.0.name().as_bytes());
-    h.write(&key.1.to_le_bytes());
-    (h.finish() % CATALOG_SHARDS as u64) as usize
 }
 
 /// The one frame `bytes` hold, reassembled by a [`crate::proto::Decoder`]

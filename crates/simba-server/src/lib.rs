@@ -8,7 +8,7 @@
 //!   version-tagged headers and request-id correlation, carrying typed
 //!   binary payloads ([`proto::Request`] / [`proto::Response`]): results
 //!   as a string table plus tagged values, tables as column blocks.
-//! * [`core`] + [`server`] — [`core::ServerCore`] (sharded engine catalog,
+//! * [`core`] + [`server`] — [`core::ServerCore`] (engine catalog,
 //!   request dispatch, stats) behind a TCP accept loop with
 //!   per-connection worker threads, a bounded in-flight window for
 //!   backpressure, idle-connection timeouts, and graceful drain on a

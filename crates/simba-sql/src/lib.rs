@@ -33,7 +33,6 @@
 //! ```
 
 pub mod ast;
-pub mod builder;
 pub mod error;
 pub mod implication;
 pub mod normalize;
@@ -44,7 +43,6 @@ pub mod similarity;
 pub mod token;
 
 pub use ast::{BinOp, Expr, Func, Literal, OrderByExpr, Select, SelectItem, UnaryOp};
-pub use builder::SelectBuilder;
 pub use error::{ParseError, SqlError};
 pub use implication::Conjunction;
 pub use normalize::{aggregate_calls, query_cache_key, substitute_aliases, NormalizedSelect};
