@@ -1,7 +1,8 @@
 //! Criterion microbenchmarks: the two engine architectures on fixed
 //! dashboard-shaped queries (supports the §6 engine comparison), the
 //! filter compiler's kernels against what they replace, the plan layer
-//! (`prepare` plus `compile_kernels`) on storm-shaped filters, the group
+//! (`prepare`, which compiles the WHERE to kernels) on storm-shaped
+//! filters, the group
 //! layer on the storm's packed GROUP BY shapes, the scan's filter and
 //! aggregate loops on storm and KPI-tile queries, seeded scans against the
 //! fresh scans they replace, the result layer on the storm's largest
@@ -10,7 +11,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use simba_data::DashboardDataset;
 use simba_engine::batch::{fill_filtered, run_morsels, SelectionVector, MORSEL};
-use simba_engine::exec::{cexpr_conjuncts, compile_kernels, Kernel};
+use simba_engine::exec::{compile_where, Kernel};
 use simba_engine::plan::{compile_row_expr, prepare};
 use simba_engine::{Dbms, DeltaScan, DuckDbLike, EngineKind};
 use simba_idebench::{IdeBenchConfig, IdeBenchWalk};
@@ -90,25 +91,30 @@ fn count_matches(table: &Table, kernels: &[Kernel]) -> usize {
 /// to one kernel per column and left one kernel per conjunct.
 fn bench_filters(c: &mut Criterion) {
     let table = DashboardDataset::CustomerService.generate_rows(100_000, 42);
-    let compile = |filter: &str| {
+    let parse = |filter: &str| {
         let sql = format!("SELECT calls FROM customer_service WHERE {filter}");
-        let filter = parse_select(&sql).unwrap().where_clause.unwrap();
-        compile_row_expr(&filter, table.schema()).unwrap()
+        parse_select(&sql).unwrap().where_clause.unwrap()
     };
-    let range = compile("handle_time BETWEEN 120.0 AND 480.0");
-    let stacked = compile(
+    let range = parse("handle_time BETWEEN 120.0 AND 480.0");
+    let stacked = parse(
         "handle_time BETWEEN 60.0 AND 600.0 AND hour >= 8 AND queue IN ('A', 'B', 'C') \
          AND handle_time <= 480.0 AND hour BETWEEN 9 AND 17 AND queue NOT IN ('B')",
     );
     let variants = [
-        ("range/typed", compile_kernels(&range, &table)),
-        ("range/interpreter", vec![Kernel::Generic(range.clone())]),
-        ("stacked/combined", compile_kernels(&stacked, &table)),
+        ("range/typed", compile_where(&range, &table).unwrap()),
+        (
+            "range/interpreter",
+            vec![Kernel::Generic(
+                compile_row_expr(&range, table.schema()).unwrap(),
+            )],
+        ),
+        ("stacked/combined", compile_where(&stacked, &table).unwrap()),
         (
             "stacked/uncombined",
-            cexpr_conjuncts(&stacked)
+            stacked
+                .conjuncts()
                 .into_iter()
-                .flat_map(|conjunct| compile_kernels(conjunct, &table))
+                .flat_map(|conjunct| compile_where(conjunct, &table).unwrap())
                 .collect(),
         ),
     ];
@@ -123,20 +129,18 @@ fn bench_filters(c: &mut Criterion) {
     group.finish();
 }
 
-/// One query's plan: `prepare` plus `compile_kernels` over its WHERE — all
-/// the work a query proved empty costs before its scan reads nothing.
+/// One query's plan: `prepare`, which compiles its WHERE to settled kernels
+/// — all the work a query proved empty costs before its scan reads nothing.
 fn plan(query: &Select, table: &Arc<Table>) -> usize {
     let plan = prepare(query, table.clone()).unwrap();
-    plan.filter
-        .as_ref()
-        .map_or(0, |f| compile_kernels(f, table).len())
+    plan.filter.map_or(0, |kernels| kernels.len())
 }
 
-/// `plan/`: `prepare` plus `compile_kernels` on storm-shaped filters —
-/// Float bounds on Int columns, dictionary `IN` lists, one contradiction —
-/// each also as `compile_kernels` alone; then the same over every query of
-/// eight seeded IDEBench storms (26 interactions each) that compiles to a
-/// contradiction, one iteration timing the whole set.
+/// `plan/`: `prepare` on storm-shaped filters — Float bounds on Int
+/// columns, dictionary `IN` lists, one contradiction — each also as
+/// `compile_where` alone; then the same over every query of eight seeded
+/// IDEBench storms (26 interactions each) that compiles to a contradiction,
+/// one iteration timing the whole set.
 fn bench_plan(c: &mut Criterion) {
     let table = Arc::new(DashboardDataset::CustomerService.generate_rows(100_000, 42));
     let query = |filter: &str| {
@@ -184,11 +188,7 @@ fn bench_plan(c: &mut Criterion) {
         })
         .filter(|q| {
             let filter = prepare(q, table.clone()).unwrap().filter;
-            filter.is_some_and(|f| {
-                compile_kernels(&f, &table)
-                    .iter()
-                    .any(Kernel::never_matches)
-            })
+            filter.is_some_and(|kernels| kernels.iter().any(Kernel::never_matches))
         })
         .collect();
 
@@ -197,26 +197,26 @@ fn bench_plan(c: &mut Criterion) {
         .sample_size(2_000)
         .measurement_time(Duration::from_secs(2));
     for (name, query) in &cases {
-        let filter = prepare(query, table.clone()).unwrap().filter.unwrap();
+        let filter = query.where_clause.as_ref().unwrap();
         group.bench_function(name, |b| b.iter(|| plan(query, &table)));
-        group.bench_function(format!("{name}/compile_kernels"), |b| {
-            b.iter(|| compile_kernels(&filter, &table).len())
+        group.bench_function(format!("{name}/compile_where"), |b| {
+            b.iter(|| compile_where(filter, &table).unwrap().len())
         });
     }
     let filters: Vec<_> = proved_empty
         .iter()
-        .map(|q| prepare(q, table.clone()).unwrap().filter.unwrap())
+        .map(|q| q.where_clause.as_ref().unwrap())
         .collect();
     let set = format!("storm_proved_empty x{}", proved_empty.len());
     group.sample_size(50);
     group.bench_function(&set, |b| {
         b.iter(|| proved_empty.iter().map(|q| plan(q, &table)).sum::<usize>())
     });
-    group.bench_function(format!("{set}/compile_kernels"), |b| {
+    group.bench_function(format!("{set}/compile_where"), |b| {
         b.iter(|| {
             filters
                 .iter()
-                .map(|f| compile_kernels(f, &table).len())
+                .map(|f| compile_where(f, &table).unwrap().len())
                 .sum::<usize>()
         })
     });

@@ -3,8 +3,8 @@
 //!
 //! The typed kernels are only worth having if the workloads reach them. This
 //! drives each source through the driver against an engine that records every
-//! query it is asked, compiles each recorded WHERE with the engine's filter
-//! compiler, and counts kernels by kind. The IDEBench storm — the workload
+//! query it is asked, plans each recorded query as the engine does, and
+//! counts the plan's kernels by kind and its WHERE's conjuncts. The IDEBench storm — the workload
 //! that stacks filters — must compile to no `Kernel::Generic` at all: a
 //! `BETWEEN` falling back to the row interpreter fails here, not just in a
 //! benchmark. Each aggregate is classified the way the engines' one group
@@ -39,14 +39,13 @@ use simba_driver::{
     AdaptiveSource, AdaptiveWalkConfig, Driver, DriverConfig, ScriptedSource, SessionSource,
 };
 use simba_engine::batch::run_morsels;
-use simba_engine::eval::CExpr;
-use simba_engine::exec::{cexpr_conjuncts, compile_kernels, Kernel};
+use simba_engine::exec::Kernel;
 use simba_engine::group::{GroupTable, LANE_GROUPS};
-use simba_engine::plan::{compile_row_expr, prepare, QueryKind};
+use simba_engine::plan::{prepare, QueryKind};
 use simba_engine::{Dbms, DeltaScan, EngineError, EngineKind, QueryOutput};
 use simba_idebench::IdebenchSource;
-use simba_sql::{Func, Select};
-use simba_store::{ColumnData, Table, Value};
+use simba_sql::{Expr, Func, Literal, Select};
+use simba_store::{ColumnData, Table};
 use std::sync::{Arc, Mutex};
 
 const ROWS: usize = 2_000;
@@ -184,9 +183,8 @@ fn inventory(table: &Arc<Table>, source: &dyn SessionSource) -> Inventory {
         let Some(filter) = &query.where_clause else {
             continue;
         };
-        let filter = compile_row_expr(filter, table.schema()).unwrap();
-        let kernels = compile_kernels(&filter, table);
-        let conjuncts = cexpr_conjuncts(&filter);
+        let kernels = plan.filter.as_deref().unwrap_or_default();
+        let conjuncts = filter.conjuncts();
         inv.conjuncts += conjuncts.len();
         for conjunct in conjuncts {
             for f in int_column_float_literals(conjunct, table) {
@@ -194,7 +192,7 @@ fn inventory(table: &Arc<Table>, source: &dyn SessionSource) -> Inventory {
             }
         }
         inv.contradictory += usize::from(kernels.iter().any(Kernel::never_matches));
-        for kernel in &kernels {
+        for kernel in kernels {
             match kernel {
                 Kernel::Range { .. } => inv.range += 1,
                 Kernel::DictIn { .. } => inv.dict_in += 1,
@@ -207,20 +205,28 @@ fn inventory(table: &Arc<Table>, source: &dyn SessionSource) -> Inventory {
 
 /// The Float literals `conjunct` compares with an Int column, in the shapes
 /// the filter compiler types: `col <op> lit` and `col BETWEEN lit AND lit`.
-fn int_column_float_literals(conjunct: &CExpr, table: &Table) -> Vec<f64> {
+fn int_column_float_literals(conjunct: &Expr, table: &Table) -> Vec<f64> {
     let (col, bounds) = match conjunct {
-        CExpr::Bin { l, op, r } if op.is_comparison() => (l.as_col(), vec![r.as_ref()]),
-        CExpr::Between { e, low, high, .. } => (e.as_col(), vec![low.as_ref(), high.as_ref()]),
+        Expr::Binary { left, op, right } if op.is_comparison() => (left, vec![right.as_ref()]),
+        Expr::Between {
+            expr, low, high, ..
+        } => (expr, vec![low.as_ref(), high.as_ref()]),
         _ => return Vec::new(),
     };
-    let int_column = col.is_some_and(|c| matches!(table.column(c), ColumnData::Int { .. }));
-    if !int_column || !bounds.iter().all(|b| matches!(b, CExpr::Lit(_))) {
+    let int_column = match col.as_ref() {
+        Expr::Column(name) => table
+            .schema()
+            .index_of(name)
+            .is_some_and(|c| matches!(table.column(c), ColumnData::Int { .. })),
+        _ => false,
+    };
+    if !int_column || !bounds.iter().all(|b| matches!(b, Expr::Literal(_))) {
         return Vec::new();
     }
     bounds
         .into_iter()
         .filter_map(|b| match b {
-            CExpr::Lit(Value::Float(f)) => Some(*f),
+            Expr::Literal(Literal::Float(f)) => Some(*f),
             _ => None,
         })
         .collect()

@@ -1,5 +1,5 @@
 //! Batch-at-a-time execution: selection vectors, columnar filter kernels,
-//! and the morsel-driven scan, which reads no row when the compiled filter
+//! and the morsel-driven scan, which reads no row when the plan's filter
 //! cannot match and aggregates through the one [`GroupTable`].
 //!
 //! The row-at-a-time interpreter ([`crate::exec::run_row`]) pays an enum
@@ -29,7 +29,7 @@
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
 use crate::eval::{eval, eval_predicate, TableRow};
-use crate::exec::{compile_kernels, ExecStats, Kernel};
+use crate::exec::{ExecStats, Kernel};
 use crate::group::GroupTable;
 use crate::plan::{PreparedQuery, QueryKind};
 use simba_store::zonemap::{float_key, morsel_bounds, morsel_count, MORSEL_ROWS};
@@ -362,8 +362,10 @@ pub struct DeltaCapture {
 }
 
 /// Morsel-driven vectorized scan: selection-vector filter kernels and
-/// [`GroupTable`] aggregation. A filter whose compiled
-/// kernels never match reads no row: every morsel counts as pruned. With
+/// [`GroupTable`] aggregation. The kernels are the plan's, compiled and
+/// settled against the column bounds by `prepare`; the scan compiles
+/// nothing. A filter whose kernels never match reads no row: every morsel
+/// counts as pruned. With
 /// `threads > 1` the morsels are split into contiguous chunks scanned by
 /// scoped worker threads whose partial states are merged in morsel order,
 /// keeping output deterministic.
@@ -400,19 +402,14 @@ pub fn run_morsels(
     // Only a filtered scan's survivors are worth a bitmap.
     let capture_rows = capture_requested && plan.filter.is_some();
     // On an exact seed the WHERE is byte-for-byte the seeding query's: the
-    // seed rows *are* the survivors, so kernels are never evaluated and
-    // need not be compiled, and a capture is a copy of the seed.
+    // seed rows *are* the survivors, so the kernels are never evaluated,
+    // and a capture is a copy of the seed.
     let exact_seed = seed.filter(|_| exact);
-    let kernels: Option<Vec<Kernel>> = if exact_seed.is_some() {
-        None
-    } else {
-        plan.filter.as_ref().map(|f| compile_kernels(f, table))
-    };
+    let kernels = plan.filter.as_deref().filter(|_| exact_seed.is_none());
     let n_morsels = morsel_count(n);
-    // `compile_kernels` returns a kernel that never matches alone.
-    let never = kernels
-        .as_deref()
-        .is_some_and(|ks| ks.iter().any(Kernel::never_matches));
+    // The plan holds a kernel that never matches alone, settled against
+    // the column bounds when it was compiled: the scan only asks.
+    let never = kernels.is_some_and(|ks| ks.iter().any(Kernel::never_matches));
 
     // The words the scan sets the captured survivors in: none when the
     // filter cannot match or the survivors are an exact seed.
@@ -423,7 +420,6 @@ pub fn run_morsels(
     } else {
         let threads = threads.clamp(1, n_morsels.max(1));
         let _scan = simba_obs::phase!("engine.scan", "engine", "engine.phase.scan");
-        let kernels = kernels.as_deref();
         // Each range takes its morsels' words off the front of the rest.
         let mut rest = words.as_mut_slice();
         let ranges = split_ranges(n_morsels, threads).into_iter().map(|range| {
@@ -635,9 +631,10 @@ fn scan_range(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::eval::CExpr;
+    use crate::exec::compile_where;
+    use crate::plan::prepare_row;
     use crate::test_support::{built_rows, qnx_table, sample_table, Row};
-    use simba_sql::{parse_select, BinOp};
+    use simba_sql::parse_select;
     use simba_store::Value;
     use std::sync::Arc;
 
@@ -648,8 +645,7 @@ mod tests {
     /// The compiled kernels of `SELECT * FROM cs WHERE <filter>`.
     fn kernels(t: &Table, filter: &str) -> Vec<Kernel> {
         let q = parse_select(&format!("SELECT calls FROM cs WHERE {filter}")).unwrap();
-        let filter = crate::plan::compile_row_expr(&q.where_clause.unwrap(), t.schema()).unwrap();
-        compile_kernels(&filter, t)
+        compile_where(&q.where_clause.unwrap(), t).unwrap()
     }
 
     #[test]
@@ -677,12 +673,7 @@ mod tests {
     #[test]
     fn dict_filter_batch_drops_nulls() {
         let t = table();
-        let filter = crate::plan::compile_row_expr(
-            &simba_sql::Expr::in_strs("queue", vec!["A"]),
-            t.schema(),
-        )
-        .unwrap();
-        let kernels = compile_kernels(&filter, &t);
+        let kernels = compile_where(&simba_sql::Expr::in_strs("queue", vec!["A"]), &t).unwrap();
         let mut sel = SelectionVector::with_capacity(8);
         sel.fill_range(0, t.row_count());
         for k in &kernels {
@@ -695,20 +686,11 @@ mod tests {
     fn generic_kernel_refines_surviving_rows_only() {
         let t = table();
         // `calls + 0 > 2` does not specialize: exercised via the interpreter.
-        let filter = CExpr::Bin {
-            l: Box::new(CExpr::Bin {
-                l: Box::new(CExpr::Col(1)),
-                op: BinOp::Add,
-                r: Box::new(CExpr::Lit(Value::Int(0))),
-            }),
-            op: BinOp::Gt,
-            r: Box::new(CExpr::Lit(Value::Int(2))),
-        };
-        let kernels = compile_kernels(&filter, &t);
-        assert!(matches!(kernels[0], Kernel::Generic(_)));
+        let ks = kernels(&t, "calls + 0 > 2");
+        assert!(matches!(ks[..], [Kernel::Generic(_)]));
         let mut sel = SelectionVector::with_capacity(8);
         sel.fill_range(0, t.row_count());
-        kernels[0].filter_batch(&t, &mut sel);
+        ks[0].filter_batch(&t, &mut sel);
         assert_eq!(sel.as_slice(), &[1, 2, 3]);
     }
 
@@ -764,9 +746,9 @@ mod tests {
              FROM cs WHERE calls >= 1 GROUP BY queue",
         )
         .unwrap();
-        let plan = crate::plan::prepare(&q, t).unwrap();
+        let plan = crate::plan::prepare(&q, t.clone()).unwrap();
         let (batch_rows, batch_stats, _) = run_morsels(&plan, 1, DeltaScan::Off);
-        let (row_rows, row_stats) = crate::exec::run_row(&plan);
+        let (row_rows, row_stats) = crate::exec::run_row(&prepare_row(&q, t).unwrap());
         let mut a = built_rows(batch_rows);
         let mut b = built_rows(row_rows);
         a.sort();
@@ -818,12 +800,11 @@ mod tests {
             unreachable!("an aggregate query")
         };
         let (table, n) = (plan.table.as_ref(), plan.table.row_count());
-        let kernels = plan.filter.as_ref().map(|f| compile_kernels(f, table));
         let (mut sel, mut matched) = (SelectionVector::default(), 0);
         let mut groups = GroupTable::new(keys, aggs, table);
         for start in (0..n).step_by(block) {
             let end = n.min(start + block);
-            fill_filtered(&mut sel, table, start, end, kernels.as_deref());
+            fill_filtered(&mut sel, table, start, end, plan.filter.as_deref());
             matched += sel.len();
             groups.update(table, sel.as_slice());
         }
@@ -860,8 +841,10 @@ mod tests {
             "SELECT COUNT(*), SUM(x), MIN(n) FROM t WHERE n + 0 > 50",
             "SELECT COUNT(*), MAX(n) FROM t WHERE n > 1000",
         ] {
-            let plan = crate::plan::prepare(&parse_select(sql).unwrap(), t.clone()).unwrap();
-            let (oracle, oracle_stats) = crate::exec::run_row(&plan);
+            let query = parse_select(sql).unwrap();
+            let plan = crate::plan::prepare(&query, t.clone()).unwrap();
+            let (oracle, oracle_stats) =
+                crate::exec::run_row(&prepare_row(&query, t.clone()).unwrap());
             let in_order = built_rows(run_morsels(&plan, 1, DeltaScan::Off).0);
             let (mut sorted, mut want) = (in_order.clone(), built_rows(oracle));
             sorted.sort();

@@ -12,7 +12,7 @@ pub mod sqlite_like;
 
 use crate::error::EngineError;
 use crate::exec::{finalize_rows, Catalog, ExecStats, QueryOutput};
-use crate::plan::{prepare, prepare_with, PreparedQuery};
+use crate::plan::{prepare_for, Filter, PreparedQuery};
 use simba_sql::{NormalizedSelect, Select};
 use simba_store::ResultBuilder;
 use std::time::Instant;
@@ -25,12 +25,13 @@ use std::time::Instant;
 ///
 /// `form` is the query's normal form when the caller already holds it (the
 /// session-delta path): the plan takes its aggregate-slot layout and GROUP
-/// BY prints from it. `None` derives both while planning.
-pub(crate) fn execute_common(
+/// BY prints from it. `None` derives both while planning. The runner's
+/// plan type picks the form its WHERE is compiled to, in the plan phase.
+pub(crate) fn execute_common<F: Filter>(
     catalog: &Catalog,
     query: &Select,
     form: Option<&NormalizedSelect>,
-    runner: impl FnOnce(&PreparedQuery) -> (ResultBuilder, ExecStats),
+    runner: impl FnOnce(&PreparedQuery<F>) -> (ResultBuilder, ExecStats),
 ) -> Result<QueryOutput, EngineError> {
     let _span = simba_obs::trace::span("engine.execute", "engine");
     #[expect(
@@ -43,10 +44,7 @@ pub(crate) fn execute_common(
         let table = catalog
             .get(&query.from)
             .ok_or_else(|| EngineError::UnknownTable(query.from.clone()))?;
-        match form {
-            Some(form) => prepare_with(query, form.aggregates(), form.group_by(), table)?,
-            None => prepare(query, table)?,
-        }
+        prepare_for(query, form, table)?
     };
     let (rows, stats) = runner(&plan);
     let result = {

@@ -10,10 +10,10 @@
 use crate::agg::{Accumulator, AggSpec};
 use crate::error::EngineError;
 use crate::eval::{eval, eval_predicate, CExpr, RowSlice, TableRow};
-use crate::plan::{prepare, PreparedQuery, QueryKind};
-use simba_sql::{BinOp, Select};
+use crate::plan::{column_index, compile_row_expr, prepare_row, PreparedQuery, QueryKind};
+use simba_sql::{BinOp, Expr, Literal, Select};
 use simba_store::zonemap::{float_key, Zone, ZoneMaps};
-use simba_store::{ColumnData, ResultBuilder, ResultSet, Table, Value};
+use simba_store::{ColumnData, ResultBuilder, ResultSet, Schema, Table, Value};
 use std::cmp::Ordering;
 use std::collections::BTreeMap;
 use std::sync::{Arc, PoisonError};
@@ -56,30 +56,11 @@ pub struct QueryOutput {
     pub elapsed: Duration,
 }
 
-/// Split a compiled predicate into top-level conjuncts.
-pub fn cexpr_conjuncts(e: &CExpr) -> Vec<&CExpr> {
-    let mut out = Vec::new();
-    fn walk<'a>(e: &'a CExpr, out: &mut Vec<&'a CExpr>) {
-        if let CExpr::Bin {
-            l,
-            op: BinOp::And,
-            r,
-        } = e
-        {
-            walk(l, out);
-            walk(r, out);
-        } else {
-            out.push(e);
-        }
-    }
-    walk(e, &mut out);
-    out
-}
-
 /// A filter kernel: either a typed fast path over raw column data or a
 /// generic fallback through the shared evaluator. Conjunct-wise filtering is
 /// equivalent to whole-predicate three-valued filtering because a row passes
 /// a conjunction iff every conjunct evaluates to TRUE.
+#[derive(Debug, Clone)]
 pub enum Kernel {
     /// A non-NULL value of an Int or Float column inside (`negated`:
     /// outside) the closed interval `[lo, hi]` of ordered keys: the value
@@ -147,32 +128,128 @@ impl Kernel {
     }
 }
 
-/// Compile a filter for the given table: every conjunct to a kernel (typed
-/// where its shape allows), then the kernels of one column folded into one —
-/// interval ∩ interval, mask ∧ mask, anything else kept beside them — so a
-/// scan runs at most one typed kernel per column. Each interval is then
-/// checked against its column's bounds, and one no valid row can pass
-/// becomes the empty interval. A kernel that
-/// [never matches](Kernel::never_matches) makes the filter contradictory,
-/// and it is returned alone: the scan then reads no row. Kernels run in
-/// WHERE order (of their first conjunct).
-pub fn compile_kernels(filter: &CExpr, table: &Table) -> Vec<Kernel> {
+/// Compile a WHERE clause for `table`, once, at plan time: every conjunct
+/// to a kernel (typed where its shape allows), folded into an earlier
+/// kernel of its column where it can be — interval ∩ interval, mask ∧
+/// mask, anything else kept beside them — so a scan runs at most one typed
+/// kernel per column. Each interval is checked against its column's bounds
+/// as it tightens, and one no valid row can pass becomes the empty
+/// interval. A kernel that [never matches](Kernel::never_matches) makes the
+/// filter contradictory and is returned alone: the scan then reads no row,
+/// and the conjuncts after it build nothing — they are only checked for
+/// the error compiling them would raise, so a WHERE fails here exactly
+/// where [`compile_row_expr`] fails on it. Kernels run in WHERE order (of
+/// their first conjunct).
+pub fn compile_where(filter: &Expr, table: &Table) -> Result<Vec<Kernel>, EngineError> {
+    let bounds = table.zone_maps();
     let mut kernels: Vec<Kernel> = Vec::new();
-    for conjunct in cexpr_conjuncts(filter) {
-        let kernel =
-            specialize(conjunct, table).unwrap_or_else(|| Kernel::Generic(conjunct.clone()));
-        if !kernels.iter_mut().any(|k| k.absorb(&kernel)) {
-            kernels.push(kernel);
+    let mut conjuncts = filter.conjuncts().into_iter();
+    while let Some(conjunct) = conjuncts.next() {
+        let kernel = conjunct_kernel(conjunct, table)?;
+        let at = match kernels.iter_mut().position(|k| k.absorb(&kernel)) {
+            Some(at) => at,
+            None => {
+                kernels.push(kernel);
+                kernels.len() - 1
+            }
+        };
+        kernels[at].settle(bounds);
+        if kernels[at].never_matches() {
+            for rest in conjuncts {
+                check_conjunct(rest, table.schema())?;
+            }
+            return Ok(vec![kernels.swap_remove(at)]);
         }
     }
-    let bounds = table.zone_maps();
-    for kernel in &mut kernels {
-        kernel.settle(bounds);
+    Ok(kernels)
+}
+
+/// One conjunct's kernel: typed when its shape and its column's type allow
+/// one, else the conjunct compiled for the shared interpreter.
+fn conjunct_kernel(conjunct: &Expr, table: &Table) -> Result<Kernel, EngineError> {
+    if let Some((name, shape)) = Typed::of(conjunct) {
+        let col = column_index(name, table.schema())?;
+        if let Some(kernel) = shape.kernel(col, table.column(col)) {
+            return Ok(kernel);
+        }
     }
-    if let Some(i) = kernels.iter().position(Kernel::never_matches) {
-        return vec![kernels.swap_remove(i)];
+    compile_row_expr(conjunct, table.schema()).map(Kernel::Generic)
+}
+
+/// The error [`conjunct_kernel`] would raise on `conjunct`, building
+/// nothing for a typed shape: a typed shape can only name an unknown
+/// column.
+fn check_conjunct(conjunct: &Expr, schema: &Schema) -> Result<(), EngineError> {
+    match Typed::of(conjunct) {
+        Some((name, _)) => column_index(name, schema).map(drop),
+        None => compile_row_expr(conjunct, schema).map(drop),
     }
-    kernels
+}
+
+/// A conjunct's shape in the typed set: a column, as written on the left,
+/// against literals. Anything else — a literal on the left (`5 < calls`),
+/// an expression for a bound, a non-literal `IN` item — is outside it.
+enum Typed<'a> {
+    /// `col <op> lit`.
+    Compare(BinOp, &'a Literal),
+    /// `col [NOT] BETWEEN lit AND lit`.
+    Between(&'a Literal, &'a Literal, bool),
+    /// `col [NOT] IN (lit, …)`.
+    In(&'a [Expr], bool),
+}
+
+impl<'a> Typed<'a> {
+    /// The column `e` tests and its shape, when `e` is in the typed set.
+    fn of(e: &'a Expr) -> Option<(&'a str, Typed<'a>)> {
+        let (col, shape) = match e {
+            Expr::Binary { left, op, right } if op.is_comparison() => match right.as_ref() {
+                Expr::Literal(lit) => (left, Typed::Compare(*op, lit)),
+                _ => return None,
+            },
+            Expr::Between {
+                expr,
+                low,
+                high,
+                negated,
+            } => match (low.as_ref(), high.as_ref()) {
+                (Expr::Literal(low), Expr::Literal(high)) => {
+                    (expr, Typed::Between(low, high, *negated))
+                }
+                _ => return None,
+            },
+            Expr::InList {
+                expr,
+                list,
+                negated,
+            } if list.iter().all(|item| matches!(item, Expr::Literal(_))) => {
+                (expr, Typed::In(list, *negated))
+            }
+            _ => return None,
+        };
+        match col.as_ref() {
+            Expr::Column(name) => Some((name, shape)),
+            _ => None,
+        }
+    }
+
+    /// The typed kernel for this shape on column `col`, or `None` when the
+    /// column's type and the literals leave it to the interpreter.
+    fn kernel(&self, col: usize, column: &ColumnData) -> Option<Kernel> {
+        match *self {
+            Typed::Compare(op, lit) => compare_kernel(col, column, op, lit),
+            Typed::Between(low, high, negated) => {
+                let (low, high) = (Cut::of(column, low)?, Cut::of(column, high)?);
+                Some(range_kernel(col, low.ge, high.gt - 1, negated))
+            }
+            Typed::In(list, negated) => matches!(column, ColumnData::Str { .. }).then(|| {
+                let strings = list.iter().filter_map(|item| match item {
+                    Expr::Literal(Literal::Str(s)) => Some(s.as_str()),
+                    _ => None,
+                });
+                dict_in_kernel(col, column, strings, negated)
+            }),
+        }
+    }
 }
 
 impl Kernel {
@@ -251,47 +328,14 @@ impl Kernel {
     }
 }
 
-/// The typed kernel for one conjunct, or `None` for a shape outside the
-/// typed set.
-fn specialize(e: &CExpr, table: &Table) -> Option<Kernel> {
-    match e {
-        CExpr::Bin { l, op, r } if op.is_comparison() => match (l.as_col(), r.as_ref()) {
-            (Some(col), CExpr::Lit(lit)) => compare_kernel(col, table.column(col), *op, lit),
-            _ => None,
-        },
-        CExpr::Between {
-            e: inner,
-            low,
-            high,
-            negated,
-        } => match (inner.as_col(), low.as_ref(), high.as_ref()) {
-            (Some(col), CExpr::Lit(low), CExpr::Lit(high)) => {
-                let column = table.column(col);
-                let (low, high) = (Cut::of(column, low)?, Cut::of(column, high)?);
-                Some(range_kernel(col, low.ge, high.gt - 1, *negated))
-            }
-            _ => None,
-        },
-        CExpr::In {
-            e: inner,
-            set,
-            negated,
-        } => inner
-            .as_col()
-            .filter(|&col| matches!(table.column(col), ColumnData::Str { .. }))
-            .map(|col| dict_in_kernel(col, table.column(col), set.values(), *negated)),
-        _ => None,
-    }
-}
-
 /// `col <op> lit` as a typed kernel, when the column and literal allow one.
 /// On a dictionary column `=` is `IN (lit)` and `<>` is `NOT IN (lit)`.
-fn compare_kernel(col: usize, column: &ColumnData, op: BinOp, lit: &Value) -> Option<Kernel> {
-    if let (ColumnData::Str { .. }, Value::Str(_), BinOp::Eq | BinOp::NotEq) = (column, lit, op) {
+fn compare_kernel(col: usize, column: &ColumnData, op: BinOp, lit: &Literal) -> Option<Kernel> {
+    if let (ColumnData::Str { .. }, Literal::Str(s), BinOp::Eq | BinOp::NotEq) = (column, lit, op) {
         return Some(dict_in_kernel(
             col,
             column,
-            std::slice::from_ref(lit),
+            std::iter::once(s.as_str()),
             op == BinOp::NotEq,
         ));
     }
@@ -328,14 +372,14 @@ const EXACT_INT_F64: f64 = 9_007_199_254_740_992.0;
 impl Cut {
     /// `None` unless the column is Int or Float and the literal a number —
     /// other pairs are outside the typed set.
-    fn of(column: &ColumnData, lit: &Value) -> Option<Cut> {
+    fn of(column: &ColumnData, lit: &Literal) -> Option<Cut> {
         match (column, lit) {
-            (ColumnData::Int { .. }, Value::Int(v)) => Some(Cut {
+            (ColumnData::Int { .. }, Literal::Int(v)) => Some(Cut {
                 ge: i128::from(*v),
                 gt: i128::from(*v) + 1,
             }),
-            (ColumnData::Int { .. }, Value::Float(f)) => Some(Cut::int_column(*f)),
-            (ColumnData::Float { .. }, Value::Int(_) | Value::Float(_)) => {
+            (ColumnData::Int { .. }, Literal::Float(f)) => Some(Cut::int_column(*f)),
+            (ColumnData::Float { .. }, Literal::Int(_) | Literal::Float(_)) => {
                 let key = i128::from(float_key(lit.as_f64()?));
                 Some(Cut {
                     ge: key,
@@ -410,23 +454,22 @@ fn range_kernel(col: usize, lo: i128, hi: i128, negated: bool) -> Kernel {
     }
 }
 
-fn dict_in_kernel(col: usize, column: &ColumnData, values: &[Value], negated: bool) -> Kernel {
+/// `col [NOT] IN (wanted)` over a dictionary column, `wanted` its string
+/// literals: only a string literal can equal a dictionary entry.
+fn dict_in_kernel<'a>(
+    col: usize,
+    column: &ColumnData,
+    wanted: impl Iterator<Item = &'a str> + Clone,
+    negated: bool,
+) -> Kernel {
     #[expect(
         clippy::expect_used,
         reason = "kernel selection only routes dictionary-encoded string columns here; a bare column is a planner bug"
     )]
     let dict = column.dictionary().expect("string column has a dictionary");
-    // Only a string literal can equal a dictionary entry.
-    let wanted: Vec<&str> = values
-        .iter()
-        .filter_map(|v| match v {
-            Value::Str(s) => Some(&**s),
-            _ => None,
-        })
-        .collect();
     let mut mask: Vec<bool> = dict
         .iter()
-        .map(|s| wanted.contains(&&**s) != negated)
+        .map(|s| wanted.clone().any(|w| w == &**s) != negated)
         .collect();
     if !mask.contains(&true) {
         mask.clear();
@@ -496,7 +539,7 @@ pub fn finalize_rows(
 /// the filter per row, and group through an ordered map. This is both the
 /// `sqlite-like` engine's personality and the oracle the vectorized path is
 /// property-tested against.
-pub fn run_row(plan: &PreparedQuery) -> (ResultBuilder, ExecStats) {
+pub fn run_row(plan: &PreparedQuery<CExpr>) -> (ResultBuilder, ExecStats) {
     let table = &plan.table;
     let n = table.row_count();
     let mut stats = ExecStats {
@@ -566,7 +609,7 @@ pub fn execute_row_oracle(table: Arc<Table>, query: &Select) -> Result<QueryOutp
         reason = "latency parity with Dbms::execute — `elapsed` is the measured deliverable, never result content"
     )]
     let start = Instant::now();
-    let plan = prepare(query, table)?;
+    let plan = prepare_row(query, table)?;
     let (rows, stats) = run_row(&plan);
     Ok(QueryOutput {
         result: finalize_rows(
@@ -641,9 +684,8 @@ impl Catalog {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::eval::ValueSet;
     use crate::test_support::qnx_table;
-    use simba_store::{ColumnDef, Schema, TableBuilder};
+    use simba_store::{ColumnDef, TableBuilder};
 
     fn table() -> Arc<Table> {
         qnx_table(&[
@@ -654,49 +696,53 @@ mod tests {
         ])
     }
 
-    fn lit(l: CExpr, op: BinOp, v: Value) -> CExpr {
-        CExpr::Bin {
-            l: Box::new(l),
-            op,
-            r: Box::new(CExpr::Lit(v)),
-        }
+    /// Column `i` of [`table`]: `q`, `n` or `x`.
+    fn col(i: usize) -> Expr {
+        Expr::col(["q", "n", "x"][i])
     }
 
-    fn between(col: usize, low: Value, high: Value, negated: bool) -> CExpr {
-        CExpr::Between {
-            e: Box::new(CExpr::Col(col)),
-            low: Box::new(CExpr::Lit(low)),
-            high: Box::new(CExpr::Lit(high)),
+    fn lit(l: Expr, op: BinOp, v: Literal) -> Expr {
+        Expr::binary(l, op, Expr::Literal(v))
+    }
+
+    fn between(col_index: usize, low: Literal, high: Literal, negated: bool) -> Expr {
+        Expr::Between {
+            expr: Box::new(col(col_index)),
+            low: Box::new(Expr::Literal(low)),
+            high: Box::new(Expr::Literal(high)),
             negated,
         }
     }
 
-    fn and(l: CExpr, r: CExpr) -> CExpr {
-        CExpr::Bin {
-            l: Box::new(l),
-            op: BinOp::And,
-            r: Box::new(r),
-        }
+    fn and(l: Expr, r: Expr) -> Expr {
+        l.and(r)
+    }
+
+    fn compiled(filter: &Expr, t: &Table) -> Vec<Kernel> {
+        compile_where(filter, t).unwrap()
     }
 
     /// Rows of `t` the compiled filter keeps, beside the interpreter's.
-    fn kept(filter: &CExpr, t: &Table) -> (Vec<usize>, Vec<usize>) {
-        let kernels = compile_kernels(filter, t);
+    fn kept(filter: &Expr, t: &Table) -> (Vec<usize>, Vec<usize>) {
+        let kernels = compiled(filter, t);
+        let interpreted = compile_row_expr(filter, t.schema()).unwrap();
         let rows = 0..t.row_count();
         (
             rows.clone()
                 .filter(|&r| kernels.iter().all(|k| k.matches(t, r)))
                 .collect(),
-            rows.filter(|&r| eval_predicate(filter, &TableRow { table: t, row: r }) == Some(true))
-                .collect(),
+            rows.filter(|&r| {
+                eval_predicate(&interpreted, &TableRow { table: t, row: r }) == Some(true)
+            })
+            .collect(),
         )
     }
 
     #[test]
     fn comparison_compiles_to_a_range_over_typed_rows() {
         let t = table();
-        let filter = lit(CExpr::Col(1), BinOp::Gt, Value::Int(2));
-        let kernels = compile_kernels(&filter, &t);
+        let filter = lit(col(1), BinOp::Gt, Literal::Int(2));
+        let kernels = compiled(&filter, &t);
         assert!(matches!(
             kernels[..],
             [Kernel::Range {
@@ -718,24 +764,27 @@ mod tests {
         let t = table();
         for (filter, want) in [
             (
-                between(1, Value::Int(1), Value::Float(5.5), false),
+                between(1, Literal::Int(1), Literal::Float(5.5), false),
                 vec![0, 1],
             ),
-            (between(1, Value::Float(1.5), Value::Int(9), true), vec![0]),
             (
-                between(2, Value::Int(1), Value::Float(2.5), false),
+                between(1, Literal::Float(1.5), Literal::Int(9), true),
+                vec![0],
+            ),
+            (
+                between(2, Literal::Int(1), Literal::Float(2.5), false),
                 vec![1, 2],
             ),
             (
-                between(2, Value::Float(2.5), Value::Float(0.5), false),
+                between(2, Literal::Float(2.5), Literal::Float(0.5), false),
                 vec![],
             ),
             (
-                between(2, Value::Float(2.5), Value::Float(0.5), true),
+                between(2, Literal::Float(2.5), Literal::Float(0.5), true),
                 vec![0, 1, 2],
             ),
         ] {
-            let kernels = compile_kernels(&filter, &t);
+            let kernels = compiled(&filter, &t);
             assert!(matches!(kernels[..], [Kernel::Range { .. }]), "{filter:?}");
             let (typed, interpreted) = kept(&filter, &t);
             assert_eq!(typed, want, "{filter:?}");
@@ -755,21 +804,18 @@ mod tests {
         }
         let t = b.finish();
         for (op, rhs) in [
-            (BinOp::Eq, Value::Float(P as f64)),
-            (BinOp::Gt, Value::Float(P as f64)),
-            (BinOp::LtEq, Value::Float(P as f64)),
-            (BinOp::NotEq, Value::Float(P as f64)),
-            (BinOp::Gt, Value::Int(P)),
-            (BinOp::Lt, Value::Float(f64::NAN)),
-            (BinOp::Gt, Value::Float(f64::INFINITY)),
-            (BinOp::GtEq, Value::Float(-0.0)),
-            (BinOp::Lt, Value::Int(i64::MIN)),
+            (BinOp::Eq, Literal::Float(P as f64)),
+            (BinOp::Gt, Literal::Float(P as f64)),
+            (BinOp::LtEq, Literal::Float(P as f64)),
+            (BinOp::NotEq, Literal::Float(P as f64)),
+            (BinOp::Gt, Literal::Int(P)),
+            (BinOp::Lt, Literal::Float(f64::NAN)),
+            (BinOp::Gt, Literal::Float(f64::INFINITY)),
+            (BinOp::GtEq, Literal::Float(-0.0)),
+            (BinOp::Lt, Literal::Int(i64::MIN)),
         ] {
-            let filter = lit(CExpr::Col(0), op, rhs);
-            assert!(matches!(
-                compile_kernels(&filter, &t)[..],
-                [Kernel::Range { .. }]
-            ));
+            let filter = lit(Expr::col("n"), op, rhs);
+            assert!(matches!(compiled(&filter, &t)[..], [Kernel::Range { .. }]));
             let (typed, interpreted) = kept(&filter, &t);
             assert_eq!(typed, interpreted, "{filter:?}");
         }
@@ -781,18 +827,18 @@ mod tests {
         // Three conjuncts on `n`, two on `q`: one interval, one mask.
         let filter = and(
             and(
-                lit(CExpr::Col(1), BinOp::GtEq, Value::Int(1)),
+                lit(col(1), BinOp::GtEq, Literal::Int(1)),
                 dict_in_expr(&["A", "B"], false),
             ),
             and(
-                between(1, Value::Int(0), Value::Float(9.0), false),
+                between(1, Literal::Int(0), Literal::Float(9.0), false),
                 and(
-                    lit(CExpr::Col(1), BinOp::Lt, Value::Int(10)),
+                    lit(col(1), BinOp::Lt, Literal::Int(10)),
                     dict_in_expr(&["B"], true),
                 ),
             ),
         );
-        let kernels = compile_kernels(&filter, &t);
+        let kernels = compiled(&filter, &t);
         assert_eq!(kernels.len(), 2);
         assert!(kernels.iter().any(|k| matches!(
             k,
@@ -811,17 +857,14 @@ mod tests {
         // never matches, whatever else the filter holds.
         for contradiction in [
             and(
-                between(1, Value::Int(1), Value::Int(3), false),
-                between(1, Value::Int(5), Value::Int(9), false),
+                between(1, Literal::Int(1), Literal::Int(3), false),
+                between(1, Literal::Int(5), Literal::Int(9), false),
             ),
             and(dict_in_expr(&["A"], false), dict_in_expr(&["B"], false)),
             and(dict_in_expr(&["A", "B"], true), dict_in_expr(&["A"], false)),
         ] {
-            let filter = and(
-                lit(CExpr::Col(2), BinOp::Gt, Value::Float(0.0)),
-                contradiction,
-            );
-            let kernels = compile_kernels(&filter, &t);
+            let filter = and(lit(col(2), BinOp::Gt, Literal::Float(0.0)), contradiction);
+            let kernels = compiled(&filter, &t);
             assert!(
                 matches!(&kernels[..], [k] if k.never_matches()),
                 "{filter:?}"
@@ -831,13 +874,13 @@ mod tests {
 
         // A hole is not an interval: NOT BETWEEN and `<>` stay beside it.
         let filter = and(
-            between(1, Value::Int(0), Value::Int(9), false),
+            between(1, Literal::Int(0), Literal::Int(9), false),
             and(
-                between(1, Value::Int(4), Value::Int(6), true),
-                lit(CExpr::Col(1), BinOp::NotEq, Value::Int(9)),
+                between(1, Literal::Int(4), Literal::Int(6), true),
+                lit(col(1), BinOp::NotEq, Literal::Int(9)),
             ),
         );
-        assert_eq!(compile_kernels(&filter, &t).len(), 3);
+        assert_eq!(compiled(&filter, &t).len(), 3);
         let (typed, interpreted) = kept(&filter, &t);
         assert_eq!(typed, vec![0]);
         assert_eq!(typed, interpreted);
@@ -946,10 +989,10 @@ mod tests {
         }
     }
 
-    fn dict_in_expr(values: &[&str], negated: bool) -> CExpr {
-        CExpr::In {
-            e: Box::new(CExpr::Col(0)),
-            set: Arc::new(ValueSet::new(values.iter().map(Value::str).collect())),
+    fn dict_in_expr(values: &[&str], negated: bool) -> Expr {
+        Expr::InList {
+            expr: Box::new(col(0)),
+            list: values.iter().map(|&v| Expr::str(v)).collect(),
             negated,
         }
     }
@@ -957,11 +1000,11 @@ mod tests {
     #[test]
     fn dict_in_kernel_with_negation() {
         let t = table();
-        let k = dict_in_kernel(0, t.column(0), &[Value::str("A")], false);
+        let k = dict_in_kernel(0, t.column(0), std::iter::once("A"), false);
         assert!(k.matches(&t, 0));
         assert!(!k.matches(&t, 1));
         assert!(!k.matches(&t, 3), "NULL never matches IN");
-        let nk = dict_in_kernel(0, t.column(0), &[Value::str("A")], true);
+        let nk = dict_in_kernel(0, t.column(0), std::iter::once("A"), true);
         assert!(!nk.matches(&t, 0));
         assert!(nk.matches(&t, 1));
         assert!(!nk.matches(&t, 3), "NULL never matches NOT IN");
@@ -973,13 +1016,13 @@ mod tests {
     #[test]
     fn not_equal_on_a_dictionary_column_is_a_negated_mask() {
         let t = table();
-        let ne = |s: &str| lit(CExpr::Col(0), BinOp::NotEq, Value::str(s));
+        let ne = |s: &str| lit(col(0), BinOp::NotEq, Literal::Str(s.into()));
         for (filter, want) in [
             (ne("A"), vec![1]),
             (ne("Z"), vec![0, 1, 2]),
             (and(ne("B"), dict_in_expr(&["A", "B"], false)), vec![0, 2]),
         ] {
-            let kernels = compile_kernels(&filter, &t);
+            let kernels = compiled(&filter, &t);
             assert!(
                 matches!(kernels[..], [Kernel::DictIn { col: 0, .. }]),
                 "{filter:?}"
@@ -990,11 +1033,8 @@ mod tests {
         }
         // A number is never equal to a string: the interpreter keeps every
         // valid row, and the filter stays with it.
-        let filter = lit(CExpr::Col(0), BinOp::NotEq, Value::Int(1));
-        assert!(matches!(
-            compile_kernels(&filter, &t)[..],
-            [Kernel::Generic(_)]
-        ));
+        let filter = lit(col(0), BinOp::NotEq, Literal::Int(1));
+        assert!(matches!(compiled(&filter, &t)[..], [Kernel::Generic(_)]));
     }
 
     #[test]

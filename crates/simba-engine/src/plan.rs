@@ -6,22 +6,30 @@
 //! keys and aggregate results, HAVING, ORDER BY). Group-level expressions
 //! reuse [`CExpr`] with `Col(i)` indexing a virtual row of
 //! `[keys…, aggregates…]`.
+//!
+//! The WHERE is compiled once, here, in the form the executing engine reads
+//! ([`Filter`]): the vectorized scan's settled [`Kernel`]s ([`prepare`]) or
+//! the row interpreter's one [`CExpr`] ([`prepare_row`]). Both compile the
+//! same `Expr` and fail on it alike.
 
 use crate::agg::AggSpec;
 use crate::error::EngineError;
 use crate::eval::{CExpr, ValueSet};
+use crate::exec::{compile_where, Kernel};
 use simba_sql::normalize::normalize_expr;
 use simba_sql::printer::print_expr;
-use simba_sql::{aggregate_calls, substitute_aliases, Expr, Func, Select};
+use simba_sql::{aggregate_calls, substitute_aliases, Expr, Func, NormalizedSelect, Select};
 use simba_store::{Schema, Table};
 use std::sync::Arc;
 
-/// A compiled, validated query ready for execution.
+/// A compiled, validated query ready for execution. `F` is its WHERE in the
+/// form the executing engine reads: the vectorized scan's kernels by
+/// default, or the row interpreter's [`CExpr`].
 #[derive(Debug, Clone)]
-pub struct PreparedQuery {
+pub struct PreparedQuery<F = Vec<Kernel>> {
     pub table: Arc<Table>,
     /// Row-level filter (WHERE).
-    pub filter: Option<CExpr>,
+    pub filter: Option<F>,
     pub kind: QueryKind,
     /// The user-visible output columns; compiled projection lists carry a
     /// trailing sort-key column per entry of `order_dirs` after them.
@@ -51,32 +59,69 @@ pub enum QueryKind {
     },
 }
 
-impl PreparedQuery {
+impl<F> PreparedQuery<F> {
     /// Is this an aggregation query?
     pub fn is_aggregate(&self) -> bool {
         matches!(self.kind, QueryKind::Aggregate { .. })
     }
 }
 
-/// Compile `query` against `table`.
-pub fn prepare(query: &Select, table: Arc<Table>) -> Result<PreparedQuery, EngineError> {
-    let key_prints: Vec<String> = query.group_by.iter().map(normalized_print).collect();
-    prepare_with(query, &aggregate_calls(query), &key_prints, table)
+/// A WHERE clause compiled for one execution architecture. Either form
+/// fails on a WHERE with the error [`compile_row_expr`] raises on it.
+pub trait Filter: Sized {
+    fn compile(filter: &Expr, table: &Table) -> Result<Self, EngineError>;
 }
 
-/// [`prepare`] for a caller that already analyzed `query`: `agg_calls` is its
-/// aggregate-slot layout ([`NormalizedSelect::aggregates`]) and `key_prints`
-/// its GROUP BY prints ([`NormalizedSelect::group_by`]), so the slots are
-/// allocated from the very lists the caller's states key printed.
-///
-/// [`NormalizedSelect::aggregates`]: simba_sql::NormalizedSelect::aggregates
-/// [`NormalizedSelect::group_by`]: simba_sql::NormalizedSelect::group_by
-pub(crate) fn prepare_with(
+/// The vectorized scan's: settled kernels, see [`compile_where`].
+impl Filter for Vec<Kernel> {
+    fn compile(filter: &Expr, table: &Table) -> Result<Self, EngineError> {
+        compile_where(filter, table)
+    }
+}
+
+/// The row interpreter's: the whole WHERE, evaluated per row.
+impl Filter for CExpr {
+    fn compile(filter: &Expr, table: &Table) -> Result<Self, EngineError> {
+        compile_row_expr(filter, table.schema())
+    }
+}
+
+/// Compile `query` against `table` for the vectorized scan.
+pub fn prepare(query: &Select, table: Arc<Table>) -> Result<PreparedQuery, EngineError> {
+    prepare_for(query, None, table)
+}
+
+/// Compile `query` against `table` for the row interpreter
+/// ([`crate::exec::run_row`]).
+pub fn prepare_row(query: &Select, table: Arc<Table>) -> Result<PreparedQuery<CExpr>, EngineError> {
+    prepare_for(query, None, table)
+}
+
+/// Compile `query` against `table`, its WHERE as `F`. `form` is the query's
+/// normal form when the caller already holds it: the aggregate slots are
+/// then allocated from [`NormalizedSelect::aggregates`] and the key slots
+/// from [`NormalizedSelect::group_by`], the very lists the caller's states
+/// key printed. `None` derives both here.
+pub(crate) fn prepare_for<F: Filter>(
+    query: &Select,
+    form: Option<&NormalizedSelect>,
+    table: Arc<Table>,
+) -> Result<PreparedQuery<F>, EngineError> {
+    match form {
+        Some(form) => prepare_with(query, form.aggregates(), form.group_by(), table),
+        None => {
+            let key_prints: Vec<String> = query.group_by.iter().map(normalized_print).collect();
+            prepare_with(query, &aggregate_calls(query), &key_prints, table)
+        }
+    }
+}
+
+fn prepare_with<F: Filter>(
     query: &Select,
     agg_calls: &[(String, Expr)],
     key_prints: &[String],
     table: Arc<Table>,
-) -> Result<PreparedQuery, EngineError> {
+) -> Result<PreparedQuery<F>, EngineError> {
     let schema = table.schema();
     if !query.from.eq_ignore_ascii_case(&schema.table) {
         return Err(EngineError::UnknownTable(query.from.clone()));
@@ -88,9 +133,8 @@ pub(crate) fn prepare_with(
     let filter = query
         .where_clause
         .as_ref()
-        .map(|w| compile_row_expr(w, schema))
+        .map(|w| F::compile(w, &table))
         .transpose()?;
-
     let output_names: Vec<String> = query.projections.iter().map(|p| p.output_name()).collect();
     let limit = query.limit.map(|l| l as usize);
     let order_dirs: Vec<bool> = query.order_by.iter().map(|o| o.asc).collect();
@@ -200,15 +244,7 @@ pub(crate) fn prepare_with(
 /// aggregates are rejected.
 pub fn compile_row_expr(e: &Expr, schema: &Schema) -> Result<CExpr, EngineError> {
     match e {
-        Expr::Column(name) => {
-            let idx = schema
-                .index_of(name)
-                .ok_or_else(|| EngineError::UnknownColumn {
-                    table: schema.table.clone(),
-                    column: name.clone(),
-                })?;
-            Ok(CExpr::Col(idx))
-        }
+        Expr::Column(name) => column_index(name, schema).map(CExpr::Col),
         Expr::Literal(lit) => Ok(CExpr::Lit(CExpr::lit_value(lit))),
         Expr::Wildcard => Err(EngineError::Invalid("`*` outside COUNT(*)".into())),
         Expr::Unary { op, expr } => Ok(CExpr::Un {
@@ -281,6 +317,16 @@ pub fn compile_row_expr(e: &Expr, schema: &Schema) -> Result<CExpr, EngineError>
             negated: *negated,
         }),
     }
+}
+
+/// The index of column `name` in `schema`, or the error naming it.
+pub(crate) fn column_index(name: &str, schema: &Schema) -> Result<usize, EngineError> {
+    schema
+        .index_of(name)
+        .ok_or_else(|| EngineError::UnknownColumn {
+            table: schema.table.clone(),
+            column: name.to_owned(),
+        })
 }
 
 struct GroupCtx<'a> {

@@ -10,7 +10,7 @@
 
 use proptest::prelude::*;
 use simba_engine::batch::{run_morsels, DeltaScan};
-use simba_engine::exec::finalize_rows;
+use simba_engine::exec::{finalize_rows, Kernel};
 use simba_engine::group::GroupTable;
 use simba_engine::plan::{prepare, QueryKind};
 use simba_engine::{
@@ -850,6 +850,101 @@ fn ints_past_2_pow_53_compare_exactly_on_every_engine() {
     assert_ne!(count("big = 9007199254740993"), Value::Int(0));
 }
 
+/// The WHERE shapes at the edge of the typed set, which `prepare` matches
+/// on the query's own `Expr`: each compiles to the kernels it always has —
+/// `Generic` for a literal on the left or a string against an Int column,
+/// `DictIn` for `=` on a dictionary column and for an `IN` list mixing Int
+/// and Str literals there, `Range` for NaN, ±inf and ≥ 2^53 on an Int
+/// column, one kernel for a repeated conjunct — and answers byte-identically
+/// to the row oracle on every engine.
+#[test]
+fn typed_set_boundary_shapes_match_sqlite_like() {
+    let cmp = |c: &str, op: BinOp, v: Expr| Expr::binary(Expr::col(c), op, v);
+    let between = |c: &str, lo: Expr, hi: Expr| Expr::Between {
+        expr: Box::new(Expr::col(c)),
+        low: Box::new(lo),
+        high: Box::new(hi),
+        negated: false,
+    };
+    let in_list = |c: &str, list: Vec<Expr>| Expr::InList {
+        expr: Box::new(Expr::col(c)),
+        list,
+        negated: false,
+    };
+    let two53 = BIG as f64;
+    let cases: Vec<(Expr, &[&str])> = vec![
+        (
+            Expr::binary(Expr::int(5), BinOp::Lt, Expr::col("n")),
+            &["Generic"],
+        ),
+        (cmp("n", BinOp::Eq, Expr::str("3")), &["Generic"]),
+        (cmp("big", BinOp::Gt, Expr::str("x")), &["Generic"]),
+        (cmp("queue", BinOp::Eq, Expr::str("B")), &["DictIn"]),
+        (cmp("queue", BinOp::NotEq, Expr::str("B")), &["DictIn"]),
+        (cmp("queue", BinOp::Eq, Expr::int(1)), &["Generic"]),
+        (cmp("big", BinOp::Lt, Expr::float(f64::NAN)), &["Range"]),
+        (cmp("big", BinOp::GtEq, Expr::float(-f64::NAN)), &["Range"]),
+        (
+            cmp("big", BinOp::Gt, Expr::float(f64::INFINITY)),
+            &["never"],
+        ),
+        (
+            cmp("big", BinOp::GtEq, Expr::float(f64::NEG_INFINITY)),
+            &["Range"],
+        ),
+        (cmp("big", BinOp::Eq, Expr::float(two53)), &["Range"]),
+        (cmp("big", BinOp::Gt, Expr::float(two53)), &["Range"]),
+        (
+            between("big", Expr::float(-two53), Expr::float(9.3e18)),
+            &["Range"],
+        ),
+        (cmp("n", BinOp::NotEq, Expr::float(f64::NAN)), &["Range"]),
+        (
+            in_list(
+                "queue",
+                vec![Expr::int(1), Expr::str("B"), Expr::float(2.5)],
+            ),
+            &["DictIn"],
+        ),
+        (
+            in_list("queue", vec![Expr::int(1), Expr::float(2.5)]),
+            &["never"],
+        ),
+        (
+            in_list("n", vec![Expr::int(1), Expr::str("B")]),
+            &["Generic"],
+        ),
+        (
+            cmp("n", BinOp::Gt, Expr::int(2)).and(cmp("n", BinOp::Gt, Expr::int(2))),
+            &["Range"],
+        ),
+        (
+            in_list("queue", vec![Expr::str("A"), Expr::str("B")])
+                .and(cmp("n", BinOp::Lt, Expr::int(9)))
+                .and(in_list("queue", vec![Expr::str("A"), Expr::str("B")])),
+            &["DictIn", "Range"],
+        ),
+    ];
+    let table = edge_table();
+    for (filter, want) in cases {
+        let shapes = shapes(&filter);
+        let kernels = prepare(&shapes[0], table.clone()).unwrap().filter.unwrap();
+        let kinds: Vec<&str> = kernels
+            .iter()
+            .map(|k| match k {
+                k if k.never_matches() => "never",
+                Kernel::Range { .. } => "Range",
+                Kernel::DictIn { .. } => "DictIn",
+                Kernel::Generic(_) => "Generic",
+            })
+            .collect();
+        assert_eq!(kinds, want, "`{}`", shapes[0]);
+        for select in &shapes {
+            assert_batch_engines_match_sqlite(select, &table);
+        }
+    }
+}
+
 /// `BIN(big, w)` and `ABS(big)` as group keys over the `i64` extremes: a
 /// bucket below `i64::MIN` and `|i64::MIN|` are not `i64`s, and every engine
 /// and the row oracle group those rows under NULL instead of panicking
@@ -891,9 +986,9 @@ fn unrepresentable_buckets_and_magnitudes_group_under_null_on_every_engine() {
 // ---------------------------------------------------------------------------
 // Column bounds.
 //
-// `compile_kernels` checks every interval against its column's `[min, max]`
-// and turns one no valid row can pass into the empty interval, so the scan
-// reads no row. The bounds decide nothing else: a range that can match reads
+// `compile_where` checks every interval against its column's `[min, max]`
+// at plan time and turns one no valid row can pass into the empty interval,
+// so the scan reads no row. The bounds decide nothing else: a range that can match reads
 // every row, even where one morsel's own span would have ruled it out.
 
 /// The edge table's columns, 3.4 morsels of them, with `n` and `big`
