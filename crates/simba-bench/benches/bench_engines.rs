@@ -6,17 +6,22 @@
 //! layer on the storm's packed GROUP BY shapes, the scan's filter and
 //! aggregate loops on storm and KPI-tile queries, seeded scans against the
 //! fresh scans they replace, the result layer on the storm's largest
-//! result, and dataset generation.
+//! result, the result cache's key and lookup on dashboard queries, and
+//! dataset generation.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use simba_core::dashboard::Dashboard;
+use simba_core::session::batch::{synthesize_scripts, BatchConfig};
+use simba_core::spec::builtin::builtin;
 use simba_data::DashboardDataset;
+use simba_driver::{CacheConfig, ShardedResultCache};
 use simba_engine::batch::{fill_filtered, run_morsels, SelectionVector, MORSEL};
 use simba_engine::exec::{compile_where, Kernel};
 use simba_engine::plan::{compile_row_expr, prepare};
-use simba_engine::{Dbms, DeltaScan, DuckDbLike, EngineKind};
+use simba_engine::{Dbms, DeltaScan, DuckDbLike, EngineKind, ExecStats, QueryOutput};
 use simba_idebench::{IdeBenchConfig, IdeBenchWalk};
-use simba_sql::{parse_select, Select};
-use simba_store::Table;
+use simba_sql::{parse_select, query_cache_key, Select, Spelling};
+use simba_store::{ResultSet, Table, Value};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -385,6 +390,72 @@ fn bench_result(c: &mut Criterion) {
     group.finish();
 }
 
+/// `cache/`: the result cache on the distinct queries of four scripted
+/// `customer_service` dashboard sessions, one iteration timing the whole
+/// set: deriving each `query_cache_key`, a warm hit through
+/// `execute_cached` (the spelling memo answers the key), and `lookup` by a
+/// key already derived.
+fn bench_cache(c: &mut Criterion) {
+    let ds = DashboardDataset::CustomerService;
+    let table = Arc::new(ds.generate_rows(2_000, 42));
+    let dashboard = Dashboard::new(builtin(ds), &table).unwrap();
+    let config = BatchConfig {
+        base_seed: 7,
+        ..Default::default()
+    };
+    let mut queries: Vec<Select> = Vec::new();
+    for script in synthesize_scripts(&dashboard, &config, 4) {
+        for step in script.steps {
+            for q in step.queries {
+                if !queries
+                    .iter()
+                    .any(|seen| Spelling::of(seen) == Spelling::of(&q.query))
+                {
+                    queries.push((*q.query).clone());
+                }
+            }
+        }
+    }
+    let cache = ShardedResultCache::new(CacheConfig::default());
+    let output = || {
+        Ok(QueryOutput {
+            result: ResultSet::new(vec!["n".to_string()], vec![vec![Value::Int(1)]]),
+            stats: ExecStats::default(),
+            elapsed: Duration::ZERO,
+        })
+    };
+    for q in &queries {
+        cache.execute_cached(q, output).unwrap();
+    }
+    let keys: Vec<String> = queries.iter().map(query_cache_key).collect();
+
+    let mut group = c.benchmark_group("cache");
+    group
+        .sample_size(200)
+        .measurement_time(Duration::from_secs(2));
+    let n = queries.len();
+    group.bench_function(format!("query_cache_key x{n}"), |b| {
+        b.iter(|| {
+            queries
+                .iter()
+                .map(|q| query_cache_key(q).len())
+                .sum::<usize>()
+        })
+    });
+    group.bench_function(format!("execute_cached_hit x{n}"), |b| {
+        b.iter(|| {
+            queries
+                .iter()
+                .filter(|q| cache.execute_cached(q, output).unwrap().2)
+                .count()
+        })
+    });
+    group.bench_function(format!("lookup x{n}"), |b| {
+        b.iter(|| keys.iter().filter(|k| cache.lookup(k).is_some()).count())
+    });
+    group.finish();
+}
+
 /// `data/`: generating the benchmark's dataset, `customer_service`, at
 /// 100K rows on one thread — the path every workload's set-up takes.
 fn bench_data(c: &mut Criterion) {
@@ -411,6 +482,7 @@ criterion_group!(
     bench_scan,
     bench_seeded,
     bench_result,
+    bench_cache,
     bench_data
 );
 criterion_main!(benches);

@@ -13,12 +13,22 @@
 //! least-recently-used entry on overflow. Nothing invalidates an entry: the
 //! driver builds one cache per run, over tables registered before the run
 //! starts, and drops it with the run.
+//!
+//! Deriving a key normalizes and prints the whole query. Dashboards mostly
+//! repeat a query exactly as they wrote it before, so
+//! [`execute_cached`](ShardedResultCache::execute_cached) first looks the
+//! query's [`Spelling`] (its exact identity as written) up in a memo, striped
+//! like the map, that holds the `Arc<str>` key the map holds, and derives
+//! the key only on a memo miss. The key is a pure function of the spelling,
+//! so the memo can only save derivations, never change a key: it holds at
+//! most `capacity_per_shard` spellings per stripe, and a full stripe is
+//! dropped whole.
 
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing)]
 
 use serde::{Deserialize, Serialize};
 use simba_engine::{EngineError, ExecStats, QueryOutput};
-use simba_sql::{query_cache_key, Select};
+use simba_sql::{query_cache_key, Select, Spelling};
 use simba_store::ResultSet;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -132,7 +142,7 @@ impl Flight {
 /// of parking on the condvar forever (which would hang the driver's thread
 /// scope rather than propagate the panic).
 struct LeaderGuard<'a> {
-    inflight: &'a Mutex<HashMap<String, Arc<Flight>>>,
+    inflight: &'a Mutex<HashMap<Arc<str>, Arc<Flight>>>,
     key: &'a str,
     armed: bool,
 }
@@ -160,9 +170,12 @@ impl Drop for LeaderGuard<'_> {
 
 /// The cache. Shareable across threads (`Arc<ShardedResultCache>`).
 pub struct ShardedResultCache {
-    shards: Vec<RwLock<HashMap<String, Entry>>>,
+    shards: Vec<RwLock<HashMap<Arc<str>, Entry>>>,
     /// Keys currently being executed by a leader, striped like `shards`.
-    inflight: Vec<Mutex<HashMap<String, Arc<Flight>>>>,
+    inflight: Vec<Mutex<HashMap<Arc<str>, Arc<Flight>>>>,
+    /// Each spelling seen, mapped to the key derived for it, striped like
+    /// `shards` (by the spelling's bytes) and bounded like them.
+    memo: Vec<RwLock<HashMap<Spelling, Arc<str>>>>,
     capacity_per_shard: usize,
     clock: AtomicU64,
     hits: AtomicU64,
@@ -179,6 +192,7 @@ impl ShardedResultCache {
         ShardedResultCache {
             shards: (0..shards).map(|_| RwLock::new(HashMap::new())).collect(),
             inflight: (0..shards).map(|_| Mutex::new(HashMap::new())).collect(),
+            memo: (0..shards).map(|_| RwLock::new(HashMap::new())).collect(),
             capacity_per_shard: config.capacity_per_shard.max(1),
             clock: AtomicU64::new(0),
             hits: AtomicU64::new(0),
@@ -190,19 +204,27 @@ impl ShardedResultCache {
         }
     }
 
-    fn shard_index(&self, key: &str) -> usize {
+    fn shard_index(&self, bytes: &[u8]) -> usize {
         // FNV-1a; shard count is a power of two so masking is uniform.
         let mut h = simba_store::mix::Fnv1a::new();
-        h.write(key.as_bytes());
+        h.write(bytes);
         (h.finish() as usize) & (self.shards.len() - 1)
     }
 
-    fn shard_of(&self, key: &str) -> &RwLock<HashMap<String, Entry>> {
+    fn shard_of(&self, key: &str) -> &RwLock<HashMap<Arc<str>, Entry>> {
         #[expect(
             clippy::indexing_slicing,
             reason = "shard_index masks by the power-of-two shard count, so the index is in range by construction"
         )]
-        &self.shards[self.shard_index(key)]
+        &self.shards[self.shard_index(key.as_bytes())]
+    }
+
+    fn memo_of(&self, spelling: &Spelling) -> &RwLock<HashMap<Spelling, Arc<str>>> {
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "shard_index masks by the power-of-two shard count, so the index is in range by construction"
+        )]
+        &self.memo[self.shard_index(spelling.as_bytes())]
     }
 
     /// Recover a shard's map from a poisoned lock. A panic while a guard
@@ -210,37 +232,68 @@ impl ShardedResultCache {
     /// don't unwind mid-rebalance), and the worst observable state —
     /// a stale-but-valid entry — is exactly what a cache is allowed to
     /// serve. Propagating the poison would instead fail every later query
-    /// that hashes to this shard.
-    fn read_shard<'a>(
-        shard: &'a RwLock<HashMap<String, Entry>>,
-    ) -> std::sync::RwLockReadGuard<'a, HashMap<String, Entry>> {
+    /// that hashes to this shard. A memo stripe recovers for the same
+    /// reason, and more simply: each of its entries is a pure function of
+    /// its spelling.
+    fn read_shard<'a, K, V>(
+        shard: &'a RwLock<HashMap<K, V>>,
+    ) -> std::sync::RwLockReadGuard<'a, HashMap<K, V>> {
         shard.read().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Write-lock twin of [`read_shard`](Self::read_shard).
-    fn write_shard<'a>(
-        shard: &'a RwLock<HashMap<String, Entry>>,
-    ) -> std::sync::RwLockWriteGuard<'a, HashMap<String, Entry>> {
+    fn write_shard<'a, K, V>(
+        shard: &'a RwLock<HashMap<K, V>>,
+    ) -> std::sync::RwLockWriteGuard<'a, HashMap<K, V>> {
         shard.write().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Look up a key, bumping its recency. Counts a hit or a miss.
     pub fn lookup(&self, key: &str) -> Option<Arc<CachedResult>> {
+        self.lookup_held(key).map(|(_, value)| value)
+    }
+
+    /// [`lookup`](Self::lookup), also returning the key as the map holds
+    /// it, so the memo can share it.
+    fn lookup_held(&self, key: &str) -> Option<(Arc<str>, Arc<CachedResult>)> {
         let shard = Self::read_shard(self.shard_of(key));
-        match shard.get(key) {
-            Some(entry) => {
+        match shard.get_key_value(key) {
+            Some((held, entry)) => {
                 entry.last_used.store(
                     self.clock.fetch_add(1, Ordering::Relaxed),
                     Ordering::Relaxed,
                 );
                 self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(entry.value.clone())
+                Some((held.clone(), entry.value.clone()))
             }
             None => {
                 self.misses.fetch_add(1, Ordering::Relaxed);
                 None
             }
         }
+    }
+
+    /// The key the memo holds for `query`'s spelling: the one
+    /// [`execute_cached`](Self::execute_cached) uses without deriving it, or
+    /// `None` when it would derive it.
+    pub fn memoized_key(&self, query: &Select) -> Option<Arc<str>> {
+        self.memoized(&Spelling::of(query))
+    }
+
+    fn memoized(&self, spelling: &Spelling) -> Option<Arc<str>> {
+        Self::read_shard(self.memo_of(spelling))
+            .get(spelling)
+            .cloned()
+    }
+
+    /// Remember `spelling`'s key. A stripe at capacity is dropped whole
+    /// first: that costs only re-derivations, and needs no recency.
+    fn memoize(&self, spelling: Spelling, key: Arc<str>) {
+        let mut memo = Self::write_shard(self.memo_of(&spelling));
+        if memo.len() >= self.capacity_per_shard {
+            memo.clear();
+        }
+        memo.insert(spelling, key);
     }
 
     /// Read a key without touching the hit/miss counters (used for the
@@ -260,6 +313,10 @@ impl ShardedResultCache {
     /// Insert (or replace) an entry, evicting the shard's LRU entry when at
     /// capacity.
     pub fn insert(&self, key: String, value: Arc<CachedResult>) {
+        self.insert_held(key.into(), value);
+    }
+
+    fn insert_held(&self, key: Arc<str>, value: Arc<CachedResult>) {
         let mut shard = Self::write_shard(self.shard_of(&key));
         if let Some(existing) = shard.get_mut(&key) {
             existing.value = value;
@@ -301,10 +358,10 @@ impl ShardedResultCache {
     }
 
     /// Execute through the cache. Returns the result, the latency this
-    /// caller observed (key construction + lookup on a hit, engine latency
-    /// on a miss, wait time when coalesced onto another caller's in-flight
-    /// execution), and whether the result came from memory rather than this
-    /// caller's own engine run.
+    /// caller observed (on a hit the memo probe, the key derivation when the
+    /// memo misses, and the lookup; engine latency on a miss; wait time when
+    /// coalesced onto another caller's in-flight execution), and whether the
+    /// result came from memory rather than this caller's own engine run.
     ///
     /// Misses are **single-flight**: concurrent misses on one key elect a
     /// leader that calls `run` exactly once while the rest block on its
@@ -320,34 +377,46 @@ impl ShardedResultCache {
         run: impl FnOnce() -> Result<QueryOutput, EngineError>,
     ) -> Result<(Arc<CachedResult>, Duration, bool), EngineError> {
         let _span = simba_obs::trace::span("cache.execute", "cache");
-        // Key construction (AST normalization + printing) is the dominant
-        // cost of a hit — time it, or cache-on latency reports understate
-        // the real per-query cost.
+        // Finding the key is part of a hit's cost — time it, or cache-on
+        // latency reports understate the real per-query cost. The memo
+        // answers a query spelled exactly as an earlier one; any other pays
+        // the derivation (AST normalization + printing), which costs more
+        // than the rest of a hit.
         #[expect(
             clippy::disallowed_methods,
             reason = "hit/wait latency is this layer's measured deliverable, surfaced via obs phases; it never reaches fingerprints"
         )]
         let start = Instant::now();
         let lookup_phase = simba_obs::phase!("cache.lookup", "cache", "cache.phase.lookup");
-        let key = query_cache_key(query);
-        if let Some(value) = self.lookup(&key) {
+        let spelling = Spelling::of(query);
+        let (key, spelling) = match self.memoized(&spelling) {
+            Some(key) => (key, None),
+            None => (Arc::from(query_cache_key(query)), Some(spelling)),
+        };
+        if let Some((held, value)) = self.lookup_held(&key) {
+            if let Some(spelling) = spelling {
+                self.memoize(spelling, held);
+            }
             return Ok((value, start.elapsed(), true));
         }
         drop(lookup_phase);
+        if let Some(spelling) = spelling {
+            self.memoize(spelling, key.clone());
+        }
         // Miss (counted). Join an in-flight execution of this key, or
         // become its leader.
         #[expect(
             clippy::indexing_slicing,
             reason = "shard_index masks by the power-of-two stripe count, so the index is in range by construction"
         )]
-        let inflight = &self.inflight[self.shard_index(&key)];
+        let inflight = &self.inflight[self.shard_index(key.as_bytes())];
         let flight = {
             // Poisoned-lock recovery throughout the inflight map: its only
             // mutations are insert/remove, so the map is structurally
             // sound after a panic; failing here would take this worker
             // down for an infrastructure fault another thread caused.
             let mut map = inflight.lock().unwrap_or_else(PoisonError::into_inner);
-            if let Some(flight) = map.get(&key) {
+            if let Some(flight) = map.get(&*key) {
                 Some(flight.clone())
             } else {
                 // A leader that finished between our lookup and this lock
@@ -386,7 +455,7 @@ impl ShardedResultCache {
                 result: out.result,
                 stats: out.stats,
             });
-            self.insert(key.clone(), value.clone());
+            self.insert_held(key.clone(), value.clone());
             (value, out.elapsed)
         });
         if outcome.is_err() {
@@ -396,7 +465,7 @@ impl ShardedResultCache {
             self.error_passthrough.fetch_add(1, Ordering::Relaxed);
         }
         let mut map = inflight.lock().unwrap_or_else(PoisonError::into_inner);
-        if let Some(flight) = map.remove(&key) {
+        if let Some(flight) = map.remove(&*key) {
             flight.publish(
                 outcome
                     .as_ref()
@@ -729,6 +798,57 @@ mod tests {
                 assert!(msg.contains("leader panicked"), "unexpected message: {msg}")
             }
             other => panic!("follower should see Internal, got {other:?}"),
+        }
+    }
+
+    /// The memo holds the map's own key, so a spelling costs the memo its
+    /// bytes and no second copy of the key; a stripe at capacity is dropped
+    /// whole, so the memo never holds more spellings than the map entries.
+    #[test]
+    fn memo_shares_the_map_key_and_stays_bounded() {
+        let cache = ShardedResultCache::new(CacheConfig {
+            shards: 1,
+            capacity_per_shard: 2,
+        });
+        let run = |q: &Select| cache.execute_cached(q, || Ok(output_of(1))).unwrap();
+        let a = simba_sql::parse_select("SELECT n FROM t WHERE m > 1").unwrap();
+        let respelled = simba_sql::parse_select("SELECT n FROM T WHERE 1 < m").unwrap();
+        assert!(!run(&a).2);
+        assert!(run(&respelled).2, "a respelling hits the entry");
+        let held = |q: &Select| cache.memoized_key(q).unwrap();
+        assert!(Arc::ptr_eq(&held(&a), &held(&respelled)));
+        let map_key = cache.shards[0]
+            .read()
+            .unwrap()
+            .get_key_value(&*held(&a))
+            .map(|(k, _)| k.clone())
+            .unwrap();
+        assert!(
+            Arc::ptr_eq(&held(&a), &map_key),
+            "the memo holds the map's key"
+        );
+        let c = simba_sql::parse_select("SELECT n FROM t").unwrap();
+        run(&c);
+        assert_eq!(
+            cache.memo[0].read().unwrap().len(),
+            1,
+            "the full stripe was dropped"
+        );
+        assert!(cache.memoized_key(&a).is_none());
+        assert!(
+            run(&a).2,
+            "a dropped spelling derives its key again and hits"
+        );
+    }
+
+    fn output_of(n: i64) -> QueryOutput {
+        QueryOutput {
+            result: ResultSet::new(
+                vec!["n".to_string()],
+                vec![vec![simba_store::Value::Int(n)]],
+            ),
+            stats: ExecStats::default(),
+            elapsed: Duration::from_micros(1),
         }
     }
 

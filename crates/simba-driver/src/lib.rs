@@ -20,7 +20,9 @@
 //!   paced) or open-loop (Poisson arrivals, for saturation testing).
 //! * [`ShardedResultCache`] is a lock-striped result cache keyed on
 //!   [`simba_sql::query_cache_key`], so normalization-equivalent queries
-//!   from different users hit memory instead of the engine;
+//!   from different users hit memory instead of the engine; a query spelled
+//!   exactly like an earlier one finds its key in a memo instead of deriving
+//!   it;
 //! * [`simba_obs::LatencyHistogram`] log-bucketed latencies feed a versioned
 //!   [`RunReport`] with throughput, p50/p95/p99, queue delay, steering
 //!   counters, and cache hit rates.

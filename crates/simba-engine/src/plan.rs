@@ -18,7 +18,9 @@ use crate::eval::{CExpr, ValueSet};
 use crate::exec::{compile_where, Kernel};
 use simba_sql::normalize::normalize_expr;
 use simba_sql::printer::print_expr;
-use simba_sql::{aggregate_calls, substitute_aliases, Expr, Func, NormalizedSelect, Select};
+use simba_sql::{
+    aggregate_calls, same_spelling, substitute_aliases, Expr, Func, NormalizedSelect, Select,
+};
 use simba_store::{Schema, Table};
 use std::sync::Arc;
 
@@ -345,13 +347,19 @@ fn normalized_print(e: &Expr) -> String {
 /// A slot is found by the expression as written first, and by its
 /// normalized print only when no slot is spelled the same way: a dashboard
 /// projects exactly what it groups and aggregates, so its plan normalizes
-/// nothing the caller's form already did.
+/// nothing the caller's form already did. "As written" is
+/// [`same_spelling`], never `Expr`'s `==`, under which `SUM(x + 1.0)` would
+/// take `SUM(x + 1)`'s Int slot.
 fn compile_group_expr(e: &Expr, ctx: &GroupCtx<'_>) -> Result<CExpr, EngineError> {
     // Aggregate call → virtual aggregate slot. Slot prints are distinct, so
     // the call as written sits at the slot its print does.
     if let Expr::Function { func, .. } = e {
         if func.is_aggregate() {
-            let idx = match ctx.agg_calls.iter().position(|(_, call)| call == e) {
+            let idx = match ctx
+                .agg_calls
+                .iter()
+                .position(|(_, call)| same_spelling(call, e))
+            {
                 Some(idx) => idx,
                 None => {
                     let print = normalized_print(e);
@@ -366,7 +374,7 @@ fn compile_group_expr(e: &Expr, ctx: &GroupCtx<'_>) -> Result<CExpr, EngineError
     }
     // Expression matching a GROUP BY key → the first key slot with its print.
     let slot_of = |print: &String| ctx.key_prints.iter().position(|p| p == print);
-    let key = match ctx.keys.iter().position(|k| k == e) {
+    let key = match ctx.keys.iter().position(|k| same_spelling(k, e)) {
         Some(idx) => ctx.key_prints.get(idx).and_then(slot_of),
         None => slot_of(&normalized_print(e)),
     };
@@ -523,6 +531,31 @@ mod tests {
                 }
                 _ => panic!("expected aggregate"),
             }
+        }
+    }
+
+    /// A slot is found by exact spelling: `5.0` is not the key `5` (value
+    /// equality would hand `BIN(calls, 5.0)` the Int key slot), and
+    /// `SUM(calls + 1.0)` is not `SUM(calls + 1)`.
+    #[test]
+    fn slots_are_found_by_spelling_not_value() {
+        let err =
+            plan("SELECT BIN(calls, 5.0), COUNT(*) FROM cs GROUP BY BIN(calls, 5)").unwrap_err();
+        assert!(
+            matches!(&err, EngineError::Invalid(m) if m.contains("must appear in GROUP BY")),
+            "{err}"
+        );
+        match plan("SELECT SUM(calls + 1), SUM(calls + 1.0) FROM cs")
+            .unwrap()
+            .kind
+        {
+            QueryKind::Aggregate {
+                aggs, projections, ..
+            } => {
+                assert_eq!(aggs.len(), 2);
+                assert!(matches!(projections[..], [CExpr::Col(0), CExpr::Col(1)]));
+            }
+            _ => panic!("expected aggregate"),
         }
     }
 

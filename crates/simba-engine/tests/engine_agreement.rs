@@ -371,3 +371,56 @@ fn grouped_limit_without_total_order_is_one_answer() {
         }
     }
 }
+
+/// Two aggregates whose arguments differ only in a literal's type are two
+/// slots on every engine: `SUM(calls + 1)` sums Ints and `SUM(calls + 1.0)`
+/// Floats, in either projection order. `Expr`'s `==` calls the two equal,
+/// so a slot found by it handed the second projection the first's column.
+/// The table is `customer_service`'s `calls` column at 2K rows: one call per
+/// record. Compared by `Debug`, since `Value`'s `==` is numeric too.
+#[test]
+fn aggregates_differing_only_in_literal_type_are_two_slots() {
+    let schema = Schema::new(
+        "customer_service",
+        vec![ColumnDef::quantitative_int("calls")],
+    );
+    let mut b = TableBuilder::new(schema, 2_000);
+    for _ in 0..2_000 {
+        b.push_row(vec![Value::Int(1)]);
+    }
+    let table = Arc::new(b.finish());
+    let engines = all_engines();
+    for e in &engines {
+        e.register(table.clone());
+    }
+    for (sql, want) in [
+        (
+            "SELECT SUM(calls + 1), SUM(calls + 1.0) FROM customer_service",
+            "[Int(4000), Float(4000.0)]",
+        ),
+        (
+            "SELECT SUM(calls + 1.0), SUM(calls + 1) FROM customer_service",
+            "[Float(4000.0), Int(4000)]",
+        ),
+    ] {
+        let query = simba_sql::parse_select(sql).unwrap();
+        let mut answers = vec![(
+            "execute_row_oracle",
+            simba_engine::execute_row_oracle(table.clone(), &query)
+                .unwrap()
+                .result,
+        )];
+        answers.extend(
+            engines
+                .iter()
+                .map(|e| (e.name(), e.execute(&query).unwrap().result)),
+        );
+        for (name, result) in answers {
+            assert_eq!(
+                format!("{:?}", result.sorted_rows()),
+                format!("[{want}]"),
+                "{name}: `{sql}`"
+            );
+        }
+    }
+}

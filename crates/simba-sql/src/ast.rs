@@ -250,6 +250,14 @@ impl Func {
 }
 
 /// A SQL scalar or aggregate expression.
+///
+/// `==` is value equality, not identity: it compares literals with
+/// [`Literal`]'s `==`, under which `1` equals `1.0`, so `SUM(x + 1)` and
+/// `SUM(x + 1.0)` compare equal although they print, type and aggregate
+/// differently. The exact identity of an expression as written is
+/// [`Spelling`](crate::Spelling), and [`same_spelling`](crate::same_spelling)
+/// compares two expressions by it; a lookup that must find the slot an
+/// expression was written for uses that.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum Expr {
     /// A column reference. Column names are compared case-insensitively by

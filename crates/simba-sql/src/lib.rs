@@ -19,6 +19,8 @@
 //!   refinement checks.
 //! * [`refine`] — the delta keys and the refinement verdict as functions of a
 //!   `Select`, for callers that hold no form.
+//! * [`spelling`] — [`Spelling`], a query's exact identity as written (where
+//!   `Expr`'s `==` is value equality), and [`same_spelling`] for expressions.
 //! * [`similarity`] — whitespace-insensitive string similarity implementing
 //!   the paper's ">95% match" fallback rule (§4.1.2).
 //!
@@ -40,6 +42,7 @@ pub mod parser;
 pub mod printer;
 pub mod refine;
 pub mod similarity;
+pub mod spelling;
 pub mod token;
 
 pub use ast::{BinOp, Expr, Func, Literal, OrderByExpr, Select, SelectItem, UnaryOp};
@@ -48,3 +51,4 @@ pub use implication::Conjunction;
 pub use normalize::{aggregate_calls, query_cache_key, substitute_aliases, NormalizedSelect};
 pub use parser::{parse_expr, parse_select};
 pub use refine::{delta_key, is_refinement, states_key};
+pub use spelling::{same_spelling, Spelling};

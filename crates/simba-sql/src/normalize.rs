@@ -21,6 +21,7 @@
 use crate::ast::*;
 use crate::implication::Conjunction;
 use crate::printer::print_expr;
+use crate::spelling::same_spelling;
 use std::collections::BTreeSet;
 
 /// The one analysis of a `SELECT`: every clause normalized exactly once,
@@ -65,9 +66,10 @@ impl NormalizedSelect {
     /// Analyze a parsed `SELECT`.
     pub fn from_select(q: &Select) -> Self {
         let aggregates = aggregate_calls(q);
-        // An expression that is itself an aggregate call was already
-        // normalized and printed for the slot layout.
-        let print = |e: &Expr| match aggregates.iter().find(|(_, call)| call == e) {
+        // An expression spelled exactly like an aggregate call was already
+        // normalized and printed for the slot layout. (Not `==`: it makes
+        // `SUM(x + 1)` the call `SUM(x + 1.0)` too.)
+        let print = |e: &Expr| match aggregates.iter().find(|(_, call)| same_spelling(call, e)) {
             Some((print, _)) => print.clone(),
             None => print_expr(&normalize_expr(e)),
         };
@@ -848,7 +850,11 @@ mod tests {
         ] {
             let once = normalize_expr(&parse_expr(s).unwrap());
             let twice = normalize_expr(&once);
-            assert_eq!(once, twice, "not idempotent for `{s}`");
+            assert_eq!(
+                crate::Spelling::of_expr(&once),
+                crate::Spelling::of_expr(&twice),
+                "not idempotent for `{s}`"
+            );
         }
     }
 
@@ -860,6 +866,25 @@ mod tests {
             parse_select("select Queue, count( * ) from CS where b = 2 and a = 1 group by QUEUE")
                 .unwrap();
         assert_eq!(crate::query_cache_key(&a), crate::query_cache_key(&b));
+    }
+
+    /// A projection takes the print of the aggregate call spelled exactly
+    /// like it: `SUM(x + 1.0)` is not the call `SUM(x + 1)`, though `==`
+    /// says so, and the two queries below return an Int and a Float column.
+    #[test]
+    fn aggregates_differing_only_in_literal_type_print_apart() {
+        let a = parse_select("SELECT SUM(x + 1), SUM(x + 1.0) FROM t").unwrap();
+        let b = parse_select("SELECT SUM(x + 1), SUM(x + 1) FROM t").unwrap();
+        let (fa, fb) = (
+            NormalizedSelect::from_select(&a),
+            NormalizedSelect::from_select(&b),
+        );
+        assert_eq!(
+            fa.projection_set().into_iter().collect::<Vec<_>>(),
+            ["SUM(1 + x)", "SUM(1.0 + x)"]
+        );
+        assert_ne!(fa, fb);
+        assert_ne!(fa.states_key(), fb.states_key());
     }
 
     #[test]

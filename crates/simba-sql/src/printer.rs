@@ -291,6 +291,7 @@ fn write_literal(lit: &Literal, out: &mut String) {
 mod tests {
     use super::*;
     use crate::parser::{parse_expr, parse_select};
+    use crate::spelling::same_spelling;
 
     fn roundtrip_expr(input: &str) {
         let e = parse_expr(input).unwrap();
@@ -372,7 +373,8 @@ mod tests {
     }
 
     /// Past 1e15 an integral float prints with an exponent, and reads back
-    /// as the same `f64`, not as an Int or a parse error.
+    /// as the same `f64`, not as an Int or a parse error. The round trip is
+    /// checked by spelling: under `==`, `Int(10^15)` equals `Float(1e15)`.
     #[test]
     fn large_integral_floats_roundtrip_as_floats() {
         for (v, printed) in [
@@ -384,8 +386,12 @@ mod tests {
         ] {
             let e = Expr::binary(Expr::col("x"), BinOp::Gt, Expr::float(v));
             let text = print_expr(&e);
+            let reparsed = parse_expr(&text).unwrap_or_else(|err| panic!("{text}: {err}"));
+            assert!(
+                same_spelling(&reparsed, &e),
+                "{text} reads back as {reparsed:?}"
+            );
             assert_eq!(text, format!("x > {printed}"));
-            assert_eq!(parse_expr(&text).unwrap(), e, "{text}");
         }
     }
 
