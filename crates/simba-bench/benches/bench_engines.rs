@@ -145,7 +145,8 @@ fn plan(query: &Select, table: &Arc<Table>) -> usize {
 /// columns, dictionary `IN` lists, one contradiction — each also as
 /// `compile_where` alone; then the same over every query of eight seeded
 /// IDEBench storms (26 interactions each) that compiles to a contradiction,
-/// one iteration timing the whole set.
+/// one iteration timing the whole set, and that set's whole `execute`
+/// through a registered `duckdb-like` whose shape memo is warm.
 fn bench_plan(c: &mut Criterion) {
     let table = Arc::new(DashboardDataset::CustomerService.generate_rows(100_000, 42));
     let query = |filter: &str| {
@@ -225,6 +226,19 @@ fn bench_plan(c: &mut Criterion) {
                 .sum::<usize>()
         })
     });
+    // The whole `execute` through a registered engine, warmed by one pass:
+    // its catalog holds each shape's group half, so a proved-empty query
+    // compiles only its WHERE, and a GROUP BY builds no group table.
+    let engine = DuckDbLike::new();
+    engine.register(table.clone());
+    let execute = || {
+        proved_empty
+            .iter()
+            .map(|q| engine.execute(q).unwrap().result.n_rows())
+            .sum::<usize>()
+    };
+    execute();
+    group.bench_function(format!("{set}/execute"), |b| b.iter(execute));
     group.finish();
 }
 

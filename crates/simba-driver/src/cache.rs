@@ -23,14 +23,22 @@
 //! so the memo can only save derivations, never change a key: it holds at
 //! most `capacity_per_shard` spellings per stripe, and a full stripe is
 //! dropped whole.
+//!
+//! Every key — a result key, a spelling — is hashed once, with FNV-1a, into
+//! a `Hashed` key: its hash picks the stripe and is its hash inside the
+//! stripe's map too, and the memo hands back the result key with its hash,
+//! so a hit hashes only its spelling.
 
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing)]
 
 use serde::{Deserialize, Serialize};
 use simba_engine::{EngineError, ExecStats, QueryOutput};
 use simba_sql::{query_cache_key, Select, Spelling};
+use simba_store::mix::Fnv1a;
 use simba_store::ResultSet;
+use std::borrow::Borrow;
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError, RwLock};
 use std::time::{Duration, Instant};
@@ -89,6 +97,128 @@ pub struct CachedResult {
     pub stats: ExecStats,
 }
 
+/// A key with its FNV-1a hash, taken once: the hash picks the key's stripe
+/// and, passed through [`Rehash`], is its hash in the stripe's map.
+#[derive(Debug, Clone)]
+struct Hashed<K> {
+    hash: u64,
+    key: K,
+}
+
+/// The bytes a key hashes and compares by, whoever holds them.
+trait KeyBytes {
+    fn bytes(&self) -> &[u8];
+}
+
+impl KeyBytes for Arc<str> {
+    fn bytes(&self) -> &[u8] {
+        self.as_bytes()
+    }
+}
+
+impl KeyBytes for &str {
+    fn bytes(&self) -> &[u8] {
+        self.as_bytes()
+    }
+}
+
+impl KeyBytes for Spelling {
+    fn bytes(&self) -> &[u8] {
+        self.as_bytes()
+    }
+}
+
+impl<K: KeyBytes> Hashed<K> {
+    fn new(key: K) -> Self {
+        let mut h = Fnv1a::new();
+        h.write(key.bytes());
+        Hashed {
+            hash: h.finish(),
+            key,
+        }
+    }
+}
+
+/// What a stripe's map is probed with: a hashed key's hash and bytes, so
+/// that a map holding `Arc<str>` keys can be probed with a borrowed `&str`.
+trait Probe {
+    fn hash(&self) -> u64;
+    fn bytes(&self) -> &[u8];
+}
+
+impl<K: KeyBytes> Probe for Hashed<K> {
+    fn hash(&self) -> u64 {
+        self.hash
+    }
+
+    fn bytes(&self) -> &[u8] {
+        self.key.bytes()
+    }
+}
+
+impl<'a, K: KeyBytes + 'a> Borrow<dyn Probe + 'a> for Hashed<K> {
+    fn borrow(&self) -> &(dyn Probe + 'a) {
+        self
+    }
+}
+
+// A hashed key and its probe hash and compare alike: by the hash taken
+// once, then by the bytes.
+impl Hash for dyn Probe + '_ {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(Probe::hash(self));
+    }
+}
+
+impl PartialEq for dyn Probe + '_ {
+    fn eq(&self, other: &Self) -> bool {
+        Probe::hash(self) == Probe::hash(other) && self.bytes() == other.bytes()
+    }
+}
+
+impl Eq for dyn Probe + '_ {}
+
+impl<K: KeyBytes> Hash for Hashed<K> {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.hash);
+    }
+}
+
+impl<K: KeyBytes> PartialEq for Hashed<K> {
+    fn eq(&self, other: &Self) -> bool {
+        self.hash == other.hash && self.key.bytes() == other.key.bytes()
+    }
+}
+
+impl<K: KeyBytes> Eq for Hashed<K> {}
+
+/// A stripe's hasher: it receives a key's FNV-1a hash and only spreads it
+/// with one multiply, since the hash's low bits, which picked the stripe,
+/// are the same for every key in it. FNV-1a is unkeyed, which is sound
+/// here: keys are the driver's own queries, and a stripe holds at most
+/// `capacity_per_shard` of them, so even colliding keys cost a probe no
+/// more than a scan of one stripe.
+#[derive(Default)]
+struct Rehash(u64);
+
+impl Hasher for Rehash {
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("stripe keys hash as their u64 hash")
+    }
+
+    fn write_u64(&mut self, hash: u64) {
+        let product = u128::from(hash) * 0x9E37_79B9_7F4A_7C15;
+        self.0 = product as u64 ^ (product >> 64) as u64;
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// One stripe's map, keyed by hashed keys.
+type Stripe<K, V> = HashMap<Hashed<K>, V, BuildHasherDefault<Rehash>>;
+
 struct Entry {
     value: Arc<CachedResult>,
     /// Logical clock of the last lookup; bumped under the shard read-lock.
@@ -142,8 +272,8 @@ impl Flight {
 /// of parking on the condvar forever (which would hang the driver's thread
 /// scope rather than propagate the panic).
 struct LeaderGuard<'a> {
-    inflight: &'a Mutex<HashMap<Arc<str>, Arc<Flight>>>,
-    key: &'a str,
+    inflight: &'a Mutex<Stripe<Arc<str>, Arc<Flight>>>,
+    key: &'a Hashed<Arc<str>>,
     armed: bool,
 }
 
@@ -170,12 +300,13 @@ impl Drop for LeaderGuard<'_> {
 
 /// The cache. Shareable across threads (`Arc<ShardedResultCache>`).
 pub struct ShardedResultCache {
-    shards: Vec<RwLock<HashMap<Arc<str>, Entry>>>,
+    shards: Vec<RwLock<Stripe<Arc<str>, Entry>>>,
     /// Keys currently being executed by a leader, striped like `shards`.
-    inflight: Vec<Mutex<HashMap<Arc<str>, Arc<Flight>>>>,
-    /// Each spelling seen, mapped to the key derived for it, striped like
-    /// `shards` (by the spelling's bytes) and bounded like them.
-    memo: Vec<RwLock<HashMap<Spelling, Arc<str>>>>,
+    inflight: Vec<Mutex<Stripe<Arc<str>, Arc<Flight>>>>,
+    /// Each spelling seen, mapped to the key derived for it (with its
+    /// hash), striped like `shards` (by the spelling's hash) and bounded
+    /// like them.
+    memo: Vec<RwLock<Stripe<Spelling, Hashed<Arc<str>>>>>,
     capacity_per_shard: usize,
     clock: AtomicU64,
     hits: AtomicU64,
@@ -190,9 +321,9 @@ impl ShardedResultCache {
     pub fn new(config: CacheConfig) -> Self {
         let shards = config.shards.max(1).next_power_of_two();
         ShardedResultCache {
-            shards: (0..shards).map(|_| RwLock::new(HashMap::new())).collect(),
-            inflight: (0..shards).map(|_| Mutex::new(HashMap::new())).collect(),
-            memo: (0..shards).map(|_| RwLock::new(HashMap::new())).collect(),
+            shards: (0..shards).map(|_| RwLock::default()).collect(),
+            inflight: (0..shards).map(|_| Mutex::default()).collect(),
+            memo: (0..shards).map(|_| RwLock::default()).collect(),
             capacity_per_shard: config.capacity_per_shard.max(1),
             clock: AtomicU64::new(0),
             hits: AtomicU64::new(0),
@@ -204,27 +335,14 @@ impl ShardedResultCache {
         }
     }
 
-    fn shard_index(&self, bytes: &[u8]) -> usize {
-        // FNV-1a; shard count is a power of two so masking is uniform.
-        let mut h = simba_store::mix::Fnv1a::new();
-        h.write(bytes);
-        (h.finish() as usize) & (self.shards.len() - 1)
-    }
-
-    fn shard_of(&self, key: &str) -> &RwLock<HashMap<Arc<str>, Entry>> {
+    /// The stripe a key of `hash` lives in: the stripe count is a power
+    /// of two, so masking is uniform.
+    fn stripe<T>(stripes: &[T], hash: u64) -> &T {
         #[expect(
             clippy::indexing_slicing,
-            reason = "shard_index masks by the power-of-two shard count, so the index is in range by construction"
+            reason = "the mask is one less than the power-of-two stripe count, so the index is in range by construction"
         )]
-        &self.shards[self.shard_index(key.as_bytes())]
-    }
-
-    fn memo_of(&self, spelling: &Spelling) -> &RwLock<HashMap<Spelling, Arc<str>>> {
-        #[expect(
-            clippy::indexing_slicing,
-            reason = "shard_index masks by the power-of-two shard count, so the index is in range by construction"
-        )]
-        &self.memo[self.shard_index(spelling.as_bytes())]
+        &stripes[(hash as usize) & (stripes.len() - 1)]
     }
 
     /// Recover a shard's map from a poisoned lock. A panic while a guard
@@ -236,28 +354,31 @@ impl ShardedResultCache {
     /// reason, and more simply: each of its entries is a pure function of
     /// its spelling.
     fn read_shard<'a, K, V>(
-        shard: &'a RwLock<HashMap<K, V>>,
-    ) -> std::sync::RwLockReadGuard<'a, HashMap<K, V>> {
+        shard: &'a RwLock<Stripe<K, V>>,
+    ) -> std::sync::RwLockReadGuard<'a, Stripe<K, V>> {
         shard.read().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Write-lock twin of [`read_shard`](Self::read_shard).
     fn write_shard<'a, K, V>(
-        shard: &'a RwLock<HashMap<K, V>>,
-    ) -> std::sync::RwLockWriteGuard<'a, HashMap<K, V>> {
+        shard: &'a RwLock<Stripe<K, V>>,
+    ) -> std::sync::RwLockWriteGuard<'a, Stripe<K, V>> {
         shard.write().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Look up a key, bumping its recency. Counts a hit or a miss.
     pub fn lookup(&self, key: &str) -> Option<Arc<CachedResult>> {
-        self.lookup_held(key).map(|(_, value)| value)
+        self.lookup_held(&Hashed::new(key)).map(|(_, value)| value)
     }
 
     /// [`lookup`](Self::lookup), also returning the key as the map holds
     /// it, so the memo can share it.
-    fn lookup_held(&self, key: &str) -> Option<(Arc<str>, Arc<CachedResult>)> {
-        let shard = Self::read_shard(self.shard_of(key));
-        match shard.get_key_value(key) {
+    fn lookup_held<K: KeyBytes>(
+        &self,
+        key: &Hashed<K>,
+    ) -> Option<(Hashed<Arc<str>>, Arc<CachedResult>)> {
+        let shard = Self::read_shard(Self::stripe(&self.shards, key.hash));
+        match shard.get_key_value(key as &dyn Probe) {
             Some((held, entry)) => {
                 entry.last_used.store(
                     self.clock.fetch_add(1, Ordering::Relaxed),
@@ -277,19 +398,20 @@ impl ShardedResultCache {
     /// [`execute_cached`](Self::execute_cached) uses without deriving it, or
     /// `None` when it would derive it.
     pub fn memoized_key(&self, query: &Select) -> Option<Arc<str>> {
-        self.memoized(&Spelling::of(query))
+        self.memoized(&Hashed::new(Spelling::of(query)))
+            .map(|held| held.key)
     }
 
-    fn memoized(&self, spelling: &Spelling) -> Option<Arc<str>> {
-        Self::read_shard(self.memo_of(spelling))
+    fn memoized(&self, spelling: &Hashed<Spelling>) -> Option<Hashed<Arc<str>>> {
+        Self::read_shard(Self::stripe(&self.memo, spelling.hash))
             .get(spelling)
             .cloned()
     }
 
     /// Remember `spelling`'s key. A stripe at capacity is dropped whole
     /// first: that costs only re-derivations, and needs no recency.
-    fn memoize(&self, spelling: Spelling, key: Arc<str>) {
-        let mut memo = Self::write_shard(self.memo_of(&spelling));
+    fn memoize(&self, spelling: Hashed<Spelling>, key: Hashed<Arc<str>>) {
+        let mut memo = Self::write_shard(Self::stripe(&self.memo, spelling.hash));
         if memo.len() >= self.capacity_per_shard {
             memo.clear();
         }
@@ -299,8 +421,8 @@ impl ShardedResultCache {
     /// Read a key without touching the hit/miss counters (used for the
     /// double-check inside the single-flight path, where the original
     /// lookup already counted the miss).
-    fn peek(&self, key: &str) -> Option<Arc<CachedResult>> {
-        let shard = Self::read_shard(self.shard_of(key));
+    fn peek(&self, key: &Hashed<Arc<str>>) -> Option<Arc<CachedResult>> {
+        let shard = Self::read_shard(Self::stripe(&self.shards, key.hash));
         shard.get(key).map(|entry| {
             entry.last_used.store(
                 self.clock.fetch_add(1, Ordering::Relaxed),
@@ -313,11 +435,11 @@ impl ShardedResultCache {
     /// Insert (or replace) an entry, evicting the shard's LRU entry when at
     /// capacity.
     pub fn insert(&self, key: String, value: Arc<CachedResult>) {
-        self.insert_held(key.into(), value);
+        self.insert_held(Hashed::new(key.into()), value);
     }
 
-    fn insert_held(&self, key: Arc<str>, value: Arc<CachedResult>) {
-        let mut shard = Self::write_shard(self.shard_of(&key));
+    fn insert_held(&self, key: Hashed<Arc<str>>, value: Arc<CachedResult>) {
+        let mut shard = Self::write_shard(Self::stripe(&self.shards, key.hash));
         if let Some(existing) = shard.get_mut(&key) {
             existing.value = value;
             return;
@@ -338,7 +460,7 @@ impl ShardedResultCache {
                     ea.last_used
                         .load(Ordering::Relaxed)
                         .cmp(&eb.last_used.load(Ordering::Relaxed))
-                        .then_with(|| ka.cmp(kb))
+                        .then_with(|| ka.key.cmp(&kb.key))
                 })
                 .map(|(k, _)| k.clone());
             if let Some(k) = lru {
@@ -388,10 +510,13 @@ impl ShardedResultCache {
         )]
         let start = Instant::now();
         let lookup_phase = simba_obs::phase!("cache.lookup", "cache", "cache.phase.lookup");
-        let spelling = Spelling::of(query);
+        let spelling = Hashed::new(Spelling::of(query));
         let (key, spelling) = match self.memoized(&spelling) {
             Some(key) => (key, None),
-            None => (Arc::from(query_cache_key(query)), Some(spelling)),
+            None => (
+                Hashed::new(Arc::from(query_cache_key(query))),
+                Some(spelling),
+            ),
         };
         if let Some((held, value)) = self.lookup_held(&key) {
             if let Some(spelling) = spelling {
@@ -405,18 +530,14 @@ impl ShardedResultCache {
         }
         // Miss (counted). Join an in-flight execution of this key, or
         // become its leader.
-        #[expect(
-            clippy::indexing_slicing,
-            reason = "shard_index masks by the power-of-two stripe count, so the index is in range by construction"
-        )]
-        let inflight = &self.inflight[self.shard_index(key.as_bytes())];
+        let inflight = Self::stripe(&self.inflight, key.hash);
         let flight = {
             // Poisoned-lock recovery throughout the inflight map: its only
             // mutations are insert/remove, so the map is structurally
             // sound after a panic; failing here would take this worker
             // down for an infrastructure fault another thread caused.
             let mut map = inflight.lock().unwrap_or_else(PoisonError::into_inner);
-            if let Some(flight) = map.get(&*key) {
+            if let Some(flight) = map.get(&key) {
                 Some(flight.clone())
             } else {
                 // A leader that finished between our lookup and this lock
@@ -465,7 +586,7 @@ impl ShardedResultCache {
             self.error_passthrough.fetch_add(1, Ordering::Relaxed);
         }
         let mut map = inflight.lock().unwrap_or_else(PoisonError::into_inner);
-        if let Some(flight) = map.remove(&*key) {
+        if let Some(flight) = map.remove(&key) {
             flight.publish(
                 outcome
                     .as_ref()
@@ -820,8 +941,8 @@ mod tests {
         let map_key = cache.shards[0]
             .read()
             .unwrap()
-            .get_key_value(&*held(&a))
-            .map(|(k, _)| k.clone())
+            .get_key_value(&Hashed::new(&*held(&a)) as &dyn Probe)
+            .map(|(k, _)| k.key.clone())
             .unwrap();
         assert!(
             Arc::ptr_eq(&held(&a), &map_key),

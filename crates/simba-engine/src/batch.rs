@@ -410,6 +410,24 @@ pub fn run_morsels(
     // The plan holds a kernel that never matches alone, settled against
     // the column bounds when it was compiled: the scan only asks.
     let never = kernels.is_some_and(|ks| ks.iter().any(Kernel::never_matches));
+    // A refuted scan that keeps nothing emits no row, unless it is a global
+    // aggregate, whose one row over no input its accumulators give: the
+    // rest return at once, and a GROUP BY builds no group table.
+    if never && !capture_requested {
+        let width = match &plan.kind {
+            QueryKind::Project { exprs } => Some(exprs.len()),
+            QueryKind::Aggregate {
+                keys, projections, ..
+            } => (!keys.is_empty()).then_some(projections.len()),
+        };
+        if let Some(width) = width {
+            let stats = ExecStats {
+                morsels_pruned: n_morsels,
+                ..ExecStats::default()
+            };
+            return (ResultBuilder::new(width), stats, None);
+        }
+    }
 
     // The words the scan sets the captured survivors in: none when the
     // filter cannot match or the survivors are an exact seed.
@@ -499,11 +517,14 @@ pub fn run_morsels(
         ) => {
             stats.groups = groups.len();
             if capture_requested && groups.slots() <= MAX_CAPTURED_GROUPS {
-                let rows = groups.emit(table, projections, having.as_ref());
+                let rows = groups.emit(table, projections, having.as_deref());
                 groups.drop_lookup();
                 (rows, Some(groups))
             } else {
-                (groups.into_rows(table, projections, having.as_ref()), None)
+                (
+                    groups.into_rows(table, projections, having.as_deref()),
+                    None,
+                )
             }
         }
         (Partial::Rows(rows), _) => (rows, None),
@@ -553,7 +574,7 @@ pub fn run_from_cache(
         ..ExecStats::default()
     };
     Some((
-        groups.emit(&plan.table, projections, having.as_ref()),
+        groups.emit(&plan.table, projections, having.as_deref()),
         stats,
     ))
 }
@@ -808,7 +829,7 @@ mod tests {
             matched += sel.len();
             groups.update(table, sel.as_slice());
         }
-        let rows = groups.into_rows(table, projections, having.as_ref());
+        let rows = groups.into_rows(table, projections, having.as_deref());
         (rows, matched)
     }
 

@@ -4,8 +4,8 @@
 //! (2048 rows) and skip every morsel when the compiled filter cannot match,
 //! predicates run as typed kernels refining a selection vector, each
 //! morsel's survivors feed the shared [`GroupTable`](crate::group::GroupTable)
-//! (dictionary-code, hash or global key index; typed or boxed aggregate
-//! columns), and an opt-in morsel-parallel mode fans contiguous morsel
+//! (global, packed or hash key index; typed or boxed aggregate columns),
+//! and an opt-in morsel-parallel mode fans contiguous morsel
 //! ranges out to scoped worker threads whose partial tables merge in scan
 //! order. All of that machinery lives in [`crate::batch`] and
 //! [`crate::group`]; this engine uses it wholesale.

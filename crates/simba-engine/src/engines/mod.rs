@@ -12,12 +12,12 @@ pub mod sqlite_like;
 
 use crate::error::EngineError;
 use crate::exec::{finalize_rows, Catalog, ExecStats, QueryOutput};
-use crate::plan::{prepare_for, Filter, PreparedQuery};
+use crate::plan::{Filter, PreparedQuery};
 use simba_sql::{NormalizedSelect, Select};
 use simba_store::ResultBuilder;
 use std::time::Instant;
 
-/// Shared execute wrapper: look up the table, plan, run the engine-specific
+/// Shared execute wrapper: plan through the catalog, run the engine-specific
 /// runner, finalize ordering/limit, and time the whole thing. Also the
 /// single point where every engine reports to the observability layer:
 /// an `engine.execute` span with `engine.plan`/`engine.finalize` phase
@@ -25,8 +25,10 @@ use std::time::Instant;
 ///
 /// `form` is the query's normal form when the caller already holds it (the
 /// session-delta path): the plan takes its aggregate-slot layout and GROUP
-/// BY prints from it. `None` derives both while planning. The runner's
-/// plan type picks the form its WHERE is compiled to, in the plan phase.
+/// BY prints from it. `None` derives both while planning. Either way a
+/// shape planned before against the same table reuses its group half. The
+/// runner's plan type picks the form its WHERE is compiled to, in the plan
+/// phase.
 pub(crate) fn execute_common<F: Filter>(
     catalog: &Catalog,
     query: &Select,
@@ -41,20 +43,12 @@ pub(crate) fn execute_common<F: Filter>(
     let start = Instant::now();
     let plan = {
         let _p = simba_obs::phase!("engine.plan", "engine", "engine.phase.plan");
-        let table = catalog
-            .get(&query.from)
-            .ok_or_else(|| EngineError::UnknownTable(query.from.clone()))?;
-        prepare_for(query, form, table)?
+        catalog.prepare(query, form)?
     };
     let (rows, stats) = runner(&plan);
     let result = {
         let _p = simba_obs::phase!("engine.finalize", "engine", "engine.phase.finalize");
-        finalize_rows(
-            rows,
-            plan.output_names.clone(),
-            &plan.order_dirs,
-            plan.limit,
-        )
+        finalize_rows(rows, plan.output_names, &plan.order_dirs, plan.limit)
     };
     Ok(QueryOutput {
         result,

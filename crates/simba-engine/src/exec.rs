@@ -10,8 +10,11 @@
 use crate::agg::{Accumulator, AggSpec};
 use crate::error::EngineError;
 use crate::eval::{eval, eval_predicate, CExpr, RowSlice, TableRow};
-use crate::plan::{column_index, compile_row_expr, prepare_row, PreparedQuery, QueryKind};
-use simba_sql::{BinOp, Expr, Literal, Select};
+use crate::plan::{
+    column_index, compile_row_expr, prepare_in, prepare_row, Filter, PreparedQuery, QueryKind,
+    ShapeMemo,
+};
+use simba_sql::{BinOp, Expr, Literal, NormalizedSelect, Select};
 use simba_store::zonemap::{float_key, Zone, ZoneMaps};
 use simba_store::{ColumnData, ResultBuilder, ResultSet, Schema, Table, Value};
 use std::cmp::Ordering;
@@ -586,7 +589,7 @@ pub fn run_row(plan: &PreparedQuery<CExpr>) -> (ResultBuilder, ExecStats) {
                 stats.rows_matched += 1;
                 let key: Vec<Value> = keys.iter().map(|k| eval(k, &ctx)).collect();
                 let accs = groups.entry(key).or_insert_with(|| new_group(aggs));
-                for (acc, spec) in accs.iter_mut().zip(aggs) {
+                for (acc, spec) in accs.iter_mut().zip(aggs.iter()) {
                     match &spec.arg {
                         None => acc.update_star(),
                         Some(arg) => acc.update_value(eval(arg, &ctx)),
@@ -594,7 +597,7 @@ pub fn run_row(plan: &PreparedQuery<CExpr>) -> (ResultBuilder, ExecStats) {
                 }
             }
             stats.groups = groups.len();
-            let rows = emit_groups(projections, having.as_ref(), groups);
+            let rows = emit_groups(projections, having.as_deref(), groups);
             (rows, stats)
         }
     }
@@ -628,9 +631,14 @@ pub fn new_group(aggs: &[AggSpec]) -> Vec<Accumulator> {
     aggs.iter().map(AggSpec::accumulator).collect()
 }
 
-/// Shared registry of tables, keyed by lowercase name. Reads take a shared
-/// lock only, so concurrent `execute` calls across driver worker threads
-/// never serialize on the catalog.
+/// Shared registry of tables, found by name case-insensitively. Reads take
+/// a shared lock only, so concurrent `execute` calls across driver worker
+/// threads never serialize on the catalog; a lookup compares names in
+/// place and allocates nothing.
+///
+/// Beside each table sit the group halves planned against it, by query
+/// shape (see [`crate::plan`]): planning compiles only the
+/// WHERE of a query whose shape was planned before.
 ///
 /// Every `register` — first registration, re-registration, or the publish
 /// step of a `TableAssembler` append (appended data becomes visible only
@@ -640,20 +648,38 @@ pub fn new_group(aggs: &[AggSpec]) -> Vec<Accumulator> {
 /// never be served against changed table state.
 #[derive(Default)]
 pub struct Catalog {
-    tables: std::sync::RwLock<std::collections::HashMap<String, Arc<Table>>>,
+    tables: std::sync::RwLock<Vec<Arc<Registered>>>,
     generation: std::sync::atomic::AtomicU64,
 }
 
+/// A registered table and the group halves planned against it, which go
+/// with it when its name is registered again.
+struct Registered {
+    table: Arc<Table>,
+    shapes: ShapeMemo,
+}
+
 impl Catalog {
-    // The catalog recovers poisoned locks instead of panicking: its map
-    // only sees whole-entry insert/read, so a panic elsewhere while a
+    // The catalog recovers poisoned locks instead of panicking: its list
+    // only sees whole-entry replace/push/read, so a panic elsewhere while a
     // guard was held cannot leave it structurally broken — and a poisoned
     // catalog must not take down every worker that plans a query.
     pub fn register(&self, table: Arc<Table>) {
-        self.tables
-            .write()
-            .unwrap_or_else(PoisonError::into_inner)
-            .insert(table.name().to_ascii_lowercase(), table);
+        let entry = Arc::new(Registered {
+            table,
+            shapes: ShapeMemo::default(),
+        });
+        {
+            let mut tables = self.tables.write().unwrap_or_else(PoisonError::into_inner);
+            let name = entry.table.name();
+            match tables
+                .iter_mut()
+                .find(|r| r.table.name().eq_ignore_ascii_case(name))
+            {
+                Some(slot) => *slot = entry,
+                None => tables.push(entry),
+            }
+        }
         // The counter is the *coarse* staleness signal consumers poll to
         // drop retained work eagerly; it is not the reuse-time guard. A
         // register racing a generation read can always slip between the
@@ -672,12 +698,37 @@ impl Catalog {
         self.generation.load(std::sync::atomic::Ordering::SeqCst)
     }
 
-    pub fn get(&self, name: &str) -> Option<Arc<Table>> {
+    fn registered(&self, name: &str) -> Option<Arc<Registered>> {
         self.tables
             .read()
             .unwrap_or_else(PoisonError::into_inner)
-            .get(&name.to_ascii_lowercase())
+            .iter()
+            .find(|r| r.table.name().eq_ignore_ascii_case(name))
             .cloned()
+    }
+
+    pub fn get(&self, name: &str) -> Option<Arc<Table>> {
+        self.registered(name).map(|r| Arc::clone(&r.table))
+    }
+
+    /// Plan `query` against the table its FROM names, its WHERE as `F`,
+    /// taking the group half from the table's memo when its shape was
+    /// planned before (see [`prepare_for`](crate::plan::prepare_for) for
+    /// `form`).
+    pub(crate) fn prepare<F: Filter>(
+        &self,
+        query: &Select,
+        form: Option<&NormalizedSelect>,
+    ) -> Result<PreparedQuery<F>, EngineError> {
+        let registered = self
+            .registered(&query.from)
+            .ok_or_else(|| EngineError::UnknownTable(query.from.clone()))?;
+        prepare_in(
+            query,
+            form,
+            Arc::clone(&registered.table),
+            Some(&registered.shapes),
+        )
     }
 }
 
@@ -1066,5 +1117,18 @@ mod tests {
         assert!(c.get("T").is_some());
         assert!(c.get("t").is_some());
         assert!(c.get("nope").is_none());
+    }
+
+    /// Registering a name again replaces its table, under any case, and
+    /// counts a generation.
+    #[test]
+    fn catalog_re_registration_replaces() {
+        let c = Catalog::default();
+        let (first, second) = (table(), table());
+        c.register(first.clone());
+        c.register(second.clone());
+        assert_eq!(c.generation(), 2);
+        assert!(Arc::ptr_eq(&c.get("T").unwrap(), &second));
+        assert_eq!(c.tables.read().unwrap().len(), 1);
     }
 }

@@ -1325,7 +1325,7 @@ mod tests {
     use simba_store::mix::splitmix64;
 
     /// The keys and aggregates of `SELECT … GROUP BY {keys}` over `table`.
-    fn plan(keys: &str, table: &Arc<Table>) -> (Vec<CExpr>, Vec<AggSpec>) {
+    fn plan(keys: &str, table: &Arc<Table>) -> (Arc<[CExpr]>, Arc<[AggSpec]>) {
         let sql = format!("SELECT COUNT(*), SUM(n), MAX(x), MIN(q) FROM t GROUP BY {keys}");
         let query = simba_sql::parse_select(&sql).unwrap();
         match prepare(&query, table.clone()).unwrap().kind {
@@ -1429,7 +1429,7 @@ mod tests {
                 let mut groups = GroupTable::new(&exprs, &aggs, t);
                 if hash {
                     groups.index = KeyIndex::Hash {
-                        exprs: exprs.clone(),
+                        exprs: exprs.to_vec(),
                         by_key: ProbeMap::default(),
                         keys: Vec::new(),
                         scratch: Vec::new(),

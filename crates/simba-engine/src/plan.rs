@@ -7,10 +7,17 @@
 //! reuse [`CExpr`] with `Col(i)` indexing a virtual row of
 //! `[keys…, aggregates…]`.
 //!
-//! The WHERE is compiled once, here, in the form the executing engine reads
-//! ([`Filter`]): the vectorized scan's settled [`Kernel`]s ([`prepare`]) or
-//! the row interpreter's one [`CExpr`] ([`prepare_row`]). Both compile the
-//! same `Expr` and fail on it alike.
+//! A plan has two halves. The WHERE is compiled per query, in the form the
+//! executing engine reads ([`Filter`]): the vectorized scan's settled
+//! [`Kernel`]s ([`prepare`]) or the row interpreter's one [`CExpr`]
+//! ([`prepare_row`]). Both compile the same `Expr` and fail on it alike.
+//! Everything else — keys, aggregate specs, group-level projections,
+//! HAVING, output names, ORDER BY directions, LIMIT — is the group half, a
+//! function of the table and of every clause but the WHERE. An engine's
+//! catalog keeps the halves planned against each registered table in a
+//! shape memo, keyed by the query's [shape](Spelling::of_shape), so the
+//! queries of a filter storm, which repeat a few chart shapes under ever
+//! new WHEREs, compile only their WHERE.
 
 use crate::agg::AggSpec;
 use crate::error::EngineError;
@@ -20,13 +27,17 @@ use simba_sql::normalize::normalize_expr;
 use simba_sql::printer::print_expr;
 use simba_sql::{
     aggregate_calls, same_spelling, substitute_aliases, Expr, Func, NormalizedSelect, Select,
+    Spelling,
 };
 use simba_store::{Schema, Table};
-use std::sync::Arc;
+use std::collections::HashMap;
+use std::sync::{Arc, PoisonError, RwLock};
 
 /// A compiled, validated query ready for execution. `F` is its WHERE in the
 /// form the executing engine reads: the vectorized scan's kernels by
-/// default, or the row interpreter's [`CExpr`].
+/// default, or the row interpreter's [`CExpr`]. The other fields are its
+/// group half's (see the module docs): `kind` shares the half's compiled
+/// expressions.
 #[derive(Debug, Clone)]
 pub struct PreparedQuery<F = Vec<Kernel>> {
     pub table: Arc<Table>,
@@ -41,23 +52,24 @@ pub struct PreparedQuery<F = Vec<Kernel>> {
     pub limit: Option<usize>,
 }
 
-/// The two query shapes in the dashboard fragment.
+/// The two query shapes in the dashboard fragment. Each compiled part sits
+/// behind an `Arc`, so plans of one shape share it.
 #[derive(Debug, Clone)]
 pub enum QueryKind {
     /// Plain projection (no aggregation).
     /// `exprs.len() == output_names.len() + order_dirs.len()`.
-    Project { exprs: Vec<CExpr> },
+    Project { exprs: Arc<[CExpr]> },
     /// Grouped aggregation.
     Aggregate {
         /// Row-level group-key expressions (may be empty: global aggregate).
-        keys: Vec<CExpr>,
+        keys: Arc<[CExpr]>,
         /// Row-level aggregate argument specs.
-        aggs: Vec<AggSpec>,
+        aggs: Arc<[AggSpec]>,
         /// Group-level projections over `[keys…, aggs…]`;
         /// `len == output_names.len() + order_dirs.len()`.
-        projections: Vec<CExpr>,
+        projections: Arc<[CExpr]>,
         /// Group-level HAVING predicate.
-        having: Option<CExpr>,
+        having: Option<Arc<CExpr>>,
     },
 }
 
@@ -65,6 +77,176 @@ impl<F> PreparedQuery<F> {
     /// Is this an aggregation query?
     pub fn is_aggregate(&self) -> bool {
         matches!(self.kind, QueryKind::Aggregate { .. })
+    }
+}
+
+/// Everything a plan compiles from the clauses other than the WHERE: the
+/// same for every query of one [shape](Spelling::of_shape) against one
+/// table. Cloning it shares the compiled expressions and specs and copies
+/// only the output names, which the result takes.
+#[derive(Debug, Clone)]
+pub(crate) struct GroupHalf {
+    kind: QueryKind,
+    output_names: Vec<String>,
+    order_dirs: Vec<bool>,
+    limit: Option<usize>,
+}
+
+impl GroupHalf {
+    /// Compile `query`'s group half against `schema`. `form` is the query's
+    /// normal form when the caller already holds it: the aggregate slots are
+    /// then allocated from [`NormalizedSelect::aggregates`] and the key slots
+    /// from [`NormalizedSelect::group_by`], the very lists the caller's
+    /// states key printed. `None` derives both here; they are the same lists.
+    fn compile(
+        query: &Select,
+        form: Option<&NormalizedSelect>,
+        schema: &Schema,
+    ) -> Result<GroupHalf, EngineError> {
+        match form {
+            Some(form) => Self::compile_with(query, form.aggregates(), form.group_by(), schema),
+            None => {
+                let key_prints: Vec<String> = query.group_by.iter().map(normalized_print).collect();
+                Self::compile_with(query, &aggregate_calls(query), &key_prints, schema)
+            }
+        }
+    }
+
+    fn compile_with(
+        query: &Select,
+        agg_calls: &[(String, Expr)],
+        key_prints: &[String],
+        schema: &Schema,
+    ) -> Result<GroupHalf, EngineError> {
+        let output_names: Vec<String> = query.projections.iter().map(|p| p.output_name()).collect();
+        let limit = query.limit.map(|l| l as usize);
+        let order_dirs: Vec<bool> = query.order_by.iter().map(|o| o.asc).collect();
+
+        // Substitute projection aliases into ORDER BY / HAVING references.
+        let order_exprs: Vec<Expr> = query
+            .order_by
+            .iter()
+            .map(|o| substitute_aliases(&o.expr, &query.projections))
+            .collect();
+        let having_expr = query
+            .having
+            .as_ref()
+            .map(|h| substitute_aliases(h, &query.projections));
+
+        let kind = if query.is_aggregate_query() {
+            // Compile group keys.
+            let keys: Vec<CExpr> = query
+                .group_by
+                .iter()
+                .map(|g| compile_row_expr(g, schema))
+                .collect::<Result<_, _>>()?;
+            // Compile aggregate argument specs.
+            let mut aggs = Vec::with_capacity(agg_calls.len());
+            for (_, call) in agg_calls {
+                let Expr::Function {
+                    func,
+                    args,
+                    distinct,
+                } = call
+                else {
+                    unreachable!()
+                };
+                let arg = match args.first() {
+                    None | Some(Expr::Wildcard) => None,
+                    Some(a) => Some(compile_row_expr(a, schema)?),
+                };
+                let spec = AggSpec {
+                    func: *func,
+                    arg,
+                    distinct: *distinct,
+                };
+                spec.validate()?;
+                aggs.push(spec);
+            }
+            let ctx = GroupCtx {
+                schema,
+                keys: &query.group_by,
+                key_prints,
+                agg_calls,
+            };
+            let mut projections: Vec<CExpr> = query
+                .projections
+                .iter()
+                .map(|p| compile_group_expr(&p.expr, &ctx))
+                .collect::<Result<_, _>>()?;
+            for o in &order_exprs {
+                projections.push(compile_group_expr(o, &ctx)?);
+            }
+            let having = having_expr
+                .as_ref()
+                .map(|h| compile_group_expr(h, &ctx))
+                .transpose()?;
+            QueryKind::Aggregate {
+                keys: keys.into(),
+                aggs: aggs.into(),
+                projections: projections.into(),
+                having: having.map(Arc::new),
+            }
+        } else {
+            if !query.group_by.is_empty() {
+                return Err(EngineError::Invalid(
+                    "GROUP BY without aggregate projections".into(),
+                ));
+            }
+            if having_expr.is_some() {
+                return Err(EngineError::Invalid("HAVING requires aggregation".into()));
+            }
+            let mut exprs: Vec<CExpr> = query
+                .projections
+                .iter()
+                .map(|p| compile_row_expr(&p.expr, schema))
+                .collect::<Result<_, _>>()?;
+            for o in &order_exprs {
+                exprs.push(compile_row_expr(o, schema)?);
+            }
+            QueryKind::Project {
+                exprs: exprs.into(),
+            }
+        };
+        Ok(GroupHalf {
+            kind,
+            output_names,
+            order_dirs,
+            limit,
+        })
+    }
+}
+
+/// Shapes an engine's catalog keeps planned per registered table before it
+/// drops them all. A round of IDEBench's filter storm plans 94 shapes
+/// against its table.
+pub const MEMO_SHAPES: usize = 256;
+
+/// The group halves planned against one registered table, by the
+/// [shape](Spelling::of_shape) of the query that planned each. A half is a
+/// pure function of its shape and the table, so the memo can only save
+/// compiles, never change a plan. Only a half that compiled is kept: a
+/// shape that fails compiles, and fails, every time. It holds at most
+/// [`MEMO_SHAPES`] halves and is dropped whole when full, which costs only
+/// recompiles and needs no recency. It lives beside its table in the
+/// engine's catalog and goes with it when the name is registered again.
+#[derive(Debug, Default)]
+pub(crate) struct ShapeMemo(RwLock<HashMap<Spelling, GroupHalf>>);
+
+impl ShapeMemo {
+    // Poisoned locks are recovered: every entry is a pure function of its
+    // key, so a panic while a guard was held cannot leave a wrong one.
+    fn get(&self, shape: &Spelling) -> Option<GroupHalf> {
+        let halves = self.0.read().unwrap_or_else(PoisonError::into_inner);
+        halves.get(shape).cloned()
+    }
+
+    fn insert(&self, shape: Spelling, half: GroupHalf) {
+        let mut halves = self.0.write().unwrap_or_else(PoisonError::into_inner);
+        if halves.len() >= MEMO_SHAPES {
+            halves.clear();
+        }
+        halves.insert(shape, half);
     }
 }
 
@@ -99,30 +281,28 @@ pub fn prepare_row(query: &Select, table: Arc<Table>) -> Result<PreparedQuery<CE
     prepare_for(query, None, table)
 }
 
-/// Compile `query` against `table`, its WHERE as `F`. `form` is the query's
-/// normal form when the caller already holds it: the aggregate slots are
-/// then allocated from [`NormalizedSelect::aggregates`] and the key slots
-/// from [`NormalizedSelect::group_by`], the very lists the caller's states
-/// key printed. `None` derives both here.
-pub(crate) fn prepare_for<F: Filter>(
+/// Compile `query` against `table`, its WHERE as `F`, with no memo. `form`
+/// is the query's normal form when the caller already holds it: the
+/// aggregate slots are then allocated from [`NormalizedSelect::aggregates`]
+/// and the key slots from [`NormalizedSelect::group_by`]. With it or
+/// without, the plan is the same.
+pub fn prepare_for<F: Filter>(
     query: &Select,
     form: Option<&NormalizedSelect>,
     table: Arc<Table>,
 ) -> Result<PreparedQuery<F>, EngineError> {
-    match form {
-        Some(form) => prepare_with(query, form.aggregates(), form.group_by(), table),
-        None => {
-            let key_prints: Vec<String> = query.group_by.iter().map(normalized_print).collect();
-            prepare_with(query, &aggregate_calls(query), &key_prints, table)
-        }
-    }
+    prepare_in(query, form, table, None)
 }
 
-fn prepare_with<F: Filter>(
+/// The one planning path. The FROM and SELECT list are checked and the
+/// WHERE compiled first, so every error keeps its precedence whether the
+/// group half is then found in `shapes` or compiled (and, in a memo,
+/// kept).
+pub(crate) fn prepare_in<F: Filter>(
     query: &Select,
-    agg_calls: &[(String, Expr)],
-    key_prints: &[String],
+    form: Option<&NormalizedSelect>,
     table: Arc<Table>,
+    shapes: Option<&ShapeMemo>,
 ) -> Result<PreparedQuery<F>, EngineError> {
     let schema = table.schema();
     if !query.from.eq_ignore_ascii_case(&schema.table) {
@@ -131,115 +311,40 @@ fn prepare_with<F: Filter>(
     if query.projections.is_empty() {
         return Err(EngineError::Invalid("empty SELECT list".into()));
     }
-
     let filter = query
         .where_clause
         .as_ref()
         .map(|w| F::compile(w, &table))
         .transpose()?;
-    let output_names: Vec<String> = query.projections.iter().map(|p| p.output_name()).collect();
-    let limit = query.limit.map(|l| l as usize);
-    let order_dirs: Vec<bool> = query.order_by.iter().map(|o| o.asc).collect();
-
-    // Substitute projection aliases into ORDER BY / HAVING references.
-    let order_exprs: Vec<Expr> = query
-        .order_by
-        .iter()
-        .map(|o| substitute_aliases(&o.expr, &query.projections))
-        .collect();
-    let having_expr = query
-        .having
-        .as_ref()
-        .map(|h| substitute_aliases(h, &query.projections));
-
-    if query.is_aggregate_query() {
-        // Compile group keys.
-        let keys: Vec<CExpr> = query
-            .group_by
-            .iter()
-            .map(|g| compile_row_expr(g, schema))
-            .collect::<Result<_, _>>()?;
-        // Compile aggregate argument specs.
-        let mut aggs = Vec::with_capacity(agg_calls.len());
-        for (_, call) in agg_calls {
-            let Expr::Function {
-                func,
-                args,
-                distinct,
-            } = call
-            else {
-                unreachable!()
-            };
-            let arg = match args.first() {
-                None | Some(Expr::Wildcard) => None,
-                Some(a) => Some(compile_row_expr(a, schema)?),
-            };
-            let spec = AggSpec {
-                func: *func,
-                arg,
-                distinct: *distinct,
-            };
-            spec.validate()?;
-            aggs.push(spec);
+    let half = match shapes {
+        None => GroupHalf::compile(query, form, schema)?,
+        Some(shapes) => {
+            // Encoded before either lock is taken: workers share the memo.
+            let shape = Spelling::of_shape(query);
+            match shapes.get(&shape) {
+                Some(half) => half,
+                None => {
+                    let half = GroupHalf::compile(query, form, schema)?;
+                    shapes.insert(shape, half.clone());
+                    half
+                }
+            }
         }
-        let ctx = GroupCtx {
-            schema,
-            keys: &query.group_by,
-            key_prints,
-            agg_calls,
-        };
-        let mut projections: Vec<CExpr> = query
-            .projections
-            .iter()
-            .map(|p| compile_group_expr(&p.expr, &ctx))
-            .collect::<Result<_, _>>()?;
-        for o in &order_exprs {
-            projections.push(compile_group_expr(o, &ctx)?);
-        }
-        let having = having_expr
-            .as_ref()
-            .map(|h| compile_group_expr(h, &ctx))
-            .transpose()?;
-
-        Ok(PreparedQuery {
-            table,
-            filter,
-            kind: QueryKind::Aggregate {
-                keys,
-                aggs,
-                projections,
-                having,
-            },
-            output_names,
-            order_dirs,
-            limit,
-        })
-    } else {
-        if !query.group_by.is_empty() {
-            return Err(EngineError::Invalid(
-                "GROUP BY without aggregate projections".into(),
-            ));
-        }
-        if having_expr.is_some() {
-            return Err(EngineError::Invalid("HAVING requires aggregation".into()));
-        }
-        let mut exprs: Vec<CExpr> = query
-            .projections
-            .iter()
-            .map(|p| compile_row_expr(&p.expr, schema))
-            .collect::<Result<_, _>>()?;
-        for o in &order_exprs {
-            exprs.push(compile_row_expr(o, schema)?);
-        }
-        Ok(PreparedQuery {
-            table,
-            filter,
-            kind: QueryKind::Project { exprs },
-            output_names,
-            order_dirs,
-            limit,
-        })
-    }
+    };
+    let GroupHalf {
+        kind,
+        output_names,
+        order_dirs,
+        limit,
+    } = half;
+    Ok(PreparedQuery {
+        table,
+        filter,
+        kind,
+        output_names,
+        order_dirs,
+        limit,
+    })
 }
 
 /// Compile a row-level expression: columns resolve to physical indices;
@@ -557,6 +662,42 @@ mod tests {
             }
             _ => panic!("expected aggregate"),
         }
+    }
+
+    /// Two queries of one shape share the half's compiled parts; a shape
+    /// that fails to compile is not kept.
+    #[test]
+    fn a_memo_hit_shares_the_half() {
+        let table = Arc::new(sample_table());
+        let memo = ShapeMemo::default();
+        let plan = |sql: &str| {
+            prepare_in::<Vec<Kernel>>(
+                &parse_select(sql).unwrap(),
+                None,
+                table.clone(),
+                Some(&memo),
+            )
+        };
+        let a = plan("SELECT queue, COUNT(*) FROM cs WHERE calls > 1 GROUP BY queue").unwrap();
+        let b = plan("SELECT queue, COUNT(*) FROM cs WHERE calls < 5 GROUP BY queue").unwrap();
+        match (&a.kind, &b.kind) {
+            (
+                QueryKind::Aggregate {
+                    keys, projections, ..
+                },
+                QueryKind::Aggregate {
+                    keys: other_keys,
+                    projections: other_projections,
+                    ..
+                },
+            ) => {
+                assert!(Arc::ptr_eq(keys, other_keys));
+                assert!(Arc::ptr_eq(projections, other_projections));
+            }
+            _ => panic!("expected aggregates"),
+        }
+        assert!(plan("SELECT nope, COUNT(*) FROM cs GROUP BY queue").is_err());
+        assert_eq!(memo.0.read().unwrap().len(), 1);
     }
 
     #[test]

@@ -8,12 +8,14 @@
 //! which `1 ≠ 1.0`, `0.0 ≠ -0.0` and NaN payloads differ. Two queries share a
 //! spelling exactly when they are identical as written, so anything that is
 //! a pure function of the written query (its result-cache key) may be
-//! memoized on it. [`same_spelling`] answers the same question for two
-//! expressions without building either encoding.
+//! memoized on it. [`Spelling::of_shape`] is the same encoding without the
+//! WHERE: a query's shape, on which a planner memoizes what it compiles
+//! from the other clauses. [`same_spelling`] answers the same question for
+//! two expressions without building either encoding.
 //!
 //! The encoder destructures every node exhaustively, without a `..` or a
 //! wildcard arm, so a field or variant added to the AST fails to compile
-//! here until it is encoded.
+//! here until it is encoded (or, for the shape's WHERE, named as skipped).
 
 use crate::ast::*;
 
@@ -28,6 +30,15 @@ impl Spelling {
     pub fn of(q: &Select) -> Spelling {
         let mut out = Encoder(Vec::with_capacity(128));
         out.select(q);
+        Spelling(out.0.into_boxed_slice())
+    }
+
+    /// The spelling of `q`'s shape: every clause but the WHERE, as written.
+    /// Queries that differ only in their WHERE share it, so anything a
+    /// planner derives from the other clauses alone may be memoized on it.
+    pub fn of_shape(q: &Select) -> Spelling {
+        let mut out = Encoder(Vec::with_capacity(128));
+        out.shape(q);
         Spelling(out.0.into_boxed_slice())
     }
 
@@ -92,21 +103,52 @@ impl Encoder {
             order_by,
             limit,
         } = q;
+        self.head(projections, from);
+        self.option(where_clause.as_ref(), Self::expr);
+        self.tail(group_by, having.as_ref(), order_by, limit.as_ref());
+    }
+
+    /// [`select`](Self::select) without the WHERE.
+    fn shape(&mut self, q: &Select) {
+        let Select {
+            projections,
+            from,
+            where_clause: _,
+            group_by,
+            having,
+            order_by,
+            limit,
+        } = q;
+        self.head(projections, from);
+        self.tail(group_by, having.as_ref(), order_by, limit.as_ref());
+    }
+
+    /// The clauses before the WHERE: SELECT and FROM.
+    fn head(&mut self, projections: &[SelectItem], from: &str) {
         self.list(projections, |out, item| {
             let SelectItem { expr, alias } = item;
             out.expr(expr);
             out.option(alias.as_ref(), |out, a| out.str(a));
         });
         self.str(from);
-        self.option(where_clause.as_ref(), Self::expr);
+    }
+
+    /// The clauses after the WHERE: GROUP BY, HAVING, ORDER BY and LIMIT.
+    fn tail(
+        &mut self,
+        group_by: &[Expr],
+        having: Option<&Expr>,
+        order_by: &[OrderByExpr],
+        limit: Option<&u64>,
+    ) {
         self.list(group_by, Self::expr);
-        self.option(having.as_ref(), Self::expr);
+        self.option(having, Self::expr);
         self.list(order_by, |out, o| {
             let OrderByExpr { expr, asc } = o;
             out.expr(expr);
             out.flag(*asc);
         });
-        self.option(limit.as_ref(), |out, l| out.varint(*l));
+        self.option(limit, |out, l| out.varint(*l));
     }
 
     fn literal(&mut self, lit: &Literal) {
@@ -309,6 +351,35 @@ mod tests {
         assert_eq!(
             base,
             spelled("select queue , count( * ) from cs where a=1 and b=2 group by queue")
+        );
+    }
+
+    /// A shape is every clause but the WHERE: the WHERE alone never
+    /// changes it, and each other clause does.
+    #[test]
+    fn a_shape_is_everything_but_the_where() {
+        let shape = |sql: &str| Spelling::of_shape(&parse_select(sql).unwrap());
+        let base = "SELECT queue, COUNT(*) FROM cs WHERE a = 1 GROUP BY queue";
+        for same in [
+            "SELECT queue, COUNT(*) FROM cs GROUP BY queue",
+            "SELECT queue, COUNT(*) FROM cs WHERE a = 1.0 AND b > 2 GROUP BY queue",
+        ] {
+            assert_eq!(shape(base), shape(same), "{same}");
+        }
+        for other in [
+            "SELECT queue, COUNT(*) AS n FROM cs WHERE a = 1 GROUP BY queue",
+            "SELECT Queue, COUNT(*) FROM cs WHERE a = 1 GROUP BY queue",
+            "SELECT queue, COUNT(*) FROM CS WHERE a = 1 GROUP BY queue",
+            "SELECT queue, COUNT(*) FROM cs WHERE a = 1 GROUP BY queue HAVING COUNT(*) > 1",
+            "SELECT queue, COUNT(*) FROM cs WHERE a = 1 GROUP BY queue ORDER BY queue",
+            "SELECT queue, COUNT(*) FROM cs WHERE a = 1 GROUP BY queue ORDER BY queue DESC",
+            "SELECT queue, COUNT(*) FROM cs WHERE a = 1 GROUP BY queue LIMIT 3",
+        ] {
+            assert_ne!(shape(base), shape(other), "{other}");
+        }
+        assert_ne!(
+            shape("SELECT calls + 1 FROM cs"),
+            shape("SELECT calls + 1.0 FROM cs")
         );
     }
 
