@@ -15,7 +15,7 @@ use simba_core::session::batch::{synthesize_scripts, BatchConfig};
 use simba_core::spec::builtin::builtin;
 use simba_data::DashboardDataset;
 use simba_driver::{CacheConfig, ShardedResultCache};
-use simba_engine::batch::{fill_filtered, run_morsels, SelectionVector, MORSEL};
+use simba_engine::batch::{run_morsels, Conjuncts, SelectionVector, MORSEL};
 use simba_engine::exec::{compile_where, Kernel};
 use simba_engine::plan::{compile_row_expr, prepare};
 use simba_engine::{Dbms, DeltaScan, DuckDbLike, EngineKind, ExecStats, QueryOutput};
@@ -82,18 +82,30 @@ fn bench_engines(c: &mut Criterion) {
 /// Rows of `table` passing `kernels`, scanned morsel by morsel.
 fn count_matches(table: &Table, kernels: &[Kernel]) -> usize {
     let mut sel = SelectionVector::with_capacity(MORSEL);
+    let mut conjuncts = Conjuncts::new(Some(kernels));
     let mut matched = 0;
     for start in (0..table.row_count()).step_by(MORSEL) {
         let end = (start + MORSEL).min(table.row_count());
-        fill_filtered(&mut sel, table, start, end, Some(kernels));
+        conjuncts.fill(&mut sel, table, start, end);
         matched += sel.len();
     }
     matched
 }
 
+/// The WHERE of one p95-side `filter_storm_100k` step (seed 7), its most
+/// selective conjuncts last: `transfers`, `call_type` and `call_date` keep
+/// a few percent of the rows each, the first two most of them.
+const STORM_SELECTIVE_LAST: &str = "handle_time BETWEEN 64.6610516644006 AND 993.1780498237349 \
+     AND hour BETWEEN 1.5673957753485184 AND 22.09574086066265 \
+     AND transfers BETWEEN 1.6661865122654078 AND 2.2587484449065096 \
+     AND call_type IN ('retention') \
+     AND call_date BETWEEN 1614870452.8342268 AND 1616747723.1292768";
+
 /// `filter/`: a `BETWEEN` as the typed range kernel and as the row
-/// interpreter evaluates it, and a storm-shaped stack of conjuncts folded
-/// to one kernel per column and left one kernel per conjunct.
+/// interpreter evaluates it, a storm-shaped stack of conjuncts folded to one
+/// kernel per column and left one kernel per conjunct, and a storm step's
+/// WHERE written most selective last, through `run_morsels` (one scan
+/// thread, no delta) under `COUNT(*)` and under a two-key chart.
 fn bench_filters(c: &mut Criterion) {
     let table = DashboardDataset::CustomerService.generate_rows(100_000, 42);
     let parse = |filter: &str| {
@@ -130,6 +142,25 @@ fn bench_filters(c: &mut Criterion) {
         .measurement_time(Duration::from_secs(3));
     for (name, kernels) in &variants {
         group.bench_function(name, |b| b.iter(|| count_matches(&table, kernels)));
+    }
+    let table = Arc::new(table);
+    for (name, keys) in [
+        ("storm_selective_last/count", None),
+        (
+            "storm_selective_last/bin_call_date_20_queue",
+            Some("BIN(call_date, 20), queue"),
+        ),
+    ] {
+        let (head, group_by) = keys.map_or_else(Default::default, |keys| {
+            (format!("{keys}, "), format!(" GROUP BY {keys}"))
+        });
+        let sql = format!(
+            "SELECT {head}COUNT(*) FROM customer_service WHERE {STORM_SELECTIVE_LAST}{group_by}"
+        );
+        let plan = prepare(&parse_select(&sql).unwrap(), table.clone()).unwrap();
+        group.bench_function(name, |b| {
+            b.iter(|| run_morsels(&plan, 1, DeltaScan::Off).0.n_rows())
+        });
     }
     group.finish();
 }
@@ -245,27 +276,33 @@ fn bench_plan(c: &mut Criterion) {
 /// `group/`: `run_morsels` (one scan thread, no delta) at 100K rows on the
 /// storm's packed GROUP BY shapes: an Int bin holding one group, two
 /// dictionaries, a Float bin beside a dictionary, and a date bin across two
-/// dictionaries (≈26K groups, past the direct slot table).
+/// dictionaries (≈26K groups, past the direct slot table), all under
+/// `COUNT(*)`; and two typed aggregates over a few groups, folded in lanes:
+/// a Float `MAX` over 4 groups and an Int `AVG` over 12.
 fn bench_group(c: &mut Criterion) {
     let table = Arc::new(DashboardDataset::CustomerService.generate_rows(100_000, 42));
     let cases = [
-        ("bin_satisfaction_100", "BIN(satisfaction, 100)"),
-        ("queue_call_type", "queue, call_type"),
+        ("bin_satisfaction_100", "BIN(satisfaction, 100)", "COUNT(*)"),
+        ("queue_call_type", "queue, call_type", "COUNT(*)"),
         (
             "bin_talk_time_100_direction",
             "BIN(talk_time, 100), call_direction",
+            "COUNT(*)",
         ),
         (
             "bin_call_date_5_queue_call_type",
             "BIN(call_date, 5), queue, call_type",
+            "COUNT(*)",
         ),
+        ("max_float_4_groups", "call_type", "MAX(handle_time)"),
+        ("avg_int_12_groups", "rep_id", "AVG(lost_calls)"),
     ];
     let mut group = c.benchmark_group("group");
     group
         .sample_size(20)
         .measurement_time(Duration::from_secs(3));
-    for (name, keys) in cases {
-        let sql = format!("SELECT {keys}, COUNT(*) FROM customer_service GROUP BY {keys}");
+    for (name, keys, aggregate) in cases {
+        let sql = format!("SELECT {keys}, {aggregate} FROM customer_service GROUP BY {keys}");
         let plan = prepare(&parse_select(&sql).unwrap(), table.clone()).unwrap();
         group.bench_function(name, |b| {
             b.iter(|| run_morsels(&plan, 1, DeltaScan::Off).0.n_rows())

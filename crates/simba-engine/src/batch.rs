@@ -13,18 +13,29 @@
 //! Semantics are pinned to the row path: the equivalence suite requires
 //! byte-identical results from both.
 //!
-//! Two rules keep the per-row loops short:
+//! Three rules keep the per-row loops short:
 //!
 //! - **A filter kernel has no data-dependent branch.** A row's conditions
 //!   (valid, at or above `lo`, at or below `hi`, its code in the mask)
 //!   combine with a non-short-circuit `&`, never `&&`, and the compaction
 //!   stores every row and advances by the verdict, so a filter of any
 //!   selectivity costs the same per row.
-//! - **Only `COUNT`, Int `SUM`, `MIN` and `MAX` may reassociate.** Their
-//!   results do not depend on the order rows are folded in, so the group
-//!   table may count in lanes or fold a batch into a register. Float `SUM`
-//!   and `AVG` fold in row order from the stored state (ROADMAP item 20
-//!   makes them order-free).
+//! - **Conjuncts run in measured pass-rate order.** Each scan range's
+//!   [`Conjuncts`] counts the rows each kernel is handed and keeps, and
+//!   runs the typed kernels most selective first, then any `Generic` ones,
+//!   re-ranked after every morsel (the first, unmeasured, in WHERE order
+//!   within each class). The fresh and the seeded morsels go through its
+//!   one loop. A row survives a
+//!   conjunction whatever order its conjuncts run in, so the order cannot
+//!   move an answer, a row's place, `ExecStats` or a delta capture — only
+//!   the rows each kernel reads. There is no statistic beyond those counts.
+//! - **Only `COUNT`, Int `SUM`, `MIN`, `MAX` and, under its bound, Int `AVG`
+//!   may reassociate.** Their results do not depend on the order rows are
+//!   folded in — an Int `AVG`'s only while the row count times the column's
+//!   largest magnitude is below 2^53, so every partial sum is an exact
+//!   integer — and the group table may fold them in lanes or fold a batch
+//!   into a register. Float `SUM` and other `AVG`s fold in row order from
+//!   the stored state (ROADMAP item 20 makes them order-free).
 
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
@@ -272,27 +283,86 @@ fn filter_keys(
     }
 }
 
-/// Reset `sel` to the rows `[start, end)` and refine it through each filter
-/// kernel, as a fresh scan does each morsel; the range may be any size.
-pub fn fill_filtered(
-    sel: &mut SelectionVector,
-    table: &Table,
-    start: usize,
-    end: usize,
-    kernels: Option<&[Kernel]>,
-) {
-    sel.fill_range(start, end);
-    refine(sel, table, kernels);
+/// The filter kernels of one scan range and the order they run in: the
+/// typed kernels (`Range`, `DictIn`) by ascending measured pass rate, then
+/// any `Generic` ones by the same rule. Each kernel counts the rows handed to
+/// it and the rows it kept, over every batch of the range so far; a kernel
+/// no row has reached yet ranks after every measured one, and ties keep
+/// WHERE order. The order is re-ranked after each batch, so the first batch
+/// runs each class in WHERE order. A row survives a conjunction whatever
+/// order its conjuncts run in, so the order moves no answer, only the rows
+/// each kernel reads.
+#[derive(Debug)]
+pub struct Conjuncts<'a> {
+    kernels: &'a [Kernel],
+    /// Indices into `kernels`, in the order the next batch runs them.
+    order: Vec<usize>,
+    /// Per kernel: rows handed to it, rows it kept.
+    passed: Vec<(u64, u64)>,
 }
 
-/// Refine `sel` through each filter kernel in turn, stopping once no row
-/// survives.
-fn refine(sel: &mut SelectionVector, table: &Table, kernels: Option<&[Kernel]>) {
-    for k in kernels.unwrap_or_default() {
-        if sel.is_empty() {
-            break;
+impl<'a> Conjuncts<'a> {
+    /// `kernels` (none for an unfiltered or exactly seeded scan), not yet
+    /// measured: typed before `Generic`, each in WHERE order.
+    pub fn new(kernels: Option<&'a [Kernel]>) -> Conjuncts<'a> {
+        let kernels = kernels.unwrap_or_default();
+        let mut conjuncts = Conjuncts {
+            kernels,
+            order: (0..kernels.len()).collect(),
+            passed: vec![(0, 0); kernels.len()],
+        };
+        conjuncts.rank();
+        conjuncts
+    }
+
+    /// Reset `sel` to the rows `[start, end)` and refine it, as a fresh
+    /// scan does each morsel; the range may be any size.
+    pub fn fill(&mut self, sel: &mut SelectionVector, table: &Table, start: usize, end: usize) {
+        sel.fill_range(start, end);
+        self.refine(sel, table);
+    }
+
+    /// Refine `sel` through each kernel in the current order, stopping once
+    /// no row survives, then re-rank the kernels by what they passed.
+    pub fn refine(&mut self, sel: &mut SelectionVector, table: &Table) {
+        for &k in &self.order {
+            if sel.is_empty() {
+                break;
+            }
+            let before = sel.len();
+            self.kernels[k].filter_batch(table, sel);
+            let (rows_in, rows_out) = &mut self.passed[k];
+            *rows_in += before as u64;
+            *rows_out += sel.len() as u64;
         }
-        k.filter_batch(table, sel);
+        if self.order.len() > 1 {
+            self.rank();
+        }
+    }
+
+    /// Sort `order`: typed before `Generic`, measured before unreached,
+    /// ascending pass rate (`out / in`, compared as `out_a · in_b` against
+    /// `out_b · in_a`), then WHERE order.
+    fn rank(&mut self) {
+        let Conjuncts {
+            kernels,
+            order,
+            passed,
+        } = self;
+        let key = |k: usize| {
+            let generic = matches!(kernels[k], Kernel::Generic(_));
+            (generic, passed[k].0 == 0)
+        };
+        order.sort_by(|&a, &b| {
+            let ((in_a, out_a), (in_b, out_b)) = (passed[a], passed[b]);
+            key(a)
+                .cmp(&key(b))
+                .then_with(|| {
+                    (u128::from(out_a) * u128::from(in_b))
+                        .cmp(&(u128::from(out_b) * u128::from(in_a)))
+                })
+                .then(a.cmp(&b))
+        });
     }
 }
 
@@ -625,16 +695,17 @@ fn scan_range(
     let n = table.row_count();
     let base = morsels.start * MORSEL;
     let mut sel = SelectionVector::with_capacity(MORSEL);
+    let mut conjuncts = Conjuncts::new(kernels);
     let mut matched = 0usize;
     let mut partial = make_partial(plan);
 
     for m in morsels {
         let (start, end) = morsel_bounds(m, n);
         match seed {
-            None => fill_filtered(&mut sel, table, start, end, kernels),
+            None => conjuncts.fill(&mut sel, table, start, end),
             Some(seed) => {
                 sel.fill_from_bits(start, seed.morsel_words(m));
-                refine(&mut sel, table, kernels);
+                conjuncts.refine(&mut sel, table);
             }
         }
         if sel.is_empty() {
@@ -809,7 +880,7 @@ mod tests {
     }
 
     /// `plan`'s groups over `block`-row ranges, each through
-    /// `fill_filtered` and one `GroupTable::update`, and the rows matched.
+    /// `Conjuncts::fill` and one `GroupTable::update`, and the rows matched.
     fn groups_in_blocks(plan: &PreparedQuery, block: usize) -> (ResultBuilder, usize) {
         let QueryKind::Aggregate {
             keys,
@@ -822,10 +893,11 @@ mod tests {
         };
         let (table, n) = (plan.table.as_ref(), plan.table.row_count());
         let (mut sel, mut matched) = (SelectionVector::default(), 0);
+        let mut conjuncts = Conjuncts::new(plan.filter.as_deref());
         let mut groups = GroupTable::new(keys, aggs, table);
         for start in (0..n).step_by(block) {
             let end = n.min(start + block);
-            fill_filtered(&mut sel, table, start, end, plan.filter.as_deref());
+            conjuncts.fill(&mut sel, table, start, end);
             matched += sel.len();
             groups.update(table, sel.as_slice());
         }
@@ -854,14 +926,24 @@ mod tests {
             })
             .collect();
         let t = qnx_table(&rows);
-        for sql in [
-            "SELECT q, COUNT(*), SUM(n), AVG(x) FROM t GROUP BY q",
-            "SELECT q, BIN(n, 7), COUNT(*), MIN(x) FROM t WHERE n > 10 GROUP BY q, BIN(n, 7)",
-            "SELECT BIN(n, 5), COUNT(DISTINCT q), SUM(x) FROM t WHERE q <> 'B' GROUP BY BIN(n, 5)",
-            "SELECT n, SUM(x) FROM t WHERE x BETWEEN -5 AND 20 GROUP BY n HAVING COUNT(*) > 4",
-            "SELECT COUNT(*), SUM(x), MIN(n) FROM t WHERE n + 0 > 50",
-            "SELECT COUNT(*), MAX(n) FROM t WHERE n > 1000",
-        ] {
+        assert_blocks_agree_with_the_row_path(
+            &t,
+            &[
+                "SELECT q, COUNT(*), SUM(n), AVG(x) FROM t GROUP BY q",
+                "SELECT q, BIN(n, 7), COUNT(*), MIN(x) FROM t WHERE n > 10 GROUP BY q, BIN(n, 7)",
+                "SELECT BIN(n, 5), COUNT(DISTINCT q), SUM(x) FROM t WHERE q <> 'B' GROUP BY BIN(n, 5)",
+                "SELECT n, SUM(x) FROM t WHERE x BETWEEN -5 AND 20 GROUP BY n HAVING COUNT(*) > 4",
+                "SELECT COUNT(*), SUM(x), MIN(n) FROM t WHERE n + 0 > 50",
+                "SELECT COUNT(*), MAX(n) FROM t WHERE n > 1000",
+            ],
+        );
+    }
+
+    /// Each of `sqls` over `t`: the morsel scan, 1,024-row blocks (the last
+    /// one partial) and the whole table as one batch give `run_row`'s
+    /// groups, the blocks in the morsel scan's emission order.
+    fn assert_blocks_agree_with_the_row_path(t: &Arc<Table>, sqls: &[&str]) {
+        for sql in sqls {
             let query = parse_select(sql).unwrap();
             let plan = crate::plan::prepare(&query, t.clone()).unwrap();
             let (oracle, oracle_stats) =
@@ -877,6 +959,252 @@ mod tests {
                 assert_eq!(matched, oracle_stats.rows_matched, "`{sql}`");
             }
         }
+    }
+
+    /// The rows of [`lane_table`]: two morsels and a partial one.
+    const LANE_ROWS: usize = 2 * MORSEL + 700;
+
+    /// 2^53 over [`LANE_ROWS`]: the largest magnitude an Int column may
+    /// hold for its `AVG` to fold in lanes is one less.
+    const EXACT_MAGNITUDE: i64 = (1 << 53) / LANE_ROWS as i64 + 1;
+
+    /// `x` Floats from a pool of both zeros, NaNs of four payloads, ±inf
+    /// and finite values; `big` Ints from `i64::MIN`, `i64::MAX` and small
+    /// ones; `top` Ints near `i64::MAX`, whose sums wrap; `c` NULL in runs
+    /// of 1 to 300 rows; `below` and `above` Ints whose largest magnitude
+    /// times the row count is just below and just above 2^53; `huge` Ints
+    /// near ±2^60, whose sums are not exact in an `f64`; `g1` … `g65` keys
+    /// of that many groups, drawn per row. Every column but the keys is NULL
+    /// now and then.
+    fn lane_table() -> Arc<Table> {
+        use simba_store::{ColumnDef, Schema, TableBuilder};
+        let mut columns: Vec<ColumnDef> = ["x"]
+            .into_iter()
+            .map(ColumnDef::quantitative_float)
+            .collect();
+        columns.extend(
+            ["big", "top", "c", "below", "above", "huge"]
+                .into_iter()
+                .map(ColumnDef::quantitative_int),
+        );
+        columns.extend(LANE_GROUP_COUNTS.map(|k| ColumnDef::quantitative_int(format!("g{k}"))));
+        let nans = [
+            f64::NAN,
+            -f64::NAN,
+            f64::from_bits(0x7ff0_0000_0000_0001),
+            f64::from_bits(0xfff8_0000_0000_0042),
+        ];
+        let pool = [-0.0, 0.0, 1.5, -7.25, f64::INFINITY, f64::NEG_INFINITY];
+        let (mut null_run, mut in_run) = (0u64, false);
+        let mut b = TableBuilder::new(Schema::new("t", columns), LANE_ROWS);
+        for i in 0..LANE_ROWS as u64 {
+            let draw = |salt: u64| simba_store::mix::splitmix64(i ^ (salt << 56));
+            let or_null = |salt: u64, v: Value| if draw(salt) % 9 == 0 { Value::Null } else { v };
+            if null_run == 0 {
+                null_run = 1 + draw(1) % 300;
+                in_run = !in_run;
+            }
+            null_run -= 1;
+            let magnitude = |salt: u64, m: i64| {
+                let v = m - (draw(salt) % 3) as i64;
+                Value::Int(if draw(salt + 1) % 2 == 0 { v } else { -v })
+            };
+            let x = match draw(2) % 10 {
+                0 | 1 => nans[(draw(3) % 4) as usize],
+                d => pool[(d - 2) as usize % pool.len()],
+            };
+            let big = match draw(4) % 4 {
+                0 => i64::MIN,
+                1 => i64::MAX,
+                _ => (draw(5) % 100) as i64 - 50,
+            };
+            let mut row = vec![
+                or_null(6, Value::Float(x)),
+                or_null(7, Value::Int(big)),
+                or_null(8, Value::Int(i64::MAX - (draw(9) % 1_000) as i64)),
+                if in_run {
+                    Value::Null
+                } else {
+                    Value::Int(draw(10) as i64)
+                },
+                or_null(11, magnitude(12, EXACT_MAGNITUDE - 1)),
+                or_null(14, magnitude(15, EXACT_MAGNITUDE)),
+                or_null(17, magnitude(18, 1 << 60)),
+            ];
+            row.extend(LANE_GROUP_COUNTS.map(|k| Value::Int((draw(20) % k) as i64)));
+            b.push_row(row);
+        }
+        // Pin each bound: the largest magnitudes are reached.
+        let t = b.finish();
+        for (col, m) in [("below", EXACT_MAGNITUDE - 1), ("above", EXACT_MAGNITUDE)] {
+            let c = t.column_by_name(col).unwrap();
+            let largest = (0..LANE_ROWS)
+                .filter_map(|i| match c.value(i) {
+                    Value::Int(v) => Some(v.unsigned_abs()),
+                    _ => None,
+                })
+                .max();
+            assert_eq!(largest, Some(m as u64), "`{col}`");
+        }
+        Arc::new(t)
+    }
+
+    /// The group counts the lanes are checked at: one group, two, and
+    /// either side of `LANE_GROUPS`.
+    const LANE_GROUP_COUNTS: [u64; 5] = [1, 2, 63, 64, 65];
+
+    /// Every typed column that folds in lanes, at 1, 2, 63, 64 and 65
+    /// groups, filtered and not, in morsels, 1,024-row blocks and one batch,
+    /// against the row path: Float `MIN` / `MAX` over both zeros, NaN
+    /// payloads and ±inf; Int `MIN` / `MAX` at the `i64` extremes; a
+    /// wrapping Int `SUM`; `COUNT(col)` over NULL runs; and Int `AVG` on
+    /// columns just inside and just outside the 2^53 bound, and far outside.
+    #[test]
+    fn lane_edge_cases_agree_with_the_row_path_in_blocks() {
+        let t = lane_table();
+        let aggregates = "MIN(x), MAX(x), MIN(big), MAX(big), SUM(top), SUM(big), COUNT(c), \
+            COUNT(x), AVG(below), AVG(above), AVG(huge), AVG(big), COUNT(*)";
+        for k in LANE_GROUP_COUNTS {
+            let sqls = [
+                format!("SELECT g{k}, {aggregates} FROM t GROUP BY g{k}"),
+                format!(
+                    "SELECT BIN(g{k}, 1), {aggregates} FROM t WHERE c > 0 GROUP BY BIN(g{k}, 1)"
+                ),
+            ];
+            let sqls: Vec<&str> = sqls.iter().map(String::as_str).collect();
+            assert_blocks_agree_with_the_row_path(&t, &sqls);
+        }
+    }
+
+    /// `WHERE {filter}`'s kernels over `t`, each conjunct its own kernel.
+    fn each_conjunct(t: &Table, filter: &str) -> Vec<Kernel> {
+        let q = parse_select(&format!("SELECT calls FROM cs WHERE {filter}")).unwrap();
+        let filter = q.where_clause.unwrap();
+        let conjuncts = filter.conjuncts().into_iter();
+        conjuncts
+            .flat_map(|c| compile_where(c, t).unwrap())
+            .collect()
+    }
+
+    /// The ranking rule alone, on counts set by hand: typed kernels before
+    /// `Generic` ones, measured before unreached, ascending pass rate, and
+    /// WHERE order between equals.
+    #[test]
+    fn conjuncts_rank_typed_measured_and_most_selective_first() {
+        let t = table();
+        // 0: Generic, 1: Range, 2: DictIn, 3: Range, 4: Generic.
+        let ks = each_conjunct(
+            &t,
+            "calls + 0 > 1 AND calls > 2 AND queue IN ('A') AND duration < 3 AND calls + 1 > 1",
+        );
+        assert!(matches!(
+            ks[..],
+            [
+                Kernel::Generic(_),
+                Kernel::Range { .. },
+                Kernel::DictIn { .. },
+                Kernel::Range { .. },
+                Kernel::Generic(_)
+            ]
+        ));
+        let mut c = Conjuncts::new(Some(&ks));
+        assert_eq!(
+            c.order,
+            [1, 2, 3, 0, 4],
+            "unmeasured: typed first, WHERE order"
+        );
+        let ranked = |c: &mut Conjuncts, passed: [(u64, u64); 5]| {
+            c.passed = passed.to_vec();
+            c.rank();
+            c.order.clone()
+        };
+        // Ties keep WHERE order, whatever the order before.
+        c.order = vec![4, 3, 2, 1, 0];
+        let tied = [(10, 5), (100, 50), (4, 2), (2, 1), (8, 4)];
+        assert_eq!(ranked(&mut c, tied), [1, 2, 3, 0, 4]);
+        // Ascending pass rate within each class; a Generic kernel passing
+        // fewer rows still runs after every typed one.
+        let rates = [(100, 1), (100, 60), (100, 10), (50, 20), (100, 2)];
+        assert_eq!(ranked(&mut c, rates), [2, 3, 1, 0, 4]);
+        // A kernel no row has reached ranks after every measured kernel of
+        // its class, in WHERE order, even one that kept every row.
+        let unreached = [(0, 0), (100, 100), (0, 0), (100, 90), (100, 50)];
+        assert_eq!(ranked(&mut c, unreached), [3, 1, 2, 4, 0]);
+        let none_reached = [(0, 0); 5];
+        assert_eq!(ranked(&mut c, none_reached), [1, 2, 3, 0, 4]);
+    }
+
+    /// Refining measures each kernel on the rows handed to it: the first
+    /// batch runs in WHERE order, the next most selective first, and a batch
+    /// stops at the kernel that empties it; each keeps exactly the rows the
+    /// conjunction keeps.
+    #[test]
+    fn refining_measures_pass_rates_and_reorders() {
+        let t = table();
+        // `calls >= 1` keeps 4 of 5 rows, `queue IN ('B')` 2 of them,
+        // `duration > 3` then 1.
+        let ks = each_conjunct(&t, "calls >= 1 AND queue IN ('B') AND duration > 3");
+        let mut c = Conjuncts::new(Some(&ks));
+        let mut sel = SelectionVector::with_capacity(8);
+        c.fill(&mut sel, &t, 0, t.row_count());
+        assert_eq!(sel.as_slice(), &[3]);
+        assert_eq!(c.passed, [(5, 4), (4, 2), (2, 1)]);
+        assert_eq!(
+            c.order,
+            [1, 2, 0],
+            "rates 2/4 = 1/2 < 4/5: ties keep WHERE order"
+        );
+        // The second batch runs `queue` first: 4 of 9 < 2 of 4 < 5 of 6.
+        c.fill(&mut sel, &t, 0, t.row_count());
+        assert_eq!(sel.as_slice(), &[3]);
+        assert_eq!(c.passed, [(6, 5), (9, 4), (4, 2)]);
+        assert_eq!(c.order, [1, 2, 0]);
+        // An empty batch stops before the kernels after the one emptying it.
+        let ks = each_conjunct(&t, "calls > 5 AND queue IN ('A') AND duration > 0");
+        let mut c = Conjuncts::new(Some(&ks));
+        c.fill(&mut sel, &t, 0, t.row_count());
+        assert!(sel.is_empty());
+        assert_eq!(c.passed, [(5, 1), (1, 0), (0, 0)]);
+        assert_eq!(c.order, [1, 0, 2], "the unreached kernel last");
+        // No kernels: every row of the range survives.
+        let mut c = Conjuncts::new(None);
+        c.fill(&mut sel, &t, 1, 4);
+        assert_eq!(sel.as_slice(), &[1, 2, 3]);
+    }
+
+    /// Over four morsels whose most selective conjunct flips after the
+    /// second, the order follows the cumulative pass rates: `n` first while
+    /// it passes fewer rows, `x` once it does, and every morsel keeps the
+    /// rows the conjunction keeps.
+    #[test]
+    fn the_order_follows_a_selectivity_flip_mid_scan() {
+        let rows: Vec<Row> = (0..4 * MORSEL)
+            .map(|i| {
+                let draw = simba_store::mix::splitmix64(i as u64);
+                let (n_span, x_span) = if i < 2 * MORSEL { (100, 4) } else { (4, 100) };
+                let n = (draw % n_span) as i64;
+                let x = ((draw >> 32) % x_span) as f64;
+                (Some("A"), Some(n), Some(x))
+            })
+            .collect();
+        let t = qnx_table(&rows);
+        let q = parse_select("SELECT n FROM t WHERE n < 2 AND x < 2").unwrap();
+        let ks = compile_where(&q.where_clause.unwrap(), &t).unwrap();
+        let mut c = Conjuncts::new(Some(&ks));
+        let mut sel = SelectionVector::default();
+        let mut orders = Vec::new();
+        for m in 0..4 {
+            orders.push(c.order.clone());
+            c.fill(&mut sel, &t, m * MORSEL, (m + 1) * MORSEL);
+            let want: Vec<u32> = (m * MORSEL..(m + 1) * MORSEL)
+                .filter(|&i| ks.iter().all(|k| k.matches(&t, i)))
+                .map(|i| i as u32)
+                .collect();
+            assert_eq!(sel.as_slice(), want, "morsel {m}");
+        }
+        orders.push(c.order.clone());
+        assert_eq!(orders[..2], [[0, 1], [0, 1]], "WHERE order, then `n` (2 %)");
+        assert_eq!(orders[4], [1, 0], "`x` once its cumulative rate is lower");
     }
 
     #[test]

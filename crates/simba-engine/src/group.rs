@@ -53,17 +53,28 @@
 //! when HAVING or a projection asks for it.
 //!
 //! A batch's per-row loops carry no dependency through memory where the
-//! result allows it, and only `COUNT`, Int `SUM`, `MIN` and `MAX` may
-//! reassociate to get there:
+//! result allows it, and only `COUNT`, Int `SUM`, `MIN`, `MAX` and, under
+//! its bound, Int `AVG` may reassociate to get there:
 //!
 //! - **one group** (a global aggregate, or a table whose only group so far
 //!   is group 0): each typed column folds the batch into a local and stores
 //!   it once. `COUNT(*)` adds the batch length and `COUNT(col)` its valid
-//!   rows. Float `SUM` and `AVG` fold in row order from the stored state,
-//!   so a lone `-0.0` still sums to `+0.0`, as the accumulator's does;
-//! - **at most [`LANE_GROUPS`] groups**: `COUNT(*)` counts row *k* into
-//!   lane *k* mod 4 and folds the lanes into the table once per batch,
-//!   exact because counts are integers;
+//!   rows; `MIN` / `MAX` fold ordered keys with no branch on the kept value.
+//!   Float `SUM` and `AVG` fold in row order from the stored state, so a
+//!   lone `-0.0` still sums to `+0.0`, as the accumulator's does;
+//! - **at most [`LANE_GROUPS`] groups**: each column whose result cannot
+//!   depend on fold order folds row *k* into lane *k* mod 4 of its group
+//!   and the lanes into the table once per batch, a seen-bit per group and
+//!   lane keeping a group no valid row reached NULL. Each is order-free:
+//!   `COUNT(*)` and `COUNT(col)` add integers; Int `SUM` wraps, and
+//!   wrapping addition is associative; Int `MIN` / `MAX` keep one of equal
+//!   values, which are the same value; Float `MIN` / `MAX` compare the
+//!   `total_cmp` key `bits ^ ((bits >> 63) as u64 >> 1)`, whose equal keys
+//!   are equal bits, so keep-first ties cannot differ; Int `AVG` only when
+//!   the row count times the column's largest magnitude (its [`Zone`]) is
+//!   below 2^53, so every partial `f64` sum is the exact integer and an
+//!   `i64` lane sum converts to the same bits. Float `SUM` and every other
+//!   `AVG` update per row in row order (ROADMAP item 20);
 //! - otherwise each row updates its group's state in place.
 //!
 //! A filter kernel, for its part, has no data-dependent branch (see
@@ -76,7 +87,7 @@ use crate::batch::MAX_CAPTURED_GROUPS;
 use crate::eval::{eval, eval_predicate, CExpr, ColumnAccess, TableRow};
 use simba_sql::Func;
 use simba_store::narrow::NarrowVec;
-use simba_store::zonemap::Zone;
+use simba_store::zonemap::{float_key, key_float, Zone};
 use simba_store::{for_width, ColumnData, ProbeMap, ResultBuilder, Table, Value};
 use std::cmp::Ordering;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -654,9 +665,12 @@ enum AggColumn {
         col: usize,
         sum: Vec<Option<f64>>,
     },
-    /// AVG over an Int or Float column: running sum and count.
+    /// AVG over an Int or Float column: running sum and count. `exact`
+    /// when the column is Int and every sum of its values is an integer an
+    /// `f64` holds (see [`sums_are_exact`]).
     Avg {
         col: usize,
+        exact: bool,
         acc: Vec<(f64, i64)>,
     },
     /// MIN (`want: Less`) or MAX (`Greater`) over an Int column.
@@ -808,6 +822,146 @@ fn count_in_lanes(ids: &[u32], n: &mut [i64]) {
     }
 }
 
+/// One batch's partial states of at most [`LANE_GROUPS`] groups, each group
+/// in four lanes: row `k` of the batch folds into lane `k % 4`, so rows next
+/// to each other in one group update different slots and no row waits for
+/// the previous row's store. Bit `g` of `seen[l]` is set once a valid row
+/// of group `g` reached lane `l`; a slot no valid row reached holds the
+/// fold's identity and is never read, so NULL stays NULL.
+struct Lanes<T> {
+    slots: [[T; LANE_GROUPS]; 4],
+    seen: [u64; 4],
+}
+
+impl<T: Copy> Lanes<T> {
+    /// Fold `value(rows[k])` into group `ids[k]`'s slot of lane `k % 4`
+    /// through `f` from `identity`, for each row `valid` holds (every row
+    /// when it is empty). A NULL row folds the identity, so the loop does
+    /// not branch on validity.
+    fn fold(
+        rows: &[u32],
+        ids: &[u32],
+        valid: &[bool],
+        identity: T,
+        value: impl Fn(usize) -> T,
+        f: impl Fn(T, T) -> T,
+    ) -> Lanes<T> {
+        let mut lanes = Lanes {
+            slots: [[identity; LANE_GROUPS]; 4],
+            seen: [0; 4],
+        };
+        let step = |lanes: &mut Lanes<T>, lane: usize, row: u32, g: u32, ok: bool| {
+            let v = if ok { value(row as usize) } else { identity };
+            let slot = &mut lanes.slots[lane][g as usize];
+            *slot = f(*slot, v);
+            lanes.seen[lane] |= u64::from(ok) << g;
+        };
+        let (mut row_quads, mut id_quads) = (rows.chunks_exact(4), ids.chunks_exact(4));
+        if valid.is_empty() {
+            for (quad, g) in (&mut row_quads).zip(&mut id_quads) {
+                for lane in 0..4 {
+                    step(&mut lanes, lane, quad[lane], g[lane], true);
+                }
+            }
+        } else {
+            for (quad, g) in (&mut row_quads).zip(&mut id_quads) {
+                for lane in 0..4 {
+                    let ok = valid[quad[lane] as usize];
+                    step(&mut lanes, lane, quad[lane], g[lane], ok);
+                }
+            }
+        }
+        let rest = row_quads.remainder().iter().zip(id_quads.remainder());
+        for (lane, (&row, &g)) in rest.enumerate() {
+            let ok = valid.is_empty() || valid[row as usize];
+            step(&mut lanes, lane, row, g, ok);
+        }
+        lanes
+    }
+
+    /// `combine(g, slot)` for each slot a valid row reached, lane by lane.
+    fn each(&self, mut combine: impl FnMut(usize, T)) {
+        for (slots, &seen) in self.slots.iter().zip(&self.seen) {
+            let mut bits = seen;
+            while bits != 0 {
+                let g = bits.trailing_zeros() as usize;
+                combine(g, slots[g]);
+                bits &= bits - 1;
+            }
+        }
+    }
+}
+
+/// [`Lanes::fold`] over the selected rows of Int column `col`, each valid
+/// row's `value` of its value read at the stored width; `None` for a
+/// column of another type.
+fn int_lanes<T: Copy>(
+    table: &Table,
+    col: usize,
+    (rows, ids): (&[u32], &[u32]),
+    identity: T,
+    value: impl Fn(i64) -> T,
+    f: impl Fn(T, T) -> T,
+) -> Option<Lanes<T>> {
+    let c = table.column(col);
+    let data = c.int_data()?;
+    Some(for_width!(data, |lane| Lanes::fold(
+        rows,
+        ids,
+        c.validity(),
+        identity,
+        |i| value(lane[i] as i64),
+        &f
+    )))
+}
+
+/// [`int_lanes`] for a Float column.
+fn float_lanes<T: Copy>(
+    table: &Table,
+    col: usize,
+    (rows, ids): (&[u32], &[u32]),
+    identity: T,
+    value: impl Fn(f64) -> T,
+    f: impl Fn(T, T) -> T,
+) -> Option<Lanes<T>> {
+    let c = table.column(col);
+    let data = c.float_data()?;
+    Some(Lanes::fold(
+        rows,
+        ids,
+        c.validity(),
+        identity,
+        |i| value(data[i]),
+        f,
+    ))
+}
+
+/// True when every sum of Int column `col`'s values over any rows of
+/// `table` is an integer below 2^53 in magnitude: the row count times the
+/// column's largest magnitude is. Then each partial `f64` sum of an `AVG`
+/// is that exact integer, in any order, and an `i64` sum converts to the
+/// same bits.
+fn sums_are_exact(table: &Table, col: usize) -> bool {
+    match table.zone_maps().column(col) {
+        Some(Zone::Int { min, max }) => {
+            let largest = min.unsigned_abs().max(max.unsigned_abs());
+            u128::from(largest) * (table.row_count() as u128) < 1 << 53
+        }
+        Some(Zone::AllNull) => true,
+        _ => false,
+    }
+}
+
+/// The XOR that turns MIN (`want: Less`, `0`) or MAX (`!0`, which reverses
+/// the order of `i64`s) over ordered keys into a MIN, and back.
+fn flip(want: Ordering) -> i64 {
+    if want == Ordering::Less {
+        0
+    } else {
+        !0
+    }
+}
+
 /// Feed row `row` of `table` into the boxed accumulator `acc` of `spec`.
 fn feed(spec: &AggSpec, acc: &mut Accumulator, table: &Table, row: u32) {
     match &spec.arg {
@@ -888,6 +1042,7 @@ impl AggColumn {
             },
             Func::Avg if int || float => AggColumn::Avg {
                 col,
+                exact: int && sums_are_exact(table, col),
                 acc: Vec::new(),
             },
             Func::Min | Func::Max if int => AggColumn::MinMaxInt {
@@ -926,8 +1081,10 @@ impl AggColumn {
         if groups == 1 {
             return self.fold_one(table, rows);
         }
+        if groups <= LANE_GROUPS && self.update_in_lanes(table, rows, ids) {
+            return;
+        }
         match self {
-            AggColumn::Count { col: None, n } if groups <= LANE_GROUPS => count_in_lanes(ids, n),
             AggColumn::Count { col: None, n } => {
                 for &g in ids {
                     n[g as usize] += 1;
@@ -942,7 +1099,7 @@ impl AggColumn {
             AggColumn::SumFloat { col, sum } => {
                 floats(table, *col, rows, ids, |g, v| add_float(&mut sum[g], v))
             }
-            AggColumn::Avg { col, acc } => {
+            AggColumn::Avg { col, acc, .. } => {
                 let mut add = |g: usize, v: f64| {
                     acc[g].0 += v;
                     acc[g].1 += 1;
@@ -970,9 +1127,70 @@ impl AggColumn {
         }
     }
 
+    /// [`update`](Self::update) for a table of at most [`LANE_GROUPS`]
+    /// groups and a column whose result does not depend on the order rows
+    /// fold in: the batch folds into [`Lanes`], folded into the table once.
+    /// `false`, feeding nothing, for a column that adds in row order.
+    fn update_in_lanes(&mut self, table: &Table, rows: &[u32], ids: &[u32]) -> bool {
+        let batch = (rows, ids);
+        match self {
+            AggColumn::Count { col: None, n } => count_in_lanes(ids, n),
+            AggColumn::Count { col: Some(col), n } => {
+                let valid = table.column(*col).validity();
+                if valid.is_empty() {
+                    count_in_lanes(ids, n)
+                } else {
+                    let add = |a: u32, b: u32| a + b;
+                    Lanes::fold(rows, ids, valid, 0, |_| 1, add)
+                        .each(|g, count| n[g] += i64::from(count))
+                }
+            }
+            AggColumn::SumInt { col, sum } => {
+                let lanes = int_lanes(table, *col, batch, 0, |v| v, i64::wrapping_add);
+                if let Some(lanes) = lanes {
+                    lanes.each(|g, s| add_int(&mut sum[g], s));
+                }
+            }
+            AggColumn::Avg {
+                col,
+                exact: true,
+                acc,
+            } => {
+                let add = |(s, n): (i64, i64), (v, m): (i64, i64)| (s + v, n + m);
+                if let Some(lanes) = int_lanes(table, *col, batch, (0, 0), |v| (v, 1), add) {
+                    lanes.each(|g, (s, n)| {
+                        acc[g].0 += s as f64;
+                        acc[g].1 += n;
+                    });
+                }
+            }
+            AggColumn::MinMaxInt { col, want, val } => {
+                let (want, flip) = (*want, flip(*want));
+                let lanes = int_lanes(table, *col, batch, i64::MAX, |v| v ^ flip, i64::min);
+                if let Some(lanes) = lanes {
+                    lanes.each(|g, m| keep_first(&mut val[g], m ^ flip, |v, m| v.cmp(&m) == want));
+                }
+            }
+            AggColumn::MinMaxFloat { col, want, val } => {
+                let (want, flip) = (*want, flip(*want));
+                let key = |x: f64| float_key(x) ^ flip;
+                if let Some(lanes) = float_lanes(table, *col, batch, i64::MAX, key, i64::min) {
+                    lanes.each(|g, m| {
+                        let m = key_float(m ^ flip);
+                        keep_first(&mut val[g], m, |v, m| v.total_cmp(&m) == want)
+                    });
+                }
+            }
+            _ => return false,
+        }
+        true
+    }
+
     /// [`update`](Self::update) for a table of one group: the batch folds
-    /// into a local, stored once. Float `SUM` and `AVG` add in row order
-    /// from the stored state, through the per-row arm's own steps.
+    /// into a local, stored once. `MIN` / `MAX` fold ordered keys (a Float's
+    /// [`float_key`]) with no branch on the kept value. Float `SUM` and
+    /// `AVG` add in row order from the stored state, through the per-row
+    /// arm's own steps.
     fn fold_one(&mut self, table: &Table, rows: &[u32]) {
         match self {
             AggColumn::Count { col: None, n } => n[0] += rows.len() as i64,
@@ -996,24 +1214,27 @@ impl AggColumn {
                     s
                 })
             }
-            AggColumn::Avg { col, acc } => {
+            AggColumn::Avg { col, acc, .. } => {
                 let add = |(s, n): (f64, i64), v: f64| (s + v, n + 1);
                 acc[0] = fold_ints(table, *col, rows, acc[0], |a, v| add(a, v as f64));
                 acc[0] = fold_floats(table, *col, rows, acc[0], add);
             }
             AggColumn::MinMaxInt { col, want, val } => {
-                let want = *want;
-                val[0] = fold_ints(table, *col, rows, val[0], |mut m, v| {
-                    keep_first(&mut m, v, |v, m| v.cmp(&m) == want);
-                    m
-                })
+                let (want, flip) = (*want, flip(*want));
+                let least = |(m, _): (i64, bool), v: i64| (m.min(v ^ flip), true);
+                let (m, seen) = fold_ints(table, *col, rows, (i64::MAX, false), least);
+                if seen {
+                    keep_first(&mut val[0], m ^ flip, |v, m| v.cmp(&m) == want);
+                }
             }
             AggColumn::MinMaxFloat { col, want, val } => {
-                let want = *want;
-                val[0] = fold_floats(table, *col, rows, val[0], |mut m, v| {
-                    keep_first(&mut m, v, |v, m| v.total_cmp(&m) == want);
-                    m
-                })
+                let (want, flip) = (*want, flip(*want));
+                let least = |(m, _): (i64, bool), v: f64| (m.min(float_key(v) ^ flip), true);
+                let (m, seen) = fold_floats(table, *col, rows, (i64::MAX, false), least);
+                if seen {
+                    let m = key_float(m ^ flip);
+                    keep_first(&mut val[0], m, |v, m| v.total_cmp(&m) == want);
+                }
             }
             AggColumn::Boxed { spec, accs } => {
                 for &row in rows {
@@ -1114,6 +1335,8 @@ pub struct GroupTable {
     index: KeyIndex,
     /// One column per aggregate, each as long as the index has groups.
     columns: Vec<AggColumn>,
+    /// The current batch's group ids, kept for the next batch.
+    ids: Vec<u32>,
 }
 
 /// Group `id` of a table read as the row `[keys…, aggregates…]` HAVING and
@@ -1129,7 +1352,7 @@ struct GroupRow<'a> {
 
 impl ColumnAccess for GroupRow<'_> {
     fn value(&self, idx: usize) -> Value {
-        let GroupTable { index, columns } = self.groups;
+        let GroupTable { index, columns, .. } = self.groups;
         match idx.checked_sub(index.width()) {
             None => index.key(self.table, self.id, idx),
             Some(agg) => columns[agg].value(self.id),
@@ -1163,7 +1386,11 @@ impl GroupTable {
                 column
             })
             .collect();
-        GroupTable { index, columns }
+        GroupTable {
+            index,
+            columns,
+            ids: Vec::new(),
+        }
     }
 
     /// The key index (`"global"`, `"packed"` or `"hash"`) and
@@ -1217,21 +1444,25 @@ impl GroupTable {
     }
 
     /// Free what only finds a row's group — the direct slot table, the
-    /// packed or hash map — for a table that is only emitted from now on.
+    /// packed or hash map, the batch's group ids — for a table that is only
+    /// emitted from now on.
     pub(crate) fn drop_lookup(&mut self) {
         self.index.drop_lookup();
+        self.ids = Vec::new();
     }
 
     /// Feed the selected `rows` of `table`, in order: the key index maps the
     /// batch to group ids, then each aggregate column takes the whole batch.
     pub(crate) fn update(&mut self, table: &Table, rows: &[u32]) {
-        let mut ids = Vec::new();
+        let mut ids = std::mem::take(&mut self.ids);
+        ids.clear();
         self.index.assign(table, rows, &mut ids);
         let n = self.index.len();
         for column in &mut self.columns {
             column.resize(n);
             column.update(table, rows, &ids, n);
         }
+        self.ids = ids;
     }
 
     /// Fold in `other`, built by the same query over a *later* scan range:
@@ -1241,6 +1472,7 @@ impl GroupTable {
         let GroupTable {
             index,
             columns: their_columns,
+            ..
         } = other;
         // `map[t]`: this table's id for `other`'s group `t`.
         let map: Vec<u32> = match (&mut self.index, index) {
@@ -1297,7 +1529,7 @@ impl GroupTable {
         projections: &[CExpr],
         having: Option<&CExpr>,
     ) -> ResultBuilder {
-        self.index.drop_lookup();
+        self.drop_lookup();
         let mut out = ResultBuilder::with_capacity(projections.len(), self.len());
         for id in 0..self.len() {
             let group = GroupRow {
@@ -1416,6 +1648,42 @@ mod tests {
             index("q, BIN(n, 5), BIN(x, 5)", &table(&[(None, None, None)])),
             "packed"
         );
+    }
+
+    /// An Int `AVG` folds in lanes only while the row count times the
+    /// column's largest magnitude is below 2^53, on either side of zero; a
+    /// column with no valid row has no sum to lose, and a Float column
+    /// always adds in row order.
+    #[test]
+    fn int_avg_sums_are_exact_below_2_pow_53() {
+        let half = 1i64 << 52;
+        for (values, exact) in [
+            (&[half - 1, 0][..], true),
+            (&[1 - half, 5], true),
+            (&[half, 0], false),
+            (&[-half, 0], false),
+            (&[i64::MIN, 0], false),
+            (&[i64::MAX, 0], false),
+            (&[3, -3, 7, 0], true),
+        ] {
+            assert_eq!(sums_are_exact(&ints(values), 1), exact, "{values:?}");
+        }
+        let nulls = table(&[(None, None, None), (None, None, Some(1.0))]);
+        assert!(sums_are_exact(&nulls, 1), "an all-NULL Int column");
+        let avg = |t: &Arc<Table>, col: &str| {
+            let query = simba_sql::parse_select(&format!("SELECT AVG({col}) FROM t")).unwrap();
+            match prepare(&query, t.clone()).unwrap().kind {
+                QueryKind::Aggregate { aggs, .. } => AggColumn::new(&aggs[0], t),
+                QueryKind::Project { .. } => unreachable!("AVG aggregates"),
+            }
+        };
+        let exact_of = |column: AggColumn| match column {
+            AggColumn::Avg { exact, .. } => exact,
+            other => panic!("AVG is typed: {other:?}"),
+        };
+        assert!(exact_of(avg(&ints(&[half - 1, 1]), "n")));
+        assert!(!exact_of(avg(&ints(&[half, 1]), "n")));
+        assert!(!exact_of(avg(&floats(&[1.0, 2.0]), "x")));
     }
 
     /// GROUP BY `keys` over `t` through the packed index and, forced, the

@@ -1659,7 +1659,12 @@ fn scan_engines(select: &Select, table: &Arc<Table>, threads: &[usize]) -> Vec<A
 /// `sql` with `filter` as its WHERE, against the oracle on every engine of
 /// [`scan_engines`].
 fn assert_scan_arms_match(sql: &str, filter: Option<&Expr>, threads: &[usize]) {
-    let table = scan_table();
+    assert_arms_match_on(&scan_table(), sql, filter, threads);
+}
+
+/// [`assert_scan_arms_match`] over `table`.
+fn assert_arms_match_on(table: &Arc<Table>, sql: &str, filter: Option<&Expr>, threads: &[usize]) {
+    let table = table.clone();
     let mut select = simba_sql::parse_select(sql).unwrap();
     select.where_clause = filter.cloned();
     for engine in scan_engines(&select, &table, threads) {
@@ -1853,5 +1858,201 @@ fn count_star_over_few_and_many_groups_matches_sqlite_like() {
                 assert_scan_arms_match(&sql, filter, &[1, 2, 3]);
             }
         }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Typed columns folded in lanes.
+//
+// Over at most `LANE_GROUPS` groups every typed column whose result cannot
+// depend on fold order folds a batch in four lanes: `COUNT(col)`, Int `SUM`
+// (wrapping), `MIN` / `MAX` over Ints and over Floats' ordered keys, and Int
+// `AVG` while the row count times the column's largest magnitude is below
+// 2^53. Each lane keeps a seen-bit per group, so a group whose rows are all
+// NULL stays NULL.
+
+/// `lane_table`'s rows: three full morsels and a partial one.
+const LANE_ROWS: usize = 3 * MORSEL_ROWS + 333;
+
+/// One more than the largest magnitude an Int column of [`LANE_ROWS`] rows
+/// may hold for its `AVG` to fold in lanes: `LANE_ROWS` times it is past
+/// 2^53, `LANE_ROWS` times one less is not.
+const EXACT_MAGNITUDE: i64 = (1 << 53) / LANE_ROWS as i64 + 1;
+
+/// `x` Floats: both zeros, NaNs of four payloads and signs, ±inf and finite
+/// values; `big` Ints at `i64::MIN`, `i64::MAX` and small ones; `top` Ints
+/// near `i64::MAX`, whose sums wrap; `c` NULL in runs of 1 to 300 rows;
+/// `below` and `above` Ints whose largest magnitude times the row count is
+/// just below and just above 2^53; `huge` Ints near ±2^60; `g1` … `g65`
+/// keys of that many groups, drawn per row. Every column but `c` and the
+/// keys is NULL now and then.
+fn lane_table() -> Arc<Table> {
+    static TABLE: OnceLock<Arc<Table>> = OnceLock::new();
+    TABLE
+        .get_or_init(|| {
+            let mut columns = vec![ColumnDef::quantitative_float("x")];
+            columns.extend(
+                ["big", "top", "c", "below", "above", "huge"].map(ColumnDef::quantitative_int),
+            );
+            columns.extend(
+                GROUP_COUNTS
+                    .iter()
+                    .map(|k| ColumnDef::quantitative_int(format!("g{k}"))),
+            );
+            let nans = [
+                f64::NAN,
+                -f64::NAN,
+                f64::from_bits(0x7ff0_0000_0000_0001),
+                f64::from_bits(0xfff8_0000_0000_0042),
+            ];
+            let pool = [-0.0, 0.0, 1.5, -7.25, f64::INFINITY, f64::NEG_INFINITY];
+            let (mut null_run, mut in_run) = (0u64, false);
+            let mut b = TableBuilder::new(Schema::new("t", columns), LANE_ROWS);
+            for i in 0..LANE_ROWS as u64 {
+                let draw = |salt: u64| splitmix64(i ^ (salt << 56));
+                let or_null = |salt: u64, v: Value| {
+                    if draw(salt) % 9 == 0 {
+                        Value::Null
+                    } else {
+                        v
+                    }
+                };
+                if null_run == 0 {
+                    null_run = 1 + draw(1) % 300;
+                    in_run = !in_run;
+                }
+                null_run -= 1;
+                let magnitude = |salt: u64, m: i64| {
+                    let v = m - (draw(salt) % 3) as i64;
+                    Value::Int(if draw(salt + 1) % 2 == 0 { v } else { -v })
+                };
+                let x = match draw(2) % 10 {
+                    0 | 1 => nans[(draw(3) % 4) as usize],
+                    d => pool[(d - 2) as usize % pool.len()],
+                };
+                let big = match draw(4) % 4 {
+                    0 => i64::MIN,
+                    1 => i64::MAX,
+                    _ => (draw(5) % 100) as i64 - 50,
+                };
+                let mut row = vec![
+                    or_null(6, Value::Float(x)),
+                    or_null(7, Value::Int(big)),
+                    or_null(8, Value::Int(i64::MAX - (draw(9) % 1_000) as i64)),
+                    if in_run {
+                        Value::Null
+                    } else {
+                        Value::Int((draw(10) % 1_000) as i64)
+                    },
+                    or_null(11, magnitude(12, EXACT_MAGNITUDE - 1)),
+                    or_null(14, magnitude(15, EXACT_MAGNITUDE)),
+                    or_null(17, magnitude(18, 1 << 60)),
+                ];
+                row.extend(
+                    GROUP_COUNTS
+                        .iter()
+                        .map(|&k| Value::Int((draw(20) % k) as i64)),
+                );
+                b.push_row(row);
+            }
+            Arc::new(b.finish())
+        })
+        .clone()
+}
+
+/// Every typed column that folds in lanes, over 1, 2, 63, 64 and 65 groups
+/// on the hash and the packed index, filtered and not, on `duckdb-like` at
+/// one, two and three scan threads and seeded, against `sqlite-like`:
+/// Float `MIN` / `MAX` over both zeros in one group, NaN payloads and ±inf;
+/// Int `MIN` / `MAX` at `i64::MIN` / `i64::MAX`; Int `SUM` wrapping past
+/// `i64::MAX`; `COUNT(col)` over NULL runs; Int `AVG` just inside the 2^53
+/// bound, and just outside it and far outside it, where it adds in row
+/// order and so runs on one scan thread and seeded only.
+#[test]
+fn typed_columns_fold_in_lanes_like_sqlite_like() {
+    let table = lane_table();
+    let filter = Expr::binary(Expr::col("c"), BinOp::GtEq, Expr::int(100));
+    let order_free = "MIN(x), MAX(x), MIN(big), MAX(big), SUM(top), SUM(big), COUNT(c), \
+        COUNT(x), AVG(below), COUNT(*)";
+    let row_order = "AVG(above), AVG(huge), AVG(big), AVG(below)";
+    for k in GROUP_COUNTS {
+        for keys in [format!("g{k}"), format!("BIN(g{k}, 1)")] {
+            for (aggregates, threads) in [(order_free, &[1, 2, 3][..]), (row_order, &[1])] {
+                let sql = format!("SELECT {keys}, {aggregates} FROM t GROUP BY {keys}");
+                for filter in [None, Some(&filter)] {
+                    assert_arms_match_on(&table, &sql, filter, threads);
+                }
+            }
+        }
+    }
+}
+
+/// The cases above reach what they are meant to: each group holds `-0.0`
+/// and `0.0` beside NaNs of both signs, `big` reaches both `i64` extremes
+/// and `top`'s sum wraps in every group, `c` is NULL in runs longer than a
+/// lane's stride, and `below` and `above` reach the largest magnitudes
+/// either side of the 2^53 bound.
+#[test]
+fn lane_table_reaches_every_edge() {
+    let table = lane_table();
+    let column = |name: &str| table.column_by_name(name).unwrap();
+    let ints = |name: &str| -> Vec<Option<i64>> {
+        let c = column(name);
+        (0..LANE_ROWS)
+            .map(|i| match c.value(i) {
+                Value::Int(v) => Some(v),
+                _ => None,
+            })
+            .collect()
+    };
+    for (name, largest) in [("below", EXACT_MAGNITUDE - 1), ("above", EXACT_MAGNITUDE)] {
+        let top = ints(name)
+            .into_iter()
+            .flatten()
+            .map(i64::unsigned_abs)
+            .max();
+        assert_eq!(top, Some(largest as u64), "`{name}`");
+        let product = u128::from(largest as u64) * LANE_ROWS as u128;
+        assert_eq!(product < 1 << 53, name == "below", "`{name}`");
+    }
+    let big: Vec<i64> = ints("big").into_iter().flatten().collect();
+    assert!(big.contains(&i64::MIN) && big.contains(&i64::MAX));
+    let c = ints("c");
+    let longest_null_run = c.split(|v| v.is_some()).map(<[_]>::len).max().unwrap_or(0);
+    assert!(longest_null_run > 4, "{longest_null_run}");
+    let g65 = ints("g65");
+    let x = column("x");
+    for g in 0..65 {
+        let bits: Vec<u64> = (0..LANE_ROWS)
+            .filter(|&i| g65[i] == Some(g))
+            .filter_map(|i| match x.value(i) {
+                Value::Float(v) => Some(v.to_bits()),
+                _ => None,
+            })
+            .collect();
+        for zero in [0.0f64, -0.0] {
+            assert!(bits.contains(&zero.to_bits()), "group {g}: {zero:?}");
+        }
+        for negative in [false, true] {
+            let nan = |&b: &u64| f64::from_bits(b).is_nan() && (b >> 63 == 1) == negative;
+            assert!(
+                bits.iter().any(nan),
+                "group {g}: a NaN, negative {negative}"
+            );
+        }
+    }
+    let sums = simba_sql::parse_select("SELECT g65, SUM(top) FROM t GROUP BY g65").unwrap();
+    let out = execute_row_oracle(table.clone(), &sums).unwrap();
+    let top = ints("top");
+    for row in rows_of(&out.result) {
+        let Value::Int(g) = row[0] else {
+            panic!("{row:?}")
+        };
+        let exact: i128 = (0..LANE_ROWS)
+            .filter(|&i| g65[i] == Some(g))
+            .filter_map(|i| top[i].map(i128::from))
+            .sum();
+        assert!(exact > i128::from(i64::MAX), "group {g}");
+        assert_eq!(row[1], Value::Int(exact as i64), "group {g} wraps");
     }
 }

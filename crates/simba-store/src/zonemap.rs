@@ -64,7 +64,7 @@ pub fn float_key(v: f64) -> i64 {
 }
 
 /// The float whose [`float_key`] is `key`.
-fn key_float(key: i64) -> f64 {
+pub fn key_float(key: i64) -> f64 {
     f64::from_bits(float_key(f64::from_bits(key as u64)) as u64)
 }
 
